@@ -44,6 +44,11 @@ FUNCTIONS: dict[str, Callable[[float], float]] = {
 
 KEYWORDS = {"sum", "mean", "in", "inputs"}
 
+# Deepest nesting the parser accepts: parentheses, calls, aggregators and
+# unary minus, and the height of the resulting AST.  It bounds the recursion
+# of the parser, the evaluator and the printer well below Python's limit.
+MAX_DEPTH = 100
+
 Pos = tuple[int, int]
 
 
@@ -211,6 +216,7 @@ class _Parser:
         self.signature = signature
         self.groups = signature.groups()
         self.scope: list[tuple[str, str]] = []  # (var, group name)
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -231,14 +237,22 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        _check_height(e)
         return e
 
+    def descend(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", self.peek().pos)
+
     def expr(self) -> Expr:
+        self.descend()
         left = self.term()
         while self.peek().text in ("+", "-"):
             op = self.advance()
             right = self.term()
             left = BinOp(op.text, left, right, pos=op.pos)
+        self.depth -= 1
         return left
 
     def term(self) -> Expr:
@@ -253,7 +267,10 @@ class _Parser:
         tok = self.peek()
         if tok.text == "-":
             self.advance()
-            return Neg(self.factor(), pos=tok.pos)
+            self.descend()
+            arg = self.factor()
+            self.depth -= 1
+            return Neg(arg, pos=tok.pos)
         return self.power()
 
     def power(self) -> Expr:
@@ -355,6 +372,28 @@ class _Parser:
             self.scope.pop()
         self.expect("}")
         return Aggregate(op_tok.text, var_tok.text, group, body, pos=op_tok.pos)
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Call)):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Aggregate):
+        return (e.body,)
+    return ()
+
+
+def _check_height(e: Expr) -> None:
+    """Reject ASTs taller than MAX_DEPTH, such as long operator chains; no recursion."""
+    stack = [(e, 1)]
+    while stack:
+        node, height = stack.pop()
+        if height > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", node.pos)
+        stack.extend((child, height + 1) for child in _children(node))
 
 
 def parse(src: str, signature: ControlSignature) -> Expr:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -110,10 +111,10 @@ class Partition:
         return cls(tuple(sorted((b for b in materialized if b), key=lambda b: b[0])))
 
     def block_of(self, node: NodeId) -> tuple[NodeId, ...]:
-        for b in self.blocks:
-            if node in b:
-                return b
-        raise PreconditionError(f"node {node!r} not covered by the partition")
+        try:
+            return self._block_by_node[node]
+        except KeyError:
+            raise PreconditionError(f"node {node!r} not covered by the partition") from None
 
     def block_id(self, node: NodeId) -> NodeId:
         return self.block_of(node)[0]
@@ -128,6 +129,11 @@ class Partition:
 
     def node_set(self) -> frozenset[NodeId]:
         return frozenset(a for b in self.blocks for a in b)
+
+    @cached_property
+    def _block_by_node(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        # reversed, so that a node listed in several blocks maps to the first
+        return {a: b for b in reversed(self.blocks) for a in b}
 
 
 def _check_phase_homogeneous(net: Network, p: Partition) -> None:
@@ -150,6 +156,16 @@ def _in_block_signature(net: Network, idx: Mapping[NodeId, NodeId], a: NodeId) -
     return tuple(sorted(idx[e.src] for e in net.in_edges(a)))
 
 
+def _balance_witness(net: Network, p: Partition, idx: Mapping[NodeId, NodeId]) -> BalanceWitness | None:
+    _check_phase_homogeneous(net, p)
+    for b in p.blocks:
+        ref_sig = _in_block_signature(net, idx, b[0])
+        for a in b[1:]:
+            if _in_block_signature(net, idx, a) != ref_sig:
+                return BalanceWitness(b[0], b[0], a)
+    return None
+
+
 def is_balanced(net: Network, p: Partition) -> tuple[bool, BalanceWitness | None]:
     """True iff the induced quotient map is a fibration.
 
@@ -157,14 +173,8 @@ def is_balanced(net: Network, p: Partition) -> tuple[bool, BalanceWitness | None
     the same multiset of source blocks over their in-edges.  The witness
     names the first offending pair.
     """
-    _check_phase_homogeneous(net, p)
-    idx = p.block_index()
-    for b in p.blocks:
-        ref_sig = _in_block_signature(net, idx, b[0])
-        for a in b[1:]:
-            if _in_block_signature(net, idx, a) != ref_sig:
-                return False, BalanceWitness(b[0], b[0], a)
-    return True, None
+    witness = _balance_witness(net, p, p.block_index())
+    return witness is None, witness
 
 
 def quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkMap]:
@@ -174,39 +184,35 @@ def quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkMap]:
     ids prefixed by the block id; member in-edges are matched to those edges
     within same-source-block groups in edge-id order.
     """
-    ok, witness = is_balanced(net, p)
-    if not ok:
-        assert witness is not None
+    idx = p.block_index()
+    witness = _balance_witness(net, p, idx)
+    if witness is not None:
         raise PreconditionError(
             f"partition is not balanced: nodes {witness.left!r} and {witness.right!r} "
             f"in block {witness.block!r} have mismatched in-edge block multisets"
         )
-    idx = p.block_index()
     q_nodes = tuple(sorted(b[0] for b in p.blocks))
     q_edges: list[Edge] = []
-    rep_edge_groups: dict[NodeId, dict[NodeId, list[str]]] = {}
+    edge_map: dict[str, str] = {}
     for b in p.blocks:
         rep = b[0]
-        groups: dict[NodeId, list[str]] = {}
-        for e in net.in_edges(rep):
-            groups.setdefault(idx[e.src], []).append(e.edge_id)
-            q_edges.append(Edge(f"{rep}:{e.edge_id}", idx[e.src], rep))
-        rep_edge_groups[rep] = groups
+        rep_groups: dict[NodeId, list[str]] = {}
+        for i, a in enumerate(b):  # the representative comes first and fixes the quotient edges
+            groups: dict[NodeId, list[str]] = {}
+            for e in net.in_edges(a):
+                groups.setdefault(idx[e.src], []).append(e.edge_id)
+                if i == 0:
+                    q_edges.append(Edge(f"{rep}:{e.edge_id}", idx[e.src], rep))
+            if i == 0:
+                rep_groups = groups
+            for src_block, ids in groups.items():
+                for own, reps in zip(ids, rep_groups[src_block]):
+                    edge_map[own] = f"{rep}:{reps}"
     quotient = Network(
         Graph(q_nodes, tuple(sorted(q_edges, key=lambda e: e.edge_id))),
         {b[0]: net.space(b[0]) for b in p.blocks},
     )
-    edge_map: dict[str, str] = {}
-    for b in p.blocks:
-        rep = b[0]
-        for a in b:
-            groups: dict[NodeId, list[str]] = {}
-            for e in net.in_edges(a):
-                groups.setdefault(idx[e.src], []).append(e.edge_id)
-            for src_block, ids in groups.items():
-                for own, reps in zip(ids, rep_edge_groups[rep][src_block]):
-                    edge_map[own] = f"{rep}:{reps}"
-    projection = NetworkMap(net, quotient, dict(idx), edge_map)
+    projection = NetworkMap(net, quotient, idx, edge_map)
     report = check_fibration(projection)
     if not report.is_fibration:  # guards the construction, not the input
         raise RuntimeError("internal error: quotient projection is not a fibration")
@@ -216,22 +222,31 @@ def quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkMap]:
 def coarsest_balanced(net: Network) -> tuple[Partition, Network, NetworkMap]:
     """Coarsest phase-homogeneous partition whose quotient map is a fibration.
 
-    Iterated refinement: start from phase classes, split blocks by the
-    multiset of source blocks over in-edges until stable.
+    Colour refinement: start from phase classes and split blocks by the
+    multiset of source blocks over in-edges until the block count stops
+    growing.  Blocks are relabelled to dense integers every round, so a
+    signature is (own colour, sorted source colours) and stays the size of
+    the in-degree however many rounds the refinement takes.
     """
-    block_of: dict[NodeId, tuple] = {a: (net.space(a).name,) for a in net.graph.nodes}
+    nodes = list(dict.fromkeys(net.graph.nodes))
+    position = {a: i for i, a in enumerate(nodes)}
+    sources = [[position[e.src] for e in net.in_edges(a)] for a in nodes]
+    space_ids: dict[str, int] = {}
+    colour = [space_ids.setdefault(net.space(a).name, len(space_ids)) for a in nodes]
+    n_colours = len(space_ids)
     while True:
-        sigs = {
-            a: (block_of[a], tuple(sorted(block_of[e.src] for e in net.in_edges(a))))
-            for a in net.graph.nodes
-        }
-        if len(set(sigs.values())) == len(set(block_of.values())):
+        sig_ids: dict[tuple, int] = {}
+        refined = [
+            sig_ids.setdefault((c, tuple(sorted([colour[j] for j in srcs]))), len(sig_ids))
+            for c, srcs in zip(colour, sources)
+        ]
+        if len(sig_ids) == n_colours:
             break
-        block_of = sigs  # type: ignore[assignment]
-    groups: dict[tuple, list[NodeId]] = {}
-    for a, key in block_of.items():
-        groups.setdefault(key, []).append(a)
-    partition = Partition.of(groups.values())
+        colour, n_colours = refined, len(sig_ids)
+    groups: list[list[NodeId]] = [[] for _ in range(n_colours)]
+    for a, c in zip(nodes, colour):
+        groups[c].append(a)
+    partition = Partition.of(groups)
     quotient, projection = quotient_of(net, partition)
     return partition, quotient, projection
 

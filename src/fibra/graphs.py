@@ -10,7 +10,8 @@ flat vectors by slice copying.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -69,7 +70,12 @@ class Edge:
 
 @dataclass(frozen=True)
 class Graph:
-    """Finite directed multigraph; loops and parallel edges allowed."""
+    """Finite directed multigraph; loops and parallel edges allowed.
+
+    Each instance builds its adjacency indexes lazily, once, on first use.
+    ``cached_property`` stores them in the instance ``__dict__``, outside the
+    dataclass fields, so equality and hashing still see only nodes and edges.
+    """
 
     nodes: tuple[NodeId, ...]
     edges: tuple[Edge, ...]
@@ -81,27 +87,26 @@ class Graph:
 
     def in_edges(self, node: NodeId) -> tuple[Edge, ...]:
         """In-edges of ``node`` sorted by edge id."""
-        return _in_edge_map(self).get(node, ())
+        return self._in_edge_map.get(node, ())
 
     def edge_by_id(self, edge_id: EdgeId) -> Edge:
-        return _edge_index(self)[edge_id]
+        return self._edge_index[edge_id]
 
-    @property
+    @cached_property
     def node_set(self) -> frozenset[NodeId]:
         return frozenset(self.nodes)
 
+    @cached_property
+    def _in_edge_map(self) -> dict[NodeId, tuple[Edge, ...]]:
+        acc: dict[NodeId, list[Edge]] = {a: [] for a in self.nodes}
+        for e in self.edges:
+            acc.setdefault(e.tgt, []).append(e)
+        by_id = attrgetter("edge_id")
+        return {a: tuple(sorted(es, key=by_id)) for a, es in acc.items()}
 
-@lru_cache(maxsize=None)
-def _in_edge_map(graph: Graph) -> dict[NodeId, tuple[Edge, ...]]:
-    acc: dict[NodeId, list[Edge]] = {a: [] for a in graph.nodes}
-    for e in graph.edges:
-        acc.setdefault(e.tgt, []).append(e)
-    return {a: tuple(sorted(es, key=lambda e: e.edge_id)) for a, es in acc.items()}
-
-
-@lru_cache(maxsize=None)
-def _edge_index(graph: Graph) -> dict[EdgeId, Edge]:
-    return {e.edge_id: e for e in graph.edges}
+    @cached_property
+    def _edge_index(self) -> dict[EdgeId, Edge]:
+        return {e.edge_id: e for e in self.edges}
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,7 @@ class Violation:
 def validate_network(net: Network) -> list[Violation]:
     """Report every violated structural invariant; an empty list means valid."""
     out: list[Violation] = []
+    node_set = net.graph.node_set
     seen_nodes: set[str] = set()
     for a in net.graph.nodes:
         if a in seen_nodes:
@@ -156,15 +162,15 @@ def validate_network(net: Network) -> list[Violation]:
         if e.edge_id in seen_edges:
             out.append(Violation("duplicate-edge", e.edge_id, f"edge id {e.edge_id!r} repeated"))
         seen_edges.add(e.edge_id)
-        if e.src not in seen_nodes and e.src not in net.graph.nodes:
+        if e.src not in node_set:
             out.append(Violation("dangling-src", e.edge_id, f"edge {e.edge_id!r} has unknown source {e.src!r}"))
-        if e.tgt not in net.graph.nodes:
+        if e.tgt not in node_set:
             out.append(Violation("dangling-tgt", e.edge_id, f"edge {e.edge_id!r} has unknown target {e.tgt!r}"))
     for a in net.graph.nodes:
         if a not in net.phase:
             out.append(Violation("missing-phase", a, f"node {a!r} has no phase space"))
     for a in net.phase:
-        if a not in net.graph.node_set:
+        if a not in node_set:
             out.append(Violation("extra-phase", a, f"phase space assigned to unknown node {a!r}"))
     return out
 
@@ -202,7 +208,7 @@ def check_network_map(m: NetworkMap) -> list[Violation]:
     """Report every homomorphism or phase-compatibility violation."""
     out: list[Violation] = []
     cod_nodes = m.codomain.graph.node_set
-    cod_edges = {e.edge_id: e for e in m.codomain.graph.edges}
+    cod_edges = m.codomain.graph._edge_index
     for a in m.domain.graph.nodes:
         if a not in m.node_map:
             out.append(Violation("unmapped-node", a, f"node {a!r} has no image"))

@@ -13,6 +13,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import EnumerationCapExceeded, PreconditionError
@@ -195,16 +196,21 @@ class SymmetryGroupoid:
     aut_orders: Mapping[NodeId, int]
 
     def class_of(self, node: NodeId) -> IsoClass:
-        for c in self.classes:
-            if node in c.members:
-                return c
-        raise PreconditionError(f"unknown node id {node!r}")
+        try:
+            return self._class_by_node[node]
+        except KeyError:
+            raise PreconditionError(f"unknown node id {node!r}") from None
 
     def representative(self, node: NodeId) -> NodeId:
         return self.class_of(node).representative
 
     def representatives(self) -> tuple[NodeId, ...]:
         return tuple(c.representative for c in self.classes)
+
+    @cached_property
+    def _class_by_node(self) -> dict[NodeId, IsoClass]:
+        # reversed, so that a node listed in several classes maps to the first
+        return {a: c for c in reversed(self.classes) for a in c.members}
 
 
 def symmetry_groupoid(net: Network) -> SymmetryGroupoid:

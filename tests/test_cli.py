@@ -59,6 +59,18 @@ def test_malformed_json_exits_2(files, capsys):
     assert "error" in err
 
 
+def test_simulate_deeply_nested_expression_exits_2(files, capsys):
+    write, _ = files
+    net = fixtures.g3()
+    netp = write("g3.json", network_to_json(net))
+    nested = "(" * 5000 + "x[0]" + ")" * 5000
+    dyn = write("dyn.json", {"classes": [{"representative": "1", "exprs": [nested]}]})
+    x0 = write("x0.json", {"flat": [1.0, 1.0, 1.0]})
+    code, _, err = run_cli(capsys, ["simulate", netp, dyn, "--x0", x0, "--T", "0.5", "--h", "0.1"])
+    assert code == 2
+    assert "nested deeper than" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, ["validate", "/nonexistent/net.json"])
     assert code == 2

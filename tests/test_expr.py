@@ -68,6 +68,31 @@ def test_parse_rejects_trailing_garbage():
         parse("x[0] x[1]", SIG_R2)
 
 
+@pytest.mark.parametrize(
+    "src",
+    [
+        "(" * 5000 + "x[0]" + ")" * 5000,
+        "sin(" * 5000 + "x[0]" + ")" * 5000,
+        "-" * 5000 + "x[0]",
+        " + ".join(["x[0]"] * 5000),
+        "(" * 100 + "x[0]" + ")" * 100,
+        " * ".join(["x[0]"] * 101),
+    ],
+    ids=["parens", "calls", "negations", "sum-chain", "parens-101", "product-chain-101"],
+)
+def test_parse_rejects_deep_nesting(src):
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels"):
+        parse(src, SIG_R2)
+
+
+def test_parse_accepts_nesting_up_to_the_limit():
+    deep = parse("(" * 99 + "x[0]" + ")" * 99, SIG_R2)
+    assert deep == RootRef(0)
+    chain = parse_control(" - ".join(["x[0]"] * 100), ControlSignature(R1, ()))
+    assert evaluate(chain, np.array([1.0]), [])[0] == -98.0
+    assert parse(unparse(chain.components[0]), ControlSignature(R1, ())) == chain.components[0]
+
+
 def test_parse_integer_power_only():
     expr = parse("x[0]^3", SIG_R2)
     assert expr == Pow(RootRef(0), 3)

@@ -1,0 +1,202 @@
+"""The indexed structure layer against the scan-based paths it replaced.
+
+Per-graph adjacency indexes, integer colour refinement, the one-pass quotient
+and the dict-backed ``block_of``/``class_of`` must give exactly what the
+reference implementations in ``util`` give, on generated networks with
+self-loops, parallel edges, mixed phase spaces and isolated nodes.
+"""
+
+import importlib
+import inspect
+import pkgutil
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+import fibra
+from fibra import (
+    Edge,
+    Graph,
+    Network,
+    Partition,
+    PreconditionError,
+    R1,
+    R2,
+    S1,
+    coarsest_balanced,
+    network,
+    quotient_of,
+    symmetry_groupoid,
+    validate_network,
+)
+
+from util import (
+    doubled_edge_chain,
+    reference_coarsest_balanced,
+    reference_quotient_of,
+    scan_block_of,
+    scan_class_of,
+    scan_network,
+)
+
+SPACES = (R1, R2, S1)
+
+
+@st.composite
+def networks(draw):
+    """A small base network, optionally lifted by fibers of 1-3 nodes each.
+
+    The base may get a self-loop, a parallel edge and an isolated node; a lift
+    copies each of them into every fiber, so coarsest partitions come out
+    non-trivial.  Node and edge ids are shuffled so that creation order, id
+    order and least block members disagree.
+    """
+    n_base = draw(st.integers(1, 4))
+    spaces = draw(st.lists(st.sampled_from(SPACES), min_size=n_base, max_size=n_base))
+    base_edges = draw(st.lists(st.tuples(st.integers(0, n_base - 1), st.integers(0, n_base - 1)), max_size=6))
+    if draw(st.booleans()):
+        v = draw(st.integers(0, n_base - 1))
+        base_edges.append((v, v))
+    if base_edges and draw(st.booleans()):
+        base_edges.append(draw(st.sampled_from(base_edges)))
+    if draw(st.booleans()):
+        spaces.append(draw(st.sampled_from(SPACES)))  # isolated: no edge touches it
+    fiber_sizes = draw(st.lists(st.integers(1, 3), min_size=len(spaces), max_size=len(spaces)))
+    fibers, n = [], 0
+    for size in fiber_sizes:
+        fibers.append(list(range(n, n + size)))
+        n += size
+    node_ids = draw(st.permutations([f"n{i}" for i in range(n)]))
+    nodes = [(node_ids[i], spaces[b]) for b, fiber in enumerate(fibers) for i in fiber]
+    pairs = []
+    for b, fiber in enumerate(fibers):
+        for a in fiber:
+            for src, tgt in base_edges:
+                if tgt == b:
+                    pairs.append((node_ids[draw(st.sampled_from(fibers[src]))], node_ids[a]))
+    edge_ids = draw(st.permutations([f"e{k}" for k in range(len(pairs))]))
+    return network(nodes, [(eid, s, t) for eid, (s, t) in zip(edge_ids, pairs)])
+
+
+KITCHEN_SINK = network(
+    [("a", R1), ("b", R1), ("c", R1), ("d", R2), ("e", S1), ("z", R2)],
+    [
+        ("e5", "a", "a"),  # self-loop
+        ("e1", "a", "b"),  # parallel pair
+        ("e0", "a", "b"),
+        ("e3", "b", "c"),
+        ("e2", "a", "c"),
+        ("e4", "e", "d"),
+        ("e6", "d", "e"),
+        ("e7", "e", "e"),
+    ],
+)
+
+
+@given(networks())
+@example(KITCHEN_SINK)
+def test_structure_layer_matches_reference(net):
+    ref_net = scan_network(net)
+    graph = net.graph
+    for a in graph.nodes:
+        assert graph.in_edges(a) == ref_net.graph.in_edges(a)
+    assert graph.in_edges("no-such-node") == ()
+    assert graph.node_set == frozenset(graph.nodes)
+    for e in graph.edges:
+        assert graph.edge_by_id(e.edge_id) == e
+
+    partition, quotient, projection = coarsest_balanced(net)
+    ref_partition, ref_quotient, ref_projection = reference_coarsest_balanced(ref_net)
+    assert partition == ref_partition
+    assert quotient.graph == ref_quotient.graph
+    assert dict(quotient.phase) == dict(ref_quotient.phase)
+    assert list(projection.node_map.items()) == list(ref_projection.node_map.items())
+    assert list(projection.edge_map.items()) == list(ref_projection.edge_map.items())
+
+    discrete = Partition.of([a] for a in graph.nodes)
+    q_new, p_new = quotient_of(net, discrete)
+    q_ref, p_ref = reference_quotient_of(ref_net, discrete)
+    assert q_new.graph == q_ref.graph and dict(q_new.phase) == dict(q_ref.phase)
+    assert list(p_new.edge_map.items()) == list(p_ref.edge_map.items())
+
+    groupoid = symmetry_groupoid(net)
+    ref_groupoid = symmetry_groupoid(ref_net)
+    assert [(c.representative, c.members, dict(c.witnesses)) for c in groupoid.classes] == [
+        (c.representative, c.members, dict(c.witnesses)) for c in ref_groupoid.classes
+    ]
+    assert dict(groupoid.aut_orders) == dict(ref_groupoid.aut_orders)
+
+    for a in graph.nodes:
+        assert partition.block_of(a) == scan_block_of(partition, a)
+        assert partition.block_id(a) == scan_block_of(partition, a)[0]
+        assert groupoid.class_of(a) == scan_class_of(groupoid, a)
+        assert groupoid.representative(a) == scan_class_of(groupoid, a).representative
+    with pytest.raises(PreconditionError):
+        partition.block_of("no-such-node")
+    with pytest.raises(PreconditionError):
+        groupoid.class_of("no-such-node")
+
+
+def test_kitchen_sink_has_every_feature():
+    edges = KITCHEN_SINK.graph.edges
+    assert any(e.src == e.tgt for e in edges)
+    assert len({(e.src, e.tgt) for e in edges}) < len(edges)
+    touched = {e.src for e in edges} | {e.tgt for e in edges}
+    assert set(KITCHEN_SINK.graph.nodes) - touched == {"z"}
+    assert {s.name for s in KITCHEN_SINK.phase.values()} == {"R1", "R2", "S1"}
+
+
+def test_block_of_keeps_first_block_when_blocks_overlap():
+    p = Partition((("a", "b"), ("b", "c")))
+    assert p.block_of("b") == scan_block_of(p, "b") == ("a", "b")
+
+
+def test_doubled_edge_chain_refines_to_discrete_partition():
+    # nested signatures grow as 2^rounds here; integer colours keep them flat
+    net = doubled_edge_chain(60)
+    partition, quotient, projection = coarsest_balanced(net)
+    assert partition.blocks == tuple((a,) for a in sorted(net.graph.nodes))
+    assert len(quotient.graph.nodes) == 60 and len(quotient.graph.edges) == 118
+    assert dict(projection.node_map) == {a: a for a in net.graph.nodes}
+
+
+def test_graph_indexes_stay_out_of_equality_and_hash():
+    g1 = Graph(("a", "b"), (Edge("e", "a", "b"),))
+    g2 = Graph(("a", "b"), (Edge("e", "a", "b"),))
+    g1.in_edges("b"), g1.edge_by_id("e"), g1.node_set  # build g1's indexes only
+    assert g1 == g2 and hash(g1) == hash(g2)
+
+
+def test_validate_network_reports_in_order():
+    net = Network(
+        Graph(
+            ("a", "b", "a"),
+            (Edge("e1", "a", "b"), Edge("e1", "x", "b"), Edge("e2", "b", "y")),
+        ),
+        {"a": R1, "q": R1},
+    )
+    got = [(v.kind, v.subject) for v in validate_network(net)]
+    assert got == [
+        ("duplicate-node", "a"),
+        ("duplicate-edge", "e1"),
+        ("dangling-src", "e1"),
+        ("dangling-tgt", "e2"),
+        ("missing-phase", "b"),
+        ("extra-phase", "q"),
+    ]
+
+
+def test_no_module_level_caches():
+    """No fibra module or class holds a functools cache, which would hash whole graphs."""
+    modules = [fibra] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(fibra.__path__, prefix="fibra.")
+    ]
+    cached = []
+    for module in modules:
+        for name, obj in vars(module).items():
+            members = vars(obj).items() if inspect.isclass(obj) else ()
+            for label, candidate in [(name, obj), *((f"{name}.{k}", v) for k, v in members)]:
+                if callable(getattr(candidate, "cache_clear", None)):
+                    cached.append(f"{module.__name__}.{label}")
+    assert cached == []

@@ -6,12 +6,16 @@ import itertools
 import random
 
 from fibra import (
+    Edge,
+    Graph,
     Network,
     NetworkMap,
     Partition,
+    PreconditionError,
     R1,
     R2,
     S1,
+    check_fibration,
     input_tree,
     network,
 )
@@ -164,3 +168,97 @@ def oracle_balanced(net: Network, p: Partition) -> bool:
             if sorted(own) != sorted(ref):
                 return False
     return True
+
+
+# --- reference structure layer ---------------------------------------------------
+# The scan-based adjacency and the nested-tuple refinement that the indexed
+# graph and integer colour refinement replaced, kept as differential oracles.
+
+
+class ScanGraph(Graph):
+    """A graph that finds in-edges by scanning every edge, with no index."""
+
+    def in_edges(self, node):
+        return tuple(sorted((e for e in self.edges if e.tgt == node), key=lambda e: e.edge_id))
+
+
+def scan_network(net: Network) -> Network:
+    return Network(ScanGraph(net.graph.nodes, net.graph.edges), dict(net.phase))
+
+
+def scan_block_of(p: Partition, node: str) -> tuple:
+    for b in p.blocks:
+        if node in b:
+            return b
+    raise PreconditionError(f"node {node!r} not covered by the partition")
+
+
+def scan_class_of(g, node: str):
+    for c in g.classes:
+        if node in c.members:
+            return c
+    raise PreconditionError(f"unknown node id {node!r}")
+
+
+def reference_quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkMap]:
+    """Two-pass quotient construction: representative groups first, then every member."""
+    idx = p.block_index()
+    q_nodes = tuple(sorted(b[0] for b in p.blocks))
+    q_edges = []
+    rep_edge_groups = {}
+    for b in p.blocks:
+        rep = b[0]
+        groups = {}
+        for e in net.in_edges(rep):
+            groups.setdefault(idx[e.src], []).append(e.edge_id)
+            q_edges.append(Edge(f"{rep}:{e.edge_id}", idx[e.src], rep))
+        rep_edge_groups[rep] = groups
+    quotient = Network(
+        Graph(q_nodes, tuple(sorted(q_edges, key=lambda e: e.edge_id))),
+        {b[0]: net.space(b[0]) for b in p.blocks},
+    )
+    edge_map = {}
+    for b in p.blocks:
+        rep = b[0]
+        for a in b:
+            groups = {}
+            for e in net.in_edges(a):
+                groups.setdefault(idx[e.src], []).append(e.edge_id)
+            for src_block, ids in groups.items():
+                for own, reps in zip(ids, rep_edge_groups[rep][src_block]):
+                    edge_map[own] = f"{rep}:{reps}"
+    projection = NetworkMap(net, quotient, dict(idx), edge_map)
+    assert check_fibration(projection).is_fibration
+    return quotient, projection
+
+
+def reference_coarsest_balanced(net: Network) -> tuple[Partition, Network, NetworkMap]:
+    """Refinement whose block labels nest the previous round's signatures.
+
+    Key size grows as (in-degree)^rounds, so keep inputs small.
+    """
+    block_of = {a: (net.space(a).name,) for a in net.graph.nodes}
+    while True:
+        sigs = {
+            a: (block_of[a], tuple(sorted(block_of[e.src] for e in net.in_edges(a))))
+            for a in net.graph.nodes
+        }
+        if len(set(sigs.values())) == len(set(block_of.values())):
+            break
+        block_of = sigs
+    groups = {}
+    for a, key in block_of.items():
+        groups.setdefault(key, []).append(a)
+    partition = Partition.of(groups.values())
+    quotient, projection = reference_quotient_of(net, partition)
+    return partition, quotient, projection
+
+
+def doubled_edge_chain(n: int) -> Network:
+    """n R1 nodes in a line, each consecutive pair joined by two parallel edges."""
+    names = [f"c{i:03d}" for i in range(n)]
+    edges = []
+    for i in range(n - 1):
+        edges.append((f"e{i:03d}a", names[i], names[i + 1]))
+        edges.append((f"e{i:03d}b", names[i], names[i + 1]))
+    return network([(a, R1) for a in names], edges)
