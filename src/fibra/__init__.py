@@ -77,7 +77,6 @@ from .expr_dsl import (
     ControlSignature,
     ExprSyntaxError,
     RawControl,
-    check_invariance,
     evaluate,
     parse,
     parse_control,
@@ -87,6 +86,7 @@ from .dynamics import (
     GlobalField,
     TransportedControl,
     VirtualVectorField,
+    check_invariance,
     ctrl_transport,
     eval_control,
     interconnect,

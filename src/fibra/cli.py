@@ -1,7 +1,8 @@
 """Command-line front end: JSON in, JSON reports out, CSV for trajectories.
 
 Exit codes: 0 when the checked property holds (or the computation succeeds),
-1 when it fails, 2 on malformed input.
+1 when it fails, 2 on malformed input.  Every command but ``validate`` treats
+a network with a structural violation (see ``validate_network``) as malformed.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .fibrations import (
     factorize,
     is_balanced,
 )
-from .graphs import check_network_map, total_phase_space, validate_network
+from .graphs import Network, check_network_map, total_phase_space, validate_network
 from .input_trees import aut_order, input_tree, symmetry_groupoid
 from .jsonio import (
     class_dynamics_from_json,
@@ -151,9 +152,18 @@ def _hash_file(path: str) -> str:
         return ""
 
 
+def _load_network(path: str) -> Network:
+    """Read a network file; its first structural violation is malformed input."""
+    net = network_from_json(read_json(path))
+    violations = validate_network(net)
+    if violations:
+        raise InputError(f"{path}: invalid network: {violations[0].message}")
+    return net
+
+
 def _load_map(args) -> tuple:
-    domain = network_from_json(read_json(args.domain))
-    codomain = network_from_json(read_json(args.codomain))
+    domain = _load_network(args.domain)
+    codomain = _load_network(args.codomain)
     nmap = map_from_json(read_json(args.map), domain, codomain)
     return domain, codomain, nmap
 
@@ -194,7 +204,7 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
         return dataclasses.asdict(report), report.is_fibration, [args.domain, args.codomain, args.map]
 
     if command == "input-trees":
-        net = network_from_json(read_json(args.network))
+        net = _load_network(args.network)
         trees = []
         for a in sorted(net.graph.nodes):
             t = input_tree(net, a)
@@ -212,7 +222,7 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
         return {"trees": trees}, True, [args.network]
 
     if command == "groupoid":
-        net = network_from_json(read_json(args.network))
+        net = _load_network(args.network)
         g = symmetry_groupoid(net)
         classes = [
             {
@@ -232,7 +242,7 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
         if args.coarsest:
             if len(args.paths) != 1:
                 raise InputError("balanced --coarsest expects one network path")
-            net = network_from_json(read_json(args.paths[0]))
+            net = _load_network(args.paths[0])
             partition, quotient, projection = coarsest_balanced(net)
             return (
                 {
@@ -246,7 +256,7 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
         if len(args.paths) != 2:
             raise InputError("balanced --check expects partition.json then net.json")
         partition = partition_from_json(read_json(args.paths[0]))
-        net = network_from_json(read_json(args.paths[1]))
+        net = _load_network(args.paths[1])
         ok, witness = is_balanced(net, partition)
         payload: dict = {"balanced": ok}
         if witness is not None:
@@ -254,7 +264,7 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
         return payload, ok, list(args.paths)
 
     if command == "quotient":
-        net = network_from_json(read_json(args.network))
+        net = _load_network(args.network)
         partition, quotient, projection = coarsest_balanced(net)
         return (
             {
@@ -303,7 +313,7 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
         )
 
     if command == "simulate":
-        net = network_from_json(read_json(args.network))
+        net = _load_network(args.network)
         field = interconnect(net, class_dynamics_from_json(read_json(args.dynamics), net))
         x0 = state_from_json(read_json(args.x0), field.index)
         traj = integrate(field, x0, args.T, args.h)

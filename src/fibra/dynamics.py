@@ -17,7 +17,7 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import FibrationRequired, PreconditionError, SignatureMismatch
-from .expr_dsl import ControlExpr, ControlSignature, RawControl, evaluate
+from .expr_dsl import ControlExpr, ControlSignature, Kernel, RawControl, as_state, bind
 from .fibrations import check_fibration, essential_image
 from .graphs import Network, NetworkMap, NodeId, PhaseSpace, total_phase_space
 from .input_trees import (
@@ -28,6 +28,7 @@ from .input_trees import (
     input_tree,
     symmetry_groupoid,
 )
+from .sampling import sample_space
 
 LabelledInput = tuple[str, PhaseSpace, np.ndarray]  # (edge id, source space, state)
 
@@ -56,30 +57,39 @@ def signature_at(net: Network, a: NodeId) -> ControlSignature:
     return ControlSignature(tree.root_type, tuple(l.leaf_type for l in tree.leaves))
 
 
+def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]]) -> Kernel:
+    """Bind any control kind to its input slots (edge id, source space) once.
+
+    Returns ``f(root, states)`` on one flat state per slot, in slot order.
+    """
+    if isinstance(ctrl, ControlExpr):
+        return bind(ctrl, [space for _, space in slots])
+    if isinstance(ctrl, RawControl):
+        ids, fn, dim = tuple(eid for eid, _ in slots), ctrl.fn, ctrl.signature.root.dim
+        return lambda root, states: as_state(fn(root, tuple(zip(ids, states))), dim, "raw control tangent vector")
+    if isinstance(ctrl, TransportedControl):
+        position = {eid: i for i, (eid, _) in enumerate(slots)}
+        order = sorted(ctrl.source_to_current)
+        perm = [position[ctrl.source_to_current[src]] for src in order]
+        inner = bind_control(ctrl.base, [(src, slots[i][1]) for src, i in zip(order, perm)])
+        return lambda root, states: inner(root, [states[i] for i in perm])
+    raise TypeError(f"not a control: {ctrl!r}")
+
+
 def eval_control(ctrl: Control, root: np.ndarray, inputs: Sequence[LabelledInput]) -> np.ndarray:
     """Evaluate any control kind on labelled inputs (edge id, space, state)."""
-    if isinstance(ctrl, ControlExpr):
-        return evaluate(ctrl, root, [(space, state) for _, space, state in inputs])
-    if isinstance(ctrl, RawControl):
-        root = np.asarray(root, dtype=float).reshape(-1)
-        if root.shape[0] != ctrl.signature.root.dim:
-            raise SignatureMismatch(
-                f"root state has dimension {root.shape[0]}, expected {ctrl.signature.root.dim}"
-            )
-        pairs = tuple((eid, np.asarray(state, dtype=float).reshape(-1)) for eid, _, state in inputs)
-        out = np.asarray(ctrl.fn(root, pairs), dtype=float).reshape(-1)
-        if out.shape[0] != ctrl.signature.root.dim:
-            raise SignatureMismatch("raw control returned a tangent vector of the wrong dimension")
-        return out
-    if isinstance(ctrl, TransportedControl):
-        by_id = {eid: (eid, space, state) for eid, space, state in inputs}
-        relabelled = []
-        for src_id in sorted(ctrl.source_to_current):
-            cur_id = ctrl.source_to_current[src_id]
-            _, space, state = by_id[cur_id]
-            relabelled.append((src_id, space, state))
-        return eval_control(ctrl.base, root, relabelled)
-    raise TypeError(f"not a control: {ctrl!r}")
+    root = as_state(root, ctrl.signature.root.dim, "root state")
+    kernel = bind_control(ctrl, [(eid, space) for eid, space, _ in inputs])
+    states = [as_state(state, space.dim, f"input on edge {eid!r}") for eid, space, state in inputs]
+    return kernel(root, states)
+
+
+def _bind_at(ctrl: Control, net: Network, a: NodeId) -> tuple[InputTree, Kernel]:
+    """Bind a control to the input tree of node ``a``, checking its root space."""
+    tree = input_tree(net, a)
+    if ctrl.signature.root.dim != tree.root_type.dim:
+        raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
+    return tree, bind_control(ctrl, [(l.edge_id, l.leaf_type) for l in tree.leaves])
 
 
 def ctrl_transport(iso: TreeIso, ctrl: Control) -> Control:
@@ -90,9 +100,7 @@ def ctrl_transport(iso: TreeIso, ctrl: Control) -> Control:
     re-indexing layer.  The root differential is the identity on coordinate
     spaces.
     """
-    if isinstance(ctrl, ControlExpr):
-        return ctrl
-    if iso.is_identity:
+    if isinstance(ctrl, ControlExpr) or iso.is_identity:
         return ctrl
     if isinstance(ctrl, RawControl):
         return TransportedControl(ctrl, dict(iso.leaf_bijection))
@@ -177,13 +185,11 @@ class GlobalField:
             raise PreconditionError("virtual vector field was built for a different network")
         self.network = net
         self.index = total_phase_space(net)
-        self._bindings = []
+        self._kernels = []
         for a in self.index.order:
-            in_slices = [
-                (e.edge_id, net.space(e.src), self.index.slice_of(e.src))
-                for e in net.in_edges(a)
-            ]
-            self._bindings.append((self.index.slice_of(a), w.control_at(a), in_slices))
+            tree, kernel = _bind_at(w.control_at(a), net, a)
+            in_slices = [self.index.slice_of(l.source_node) for l in tree.leaves]
+            self._kernels.append((self.index.slice_of(a), kernel, in_slices))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -192,9 +198,8 @@ class GlobalField:
                 f"state has shape {x.shape}, expected ({self.index.total_dim},)"
             )
         out = np.empty(self.index.total_dim)
-        for sl, ctrl, in_slices in self._bindings:
-            inputs = [(eid, space, x[ssl]) for eid, space, ssl in in_slices]
-            out[sl] = eval_control(ctrl, x[sl], inputs)
+        for sl, kernel, in_slices in self._kernels:
+            out[sl] = kernel(x[sl], [x[ssl] for ssl in in_slices])
         return out
 
 
@@ -229,14 +234,40 @@ def pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
     )
 
 
-def _sample_control_value(
-    ctrl: Control, tree: InputTree, rng: np.random.Generator
-) -> np.ndarray:
-    from .sampling import sample_space
+def check_invariance(ctrl: Control, a: NodeId, net: Network, trials: int = 200, seed: int = 0) -> float:
+    """Max residual of the control under random same-type leaf permutations.
 
-    root = sample_space(tree.root_type, rng)
-    inputs = [(l.edge_id, l.leaf_type, sample_space(l.leaf_type, rng)) for l in tree.leaves]
-    return eval_control(ctrl, root, inputs)
+    Samples random root/input states and random elements of the node's
+    automorphism group (leaf permutations); expression controls come out at
+    exactly zero because aggregation is canonicalized.
+    """
+    tree, kernel = _bind_at(ctrl, net, a)
+    groups = tree.type_groups().values()
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        root = sample_space(tree.root_type, rng)
+        values = {l.edge_id: sample_space(l.leaf_type, rng) for l in tree.leaves}
+        sigma: dict[str, str] = {}
+        for leaves in groups:
+            ids = [l.edge_id for l in leaves]
+            sigma.update(zip(ids, map(str, rng.permutation(ids))))
+        before = kernel(root, [values[l.edge_id] for l in tree.leaves])
+        after = kernel(root, [values[sigma[l.edge_id]] for l in tree.leaves])
+        worst = max(worst, float(np.abs(before - after).max()))
+    return worst
+
+
+def _vanishes_on_samples(
+    ctrl: Control, net: Network, a: NodeId, samples: int, rng: np.random.Generator, tol: float
+) -> bool:
+    """Whether the control at node ``a`` stays within ``tol`` of zero at random states."""
+    tree, kernel = _bind_at(ctrl, net, a)
+    for _ in range(samples):
+        root = sample_space(tree.root_type, rng)
+        if np.abs(kernel(root, [sample_space(l.leaf_type, rng) for l in tree.leaves])).max() > tol:
+            return False
+    return True
 
 
 def pullback_kernel_check(
@@ -254,30 +285,14 @@ def pullback_kernel_check(
     """
     if w_prime.mode != "per_class":
         raise PreconditionError("pullback_kernel_check expects a per-class field")
-    pulled = pullback(m, w_prime)
-    rng = np.random.default_rng(seed)
-    pulled_zero = True
-    for a in sorted(m.domain.graph.nodes):
-        tree = input_tree(m.domain, a)
-        ctrl = pulled.control_at(a)
-        for _ in range(samples):
-            if np.abs(_sample_control_value(ctrl, tree, rng)).max() > tol:
-                pulled_zero = False
-                break
-        if not pulled_zero:
-            break
-    essim = essential_image(m)
     assert w_prime.groupoid is not None
-    field_zero = True
-    for cls in w_prime.groupoid.classes:
-        if not essim.intersection(cls.members):
-            continue
-        tree = input_tree(m.codomain, cls.representative)
-        ctrl = w_prime.control_at(cls.representative)
-        for _ in range(samples):
-            if np.abs(_sample_control_value(ctrl, tree, rng)).max() > tol:
-                field_zero = False
-                break
-        if not field_zero:
-            break
+    pulled = pullback(m, w_prime)
+    essim = essential_image(m)
+    reps = [c.representative for c in w_prime.groupoid.classes if essim.intersection(c.members)]
+    rng = np.random.default_rng(seed)
+    pulled_zero = all(
+        _vanishes_on_samples(pulled.control_at(a), m.domain, a, samples, rng, tol)
+        for a in sorted(m.domain.graph.nodes)
+    )
+    field_zero = all(_vanishes_on_samples(w_prime.control_at(r), m.codomain, r, samples, rng, tol) for r in reps)
     return pulled_zero == field_zero

@@ -49,6 +49,10 @@ KEYWORDS = {"sum", "mean", "in", "inputs"}
 # of the parser, the evaluator and the printer well below Python's limit.
 MAX_DEPTH = 100
 
+# Most times one call may run the innermost body of an aggregator nest: the
+# product of the group counts along the nest, which the signature fixes.
+MAX_BODY_RUNS = 10**6
+
 Pos = tuple[int, int]
 
 
@@ -365,6 +369,11 @@ class _Parser:
         self.expect("]")
         self.expect(")")
         self.expect("{")
+        runs = math.prod(self.groups[g][1] for _, g in self.scope) * self.groups[group][1]
+        if runs > MAX_BODY_RUNS:
+            raise ExprSyntaxError(
+                f"aggregator body would run {runs} times per call, more than {MAX_BODY_RUNS}", op_tok.pos
+            )
         self.scope.append((var_tok.text, group))
         try:
             body = self.expr()
@@ -413,6 +422,8 @@ class ControlExpr:
             raise SignatureMismatch(
                 f"{len(self.components)} components for root space {self.signature.root.name}"
             )
+        for c in self.components:
+            _check_height(c)
 
     def sources(self) -> tuple[str, ...]:
         return tuple(unparse(c) for c in self.components)
@@ -474,30 +485,39 @@ def unparse(e: Expr) -> str:
 
 # --- evaluation ------------------------------------------------------------
 
+Kernel = Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
+
 
 def _space_name(t: PhaseSpace | str) -> str:
     return t if isinstance(t, str) else t.name
 
 
-def group_inputs(
-    inputs: Sequence[tuple[PhaseSpace | str, np.ndarray]],
-    known_groups: Mapping[str, tuple[int, int]],
-) -> dict[str, list[np.ndarray]]:
-    """Bucket input states by type name; canonical (sorted-by-value) order per bucket."""
-    buckets: dict[str, list[np.ndarray]] = {name: [] for name in known_groups}
-    for t, state in inputs:
+def as_state(value, dim: int, what: str) -> np.ndarray:
+    """A state as a flat float vector, checked to have ``dim`` coordinates."""
+    vec = np.asarray(value, dtype=float).reshape(-1)
+    if vec.shape[0] != dim:
+        raise SignatureMismatch(f"{what} has dimension {vec.shape[0]}, expected {dim}")
+    return vec
+
+
+def bind(ctrl: ControlExpr, types: Sequence[PhaseSpace | str]) -> Kernel:
+    """Match input positions to the control's type groups once; returns ``f(root, states)``.
+
+    The kernel takes flat states of the signature's dimensions unchecked,
+    sorts each group by value (the canonical aggregation order) and walks the AST.
+    """
+    positions: dict[str, list[int]] = {name: [] for name in ctrl.signature.groups()}
+    for i, t in enumerate(types):
         name = _space_name(t)
-        if name not in buckets:
-            raise SignatureMismatch(f"input of type {name} not in signature groups {sorted(buckets)}")
-        vec = np.asarray(state, dtype=float).reshape(-1)
-        if vec.shape[0] != known_groups[name][0]:
-            raise SignatureMismatch(
-                f"input of type {name} has dimension {vec.shape[0]}, expected {known_groups[name][0]}"
-            )
-        buckets[name].append(vec)
-    for name in buckets:
-        buckets[name].sort(key=lambda v: tuple(v))
-    return buckets
+        if name not in positions:
+            raise SignatureMismatch(f"input of type {name} not in signature groups {sorted(positions)}")
+        positions[name].append(i)
+
+    def kernel(root: np.ndarray, states: Sequence[np.ndarray]) -> np.ndarray:
+        buckets = {name: sorted([states[i] for i in pos], key=np.ndarray.tolist) for name, pos in positions.items()}
+        return np.array([_eval(c, root, buckets, {}) for c in ctrl.components])
+
+    return kernel
 
 
 def _eval(e: Expr, root: np.ndarray, buckets: Mapping[str, list[np.ndarray]], env: dict[str, np.ndarray]) -> float:
@@ -559,18 +579,14 @@ def _eval(e: Expr, root: np.ndarray, buckets: Mapping[str, list[np.ndarray]], en
 
 
 def evaluate(
-    ctrl: ControlExpr,
-    root: np.ndarray,
-    inputs: Sequence[tuple[PhaseSpace | str, np.ndarray]],
+    ctrl: ControlExpr, root: np.ndarray, inputs: Sequence[tuple[PhaseSpace | str, np.ndarray]]
 ) -> np.ndarray:
     """Evaluate a control at a root state and typed input states; returns the tangent vector."""
-    root = np.asarray(root, dtype=float).reshape(-1)
-    if root.shape[0] != ctrl.signature.root.dim:
-        raise SignatureMismatch(
-            f"root state has dimension {root.shape[0]}, expected {ctrl.signature.root.dim}"
-        )
-    buckets = group_inputs(inputs, ctrl.signature.groups())
-    return np.array([_eval(c, root, buckets, {}) for c in ctrl.components])
+    root = as_state(root, ctrl.signature.root.dim, "root state")
+    names = [_space_name(t) for t, _ in inputs]
+    kernel = bind(ctrl, names)
+    groups = ctrl.signature.groups()
+    return kernel(root, [as_state(s, groups[n][0], f"input of type {n}") for n, (_, s) in zip(names, inputs)])
 
 
 @dataclass(frozen=True)
@@ -590,36 +606,3 @@ class RawControl:
     def __post_init__(self):
         if self.invariance not in ("claimed", "unchecked"):
             raise ValueError("invariance must be 'claimed' or 'unchecked'")
-
-
-def check_invariance(ctrl, a, net, trials: int = 200, seed: int = 0) -> float:
-    """Max residual of the control under random same-type leaf permutations.
-
-    Samples random root/input states and random elements of the node's
-    automorphism group (leaf permutations); expression controls come out at
-    exactly zero because aggregation is canonicalized.
-    """
-    from .dynamics import eval_control  # late import, avoids a module cycle
-    from .input_trees import input_tree
-    from .sampling import sample_space
-
-    tree = input_tree(net, a)
-    rng = np.random.default_rng(seed)
-    groups = tree.type_groups()
-    worst = 0.0
-    for _ in range(trials):
-        root = sample_space(tree.root_type, rng)
-        values = {l.edge_id: sample_space(l.leaf_type, rng) for l in tree.leaves}
-        sigma: dict[str, str] = {}
-        for _, leaves in groups.items():
-            ids = [l.edge_id for l in leaves]
-            for src, dst in zip(ids, rng.permutation(ids)):
-                sigma[src] = str(dst)
-        base_inputs = [(l.edge_id, l.leaf_type, values[l.edge_id]) for l in tree.leaves]
-        perm_inputs = [(l.edge_id, l.leaf_type, values[sigma[l.edge_id]]) for l in tree.leaves]
-        before = eval_control(ctrl, root, base_inputs)
-        after = eval_control(ctrl, root, perm_inputs)
-        diff = np.abs(before - after)
-        if diff.size:
-            worst = max(worst, float(diff.max()))
-    return worst

@@ -137,20 +137,13 @@ def enumerate_tree_isos(
         return []
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-    ta, tb = input_tree(net, a), input_tree(net, b)
-    groups_a, groups_b = ta.type_groups(), tb.type_groups()
-    per_type: list[list[tuple[tuple[EdgeId, EdgeId], ...]]] = []
-    for name in sorted(groups_a):
-        ids_a = [l.edge_id for l in groups_a[name]]
-        ids_b = [l.edge_id for l in groups_b[name]]
-        per_type.append(
-            [tuple(zip(ids_a, perm)) for perm in itertools.permutations(ids_b)]
-        )
-    out = []
-    for combo in itertools.product(*per_type):
-        bij = {k: v for block in combo for k, v in block}
-        out.append(TreeIso(a, b, bij))
-    return out
+    groups_a, groups_b = input_tree(net, a).type_groups(), input_tree(net, b).type_groups()
+    ids_a = [l.edge_id for name in sorted(groups_a) for l in groups_a[name]]
+    per_type = (itertools.permutations([l.edge_id for l in groups_b[name]]) for name in sorted(groups_a))
+    return [
+        TreeIso(a, b, dict(zip(ids_a, itertools.chain.from_iterable(combo))))
+        for combo in itertools.product(*per_type)
+    ]
 
 
 def aut_order(tree: InputTree) -> int:

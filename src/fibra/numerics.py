@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import GlobalField, VirtualVectorField, interconnect, pullback
 from .errors import FibrationRequired, IntegrationFault, PreconditionError
 from .fibrations import check_fibration, polydiagonal_of
-from .graphs import Network, NetworkMap, NodeId, coordinate_distance, phase_space_map
+from .graphs import Network, NetworkMap, NodeId, PhaseSpaceMap, coordinate_distance, phase_space_map
 from .sampling import sample_state
 
 
@@ -65,15 +65,18 @@ def integrate(field: GlobalField, x0: np.ndarray, T: float, h: float) -> Traject
     return Trajectory(times, states, h)
 
 
+def _conjugacy_sides(m: NetworkMap, w_prime: VirtualVectorField) -> tuple[PhaseSpaceMap, GlobalField, GlobalField]:
+    """The coordinate map and the fields on the two sides of the intertwining identity."""
+    if not check_fibration(m).is_fibration:
+        raise FibrationRequired("conjugacy certification requires a fibration")
+    return phase_space_map(m), interconnect(m.codomain, w_prime), interconnect(m.domain, pullback(m, w_prime))
+
+
 def verify_conjugacy_pointwise(
     m: NetworkMap, w_prime: VirtualVectorField, samples: int = 1000, seed: int = 0
 ) -> float:
     """Max residual between both sides of the intertwining identity at random codomain states."""
-    if not check_fibration(m).is_fibration:
-        raise FibrationRequired("conjugacy certification requires a fibration")
-    p = phase_space_map(m)
-    codomain_field = interconnect(m.codomain, w_prime)
-    domain_field = interconnect(m.domain, pullback(m, w_prime))
+    p, codomain_field, domain_field = _conjugacy_sides(m, w_prime)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -92,11 +95,7 @@ def verify_conjugacy_flow(
     h: float,
 ) -> float:
     """Max deviation over time between the mapped codomain flow and the domain flow."""
-    if not check_fibration(m).is_fibration:
-        raise FibrationRequired("conjugacy certification requires a fibration")
-    p = phase_space_map(m)
-    codomain_field = interconnect(m.codomain, w_prime)
-    domain_field = interconnect(m.domain, pullback(m, w_prime))
+    p, codomain_field, domain_field = _conjugacy_sides(m, w_prime)
     traj_prime = integrate(codomain_field, x0_prime, T, h)
     traj = integrate(domain_field, p(np.asarray(x0_prime, dtype=float)), T, h)
     worst = 0.0
@@ -129,6 +128,16 @@ def verify_polydiagonal_invariance(
     return max(pd.violation(traj.states[k]) for k in range(traj.states.shape[0]))
 
 
+def _central_differences(field: GlobalField, x: np.ndarray, nodes, step: float):
+    """Yield the central-difference derivative of the field along each coordinate of the given nodes."""
+    for a in nodes:
+        for j in range(field.index.total_dim)[field.index.slice_of(a)]:
+            plus, minus = x.copy(), x.copy()
+            plus[j] += step
+            minus[j] -= step
+            yield (field(plus) - field(minus)) / (2.0 * step)
+
+
 def dependency_matrix(
     field: GlobalField, x0: np.ndarray, step: float = 1e-6, tol: float = 1e-8
 ) -> dict[NodeId, set[NodeId]]:
@@ -137,12 +146,7 @@ def dependency_matrix(
     index = field.index
     deps: dict[NodeId, set[NodeId]] = {a: set() for a in index.order}
     for c in index.order:
-        sl_c = index.slice_of(c)
-        for j in range(sl_c.start, sl_c.stop):
-            plus, minus = x0.copy(), x0.copy()
-            plus[j] += step
-            minus[j] -= step
-            diff = (field(plus) - field(minus)) / (2.0 * step)
+        for diff in _central_differences(field, x0, [c], step):
             for a in index.order:
                 if np.abs(diff[index.slice_of(a)]).max() > tol:
                     deps[a].add(c)
@@ -181,40 +185,32 @@ def verify_driving_decomposition(
 
     Combinatorially: no codomain edge runs from outside the image into it.
     Numerically: perturbing any non-image coordinate leaves the field
-    components at image nodes unchanged up to ``tol``.  Injections that fail
-    the unique-lift property (e.g. because of a feedback edge) report
-    ``ok=False`` rather than raising.
+    components at image nodes unchanged up to ``tol``.  Only the sources of
+    feedback edges are perturbed: an image node's control sees only its own
+    and its in-edge sources' states, so every other non-image coordinate
+    leaves the image components bitwise unchanged.  Injections that fail the
+    unique-lift property (e.g. because of a feedback edge) report ``ok=False``
+    rather than raising.
     """
     report = check_fibration(m)
     if not report.injective_on_nodes:
         raise PreconditionError("driving decomposition requires an injective map")
     image = set(m.node_map.values())
-    feedback = tuple(
-        sorted(
-            e.edge_id
-            for e in m.codomain.graph.edges
-            if e.src not in image and e.tgt in image
-        )
-    )
+    feedback_edges = [e for e in m.codomain.graph.edges if e.src not in image and e.tgt in image]
+    feedback = tuple(sorted(e.edge_id for e in feedback_edges))
     codomain_field = interconnect(m.codomain, w_prime)
     index = codomain_field.index
     image_slices = [index.slice_of(a) for a in index.order if a in image]
-    outside = [a for a in index.order if a not in image]
+    perturbed = sorted({e.src for e in feedback_edges})
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         x = sample_state(index, rng)
-        for c in outside:
-            sl_c = index.slice_of(c)
-            for j in range(sl_c.start, sl_c.stop):
-                plus, minus = x.copy(), x.copy()
-                plus[j] += fd_step
-                minus[j] -= fd_step
-                diff = (codomain_field(plus) - codomain_field(minus)) / (2.0 * fd_step)
-                for sl in image_slices:
-                    block = np.abs(diff[sl])
-                    if block.size:
-                        worst = max(worst, float(block.max()))
+        for diff in _central_differences(codomain_field, x, perturbed, fd_step):
+            for sl in image_slices:
+                block = np.abs(diff[sl])
+                if block.size:
+                    worst = max(worst, float(block.max()))
     return DrivingReport(
         ok=report.is_fibration and (not feedback) and worst < tol,
         is_fibration=report.is_fibration,

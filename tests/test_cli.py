@@ -71,6 +71,48 @@ def test_simulate_deeply_nested_expression_exits_2(files, capsys):
     assert "nested deeper than" in err
 
 
+R1_JSON = {"kind": "R", "dim": 1}
+MALFORMED_NETWORKS = {
+    "unknown-source": (
+        {"nodes": [{"id": "a", "space": R1_JSON}], "edges": [{"id": "e", "src": "zz", "tgt": "a"}]},
+        "edge 'e' has unknown source 'zz'",
+    ),
+    "duplicate-node": (
+        {"nodes": [{"id": "a", "space": R1_JSON}, {"id": "a", "space": R1_JSON}], "edges": []},
+        "node id 'a' repeated",
+    ),
+}
+
+
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_NETWORKS))
+@pytest.mark.parametrize(
+    "command",
+    ["balanced --coarsest", "balanced --check", "quotient", "groupoid", "input-trees", "simulate", "check-fibration"],
+)
+def test_malformed_network_exits_2_naming_the_violation(files, capsys, command, malformed):
+    write, _ = files
+    obj, message = MALFORMED_NETWORKS[malformed]
+    bad = write("bad.json", obj)
+    good = write("g3.json", network_to_json(fixtures.g3()))
+    argv = {
+        "balanced --coarsest": ["balanced", "--coarsest", bad],
+        "balanced --check": ["balanced", "--check", write("p.json", {"blocks": [["a"]]}), bad],
+        "quotient": ["quotient", bad],
+        "groupoid": ["groupoid", bad],
+        "input-trees": ["input-trees", bad],
+        "simulate": [
+            "simulate", bad, write("dyn.json", {"classes": [{"representative": "a", "exprs": ["-x[0]"]}]}),
+            "--x0", write("x0.json", {"flat": [1.0]}), "--T", "0.1", "--h", "0.1",
+        ],
+        "check-fibration": ["check-fibration", good, bad, write("m.json", {"nodes": {}, "edges": {}})],
+    }[command]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"{bad}: invalid network: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run_cli(capsys, ["validate", "/nonexistent/net.json"])
     assert code == 2

@@ -19,7 +19,7 @@ from fibra import (
     parse_control,
     unparse,
 )
-from fibra.expr_dsl import Aggregate, BinOp, Call, InputRef, Neg, Num, Pow, RootRef
+from fibra.expr_dsl import Aggregate, BinOp, Call, ControlExpr, InputRef, Neg, Num, Pow, RootRef
 from fibra import fixtures
 
 
@@ -91,6 +91,41 @@ def test_parse_accepts_nesting_up_to_the_limit():
     chain = parse_control(" - ".join(["x[0]"] * 100), ControlSignature(R1, ()))
     assert evaluate(chain, np.array([1.0]), [])[0] == -98.0
     assert parse(unparse(chain.components[0]), ControlSignature(R1, ())) == chain.components[0]
+
+
+def test_control_built_in_code_is_height_checked():
+    chain = RootRef(0)
+    for _ in range(5000):
+        chain = Neg(chain)
+    with pytest.raises(ExprSyntaxError, match="nested deeper than 100 levels"):
+        ControlExpr(ControlSignature(R1, ()), (chain,))
+    ok = RootRef(0)
+    for _ in range(99):
+        ok = Neg(ok)
+    assert evaluate(ControlExpr(ControlSignature(R1, ()), (ok,)), np.array([2.0]), [])[0] == -2.0
+
+
+def _sum_nest(depth):
+    vars_ = [f"u{i}" for i in range(depth)]
+    body = " * ".join(f"{v}[0]" for v in vars_)
+    return "".join(f"sum({v} in inputs[R1]) {{ " for v in vars_) + body + " }" * depth
+
+
+def test_parse_bounds_runs_of_an_aggregator_nest():
+    assert fibra.expr_dsl.MAX_BODY_RUNS == 10**6
+    two = ControlSignature(R1, (R1, R1))
+    ctrl = parse_control(_sum_nest(19), two)  # 2^19 = 524288 body runs per call
+    assert len(ctrl.components) == 1
+    with pytest.raises(ExprSyntaxError, match="would run 1048576 times per call, more than 1000000"):
+        parse(_sum_nest(20), two)
+    with pytest.raises(ExprSyntaxError, match="times per call"):
+        parse(_sum_nest(99), two)
+    # the count is the product along one nest; sibling aggregators do not multiply
+    wide = ControlSignature(R1, (R1,) * 1000)
+    siblings = " + ".join(["sum(u in inputs[R1]) { sum(v in inputs[R1]) { u[0] * v[0] } }"] * 3)
+    parse(siblings, wide)
+    with pytest.raises(ExprSyntaxError, match="would run 1000000000 times"):
+        parse(_sum_nest(3), wide)
 
 
 def test_parse_integer_power_only():

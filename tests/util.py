@@ -5,7 +5,10 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from fibra import (
+    ControlExpr,
     Edge,
     Graph,
     Network,
@@ -14,11 +17,17 @@ from fibra import (
     PreconditionError,
     R1,
     R2,
+    RawControl,
     S1,
+    SignatureMismatch,
+    TransportedControl,
     check_fibration,
     input_tree,
     network,
+    sample_state,
+    total_phase_space,
 )
+from fibra.expr_dsl import _eval
 
 SPACES = (R1, R2, S1)
 
@@ -262,3 +271,112 @@ def doubled_edge_chain(n: int) -> Network:
         edges.append((f"e{i:03d}a", names[i], names[i + 1]))
         edges.append((f"e{i:03d}b", names[i], names[i + 1]))
     return network([(a, R1) for a in names], edges)
+
+
+# --- reference evaluator ----------------------------------------------------------
+# The per-call path that bound controls replaced: every call re-checks its
+# inputs, re-buckets them by type and re-sorts a transported control's ids;
+# the field perturbs every coordinate outside the image.  Kept as
+# differential oracles.
+
+
+def reference_group_inputs(inputs, known_groups):
+    """Bucket input states by type name; canonical (sorted-by-value) order per bucket."""
+    buckets = {name: [] for name in known_groups}
+    for t, state in inputs:
+        name = t if isinstance(t, str) else t.name
+        if name not in buckets:
+            raise SignatureMismatch(f"input of type {name} not in signature groups {sorted(buckets)}")
+        vec = np.asarray(state, dtype=float).reshape(-1)
+        if vec.shape[0] != known_groups[name][0]:
+            raise SignatureMismatch(
+                f"input of type {name} has dimension {vec.shape[0]}, expected {known_groups[name][0]}"
+            )
+        buckets[name].append(vec)
+    for name in buckets:
+        buckets[name].sort(key=lambda v: tuple(v))
+    return buckets
+
+
+def reference_evaluate(ctrl, root, inputs):
+    root = np.asarray(root, dtype=float).reshape(-1)
+    if root.shape[0] != ctrl.signature.root.dim:
+        raise SignatureMismatch(
+            f"root state has dimension {root.shape[0]}, expected {ctrl.signature.root.dim}"
+        )
+    buckets = reference_group_inputs(inputs, ctrl.signature.groups())
+    return np.array([_eval(c, root, buckets, {}) for c in ctrl.components])
+
+
+def reference_eval_control(ctrl, root, inputs):
+    """Dispatch on the control kind at every call; inputs are (edge id, space, state)."""
+    if isinstance(ctrl, ControlExpr):
+        return reference_evaluate(ctrl, root, [(space, state) for _, space, state in inputs])
+    if isinstance(ctrl, RawControl):
+        root = np.asarray(root, dtype=float).reshape(-1)
+        if root.shape[0] != ctrl.signature.root.dim:
+            raise SignatureMismatch(
+                f"root state has dimension {root.shape[0]}, expected {ctrl.signature.root.dim}"
+            )
+        pairs = tuple((eid, np.asarray(state, dtype=float).reshape(-1)) for eid, _, state in inputs)
+        out = np.asarray(ctrl.fn(root, pairs), dtype=float).reshape(-1)
+        if out.shape[0] != ctrl.signature.root.dim:
+            raise SignatureMismatch("raw control returned a tangent vector of the wrong dimension")
+        return out
+    if isinstance(ctrl, TransportedControl):
+        by_id = {eid: (eid, space, state) for eid, space, state in inputs}
+        relabelled = []
+        for src_id in sorted(ctrl.source_to_current):
+            _, space, state = by_id[ctrl.source_to_current[src_id]]
+            relabelled.append((src_id, space, state))
+        return reference_eval_control(ctrl.base, root, relabelled)
+    raise TypeError(f"not a control: {ctrl!r}")
+
+
+def reference_field(net: Network, w):
+    """The interconnected field, evaluating every node through the per-call path."""
+    index = total_phase_space(net)
+    bindings = [
+        (
+            index.slice_of(a),
+            w.control_at(a),
+            [(e.edge_id, net.space(e.src), index.slice_of(e.src)) for e in net.in_edges(a)],
+        )
+        for a in index.order
+    ]
+
+    def field(x):
+        x = np.asarray(x, dtype=float)
+        out = np.empty(index.total_dim)
+        for sl, ctrl, in_slices in bindings:
+            inputs = [(eid, space, x[ssl]) for eid, space, ssl in in_slices]
+            out[sl] = reference_eval_control(ctrl, x[sl], inputs)
+        return out
+
+    return field
+
+
+def reference_driving_residual(m: NetworkMap, w_prime, samples: int, seed: int, fd_step: float) -> float:
+    """Largest image-component central difference over every coordinate outside the image."""
+    image = set(m.node_map.values())
+    field = reference_field(m.codomain, w_prime)
+    index = total_phase_space(m.codomain)
+    image_slices = [index.slice_of(a) for a in index.order if a in image]
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x = sample_state(index, rng)
+        for c in index.order:
+            if c in image:
+                continue
+            sl_c = index.slice_of(c)
+            for j in range(sl_c.start, sl_c.stop):
+                plus, minus = x.copy(), x.copy()
+                plus[j] += fd_step
+                minus[j] -= fd_step
+                diff = (field(plus) - field(minus)) / (2.0 * fd_step)
+                for sl in image_slices:
+                    block = np.abs(diff[sl])
+                    if block.size:
+                        worst = max(worst, float(block.max()))
+    return worst
