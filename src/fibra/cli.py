@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .dynamics import interconnect, pullback
 from .errors import FibraError, InputError
@@ -42,13 +40,11 @@ from .jsonio import (
     state_from_json,
 )
 from .numerics import (
+    certify_conjugacy,
     integrate,
-    verify_conjugacy_flow,
-    verify_conjugacy_pointwise,
     verify_driving_decomposition,
     verify_polydiagonal_invariance,
 )
-from .sampling import sample_state
 
 
 def _default_seed() -> int:
@@ -257,6 +253,8 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
             raise InputError("balanced --check expects partition.json then net.json")
         partition = partition_from_json(read_json(args.paths[0]))
         net = _load_network(args.paths[1])
+        if sorted(a for b in partition.blocks for a in b) != sorted(net.graph.nodes):
+            raise InputError(f"{args.paths[0]}: partition does not list each network node exactly once")
         ok, witness = is_balanced(net, partition)
         payload: dict = {"balanced": ok}
         if witness is not None:
@@ -338,29 +336,17 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
         paths = [args.domain, args.codomain, args.map, args.dynamics]
         if args.suite == "conjugacy":
             tol = args.tol if args.tol is not None else 1e-12
-            pointwise = verify_conjugacy_pointwise(nmap, w_prime, samples=args.samples, seed=seed)
+            x0p = None
             if args.x0 is not None:
                 x0p = state_from_json(read_json(args.x0), total_phase_space(codomain))
                 paths.append(args.x0)
-            else:
-                x0p = sample_state(total_phase_space(codomain), np.random.default_rng(seed))
-            flow = verify_conjugacy_flow(nmap, w_prime, x0p, args.T, args.h)
-            ok = pointwise <= tol and flow <= args.flow_tol
-            return (
-                {
-                    "pointwise_max_residual": pointwise,
-                    "flow_max_deviation": flow,
-                    "samples": args.samples,
-                    "seed": seed,
-                    "T": args.T,
-                    "h": args.h,
-                    "tol": tol,
-                    "flow_tol": args.flow_tol,
-                    "passed": ok,
-                },
-                ok,
-                paths,
+            report = certify_conjugacy(
+                nmap, w_prime, samples=args.samples, seed=seed, T=args.T, h=args.h, x0_prime=x0p
             )
+            ok = report.pointwise_max_residual <= tol and report.flow_max_deviation <= args.flow_tol
+            payload = dataclasses.asdict(report)
+            payload.update(tol=tol, flow_tol=args.flow_tol, passed=ok)
+            return payload, ok, paths
         if args.suite == "polydiagonal":
             tol = args.tol if args.tol is not None else 1e-9
             if args.x0 is None:

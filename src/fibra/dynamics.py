@@ -254,8 +254,8 @@ def check_invariance(ctrl: Control, a: NodeId, net: Network, trials: int = 200, 
             sigma.update(zip(ids, map(str, rng.permutation(ids))))
         before = kernel(root, [values[l.edge_id] for l in tree.leaves])
         after = kernel(root, [values[sigma[l.edge_id]] for l in tree.leaves])
-        worst = max(worst, float(np.abs(before - after).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(before - after).max())  # unlike max(), propagates NaN
+    return float(worst)
 
 
 def _vanishes_on_samples(

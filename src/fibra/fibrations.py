@@ -26,7 +26,7 @@ from .graphs import (
     NodeId,
     StateIndex,
     check_network_map,
-    circle_distance,
+    coordinate_distance,
     total_phase_space,
 )
 from .input_trees import symmetry_groupoid
@@ -137,8 +137,8 @@ class Partition:
 
 
 def _check_phase_homogeneous(net: Network, p: Partition) -> None:
-    if p.node_set() != net.graph.node_set:
-        raise PreconditionError("partition does not cover exactly the node set")
+    if sorted(a for b in p.blocks for a in b) != sorted(net.graph.node_set):
+        raise PreconditionError("partition does not list each node exactly once")
     for b in p.blocks:
         spaces = {net.space(a) for a in b}
         if len(spaces) > 1:
@@ -259,21 +259,16 @@ class Polydiagonal:
     partition: Partition
     index: StateIndex
 
+    @cached_property
+    def _representatives(self) -> np.ndarray:
+        """For each flat coordinate, the same coordinate of its block's representative."""
+        rep = self.partition.block_index()
+        return self.index.gather(rep[a] for a in self.index.order)
+
     def violation(self, x: np.ndarray) -> float:
-        """Max deviation from the fiber constraints, circle coordinates mod 2pi."""
+        """Max deviation from the fiber constraints, circle coordinates mod 2pi; NaN if any is NaN."""
         x = np.asarray(x, dtype=float)
-        worst = 0.0
-        for block in self.partition.blocks:
-            ref = block[0]
-            ref_state = x[self.index.slice_of(ref)]
-            is_circle = self.index.spaces[ref].is_circle
-            for a in block[1:]:
-                other = x[self.index.slice_of(a)]
-                if is_circle:
-                    worst = max(worst, circle_distance(float(ref_state[0]), float(other[0])))
-                else:
-                    worst = max(worst, float(np.abs(ref_state - other).max()))
-        return worst
+        return coordinate_distance(x[self._representatives], x, self.index)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         return self.violation(x) <= tol

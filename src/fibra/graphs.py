@@ -4,7 +4,7 @@ A network is a finite directed multigraph together with a coordinate phase
 space attached to each node.  States of the whole network live in the product
 of the node spaces, realised as a flat float vector under a deterministic
 (lexicographic) node order.  Maps of networks act contravariantly on these
-flat vectors by slice copying.
+flat vectors by coordinate gathers.
 """
 
 from __future__ import annotations
@@ -262,7 +262,8 @@ class StateIndex:
     """Flat-vector layout of the total state of a network.
 
     Nodes are laid out in lexicographic id order; each node owns a contiguous
-    slice of length equal to its phase-space dimension.
+    slice of length equal to its phase-space dimension.  The circle mask and
+    the node gathers are derived from this layout here and nowhere else.
     """
 
     order: tuple[NodeId, ...]
@@ -274,12 +275,27 @@ class StateIndex:
         off, length = self.slices[node]
         return slice(off, off + length)
 
-    def circle_mask(self) -> np.ndarray:
+    def gather(self, nodes: Iterable[NodeId]) -> np.ndarray:
+        """Flat coordinate indices of ``nodes``, each node's slice in turn.
+
+        ``x[index.gather(nodes)]`` concatenates the nodes' states; a node may
+        appear more than once.
+        """
+        out: list[int] = []
+        for a in nodes:
+            off, length = self.slices[a]
+            out.extend(range(off, off + length))
+        return np.array(out, dtype=np.intp)
+
+    @cached_property
+    def _circle_mask(self) -> np.ndarray:
         mask = np.zeros(self.total_dim, dtype=bool)
-        for a in self.order:
-            if self.spaces[a].is_circle:
-                mask[self.slice_of(a)] = True
+        mask[self.gather(a for a in self.order if self.spaces[a].is_circle)] = True
         return mask
+
+    def circle_mask(self) -> np.ndarray:
+        """Boolean mask of the circle coordinates (a fresh copy)."""
+        return self._circle_mask.copy()
 
     def pack(self, by_node: Mapping[NodeId, np.ndarray]) -> np.ndarray:
         x = np.zeros(self.total_dim)
@@ -306,19 +322,17 @@ def total_phase_space(net: Network) -> StateIndex:
 class PhaseSpaceMap:
     """Coordinate realisation of the contravariant total-state map of a network map.
 
-    Sends a codomain state x' to the domain state x with x_a = x'_{phi(a)}.
-    The map is linear in coordinates, so its differential is the same slice
-    copy acting on tangent vectors.
+    Sends a codomain state x' to the domain state x with x_a = x'_{phi(a)}:
+    one gather of the codomain coordinates of each domain node's image.  The
+    map is linear in coordinates, so its differential is the same gather
+    acting on tangent vectors.
     """
 
     def __init__(self, nmap: NetworkMap):
         self.network_map = nmap
         self.domain_index = total_phase_space(nmap.domain)
         self.codomain_index = total_phase_space(nmap.codomain)
-        self._pairs = [
-            (self.domain_index.slice_of(a), self.codomain_index.slice_of(nmap.node_map[a]))
-            for a in self.domain_index.order
-        ]
+        self._gather = self.codomain_index.gather(nmap.node_map[a] for a in self.domain_index.order)
 
     def __call__(self, x_codomain: np.ndarray) -> np.ndarray:
         x_codomain = np.asarray(x_codomain, dtype=float)
@@ -326,13 +340,10 @@ class PhaseSpaceMap:
             raise PreconditionError(
                 f"state has dimension {x_codomain.shape}, expected ({self.codomain_index.total_dim},)"
             )
-        out = np.empty(self.domain_index.total_dim)
-        for dst, src in self._pairs:
-            out[dst] = x_codomain[src]
-        return out
+        return x_codomain[self._gather]
 
     def differential(self, v_codomain: np.ndarray) -> np.ndarray:
-        """Tangent-level action; identical slice copy since the map is linear."""
+        """Tangent-level action; the same gather, since the map is linear."""
         return self(v_codomain)
 
 
@@ -351,23 +362,17 @@ def wrap_angle(theta: np.ndarray | float) -> np.ndarray | float:
     return np.where(wrapped == -np.pi, np.pi, wrapped)
 
 
-def circle_distance(a: float, b: float) -> float:
-    """Distance on the circle between two (possibly unwrapped) angles."""
-    d = float(np.mod(a - b, TWO_PI))
-    return min(d, TWO_PI - d)
+def circle_distance(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray | float:
+    """Distance on the circle between (possibly unwrapped) angles, elementwise."""
+    d = np.mod(np.subtract(a, b), TWO_PI)
+    return np.minimum(d, TWO_PI - d)
 
 
 def coordinate_distance(x: np.ndarray, y: np.ndarray, index: StateIndex) -> float:
-    """Max over coordinates of the per-coordinate distance, circle-aware."""
+    """Max over coordinates of the per-coordinate distance, circle-aware; NaN if any is NaN."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    worst = 0.0
-    for a in index.order:
-        sl = index.slice_of(a)
-        if index.spaces[a].is_circle:
-            worst = max(worst, circle_distance(float(x[sl][0]), float(y[sl][0])))
-        else:
-            diff = np.abs(x[sl] - y[sl])
-            if diff.size:
-                worst = max(worst, float(diff.max()))
-    return worst
+    dist = np.abs(x - y)
+    circ = index._circle_mask
+    dist[circ] = circle_distance(x[circ], y[circ])
+    return float(dist.max(initial=0.0))

@@ -96,6 +96,8 @@ def partition_from_json(obj: Any) -> Partition:
     blocks = _require(obj, "blocks", "partition")
     if not isinstance(blocks, list) or not all(isinstance(b, list) for b in blocks):
         raise InputError("partition: 'blocks' must be a list of lists")
+    if not all(isinstance(a, str) for b in blocks for a in b):
+        raise InputError("partition: block members must be node id strings")
     return Partition.of(blocks)
 
 

@@ -17,7 +17,15 @@ import numpy as np
 from .dynamics import GlobalField, VirtualVectorField, interconnect, pullback
 from .errors import FibrationRequired, IntegrationFault, PreconditionError
 from .fibrations import check_fibration, polydiagonal_of
-from .graphs import Network, NetworkMap, NodeId, PhaseSpaceMap, coordinate_distance, phase_space_map
+from .graphs import (
+    Network,
+    NetworkMap,
+    NodeId,
+    PhaseSpaceMap,
+    coordinate_distance,
+    phase_space_map,
+    total_phase_space,
+)
 from .sampling import sample_state
 
 
@@ -83,8 +91,8 @@ def verify_conjugacy_pointwise(
         x_prime = sample_state(p.codomain_index, rng)
         lhs = p.differential(codomain_field(x_prime))
         rhs = domain_field(p(x_prime))
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
-    return worst
+        worst = np.maximum(worst, np.abs(lhs - rhs).max())  # unlike max(), propagates NaN
+    return float(worst)
 
 
 def verify_conjugacy_flow(
@@ -98,13 +106,9 @@ def verify_conjugacy_flow(
     p, codomain_field, domain_field = _conjugacy_sides(m, w_prime)
     traj_prime = integrate(codomain_field, x0_prime, T, h)
     traj = integrate(domain_field, p(np.asarray(x0_prime, dtype=float)), T, h)
-    worst = 0.0
-    for k in range(traj.states.shape[0]):
-        worst = max(
-            worst,
-            coordinate_distance(p(traj_prime.states[k]), traj.states[k], p.domain_index),
-        )
-    return worst
+    return float(
+        np.max([coordinate_distance(p(xp), x, p.domain_index) for xp, x in zip(traj_prime.states, traj.states)])
+    )
 
 
 def verify_polydiagonal_invariance(
@@ -125,17 +129,16 @@ def verify_polydiagonal_invariance(
         )
     domain_field = interconnect(m.domain, pullback(m, w_prime))
     traj = integrate(domain_field, x0, T, h)
-    return max(pd.violation(traj.states[k]) for k in range(traj.states.shape[0]))
+    return float(np.max([pd.violation(x) for x in traj.states]))
 
 
 def _central_differences(field: GlobalField, x: np.ndarray, nodes, step: float):
     """Yield the central-difference derivative of the field along each coordinate of the given nodes."""
-    for a in nodes:
-        for j in range(field.index.total_dim)[field.index.slice_of(a)]:
-            plus, minus = x.copy(), x.copy()
-            plus[j] += step
-            minus[j] -= step
-            yield (field(plus) - field(minus)) / (2.0 * step)
+    for j in field.index.gather(nodes):
+        plus, minus = x.copy(), x.copy()
+        plus[j] += step
+        minus[j] -= step
+        yield (field(plus) - field(minus)) / (2.0 * step)
 
 
 def dependency_matrix(
@@ -144,11 +147,13 @@ def dependency_matrix(
     """Which nodes each component reacts to, by central finite differences at x0."""
     x0 = np.asarray(x0, dtype=float)
     index = field.index
+    offsets = [index.slices[a][0] for a in index.order]
     deps: dict[NodeId, set[NodeId]] = {a: set() for a in index.order}
     for c in index.order:
         for diff in _central_differences(field, x0, [c], step):
-            for a in index.order:
-                if np.abs(diff[index.slice_of(a)]).max() > tol:
+            per_node = np.maximum.reduceat(np.abs(diff), offsets)
+            for a, reacts in zip(index.order, per_node > tol):
+                if reacts:
                     deps[a].add(c)
     return deps
 
@@ -200,17 +205,15 @@ def verify_driving_decomposition(
     feedback = tuple(sorted(e.edge_id for e in feedback_edges))
     codomain_field = interconnect(m.codomain, w_prime)
     index = codomain_field.index
-    image_slices = [index.slice_of(a) for a in index.order if a in image]
+    image_coords = index.gather(a for a in index.order if a in image)
     perturbed = sorted({e.src for e in feedback_edges})
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         x = sample_state(index, rng)
         for diff in _central_differences(codomain_field, x, perturbed, fd_step):
-            for sl in image_slices:
-                block = np.abs(diff[sl])
-                if block.size:
-                    worst = max(worst, float(block.max()))
+            worst = np.maximum(worst, np.abs(diff[image_coords]).max(initial=0.0))
+    worst = float(worst)
     return DrivingReport(
         ok=report.is_fibration and (not feedback) and worst < tol,
         is_fibration=report.is_fibration,
@@ -246,8 +249,7 @@ def certify_conjugacy(
     """Pointwise plus flow-level certification with a seeded starting state."""
     pointwise = verify_conjugacy_pointwise(m, w_prime, samples=samples, seed=seed)
     if x0_prime is None:
-        p = phase_space_map(m)
-        x0_prime = sample_state(p.codomain_index, np.random.default_rng(seed))
+        x0_prime = sample_state(total_phase_space(m.codomain), np.random.default_rng(seed))
     flow = verify_conjugacy_flow(m, w_prime, x0_prime, T, h)
     return ConjugacyReport(
         pointwise_max_residual=pointwise,

@@ -14,7 +14,6 @@ def sample_space(space: PhaseSpace, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_state(index: StateIndex, rng: np.random.Generator) -> np.ndarray:
-    x = np.empty(index.total_dim)
-    for a in index.order:
-        x[index.slice_of(a)] = sample_space(index.spaces[a], rng)
-    return x
+    """One draw per flat coordinate, in layout order: the same draws as ``sample_space`` node by node."""
+    circ = index.circle_mask()
+    return rng.uniform(np.where(circ, 0.0, -1.0), np.where(circ, TWO_PI, 1.0))

@@ -1,9 +1,13 @@
 import json
+import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import fibra
 from fibra import fixtures
 from fibra.cli import main
 from fibra.jsonio import class_dynamics_to_json, map_to_json, network_to_json
@@ -27,6 +31,9 @@ def run_cli(capsys, argv):
 
 def report_of(out):
     return json.loads(out)
+
+
+NAN_PRONE_EXPR = "0 * exp(1000 * x[0]) + sum(u in inputs[R1]) { u[0] }"
 
 
 def test_validate_ok(files, capsys):
@@ -322,6 +329,44 @@ def test_verify_driving_command(files, capsys):
     assert results["ok"] and results["feedback_edges"] == []
 
 
+def test_verify_conjugacy_nan_residual_fails(files, capsys):
+    # exp overflows to inf for x[0] > 0.71 and 0 * inf is NaN at such samples; the flow stays below it
+    write, _ = files
+    m = fixtures.g3_to_c2()
+    dom = write("g3.json", network_to_json(m.domain))
+    cod = write("c2.json", network_to_json(m.codomain))
+    mp = write("psi.json", map_to_json(m))
+    dyn = write("dyn.json", {"classes": [{"representative": "a", "exprs": [NAN_PRONE_EXPR]}]})
+    x0 = write("x0.json", {"flat": [0.1, -0.2]})
+    code, out, _ = run_cli(
+        capsys,
+        ["verify", "conjugacy", dom, cod, mp, dyn, "--samples", "50", "--x0", x0, "--T", "0.1", "--h", "0.01"],
+    )
+    assert code == 1
+    results = report_of(out)["results"]
+    assert math.isnan(results["pointwise_max_residual"]) and not results["passed"]
+    assert results["flow_max_deviation"] == 0.0
+
+
+MALFORMED_PARTITIONS = {
+    "node-listed-twice": {"blocks": [["1", "2", "3"], ["3"]]},
+    "non-string-member": {"blocks": [[1, "2"], ["3"]]},
+    "missing-node": {"blocks": [["1", "2"]]},
+    "extra-node": {"blocks": [["1", "2"], ["3", "4"]]},
+}
+
+
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_PARTITIONS))
+def test_balanced_check_malformed_partition_exits_2(files, capsys, malformed):
+    write, _ = files
+    net = write("g3.json", network_to_json(fixtures.g3()))
+    partition = write("p.json", MALFORMED_PARTITIONS[malformed])
+    code, out, err = run_cli(capsys, ["balanced", "--check", partition, net])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_reports_are_byte_identical(files, capsys, tmp_path):
     write, _ = files
     m = fixtures.g3_to_c2()
@@ -370,11 +415,15 @@ def test_fixture_catalog_is_wellformed():
 
 
 def test_console_entry_point():
-    # exercised through the module path so a missing console script cannot hide
+    # exercised through the module path so a missing console script cannot hide;
+    # the child imports the same fibra as this process, installed or not
+    src = str(Path(fibra.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "fibra.cli", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "fibra" in proc.stdout

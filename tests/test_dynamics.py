@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -294,6 +295,13 @@ def test_pullback_of_invariant_field_is_invariant():
         assert pulled.mode == "per_class"
         for a in m.domain.graph.nodes:
             assert check_invariance(pulled.control_at(a), a, m.domain, trials=20, seed=3) == 0.0
+
+
+def test_check_invariance_reports_nan_residual():
+    # exp overflows to inf for x[0] > 0.71 and 0 * inf is NaN; a NaN residual must not read as 0.0
+    net = fixtures.g3_to_c2().codomain
+    ctrl = parse_control(["0 * exp(1000 * x[0]) + sum(u in inputs[R1]) { u[0] }"], signature_at(net, "a"))
+    assert math.isnan(check_invariance(ctrl, "a", net, trials=50))
 
 
 def test_pullback_kernel_vanishing_off_essential_image():

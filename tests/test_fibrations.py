@@ -226,6 +226,11 @@ def test_is_balanced_rejects_non_homogeneous():
         is_balanced(net, Partition.of([["3", "4"], ["1", "2"]]))
 
 
+def test_is_balanced_rejects_a_node_listed_twice():
+    with pytest.raises(PreconditionError, match="exactly once"):
+        is_balanced(fixtures.g3(), Partition.of([["1", "2", "3"], ["3"]]))
+
+
 def test_quotient_rejects_unbalanced():
     with pytest.raises(PreconditionError):
         quotient_of(fixtures.funnel4(), Partition.of([["1", "2"], ["3", "4"]]))

@@ -1,0 +1,184 @@
+"""The flat-state gathers of ``StateIndex`` against the per-node slice loops they replaced.
+
+``PhaseSpaceMap``, ``coordinate_distance``, ``Polydiagonal.violation``,
+``sample_state``, ``circle_mask`` and ``dependency_matrix`` must give bitwise
+what the loops kept in ``util`` give.  Networks mix R1/R2/S1 nodes and have a
+self-loop and an isolated node; circle coordinate pairs are equal, about pi
+apart, or apart by multiples of 2pi.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, strategies as st
+
+from fibra import (
+    GlobalField,
+    NetworkMap,
+    Partition,
+    Polydiagonal,
+    R1,
+    R2,
+    RawControl,
+    S1,
+    circle_distance,
+    coordinate_distance,
+    network,
+    per_node_field,
+    phase_space_map,
+    sample_state,
+    signature_at,
+    total_phase_space,
+)
+from fibra.numerics import dependency_matrix
+
+from util import (
+    reference_circle_distance,
+    reference_circle_mask,
+    reference_coordinate_distance,
+    reference_dependency_matrix,
+    reference_phase_space_map,
+    reference_sample_state,
+    reference_violation,
+)
+
+SPACES = (R1, R2, S1)
+TWO_PI = 2.0 * np.pi
+# Offsets between two angles: equal, about +-pi, and multiples of 2pi, each
+# also a rounding error away.
+SPECIAL_OFFSETS = [
+    0.0, np.pi, -np.pi, TWO_PI, -TWO_PI, 3 * TWO_PI, -5 * TWO_PI, np.pi + 2 * TWO_PI, -np.pi - TWO_PI,
+]
+
+
+@st.composite
+def networks(draw):
+    """One to six wired nodes of mixed spaces, one self-loop and one isolated node."""
+    n = draw(st.integers(1, 6))
+    spaces = draw(st.lists(st.sampled_from(SPACES), min_size=n + 1, max_size=n + 1))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
+    v = draw(st.integers(0, n - 1))
+    ids = draw(st.permutations([f"v{i}" for i in range(n + 1)]))
+    edges = [(f"e{k}", ids[s], ids[t]) for k, (s, t) in enumerate(pairs + [(v, v)])]
+    return network(list(zip(ids, spaces)), edges)
+
+
+def offsets(draw, size):
+    special = st.tuples(st.sampled_from(SPECIAL_OFFSETS), st.sampled_from([0.0, 1e-15, -1e-13, 1e-9])).map(sum)
+    both = st.one_of(st.just(0.0), special, st.floats(-4.0, 4.0))
+    return np.array(draw(st.lists(both, min_size=size, max_size=size)), dtype=float)
+
+
+def states(draw, size):
+    """Generic floats below 4 in magnitude, on a finer grid than 2pi's, so argument order shows in rounding."""
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-3.0, 3.0, size)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@given(st.data())
+def test_phase_space_map_matches_slice_copy(data):
+    cod = data.draw(networks())
+    cod_ids = list(cod.graph.nodes)
+    images = data.draw(st.lists(st.sampled_from(cod_ids), min_size=1, max_size=8))
+    dom = network([(f"d{i}", cod.space(b)) for i, b in enumerate(images)], [])
+    m = NetworkMap(dom, cod, {f"d{i}": b for i, b in enumerate(images)}, {})
+    p = phase_space_map(m)
+    x = states(data.draw, p.codomain_index.total_dim)
+    assert same_bits(p(x), reference_phase_space_map(m)(x))
+    assert same_bits(p.differential(x), reference_phase_space_map(m)(x))
+
+
+@given(st.data())
+def test_coordinate_distance_matches_per_node_loop(data):
+    index = total_phase_space(data.draw(networks()))
+    x = states(data.draw, index.total_dim)
+    y = x + offsets(data.draw, index.total_dim)
+    mask = index.circle_mask()
+    y_circles = np.where(mask, y, x)  # the circle coordinates alone set the maximum
+    for a, b in ((x, y), (y, x), (x, y_circles), (y_circles, x)):
+        new, old = coordinate_distance(a, b, index), reference_coordinate_distance(a, b, index)
+        assert same_bits(np.float64(new), np.float64(old))
+    assert same_bits(mask, reference_circle_mask(index))
+    old = [reference_circle_distance(float(a), float(b)) for a, b in zip(x[mask], y[mask])]
+    assert same_bits(circle_distance(x[mask], y[mask]), np.array(old, dtype=float))
+
+
+def test_circle_mask_is_a_copy_and_nan_propagates():
+    index = total_phase_space(network([("a", S1), ("b", R2), ("c", R1)], []))
+    mask = index.circle_mask()
+    mask[:] = True
+    assert index.circle_mask().tolist() == [True, False, False, False]
+    x = np.zeros(4)
+    for j in range(4):
+        y = x.copy()
+        y[j] = np.nan
+        assert math.isnan(coordinate_distance(x, y, index))
+
+
+@st.composite
+def polydiagonals(draw):
+    """A random phase-homogeneous partition, a state on its polydiagonal, and offsets for the members."""
+    net = draw(networks())
+    labels = {a: (net.space(a).name, draw(st.integers(0, 1))) for a in net.graph.nodes}
+    blocks: dict = {}
+    for a, key in labels.items():
+        blocks.setdefault(key, []).append(a)
+    pd = Polydiagonal(net, Partition.of(blocks.values()), total_phase_space(net))
+    base = states(draw, pd.index.total_dim)
+    x = base.copy()
+    for block in pd.partition.blocks:
+        ref = pd.index.slice_of(block[0])
+        for a in block[1:]:
+            x[pd.index.slice_of(a)] = base[ref]
+    moved = offsets(draw, pd.index.total_dim)
+    moved[pd.index.gather(b[0] for b in pd.partition.blocks)] = 0.0  # members move, representatives stay
+    return pd, x, moved
+
+
+@given(polydiagonals())
+def test_polydiagonal_violation_matches_per_block_loop(case):
+    pd, on, moved = case
+    for x in (on, on + moved):
+        assert same_bits(np.float64(pd.violation(x)), np.float64(reference_violation(pd, x)))
+
+
+def test_polydiagonal_violation_on_circle_blocks_matches_per_block_loop():
+    # the argument order of the circle distance shows in about 2% of such states
+    net = network([("a", S1), ("b", S1), ("c", S1), ("d", S1), ("e", R2), ("f", R2)], [])
+    pd = Polydiagonal(net, Partition.of([["a", "b", "c"], ["d"], ["e", "f"]]), total_phase_space(net))
+    rng = np.random.default_rng(5)
+    special = np.array(SPECIAL_OFFSETS)
+    for _ in range(2000):
+        rep = rng.uniform(-3.0, 3.0)
+        x = np.array([rep, rep, rep, rng.uniform(-3.0, 3.0), 0.5, -0.5, 0.5, -0.5])
+        near_special = rng.choice(special, 2) + rng.uniform(-1e-9, 1e-9, 2)
+        x[1:3] += np.where(rng.random(2) < 0.5, near_special, rng.uniform(-4.0, 4.0, 2))
+        x[6:] += rng.uniform(-0.1, 0.1, 2)
+        assert same_bits(np.float64(pd.violation(x)), np.float64(reference_violation(pd, x)))
+
+
+@given(networks(), st.integers(0, 2**32 - 1))
+def test_sample_state_makes_the_per_node_draws(net, seed):
+    index = total_phase_space(net)
+    new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(3):
+        assert same_bits(sample_state(index, new), reference_sample_state(index, old))
+    assert new.random() == old.random()
+
+
+def _weighted_inputs(x, ins):
+    """Reacts to every input but the first, with a different weight per coordinate."""
+    acc = sum(k * float(state @ np.arange(1.0, state.size + 1)) for k, (_, state) in enumerate(ins))
+    return -x * np.arange(1.0, x.size + 1) + np.sin(acc)
+
+
+@given(networks(), st.integers(0, 1000))
+def test_dependency_matrix_matches_per_node_loop(net, seed):
+    w = per_node_field(net, {a: RawControl(signature_at(net, a), _weighted_inputs) for a in net.graph.nodes})
+    field = GlobalField(net, w)
+    x0 = sample_state(field.index, np.random.default_rng(seed))
+    assert dependency_matrix(field, x0) == reference_dependency_matrix(field, x0)

@@ -24,10 +24,12 @@ from fibra import (
     check_fibration,
     input_tree,
     network,
+    sample_space,
     sample_state,
     total_phase_space,
 )
 from fibra.expr_dsl import _eval
+from fibra.graphs import TWO_PI
 
 SPACES = (R1, R2, S1)
 
@@ -380,3 +382,87 @@ def reference_driving_residual(m: NetworkMap, w_prime, samples: int, seed: int, 
                     if block.size:
                         worst = max(worst, float(block.max()))
     return worst
+
+
+# --- reference flat-state layout --------------------------------------------------
+# The per-node slice loops that StateIndex gathers replaced, kept as
+# differential oracles.  Their running maxima skip NaN, as the old code did, so
+# compare them on finite values only.
+
+
+def reference_circle_mask(index):
+    mask = np.zeros(index.total_dim, dtype=bool)
+    for a in index.order:
+        if index.spaces[a].is_circle:
+            mask[index.slice_of(a)] = True
+    return mask
+
+
+def reference_phase_space_map(nmap: NetworkMap):
+    """Slice copy of each domain node's image state."""
+    dom, cod = total_phase_space(nmap.domain), total_phase_space(nmap.codomain)
+    pairs = [(dom.slice_of(a), cod.slice_of(nmap.node_map[a])) for a in dom.order]
+
+    def apply(x_codomain):
+        out = np.empty(dom.total_dim)
+        for dst, src in pairs:
+            out[dst] = x_codomain[src]
+        return out
+
+    return apply
+
+
+def reference_circle_distance(a: float, b: float) -> float:
+    d = float(np.mod(a - b, TWO_PI))
+    return min(d, TWO_PI - d)
+
+
+def reference_coordinate_distance(x, y, index) -> float:
+    worst = 0.0
+    for a in index.order:
+        sl = index.slice_of(a)
+        if index.spaces[a].is_circle:
+            worst = max(worst, reference_circle_distance(float(x[sl][0]), float(y[sl][0])))
+        else:
+            worst = max(worst, float(np.abs(x[sl] - y[sl]).max()))
+    return worst
+
+
+def reference_violation(pd, x) -> float:
+    """Each block member against the block's least member, slice by slice."""
+    worst = 0.0
+    for block in pd.partition.blocks:
+        ref = block[0]
+        ref_state = x[pd.index.slice_of(ref)]
+        is_circle = pd.index.spaces[ref].is_circle
+        for a in block[1:]:
+            other = x[pd.index.slice_of(a)]
+            if is_circle:
+                worst = max(worst, reference_circle_distance(float(ref_state[0]), float(other[0])))
+            else:
+                worst = max(worst, float(np.abs(ref_state - other).max()))
+    return worst
+
+
+def reference_sample_state(index, rng):
+    x = np.empty(index.total_dim)
+    for a in index.order:
+        x[index.slice_of(a)] = sample_space(index.spaces[a], rng)
+    return x
+
+
+def reference_dependency_matrix(field, x0, step: float = 1e-6, tol: float = 1e-8):
+    """Central differences along every coordinate, compared node slice by node slice."""
+    index = field.index
+    deps = {a: set() for a in index.order}
+    for c in index.order:
+        sl_c = index.slice_of(c)
+        for j in range(sl_c.start, sl_c.stop):
+            plus, minus = x0.copy(), x0.copy()
+            plus[j] += step
+            minus[j] -= step
+            diff = (field(plus) - field(minus)) / (2.0 * step)
+            for a in index.order:
+                if np.abs(diff[index.slice_of(a)]).max() > tol:
+                    deps[a].add(c)
+    return deps
