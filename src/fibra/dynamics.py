@@ -17,7 +17,16 @@ from typing import Mapping, Sequence, Union
 import numpy as np
 
 from .errors import FibrationRequired, PreconditionError, SignatureMismatch
-from .expr_dsl import ControlExpr, ControlSignature, Kernel, RawControl, as_state, bind
+from .expr_dsl import (
+    ControlExpr,
+    ControlSignature,
+    Kernel,
+    RawControl,
+    as_state,
+    bind,
+    compile_control,
+    group_positions,
+)
 from .fibrations import check_fibration, essential_image
 from .graphs import Network, NetworkMap, NodeId, PhaseSpace, total_phase_space
 from .input_trees import (
@@ -84,11 +93,17 @@ def eval_control(ctrl: Control, root: np.ndarray, inputs: Sequence[LabelledInput
     return kernel(root, states)
 
 
-def _bind_at(ctrl: Control, net: Network, a: NodeId) -> tuple[InputTree, Kernel]:
-    """Bind a control to the input tree of node ``a``, checking its root space."""
+def _tree_for(ctrl: Control, net: Network, a: NodeId) -> InputTree:
+    """The input tree of node ``a``, checked against the control's root space."""
     tree = input_tree(net, a)
     if ctrl.signature.root.dim != tree.root_type.dim:
         raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
+    return tree
+
+
+def _bind_at(ctrl: Control, net: Network, a: NodeId) -> tuple[InputTree, Kernel]:
+    """Bind a control to the input tree of node ``a``, checking its root space."""
+    tree = _tree_for(ctrl, net, a)
     return tree, bind_control(ctrl, [(l.edge_id, l.leaf_type) for l in tree.leaves])
 
 
@@ -178,18 +193,51 @@ def lift_to_nodes(g: SymmetryGroupoid, per_class: Mapping[NodeId, Control]) -> V
 
 
 class GlobalField:
-    """The interconnected vector field on the flat total state of a network."""
+    """The interconnected vector field on the flat total state of a network.
+
+    Nodes that share one expression control, as the members of a groupoid
+    class do, are evaluated together: one gather of their root and input
+    states, one call of the compiled control, one scatter.  Raw and
+    transported controls are bound and evaluated node by node.
+    """
 
     def __init__(self, net: Network, w: VirtualVectorField):
         if not w.network.is_same(net):
             raise PreconditionError("virtual vector field was built for a different network")
         self.network = net
         self.index = total_phase_space(net)
-        self._kernels = []
+        # (target, kernel, input gathers), in the order of each unit's first node
+        self._units: list = []
+        batches: dict[tuple, tuple[int, ControlExpr, list]] = {}
         for a in self.index.order:
-            tree, kernel = _bind_at(w.control_at(a), net, a)
-            in_slices = [self.index.slice_of(l.source_node) for l in tree.leaves]
-            self._kernels.append((self.index.slice_of(a), kernel, in_slices))
+            ctrl = w.control_at(a)
+            tree = _tree_for(ctrl, net, a)
+            if isinstance(ctrl, ControlExpr):
+                groups = group_positions(ctrl.signature, [l.leaf_type for l in tree.leaves])
+                sources = [[tree.leaves[i].source_node for i in pos] for pos in groups]
+                key = (id(ctrl), tuple(map(len, sources)))  # one control object, one shape of inputs
+                if key not in batches:
+                    batches[key] = (len(self._units), ctrl, [])
+                    self._units.append(None)
+                batches[key][2].append((a, sources))
+            else:
+                kernel = bind_control(ctrl, [(l.edge_id, l.leaf_type) for l in tree.leaves])
+                in_slices = [self.index.slice_of(l.source_node) for l in tree.leaves]
+                self._units.append((self.index.slice_of(a), kernel, in_slices))
+        for (_, counts), (unit, ctrl, members) in batches.items():
+            roots, inputs = self._gathers(ctrl, counts, members)
+            self._units[unit] = (roots, compile_control(ctrl), inputs)
+
+    def _gathers(self, ctrl: ControlExpr, counts: tuple[int, ...], members: list) -> tuple[np.ndarray, list]:
+        """Flat indices of the members' roots, (m, d_root), and of each group's inputs, (m, count, dim)."""
+        m = len(members)
+        roots = self.index.gather(a for a, _ in members).reshape(m, ctrl.signature.root.dim)
+        dims = [dim for dim, _ in ctrl.signature.groups().values()]
+        inputs = [
+            self.index.gather(src for _, sources in members for src in sources[g]).reshape(m, count, dim)
+            for g, (count, dim) in enumerate(zip(counts, dims))
+        ]
+        return roots, inputs
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -198,8 +246,8 @@ class GlobalField:
                 f"state has shape {x.shape}, expected ({self.index.total_dim},)"
             )
         out = np.empty(self.index.total_dim)
-        for sl, kernel, in_slices in self._kernels:
-            out[sl] = kernel(x[sl], [x[ssl] for ssl in in_slices])
+        for target, kernel, gathers in self._units:
+            out[target] = kernel(x[target], [x[g] for g in gathers])
         return out
 
 
@@ -265,7 +313,8 @@ def _vanishes_on_samples(
     tree, kernel = _bind_at(ctrl, net, a)
     for _ in range(samples):
         root = sample_space(tree.root_type, rng)
-        if np.abs(kernel(root, [sample_space(l.leaf_type, rng) for l in tree.leaves])).max() > tol:
+        value = np.abs(kernel(root, [sample_space(l.leaf_type, rng) for l in tree.leaves])).max()
+        if not value <= tol:  # NaN does not vanish
             return False
     return True
 

@@ -21,10 +21,13 @@ bound by an enclosing aggregator.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -73,7 +76,11 @@ class ControlSignature:
         object.__setattr__(self, "inputs", tuple(sorted(self.inputs, key=lambda s: s.name)))
 
     def groups(self) -> dict[str, tuple[int, int]]:
-        """Input type groups: name -> (dim, count)."""
+        """Input type groups: name -> (dim, count), in name order."""
+        return dict(self._groups)
+
+    @cached_property
+    def _groups(self) -> dict[str, tuple[int, int]]:
         counts = Counter(s.name for s in self.inputs)
         dims = {s.name: s.dim for s in self.inputs}
         return {name: (dims[name], counts[name]) for name in sorted(counts)}
@@ -484,8 +491,23 @@ def unparse(e: Expr) -> str:
 
 
 # --- evaluation ------------------------------------------------------------
+# A control compiles once into a batch kernel that evaluates it for m members
+# at a time: their root states as an (m, d_root) array and, per type group in
+# signature order, their input states as an (m, count, dim) array.  Each
+# member gets the bits a scalar evaluation would give.  ``+ - * /``, ``abs``
+# and ``sqrt`` are exact IEEE operations in numpy as in Python.  ``^`` and the
+# other functions run elementwise through Python's ``**`` and ``math.*``:
+# numpy's vectorised versions may differ from them in the last bit, which
+# would break the exact invariance and synchrony guarantees.
 
 Kernel = Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
+BatchKernel = Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
+
+# One value per member, or a float shared by all of them.
+_Value = np.ndarray | float
+# A compiled AST node.  Its frame holds the root states, the sorted group
+# arrays and, per aggregator, the current input of every member.
+_Node = Callable[[list], _Value]
 
 
 def _space_name(t: PhaseSpace | str) -> str:
@@ -500,82 +522,205 @@ def as_state(value, dim: int, what: str) -> np.ndarray:
     return vec
 
 
-def bind(ctrl: ControlExpr, types: Sequence[PhaseSpace | str]) -> Kernel:
-    """Match input positions to the control's type groups once; returns ``f(root, states)``.
+def _at(e: Expr) -> str:
+    return f"line {e.pos[0]}, column {e.pos[1]}"
 
-    The kernel takes flat states of the signature's dimensions unchecked,
-    sorts each group by value (the canonical aggregation order) and walks the AST.
+
+def _map(fn: Callable[[float], float], v: _Value) -> _Value:
+    """``fn`` applied to each member's float."""
+    if isinstance(v, np.ndarray):
+        return np.array(list(map(fn, v.tolist())), dtype=float)
+    return fn(v)
+
+
+def _canonical_order(values: np.ndarray) -> np.ndarray:
+    """Each member's inputs sorted by value, coordinate by coordinate, ties in place.
+
+    This is the order ``sorted(key=tolist)`` gives; -0.0 and 0.0 tie.  A NaN
+    coordinate sorts last here, where Python's sort gives it no defined place.
     """
-    positions: dict[str, list[int]] = {name: [] for name in ctrl.signature.groups()}
+    if values.shape[1] < 2:
+        return values
+    m, _, dim = values.shape
+    if dim == 1:
+        order = np.argsort(values[:, :, 0], axis=1, kind="stable")
+    else:  # lexsort's last key is the primary one
+        order = np.lexsort([values[:, :, j] for j in reversed(range(dim))], axis=-1)
+    return values[np.arange(m)[:, np.newaxis], order]
+
+
+def _compile_call(e: Call, arg: _Node) -> _Node:
+    if e.func == "abs":
+        return lambda frame: abs(arg(frame))
+    fn = FUNCTIONS[e.func]
+
+    def checked(v: float) -> float:
+        try:
+            return float(fn(v))
+        except ValueError as exc:
+            raise EvaluationFault(f"{e.func} fault at {_at(e)}: {exc}") from None
+        except OverflowError:
+            return math.inf
+
+    if e.func == "sqrt":
+
+        def sqrt(frame: list) -> _Value:
+            v = arg(frame)
+            if isinstance(v, np.ndarray) and not (v < 0.0).any():
+                return np.sqrt(v)
+            return _map(checked, v)  # faults like math.sqrt on a negative
+
+        return sqrt
+
+    def call(frame: list) -> _Value:
+        v = arg(frame)
+        try:
+            return _map(fn, v)
+        except (ValueError, OverflowError):
+            return _map(checked, v)
+
+    return call
+
+
+def _compile_pow(e: Pow, base: _Node) -> _Node:
+    k = e.exponent
+
+    def checked(b: float) -> float:
+        try:
+            return float(b**k)
+        except ZeroDivisionError:
+            raise EvaluationFault(f"zero raised to a negative power at {_at(e)}") from None
+        except OverflowError:  # propagate as inf, IEEE style; the integrator faults on it
+            return -math.inf if (b < 0 and k % 2 == 1) else math.inf
+
+    def power(frame: list) -> _Value:
+        v = base(frame)
+        try:
+            return _map(lambda b: b**k, v)
+        except (ZeroDivisionError, OverflowError):
+            return _map(checked, v)
+
+    return power
+
+
+def _compile_divide(e: BinOp, left: _Node, right: _Node) -> _Node:
+    def divide(frame: list) -> _Value:
+        a, b = left(frame), right(frame)
+        if (b == 0.0).any() if isinstance(b, np.ndarray) else b == 0.0:
+            raise EvaluationFault(f"division by zero at {_at(e)}")
+        return a / b
+
+    return divide
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _compile_aggregate(e: Aggregate, body: _Node, group: int, slot: int) -> _Node:
+    def aggregate(frame: list) -> _Value:
+        values = frame[group]
+        count = values.shape[1]
+        if e.op == "mean" and not count:
+            raise EvaluationFault(f"mean of empty group at {_at(e)}")
+        total: _Value = 0.0
+        for k in range(count):  # in sequence, so each member sums in scalar order
+            frame[slot] = values[:, k]
+            total = total + body(frame)
+        return total / count if e.op == "mean" else total
+
+    return aggregate
+
+
+def _compile(e: Expr, scope: Mapping[str, int], groups: Mapping[str, int], slots: Iterator[int]) -> _Node:
+    """A batched closure for ``e``; ``scope`` maps aggregator variables to frame slots."""
+    if isinstance(e, Num):
+        value = e.value
+        return lambda frame: value
+    if isinstance(e, RootRef):
+        i = e.index
+        return lambda frame: frame[0][:, i]
+    if isinstance(e, InputRef):
+        if e.var not in scope:
+            raise SignatureMismatch(f"{e.var}[{e.index}] outside an aggregator over {e.var!r} at {_at(e)}")
+        slot, i = scope[e.var], e.index
+        return lambda frame: frame[slot][:, i]
+    if isinstance(e, Neg):
+        arg = _compile(e.arg, scope, groups, slots)
+        return lambda frame: -arg(frame)
+    if isinstance(e, BinOp):
+        left = _compile(e.left, scope, groups, slots)
+        right = _compile(e.right, scope, groups, slots)
+        if e.op == "/":
+            return _compile_divide(e, left, right)
+        op = _ARITHMETIC[e.op]
+        return lambda frame: op(left(frame), right(frame))
+    if isinstance(e, Pow):
+        return _compile_pow(e, _compile(e.base, scope, groups, slots))
+    if isinstance(e, Call):
+        return _compile_call(e, _compile(e.arg, scope, groups, slots))
+    if isinstance(e, Aggregate):
+        if e.group not in groups:
+            raise SignatureMismatch(f"no input group {e.group!r} in the signature at {_at(e)}")
+        slot = next(slots)
+        body = _compile(e.body, {**scope, e.var: slot}, groups, slots)
+        return _compile_aggregate(e, body, groups[e.group], slot)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_control(ctrl: ControlExpr) -> BatchKernel:
+    """Compile a control once into ``f(roots, groups) -> tangents`` for m members.
+
+    ``roots`` is (m, d_root) and ``groups`` holds one (m, count, dim) array
+    per type group of the signature, in group order; the result is
+    (m, d_root).  Faults raise :class:`EvaluationFault`; when members fault at
+    different places, the one named may differ from a member-by-member loop.
+    """
+    names = list(ctrl.signature.groups())
+    groups = {name: 1 + g for g, name in enumerate(names)}
+    slots = itertools.count(1 + len(names))
+    components = [_compile(c, {}, groups, slots) for c in ctrl.components]
+    aggregator_slots = [None] * (next(slots) - 1 - len(names))
+
+    def kernel(roots: np.ndarray, inputs: Sequence[np.ndarray]) -> np.ndarray:
+        frame = [roots, *map(_canonical_order, inputs), *aggregator_slots]
+        out = np.empty((roots.shape[0], len(components)))
+        with np.errstate(all="ignore"):  # IEEE overflow and NaN, as Python floats give them
+            for i, component in enumerate(components):
+                out[:, i] = component(frame)
+        return out
+
+    return kernel
+
+
+def group_positions(signature: ControlSignature, types: Sequence[PhaseSpace | str]) -> list[list[int]]:
+    """The input positions of each type group of the signature, in group order."""
+    positions: dict[str, list[int]] = {name: [] for name in signature.groups()}
     for i, t in enumerate(types):
         name = _space_name(t)
         if name not in positions:
             raise SignatureMismatch(f"input of type {name} not in signature groups {sorted(positions)}")
         positions[name].append(i)
+    return list(positions.values())
+
+
+def bind(ctrl: ControlExpr, types: Sequence[PhaseSpace | str]) -> Kernel:
+    """Match input positions to the control's type groups once; returns ``f(root, states)``.
+
+    The kernel takes flat states of the signature's dimensions unchecked and
+    runs the compiled control as a batch of one.
+    """
+    positions = group_positions(ctrl.signature, types)
+    dims = [dim for dim, _ in ctrl.signature.groups().values()]
+    run = compile_control(ctrl)
 
     def kernel(root: np.ndarray, states: Sequence[np.ndarray]) -> np.ndarray:
-        buckets = {name: sorted([states[i] for i in pos], key=np.ndarray.tolist) for name, pos in positions.items()}
-        return np.array([_eval(c, root, buckets, {}) for c in ctrl.components])
+        inputs = [
+            np.array([states[i] for i in pos], dtype=float).reshape(1, len(pos), dim)
+            for pos, dim in zip(positions, dims)
+        ]
+        return run(np.reshape(root, (1, -1)), inputs)[0]
 
     return kernel
-
-
-def _eval(e: Expr, root: np.ndarray, buckets: Mapping[str, list[np.ndarray]], env: dict[str, np.ndarray]) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, RootRef):
-        return float(root[e.index])
-    if isinstance(e, InputRef):
-        return float(env[e.var][e.index])
-    if isinstance(e, Neg):
-        return -_eval(e.arg, root, buckets, env)
-    if isinstance(e, BinOp):
-        a = _eval(e.left, root, buckets, env)
-        b = _eval(e.right, root, buckets, env)
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        try:
-            return a / b
-        except ZeroDivisionError:
-            raise EvaluationFault(f"division by zero at line {e.pos[0]}, column {e.pos[1]}") from None
-    if isinstance(e, Pow):
-        base = _eval(e.base, root, buckets, env)
-        try:
-            return float(base**e.exponent)
-        except ZeroDivisionError:
-            raise EvaluationFault(f"zero raised to a negative power at line {e.pos[0]}, column {e.pos[1]}") from None
-        except OverflowError:  # propagate as inf, IEEE style; the integrator faults on it
-            sign = -1.0 if (base < 0 and e.exponent % 2 == 1) else 1.0
-            return sign * math.inf
-    if isinstance(e, Call):
-        arg = _eval(e.arg, root, buckets, env)
-        try:
-            return float(FUNCTIONS[e.func](arg))
-        except ValueError as exc:
-            raise EvaluationFault(f"{e.func} fault at line {e.pos[0]}, column {e.pos[1]}: {exc}") from None
-        except OverflowError:
-            return math.inf
-    if isinstance(e, Aggregate):
-        values = buckets[e.group]
-        if e.op == "mean" and not values:
-            raise EvaluationFault(f"mean of empty group at line {e.pos[0]}, column {e.pos[1]}")
-        had, saved = e.var in env, env.get(e.var)
-        total = 0.0
-        for v in values:
-            env[e.var] = v
-            total += _eval(e.body, root, buckets, env)
-        if had:
-            env[e.var] = saved  # type: ignore[assignment]
-        else:
-            env.pop(e.var, None)
-        if e.op == "mean":
-            total /= len(values)
-        return total
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 def evaluate(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Mapping
 from pathlib import Path
 from typing import Any
@@ -146,13 +147,26 @@ def node_dynamics_to_json(field: VirtualVectorField) -> dict:
     return {"nodes": nodes}
 
 
+def _finite_number(v: Any) -> bool:
+    """A JSON number with a finite float value; booleans, null, strings and lists are not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _coordinates(values: Any, dim: int, what: str) -> np.ndarray:
+    if not isinstance(values, list) or len(values) != dim or not all(map(_finite_number, values)):
+        raise InputError(f"state: {what} must be a list of {dim} finite numbers")
+    return np.array(values, dtype=float)
+
+
 def state_from_json(obj: Any, index: StateIndex) -> np.ndarray:
-    """Flat state from {"flat": [...]} or {"by_node": {id: [...]}}."""
+    """Flat state from {"flat": [...]} or {"by_node": {id: [...]}}; every coordinate a finite number."""
     if isinstance(obj, Mapping) and "flat" in obj:
-        flat = obj["flat"]
-        if not isinstance(flat, list) or len(flat) != index.total_dim:
-            raise InputError(f"state: 'flat' must be a list of {index.total_dim} numbers")
-        return np.asarray(flat, dtype=float)
+        return _coordinates(obj["flat"], index.total_dim, "'flat'")
     if isinstance(obj, Mapping) and "by_node" in obj:
         by_node = obj["by_node"]
         if not isinstance(by_node, Mapping):
@@ -161,9 +175,6 @@ def state_from_json(obj: Any, index: StateIndex) -> np.ndarray:
         for a in index.order:
             if a not in by_node:
                 raise InputError(f"state: missing node {a!r}")
-            vec = np.asarray(by_node[a], dtype=float).reshape(-1)
-            if vec.shape[0] != index.spaces[a].dim:
-                raise InputError(f"state: node {a!r} needs {index.spaces[a].dim} coordinates")
-            x[index.slice_of(a)] = vec
+            x[index.slice_of(a)] = _coordinates(by_node[a], index.spaces[a].dim, f"node {a!r}")
         return x
     raise InputError("state: expected 'flat' or 'by_node'")

@@ -152,7 +152,7 @@ def dependency_matrix(
     for c in index.order:
         for diff in _central_differences(field, x0, [c], step):
             per_node = np.maximum.reduceat(np.abs(diff), offsets)
-            for a, reacts in zip(index.order, per_node > tol):
+            for a, reacts in zip(index.order, ~(per_node <= tol)):  # NaN counts as a dependency
                 if reacts:
                     deps[a].add(c)
     return deps

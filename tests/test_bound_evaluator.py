@@ -1,10 +1,10 @@
 """Controls bound once per node against the per-call path they replaced.
 
-``GlobalField``, ``eval_control`` and ``evaluate`` must give bitwise what the
-per-call evaluator in ``util`` gives, for expression, raw and transported
-controls, and the driving check, which perturbs only feedback-edge sources,
-must report the same residual as the loop over every coordinate outside the
-image.  Networks are generated with mixed R1/R2/S1 spaces, self-loops,
+``GlobalField``, ``bind``, ``eval_control`` and ``evaluate`` must give bitwise
+what the per-call evaluator and the scalar tree walk in ``util`` give, for
+expression, raw and transported controls, and the driving check, which
+perturbs only feedback-edge sources, must report the same residual as the loop
+over every coordinate outside the image.  Networks are generated with mixed R1/R2/S1 spaces, self-loops,
 parallel edges and isolated nodes.
 """
 
@@ -37,9 +37,12 @@ from fibra import (
     verify_driving_decomposition,
 )
 from fibra.dynamics import VirtualVectorField
+from fibra.errors import EvaluationFault
+from fibra.expr_dsl import FUNCTIONS, ControlSignature, _canonical_order, bind
 from fibra.sampling import sample_state
 
 from util import (
+    reference_bind,
     reference_driving_residual,
     reference_eval_control,
     reference_evaluate,
@@ -103,18 +106,18 @@ def raw_control(sig):
     return RawControl(sig, fn)
 
 
-def class_field(draw, net):
+def class_field(draw, net, expr=expr_control):
     """Per-class field, expression or raw control per class."""
     controls = {}
     for rep in symmetry_groupoid(net).representatives():
         sig = signature_at(net, rep)
-        controls[rep] = expr_control(draw, sig) if draw(st.booleans()) else raw_control(sig)
+        controls[rep] = expr(draw, sig) if draw(st.booleans()) else raw_control(sig)
     return per_class_field(net, controls)
 
 
-def twisted_node_field(draw, net):
+def twisted_node_field(draw, net, expr=expr_control):
     """Per-node field whose controls are moved along random automorphisms, some twice."""
-    w = class_field(draw, net)
+    w = class_field(draw, net, expr)
     controls = {}
     for a in net.graph.nodes:
         ctrl = w.control_at(a)
@@ -279,3 +282,162 @@ def test_driving_with_raw_control_at_feedback_source():
     report2 = verify_driving_decomposition(m2, w2, samples=4, seed=3)
     assert report2.feedback_edges == () and report2.fd_max_residual == 0.0
     assert reference_driving_residual(m2, w2, samples=4, seed=3, fd_step=1e-6) == 0.0
+
+
+# --- batched kernels against the scalar tree walk ------------------------------------
+# Compiled controls run a whole batch of nodes in one pass.  Every construct of
+# the grammar is drawn: all eight functions, ``^`` with negative exponents and
+# overflow, ``mean``, nested aggregators, constants that overflow, and input
+# states drawn from a pool with ties, -0.0 and 0.0.  Outputs must match the
+# tree walk bit for bit; a fault must raise the same class, and in a batch of
+# one the same message.
+
+FUNCS = sorted(FUNCTIONS)
+VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -3.0, 700.0]) | st.floats(-4.0, 4.0)
+
+
+def expr_source(draw, sig, depth=4, scope=()):
+    """One random component over the whole grammar; it may fault."""
+    groups = sig.groups()
+    kinds = ["num", "root"] + (["var"] if scope else [])
+    if depth:
+        kinds += ["neg", "func", "binop", "pow"] + (["agg"] if groups and len(scope) < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+
+    def sub():
+        return expr_source(draw, sig, depth - 1, scope)
+
+    if kind == "num":
+        return draw(st.sampled_from(["0.0", "0.5", "2.0", "1000.0", "1e999"]))
+    if kind == "root":
+        return f"x[{draw(st.integers(0, sig.root.dim - 1))}]"
+    if kind == "var":
+        var, group = draw(st.sampled_from(scope))
+        return f"{var}[{draw(st.integers(0, groups[group][0] - 1))}]"
+    if kind == "neg":
+        return f"-({sub()})"
+    if kind == "func":
+        return f"{draw(st.sampled_from(FUNCS))}({sub()})"
+    if kind == "binop":
+        return f"({sub()}) {draw(st.sampled_from('+-*/'))} ({sub()})"
+    if kind == "pow":
+        return f"({sub()})^{draw(st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 400, 401]))}"
+    group = draw(st.sampled_from(sorted(groups)))
+    var = "uv"[len(scope)]
+    body = expr_source(draw, sig, depth - 1, scope + ((var, group),))
+    return f"{draw(st.sampled_from(['sum', 'mean']))}({var} in inputs[{group}]) {{ {body} }}"
+
+
+def any_expr_control(draw, sig):
+    return parse_control([expr_source(draw, sig) for _ in range(sig.root.dim)], sig)
+
+
+def outcome(fn, *args, message=True):
+    """The output's bits, or the exception class (and message) it raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the class is what is compared
+        return type(exc), str(exc) if message else None
+    return out.dtype, out.shape, out.tobytes()
+
+
+@given(st.data())
+def test_bind_and_evaluate_match_tree_walk(data):
+    draw = data.draw
+    inputs = draw(st.lists(st.sampled_from(SPACES), max_size=5))
+    sig = ControlSignature(draw(st.sampled_from(SPACES)), tuple(inputs))
+    ctrl = any_expr_control(draw, sig)
+    types = draw(st.permutations(inputs))
+    if types and draw(st.booleans()):
+        types = types[1:]  # a group may go missing, where mean faults
+    root = np.array(draw(st.lists(VALUES, min_size=sig.root.dim, max_size=sig.root.dim)))
+    states = [np.array(draw(st.lists(VALUES, min_size=t.dim, max_size=t.dim))) for t in types]
+    assert outcome(bind(ctrl, types), root, states) == outcome(reference_bind(ctrl, types), root, states)
+    pairs = list(zip(types, states))
+    assert outcome(evaluate, ctrl, root, pairs) == outcome(reference_evaluate, ctrl, root, pairs)
+
+
+@given(st.data())
+def test_field_matches_tree_walk(data):
+    net = data.draw(networks())
+    w = twisted_node_field(data.draw, net, any_expr_control)
+    field, reference = GlobalField(net, w), reference_field(net, w)
+    for _ in range(3):
+        x = np.array(data.draw(st.lists(VALUES, min_size=field.index.total_dim, max_size=field.index.total_dim)))
+        assert outcome(field, x, message=False) == outcome(reference, x, message=False)
+
+
+def test_large_batch_matches_tree_walk():
+    # 300 nodes share one control: three R1 and three R2 inputs each, drawn with
+    # repeats (parallel edges, so tied inputs) from sources that have no inputs
+    rng = np.random.default_rng(7)
+    sources = [(f"s{i}", R1 if i % 2 else R2) for i in range(20)]
+    r1 = [a for a, s in sources if s is R1]
+    r2 = [a for a, s in sources if s is R2]
+    targets = [f"t{i:03d}" for i in range(300)]
+    edges = [
+        (f"e{t}{k}", str(src), t)
+        for t in targets
+        for k, src in enumerate([*rng.choice(r1, 3), *rng.choice(r2, 3)])
+    ]
+    net = network(sources + [(t, R1) for t in targets], edges)
+    g = symmetry_groupoid(net)
+    assert len(g.class_of("t000").members) == 300
+    body = (
+        "sum(u in inputs[R1]) { exp(u[0]) * tanh(x[0] - u[0]) + tan(u[0]) }"
+        " + mean(v in inputs[R2]) { sin(v[0]) * cos(v[1]) + log(1 + v[1]^2) + sqrt(abs(v[0])) }"
+        " + sum(u in inputs[R1]) { sum(v in inputs[R2]) { u[0] * v[1] - v[0] / 3 } }"
+        " + (x[0] + 3)^-2 + (x[0] * 1000)^3"
+    )
+    controls = {rep: parse_control(["-x[0]"] * net.space(rep).dim, signature_at(net, rep)) for rep in g.representatives()}
+    controls[g.class_of("t000").representative] = parse_control([body], signature_at(net, "t000"))
+    w = per_class_field(net, controls, g)
+    field, reference = GlobalField(net, w), reference_field(net, w)
+    for _ in range(4):
+        x = sample_state(field.index, rng)
+        x[rng.random(x.size) < 0.2] = -0.0
+        assert same_bits(field(x), reference(x))
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda dim: st.lists(
+            st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), min_size=dim, max_size=dim),
+                     min_size=0, max_size=40),
+            min_size=1, max_size=4,
+        ).filter(lambda ms: len({len(m) for m in ms}) == 1).map(lambda ms: (dim, ms))
+    )
+)
+def test_canonical_order_is_stable_sort_by_value(case):
+    dim, members = case
+    values = np.array(members, dtype=float).reshape(len(members), len(members[0]), dim)
+    expected = np.array([sorted(m, key=np.ndarray.tolist) for m in values]).reshape(values.shape)
+    assert same_bits(_canonical_order(values), expected)
+
+
+FAULTS = [
+    ("1 / (x[0] - x[0])", "division by zero"),
+    ("(x[0] - x[0])^-2", "zero raised to a negative power"),
+    ("log(-1 - x[0]^2)", "log fault"),
+    ("sqrt(-1 - x[0]^2)", "sqrt fault"),
+    ("sin(1e999 * (1 + x[0]^2))", "sin fault"),
+    ("mean(u in inputs[R1]) { u[0] }", "mean of empty group"),
+]
+
+
+@pytest.mark.parametrize("source, message", FAULTS)
+def test_fault_message_matches_tree_walk(source, message):
+    sig = ControlSignature(R1, (R1,))
+    ctrl = parse_control([source], sig)
+    root = np.array([0.25])
+    fault = outcome(bind(ctrl, []), root, [])
+    assert fault[0] is EvaluationFault and message in fault[1]
+    assert fault == outcome(reference_bind(ctrl, []), root, [])
+
+
+def test_overflow_gives_signed_infinity():
+    ctrl = parse_control(["exp(1000 + x[0])", "(-1000 - x[1]^2)^401"], ControlSignature(R2, ()))
+    root = np.array([0.5, 0.0])
+    out = bind(ctrl, [])(root, [])
+    assert out.tolist() == [np.inf, -np.inf]
+    assert same_bits(out, reference_bind(ctrl, [])(root, []))

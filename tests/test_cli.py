@@ -66,6 +66,35 @@ def test_malformed_json_exits_2(files, capsys):
     assert "error" in err
 
 
+# --x0 files for g3 (three R1 nodes "1", "2", "3"), each with one bad coordinate
+MALFORMED_STATES = {
+    "string": '{"flat": ["a", 0, 0]}',
+    "nested-list": '{"flat": [[1.0, 2.0], 0, 0]}',
+    "string-node-state": '{"by_node": {"1": "ab", "2": [0], "3": [0]}}',
+    "nan": '{"flat": [NaN, 0, 0]}',
+    "infinity": '{"flat": [0, -Infinity, 0]}',
+    "overflowing-literal": '{"flat": [1e999, 0, 0]}',
+    "huge-integer": '{"flat": [0, 0, 1' + "0" * 400 + "]}",
+    "null": '{"by_node": {"1": [0], "2": [null], "3": [0]}}',
+    "boolean": '{"flat": [true, 0, 0]}',
+}
+
+
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_STATES))
+def test_malformed_state_exits_2(files, capsys, malformed):
+    write, tmp = files
+    net = fixtures.g3()
+    netp = write("g3.json", network_to_json(net))
+    dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(net)))
+    x0 = tmp / "x0.json"
+    x0.write_text(MALFORMED_STATES[malformed], encoding="utf-8")
+    code, out, err = run_cli(capsys, ["simulate", netp, dyn, "--x0", str(x0), "--T", "0.5", "--h", "0.1"])
+    assert code == 2
+    assert out == ""
+    assert "must be a list of" in err and "finite numbers" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_deeply_nested_expression_exits_2(files, capsys):
     write, _ = files
     net = fixtures.g3()

@@ -28,6 +28,7 @@ from fibra import (
     symmetry_groupoid,
 )
 from fibra import fixtures
+from fibra.dynamics import _vanishes_on_samples
 from fibra.numerics import dependency_matrix, expected_dependencies
 from fibra.sampling import sample_space, sample_state
 
@@ -302,6 +303,24 @@ def test_check_invariance_reports_nan_residual():
     net = fixtures.g3_to_c2().codomain
     ctrl = parse_control(["0 * exp(1000 * x[0]) + sum(u in inputs[R1]) { u[0] }"], signature_at(net, "a"))
     assert math.isnan(check_invariance(ctrl, "a", net, trials=50))
+
+
+def test_nan_control_does_not_vanish():
+    # NaN wherever x[0] > 0.71, about 15% of the samples: it must not count as vanishing
+    net = fixtures.g3_to_c2().codomain
+    ctrl = parse_control(["0 * exp(1000 * x[0])"], signature_at(net, "a"))
+    assert not _vanishes_on_samples(ctrl, net, "a", 200, np.random.default_rng(0), 0.0)
+    zero = parse_control(["0 * exp(x[0])"], signature_at(net, "a"))
+    assert _vanishes_on_samples(zero, net, "a", 200, np.random.default_rng(0), 0.0)
+
+
+def test_nan_derivative_counts_as_dependency():
+    net = fixtures.g3_to_c2().codomain
+    body = ["sum(u in inputs[R1]) { 0 * exp(1000 * u[0]) }"]
+    field = interconnect(net, per_node_field(net, {a: parse_control(body, signature_at(net, a)) for a in "ab"}))
+    x = np.full(2, 0.9)
+    assert np.isnan(field(x)).all()
+    assert dependency_matrix(field, x) == {"a": {"a", "b"}, "b": {"a", "b"}}
 
 
 def test_pullback_kernel_vanishing_off_essential_image():

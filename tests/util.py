@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -28,7 +29,8 @@ from fibra import (
     sample_state,
     total_phase_space,
 )
-from fibra.expr_dsl import _eval
+from fibra.expr_dsl import FUNCTIONS, Aggregate, BinOp, Call, InputRef, Neg, Num, Pow, RootRef
+from fibra.errors import EvaluationFault
 from fibra.graphs import TWO_PI
 
 SPACES = (R1, R2, S1)
@@ -278,8 +280,84 @@ def doubled_edge_chain(n: int) -> Network:
 # --- reference evaluator ----------------------------------------------------------
 # The per-call path that bound controls replaced: every call re-checks its
 # inputs, re-buckets them by type and re-sorts a transported control's ids;
-# the field perturbs every coordinate outside the image.  Kept as
-# differential oracles.
+# the field perturbs every coordinate outside the image.  Expressions are
+# evaluated by the scalar tree walk that the compiled batch kernels replaced,
+# one node and one float at a time.  Kept as differential oracles.
+
+
+def reference_eval(e, root, buckets, env) -> float:
+    """The scalar tree walk: one member, Python floats, ``math.*``."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, RootRef):
+        return float(root[e.index])
+    if isinstance(e, InputRef):
+        return float(env[e.var][e.index])
+    if isinstance(e, Neg):
+        return -reference_eval(e.arg, root, buckets, env)
+    if isinstance(e, BinOp):
+        a = reference_eval(e.left, root, buckets, env)
+        b = reference_eval(e.right, root, buckets, env)
+        if e.op == "+":
+            return a + b
+        if e.op == "-":
+            return a - b
+        if e.op == "*":
+            return a * b
+        try:
+            return a / b
+        except ZeroDivisionError:
+            raise EvaluationFault(f"division by zero at line {e.pos[0]}, column {e.pos[1]}") from None
+    if isinstance(e, Pow):
+        base = reference_eval(e.base, root, buckets, env)
+        try:
+            return float(base**e.exponent)
+        except ZeroDivisionError:
+            raise EvaluationFault(f"zero raised to a negative power at line {e.pos[0]}, column {e.pos[1]}") from None
+        except OverflowError:
+            sign = -1.0 if (base < 0 and e.exponent % 2 == 1) else 1.0
+            return sign * math.inf
+    if isinstance(e, Call):
+        arg = reference_eval(e.arg, root, buckets, env)
+        try:
+            return float(FUNCTIONS[e.func](arg))
+        except ValueError as exc:
+            raise EvaluationFault(f"{e.func} fault at line {e.pos[0]}, column {e.pos[1]}: {exc}") from None
+        except OverflowError:
+            return math.inf
+    if isinstance(e, Aggregate):
+        values = buckets[e.group]
+        if e.op == "mean" and not values:
+            raise EvaluationFault(f"mean of empty group at line {e.pos[0]}, column {e.pos[1]}")
+        had, saved = e.var in env, env.get(e.var)
+        total = 0.0
+        for v in values:
+            env[e.var] = v
+            total += reference_eval(e.body, root, buckets, env)
+        if had:
+            env[e.var] = saved
+        else:
+            env.pop(e.var, None)
+        if e.op == "mean":
+            total /= len(values)
+        return total
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def reference_bind(ctrl, types):
+    """The bound kernel before compilation: sort each group by value, then walk the tree."""
+    positions = {name: [] for name in ctrl.signature.groups()}
+    for i, t in enumerate(types):
+        name = t if isinstance(t, str) else t.name
+        if name not in positions:
+            raise SignatureMismatch(f"input of type {name} not in signature groups {sorted(positions)}")
+        positions[name].append(i)
+
+    def kernel(root, states):
+        buckets = {name: sorted([states[i] for i in pos], key=np.ndarray.tolist) for name, pos in positions.items()}
+        return np.array([reference_eval(c, root, buckets, {}) for c in ctrl.components])
+
+    return kernel
 
 
 def reference_group_inputs(inputs, known_groups):
@@ -307,7 +385,7 @@ def reference_evaluate(ctrl, root, inputs):
             f"root state has dimension {root.shape[0]}, expected {ctrl.signature.root.dim}"
         )
     buckets = reference_group_inputs(inputs, ctrl.signature.groups())
-    return np.array([_eval(c, root, buckets, {}) for c in ctrl.components])
+    return np.array([reference_eval(c, root, buckets, {}) for c in ctrl.components])
 
 
 def reference_eval_control(ctrl, root, inputs):
