@@ -371,9 +371,14 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
     raise InputError(f"unknown command {command!r}")
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:  # built once per process; parsing leaves it unchanged
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
     try:
         results, ok, paths = _dispatch(args)

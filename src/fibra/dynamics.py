@@ -25,7 +25,6 @@ from .expr_dsl import (
     as_state,
     bind,
     compile_control,
-    group_positions,
 )
 from .fibrations import check_fibration, essential_image
 from .graphs import Network, NetworkMap, NodeId, PhaseSpace, total_phase_space
@@ -93,17 +92,11 @@ def eval_control(ctrl: Control, root: np.ndarray, inputs: Sequence[LabelledInput
     return kernel(root, states)
 
 
-def _tree_for(ctrl: Control, net: Network, a: NodeId) -> InputTree:
-    """The input tree of node ``a``, checked against the control's root space."""
+def _bind_at(ctrl: Control, net: Network, a: NodeId) -> tuple[InputTree, Kernel]:
+    """Bind a control to the input tree of node ``a``, checking its root space."""
     tree = input_tree(net, a)
     if ctrl.signature.root.dim != tree.root_type.dim:
         raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
-    return tree
-
-
-def _bind_at(ctrl: Control, net: Network, a: NodeId) -> tuple[InputTree, Kernel]:
-    """Bind a control to the input tree of node ``a``, checking its root space."""
-    tree = _tree_for(ctrl, net, a)
     return tree, bind_control(ctrl, [(l.edge_id, l.leaf_type) for l in tree.leaves])
 
 
@@ -151,7 +144,7 @@ class VirtualVectorField:
         assert self.groupoid is not None
         cls = self.groupoid.class_of(a)
         ctrl = self.controls[cls.representative]
-        if a == cls.representative:
+        if a == cls.representative or isinstance(ctrl, ControlExpr):  # expressions transport to themselves
             return ctrl
         return ctrl_transport(cls.witnesses[a].inverse(), ctrl)
 
@@ -195,60 +188,92 @@ def lift_to_nodes(g: SymmetryGroupoid, per_class: Mapping[NodeId, Control]) -> V
 class GlobalField:
     """The interconnected vector field on the flat total state of a network.
 
-    Nodes that share one expression control, as the members of a groupoid
-    class do, are evaluated together: one gather of their root and input
-    states, one call of the compiled control, one scatter.  Raw and
+    Nodes that share one expression control and one shape of typed inputs,
+    as the members of a groupoid class do, are evaluated together: one
+    gather of their root and input states, one call of the compiled control,
+    one scatter.  The gathers are built from the in-edge index.  Raw and
     transported controls are bound and evaluated node by node.
+
+    A call takes one state of shape ``(total_dim,)`` or a batch of shape
+    ``(samples, total_dim)``; each row of a batch gives the bits a call on
+    that row alone gives.
     """
 
     def __init__(self, net: Network, w: VirtualVectorField):
         if not w.network.is_same(net):
             raise PreconditionError("virtual vector field was built for a different network")
         self.network = net
-        self.index = total_phase_space(net)
+        self.index = index = total_phase_space(net)
+        offset = {a: off for a, (off, _) in index.slices.items()}
+        name = {a: space.name for a, space in net.phase.items()}
         # (target, kernel, input gathers), in the order of each unit's first node
         self._units: list = []
-        batches: dict[tuple, tuple[int, ControlExpr, list]] = {}
-        for a in self.index.order:
+        # (id of the control, input counts per group) -> (unit, control, root offsets, source offsets per group)
+        batches: dict[tuple, tuple] = {}
+        slots: dict[int, dict[str, int]] = {}  # id of the control -> group name -> group position
+        for a in index.order:
             ctrl = w.control_at(a)
-            tree = _tree_for(ctrl, net, a)
-            if isinstance(ctrl, ControlExpr):
-                groups = group_positions(ctrl.signature, [l.leaf_type for l in tree.leaves])
-                sources = [[tree.leaves[i].source_node for i in pos] for pos in groups]
-                key = (id(ctrl), tuple(map(len, sources)))  # one control object, one shape of inputs
-                if key not in batches:
-                    batches[key] = (len(self._units), ctrl, [])
-                    self._units.append(None)
-                batches[key][2].append((a, sources))
-            else:
-                kernel = bind_control(ctrl, [(l.edge_id, l.leaf_type) for l in tree.leaves])
-                in_slices = [self.index.slice_of(l.source_node) for l in tree.leaves]
-                self._units.append((self.index.slice_of(a), kernel, in_slices))
-        for (_, counts), (unit, ctrl, members) in batches.items():
-            roots, inputs = self._gathers(ctrl, counts, members)
-            self._units[unit] = (roots, compile_control(ctrl), inputs)
-
-    def _gathers(self, ctrl: ControlExpr, counts: tuple[int, ...], members: list) -> tuple[np.ndarray, list]:
-        """Flat indices of the members' roots, (m, d_root), and of each group's inputs, (m, count, dim)."""
-        m = len(members)
-        roots = self.index.gather(a for a, _ in members).reshape(m, ctrl.signature.root.dim)
-        dims = [dim for dim, _ in ctrl.signature.groups().values()]
-        inputs = [
-            self.index.gather(src for _, sources in members for src in sources[g]).reshape(m, count, dim)
-            for g, (count, dim) in enumerate(zip(counts, dims))
-        ]
-        return roots, inputs
+            if ctrl.signature.root.dim != index.spaces[a].dim:
+                raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
+            edges = net.in_edges(a)
+            if not isinstance(ctrl, ControlExpr):
+                kernel = bind_control(ctrl, [(e.edge_id, net.space(e.src)) for e in edges])
+                self._units.append((index.slice_of(a), kernel, [index.slice_of(e.src) for e in edges]))
+                continue
+            slot = slots.get(id(ctrl))
+            if slot is None:
+                slot = slots[id(ctrl)] = {t: g for g, t in enumerate(ctrl.signature.groups())}
+            sources: list[list[int]] = [[] for _ in slot]
+            for e in edges:
+                g = slot.get(name[e.src])
+                if g is None:
+                    raise SignatureMismatch(f"input of type {name[e.src]} not in signature groups {sorted(slot)}")
+                sources[g].append(offset[e.src])
+            key = (id(ctrl), tuple(map(len, sources)))
+            batch = batches.get(key)
+            if batch is None:
+                batch = batches[key] = (len(self._units), ctrl, [], [[] for _ in slot])
+                self._units.append(None)
+            batch[2].append(offset[a])
+            for acc, src in zip(batch[3], sources):
+                acc.extend(src)
+        for (_, counts), (unit, ctrl, roots, sources) in batches.items():
+            m = len(roots)
+            dims = [dim for dim, _ in ctrl.signature.groups().values()]
+            root_gather = _coordinates(roots, (m,), ctrl.signature.root.dim)
+            input_gathers = [
+                _coordinates(src, (m, count), dim) for src, count, dim in zip(sources, counts, dims)
+            ]
+            self._units[unit] = (root_gather, compile_control(ctrl), input_gathers)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.index.total_dim,):
-            raise PreconditionError(
-                f"state has shape {x.shape}, expected ({self.index.total_dim},)"
-            )
-        out = np.empty(self.index.total_dim)
+        n = self.index.total_dim
+        if x.shape == (n,):
+            out = np.empty(n)
+            for target, kernel, gathers in self._units:
+                out[target] = kernel(x[target], [x[g] for g in gathers])
+            return out
+        if x.ndim != 2 or x.shape[1] != n:
+            raise PreconditionError(f"state has shape {x.shape}, expected ({n},) or (samples, {n})")
+        out = np.empty(x.shape)
         for target, kernel, gathers in self._units:
-            out[target] = kernel(x[target], [x[g] for g in gathers])
+            if isinstance(target, slice):  # a raw or transported control at one node: row by row
+                for row, row_out in zip(x, out):
+                    row_out[target] = kernel(row[target], [row[g] for g in gathers])
+            else:  # S rows of m members are S*m members of one kernel call
+                tangents = kernel(
+                    x[:, target].reshape(-1, target.shape[1]),
+                    [x[:, g].reshape((-1,) + g.shape[1:]) for g in gathers],
+                )
+                out[:, target] = tangents.reshape(x.shape[:1] + target.shape)
         return out
+
+
+def _coordinates(offsets: list[int], shape: tuple[int, ...], dim: int) -> np.ndarray:
+    """Flat indices of the states starting at ``offsets``, shaped ``shape + (dim,)``."""
+    starts = np.array(offsets, dtype=np.intp).reshape(shape)
+    return starts[..., np.newaxis] + np.arange(dim, dtype=np.intp)
 
 
 def interconnect(net: Network, w: VirtualVectorField) -> GlobalField:
@@ -265,12 +290,24 @@ def pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
     """
     if not check_fibration(m).is_fibration:
         raise FibrationRequired("pullback requires a fibration")
+    return _pullback(m, w_prime)
+
+
+def _pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
+    """:func:`pullback` for a map its caller has already checked to be a fibration.
+
+    Every induced input-tree map of a fibration is an isomorphism, and an
+    expression control transports to itself, so only raw and transported
+    controls need the induced map.
+    """
     if not w_prime.network.is_same(m.codomain):
         raise PreconditionError("field is not defined on the codomain of the map")
 
     def pulled(a: NodeId) -> Control:
-        iso = induced_tree_map(m, a).as_iso()
-        return ctrl_transport(iso.inverse(), w_prime.control_at(m.node(a)))
+        ctrl = w_prime.control_at(m.node(a))
+        if isinstance(ctrl, ControlExpr):
+            return ctrl
+        return ctrl_transport(induced_tree_map(m, a).as_iso().inverse(), ctrl)
 
     if w_prime.mode == "per_class":
         g = symmetry_groupoid(m.domain)

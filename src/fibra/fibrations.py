@@ -10,7 +10,6 @@ partition and realised as a quotient network with a projection fibration.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
@@ -57,11 +56,14 @@ def check_fibration(m: NetworkMap) -> FibrationReport:
             "check_fibration requires a valid network map; first violation: " + violations[0].message
         )
     failures: list[LiftFailure] = []
+    edge_map = m.edge_map
     for a in sorted(m.domain.graph.nodes):
-        image = m.node(a)
-        preimages_by_edge = Counter(m.edge(e.edge_id) for e in m.domain.in_edges(a))
-        for e_prime in m.codomain.in_edges(image):
-            n = preimages_by_edge.get(e_prime.edge_id, 0)
+        lifts: dict[str, int] = {}  # codomain in-edge -> its preimages among a's in-edges
+        for e in m.domain.in_edges(a):
+            image = edge_map[e.edge_id]
+            lifts[image] = lifts.get(image, 0) + 1
+        for e_prime in m.codomain.in_edges(m.node_map[a]):
+            n = lifts.get(e_prime.edge_id, 0)
             if n != 1:
                 failures.append(LiftFailure(a, e_prime.edge_id, n))
     node_images = set(m.node_map.values())

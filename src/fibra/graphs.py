@@ -128,6 +128,8 @@ class Network:
 
     def is_same(self, other: "Network") -> bool:
         """Structural equality up to node/edge listing order."""
+        if self is other:
+            return True
         return (
             set(self.graph.nodes) == set(other.graph.nodes)
             and set(self.graph.edges) == set(other.graph.edges)
@@ -335,12 +337,12 @@ class PhaseSpaceMap:
         self._gather = self.codomain_index.gather(nmap.node_map[a] for a in self.domain_index.order)
 
     def __call__(self, x_codomain: np.ndarray) -> np.ndarray:
+        """Map one codomain state, or each row of a (samples, total_dim) batch."""
         x_codomain = np.asarray(x_codomain, dtype=float)
-        if x_codomain.shape != (self.codomain_index.total_dim,):
-            raise PreconditionError(
-                f"state has dimension {x_codomain.shape}, expected ({self.codomain_index.total_dim},)"
-            )
-        return x_codomain[self._gather]
+        n = self.codomain_index.total_dim
+        if x_codomain.shape[-1:] != (n,) or x_codomain.ndim > 2:
+            raise PreconditionError(f"state has dimension {x_codomain.shape}, expected ({n},) or (samples, {n})")
+        return x_codomain[..., self._gather]
 
     def differential(self, v_codomain: np.ndarray) -> np.ndarray:
         """Tangent-level action; the same gather, since the map is linear."""

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping
 
 from .errors import EnumerationCapExceeded, PreconditionError
 from .graphs import Network, NetworkMap, NodeId, EdgeId, PhaseSpace
@@ -124,26 +125,87 @@ def iso_count(net: Network, a: NodeId, b: NodeId) -> int:
 
 def enumerate_tree_isos(
     net: Network, a: NodeId, b: NodeId, cap: int = DEFAULT_ISO_CAP
-) -> list[TreeIso]:
+) -> TreeIsos:
     """All typed isomorphisms from a's input tree to b's, in deterministic order.
 
     Empty when the root spaces or the typed leaf multisets differ; otherwise
     every leaf-type-preserving bijection, enumerated lexicographically per
     type block.  Raises EnumerationCapExceeded when the count would exceed
-    ``cap``.
+    ``cap``.  The isomorphisms are built on access, not up front.
     """
     count = iso_count(net, a, b)
     if count == 0:
-        return []
+        return TreeIsos(a, b, (), (), 0)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
     groups_a, groups_b = input_tree(net, a).type_groups(), input_tree(net, b).type_groups()
-    ids_a = [l.edge_id for name in sorted(groups_a) for l in groups_a[name]]
-    per_type = (itertools.permutations([l.edge_id for l in groups_b[name]]) for name in sorted(groups_a))
-    return [
-        TreeIso(a, b, dict(zip(ids_a, itertools.chain.from_iterable(combo))))
-        for combo in itertools.product(*per_type)
-    ]
+    return TreeIsos(
+        a,
+        b,
+        tuple(l.edge_id for name in groups_a for l in groups_a[name]),
+        tuple(tuple(l.edge_id for l in groups_b[name]) for name in groups_a),
+        count,
+    )
+
+
+class TreeIsos(Sequence):
+    """The typed isomorphisms between two input trees as a lazy sequence.
+
+    Item ``i`` is the ``i``-th element of the product, in type-name order, of
+    each type block's permutations in lexicographic order (the last block
+    varies fastest); it is unranked on access.  Compares equal to any
+    sequence holding the same isomorphisms in the same order.
+    """
+
+    def __init__(self, source: NodeId, target: NodeId, source_ids: tuple, target_blocks: tuple, count: int):
+        self._source, self._target = source, target
+        self._ids = source_ids  # a's leaf ids, block by block
+        self._blocks = target_blocks  # b's leaf ids per type block
+        self._len = count
+
+    def __len__(self) -> int:
+        return self._len
+
+    def _iso(self, images) -> TreeIso:
+        return TreeIso(self._source, self._target, dict(zip(self._ids, images)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(self._len))]
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("tree isomorphism index out of range")
+        per_block = []
+        for block in reversed(self._blocks):
+            i, rank = divmod(i, math.factorial(len(block)))
+            per_block.append(_unrank_permutation(block, rank))
+        return self._iso(itertools.chain.from_iterable(reversed(per_block)))
+
+    def __iter__(self):
+        if self._len:
+            for combo in itertools.product(*map(itertools.permutations, self._blocks)):
+                yield self._iso(itertools.chain.from_iterable(combo))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"TreeIsos({self._source!r} -> {self._target!r}, {self._len} isomorphisms)"
+
+
+def _unrank_permutation(items: tuple, rank: int) -> list:
+    """The ``rank``-th permutation of ``items`` in ``itertools.permutations`` order."""
+    pool, out = list(items), []
+    for k in range(len(pool) - 1, -1, -1):
+        q, rank = divmod(rank, math.factorial(k))
+        out.append(pool.pop(q))
+    return out
 
 
 def aut_order(tree: InputTree) -> int:
@@ -173,11 +235,46 @@ def _canonical_witness(member: InputTree, rep: InputTree) -> TreeIso:
     return TreeIso(member.root, rep.root, bij)
 
 
+class _Witnesses(Mapping):
+    """member -> canonical iso onto the representative, built on first access and kept."""
+
+    def __init__(self, net: Network, representative: NodeId, members: tuple[NodeId, ...]):
+        self._net = net
+        self._representative = representative
+        self._members = members
+        self._built: dict[NodeId, TreeIso] = {}
+
+    @cached_property
+    def _member_set(self) -> frozenset[NodeId]:
+        return frozenset(self._members)
+
+    @cached_property
+    def _rep_tree(self) -> InputTree:
+        return input_tree(self._net, self._representative)
+
+    def __getitem__(self, member: NodeId) -> TreeIso:
+        iso = self._built.get(member)
+        if iso is None:
+            if member not in self._member_set:
+                raise KeyError(member)
+            iso = self._built[member] = _canonical_witness(input_tree(self._net, member), self._rep_tree)
+        return iso
+
+    def __iter__(self):
+        return iter(self._members)
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __repr__(self) -> str:
+        return f"<witnesses of {len(self._members)} members onto {self._representative!r}>"
+
+
 @dataclass(frozen=True)
 class IsoClass:
     representative: NodeId
     members: tuple[NodeId, ...]
-    witnesses: Mapping[NodeId, TreeIso]  # member -> iso(member, representative)
+    witnesses: Mapping[NodeId, TreeIso]  # member -> iso(member, representative), built lazily
 
 
 @dataclass(frozen=True)
@@ -207,17 +304,31 @@ class SymmetryGroupoid:
 
 
 def symmetry_groupoid(net: Network) -> SymmetryGroupoid:
-    """Classify nodes by input-network isomorphism; representative = least member."""
-    trees = {a: input_tree(net, a) for a in net.graph.nodes}
+    """Classify nodes by input-network isomorphism; representative = least member.
+
+    Two input trees are isomorphic exactly when their root spaces and typed
+    leaf counts agree, so each node is keyed on (root space name, sorted
+    typed in-degree counts), read straight from the in-edge index; the same
+    counts give its automorphism order.  Witnesses are built on access.
+    """
+    name = {a: space.name for a, space in net.phase.items()}
     buckets: dict[tuple, list[NodeId]] = {}
-    for a, t in trees.items():
-        key = (t.root_type.name, tuple(sorted(t.type_counts().items())))
-        buckets.setdefault(key, []).append(a)
+    orders: dict[NodeId, int] = {}
+    order_of_key: dict[tuple, int] = {}
+    for a in dict.fromkeys(net.graph.nodes):
+        counts: dict[str, int] = {}
+        for e in net.in_edges(a):
+            t = name[e.src]
+            counts[t] = counts.get(t, 0) + 1
+        key = (name[a], tuple(sorted(counts.items())))
+        members = buckets.get(key)
+        if members is None:
+            members = buckets[key] = []
+            order_of_key[key] = math.prod(math.factorial(k) for k in counts.values())
+        members.append(a)
+        orders[a] = order_of_key[key]
     classes = []
-    for key in sorted(buckets, key=lambda k: min(buckets[k])):
-        members = tuple(sorted(buckets[key]))
-        rep = members[0]
-        witnesses = {m: _canonical_witness(trees[m], trees[rep]) for m in members}
-        classes.append(IsoClass(rep, members, witnesses))
-    orders = {a: aut_order(t) for a, t in trees.items()}
+    for members in sorted((sorted(b) for b in buckets.values()), key=lambda b: b[0]):
+        members = tuple(members)
+        classes.append(IsoClass(members[0], members, _Witnesses(net, members[0], members)))
     return SymmetryGroupoid(net, tuple(classes), orders)

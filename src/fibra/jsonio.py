@@ -39,7 +39,7 @@ def space_from_json(obj: Any) -> PhaseSpace:
         return circle()
     if kind == "R":
         dim = _require(obj, "dim", "space")
-        if not isinstance(dim, int) or dim < 1:
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise InputError(f"space: dim must be a positive integer, got {dim!r}")
         return euclidean(dim)
     raise InputError(f"space: unknown kind {kind!r}")
@@ -86,7 +86,18 @@ def map_from_json(obj: Any, domain: Network, codomain: Network) -> NetworkMap:
     edges = _require(obj, "edges", "map")
     if not isinstance(nodes, Mapping) or not isinstance(edges, Mapping):
         raise InputError("map: 'nodes' and 'edges' must be objects")
+    _check_images(nodes, domain.graph.node_set, "node")
+    _check_images(edges, {e.edge_id for e in domain.graph.edges}, "edge")
     return NetworkMap(domain, codomain, dict(nodes), dict(edges))
+
+
+def _check_images(images: Mapping, domain_ids, what: str) -> None:
+    """Every key names a domain node (edge) and every image is an id string."""
+    for key, image in images.items():
+        if key not in domain_ids:
+            raise InputError(f"map: {what} key {key!r} names no domain {what}")
+        if not isinstance(image, str):
+            raise InputError(f"map: image of {what} {key!r} must be an id string, got {image!r}")
 
 
 def map_to_json(m: NetworkMap) -> dict:
@@ -115,6 +126,8 @@ def class_dynamics_from_json(obj: Any, net: Network) -> VirtualVectorField:
     try:
         for entry in classes:
             rep = _require(entry, "representative", "dynamics class")
+            if not isinstance(rep, str):
+                raise InputError(f"dynamics class: 'representative' must be a node id string, got {rep!r}")
             exprs = _require(entry, "exprs", "dynamics class")
             if not isinstance(exprs, list) or not all(isinstance(s, str) for s in exprs):
                 raise InputError("dynamics class: 'exprs' must be a list of strings")

@@ -9,12 +9,14 @@ subsystems under injective ones.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import GlobalField, VirtualVectorField, interconnect, pullback
+from .dynamics import GlobalField, VirtualVectorField, _pullback, interconnect
 from .errors import FibrationRequired, IntegrationFault, PreconditionError
 from .fibrations import check_fibration, polydiagonal_of
 from .graphs import (
@@ -24,9 +26,8 @@ from .graphs import (
     PhaseSpaceMap,
     coordinate_distance,
     phase_space_map,
-    total_phase_space,
 )
-from .sampling import sample_state
+from .sampling import sample_state, sample_states
 
 
 @dataclass(frozen=True)
@@ -73,26 +74,63 @@ def integrate(field: GlobalField, x0: np.ndarray, T: float, h: float) -> Traject
     return Trajectory(times, states, h)
 
 
-def _conjugacy_sides(m: NetworkMap, w_prime: VirtualVectorField) -> tuple[PhaseSpaceMap, GlobalField, GlobalField]:
+# Most floats one batch of sampled or perturbed states may hold per array, so
+# that memory stays bounded however many samples a check draws.
+CHUNK_FLOATS = 2**20
+
+
+def _chunks(count: int, width: int) -> list[int]:
+    """Batch sizes covering ``count`` rows of ``width`` floats, each batch at most CHUNK_FLOATS floats."""
+    rows = max(1, CHUNK_FLOATS // max(1, width))
+    return [min(rows, count - start) for start in range(0, count, rows)]
+
+
+class _ConjugacySides(NamedTuple):
     """The coordinate map and the fields on the two sides of the intertwining identity."""
+
+    p: PhaseSpaceMap
+    codomain_field: GlobalField
+    domain_field: GlobalField
+
+
+def _conjugacy_sides(m: NetworkMap, w_prime: VirtualVectorField) -> _ConjugacySides:
+    """Build both sides once, checking the fibration once."""
     if not check_fibration(m).is_fibration:
         raise FibrationRequired("conjugacy certification requires a fibration")
-    return phase_space_map(m), interconnect(m.codomain, w_prime), interconnect(m.domain, pullback(m, w_prime))
+    return _ConjugacySides(
+        phase_space_map(m), interconnect(m.codomain, w_prime), interconnect(m.domain, _pullback(m, w_prime))
+    )
+
+
+def _pointwise_residual(sides: _ConjugacySides, samples: int, seed: int) -> float:
+    """Max residual of the identity at ``samples`` codomain states, drawn and evaluated in batches."""
+    p, codomain_field, domain_field = sides
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    width = max(p.codomain_index.total_dim, p.domain_index.total_dim)
+    for count in _chunks(samples, width):
+        x_prime = sample_states(p.codomain_index, rng, count)
+        lhs = p.differential(codomain_field(x_prime))
+        rhs = domain_field(p(x_prime))
+        worst = np.maximum(worst, np.abs(lhs - rhs).max(initial=0.0))  # unlike max(), propagates NaN
+    return float(worst)
+
+
+def _flow_deviation(sides: _ConjugacySides, x0_prime: np.ndarray, T: float, h: float) -> float:
+    """Max deviation over time between the mapped codomain flow and the domain flow."""
+    p, codomain_field, domain_field = sides
+    traj_prime = integrate(codomain_field, x0_prime, T, h)
+    traj = integrate(domain_field, p(np.asarray(x0_prime, dtype=float)), T, h)
+    return float(
+        np.max([coordinate_distance(p(xp), x, p.domain_index) for xp, x in zip(traj_prime.states, traj.states)])
+    )
 
 
 def verify_conjugacy_pointwise(
     m: NetworkMap, w_prime: VirtualVectorField, samples: int = 1000, seed: int = 0
 ) -> float:
     """Max residual between both sides of the intertwining identity at random codomain states."""
-    p, codomain_field, domain_field = _conjugacy_sides(m, w_prime)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x_prime = sample_state(p.codomain_index, rng)
-        lhs = p.differential(codomain_field(x_prime))
-        rhs = domain_field(p(x_prime))
-        worst = np.maximum(worst, np.abs(lhs - rhs).max())  # unlike max(), propagates NaN
-    return float(worst)
+    return _pointwise_residual(_conjugacy_sides(m, w_prime), samples, seed)
 
 
 def verify_conjugacy_flow(
@@ -103,12 +141,7 @@ def verify_conjugacy_flow(
     h: float,
 ) -> float:
     """Max deviation over time between the mapped codomain flow and the domain flow."""
-    p, codomain_field, domain_field = _conjugacy_sides(m, w_prime)
-    traj_prime = integrate(codomain_field, x0_prime, T, h)
-    traj = integrate(domain_field, p(np.asarray(x0_prime, dtype=float)), T, h)
-    return float(
-        np.max([coordinate_distance(p(xp), x, p.domain_index) for xp, x in zip(traj_prime.states, traj.states)])
-    )
+    return _flow_deviation(_conjugacy_sides(m, w_prime), x0_prime, T, h)
 
 
 def verify_polydiagonal_invariance(
@@ -127,18 +160,27 @@ def verify_polydiagonal_invariance(
         raise PreconditionError(
             f"initial state violates the synchrony constraints by {start_violation:.3e}"
         )
-    domain_field = interconnect(m.domain, pullback(m, w_prime))
+    domain_field = interconnect(m.domain, _pullback(m, w_prime))  # polydiagonal_of checked the fibration
     traj = integrate(domain_field, x0, T, h)
     return float(np.max([pd.violation(x) for x in traj.states]))
 
 
 def _central_differences(field: GlobalField, x: np.ndarray, nodes, step: float):
-    """Yield the central-difference derivative of the field along each coordinate of the given nodes."""
-    for j in field.index.gather(nodes):
-        plus, minus = x.copy(), x.copy()
-        plus[j] += step
-        minus[j] -= step
-        yield (field(plus) - field(minus)) / (2.0 * step)
+    """Yield the central-difference derivatives of the field along each coordinate of the given nodes.
+
+    Each item holds one row per coordinate, in gather order; all ± perturbations
+    of a chunk of coordinates are evaluated as one batch.
+    """
+    coords = field.index.gather(nodes)
+    start = 0
+    for count in _chunks(len(coords), 2 * x.shape[0]):
+        rows = np.arange(count)
+        batch = np.tile(x, (2 * count, 1))
+        batch[rows, coords[start : start + count]] += step
+        batch[count + rows, coords[start : start + count]] -= step
+        values = field(batch)
+        yield (values[:count] - values[count:]) / (2.0 * step)
+        start += count
 
 
 def dependency_matrix(
@@ -148,13 +190,14 @@ def dependency_matrix(
     x0 = np.asarray(x0, dtype=float)
     index = field.index
     offsets = [index.slices[a][0] for a in index.order]
+    owner = [c for c in index.order for _ in range(index.slices[c][1])]  # the node of each coordinate
     deps: dict[NodeId, set[NodeId]] = {a: set() for a in index.order}
-    for c in index.order:
-        for diff in _central_differences(field, x0, [c], step):
-            per_node = np.maximum.reduceat(np.abs(diff), offsets)
-            for a, reacts in zip(index.order, ~(per_node <= tol)):  # NaN counts as a dependency
-                if reacts:
-                    deps[a].add(c)
+    coords = iter(owner)
+    for diffs in _central_differences(field, x0, index.order, step):
+        per_node = np.maximum.reduceat(np.abs(diffs), offsets, axis=1)
+        for reacts, c in zip(~(per_node <= tol), coords):  # NaN counts as a dependency
+            for a in itertools.compress(index.order, reacts):
+                deps[a].add(c)
     return deps
 
 
@@ -211,8 +254,8 @@ def verify_driving_decomposition(
     worst = 0.0
     for _ in range(samples):
         x = sample_state(index, rng)
-        for diff in _central_differences(codomain_field, x, perturbed, fd_step):
-            worst = np.maximum(worst, np.abs(diff[image_coords]).max(initial=0.0))
+        for diffs in _central_differences(codomain_field, x, perturbed, fd_step):
+            worst = np.maximum(worst, np.abs(diffs[:, image_coords]).max(initial=0.0))
     worst = float(worst)
     return DrivingReport(
         ok=report.is_fibration and (not feedback) and worst < tol,
@@ -246,11 +289,15 @@ def certify_conjugacy(
     h: float = 1e-3,
     x0_prime: np.ndarray | None = None,
 ) -> ConjugacyReport:
-    """Pointwise plus flow-level certification with a seeded starting state."""
-    pointwise = verify_conjugacy_pointwise(m, w_prime, samples=samples, seed=seed)
+    """Pointwise plus flow-level certification with a seeded starting state.
+
+    Both sides are built once and serve both checks.
+    """
+    sides = _conjugacy_sides(m, w_prime)
+    pointwise = _pointwise_residual(sides, samples, seed)
     if x0_prime is None:
-        x0_prime = sample_state(total_phase_space(m.codomain), np.random.default_rng(seed))
-    flow = verify_conjugacy_flow(m, w_prime, x0_prime, T, h)
+        x0_prime = sample_state(sides.p.codomain_index, np.random.default_rng(seed))
+    flow = _flow_deviation(sides, x0_prime, T, h)
     return ConjugacyReport(
         pointwise_max_residual=pointwise,
         flow_max_deviation=flow,

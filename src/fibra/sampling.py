@@ -15,5 +15,10 @@ def sample_space(space: PhaseSpace, rng: np.random.Generator) -> np.ndarray:
 
 def sample_state(index: StateIndex, rng: np.random.Generator) -> np.ndarray:
     """One draw per flat coordinate, in layout order: the same draws as ``sample_space`` node by node."""
+    return sample_states(index, rng, 1)[0]
+
+
+def sample_states(index: StateIndex, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` states as rows of one array: the same draws as ``count`` calls of ``sample_state``."""
     circ = index.circle_mask()
-    return rng.uniform(np.where(circ, 0.0, -1.0), np.where(circ, TWO_PI, 1.0))
+    return rng.uniform(np.where(circ, 0.0, -1.0), np.where(circ, TWO_PI, 1.0), size=(count, index.total_dim))

@@ -1,0 +1,304 @@
+"""Build-once certification against the eager and per-sample code it replaced.
+
+The groupoid keys nodes on typed in-degree counts and builds witnesses on
+access; ``enumerate_tree_isos`` unranks isomorphisms on access; a field
+evaluates a batch of states in one pass; the certification checks draw and
+evaluate their samples in chunked batches and build each side once.  Each
+must give what the eager, materialised or per-sample code in ``util`` gives.
+Networks are generated with mixed R1/R2/S1 spaces, self-loops, parallel
+edges and isolated nodes.
+"""
+
+import itertools
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import fibra
+from fibra import (
+    GlobalField,
+    PreconditionError,
+    R1,
+    R2,
+    RawControl,
+    S1,
+    TransportedControl,
+    certify_conjugacy,
+    ctrl_transport,
+    dependency_matrix,
+    enumerate_tree_isos,
+    iso_count,
+    network,
+    parse_control,
+    per_class_field,
+    per_node_field,
+    signature_at,
+    symmetry_groupoid,
+    total_phase_space,
+    verify_conjugacy_pointwise,
+    verify_driving_decomposition,
+)
+from fibra import dynamics, fibrations, fixtures, numerics
+from fibra.sampling import sample_states
+
+from util import (
+    random_injective_fibration,
+    random_surjective_fibration,
+    reference_certify_conjugacy,
+    reference_dependency_matrix,
+    reference_driving_residual,
+    reference_enumerate_tree_isos,
+    reference_pointwise_residual,
+    reference_sample_state,
+    reference_symmetry_groupoid,
+)
+
+SPACES = (R1, R2, S1)
+
+
+@st.composite
+def networks(draw, max_nodes=6):
+    """Wired nodes of mixed spaces plus one isolated node; a self-loop and a parallel edge."""
+    n = draw(st.integers(1, max_nodes))
+    spaces = draw(st.lists(st.sampled_from(SPACES), min_size=n + 1, max_size=n + 1))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    v = draw(st.integers(0, n - 1))
+    pairs += [(v, v), draw(st.sampled_from(pairs + [(v, v)]))]
+    edge_ids = draw(st.permutations([f"e{k:02d}" for k in range(len(pairs))]))
+    return network(
+        [(f"n{i}", s) for i, s in enumerate(spaces)],
+        [(eid, f"n{s}", f"n{t}") for eid, (s, t) in zip(edge_ids, pairs)],
+    )
+
+
+# --- groupoid ----------------------------------------------------------------------
+
+
+@given(networks())
+def test_groupoid_matches_eager_construction(net):
+    g = symmetry_groupoid(net)
+    classes, orders = reference_symmetry_groupoid(net)
+    assert [(c.representative, c.members) for c in g.classes] == [(r, ms) for r, ms, _ in classes]
+    assert list(g.aut_orders.items()) == list(orders.items())
+    for c, (_, members, witnesses) in zip(g.classes, classes):
+        assert list(c.witnesses) == list(members) and len(c.witnesses) == len(members)
+        for member in reversed(members):  # any access order gives the same witnesses
+            iso = c.witnesses[member]
+            assert iso == witnesses[member]
+            assert list(iso.leaf_bijection.items()) == list(witnesses[member].leaf_bijection.items())
+            assert c.witnesses[member] is iso  # built once
+        assert dict(c.witnesses) == witnesses
+        for other in set(net.graph.nodes) - set(members) | {"no-such-node"}:
+            with pytest.raises(KeyError):
+                c.witnesses[other]
+            assert other not in c.witnesses
+
+
+# --- lazy isomorphism sequence ---------------------------------------------------
+
+
+@given(networks(max_nodes=4), st.data())
+def test_enumerated_isos_match_materialised_list(net, data):
+    a, b = data.draw(st.sampled_from(net.graph.nodes)), data.draw(st.sampled_from(net.graph.nodes))
+    if iso_count(net, a, b) > 720:
+        return
+    lazy, eager = enumerate_tree_isos(net, a, b), reference_enumerate_tree_isos(net, a, b)
+    assert len(lazy) == len(eager)
+    assert lazy == eager and eager == lazy and list(lazy) == eager
+    assert [lazy[i] for i in range(len(lazy))] == eager
+    assert [lazy[i] for i in range(-len(lazy), 0)] == eager
+    step = data.draw(st.sampled_from([1, 2, -1, -3]))
+    assert lazy[1:5:step] == eager[1:5:step] and lazy[::step] == eager[::step]
+    for bad in (len(lazy), -len(lazy) - 1):
+        with pytest.raises(IndexError):
+            lazy[bad]
+    if eager:
+        assert lazy != eager[:-1] and lazy != eager[::-1] + [eager[0]]
+
+
+def test_enumerated_isos_unrank_deep_in_a_large_block():
+    edges = [(f"e{i}", "a", "b") for i in range(10)] + [("f0", "c", "b"), ("f1", "c", "b")]
+    net = network([("a", R1), ("b", R1), ("c", R2)], edges)
+    with pytest.raises(fibra.EnumerationCapExceeded):
+        enumerate_tree_isos(net, "b", "b")  # 10! * 2! > 10^6: the cap is checked at the call
+    lazy = enumerate_tree_isos(net, "b", "b", cap=10**8)
+    assert len(lazy) == math.factorial(10) * 2
+    r1, r2 = [f"e{i}" for i in range(10)], ["f0", "f1"]
+    combos = ((p1, p2) for p1 in itertools.permutations(r1) for p2 in itertools.permutations(r2))
+    eager = [dict(zip(r1 + r2, [*p1, *p2])) for p1, p2 in itertools.islice(combos, 5000)]
+    rng = random.Random(3)
+    for k in [0, 1, 2, 4999] + rng.sample(range(5000), 20):
+        assert lazy[k].leaf_bijection == eager[k]
+    assert list(lazy[-1].leaf_bijection.values()) == r1[::-1] + r2[::-1]
+    assert list(lazy[-2].leaf_bijection.values()) == r1[::-1] + r2
+
+
+# --- sample batches --------------------------------------------------------------
+
+
+def _mixed_field(draw, net):
+    """Expression, raw and transported controls in one per-node field; classes share expressions."""
+    exprs = ["-x[{i}] + sum(u in inputs[{t}]) {{ sin(u[{j}] - x[{i}]) * 3.0 }}", "x[{i}]^2 - sum(u in inputs[{t}]) {{ u[{j}] }}"]
+    controls = {}
+    for rep in symmetry_groupoid(net).representatives():
+        sig = signature_at(net, rep)
+        kind = draw(st.sampled_from(["expr", "raw"]))
+        if kind == "raw" or not sig.inputs:
+            controls[rep] = RawControl(sig, lambda x, ins: -x + sum(k * s.sum() for k, (_, s) in enumerate(ins, 1)))
+        else:
+            t = sig.inputs[0]
+            src = draw(st.sampled_from(exprs))
+            controls[rep] = parse_control(
+                [src.format(i=i, t=t.name, j=min(i, t.dim - 1)) for i in range(sig.root.dim)], sig
+            )
+    w = per_class_field(net, controls)
+    moved = {}
+    for a in net.graph.nodes:
+        ctrl = w.control_at(a)
+        isos = enumerate_tree_isos(net, a, a, cap=10**9)
+        if len(isos) > 1 and draw(st.booleans()):
+            ctrl = ctrl_transport(isos[draw(st.integers(1, len(isos) - 1))], ctrl)
+            if not isinstance(ctrl, TransportedControl):  # an expression: transport a copy by hand
+                ctrl = TransportedControl(ctrl, {e.edge_id: e.edge_id for e in net.in_edges(a)})
+        moved[a] = ctrl
+    return draw(st.sampled_from([w, per_node_field(net, moved)]))
+
+
+@given(networks(), st.data())
+def test_field_rows_equal_single_state_calls(net, data):
+    field = GlobalField(net, _mixed_field(data.draw, net))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rows = data.draw(st.integers(1, 5))
+    states = sample_states(field.index, rng, rows)
+    batch = field(states)
+    assert batch.shape == states.shape
+    for x, row in zip(states, batch):
+        assert row.tobytes() == field(x).tobytes()
+    n = field.index.total_dim
+    for shape in [(n + 1,), (rows, n + 1), (1, rows, n), ()]:
+        with pytest.raises(PreconditionError):
+            field(np.zeros(shape))
+
+
+@given(networks(), st.integers(0, 2**32 - 1), st.integers(0, 7))
+def test_batched_draws_equal_sequential_draws(net, seed, count):
+    index = total_phase_space(net)
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = np.concatenate([sample_states(index, rng, k) for k in (count, 3, 1)])
+    expected = [reference_sample_state(index, ref) for _ in range(count + 4)]
+    assert batch.tobytes() == np.array(expected).reshape(batch.shape).tobytes()
+    assert rng.random() == ref.random()
+
+
+def _spy_calls(monkeypatch):
+    """Record every batch of states the fields are called on."""
+    calls = []
+    original = GlobalField.__call__
+
+    def spy(self, x):
+        calls.append((self, np.array(x)))
+        return original(self, x)
+
+    monkeypatch.setattr(GlobalField, "__call__", spy)
+    return calls
+
+
+@pytest.mark.parametrize("samples, rows", [(10, 3), (9, 3), (7, 1), (4, 4), (5, 6)])
+def test_pointwise_draws_in_chunks_of_bounded_size(monkeypatch, samples, rows):
+    m = fixtures.string_to_cycle(3, R1, R2)
+    w = fixtures.linear_dynamics(m.codomain)
+    width = max(total_phase_space(m.domain).total_dim, total_phase_space(m.codomain).total_dim)
+    monkeypatch.setattr(numerics, "CHUNK_FLOATS", rows * width)
+    calls = _spy_calls(monkeypatch)
+    verify_conjugacy_pointwise(m, w, samples=samples, seed=11)
+    codomain_calls = [x for f, x in calls if f.network.is_same(m.codomain)]
+    sizes = [len(x) for x in codomain_calls]
+    assert sizes == [min(rows, samples - k) for k in range(0, samples, rows)]
+    rng = np.random.default_rng(11)
+    expected = np.array([reference_sample_state(total_phase_space(m.codomain), rng) for _ in range(samples)])
+    assert np.concatenate(codomain_calls).tobytes() == expected.tobytes()
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except fibra.FibraError as exc:
+        return type(exc)
+
+
+# NaN where exp overflows (x[0] > 0.71), so a sample-by-sample mix-up can show
+NAN_PRONE = "0 * exp(1000 * x[{i}]) + sum(u in inputs[R1]) {{ u[0] }} - x[{i}]"
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([1, 2, 5, 2**20]))
+@settings(max_examples=40)
+def test_certify_conjugacy_matches_per_sample_loops(seed, samples, rows):
+    rng = random.Random(seed)
+    m = random_surjective_fibration(rng)
+    controls = {}
+    for rep in symmetry_groupoid(m.codomain).representatives():
+        sig = signature_at(m.codomain, rep)
+        src = NAN_PRONE if sig.root == R1 and R1 in sig.inputs and rng.random() < 0.5 else "-x[{i}]"
+        controls[rep] = parse_control([src.format(i=i) for i in range(sig.root.dim)], sig)
+    w = per_class_field(m.codomain, controls)
+    width = max(total_phase_space(m.domain).total_dim, total_phase_space(m.codomain).total_dim)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "CHUNK_FLOATS", rows * width)
+        report = outcome(certify_conjugacy, m, w, samples, seed % 1000, 0.03, 0.01)
+    expected = outcome(reference_certify_conjugacy, m, w, samples, seed % 1000, 0.03, 0.01)
+    if isinstance(expected, tuple):
+        report = (report.pointwise_max_residual, report.flow_max_deviation)
+    assert repr(report) == repr(expected)  # NaN included; a flow fault raises the same class
+    assert repr(verify_conjugacy_pointwise(m, w, samples, seed % 1000)) == repr(
+        reference_pointwise_residual(m, w, samples, seed % 1000)
+    )
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 2**20]))
+@settings(max_examples=40)
+def test_driving_and_dependencies_match_coordinate_loops(seed, rows):
+    rng = random.Random(seed)
+    m = random_injective_fibration(rng)
+    sources = [
+        "-x[{i}] + sum(u in inputs[{t}]) {{ u[{j}] * u[0] + sin(x[{i}]) }}",
+        "x[{i}] * sum(u in inputs[{t}]) {{ cos(u[{j}]) }}",
+    ]
+    controls = {}
+    for rep in symmetry_groupoid(m.codomain).representatives():
+        sig = signature_at(m.codomain, rep)
+        if sig.inputs and rng.random() < 0.7:
+            t = sig.inputs[0]
+            src = rng.choice(sources)
+            exprs = [src.format(i=i, t=t.name, j=min(i, t.dim - 1)) for i in range(sig.root.dim)]
+        else:
+            exprs = [f"-x[{i}]" for i in range(sig.root.dim)]
+        controls[rep] = parse_control(exprs, sig)
+    w = per_class_field(m.codomain, controls)
+    field = GlobalField(m.codomain, w)
+    x0 = reference_sample_state(field.index, np.random.default_rng(seed))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "CHUNK_FLOATS", rows * 2 * field.index.total_dim)
+        report = verify_driving_decomposition(m, w, samples=2, seed=seed % 1000)
+        deps = dependency_matrix(field, x0)
+    assert report.fd_max_residual == reference_driving_residual(m, w, samples=2, seed=seed % 1000, fd_step=1e-6)
+    assert deps == reference_dependency_matrix(field, x0)
+
+
+def test_certify_conjugacy_builds_each_side_once(monkeypatch):
+    m = fixtures.g3_to_c2()
+    w = fixtures.linear_dynamics(m.codomain)
+    checks, fields = [], []
+    for module in (numerics, dynamics, fibrations):
+        original = module.check_fibration
+        monkeypatch.setattr(module, "check_fibration", lambda nmap, _f=original: checks.append(nmap) or _f(nmap))
+    original_init = GlobalField.__init__
+    monkeypatch.setattr(
+        GlobalField, "__init__", lambda self, net, vf: fields.append(net) or original_init(self, net, vf)
+    )
+    report = certify_conjugacy(m, w, samples=20, seed=1, T=0.05, h=0.01)
+    assert len(checks) == 1
+    assert len(fields) == 2
+    assert report.pointwise_max_residual == 0.0 and report.flow_max_deviation == 0.0

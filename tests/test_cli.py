@@ -377,6 +377,91 @@ def test_verify_conjugacy_nan_residual_fails(files, capsys):
     assert results["flow_max_deviation"] == 0.0
 
 
+# g3_to_c2 map and dynamics files, each with one malformed entry
+MAP_COMMANDS = ["check-map", "check-fibration", "essential-image", "factorize", "pullback", "verify"]
+MALFORMED_MAPS = {
+    "node-image-list": lambda m: m["nodes"].update({"1": ["a"]}),
+    "node-image-dict": lambda m: m["nodes"].update({"1": {"id": "a"}}),
+    "edge-image-list": lambda m: m["edges"].update({"a": ["ab"]}),
+    "edge-image-dict": lambda m: m["edges"].update({"a": {"id": "ab"}}),
+    "node-image-number": lambda m: m["nodes"].update({"1": 7}),
+    "unknown-node-key": lambda m: m["nodes"].update({"ghost": "a"}),
+    "unknown-edge-key": lambda m: m["edges"].update({"ghost": "ab"}),
+}
+MALFORMED_DYNAMICS = {
+    "representative-list": {"classes": [{"representative": ["a"], "exprs": ["-x[0]"]}]},
+    "representative-dict": {"classes": [{"representative": {"id": "a"}, "exprs": ["-x[0]"]}]},
+    "representative-number": {"classes": [{"representative": 1, "exprs": ["-x[0]"]}]},
+}
+
+
+def map_command_argv(write, command, mp, dyn):
+    m = fixtures.g3_to_c2()
+    paths = [write("g3.json", network_to_json(m.domain)), write("c2.json", network_to_json(m.codomain)), mp]
+    if command == "pullback":
+        return ["pullback", *paths, dyn]
+    if command == "verify":
+        return ["verify", "conjugacy", *paths, dyn, "--samples", "5", "--T", "0.02", "--h", "0.01"]
+    return [command, *paths]
+
+
+def assert_malformed(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_MAPS))
+@pytest.mark.parametrize("command", MAP_COMMANDS)
+def test_malformed_map_exits_2(files, capsys, command, malformed):
+    write, _ = files
+    obj = map_to_json(fixtures.g3_to_c2())
+    MALFORMED_MAPS[malformed](obj)
+    dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(fixtures.cycle2())))
+    assert_malformed(*run_cli(capsys, map_command_argv(write, command, write("m.json", obj), dyn)))
+
+
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_DYNAMICS))
+@pytest.mark.parametrize("command", ["pullback", "verify"])
+def test_malformed_dynamics_exits_2(files, capsys, command, malformed):
+    write, _ = files
+    mp = write("m.json", map_to_json(fixtures.g3_to_c2()))
+    dyn = write("dyn.json", MALFORMED_DYNAMICS[malformed])
+    assert_malformed(*run_cli(capsys, map_command_argv(write, command, mp, dyn)))
+
+
+@pytest.mark.parametrize("dim", [True, False, 1.0, "1", 0])
+def test_non_integer_space_dim_exits_2(files, capsys, dim):
+    write, _ = files
+    net = write("net.json", {"nodes": [{"id": "a", "space": {"kind": "R", "dim": dim}}], "edges": []})
+    code, out, err = run_cli(capsys, ["validate", net])
+    assert_malformed(code, out, err)
+    assert "dim must be a positive integer" in err
+
+
+def test_verify_conjugacy_on_empty_network_holds(files, capsys):
+    write, _ = files
+    empty = write("empty.json", {"nodes": [], "edges": []})
+    mp = write("m.json", {"nodes": {}, "edges": {}})
+    dyn = write("dyn.json", {"classes": []})
+    code, out, _ = run_cli(capsys, ["verify", "conjugacy", empty, empty, mp, dyn, "--samples", "10"])
+    assert code == 0
+    results = report_of(out)["results"]
+    assert results["pointwise_max_residual"] == 0.0 and results["flow_max_deviation"] == 0.0
+    assert results["passed"]
+
+
+def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
+    write, _ = files
+    net = write("g3.json", network_to_json(fixtures.g3()))
+    run_cli(capsys, ["validate", net])
+    monkeypatch.setattr(fibra.cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    first = run_cli(capsys, ["validate", net])
+    second = run_cli(capsys, ["groupoid", net])
+    assert first[0] == 0 and second[0] == 0
+    assert report_of(first[1])["command"] == "validate" and report_of(second[1])["command"] == "groupoid"
+
+
 MALFORMED_PARTITIONS = {
     "node-listed-twice": {"blocks": [["1", "2", "3"], ["3"]]},
     "non-string-member": {"blocks": [[1, "2"], ["3"]]},

@@ -11,6 +11,7 @@ import numpy as np
 from fibra import (
     ControlExpr,
     Edge,
+    EnumerationCapExceeded,
     Graph,
     Network,
     NetworkMap,
@@ -22,9 +23,15 @@ from fibra import (
     S1,
     SignatureMismatch,
     TransportedControl,
+    TreeIso,
     check_fibration,
+    coordinate_distance,
     input_tree,
+    integrate,
+    interconnect,
     network,
+    phase_space_map,
+    pullback,
     sample_space,
     sample_state,
     total_phase_space,
@@ -544,3 +551,81 @@ def reference_dependency_matrix(field, x0, step: float = 1e-6, tol: float = 1e-8
                 if np.abs(diff[index.slice_of(a)]).max() > tol:
                     deps[a].add(c)
     return deps
+
+
+# --- reference build-once layer ----------------------------------------------------
+# The eager groupoid, the materialised isomorphism list and the per-sample
+# certification loops that witness-free construction and sample batches
+# replaced, kept as differential oracles.
+
+
+def reference_canonical_witness(net: Network, member: str, rep: str) -> TreeIso:
+    """Positional matching of the sorted same-type leaf blocks of two input trees."""
+    groups_m, groups_r = input_tree(net, member).type_groups(), input_tree(net, rep).type_groups()
+    bij = {}
+    for name in groups_m:
+        for lm, lr in zip(groups_m[name], groups_r[name]):
+            bij[lm.edge_id] = lr.edge_id
+    return TreeIso(member, rep, bij)
+
+
+def reference_symmetry_groupoid(net: Network):
+    """Input trees and counters per node, every witness built up front.
+
+    Returns (classes, aut_orders), each class a (representative, members,
+    witnesses) triple.
+    """
+    trees = {a: input_tree(net, a) for a in net.graph.nodes}
+    buckets = {}
+    for a, t in trees.items():
+        key = (t.root_type.name, tuple(sorted(t.type_counts().items())))
+        buckets.setdefault(key, []).append(a)
+    classes = []
+    for key in sorted(buckets, key=lambda k: min(buckets[k])):
+        members = tuple(sorted(buckets[key]))
+        witnesses = {m: reference_canonical_witness(net, m, members[0]) for m in members}
+        classes.append((members[0], members, witnesses))
+    orders = {a: math.prod(math.factorial(k) for k in t.type_counts().values()) for a, t in trees.items()}
+    return classes, orders
+
+
+def reference_enumerate_tree_isos(net: Network, a: str, b: str, cap: int = 10**6) -> list:
+    """Every typed isomorphism, materialised as a list in enumeration order."""
+    ta, tb = input_tree(net, a), input_tree(net, b)
+    if ta.root_type != tb.root_type or ta.type_counts() != tb.type_counts():
+        return []
+    count = math.prod(math.factorial(k) for k in ta.type_counts().values())
+    if count > cap:
+        raise EnumerationCapExceeded(count, cap)
+    groups_a, groups_b = ta.type_groups(), tb.type_groups()
+    ids_a = [l.edge_id for name in sorted(groups_a) for l in groups_a[name]]
+    per_type = (itertools.permutations([l.edge_id for l in groups_b[name]]) for name in sorted(groups_a))
+    return [
+        TreeIso(a, b, dict(zip(ids_a, itertools.chain.from_iterable(combo))))
+        for combo in itertools.product(*per_type)
+    ]
+
+
+def reference_pointwise_residual(m: NetworkMap, w_prime, samples: int, seed: int) -> float:
+    """One sampled state and one call of each side per sample."""
+    p = phase_space_map(m)
+    codomain_field, domain_field = interconnect(m.codomain, w_prime), interconnect(m.domain, pullback(m, w_prime))
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        x_prime = reference_sample_state(p.codomain_index, rng)
+        lhs = p.differential(codomain_field(x_prime))
+        rhs = domain_field(p(x_prime))
+        worst = np.maximum(worst, np.abs(lhs - rhs).max(initial=0.0))
+    return float(worst)
+
+
+def reference_certify_conjugacy(m: NetworkMap, w_prime, samples: int, seed: int, T: float, h: float):
+    """The pointwise loop, then the two flows from a seeded codomain state, each side built per check."""
+    pointwise = reference_pointwise_residual(m, w_prime, samples, seed)
+    p = phase_space_map(m)
+    x0_prime = reference_sample_state(p.codomain_index, np.random.default_rng(seed))
+    traj_prime = integrate(interconnect(m.codomain, w_prime), x0_prime, T, h)
+    traj = integrate(interconnect(m.domain, pullback(m, w_prime)), p(x0_prime), T, h)
+    flow = np.max([coordinate_distance(p(xp), x, p.domain_index) for xp, x in zip(traj_prime.states, traj.states)])
+    return pointwise, float(flow)
