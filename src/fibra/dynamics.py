@@ -12,7 +12,7 @@ pure input re-indexing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -108,7 +108,15 @@ def ctrl_transport(iso: TreeIso, ctrl: Control) -> Control:
     re-indexing layer.  The root differential is the identity on coordinate
     spaces.
     """
-    if isinstance(ctrl, ControlExpr) or iso.is_identity:
+    return _transported(ctrl, lambda: iso)
+
+
+def _transported(ctrl: Control, iso_of: Callable[[], TreeIso]) -> Control:
+    """:func:`ctrl_transport` along ``iso_of()``, built only for controls that read it."""
+    if isinstance(ctrl, ControlExpr):
+        return ctrl
+    iso = iso_of()
+    if iso.is_identity:
         return ctrl
     if isinstance(ctrl, RawControl):
         return TransportedControl(ctrl, dict(iso.leaf_bijection))
@@ -144,9 +152,9 @@ class VirtualVectorField:
         assert self.groupoid is not None
         cls = self.groupoid.class_of(a)
         ctrl = self.controls[cls.representative]
-        if a == cls.representative or isinstance(ctrl, ControlExpr):  # expressions transport to themselves
+        if a == cls.representative:
             return ctrl
-        return ctrl_transport(cls.witnesses[a].inverse(), ctrl)
+        return _transported(ctrl, lambda: cls.witnesses[a].inverse())
 
 
 def per_node_field(net: Network, controls: Mapping[NodeId, Control]) -> VirtualVectorField:
@@ -204,11 +212,10 @@ class GlobalField:
             raise PreconditionError("virtual vector field was built for a different network")
         self.network = net
         self.index = index = total_phase_space(net)
-        offset = {a: off for a, (off, _) in index.slices.items()}
         name = {a: space.name for a, space in net.phase.items()}
         # (target, kernel, input gathers), in the order of each unit's first node
         self._units: list = []
-        # (id of the control, input counts per group) -> (unit, control, root offsets, source offsets per group)
+        # (id of the control, input counts per group) -> (unit, control, roots, sources per group)
         batches: dict[tuple, tuple] = {}
         slots: dict[int, dict[str, int]] = {}  # id of the control -> group name -> group position
         for a in index.order:
@@ -223,44 +230,41 @@ class GlobalField:
             slot = slots.get(id(ctrl))
             if slot is None:
                 slot = slots[id(ctrl)] = {t: g for g, t in enumerate(ctrl.signature.groups())}
-            sources: list[list[int]] = [[] for _ in slot]
+            sources: list[list[NodeId]] = [[] for _ in slot]
             for e in edges:
                 g = slot.get(name[e.src])
                 if g is None:
                     raise SignatureMismatch(f"input of type {name[e.src]} not in signature groups {sorted(slot)}")
-                sources[g].append(offset[e.src])
+                sources[g].append(e.src)
             key = (id(ctrl), tuple(map(len, sources)))
             batch = batches.get(key)
             if batch is None:
                 batch = batches[key] = (len(self._units), ctrl, [], [[] for _ in slot])
                 self._units.append(None)
-            batch[2].append(offset[a])
+            batch[2].append(a)
             for acc, src in zip(batch[3], sources):
                 acc.extend(src)
         for (_, counts), (unit, ctrl, roots, sources) in batches.items():
             m = len(roots)
             dims = [dim for dim, _ in ctrl.signature.groups().values()]
-            root_gather = _coordinates(roots, (m,), ctrl.signature.root.dim)
+            root_gather = index.gather(roots).reshape(m, ctrl.signature.root.dim)
             input_gathers = [
-                _coordinates(src, (m, count), dim) for src, count, dim in zip(sources, counts, dims)
+                index.gather(src).reshape(m, count, dim) for src, count, dim in zip(sources, counts, dims)
             ]
             self._units[unit] = (root_gather, compile_control(ctrl), input_gathers)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         n = self.index.total_dim
-        if x.shape == (n,):
-            out = np.empty(n)
-            for target, kernel, gathers in self._units:
-                out[target] = kernel(x[target], [x[g] for g in gathers])
-            return out
-        if x.ndim != 2 or x.shape[1] != n:
+        if x.shape[-1:] != (n,) or x.ndim > 2:
             raise PreconditionError(f"state has shape {x.shape}, expected ({n},) or (samples, {n})")
         out = np.empty(x.shape)
         for target, kernel, gathers in self._units:
             if isinstance(target, slice):  # a raw or transported control at one node: row by row
-                for row, row_out in zip(x, out):
+                for row, row_out in zip(np.atleast_2d(x), np.atleast_2d(out)):
                     row_out[target] = kernel(row[target], [row[g] for g in gathers])
+            elif x.ndim == 1:  # one state, as integrate passes: the batch reshapes cost about 1 us a unit
+                out[target] = kernel(x[target], [x[g] for g in gathers])
             else:  # S rows of m members are S*m members of one kernel call
                 tangents = kernel(
                     x[:, target].reshape(-1, target.shape[1]),
@@ -268,12 +272,6 @@ class GlobalField:
                 )
                 out[:, target] = tangents.reshape(x.shape[:1] + target.shape)
         return out
-
-
-def _coordinates(offsets: list[int], shape: tuple[int, ...], dim: int) -> np.ndarray:
-    """Flat indices of the states starting at ``offsets``, shaped ``shape + (dim,)``."""
-    starts = np.array(offsets, dtype=np.intp).reshape(shape)
-    return starts[..., np.newaxis] + np.arange(dim, dtype=np.intp)
 
 
 def interconnect(net: Network, w: VirtualVectorField) -> GlobalField:
@@ -296,18 +294,14 @@ def pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
 def _pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
     """:func:`pullback` for a map its caller has already checked to be a fibration.
 
-    Every induced input-tree map of a fibration is an isomorphism, and an
-    expression control transports to itself, so only raw and transported
-    controls need the induced map.
+    Every induced input-tree map of a fibration is an isomorphism; it is
+    built only for the controls that read it.
     """
     if not w_prime.network.is_same(m.codomain):
         raise PreconditionError("field is not defined on the codomain of the map")
 
     def pulled(a: NodeId) -> Control:
-        ctrl = w_prime.control_at(m.node(a))
-        if isinstance(ctrl, ControlExpr):
-            return ctrl
-        return ctrl_transport(induced_tree_map(m, a).as_iso().inverse(), ctrl)
+        return _transported(w_prime.control_at(m.node(a)), lambda: induced_tree_map(m, a).as_iso().inverse())
 
     if w_prime.mode == "per_class":
         g = symmetry_groupoid(m.domain)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from typing import Iterable, Mapping
 
@@ -264,8 +265,9 @@ class StateIndex:
     """Flat-vector layout of the total state of a network.
 
     Nodes are laid out in lexicographic id order; each node owns a contiguous
-    slice of length equal to its phase-space dimension.  The circle mask and
-    the node gathers are derived from this layout here and nowhere else.
+    slice of length equal to its phase-space dimension.  The circle mask, the
+    node gathers and the coordinate owners are derived from this layout here
+    and nowhere else.
     """
 
     order: tuple[NodeId, ...]
@@ -281,13 +283,19 @@ class StateIndex:
         """Flat coordinate indices of ``nodes``, each node's slice in turn.
 
         ``x[index.gather(nodes)]`` concatenates the nodes' states; a node may
-        appear more than once.
+        appear more than once.  For k nodes of one dimension d,
+        ``gather(nodes).reshape(shape + (d,))`` with ``prod(shape) == k``
+        stacks their states along ``shape``.
         """
-        out: list[int] = []
-        for a in nodes:
-            off, length = self.slices[a]
-            out.extend(range(off, off + length))
-        return np.array(out, dtype=np.intp)
+        spans = np.fromiter(chain.from_iterable(map(self.slices.__getitem__, nodes)), dtype=np.intp).reshape(-1, 2)
+        starts, lengths = spans[:, 0], spans[:, 1]
+        runs = np.cumsum(lengths) - lengths  # where each node's run begins in the result
+        return np.repeat(starts - runs, lengths) + np.arange(lengths.sum(), dtype=np.intp)
+
+    @cached_property
+    def owners(self) -> tuple[NodeId, ...]:
+        """The node of each flat coordinate, in coordinate order."""
+        return tuple(a for a in self.order for _ in range(self.slices[a][1]))
 
     @cached_property
     def _circle_mask(self) -> np.ndarray:

@@ -190,9 +190,8 @@ def dependency_matrix(
     x0 = np.asarray(x0, dtype=float)
     index = field.index
     offsets = [index.slices[a][0] for a in index.order]
-    owner = [c for c in index.order for _ in range(index.slices[c][1])]  # the node of each coordinate
     deps: dict[NodeId, set[NodeId]] = {a: set() for a in index.order}
-    coords = iter(owner)
+    coords = iter(index.owners)
     for diffs in _central_differences(field, x0, index.order, step):
         per_node = np.maximum.reduceat(np.abs(diffs), offsets, axis=1)
         for reacts, c in zip(~(per_node <= tol), coords):  # NaN counts as a dependency
