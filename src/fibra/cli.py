@@ -11,6 +11,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -47,14 +48,46 @@ from .numerics import (
 )
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("FIBRA_SEED", "0"))
+# Most floats one trajectory may hold (1 GiB); a longer horizon is malformed input.
+MAX_TRAJECTORY_FLOATS = 2**27
+
+
+def _at_least(kind: type, low: float, strict: bool = False):
+    """An argparse type: a finite ``kind`` that is >= ``low`` (> ``low`` when ``strict``)."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not (low < value if strict else low <= value) or value == math.inf:  # NaN fails both
+            raise argparse.ArgumentTypeError(f"must be finite and {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+def _seed(args) -> int:
+    """``--seed``, else the FIBRA_SEED environment variable, else 0."""
+    if args.seed is not None:
+        return args.seed
+    text = os.environ.get("FIBRA_SEED", "0")
+    try:
+        return _at_least(int, 0)(text)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise InputError(f"FIBRA_SEED={text!r}: {exc}") from None
+
+
+def _check_horizon(args, *nets: Network) -> None:
+    """Refuse ``--T``/``--h`` when a trajectory on one of ``nets`` would hold more than MAX_TRAJECTORY_FLOATS."""
+    width = max([1] + [sum(space.dim for space in net.phase.values()) for net in nets])
+    steps = args.T / args.h  # inf when it overflows
+    if (steps + 2.0) * width > MAX_TRAJECTORY_FLOATS:
+        raise InputError(f"--T/--h gives {steps:.3g} steps of {width} coordinates: over {MAX_TRAJECTORY_FLOATS} floats")
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="PRNG seed (default 0, or FIBRA_SEED)")
-    p.add_argument("--samples", type=int, default=1000, help="number of random samples")
-    p.add_argument("--tol", type=float, default=None, help="tolerance (per-command default)")
+    p.add_argument("--seed", type=_at_least(int, 0), default=None, help="PRNG seed (default 0, or FIBRA_SEED)")
+    p.add_argument("--samples", type=_at_least(int, 0), default=1000, help="number of random samples")
+    p.add_argument("--tol", type=_at_least(float, 0.0), default=None, help="tolerance (per-command default)")
     p.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
 
 
@@ -121,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("network")
     p.add_argument("dynamics")
     p.add_argument("--x0", required=True, help="state JSON path")
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--T", type=_at_least(float, 0.0), required=True)
+    p.add_argument("--h", type=_at_least(float, 0.0, strict=True), required=True)
     _add_common(p)
 
     p = sub.add_parser("verify", help="numerical certification suites")
@@ -132,10 +165,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map")
     p.add_argument("dynamics")
     p.add_argument("--x0", default=None, help="state JSON path (codomain state for conjugacy)")
-    p.add_argument("--T", type=float, default=1.0)
-    p.add_argument("--h", type=float, default=1e-3)
-    p.add_argument("--flow-tol", type=float, default=1e-8)
-    p.add_argument("--fd-step", type=float, default=1e-6)
+    p.add_argument("--T", type=_at_least(float, 0.0), default=1.0)
+    p.add_argument("--h", type=_at_least(float, 0.0, strict=True), default=1e-3)
+    p.add_argument("--flow-tol", type=_at_least(float, 0.0), default=1e-8)
+    p.add_argument("--fd-step", type=_at_least(float, 0.0, strict=True), default=1e-6)
     _add_common(p)
 
     return top
@@ -168,10 +201,9 @@ def _violations_json(violations) -> list[dict]:
     return [dataclasses.asdict(v) for v in violations]
 
 
-def _dispatch(args) -> tuple[dict, bool, list[str]]:
+def _dispatch(args, seed: int) -> tuple[dict, bool, list[str]]:
     """Returns (results payload, property holds, input paths)."""
     command = args.command
-    seed = args.seed if args.seed is not None else _default_seed()
 
     if command == "validate":
         net = network_from_json(read_json(args.network))
@@ -312,6 +344,7 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
 
     if command == "simulate":
         net = _load_network(args.network)
+        _check_horizon(args, net)
         field = interconnect(net, class_dynamics_from_json(read_json(args.dynamics), net))
         x0 = state_from_json(read_json(args.x0), field.index)
         traj = integrate(field, x0, args.T, args.h)
@@ -331,7 +364,9 @@ def _dispatch(args) -> tuple[dict, bool, list[str]]:
         return {}, True, [args.network, args.dynamics, args.x0]
 
     if command == "verify":
-        _, codomain, nmap = _load_map(args)
+        domain, codomain, nmap = _load_map(args)
+        if args.suite != "driving":
+            _check_horizon(args, domain, codomain)
         w_prime = class_dynamics_from_json(read_json(args.dynamics), codomain)
         paths = [args.domain, args.codomain, args.map, args.dynamics]
         if args.suite == "conjugacy":
@@ -379,9 +414,9 @@ def main(argv=None) -> int:
     if _parser is None:  # built once per process; parsing leaves it unchanged
         _parser = build_parser()
     args = _parser.parse_args(argv)
-    seed = args.seed if getattr(args, "seed", None) is not None else _default_seed()
     try:
-        results, ok, paths = _dispatch(args)
+        seed = _seed(args)
+        results, ok, paths = _dispatch(args, seed)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,18 +18,18 @@ import numpy as np
 
 from .errors import FibrationRequired, PreconditionError, SignatureMismatch
 from .expr_dsl import (
+    BatchKernel,
     ControlExpr,
     ControlSignature,
-    Kernel,
     RawControl,
     as_state,
-    bind,
     compile_control,
+    group_positions,
+    member_groups,
 )
 from .fibrations import check_fibration, essential_image
 from .graphs import Network, NetworkMap, NodeId, PhaseSpace, total_phase_space
 from .input_trees import (
-    InputTree,
     SymmetryGroupoid,
     TreeIso,
     induced_tree_map,
@@ -65,39 +65,43 @@ def signature_at(net: Network, a: NodeId) -> ControlSignature:
     return ControlSignature(tree.root_type, tuple(l.leaf_type for l in tree.leaves))
 
 
-def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]]) -> Kernel:
+def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]]) -> BatchKernel:
     """Bind any control kind to its input slots (edge id, source space) once.
 
-    Returns ``f(root, states)`` on one flat state per slot, in slot order.
+    Returns the kernel ``f(roots, groups)`` of :func:`compile_control` for m
+    members: ``roots`` is (m, d_root) and ``groups`` holds, per type group of
+    the signature, the states of that group's slots in slot order as one
+    (m, count, dim) array.  An expression control is its compiled kernel.  A
+    raw control, transported any number of times, reads each member's states
+    back into its own slot order and calls its callable member by member.
     """
     if isinstance(ctrl, ControlExpr):
-        return bind(ctrl, [space for _, space in slots])
-    if isinstance(ctrl, RawControl):
-        ids, fn, dim = tuple(eid for eid, _ in slots), ctrl.fn, ctrl.signature.root.dim
-        return lambda root, states: as_state(fn(root, tuple(zip(ids, states))), dim, "raw control tangent vector")
-    if isinstance(ctrl, TransportedControl):
-        position = {eid: i for i, (eid, _) in enumerate(slots)}
-        order = sorted(ctrl.source_to_current)
-        perm = [position[ctrl.source_to_current[src]] for src in order]
-        inner = bind_control(ctrl.base, [(src, slots[i][1]) for src, i in zip(order, perm)])
-        return lambda root, states: inner(root, [states[i] for i in perm])
-    raise TypeError(f"not a control: {ctrl!r}")
+        return compile_control(ctrl)
+    positions = group_positions(ctrl.signature, [space for _, space in slots])
+    place = {i: (g, k) for g, pos in enumerate(positions) for k, i in enumerate(pos)}
+    where = {eid: place[i] for i, (eid, _) in enumerate(slots)}  # edge id -> (group, position in it)
+    while isinstance(ctrl, TransportedControl):  # the base's slots are its leaf ids, in edge-id order
+        where = {src: where[ctrl.source_to_current[src]] for src in sorted(ctrl.source_to_current)}
+        ctrl = ctrl.base
+    if isinstance(ctrl, ControlExpr):  # transported by hand: it sorts each type group, so reads no order
+        return compile_control(ctrl)
+    ids, at, fn, dim = list(where), list(where.values()), ctrl.fn, ctrl.signature.root.dim
+
+    def kernel(roots: np.ndarray, groups: Sequence[np.ndarray]) -> np.ndarray:
+        out = np.empty((len(roots), dim))
+        for i, root in enumerate(roots):
+            states = tuple((eid, groups[g][i, k]) for eid, (g, k) in zip(ids, at))
+            out[i] = as_state(fn(root, states), dim, "raw control tangent vector")
+        return out
+
+    return kernel
 
 
 def eval_control(ctrl: Control, root: np.ndarray, inputs: Sequence[LabelledInput]) -> np.ndarray:
-    """Evaluate any control kind on labelled inputs (edge id, space, state)."""
+    """Evaluate any control kind on labelled inputs (edge id, space, state): a kernel call for one member."""
     root = as_state(root, ctrl.signature.root.dim, "root state")
     kernel = bind_control(ctrl, [(eid, space) for eid, space, _ in inputs])
-    states = [as_state(state, space.dim, f"input on edge {eid!r}") for eid, space, state in inputs]
-    return kernel(root, states)
-
-
-def _bind_at(ctrl: Control, net: Network, a: NodeId) -> tuple[InputTree, Kernel]:
-    """Bind a control to the input tree of node ``a``, checking its root space."""
-    tree = input_tree(net, a)
-    if ctrl.signature.root.dim != tree.root_type.dim:
-        raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
-    return tree, bind_control(ctrl, [(l.edge_id, l.leaf_type) for l in tree.leaves])
+    return kernel(root[np.newaxis], member_groups(ctrl.signature, [(space, state) for _, space, state in inputs]))[0]
 
 
 def ctrl_transport(iso: TreeIso, ctrl: Control) -> Control:
@@ -197,10 +201,10 @@ class GlobalField:
     """The interconnected vector field on the flat total state of a network.
 
     Nodes that share one expression control and one shape of typed inputs,
-    as the members of a groupoid class do, are evaluated together: one
-    gather of their root and input states, one call of the compiled control,
-    one scatter.  The gathers are built from the in-edge index.  Raw and
-    transported controls are bound and evaluated node by node.
+    as the members of a groupoid class do, form one unit; a node with a raw
+    or transported control is a unit of its own.  Each unit is evaluated with
+    one gather of its root and input states, one call of its bound kernel and
+    one scatter.  The gathers are built from the in-edge index.
 
     A call takes one state of shape ``(total_dim,)`` or a batch of shape
     ``(samples, total_dim)``; each row of a batch gives the bits a call on
@@ -213,45 +217,41 @@ class GlobalField:
         self.network = net
         self.index = index = total_phase_space(net)
         name = {a: space.name for a, space in net.phase.items()}
-        # (target, kernel, input gathers), in the order of each unit's first node
-        self._units: list = []
-        # (id of the control, input counts per group) -> (unit, control, roots, sources per group)
-        batches: dict[tuple, tuple] = {}
-        slots: dict[int, dict[str, int]] = {}  # id of the control -> group name -> group position
+        # (id of the control, input counts per group), or the node of a control that is
+        # not an expression -> (control, slots, roots, sources per group)
+        units: dict = {}
         for a in index.order:
             ctrl = w.control_at(a)
             if ctrl.signature.root.dim != index.spaces[a].dim:
                 raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
             edges = net.in_edges(a)
-            if not isinstance(ctrl, ControlExpr):
-                kernel = bind_control(ctrl, [(e.edge_id, net.space(e.src)) for e in edges])
-                self._units.append((index.slice_of(a), kernel, [index.slice_of(e.src) for e in edges]))
-                continue
-            slot = slots.get(id(ctrl))
-            if slot is None:
-                slot = slots[id(ctrl)] = {t: g for g, t in enumerate(ctrl.signature.groups())}
-            sources: list[list[NodeId]] = [[] for _ in slot]
+            group = ctrl.signature.group_index
+            sources: list[list[NodeId]] = [[] for _ in group]
             for e in edges:
-                g = slot.get(name[e.src])
+                g = group.get(name[e.src])
                 if g is None:
-                    raise SignatureMismatch(f"input of type {name[e.src]} not in signature groups {sorted(slot)}")
+                    raise SignatureMismatch(f"input of type {name[e.src]} not in signature groups {sorted(group)}")
                 sources[g].append(e.src)
-            key = (id(ctrl), tuple(map(len, sources)))
-            batch = batches.get(key)
-            if batch is None:
-                batch = batches[key] = (len(self._units), ctrl, [], [[] for _ in slot])
-                self._units.append(None)
-            batch[2].append(a)
-            for acc, src in zip(batch[3], sources):
+            if isinstance(ctrl, ControlExpr):
+                key, slots = (id(ctrl), tuple(map(len, sources))), ()
+            else:  # bound to the edge ids of this node
+                key, slots = a, [(e.edge_id, net.space(e.src)) for e in edges]
+            unit = units.get(key)
+            if unit is None:
+                unit = units[key] = (ctrl, slots, [], [[] for _ in group])
+            unit[2].append(a)
+            for acc, src in zip(unit[3], sources):
                 acc.extend(src)
-        for (_, counts), (unit, ctrl, roots, sources) in batches.items():
+        # (root gather, kernel, input gathers), in the order of each unit's first node
+        self._units: list = []
+        for ctrl, slots, roots, sources in units.values():
             m = len(roots)
-            dims = [dim for dim, _ in ctrl.signature.groups().values()]
             root_gather = index.gather(roots).reshape(m, ctrl.signature.root.dim)
             input_gathers = [
-                index.gather(src).reshape(m, count, dim) for src, count, dim in zip(sources, counts, dims)
+                index.gather(src).reshape(m, len(src) // m, dim)
+                for src, (dim, _) in zip(sources, ctrl.signature.groups().values())
             ]
-            self._units[unit] = (root_gather, compile_control(ctrl), input_gathers)
+            self._units.append((root_gather, bind_control(ctrl, slots), input_gathers))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -260,10 +260,7 @@ class GlobalField:
             raise PreconditionError(f"state has shape {x.shape}, expected ({n},) or (samples, {n})")
         out = np.empty(x.shape)
         for target, kernel, gathers in self._units:
-            if isinstance(target, slice):  # a raw or transported control at one node: row by row
-                for row, row_out in zip(np.atleast_2d(x), np.atleast_2d(out)):
-                    row_out[target] = kernel(row[target], [row[g] for g in gathers])
-            elif x.ndim == 1:  # one state, as integrate passes: the batch reshapes cost about 1 us a unit
+            if x.ndim == 1:  # one state, as integrate passes: the batch reshapes cost about 1 us a unit
                 out[target] = kernel(x[target], [x[g] for g in gathers])
             else:  # S rows of m members are S*m members of one kernel call
                 tangents = kernel(
@@ -313,41 +310,46 @@ def _pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
     )
 
 
+def _sampled_at(
+    ctrl: Control, net: Network, a: NodeId, count: int, rng: np.random.Generator
+) -> tuple[BatchKernel, np.ndarray, list[np.ndarray]]:
+    """The control bound to the input tree of node ``a``, and ``count`` random members for it.
+
+    The roots are drawn as one block, then the inputs of each type group.
+    """
+    tree = input_tree(net, a)
+    if ctrl.signature.root.dim != tree.root_type.dim:
+        raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
+    slots = [(l.edge_id, l.leaf_type) for l in tree.leaves]
+    kernel = bind_control(ctrl, slots)
+    positions = group_positions(ctrl.signature, [space for _, space in slots])
+    spaces = {s.name: s for s in ctrl.signature.inputs}  # one per group, in group order
+    roots = sample_space(tree.root_type, rng, (count,))
+    return kernel, roots, [sample_space(s, rng, (count, len(pos))) for s, pos in zip(spaces.values(), positions)]
+
+
 def check_invariance(ctrl: Control, a: NodeId, net: Network, trials: int = 200, seed: int = 0) -> float:
     """Max residual of the control under random same-type leaf permutations.
 
-    Samples random root/input states and random elements of the node's
-    automorphism group (leaf permutations); expression controls come out at
-    exactly zero because aggregation is canonicalized.
+    Draws every trial's root and input states, then one random permutation
+    of each type group per trial, and evaluates the control on the drawn and
+    on the permuted inputs in one kernel call each.  Expression controls come
+    out at exactly zero because aggregation is canonicalized.
     """
-    tree, kernel = _bind_at(ctrl, net, a)
-    groups = tree.type_groups().values()
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        root = sample_space(tree.root_type, rng)
-        values = {l.edge_id: sample_space(l.leaf_type, rng) for l in tree.leaves}
-        sigma: dict[str, str] = {}
-        for leaves in groups:
-            ids = [l.edge_id for l in leaves]
-            sigma.update(zip(ids, map(str, rng.permutation(ids))))
-        before = kernel(root, [values[l.edge_id] for l in tree.leaves])
-        after = kernel(root, [values[sigma[l.edge_id]] for l in tree.leaves])
-        worst = np.maximum(worst, np.abs(before - after).max())  # unlike max(), propagates NaN
-    return float(worst)
+    kernel, roots, groups = _sampled_at(ctrl, net, a, trials, rng)
+    rows = np.arange(trials)[:, np.newaxis]
+    permuted = [grp[rows, rng.permuted(np.tile(np.arange(grp.shape[1]), (trials, 1)), axis=1)] for grp in groups]
+    # unlike max(), propagates NaN
+    return float(np.abs(kernel(roots, groups) - kernel(roots, permuted)).max(initial=0.0))
 
 
 def _vanishes_on_samples(
     ctrl: Control, net: Network, a: NodeId, samples: int, rng: np.random.Generator, tol: float
 ) -> bool:
     """Whether the control at node ``a`` stays within ``tol`` of zero at random states."""
-    tree, kernel = _bind_at(ctrl, net, a)
-    for _ in range(samples):
-        root = sample_space(tree.root_type, rng)
-        value = np.abs(kernel(root, [sample_space(l.leaf_type, rng) for l in tree.leaves])).max()
-        if not value <= tol:  # NaN does not vanish
-            return False
-    return True
+    kernel, roots, groups = _sampled_at(ctrl, net, a, samples, rng)
+    return bool(np.abs(kernel(roots, groups)).max(initial=0.0) <= tol)  # NaN does not vanish
 
 
 def pullback_kernel_check(

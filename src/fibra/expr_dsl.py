@@ -85,6 +85,11 @@ class ControlSignature:
         dims = {s.name: s.dim for s in self.inputs}
         return {name: (dims[name], counts[name]) for name in sorted(counts)}
 
+    @cached_property
+    def group_index(self) -> dict[str, int]:
+        """The position of each input type group, by name."""
+        return {name: g for g, name in enumerate(self._groups)}
+
 
 # --- AST -------------------------------------------------------------------
 # Positions are carried for error reporting but excluded from equality so
@@ -500,7 +505,6 @@ def unparse(e: Expr) -> str:
 # numpy's vectorised versions may differ from them in the last bit, which
 # would break the exact invariance and synchrony guarantees.
 
-Kernel = Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
 BatchKernel = Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
 
 # One value per member, or a float shared by all of them.
@@ -703,24 +707,18 @@ def group_positions(signature: ControlSignature, types: Sequence[PhaseSpace | st
     return list(positions.values())
 
 
-def bind(ctrl: ControlExpr, types: Sequence[PhaseSpace | str]) -> Kernel:
-    """Match input positions to the control's type groups once; returns ``f(root, states)``.
-
-    The kernel takes flat states of the signature's dimensions unchecked and
-    runs the compiled control as a batch of one.
-    """
-    positions = group_positions(ctrl.signature, types)
-    dims = [dim for dim, _ in ctrl.signature.groups().values()]
-    run = compile_control(ctrl)
-
-    def kernel(root: np.ndarray, states: Sequence[np.ndarray]) -> np.ndarray:
-        inputs = [
-            np.array([states[i] for i in pos], dtype=float).reshape(1, len(pos), dim)
-            for pos, dim in zip(positions, dims)
-        ]
-        return run(np.reshape(root, (1, -1)), inputs)[0]
-
-    return kernel
+def member_groups(
+    signature: ControlSignature, inputs: Sequence[tuple[PhaseSpace | str, np.ndarray]]
+) -> list[np.ndarray]:
+    """One member's typed input states as the (1, count, dim) group arrays of a kernel call."""
+    names = [_space_name(t) for t, _ in inputs]
+    positions = group_positions(signature, names)
+    groups = signature.groups()
+    states = [as_state(s, groups[n][0], f"input of type {n}") for n, (_, s) in zip(names, inputs)]
+    return [
+        np.array([states[i] for i in pos], dtype=float).reshape(1, len(pos), dim)
+        for pos, (dim, _) in zip(positions, groups.values())
+    ]
 
 
 def evaluate(
@@ -728,10 +726,7 @@ def evaluate(
 ) -> np.ndarray:
     """Evaluate a control at a root state and typed input states; returns the tangent vector."""
     root = as_state(root, ctrl.signature.root.dim, "root state")
-    names = [_space_name(t) for t, _ in inputs]
-    kernel = bind(ctrl, names)
-    groups = ctrl.signature.groups()
-    return kernel(root, [as_state(s, groups[n][0], f"input of type {n}") for n, (_, s) in zip(names, inputs)])
+    return compile_control(ctrl)(root[np.newaxis], member_groups(ctrl.signature, inputs))[0]
 
 
 @dataclass(frozen=True)

@@ -323,6 +323,8 @@ def total_phase_space(net: Network) -> StateIndex:
     slices: dict[NodeId, tuple[int, int]] = {}
     off = 0
     for a in order:
+        if a in slices:
+            raise PreconditionError(f"node id {a!r} repeated: a state layout needs distinct node ids")
         d = net.space(a).dim
         slices[a] = (off, d)
         off += d

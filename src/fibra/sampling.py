@@ -7,10 +7,10 @@ import numpy as np
 from .graphs import PhaseSpace, StateIndex, TWO_PI
 
 
-def sample_space(space: PhaseSpace, rng: np.random.Generator) -> np.ndarray:
-    if space.is_circle:
-        return rng.uniform(0.0, TWO_PI, size=1)
-    return rng.uniform(-1.0, 1.0, size=space.dim)
+def sample_space(space: PhaseSpace, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Uniform states of ``space`` as an array of shape ``shape + (dim,)``, drawn in C order."""
+    low, high = (0.0, TWO_PI) if space.is_circle else (-1.0, 1.0)
+    return rng.uniform(low, high, size=(*shape, space.dim))
 
 
 def sample_state(index: StateIndex, rng: np.random.Generator) -> np.ndarray:

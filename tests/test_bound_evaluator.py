@@ -1,12 +1,16 @@
 """Controls bound once per node against the per-call path they replaced.
 
-``GlobalField``, ``bind``, ``eval_control`` and ``evaluate`` must give bitwise
+``GlobalField``, ``bind_control``, ``eval_control`` and ``evaluate`` must give bitwise
 what the per-call evaluator and the scalar tree walk in ``util`` give, for
-expression, raw and transported controls, and the driving check, which
-perturbs only feedback-edge sources, must report the same residual as the loop
-over every coordinate outside the image.  Networks are generated with mixed R1/R2/S1 spaces, self-loops,
-parallel edges and isolated nodes.
+expression, raw and transported controls; the driving check, which perturbs
+only feedback-edge sources, must report the same residual as the loop over
+every coordinate outside the image; and the sampled checks, which make all
+their draws as one batch, must reach the verdicts of the per-sample loops.
+Networks are generated with mixed R1/R2/S1 spaces, self-loops, parallel edges
+and isolated nodes.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -21,10 +25,12 @@ from fibra import (
     S1,
     SignatureMismatch,
     TransportedControl,
+    check_invariance,
     ctrl_transport,
     enumerate_tree_isos,
     eval_control,
     evaluate,
+    fixtures,
     input_tree,
     iso_count,
     network,
@@ -36,17 +42,19 @@ from fibra import (
     total_phase_space,
     verify_driving_decomposition,
 )
-from fibra.dynamics import VirtualVectorField
+from fibra.dynamics import VirtualVectorField, _vanishes_on_samples, bind_control
 from fibra.errors import EvaluationFault
-from fibra.expr_dsl import FUNCTIONS, ControlSignature, _canonical_order, bind
+from fibra.expr_dsl import FUNCTIONS, ControlSignature, _canonical_order, group_positions
 from fibra.sampling import sample_state
 
 from util import (
     reference_bind,
+    reference_check_invariance,
     reference_driving_residual,
     reference_eval_control,
     reference_evaluate,
     reference_field,
+    reference_vanishes_on_samples,
 )
 
 SPACES = (R1, R2, S1)
@@ -352,8 +360,8 @@ def test_bind_and_evaluate_match_tree_walk(data):
         types = types[1:]  # a group may go missing, where mean faults
     root = np.array(draw(st.lists(VALUES, min_size=sig.root.dim, max_size=sig.root.dim)))
     states = [np.array(draw(st.lists(VALUES, min_size=t.dim, max_size=t.dim))) for t in types]
-    assert outcome(bind(ctrl, types), root, states) == outcome(reference_bind(ctrl, types), root, states)
     pairs = list(zip(types, states))
+    assert outcome(evaluate, ctrl, root, pairs) == outcome(reference_bind(ctrl, types), root, states)
     assert outcome(evaluate, ctrl, root, pairs) == outcome(reference_evaluate, ctrl, root, pairs)
 
 
@@ -430,7 +438,7 @@ def test_fault_message_matches_tree_walk(source, message):
     sig = ControlSignature(R1, (R1,))
     ctrl = parse_control([source], sig)
     root = np.array([0.25])
-    fault = outcome(bind(ctrl, []), root, [])
+    fault = outcome(evaluate, ctrl, root, [])
     assert fault[0] is EvaluationFault and message in fault[1]
     assert fault == outcome(reference_bind(ctrl, []), root, [])
 
@@ -438,6 +446,98 @@ def test_fault_message_matches_tree_walk(source, message):
 def test_overflow_gives_signed_infinity():
     ctrl = parse_control(["exp(1000 + x[0])", "(-1000 - x[1]^2)^401"], ControlSignature(R2, ()))
     root = np.array([0.5, 0.0])
-    out = bind(ctrl, [])(root, [])
+    out = evaluate(ctrl, root, [])
     assert out.tolist() == [np.inf, -np.inf]
     assert same_bits(out, reference_bind(ctrl, [])(root, []))
+
+
+# --- one kernel shape for every control kind -----------------------------------------
+# bind_control returns a batch kernel for expression, raw, transported and nested
+# transported controls alike; each row of a batch is what the per-call path gives
+# for that member alone.
+
+
+@given(st.data())
+def test_bind_control_rows_match_each_member_alone(data):
+    draw = data.draw
+    net = draw(networks())
+    a = draw(st.sampled_from(sorted(net.graph.nodes)))
+    sig = signature_at(net, a)
+    ctrl = any_expr_control(draw, sig) if draw(st.booleans()) else raw_control(sig)
+    if iso_count(net, a, a) <= 120:
+        for _ in range(draw(st.integers(0, 2))):  # built by hand, so transports nest
+            ctrl = TransportedControl(ctrl, dict(draw(st.sampled_from(enumerate_tree_isos(net, a, a))).leaf_bijection))
+    slots = draw(st.permutations([(e.edge_id, net.space(e.src)) for e in net.in_edges(a)]))
+    m = draw(st.integers(1, 3))
+    roots = np.array(draw(st.lists(VALUES, min_size=m * sig.root.dim, max_size=m * sig.root.dim))).reshape(m, -1)
+    members = [[np.array(draw(st.lists(VALUES, min_size=s.dim, max_size=s.dim))) for _, s in slots] for _ in range(m)]
+    groups = [
+        np.array([[states[i] for i in pos] for states in members]).reshape(m, len(pos), dim)
+        for pos, (dim, _) in zip(group_positions(sig, [s for _, s in slots]), sig.groups().values())
+    ]
+    alone = [
+        outcome(reference_eval_control, ctrl, root, [(eid, s, x) for (eid, s), x in zip(slots, states)], message=False)
+        for root, states in zip(roots, members)
+    ]
+    faults = {o[0] for o in alone if isinstance(o[0], type)}
+    try:
+        out = bind_control(ctrl, slots)(roots, groups)
+    except Exception as exc:  # the class is what is compared
+        assert type(exc) in faults
+        return
+    assert not faults
+    assert [outcome(np.copy, row) for row in out] == alone
+
+
+# --- sampled checks in one batch -----------------------------------------------------
+
+
+def _invariance_cases():
+    four = fixtures.four_node_multi()
+    sig4, sig2 = signature_at(four, "4"), signature_at(four, "2")
+    c2 = fixtures.g3_to_c2().codomain
+    return {
+        "expression": (four, "4", parse_control(["mean(u in inputs[R1]) { exp(u[0]) } - tanh(x[0])"], sig4)),
+        "asymmetric-raw": (four, "4", RawControl(sig4, lambda x, ins: ins[0][1] - x)),
+        "symmetric-raw": (four, "2", RawControl(sig2, lambda x, ins: ins[0][1] + ins[1][1] - 2 * x)),
+        # exp overflows to inf for x[0] > 0.71, and 0 * inf is NaN
+        "nan": (c2, "a", parse_control(
+            ["0 * exp(1000 * x[0]) + sum(u in inputs[R1]) { u[0] }"], signature_at(c2, "a"))),
+    }
+
+
+@pytest.mark.parametrize("case", ["expression", "asymmetric-raw", "symmetric-raw", "nan"])
+def test_check_invariance_verdict_matches_per_trial_loop(case):
+    net, a, ctrl = _invariance_cases()[case]
+    residual = check_invariance(ctrl, a, net, trials=200, seed=4)
+    reference = reference_check_invariance(ctrl, a, net, trials=200, seed=4)
+    if case == "expression":
+        assert residual == reference == 0.0
+    elif case == "asymmetric-raw":
+        assert residual > 1e-3 and reference > 1e-3
+    elif case == "symmetric-raw":
+        assert residual <= 1e-12 and reference <= 1e-12
+    else:
+        assert math.isnan(residual) and math.isnan(reference)
+
+
+@pytest.mark.parametrize(
+    "source, vanishes", [("0 * exp(x[0])", True), ("x[0]", False), ("0 * exp(1000 * x[0])", False)]
+)
+def test_vanishes_on_samples_matches_per_sample_loop(source, vanishes):
+    net = fixtures.g3_to_c2().codomain
+    ctrl = parse_control([source], signature_at(net, "a"))
+    for rng_seed in range(3):
+        assert _vanishes_on_samples(ctrl, net, "a", 100, np.random.default_rng(rng_seed), 0.0) is vanishes
+        assert reference_vanishes_on_samples(ctrl, net, "a", 100, np.random.default_rng(rng_seed), 0.0) is vanishes
+
+
+def test_sampled_checks_raise_a_fault_at_any_sample():
+    # the first draw has x[0] > 0, where the control does not vanish and the per-sample
+    # loop stops; log faults at the later draws with x[0] < 0
+    net = fixtures.g3_to_c2().codomain
+    ctrl = parse_control(["x[0] + log(x[0])"], signature_at(net, "a"))
+    with pytest.raises(EvaluationFault, match="log fault"):
+        _vanishes_on_samples(ctrl, net, "a", 50, np.random.default_rng(0), 0.0)
+    with pytest.raises(EvaluationFault, match="log fault"):
+        check_invariance(ctrl, "a", net, trials=50)

@@ -107,6 +107,54 @@ def test_simulate_deeply_nested_expression_exits_2(files, capsys):
     assert "nested deeper than" in err
 
 
+# command line (after the command's files) and FIBRA_SEED, each malformed: a
+# number that is not finite or out of range, a horizon too long to hold, a bad seed
+HORIZONS = [["--T", "nan"], ["--T", "inf"], ["--h", "nan"], ["--h", "inf"], ["--h", "0"],
+            ["--T", "1e300", "--h", "1e-300"], ["--T", "1e12", "--h", "1e-3"]]
+BAD_NUMBERS = (
+    [(["simulate", *flags], None) for flags in HORIZONS]
+    + [(["verify", "conjugacy", *flags], None) for flags in HORIZONS]
+    + [
+        (["verify", "conjugacy", "--samples", "-3"], None),
+        (["verify", "conjugacy", "--tol", "nan"], None),
+        (["verify", "conjugacy", "--flow-tol", "nan"], None),
+        (["verify", "conjugacy", "--seed", "-1"], None),
+        (["verify", "driving", "--seed", "-1"], None),
+        (["verify", "driving", "--fd-step", "nan"], None),
+        (["verify", "driving", "--tol", "nan"], None),
+        (["validate"], "abc"),
+        (["verify", "conjugacy"], "-1"),
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed", BAD_NUMBERS, ids=[" ".join(a) + (f" FIBRA_SEED={e}" if e else "") for a, e in BAD_NUMBERS]
+)
+def test_malformed_number_exits_2(files, capsys, monkeypatch, argv, env_seed):
+    write, _ = files
+    if env_seed is not None:
+        monkeypatch.setenv("FIBRA_SEED", env_seed)
+    m = fixtures.c2_into_g3() if "driving" in argv else fixtures.g3_to_c2()
+    dom, cod = write("dom.json", network_to_json(m.domain)), write("cod.json", network_to_json(m.codomain))
+    if argv[0] == "simulate":  # on g3; the later --T and --h win
+        dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(m.domain)))
+        x0 = write("x0.json", {"flat": [0.1, 0.2, 0.3]})
+        argv = ["simulate", dom, dyn, "--x0", x0, "--T", "0.5", "--h", "0.1", *argv[1:]]
+    elif argv[0] == "verify":
+        dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(m.codomain)))
+        argv = [*argv[:2], dom, cod, write("m.json", map_to_json(m)), dyn, *argv[2:]]
+    else:
+        argv = [*argv, dom]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "error" in err and "Traceback" not in err
+
+
 R1_JSON = {"kind": "R", "dim": 1}
 MALFORMED_NETWORKS = {
     "unknown-source": (

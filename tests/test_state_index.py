@@ -10,6 +10,7 @@ apart, or apart by multiples of 2pi.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from fibra import (
@@ -17,6 +18,7 @@ from fibra import (
     NetworkMap,
     Partition,
     Polydiagonal,
+    PreconditionError,
     R1,
     R2,
     RawControl,
@@ -182,3 +184,13 @@ def test_dependency_matrix_matches_per_node_loop(net, seed):
     field = GlobalField(net, w)
     x0 = sample_state(field.index, np.random.default_rng(seed))
     assert dependency_matrix(field, x0) == reference_dependency_matrix(field, x0)
+
+
+def test_repeated_node_id_has_no_layout():
+    # the constructor stays permissive so that validation can list the repeat; a
+    # layout would give both ids one slice and leave two coordinates unwritten
+    net = network([("a", R1), ("a", R2), ("b", R1)], [("e1", "a", "b")])
+    with pytest.raises(PreconditionError, match="node id 'a' repeated"):
+        total_phase_space(net)
+    with pytest.raises(PreconditionError, match="node id 'a' repeated"):
+        GlobalField(net, per_node_field(net, {a: RawControl(signature_at(net, a), lambda x, ins: x) for a in "ab"}))

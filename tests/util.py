@@ -420,6 +420,37 @@ def reference_eval_control(ctrl, root, inputs):
     raise TypeError(f"not a control: {ctrl!r}")
 
 
+def reference_check_invariance(ctrl, a, net: Network, trials: int = 200, seed: int = 0) -> float:
+    """One trial at a time: draw the root and each leaf, permute each type group, call the control twice."""
+    tree = input_tree(net, a)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        root = sample_space(tree.root_type, rng)
+        values = {l.edge_id: sample_space(l.leaf_type, rng) for l in tree.leaves}
+        sigma = {}
+        for leaves in tree.type_groups().values():
+            ids = [l.edge_id for l in leaves]
+            sigma.update(zip(ids, map(str, rng.permutation(ids))))
+        before = reference_eval_control(ctrl, root, [(l.edge_id, l.leaf_type, values[l.edge_id]) for l in tree.leaves])
+        after = reference_eval_control(
+            ctrl, root, [(l.edge_id, l.leaf_type, values[sigma[l.edge_id]]) for l in tree.leaves]
+        )
+        worst = np.maximum(worst, np.abs(before - after).max())  # unlike max(), propagates NaN
+    return float(worst)
+
+
+def reference_vanishes_on_samples(ctrl, net: Network, a, samples: int, rng, tol: float) -> bool:
+    """One sample at a time, stopping at the first that does not vanish."""
+    tree = input_tree(net, a)
+    for _ in range(samples):
+        root = sample_space(tree.root_type, rng)
+        inputs = [(l.edge_id, l.leaf_type, sample_space(l.leaf_type, rng)) for l in tree.leaves]
+        if not np.abs(reference_eval_control(ctrl, root, inputs)).max() <= tol:  # NaN does not vanish
+            return False
+    return True
+
+
 def reference_field(net: Network, w):
     """The interconnected field, evaluating every node through the per-call path."""
     index = total_phase_space(net)
