@@ -36,7 +36,7 @@ from .input_trees import (
     input_tree,
     symmetry_groupoid,
 )
-from .sampling import sample_space
+from .sampling import check_count, sample_space
 
 LabelledInput = tuple[str, PhaseSpace, np.ndarray]  # (edge id, source space, state)
 
@@ -336,6 +336,7 @@ def check_invariance(ctrl: Control, a: NodeId, net: Network, trials: int = 200, 
     on the permuted inputs in one kernel call each.  Expression controls come
     out at exactly zero because aggregation is canonicalized.
     """
+    check_count(trials, "trials")
     rng = np.random.default_rng(seed)
     kernel, roots, groups = _sampled_at(ctrl, net, a, trials, rng)
     rows = np.arange(trials)[:, np.newaxis]
@@ -365,6 +366,7 @@ def pullback_kernel_check(
     with "the codomain field vanishes on every class meeting the essential
     image".
     """
+    check_count(samples)
     if w_prime.mode != "per_class":
         raise PreconditionError("pullback_kernel_check expects a per-class field")
     assert w_prime.groupoid is not None

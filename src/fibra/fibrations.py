@@ -26,6 +26,7 @@ from .graphs import (
     StateIndex,
     check_network_map,
     coordinate_distance,
+    refinement_rounds,
     total_phase_space,
 )
 from .input_trees import symmetry_groupoid
@@ -154,16 +155,13 @@ class BalanceWitness:
     right: NodeId
 
 
-def _in_block_signature(net: Network, idx: Mapping[NodeId, NodeId], a: NodeId) -> tuple:
-    return tuple(sorted(idx[e.src] for e in net.in_edges(a)))
-
-
 def _balance_witness(net: Network, p: Partition, idx: Mapping[NodeId, NodeId]) -> BalanceWitness | None:
     _check_phase_homogeneous(net, p)
+    nodes, colours, _ = next(refinement_rounds(net, idx))
+    colour = dict(zip(nodes, colours))
     for b in p.blocks:
-        ref_sig = _in_block_signature(net, idx, b[0])
         for a in b[1:]:
-            if _in_block_signature(net, idx, a) != ref_sig:
+            if colour[a] != colour[b[0]]:
                 return BalanceWitness(b[0], b[0], a)
     return None
 
@@ -224,29 +222,16 @@ def quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkMap]:
 def coarsest_balanced(net: Network) -> tuple[Partition, Network, NetworkMap]:
     """Coarsest phase-homogeneous partition whose quotient map is a fibration.
 
-    Colour refinement: start from phase classes and split blocks by the
-    multiset of source blocks over in-edges until the block count stops
-    growing.  Blocks are relabelled to dense integers every round, so a
-    signature is (own colour, sorted source colours) and stays the size of
-    the in-degree however many rounds the refinement takes.
+    Rounds of ``refinement_rounds`` from the phase colouring, until a round
+    adds no colour.
     """
-    nodes = list(dict.fromkeys(net.graph.nodes))
-    position = {a: i for i, a in enumerate(nodes)}
-    sources = [[position[e.src] for e in net.in_edges(a)] for a in nodes]
-    space_ids: dict[str, int] = {}
-    colour = [space_ids.setdefault(net.space(a).name, len(space_ids)) for a in nodes]
-    n_colours = len(space_ids)
-    while True:
-        sig_ids: dict[tuple, int] = {}
-        refined = [
-            sig_ids.setdefault((c, tuple(sorted([colour[j] for j in srcs]))), len(sig_ids))
-            for c, srcs in zip(colour, sources)
-        ]
-        if len(sig_ids) == n_colours:
+    n_colours = len({net.phase[a] for a in net.graph.nodes})
+    for nodes, colours, signatures in refinement_rounds(net, net.phase):
+        if len(signatures) == n_colours:
             break
-        colour, n_colours = refined, len(sig_ids)
-    groups: list[list[NodeId]] = [[] for _ in range(n_colours)]
-    for a, c in zip(nodes, colour):
+        n_colours = len(signatures)
+    groups: list[list[NodeId]] = [[] for _ in signatures]
+    for a, c in zip(nodes, colours):
         groups[c].append(a)
     partition = Partition.of(groups)
     quotient, projection = quotient_of(net, partition)

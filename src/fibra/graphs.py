@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -106,6 +106,13 @@ class Graph:
         return {a: tuple(sorted(es, key=by_id)) for a, es in acc.items()}
 
     @cached_property
+    def _source_positions(self) -> tuple[tuple[NodeId, ...], tuple[tuple[int, ...], ...]]:
+        """The distinct nodes in listing order, and the positions there of each one's in-edge sources."""
+        nodes = tuple(dict.fromkeys(self.nodes))
+        position = {a: i for i, a in enumerate(nodes)}
+        return nodes, tuple(tuple([position[e.src] for e in self.in_edges(a)]) for a in nodes)
+
+    @cached_property
     def _edge_index(self) -> dict[EdgeId, Edge]:
         return {e.edge_id: e for e in self.edges}
 
@@ -142,6 +149,26 @@ def network(nodes: Iterable[tuple[str, PhaseSpace]], edges: Iterable[tuple[str, 
     """Build a network from (node_id, space) pairs and (edge_id, src, tgt) triples."""
     pairs = list(nodes)
     return Network(Graph.build((n for n, _ in pairs), edges), {n: s for n, s in pairs})
+
+
+def refinement_rounds(net: Network, colour: Mapping[NodeId, Hashable]) -> Iterator[tuple]:
+    """Colour refinement of the in-edge structure; yields (distinct nodes, colours, signature -> colour).
+
+    Each round gives every node the dense id, numbered in node order, of (its
+    colour, sorted colours of its in-edge sources), starting from ``colour``.
+    The yielded dict is the round's own, not a copy.
+    """
+    nodes, sources = net.graph._source_positions
+    dense: dict[Hashable, int] = {}
+    colours = [dense.setdefault(colour[a], len(dense)) for a in nodes]
+    while True:
+        signatures: dict[tuple, int] = {}
+        colour_at = colours.__getitem__
+        colours = [
+            signatures.setdefault((c, tuple(sorted(map(colour_at, srcs)))), len(signatures))
+            for c, srcs in zip(colours, sources)
+        ]
+        yield nodes, colours, signatures
 
 
 @dataclass(frozen=True)

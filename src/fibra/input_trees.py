@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EnumerationCapExceeded, PreconditionError
-from .graphs import Network, NetworkMap, NodeId, EdgeId, PhaseSpace
+from .graphs import Network, NetworkMap, NodeId, EdgeId, PhaseSpace, refinement_rounds
 
 DEFAULT_ISO_CAP = 10**6
 
@@ -307,28 +307,16 @@ def symmetry_groupoid(net: Network) -> SymmetryGroupoid:
     """Classify nodes by input-network isomorphism; representative = least member.
 
     Two input trees are isomorphic exactly when their root spaces and typed
-    leaf counts agree, so each node is keyed on (root space name, sorted
-    typed in-degree counts), read straight from the in-edge index; the same
-    counts give its automorphism order.  Witnesses are built on access.
+    leaf multisets agree: one refinement round from the phase colouring, whose
+    signature multiplicities give the automorphism orders.  Witnesses are built on access.
     """
-    name = {a: space.name for a, space in net.phase.items()}
-    buckets: dict[tuple, list[NodeId]] = {}
-    orders: dict[NodeId, int] = {}
-    order_of_key: dict[tuple, int] = {}
-    for a in dict.fromkeys(net.graph.nodes):
-        counts: dict[str, int] = {}
-        for e in net.in_edges(a):
-            t = name[e.src]
-            counts[t] = counts.get(t, 0) + 1
-        key = (name[a], tuple(sorted(counts.items())))
-        members = buckets.get(key)
-        if members is None:
-            members = buckets[key] = []
-            order_of_key[key] = math.prod(math.factorial(k) for k in counts.values())
-        members.append(a)
-        orders[a] = order_of_key[key]
+    nodes, colours, signatures = next(refinement_rounds(net, net.phase))
+    order_of = [math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(s)) for _, s in signatures]
+    buckets: list[list[NodeId]] = [[] for _ in signatures]
+    for a, c in zip(nodes, colours):
+        buckets[c].append(a)
     classes = []
-    for members in sorted((sorted(b) for b in buckets.values()), key=lambda b: b[0]):
+    for members in sorted((sorted(b) for b in buckets), key=lambda b: b[0]):
         members = tuple(members)
         classes.append(IsoClass(members[0], members, _Witnesses(net, members[0], members)))
-    return SymmetryGroupoid(net, tuple(classes), orders)
+    return SymmetryGroupoid(net, tuple(classes), {a: order_of[c] for a, c in zip(nodes, colours)})

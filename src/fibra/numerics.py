@@ -27,7 +27,7 @@ from .graphs import (
     coordinate_distance,
     phase_space_map,
 )
-from .sampling import sample_state, sample_states
+from .sampling import check_count, sample_state, sample_states
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class Trajectory:
 
 def _step_count(T: float, h: float) -> int:
     q = T / h
+    if not math.isfinite(q):
+        raise PreconditionError(f"horizon {T} over step size {h} is not a finite step count")
     if abs(q - round(q)) < 1e-9:  # snap float fuzz like 10/1e-3
         return int(round(q))
     return int(math.ceil(q))
@@ -49,10 +51,10 @@ def _step_count(T: float, h: float) -> int:
 
 def integrate(field: GlobalField, x0: np.ndarray, T: float, h: float) -> Trajectory:
     """Classic fixed-step RK4 with ceil(T/h) steps; faults on non-finite states."""
-    if h <= 0:
-        raise PreconditionError("step size must be positive")
-    if T < 0:
-        raise PreconditionError("horizon must be non-negative")
+    if not (h > 0 and math.isfinite(h)):
+        raise PreconditionError("step size must be positive and finite")
+    if not (T >= 0 and math.isfinite(T)):
+        raise PreconditionError("horizon must be non-negative and finite")
     x = np.asarray(x0, dtype=float).copy()
     if x.shape != (field.index.total_dim,):
         raise PreconditionError(
@@ -104,6 +106,7 @@ def _conjugacy_sides(m: NetworkMap, w_prime: VirtualVectorField) -> _ConjugacySi
 
 def _pointwise_residual(sides: _ConjugacySides, samples: int, seed: int) -> float:
     """Max residual of the identity at ``samples`` codomain states, drawn and evaluated in batches."""
+    check_count(samples)
     p, codomain_field, domain_field = sides
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -239,6 +242,7 @@ def verify_driving_decomposition(
     unique-lift property (e.g. because of a feedback edge) report ``ok=False``
     rather than raising.
     """
+    check_count(samples)
     report = check_fibration(m)
     if not report.injective_on_nodes:
         raise PreconditionError("driving decomposition requires an injective map")

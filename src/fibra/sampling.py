@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import PreconditionError
 from .graphs import PhaseSpace, StateIndex, TWO_PI
+
+
+def check_count(count: int, name: str = "samples") -> None:
+    """Refuse a negative number of samples or trials, which would otherwise certify on none."""
+    if count < 0:
+        raise PreconditionError(f"{name} must be non-negative, got {count}")
 
 
 def sample_space(space: PhaseSpace, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:

@@ -10,11 +10,13 @@ from fibra import (
     R1,
     S1,
     certify_conjugacy,
+    check_invariance,
     integrate,
     interconnect,
     network,
     parse_control,
     per_class_field,
+    pullback_kernel_check,
     signature_at,
     verify_conjugacy_flow,
     verify_conjugacy_pointwise,
@@ -74,6 +76,38 @@ def test_integrate_validates_arguments():
         integrate(X, np.array([1.0]), T=-1.0, h=0.1)
     with pytest.raises(PreconditionError):
         integrate(X, np.array([1.0, 2.0]), T=1.0, h=0.1)
+
+
+@pytest.mark.parametrize(
+    "T, h", [(math.nan, 0.1), (math.inf, 0.1), (1.0, math.nan), (1.0, math.inf), (1e300, 1e-300)]
+)
+def test_integrate_refuses_non_finite_horizon_or_step(T, h):
+    net = fixtures.g3()
+    X = interconnect(net, fixtures.linear_dynamics(net))
+    with pytest.raises(PreconditionError):
+        integrate(X, np.zeros(3), T=T, h=h)
+
+
+def _negative_count_calls():
+    psi, tau, m = fixtures.g3_to_c2(), fixtures.c2_into_g3(), fixtures.g3_into_ten()
+    w = fixtures.linear_dynamics(psi.codomain)
+    return {
+        "certify_conjugacy": lambda: certify_conjugacy(psi, w, samples=-3, T=1.0, h=0.1),
+        "verify_conjugacy_pointwise": lambda: verify_conjugacy_pointwise(psi, w, samples=-3),
+        "verify_driving_decomposition": lambda: verify_driving_decomposition(
+            tau, fixtures.linear_dynamics(tau.codomain), samples=-2
+        ),
+        "check_invariance": lambda: check_invariance(w.control_at("a"), "a", psi.codomain, trials=-1),
+        "pullback_kernel_check": lambda: pullback_kernel_check(
+            m, fixtures.linear_dynamics(m.codomain), samples=-1
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_negative_count_calls()))
+def test_negative_sample_count_is_refused(name):
+    with pytest.raises(PreconditionError, match="must be non-negative"):
+        _negative_count_calls()[name]()
 
 
 def test_rk4_order_on_exponential():

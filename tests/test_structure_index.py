@@ -1,9 +1,10 @@
 """The indexed structure layer against the scan-based paths it replaced.
 
-Per-graph adjacency indexes, integer colour refinement, the one-pass quotient
-and the dict-backed ``block_of``/``class_of`` must give exactly what the
-reference implementations in ``util`` give, on generated networks with
-self-loops, parallel edges, mixed phase spaces and isolated nodes.
+Per-graph adjacency indexes and their integer view, integer colour
+refinement, the balance check, the one-pass quotient and the dict-backed
+``block_of``/``class_of`` must give exactly what the reference
+implementations in ``util`` give, on generated networks with self-loops,
+parallel edges, mixed phase spaces and isolated nodes.
 """
 
 import importlib
@@ -24,6 +25,7 @@ from fibra import (
     R2,
     S1,
     coarsest_balanced,
+    is_balanced,
     network,
     quotient_of,
     symmetry_groupoid,
@@ -32,6 +34,7 @@ from fibra import (
 
 from util import (
     doubled_edge_chain,
+    reference_balance_witness,
     reference_coarsest_balanced,
     reference_quotient_of,
     scan_block_of,
@@ -104,6 +107,10 @@ def test_structure_layer_matches_reference(net):
     assert graph.node_set == frozenset(graph.nodes)
     for e in graph.edges:
         assert graph.edge_by_id(e.edge_id) == e
+    nodes, sources = graph._source_positions
+    assert nodes == tuple(dict.fromkeys(graph.nodes))
+    assert [[nodes[j] for j in s] for s in sources] == [[e.src for e in ref_net.graph.in_edges(a)] for a in nodes]
+    assert ref_net.graph._source_positions == (nodes, sources)
 
     partition, quotient, projection = coarsest_balanced(net)
     ref_partition, ref_quotient, ref_projection = reference_coarsest_balanced(ref_net)
@@ -137,6 +144,34 @@ def test_structure_layer_matches_reference(net):
         groupoid.class_of("no-such-node")
 
 
+@given(networks(), st.lists(st.integers(0, 2), min_size=1, max_size=40))
+@example(KITCHEN_SINK, [0])
+@example(KITCHEN_SINK, [0, 1])
+def test_balance_check_matches_per_node_signatures(net, labels):
+    """Coarsest, discrete, phase-class and random within-phase partitions, each against the reference."""
+    nodes = sorted(net.graph.node_set)
+    merged = {}
+    for i, a in enumerate(nodes):
+        merged.setdefault((net.space(a).name, labels[i % len(labels)]), []).append(a)
+    phase_classes = {}
+    for a in nodes:
+        phase_classes.setdefault(net.space(a).name, []).append(a)
+    partitions = [
+        coarsest_balanced(net)[0],
+        Partition.of([a] for a in nodes),
+        Partition.of(phase_classes.values()),
+        Partition.of(merged.values()),
+    ]
+    for p in partitions:
+        witness = reference_balance_witness(scan_network(net), p)
+        assert is_balanced(net, p) == (witness is None, witness)
+        if witness is None:
+            quotient_of(net, p)
+        else:
+            with pytest.raises(PreconditionError, match="not balanced"):
+                quotient_of(net, p)
+
+
 def test_kitchen_sink_has_every_feature():
     edges = KITCHEN_SINK.graph.edges
     assert any(e.src == e.tgt for e in edges)
@@ -163,7 +198,7 @@ def test_doubled_edge_chain_refines_to_discrete_partition():
 def test_graph_indexes_stay_out_of_equality_and_hash():
     g1 = Graph(("a", "b"), (Edge("e", "a", "b"),))
     g2 = Graph(("a", "b"), (Edge("e", "a", "b"),))
-    g1.in_edges("b"), g1.edge_by_id("e"), g1.node_set  # build g1's indexes only
+    g1.in_edges("b"), g1.edge_by_id("e"), g1.node_set, g1._source_positions  # build g1's indexes only
     assert g1 == g2 and hash(g1) == hash(g2)
 
 

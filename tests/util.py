@@ -9,6 +9,7 @@ import random
 import numpy as np
 
 from fibra import (
+    BalanceWitness,
     ControlExpr,
     Edge,
     EnumerationCapExceeded,
@@ -191,8 +192,9 @@ def oracle_balanced(net: Network, p: Partition) -> bool:
 
 
 # --- reference structure layer ---------------------------------------------------
-# The scan-based adjacency and the nested-tuple refinement that the indexed
-# graph and integer colour refinement replaced, kept as differential oracles.
+# The scan-based adjacency, the per-node balance signatures and the
+# nested-tuple refinement that the indexed graph and integer colour refinement
+# replaced, kept as differential oracles.
 
 
 class ScanGraph(Graph):
@@ -250,6 +252,24 @@ def reference_quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkM
     projection = NetworkMap(net, quotient, dict(idx), edge_map)
     assert check_fibration(projection).is_fibration
     return quotient, projection
+
+
+def reference_balance_witness(net: Network, p: Partition) -> BalanceWitness | None:
+    """Per-node signatures of sorted source blocks, each member against its block's first member.
+
+    For phase-homogeneous partitions that list each node once.
+    """
+    idx = p.block_index()
+
+    def signature(a):
+        return tuple(sorted(idx[e.src] for e in net.in_edges(a)))
+
+    for b in p.blocks:
+        ref_sig = signature(b[0])
+        for a in b[1:]:
+            if signature(a) != ref_sig:
+                return BalanceWitness(b[0], b[0], a)
+    return None
 
 
 def reference_coarsest_balanced(net: Network) -> tuple[Partition, Network, NetworkMap]:
