@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import math
 import os
@@ -26,7 +25,7 @@ from .fibrations import (
     factorize,
     is_balanced,
 )
-from .graphs import Network, check_network_map, total_phase_space, validate_network
+from .graphs import Network, NetworkMap, check_network_map, total_phase_space, validate_network
 from .input_trees import aut_order, input_tree, symmetry_groupoid
 from .jsonio import (
     class_dynamics_from_json,
@@ -84,326 +83,299 @@ def _check_horizon(args, *nets: Network) -> None:
         raise InputError(f"--T/--h gives {steps:.3g} steps of {width} coordinates: over {MAX_TRAJECTORY_FLOATS} floats")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=_at_least(int, 0), default=None, help="PRNG seed (default 0, or FIBRA_SEED)")
-    p.add_argument("--samples", type=_at_least(int, 0), default=1000, help="number of random samples")
-    p.add_argument("--tol", type=_at_least(float, 0.0), default=None, help="tolerance (per-command default)")
-    p.add_argument("--out", type=str, default=None, help="write the report here instead of stdout")
+def _option(*flags: str, **kwargs):
+    """One option of a command: ``flags`` and ``kwargs`` as ``add_argument`` takes them."""
+    return lambda parser: parser.add_argument(*flags, **kwargs)
+
+
+SEED = _option("--seed", type=_at_least(int, 0), help="PRNG seed (default 0, or FIBRA_SEED)")
+OUT = _option("--out", help="write the output here instead of stdout")
+SAMPLES = _option("--samples", type=_at_least(int, 0), default=1000, help="number of random samples")
+FLOW_TOL = _option("--flow-tol", type=_at_least(float, 0.0), default=1e-8, help="flow deviation tolerance")
+FD_STEP = _option("--fd-step", type=_at_least(float, 0.0, strict=True), default=1e-6, help="central difference step")
+
+
+def _tol(default: float):
+    return _option("--tol", type=_at_least(float, 0.0), default=default, help=f"tolerance (default {default:g})")
+
+
+def _horizon(T: float | None = None, h: float | None = None):
+    """``--T`` and ``--h``, each required when it has no default."""
+
+    def add(parser: argparse.ArgumentParser) -> None:
+        parser.add_argument("--T", type=_at_least(float, 0.0), default=T, required=T is None, help="time horizon")
+        parser.add_argument(
+            "--h", type=_at_least(float, 0.0, strict=True), default=h, required=h is None, help="RK4 step size"
+        )
+
+    return add
+
+
+def _coarsest_or_check(parser: argparse.ArgumentParser) -> None:
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--coarsest", action="store_true", help="compute the coarsest balanced partition")
+    mode.add_argument("--check", metavar="PARTITION", help="check this partition JSON file")
+
+
+# Every command, declared once by ``_command`` on the function that runs it, in
+# --help order: (name, summary, file arguments, options, run).  A two-word name
+# such as "verify conjugacy" is a suite of the first word.  ``run(args, read)``
+# reads each input file through ``read`` (path -> parsed JSON, recorded in the
+# report's ``inputs``) and returns (results, property holds); results of None
+# mean the command wrote its own output and there is no report.
+_COMMANDS: list[tuple] = []
+_SUITES_HELP = {"verify": "numerical certification suites"}
+MAP_FILES = "domain codomain map"
+
+
+def _command(name: str, summary: str, files: str, *options):
+    def declare(run):
+        _COMMANDS.append((name, summary, files.split(), options, run))
+        return run
+
+    return declare
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="fibra", description=__doc__)
     top.add_argument("--version", action="version", version=f"fibra {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check network invariants")
-    p.add_argument("network")
-    _add_common(p)
-
-    p = sub.add_parser("check-map", help="check homomorphism + phase compatibility")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("map")
-    _add_common(p)
-
-    p = sub.add_parser("check-fibration", help="unique-lift check plus classification")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("map")
-    _add_common(p)
-
-    p = sub.add_parser("input-trees", help="emit every node's input tree")
-    p.add_argument("network")
-    _add_common(p)
-
-    p = sub.add_parser("groupoid", help="isomorphism classes, witnesses, automorphism orders")
-    p.add_argument("network")
-    _add_common(p)
-
-    p = sub.add_parser("balanced", help="coarsest balanced partition, or check one")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--coarsest", action="store_true")
-    group.add_argument("--check", action="store_true")
-    p.add_argument("paths", nargs="+", help="--coarsest: net.json | --check: partition.json net.json")
-    _add_common(p)
-
-    p = sub.add_parser("quotient", help="coarsest quotient network and projection")
-    p.add_argument("network")
-    _add_common(p)
-
-    p = sub.add_parser("factorize", help="surjection-then-injection factorization of a fibration")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("map")
-    _add_common(p)
-
-    p = sub.add_parser("essential-image", help="codomain nodes seen by the map up to input-tree iso")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("map")
-    _add_common(p)
-
-    p = sub.add_parser("pullback", help="pull per-class dynamics back along a fibration")
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("map")
-    p.add_argument("dynamics")
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="integrate dynamics, write a CSV trajectory")
-    p.add_argument("network")
-    p.add_argument("dynamics")
-    p.add_argument("--x0", required=True, help="state JSON path")
-    p.add_argument("--T", type=_at_least(float, 0.0), required=True)
-    p.add_argument("--h", type=_at_least(float, 0.0, strict=True), required=True)
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="numerical certification suites")
-    p.add_argument("suite", choices=["conjugacy", "polydiagonal", "driving"])
-    p.add_argument("domain")
-    p.add_argument("codomain")
-    p.add_argument("map")
-    p.add_argument("dynamics")
-    p.add_argument("--x0", default=None, help="state JSON path (codomain state for conjugacy)")
-    p.add_argument("--T", type=_at_least(float, 0.0), default=1.0)
-    p.add_argument("--h", type=_at_least(float, 0.0, strict=True), default=1e-3)
-    p.add_argument("--flow-tol", type=_at_least(float, 0.0), default=1e-8)
-    p.add_argument("--fd-step", type=_at_least(float, 0.0, strict=True), default=1e-6)
-    _add_common(p)
-
+    commands = top.add_subparsers(dest="command", required=True)
+    suites = {"": commands}
+    for name, summary, files, options, run in _COMMANDS:
+        group, _, leaf = name.rpartition(" ")
+        if group not in suites:
+            suites[group] = commands.add_parser(group, help=_SUITES_HELP[group]).add_subparsers(
+                dest="suite", required=True
+            )
+        # no abbreviations: "--h" would otherwise mean --help to a command without --h
+        parser = suites[group].add_parser(leaf, help=summary, allow_abbrev=False)
+        for file in files:
+            parser.add_argument(file)
+        for add in options:
+            add(parser)
+        parser.set_defaults(run=run)
     return top
 
 
-def _hash_file(path: str) -> str:
-    try:
-        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    except OSError:
-        return ""
-
-
-def _load_network(path: str) -> Network:
+def _load_network(read, path: str) -> Network:
     """Read a network file; its first structural violation is malformed input."""
-    net = network_from_json(read_json(path))
+    net = network_from_json(read(path))
     violations = validate_network(net)
     if violations:
         raise InputError(f"{path}: invalid network: {violations[0].message}")
     return net
 
 
-def _load_map(args) -> tuple:
-    domain = _load_network(args.domain)
-    codomain = _load_network(args.codomain)
-    nmap = map_from_json(read_json(args.map), domain, codomain)
-    return domain, codomain, nmap
+def _load_map(args, read) -> NetworkMap:
+    domain = _load_network(read, args.domain)
+    codomain = _load_network(read, args.codomain)
+    return map_from_json(read(args.map), domain, codomain)
 
 
 def _violations_json(violations) -> list[dict]:
     return [dataclasses.asdict(v) for v in violations]
 
 
-def _dispatch(args, seed: int) -> tuple[dict, bool, list[str]]:
-    """Returns (results payload, property holds, input paths)."""
-    command = args.command
+def _write(out: str | None, text: str) -> None:
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
 
-    if command == "validate":
-        net = network_from_json(read_json(args.network))
-        violations = validate_network(net)
-        return {"violations": _violations_json(violations)}, not violations, [args.network]
 
-    if command == "check-map":
-        _, _, nmap = _load_map(args)
-        violations = check_network_map(nmap)
-        return (
-            {"violations": _violations_json(violations)},
-            not violations,
-            [args.domain, args.codomain, args.map],
-        )
+@_command("validate", "check network invariants", "network", SEED, OUT)
+def _validate(args, read):
+    violations = validate_network(network_from_json(read(args.network)))
+    return {"violations": _violations_json(violations)}, not violations
 
-    if command == "check-fibration":
-        _, _, nmap = _load_map(args)
-        violations = check_network_map(nmap)
-        if violations:
-            return (
-                {"violations": _violations_json(violations), "is_fibration": False},
-                False,
-                [args.domain, args.codomain, args.map],
-            )
-        report = check_fibration(nmap)
-        return dataclasses.asdict(report), report.is_fibration, [args.domain, args.codomain, args.map]
 
-    if command == "input-trees":
-        net = _load_network(args.network)
-        trees = []
-        for a in sorted(net.graph.nodes):
-            t = input_tree(net, a)
-            trees.append(
-                {
-                    "root": t.root,
-                    "root_space": t.root_type.name,
-                    "aut_order": aut_order(t),
-                    "leaves": [
-                        {"edge": l.edge_id, "source": l.source_node, "space": l.leaf_type.name}
-                        for l in t.leaves
-                    ],
-                }
-            )
-        return {"trees": trees}, True, [args.network]
+@_command("check-map", "check homomorphism + phase compatibility", MAP_FILES, SEED, OUT)
+def _check_map(args, read):
+    violations = check_network_map(_load_map(args, read))
+    return {"violations": _violations_json(violations)}, not violations
 
-    if command == "groupoid":
-        net = _load_network(args.network)
-        g = symmetry_groupoid(net)
-        classes = [
+
+@_command("check-fibration", "unique-lift check plus classification", MAP_FILES, SEED, OUT)
+def _check_fibration(args, read):
+    nmap = _load_map(args, read)
+    violations = check_network_map(nmap)
+    if violations:
+        return {"violations": _violations_json(violations), "is_fibration": False}, False
+    report = check_fibration(nmap)
+    return dataclasses.asdict(report), report.is_fibration
+
+
+@_command("input-trees", "emit every node's input tree", "network", SEED, OUT)
+def _input_trees(args, read):
+    net = _load_network(read, args.network)
+    trees = []
+    for a in sorted(net.graph.nodes):
+        t = input_tree(net, a)
+        trees.append(
             {
-                "representative": c.representative,
-                "members": list(c.members),
-                "witnesses": {m: dict(c.witnesses[m].leaf_bijection) for m in c.members},
+                "root": t.root,
+                "root_space": t.root_type.name,
+                "aut_order": aut_order(t),
+                "leaves": [
+                    {"edge": l.edge_id, "source": l.source_node, "space": l.leaf_type.name}
+                    for l in t.leaves
+                ],
             }
-            for c in g.classes
-        ]
-        return (
-            {"classes": classes, "aut_orders": dict(sorted(g.aut_orders.items()))},
-            True,
-            [args.network],
         )
+    return {"trees": trees}, True
 
-    if command == "balanced":
-        if args.coarsest:
-            if len(args.paths) != 1:
-                raise InputError("balanced --coarsest expects one network path")
-            net = _load_network(args.paths[0])
-            partition, quotient, projection = coarsest_balanced(net)
-            return (
-                {
-                    "blocks": [list(b) for b in partition.blocks],
-                    "quotient": network_to_json(quotient),
-                    "projection": map_to_json(projection),
-                },
-                True,
-                list(args.paths),
-            )
-        if len(args.paths) != 2:
-            raise InputError("balanced --check expects partition.json then net.json")
-        partition = partition_from_json(read_json(args.paths[0]))
-        net = _load_network(args.paths[1])
-        if sorted(a for b in partition.blocks for a in b) != sorted(net.graph.nodes):
-            raise InputError(f"{args.paths[0]}: partition does not list each network node exactly once")
-        ok, witness = is_balanced(net, partition)
-        payload: dict = {"balanced": ok}
-        if witness is not None:
-            payload["witness"] = dataclasses.asdict(witness)
-        return payload, ok, list(args.paths)
 
-    if command == "quotient":
-        net = _load_network(args.network)
-        partition, quotient, projection = coarsest_balanced(net)
+@_command("groupoid", "isomorphism classes, witnesses, automorphism orders", "network", SEED, OUT)
+def _groupoid(args, read):
+    g = symmetry_groupoid(_load_network(read, args.network))
+    classes = [
+        {
+            "representative": c.representative,
+            "members": list(c.members),
+            "witnesses": {m: dict(c.witnesses[m].leaf_bijection) for m in c.members},
+        }
+        for c in g.classes
+    ]
+    return {"classes": classes, "aut_orders": dict(sorted(g.aut_orders.items()))}, True
+
+
+@_command("balanced", "coarsest balanced partition, or check one", "network", _coarsest_or_check, SEED, OUT)
+def _balanced(args, read):
+    if args.coarsest:
+        partition, quotient, projection = coarsest_balanced(_load_network(read, args.network))
         return (
             {
-                "partition": partition_to_json(partition),
+                "blocks": [list(b) for b in partition.blocks],
                 "quotient": network_to_json(quotient),
                 "projection": map_to_json(projection),
             },
             True,
-            [args.network],
         )
+    partition = partition_from_json(read(args.check))
+    net = _load_network(read, args.network)
+    if sorted(a for b in partition.blocks for a in b) != sorted(net.graph.nodes):
+        raise InputError(f"{args.check}: partition does not list each network node exactly once")
+    ok, witness = is_balanced(net, partition)
+    payload: dict = {"balanced": ok}
+    if witness is not None:
+        payload["witness"] = dataclasses.asdict(witness)
+    return payload, ok
 
-    if command == "factorize":
-        _, _, nmap = _load_map(args)
-        surjection, injection = factorize(nmap)
-        return (
-            {
-                "image": network_to_json(surjection.codomain),
-                "surjection": map_to_json(surjection),
-                "injection": map_to_json(injection),
-            },
-            True,
-            [args.domain, args.codomain, args.map],
-        )
 
-    if command == "essential-image":
-        _, codomain, nmap = _load_map(args)
-        essim = essential_image(nmap)
-        return (
-            {
-                "image": sorted(set(nmap.node_map.values())),
-                "essential_image": sorted(essim),
-                "essentially_surjective": essim == codomain.graph.node_set,
-            },
-            True,
-            [args.domain, args.codomain, args.map],
-        )
+@_command("quotient", "coarsest quotient network and projection", "network", SEED, OUT)
+def _quotient(args, read):
+    partition, quotient, projection = coarsest_balanced(_load_network(read, args.network))
+    return (
+        {
+            "partition": partition_to_json(partition),
+            "quotient": network_to_json(quotient),
+            "projection": map_to_json(projection),
+        },
+        True,
+    )
 
-    if command == "pullback":
-        _, codomain, nmap = _load_map(args)
-        w_prime = class_dynamics_from_json(read_json(args.dynamics), codomain)
-        pulled = pullback(nmap, w_prime)
-        return (
-            node_dynamics_to_json(pulled),
-            True,
-            [args.domain, args.codomain, args.map, args.dynamics],
-        )
 
-    if command == "simulate":
-        net = _load_network(args.network)
-        _check_horizon(args, net)
-        field = interconnect(net, class_dynamics_from_json(read_json(args.dynamics), net))
-        x0 = state_from_json(read_json(args.x0), field.index)
-        traj = integrate(field, x0, args.T, args.h)
-        header = ["t"]
-        for a in field.index.order:
-            dim = field.index.spaces[a].dim
-            header += [f"{a}[{i}]" for i in range(dim)]
-        lines = [",".join(header)]
-        for k in range(traj.states.shape[0]):
-            row = [repr(float(traj.times[k]))] + [repr(float(v)) for v in traj.states[k]]
-            lines.append(",".join(row))
-        csv_text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(csv_text, encoding="utf-8")
-        else:
-            sys.stdout.write(csv_text)
-        return {}, True, [args.network, args.dynamics, args.x0]
+@_command("factorize", "surjection-then-injection factorization of a fibration", MAP_FILES, SEED, OUT)
+def _factorize(args, read):
+    surjection, injection = factorize(_load_map(args, read))
+    return (
+        {
+            "image": network_to_json(surjection.codomain),
+            "surjection": map_to_json(surjection),
+            "injection": map_to_json(injection),
+        },
+        True,
+    )
 
-    if command == "verify":
-        domain, codomain, nmap = _load_map(args)
-        if args.suite != "driving":
-            _check_horizon(args, domain, codomain)
-        w_prime = class_dynamics_from_json(read_json(args.dynamics), codomain)
-        paths = [args.domain, args.codomain, args.map, args.dynamics]
-        if args.suite == "conjugacy":
-            tol = args.tol if args.tol is not None else 1e-12
-            x0p = None
-            if args.x0 is not None:
-                x0p = state_from_json(read_json(args.x0), total_phase_space(codomain))
-                paths.append(args.x0)
-            report = certify_conjugacy(
-                nmap, w_prime, samples=args.samples, seed=seed, T=args.T, h=args.h, x0_prime=x0p
-            )
-            ok = report.pointwise_max_residual <= tol and report.flow_max_deviation <= args.flow_tol
-            payload = dataclasses.asdict(report)
-            payload.update(tol=tol, flow_tol=args.flow_tol, passed=ok)
-            return payload, ok, paths
-        if args.suite == "polydiagonal":
-            tol = args.tol if args.tol is not None else 1e-9
-            if args.x0 is None:
-                raise InputError("verify polydiagonal requires --x0")
-            x0 = state_from_json(read_json(args.x0), total_phase_space(nmap.domain))
-            paths.append(args.x0)
-            distance = verify_polydiagonal_invariance(nmap, w_prime, x0, args.T, args.h, tol_sync=tol)
-            ok = distance <= tol
-            return (
-                {"max_distance": distance, "T": args.T, "h": args.h, "tol": tol, "passed": ok},
-                ok,
-                paths,
-            )
-        tol = args.tol if args.tol is not None else 1e-8
-        report = verify_driving_decomposition(
-            nmap, w_prime, samples=args.samples, seed=seed, fd_step=args.fd_step, tol=tol
-        )
-        payload = dataclasses.asdict(report)
-        payload["tol"] = tol
-        return payload, report.ok, paths
 
-    raise InputError(f"unknown command {command!r}")
+@_command("essential-image", "codomain nodes seen by the map up to input-tree iso", MAP_FILES, SEED, OUT)
+def _essential_image(args, read):
+    nmap = _load_map(args, read)
+    essim = essential_image(nmap)
+    return (
+        {
+            "image": sorted(set(nmap.node_map.values())),
+            "essential_image": sorted(essim),
+            "essentially_surjective": essim == nmap.codomain.graph.node_set,
+        },
+        True,
+    )
+
+
+@_command("pullback", "pull per-class dynamics back along a fibration", MAP_FILES + " dynamics", SEED, OUT)
+def _pullback(args, read):
+    nmap = _load_map(args, read)
+    w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
+    return node_dynamics_to_json(pullback(nmap, w_prime)), True
+
+
+@_command(
+    "simulate", "integrate dynamics, write a CSV trajectory", "network dynamics",
+    _option("--x0", required=True, help="state JSON path"), _horizon(), OUT,
+)
+def _simulate(args, read):
+    net = _load_network(read, args.network)
+    _check_horizon(args, net)
+    field = interconnect(net, class_dynamics_from_json(read(args.dynamics), net))
+    x0 = state_from_json(read(args.x0), field.index)
+    traj = integrate(field, x0, args.T, args.h)
+    header = ["t"]
+    for a in field.index.order:
+        dim = field.index.spaces[a].dim
+        header += [f"{a}[{i}]" for i in range(dim)]
+    lines = [",".join(header)]
+    for k in range(traj.states.shape[0]):
+        row = [repr(float(traj.times[k]))] + [repr(float(v)) for v in traj.states[k]]
+        lines.append(",".join(row))
+    _write(args.out, "\n".join(lines) + "\n")
+    return None, True
+
+
+@_command(
+    "verify conjugacy", "the fibration's coordinate map intertwines the two fields", MAP_FILES + " dynamics",
+    SAMPLES, _tol(1e-12), _option("--x0", help="codomain state JSON path"), _horizon(1.0, 1e-3), FLOW_TOL, SEED, OUT,
+)
+def _verify_conjugacy(args, read):
+    nmap = _load_map(args, read)
+    _check_horizon(args, nmap.domain, nmap.codomain)
+    w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
+    x0p = None if args.x0 is None else state_from_json(read(args.x0), total_phase_space(nmap.codomain))
+    report = certify_conjugacy(
+        nmap, w_prime, samples=args.samples, seed=args.seed, T=args.T, h=args.h, x0_prime=x0p
+    )
+    ok = report.pointwise_max_residual <= args.tol and report.flow_max_deviation <= args.flow_tol
+    payload = dataclasses.asdict(report)
+    payload.update(tol=args.tol, flow_tol=args.flow_tol, passed=ok)
+    return payload, ok
+
+
+@_command(
+    "verify polydiagonal", "the fibration's synchrony subspace is invariant", MAP_FILES + " dynamics",
+    _option("--x0", required=True, help="domain state JSON path"), _tol(1e-9), _horizon(1.0, 1e-3), SEED, OUT,
+)
+def _verify_polydiagonal(args, read):
+    nmap = _load_map(args, read)
+    _check_horizon(args, nmap.domain, nmap.codomain)
+    w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
+    x0 = state_from_json(read(args.x0), total_phase_space(nmap.domain))
+    distance = verify_polydiagonal_invariance(nmap, w_prime, x0, args.T, args.h, tol_sync=args.tol)
+    ok = distance <= args.tol
+    return {"max_distance": distance, "T": args.T, "h": args.h, "tol": args.tol, "passed": ok}, ok
+
+
+@_command(
+    "verify driving", "the image of an injective fibration is autonomous", MAP_FILES + " dynamics",
+    SAMPLES, _tol(1e-8), FD_STEP, SEED, OUT,
+)
+def _verify_driving(args, read):
+    nmap = _load_map(args, read)
+    w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
+    report = verify_driving_decomposition(
+        nmap, w_prime, samples=args.samples, seed=args.seed, fd_step=args.fd_step, tol=args.tol
+    )
+    payload = dataclasses.asdict(report)
+    payload["tol"] = args.tol
+    return payload, report.ok
 
 
 _parser: argparse.ArgumentParser | None = None
@@ -414,28 +386,32 @@ def main(argv=None) -> int:
     if _parser is None:  # built once per process; parsing leaves it unchanged
         _parser = build_parser()
     args = _parser.parse_args(argv)
+    inputs = []  # each file parsed, in read order, with the SHA-256 of the bytes parsed
+
+    def read(path: str):
+        obj, sha256 = read_json(path)
+        inputs.append({"path": path, "sha256": sha256})
+        return obj
+
     try:
-        seed = _seed(args)
-        results, ok, paths = _dispatch(args, seed)
+        if "seed" in args:  # every command but simulate, which draws nothing and writes no report
+            args.seed = _seed(args)
+        results, ok = args.run(args, read)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FibraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.command != "simulate":
+    if results is not None:
         report = {
             "artifact_version": __version__,
             "command": args.command,
-            "inputs": [{"path": p, "sha256": _hash_file(p)} for p in paths],
-            "seed": seed,
+            "inputs": inputs,
+            "seed": args.seed,
             "results": results,
         }
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-        if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+        _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
     return 0 if ok else 1
 
 

@@ -472,8 +472,8 @@ def _wrap(e: Expr, parent_prec: int, *, strict: bool = False) -> str:
 
 def unparse(e: Expr) -> str:
     """Render an AST back to source; parse(unparse(e)) == e."""
-    if isinstance(e, Num):
-        return repr(e.value)
+    if isinstance(e, Num):  # a literal is never negative; an overflowing one is +inf
+        return "1e999" if e.value == math.inf else repr(e.value)
     if isinstance(e, RootRef):
         return f"x[{e.index}]"
     if isinstance(e, InputRef):

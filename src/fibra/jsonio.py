@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from collections.abc import Mapping
@@ -17,13 +18,15 @@ from .fibrations import Partition
 from .graphs import Edge, Graph, Network, NetworkMap, PhaseSpace, StateIndex, circle, euclidean
 
 
-def read_json(path: str | Path) -> Any:
+def read_json(path: str | Path) -> tuple[Any, str]:
+    """The parsed UTF-8 JSON file and the SHA-256 hex digest of the bytes parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    try:
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -128,6 +131,8 @@ def class_dynamics_from_json(obj: Any, net: Network) -> VirtualVectorField:
             rep = _require(entry, "representative", "dynamics class")
             if not isinstance(rep, str):
                 raise InputError(f"dynamics class: 'representative' must be a node id string, got {rep!r}")
+            if rep in controls:
+                raise InputError(f"dynamics class: representative {rep!r} is listed twice")
             exprs = _require(entry, "exprs", "dynamics class")
             if not isinstance(exprs, list) or not all(isinstance(s, str) for s in exprs):
                 raise InputError("dynamics class: 'exprs' must be a list of strings")

@@ -261,7 +261,7 @@ def verify_driving_decomposition(
             worst = np.maximum(worst, np.abs(diffs[:, image_coords]).max(initial=0.0))
     worst = float(worst)
     return DrivingReport(
-        ok=report.is_fibration and (not feedback) and worst < tol,
+        ok=report.is_fibration and (not feedback) and worst <= tol,
         is_fibration=report.is_fibration,
         feedback_edges=feedback,
         fd_max_residual=worst,

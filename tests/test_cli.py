@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import fibra
 from fibra import fixtures
-from fibra.cli import main
+from fibra.cli import build_parser, main
 from fibra.jsonio import class_dynamics_to_json, map_to_json, network_to_json
 
 
@@ -57,13 +58,21 @@ def test_validate_bad_network_exits_1(files, capsys):
     assert report_of(out)["results"]["violations"]
 
 
-def test_malformed_json_exits_2(files, capsys):
+MALFORMED_JSON = {
+    "broken": b"{not json",
+    "not-utf8": b'\xff\xfe{"nodes": [], "edges": []}',
+    "nested-too-deep": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("malformed", sorted(MALFORMED_JSON))
+def test_malformed_json_exits_2(files, capsys, malformed):
     _, tmp = files
     path = tmp / "broken.json"
-    path.write_text("{not json", encoding="utf-8")
-    code, _, err = run_cli(capsys, ["validate", str(path)])
-    assert code == 2
-    assert "error" in err
+    path.write_bytes(MALFORMED_JSON[malformed])
+    code, out, err = run_cli(capsys, ["validate", str(path)])
+    assert_malformed(code, out, err)
+    assert err.startswith(f"error: {path} is not valid JSON: ")
 
 
 # --x0 files for g3 (three R1 nodes "1", "2", "3"), each with one bad coordinate
@@ -440,6 +449,9 @@ MALFORMED_DYNAMICS = {
     "representative-list": {"classes": [{"representative": ["a"], "exprs": ["-x[0]"]}]},
     "representative-dict": {"classes": [{"representative": {"id": "a"}, "exprs": ["-x[0]"]}]},
     "representative-number": {"classes": [{"representative": 1, "exprs": ["-x[0]"]}]},
+    "representative-repeated": {
+        "classes": [{"representative": "a", "exprs": ["-x[0]"]}, {"representative": "a", "exprs": ["5"]}]
+    },
 }
 
 
@@ -508,6 +520,64 @@ def test_parser_is_built_once_per_process(files, capsys, monkeypatch):
     second = run_cli(capsys, ["groupoid", net])
     assert first[0] == 0 and second[0] == 0
     assert report_of(first[1])["command"] == "validate" and report_of(second[1])["command"] == "groupoid"
+
+
+# each command's argv up to and including its required options; no file is opened
+MAP_ARGS = ["d.json", "c.json", "m.json"]
+BASE_ARGV = {
+    **{c: [c, "n.json"] for c in ["validate", "input-trees", "groupoid", "quotient"]},
+    **{c: [c, *MAP_ARGS] for c in ["check-map", "check-fibration", "factorize", "essential-image"]},
+    "pullback": ["pullback", *MAP_ARGS, "w.json"],
+    "balanced": ["balanced", "--coarsest", "n.json"],
+    "simulate": ["simulate", "n.json", "w.json", "--x0", "x.json", "--T", "1", "--h", "0.1"],
+    "verify conjugacy": ["verify", "conjugacy", *MAP_ARGS, "w.json"],
+    "verify polydiagonal": ["verify", "polydiagonal", *MAP_ARGS, "w.json", "--x0", "x.json"],
+    "verify driving": ["verify", "driving", *MAP_ARGS, "w.json"],
+}
+OPTION_VALUES = {"--seed": "3", "--out": "r.json", "--samples": "5", "--tol": "1e-9", "--x0": "x.json",
+                 "--T": "1", "--h": "0.1", "--flow-tol": "1e-8", "--fd-step": "1e-6"}
+REPORT_ONLY = ["--seed", "--out"]
+READ_OPTIONS = {
+    **{c: REPORT_ONLY for c in BASE_ARGV},
+    "simulate": ["--x0", "--T", "--h", "--out"],
+    "verify conjugacy": ["--samples", "--tol", "--x0", "--T", "--h", "--flow-tol", "--seed", "--out"],
+    "verify polydiagonal": ["--x0", "--tol", "--T", "--h", "--seed", "--out"],
+    "verify driving": ["--samples", "--tol", "--fd-step", "--seed", "--out"],
+}
+# (command, option) pairs that every command accepted before each declared only the options it reads
+UNREAD_OPTIONS = [
+    *[(c, o) for c in READ_OPTIONS if READ_OPTIONS[c] == REPORT_ONLY for o in ["--samples", "--tol"]],
+    *[("simulate", o) for o in ["--seed", "--samples", "--tol"]],
+    ("verify conjugacy", "--fd-step"),
+    *[("verify polydiagonal", o) for o in ["--samples", "--flow-tol", "--fd-step"]],
+    *[("verify driving", o) for o in ["--x0", "--T", "--h", "--flow-tol"]],
+]
+
+
+@pytest.mark.parametrize("command", sorted(READ_OPTIONS))
+def test_command_reads_its_options(command):
+    argv = BASE_ARGV[command] + [a for o in READ_OPTIONS[command] for a in (o, OPTION_VALUES[o])]
+    args = build_parser().parse_args(argv)
+    assert all(getattr(args, o[2:].replace("-", "_")) is not None for o in READ_OPTIONS[command])
+
+
+@pytest.mark.parametrize("command, option", UNREAD_OPTIONS, ids=[f"{c} {o}" for c, o in UNREAD_OPTIONS])
+def test_unread_option_exits_2(capsys, command, option):
+    assert len(UNREAD_OPTIONS) == 31
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(BASE_ARGV[command] + [option, OPTION_VALUES[option]])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_readme_command_lines_parse():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("fibra ")]
+    assert len(lines) == 15
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
 
 
 MALFORMED_PARTITIONS = {

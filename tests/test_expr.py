@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -255,7 +257,7 @@ def ast_exprs(draw, scope=None, depth=3):
         choices += ["neg", "bin", "pow", "call", "agg"]
     kind = draw(st.sampled_from(choices))
     if kind == "num":
-        return Num(float(draw(st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.25, 10.0]))))
+        return Num(float(draw(st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.25, 10.0, math.inf]))))
     if kind == "root":
         return RootRef(draw(st.integers(0, RT_SIG.root.dim - 1)))
     if kind == "input":

@@ -80,6 +80,9 @@ def test_class_dynamics_rejects_bad_expressions():
     net = fixtures.cycle2()
     with pytest.raises(InputError):
         class_dynamics_from_json({"classes": [{"representative": "a", "exprs": ["u[0]"]}]}, net)
+    twice = [{"representative": "a", "exprs": ["-x[0]"]}, {"representative": "a", "exprs": ["5"]}]
+    with pytest.raises(InputError, match="representative 'a' is listed twice"):
+        class_dynamics_from_json({"classes": twice}, net)
 
 
 def test_node_dynamics_export_after_pullback():

@@ -234,6 +234,8 @@ def test_driving_decomposition_cycle_in_g3():
     assert report.ok
     assert report.feedback_edges == ()
     assert report.fd_max_residual < 1e-8
+    exact = verify_driving_decomposition(tau, w, samples=10, seed=0, tol=0.0)
+    assert exact.ok and exact.fd_max_residual == 0.0  # passes on <=, as the conjugacy checks do
 
 
 def test_driving_decomposition_core_in_broadcast():
