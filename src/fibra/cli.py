@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -29,6 +28,7 @@ from .graphs import Network, NetworkMap, check_network_map, total_phase_space, v
 from .input_trees import aut_order, input_tree, symmetry_groupoid
 from .jsonio import (
     class_dynamics_from_json,
+    dumps,
     map_from_json,
     map_to_json,
     network_from_json,
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "results": results,
         }
-        _write(args.out, json.dumps(report, indent=2, sort_keys=True) + "\n")
+        _write(args.out, dumps(report) + "\n")
     return 0 if ok else 1
 
 

@@ -88,7 +88,7 @@ class Graph:
 
     def in_edges(self, node: NodeId) -> tuple[Edge, ...]:
         """In-edges of ``node`` sorted by edge id."""
-        return self._in_edge_map.get(node, ())
+        return self._adjacency[0].get(node, ())
 
     def edge_by_id(self, edge_id: EdgeId) -> Edge:
         return self._edge_index[edge_id]
@@ -98,19 +98,27 @@ class Graph:
         return frozenset(self.nodes)
 
     @cached_property
-    def _in_edge_map(self) -> dict[NodeId, tuple[Edge, ...]]:
-        acc: dict[NodeId, list[Edge]] = {a: [] for a in self.nodes}
-        for e in self.edges:
-            acc.setdefault(e.tgt, []).append(e)
-        by_id = attrgetter("edge_id")
-        return {a: tuple(sorted(es, key=by_id)) for a, es in acc.items()}
+    def _adjacency(self) -> tuple[dict[NodeId, tuple[Edge, ...]], tuple[NodeId, ...], list[list]]:
+        """From one pass over the edges: each node's in-edges sorted by edge id, the distinct
+        nodes in listing order, and for each of them the positions there of its in-edge sources.
 
-    @cached_property
-    def _source_positions(self) -> tuple[tuple[NodeId, ...], tuple[tuple[int, ...], ...]]:
-        """The distinct nodes in listing order, and the positions there of each one's in-edge sources."""
+        A source that names no node has position None, so that ``in_edges`` still
+        works on a graph that ``validate_network`` rejects.
+        """
         nodes = tuple(dict.fromkeys(self.nodes))
-        position = {a: i for i, a in enumerate(nodes)}
-        return nodes, tuple(tuple([position[e.src] for e in self.in_edges(a)]) for a in nodes)
+        position = {a: i for i, a in enumerate(nodes)}.get
+        acc: dict[NodeId, tuple[list[Edge], list]] = {a: ([], []) for a in nodes}
+        for e in self.edges:
+            edges, sources = acc.get(e.tgt) or acc.setdefault(e.tgt, ([], []))  # a target that is no node too
+            edges.append(e)
+            sources.append(position(e.src))
+        by_id = attrgetter("edge_id")
+        in_edges = {}
+        for a, (edges, _) in acc.items():
+            if len(edges) > 1:
+                edges.sort(key=by_id)
+            in_edges[a] = tuple(edges)
+        return in_edges, nodes, [sources for _, sources in acc.values()][: len(nodes)]
 
     @cached_property
     def _edge_index(self) -> dict[EdgeId, Edge]:
@@ -158,7 +166,7 @@ def refinement_rounds(net: Network, colour: Mapping[NodeId, Hashable]) -> Iterat
     colour, sorted colours of its in-edge sources), starting from ``colour``.
     The yielded dict is the round's own, not a copy.
     """
-    nodes, sources = net.graph._source_positions
+    _, nodes, sources = net.graph._adjacency
     dense: dict[Hashable, int] = {}
     colours = [dense.setdefault(colour[a], len(dense)) for a in nodes]
     while True:

@@ -59,6 +59,18 @@ def input_tree(net: Network, a: NodeId) -> InputTree:
     return InputTree(a, net.space(a), leaves)
 
 
+def _leaf_ids_by_type(net: Network, a: NodeId) -> dict[str, list[EdgeId]]:
+    """The in-edge ids of ``a`` grouped by source-space name, groups in name order, ids in edge-id order.
+
+    The leaf ids of ``input_tree(net, a).type_groups()``, without building the tree.
+    """
+    phase = net.phase
+    groups: dict[str, list[EdgeId]] = {}
+    for e in net.in_edges(a):
+        groups.setdefault(phase[e.src].name, []).append(e.edge_id)
+    return {name: groups[name] for name in sorted(groups)}
+
+
 @dataclass(frozen=True)
 class TreeIso:
     """Isomorphism between two input trees: root goes to root, leaf_bijection on in-edge ids."""
@@ -138,12 +150,12 @@ def enumerate_tree_isos(
         return TreeIsos(a, b, (), (), 0)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-    groups_a, groups_b = input_tree(net, a).type_groups(), input_tree(net, b).type_groups()
+    groups_a, groups_b = _leaf_ids_by_type(net, a), _leaf_ids_by_type(net, b)
     return TreeIsos(
         a,
         b,
-        tuple(l.edge_id for name in groups_a for l in groups_a[name]),
-        tuple(tuple(l.edge_id for l in groups_b[name]) for name in groups_a),
+        tuple(itertools.chain.from_iterable(groups_a.values())),
+        tuple(tuple(groups_b[name]) for name in groups_a),
         count,
     )
 
@@ -225,18 +237,13 @@ def aut_generators(tree: InputTree) -> list[TreeIso]:
     return gens
 
 
-def _canonical_witness(member: InputTree, rep: InputTree) -> TreeIso:
-    # positional matching of sorted same-type blocks; valid because multisets agree
-    bij: dict[EdgeId, EdgeId] = {}
-    groups_m, groups_r = member.type_groups(), rep.type_groups()
-    for name in groups_m:
-        for lm, lr in zip(groups_m[name], groups_r[name]):
-            bij[lm.edge_id] = lr.edge_id
-    return TreeIso(member.root, rep.root, bij)
-
-
 class _Witnesses(Mapping):
-    """member -> canonical iso onto the representative, built on first access and kept."""
+    """member -> canonical iso onto the representative, built on first access and kept.
+
+    The canonical iso matches the members' same-type in-edges positionally, in
+    edge-id order; it exists because every member has the representative's
+    typed leaf multiset.
+    """
 
     def __init__(self, net: Network, representative: NodeId, members: tuple[NodeId, ...]):
         self._net = net
@@ -249,15 +256,16 @@ class _Witnesses(Mapping):
         return frozenset(self._members)
 
     @cached_property
-    def _rep_tree(self) -> InputTree:
-        return input_tree(self._net, self._representative)
+    def _rep_ids(self) -> tuple[EdgeId, ...]:
+        return tuple(itertools.chain.from_iterable(_leaf_ids_by_type(self._net, self._representative).values()))
 
     def __getitem__(self, member: NodeId) -> TreeIso:
         iso = self._built.get(member)
         if iso is None:
             if member not in self._member_set:
                 raise KeyError(member)
-            iso = self._built[member] = _canonical_witness(input_tree(self._net, member), self._rep_tree)
+            ids = itertools.chain.from_iterable(_leaf_ids_by_type(self._net, member).values())
+            iso = self._built[member] = TreeIso(member, self._representative, dict(zip(ids, self._rep_ids)))
         return iso
 
     def __iter__(self):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 from collections.abc import Mapping
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -28,6 +29,50 @@ def read_json(path: str | Path) -> tuple[Any, str]:
         return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def dumps(obj: Any) -> str:
+    """The text ``json.dumps(obj, indent=2, sort_keys=True)`` gives, for reports.
+
+    Takes str-keyed dicts, lists, tuples, strings, ints, floats, bools and
+    None; raises TypeError on anything else, a non-str key included.  (With
+    ``indent`` set, the standard encoder runs its pure-Python generator.)
+    """
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj: Any, newline: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + newline + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _require(obj: Any, key: str, where: str) -> Any:
@@ -55,26 +100,56 @@ def space_to_json(space: PhaseSpace) -> dict:
 
 
 def network_from_json(obj: Any) -> Network:
+    """A network from {"nodes": [{"id", "space"}], "edges": [{"id", "src", "tgt"}]}, each list read once.
+
+    A plain dict entry whose fields have their JSON types is read directly; any
+    other entry goes through the checks that name what is wrong with it.
+    """
     nodes = _require(obj, "nodes", "network")
     edges = _require(obj, "edges", "network")
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise InputError("network: 'nodes' and 'edges' must be lists")
     ids, phase = [], {}
+    spaces: dict[tuple, PhaseSpace] = {}  # (kind, dim) -> its space, one per distinct JSON space
     for entry in nodes:
-        nid = _require(entry, "id", "network node")
-        if not isinstance(nid, str):
-            raise InputError(f"network node: id must be a string, got {nid!r}")
+        if type(entry) is dict and type(nid := entry.get("id")) is str and type(js := entry.get("space")) is dict:
+            kind, dim = js.get("kind"), js.get("dim")
+            if type(kind) is str and (dim is None or type(dim) is int):  # equal keys, equal spaces
+                space = spaces.get((kind, dim))
+                if space is None:
+                    space = spaces[kind, dim] = space_from_json(js)
+            else:
+                space = space_from_json(js)
+        else:
+            nid = _node_id(entry)
+            space = space_from_json(_require(entry, "space", "network node"))
         ids.append(nid)
-        phase[nid] = space_from_json(_require(entry, "space", "network node"))
+        phase[nid] = space
     edge_list = []
     for entry in edges:
-        eid = _require(entry, "id", "network edge")
-        src = _require(entry, "src", "network edge")
-        tgt = _require(entry, "tgt", "network edge")
-        if not all(isinstance(v, str) for v in (eid, src, tgt)):
-            raise InputError("network edge: id, src, tgt must be strings")
-        edge_list.append(Edge(eid, src, tgt))
+        if type(entry) is dict:
+            eid, src, tgt = entry.get("id"), entry.get("src"), entry.get("tgt")
+            if type(eid) is str and type(src) is str and type(tgt) is str:
+                edge_list.append(Edge(eid, src, tgt))
+                continue
+        edge_list.append(_edge(entry))
     return Network(Graph(tuple(ids), tuple(edge_list)), phase)
+
+
+def _node_id(entry: Any) -> str:
+    nid = _require(entry, "id", "network node")
+    if not isinstance(nid, str):
+        raise InputError(f"network node: id must be a string, got {nid!r}")
+    return nid
+
+
+def _edge(entry: Any) -> Edge:
+    eid = _require(entry, "id", "network edge")
+    src = _require(entry, "src", "network edge")
+    tgt = _require(entry, "tgt", "network edge")
+    if not all(isinstance(v, str) for v in (eid, src, tgt)):
+        raise InputError("network edge: id, src, tgt must be strings")
+    return Edge(eid, src, tgt)
 
 
 def network_to_json(net: Network) -> dict:
@@ -90,7 +165,7 @@ def map_from_json(obj: Any, domain: Network, codomain: Network) -> NetworkMap:
     if not isinstance(nodes, Mapping) or not isinstance(edges, Mapping):
         raise InputError("map: 'nodes' and 'edges' must be objects")
     _check_images(nodes, domain.graph.node_set, "node")
-    _check_images(edges, {e.edge_id for e in domain.graph.edges}, "edge")
+    _check_images(edges, domain.graph._edge_index, "edge")
     return NetworkMap(domain, codomain, dict(nodes), dict(edges))
 
 
@@ -194,5 +269,8 @@ def state_from_json(obj: Any, index: StateIndex) -> np.ndarray:
             if a not in by_node:
                 raise InputError(f"state: missing node {a!r}")
             x[index.slice_of(a)] = _coordinates(by_node[a], index.spaces[a].dim, f"node {a!r}")
+        for a in by_node:
+            if a not in index.slices:
+                raise InputError(f"state: unknown node {a!r}")
         return x
     raise InputError("state: expected 'flat' or 'by_node'")

@@ -24,6 +24,19 @@ def files(tmp_path):
     return write, tmp_path
 
 
+@pytest.fixture(autouse=True)
+def canonical_reports(monkeypatch):
+    """Every JSON report a command writes is the text ``json.dumps`` gives for the value it parses to."""
+    write = fibra.cli._write
+
+    def checked(out, text):
+        if text.startswith("{"):  # a report, not a CSV trajectory
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        write(out, text)
+
+    monkeypatch.setattr(fibra.cli, "_write", checked)
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -102,6 +115,23 @@ def test_malformed_state_exits_2(files, capsys, malformed):
     assert out == ""
     assert "must be a list of" in err and "finite numbers" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "verify polydiagonal"])
+def test_state_naming_an_unknown_node_exits_2(files, capsys, command):
+    write, _ = files
+    m = fixtures.g3_to_c2()
+    dom, cod = write("g3.json", network_to_json(m.domain)), write("c2.json", network_to_json(m.codomain))
+    x0 = write("x0.json", {"by_node": {"1": [0.25], "2": [-1.5], "3": [0.25], "zzz": [1.0]}})
+    if command == "simulate":
+        dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(m.domain)))
+        argv = ["simulate", dom, dyn, "--x0", x0, "--T", "0.1", "--h", "0.1"]
+    else:
+        dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(m.codomain)))
+        argv = ["verify", "polydiagonal", dom, cod, write("m.json", map_to_json(m)), dyn, "--x0", x0]
+    code, out, err = run_cli(capsys, argv)
+    assert_malformed(code, out, err)
+    assert err == "error: state: unknown node 'zzz'\n"
 
 
 def test_simulate_deeply_nested_expression_exits_2(files, capsys):

@@ -1,12 +1,22 @@
+import contextlib
+import copy
+import io
+import json
+import math
+import types
+
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import fibra
 from fibra import InputError, R1, R2, S1, total_phase_space
 from fibra import fixtures
+from fibra.cli import main
 from fibra.jsonio import (
     class_dynamics_from_json,
     class_dynamics_to_json,
+    dumps,
     map_from_json,
     map_to_json,
     network_from_json,
@@ -17,6 +27,8 @@ from fibra.jsonio import (
     space_from_json,
     state_from_json,
 )
+
+from util import reference_network_from_json
 
 
 def test_network_roundtrip():
@@ -109,3 +121,120 @@ def test_state_from_json_flat_and_by_node():
         state_from_json({"by_node": {"1": [1]}}, idx)
     with pytest.raises(InputError):
         state_from_json({}, idx)
+    with pytest.raises(InputError, match="state: unknown node 'zzz'"):
+        state_from_json({"by_node": {"1": [1], "2": [2, 3], "3": [4], "4": [5, 6], "zzz": [1.0]}}, idx)
+
+
+# --- the one-pass loader against the loader it replaced ------------------------------
+
+NODE_IDS = st.sampled_from(["a", "b", "c"])  # few ids, so duplicate and dangling ones occur
+SPACES_JSON = st.sampled_from([{"kind": "S1"}, {"kind": "R", "dim": 1}, {"kind": "R", "dim": 2}, {"kind": "S1", "dim": 3}])
+NODE_JSON = st.builds(lambda i, space: {"id": i, "space": dict(space)}, NODE_IDS, SPACES_JSON)
+EDGE_JSON = st.builds(lambda i, s, t: {"id": i, "src": s, "tgt": t}, st.sampled_from(["e0", "e1"]), NODE_IDS, NODE_IDS)
+NETWORK_JSON = st.builds(lambda n, e: {"nodes": n, "edges": e}, st.lists(NODE_JSON, max_size=4), st.lists(EDGE_JSON, max_size=4))
+# a field's value retyped: a bool, an int, a float, None, a string, a list or a nested object
+RETYPED = st.sampled_from([True, False, 1, 0, 1.0, None, "1", ["a"], [], {"id": "a"}, {}])
+R1_NODE = {"id": "a", "space": {"kind": "R", "dim": 1}}
+
+
+@st.composite
+def network_values(draw):
+    """A well-formed network object, or one with a single field dropped, retyped, or its object given as a
+    Mapping that is not a dict.
+
+    A node or edge is changed in a copy appended to its list, so an unchanged
+    twin comes before it: a loader that reuses what it read for an entry that
+    compares equal (``True == 1 == 1.0``) is caught.
+    """
+    obj = draw(NETWORK_JSON)
+    how = draw(st.sampled_from(["none", "drop", "retype", "mapping"]))
+    if how == "none":
+        return obj
+    where = draw(st.sampled_from(["network", "node", "space", "edge"]))
+    target = obj
+    if where != "network":
+        entries = obj["edges" if where == "edge" else "nodes"]
+        twin = draw(st.sampled_from(entries)) if entries else draw(EDGE_JSON if where == "edge" else NODE_JSON)
+        entries.append(copy.deepcopy(twin))
+        target = entries[-1]["space"] if where == "space" else entries[-1]
+    if how == "mapping":
+        if where == "network":
+            return types.MappingProxyType(obj)
+        if where == "space":
+            entries[-1]["space"] = types.MappingProxyType(target)
+        else:
+            entries[-1] = types.MappingProxyType(target)
+        return obj
+    key = draw(st.sampled_from(sorted(target)))
+    if how == "drop":
+        del target[key]
+    else:
+        target[key] = draw(RETYPED)
+    return obj
+
+
+def _outcome(load, obj):
+    try:
+        net = load(obj)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+    return net, dict(net.phase)
+
+
+@given(network_values())
+@example({"nodes": [R1_NODE, {"id": "b", "space": {"kind": "R", "dim": True}}], "edges": []})
+@example({"nodes": [R1_NODE, {"id": "b", "space": {"kind": "R", "dim": 1.0}}], "edges": []})
+@example({"nodes": [R1_NODE], "edges": [{"id": "e", "src": "a", "tgt": "a"}, {"id": 1, "src": "a", "tgt": "a"}]})
+def test_network_loader_matches_reference(obj):
+    got, want = _outcome(network_from_json, obj), _outcome(reference_network_from_json, obj)
+    assert got == want
+    assert got[0] is InputError or isinstance(got[0], fibra.Network)
+
+
+@given(network_values())
+def test_network_files_never_escape_main(tmp_path_factory, obj):
+    path = tmp_path_factory.mktemp("net") / "net.json"
+    path.write_text(json.dumps(obj, default=dict), encoding="utf-8")
+    for command in ["validate", "groupoid"]:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, str(path)])
+        assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+
+
+# --- the report writer against json.dumps ----------------------------------------------
+
+TRICKY_TEXT = st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r\b\f", "é漢字😀", "\u2028", ""])
+TEXT = st.one_of(st.text(max_size=6), TRICKY_TEXT)
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1e-300, 5e-324, 1e308, math.nan, math.inf, -math.inf]))
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-(10**40), 10**40), FLOATS, TEXT)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple), st.dictionaries(TEXT, inner, max_size=4)
+    ),
+    max_leaves=20,
+)
+
+
+@given(JSON_VALUES)
+def test_dumps_matches_json(value):
+    assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+NOT_REPORTS = {
+    "set": {1},
+    "frozenset": frozenset(),
+    "int-key": {1: "a"},
+    "nested-none-key": {"a": {None: 1}},
+    "float-key-in-list": [{"a": 1, 2.5: 0}],
+    "tuple-key": {(1,): 2},
+    "bytes": b"x",
+    "object": [object()],
+    "numpy-int": {"a": np.int64(1)},
+}
+
+
+@pytest.mark.parametrize("value", NOT_REPORTS.values(), ids=NOT_REPORTS.keys())
+def test_dumps_refuses_sets_and_non_str_keys(value):
+    with pytest.raises(TypeError):
+        dumps(value)

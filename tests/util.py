@@ -38,8 +38,9 @@ from fibra import (
     total_phase_space,
 )
 from fibra.expr_dsl import FUNCTIONS, Aggregate, BinOp, Call, InputRef, Neg, Num, Pow, RootRef
-from fibra.errors import EvaluationFault
+from fibra.errors import EvaluationFault, InputError
 from fibra.graphs import TWO_PI
+from fibra.jsonio import _require, space_from_json
 
 SPACES = (R1, R2, S1)
 
@@ -680,3 +681,31 @@ def reference_certify_conjugacy(m: NetworkMap, w_prime, samples: int, seed: int,
     traj = integrate(interconnect(m.domain, pullback(m, w_prime)), p(x0_prime), T, h)
     flow = np.max([coordinate_distance(p(xp), x, p.domain_index) for xp, x in zip(traj_prime.states, traj.states)])
     return pointwise, float(flow)
+
+
+# --- reference JSON boundary -------------------------------------------------------
+# The loader that checked every field of every entry through ``_require``,
+# kept as the oracle of the one-pass loader.
+
+
+def reference_network_from_json(obj) -> Network:
+    nodes = _require(obj, "nodes", "network")
+    edges = _require(obj, "edges", "network")
+    if not isinstance(nodes, list) or not isinstance(edges, list):
+        raise InputError("network: 'nodes' and 'edges' must be lists")
+    ids, phase = [], {}
+    for entry in nodes:
+        nid = _require(entry, "id", "network node")
+        if not isinstance(nid, str):
+            raise InputError(f"network node: id must be a string, got {nid!r}")
+        ids.append(nid)
+        phase[nid] = space_from_json(_require(entry, "space", "network node"))
+    edge_list = []
+    for entry in edges:
+        eid = _require(entry, "id", "network edge")
+        src = _require(entry, "src", "network edge")
+        tgt = _require(entry, "tgt", "network edge")
+        if not all(isinstance(v, str) for v in (eid, src, tgt)):
+            raise InputError("network edge: id, src, tgt must be strings")
+        edge_list.append(Edge(eid, src, tgt))
+    return Network(Graph(tuple(ids), tuple(edge_list)), phase)
