@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .dynamics import interconnect, pullback
-from .errors import FibraError, InputError
+from .errors import FibraError, InputError, PreconditionError
 from .fibrations import (
     check_fibration,
     coarsest_balanced,
@@ -198,10 +198,10 @@ def _check_map(args, read):
 @_command("check-fibration", "unique-lift check plus classification", MAP_FILES, SEED, OUT)
 def _check_fibration(args, read):
     nmap = _load_map(args, read)
-    violations = check_network_map(nmap)
-    if violations:
-        return {"violations": _violations_json(violations), "is_fibration": False}, False
-    report = check_fibration(nmap)
+    try:
+        report = check_fibration(nmap)
+    except PreconditionError:  # an invalid map: list every violation
+        return {"violations": _violations_json(check_network_map(nmap)), "is_fibration": False}, False
     return dataclasses.asdict(report), report.is_fibration
 
 

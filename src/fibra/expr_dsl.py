@@ -359,14 +359,8 @@ class _Parser:
         if var_tok.kind != "ident" or var_tok.text in KEYWORDS or var_tok.text == "x" or var_tok.text in FUNCTIONS:
             raise ExprSyntaxError("expected a fresh aggregator variable name", var_tok.pos)
         self.advance()
-        in_tok = self.peek()
-        if in_tok.text != "in":
-            raise ExprSyntaxError(f"expected 'in', found {in_tok.text!r}", in_tok.pos)
-        self.advance()
-        inputs_tok = self.peek()
-        if inputs_tok.text != "inputs":
-            raise ExprSyntaxError(f"expected 'inputs', found {inputs_tok.text!r}", inputs_tok.pos)
-        self.advance()
+        self.expect("in")
+        self.expect("inputs")
         self.expect("[")
         group_tok = self.peek()
         if group_tok.kind not in ("ident", "num"):
@@ -537,6 +531,19 @@ def _map(fn: Callable[[float], float], v: _Value) -> _Value:
     return fn(v)
 
 
+def _elementwise(arg: _Node, fn: Callable[[float], float], checked: Callable[[float], float]) -> _Node:
+    """``fn`` on each member's float; on a fault, ``checked`` reruns it to raise the fault or give ±inf."""
+
+    def step(frame: list) -> _Value:
+        v = arg(frame)
+        try:
+            return _map(fn, v)
+        except (ValueError, OverflowError, ZeroDivisionError):
+            return _map(checked, v)
+
+    return step
+
+
 def _canonical_order(values: np.ndarray) -> np.ndarray:
     """Each member's inputs sorted by value, coordinate by coordinate, ties in place.
 
@@ -576,14 +583,7 @@ def _compile_call(e: Call, arg: _Node) -> _Node:
 
         return sqrt
 
-    def call(frame: list) -> _Value:
-        v = arg(frame)
-        try:
-            return _map(fn, v)
-        except (ValueError, OverflowError):
-            return _map(checked, v)
-
-    return call
+    return _elementwise(arg, fn, checked)
 
 
 def _compile_pow(e: Pow, base: _Node) -> _Node:
@@ -597,14 +597,7 @@ def _compile_pow(e: Pow, base: _Node) -> _Node:
         except OverflowError:  # propagate as inf, IEEE style; the integrator faults on it
             return -math.inf if (b < 0 and k % 2 == 1) else math.inf
 
-    def power(frame: list) -> _Value:
-        v = base(frame)
-        try:
-            return _map(lambda b: b**k, v)
-        except (ZeroDivisionError, OverflowError):
-            return _map(checked, v)
-
-    return power
+    return _elementwise(base, lambda b: b**k, checked)
 
 
 def _compile_divide(e: BinOp, left: _Node, right: _Node) -> _Node:

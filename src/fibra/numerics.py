@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +24,6 @@ from .graphs import (
     NodeId,
     PhaseSpaceMap,
     coordinate_distance,
-    phase_space_map,
 )
 from .sampling import check_count, sample_state, sample_states
 
@@ -85,66 +83,6 @@ def _chunks(count: int, width: int) -> list[int]:
     """Batch sizes covering ``count`` rows of ``width`` floats, each batch at most CHUNK_FLOATS floats."""
     rows = max(1, CHUNK_FLOATS // max(1, width))
     return [min(rows, count - start) for start in range(0, count, rows)]
-
-
-class _ConjugacySides(NamedTuple):
-    """The coordinate map and the fields on the two sides of the intertwining identity."""
-
-    p: PhaseSpaceMap
-    codomain_field: GlobalField
-    domain_field: GlobalField
-
-
-def _conjugacy_sides(m: NetworkMap, w_prime: VirtualVectorField) -> _ConjugacySides:
-    """Build both sides once, checking the fibration once."""
-    if not check_fibration(m).is_fibration:
-        raise FibrationRequired("conjugacy certification requires a fibration")
-    return _ConjugacySides(
-        phase_space_map(m), interconnect(m.codomain, w_prime), interconnect(m.domain, _pullback(m, w_prime))
-    )
-
-
-def _pointwise_residual(sides: _ConjugacySides, samples: int, seed: int) -> float:
-    """Max residual of the identity at ``samples`` codomain states, drawn and evaluated in batches."""
-    check_count(samples)
-    p, codomain_field, domain_field = sides
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    width = max(p.codomain_index.total_dim, p.domain_index.total_dim)
-    for count in _chunks(samples, width):
-        x_prime = sample_states(p.codomain_index, rng, count)
-        lhs = p.differential(codomain_field(x_prime))
-        rhs = domain_field(p(x_prime))
-        worst = np.maximum(worst, np.abs(lhs - rhs).max(initial=0.0))  # unlike max(), propagates NaN
-    return float(worst)
-
-
-def _flow_deviation(sides: _ConjugacySides, x0_prime: np.ndarray, T: float, h: float) -> float:
-    """Max deviation over time between the mapped codomain flow and the domain flow."""
-    p, codomain_field, domain_field = sides
-    traj_prime = integrate(codomain_field, x0_prime, T, h)
-    traj = integrate(domain_field, p(np.asarray(x0_prime, dtype=float)), T, h)
-    return float(
-        np.max([coordinate_distance(p(xp), x, p.domain_index) for xp, x in zip(traj_prime.states, traj.states)])
-    )
-
-
-def verify_conjugacy_pointwise(
-    m: NetworkMap, w_prime: VirtualVectorField, samples: int = 1000, seed: int = 0
-) -> float:
-    """Max residual between both sides of the intertwining identity at random codomain states."""
-    return _pointwise_residual(_conjugacy_sides(m, w_prime), samples, seed)
-
-
-def verify_conjugacy_flow(
-    m: NetworkMap,
-    w_prime: VirtualVectorField,
-    x0_prime: np.ndarray,
-    T: float,
-    h: float,
-) -> float:
-    """Max deviation over time between the mapped codomain flow and the domain flow."""
-    return _flow_deviation(_conjugacy_sides(m, w_prime), x0_prime, T, h)
 
 
 def verify_polydiagonal_invariance(
@@ -294,18 +232,53 @@ def certify_conjugacy(
 ) -> ConjugacyReport:
     """Pointwise plus flow-level certification with a seeded starting state.
 
-    Both sides are built once and serve both checks.
+    Checks the fibration once and builds the coordinate map and both fields
+    once; they serve both checks.  Samples are drawn and evaluated in batches.
     """
-    sides = _conjugacy_sides(m, w_prime)
-    pointwise = _pointwise_residual(sides, samples, seed)
+    if not check_fibration(m).is_fibration:
+        raise FibrationRequired("conjugacy certification requires a fibration")
+    p = PhaseSpaceMap(m)  # check_fibration checked the map
+    codomain_field = interconnect(m.codomain, w_prime)
+    domain_field = interconnect(m.domain, _pullback(m, w_prime))
+    check_count(samples)
+    rng = np.random.default_rng(seed)
+    pointwise = 0.0
+    for count in _chunks(samples, max(p.codomain_index.total_dim, p.domain_index.total_dim)):
+        x_prime = sample_states(p.codomain_index, rng, count)
+        lhs = p.differential(codomain_field(x_prime))
+        rhs = domain_field(p(x_prime))
+        pointwise = np.maximum(pointwise, np.abs(lhs - rhs).max(initial=0.0))  # unlike max(), propagates NaN
     if x0_prime is None:
-        x0_prime = sample_state(sides.p.codomain_index, np.random.default_rng(seed))
-    flow = _flow_deviation(sides, x0_prime, T, h)
+        x0_prime = sample_state(p.codomain_index, np.random.default_rng(seed))
+    traj_prime = integrate(codomain_field, x0_prime, T, h)
+    traj = integrate(domain_field, p(np.asarray(x0_prime, dtype=float)), T, h)
+    flow = np.max([coordinate_distance(p(xp), x, p.domain_index) for xp, x in zip(traj_prime.states, traj.states)])
     return ConjugacyReport(
-        pointwise_max_residual=pointwise,
-        flow_max_deviation=flow,
+        pointwise_max_residual=float(pointwise),
+        flow_max_deviation=float(flow),
         samples=samples,
         seed=seed,
         T=T,
         h=h,
     )
+
+
+def verify_conjugacy_pointwise(
+    m: NetworkMap, w_prime: VirtualVectorField, samples: int = 1000, seed: int = 0
+) -> float:
+    """Max residual of the intertwining identity at random codomain states, as ``certify_conjugacy`` reports it.
+
+    Its zero-step flow calls no field.
+    """
+    return certify_conjugacy(m, w_prime, samples, seed, T=0.0).pointwise_max_residual
+
+
+def verify_conjugacy_flow(
+    m: NetworkMap,
+    w_prime: VirtualVectorField,
+    x0_prime: np.ndarray,
+    T: float,
+    h: float,
+) -> float:
+    """Max deviation over time between the mapped codomain flow and the domain flow, with no samples drawn."""
+    return certify_conjugacy(m, w_prime, 0, T=T, h=h, x0_prime=x0_prime).flow_max_deviation

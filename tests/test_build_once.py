@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import fibra
 from fibra import (
+    FibrationRequired,
     GlobalField,
     PreconditionError,
     R1,
@@ -38,6 +39,7 @@ from fibra import (
     signature_at,
     symmetry_groupoid,
     total_phase_space,
+    verify_conjugacy_flow,
     verify_conjugacy_pointwise,
     verify_driving_decomposition,
 )
@@ -51,6 +53,7 @@ from util import (
     reference_dependency_matrix,
     reference_driving_residual,
     reference_enumerate_tree_isos,
+    reference_flow_deviation,
     reference_pointwise_residual,
     reference_sample_state,
     reference_symmetry_groupoid,
@@ -255,6 +258,33 @@ def test_certify_conjugacy_matches_per_sample_loops(seed, samples, rows):
     assert repr(verify_conjugacy_pointwise(m, w, samples, seed % 1000)) == repr(
         reference_pointwise_residual(m, w, samples, seed % 1000)
     )
+    x0 = reference_sample_state(total_phase_space(m.codomain), np.random.default_rng(seed))
+    assert repr(outcome(verify_conjugacy_flow, m, w, x0, 0.03, 0.01)) == repr(
+        outcome(reference_flow_deviation, m, w, x0, 0.03, 0.01)
+    )
+
+
+def test_flow_starts_at_the_given_state():
+    m = fixtures.g3_to_c2()
+    ctrl = parse_control([NAN_PRONE.format(i=0)], signature_at(m.codomain, "a"))
+    w = per_class_field(m.codomain, {"a": ctrl})
+    assert verify_conjugacy_flow(m, w, np.array([0.1, -0.2]), 0.03, 0.01) == 0.0
+    with pytest.raises(fibra.IntegrationFault):  # the field is NaN where x[0] > 0.71
+        verify_conjugacy_flow(m, w, np.array([0.9, -0.2]), 0.03, 0.01)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda m, w: certify_conjugacy(m, w, samples=-1),
+        lambda m, w: verify_conjugacy_pointwise(m, w, samples=-1),
+    ],
+    ids=["certify_conjugacy", "verify_conjugacy_pointwise"],
+)
+def test_fibration_is_checked_before_the_sample_count(check):
+    m = fixtures.double_collapse()
+    with pytest.raises(FibrationRequired):
+        check(m, fixtures.linear_dynamics(m.codomain))
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 2**20]))

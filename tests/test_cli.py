@@ -629,6 +629,142 @@ def test_balanced_check_malformed_partition_exits_2(files, capsys, malformed):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def map_files(write, m, map_obj=None) -> list[str]:
+    """Domain, codomain and map files of ``m``; ``map_obj`` replaces the map's JSON."""
+    return [
+        write("dom.json", network_to_json(m.domain)),
+        write("cod.json", network_to_json(m.codomain)),
+        write("map.json", map_to_json(m) if map_obj is None else map_obj),
+    ]
+
+
+def _outside_codomain():
+    """g3_to_c2 with a node image and an edge image that name no codomain node or edge."""
+    obj = map_to_json(fixtures.g3_to_c2())
+    obj["nodes"]["1"] = "zz"
+    obj["edges"]["c"] = "zz"
+    return obj
+
+
+def _with_dynamics(dyn_obj):
+    """``pullback`` along g3_to_c2 with this dynamics file."""
+    return lambda write: ["pullback", *map_files(write, fixtures.g3_to_c2()), write("dyn.json", dyn_obj)]
+
+
+def _simulate_g3_mixed(write):
+    net = fixtures.g3_mixed()
+    dyn = {"classes": [{"representative": "1", "exprs": ["-x[0]"]}]}
+    x0 = write("x0.json", {"flat": [0.0] * 4})
+    netp = write("net.json", network_to_json(net))
+    return ["simulate", netp, write("dyn.json", dyn), "--x0", x0, "--T", "0.1", "--h", "0.1"]
+
+
+def _verify_collapse(write):
+    m = fixtures.double_collapse()
+    dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(m.codomain)))
+    return ["verify", "conjugacy", *map_files(write, m), dyn, "--samples", "2", "--T", "0.01", "--h", "0.01"]
+
+
+def _simulate_by_node_list(write):
+    net = fixtures.g3()
+    dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(net)))
+    x0 = write("x0.json", {"by_node": [[0.0], [0.0], [0.0]]})
+    return ["simulate", write("net.json", network_to_json(net)), dyn, "--x0", x0, "--T", "0.1", "--h", "0.1"]
+
+
+# Failure paths no other test runs: (argv builder, exit code, stream, substrings of that stream)
+FAILURE_PATHS = {
+    "check-fibration-invalid-map": (
+        lambda write: ["check-fibration", *map_files(write, fixtures.g3_to_c2(), _outside_codomain())],
+        1, "out", ['"is_fibration": false', '"kind": "bad-node-image"', '"kind": "bad-edge-image"'],
+    ),
+    "check-map-images-outside-codomain": (
+        lambda write: ["check-map", *map_files(write, fixtures.g3_to_c2(), _outside_codomain())],
+        1, "out", ['"kind": "bad-node-image"', '"kind": "bad-edge-image"'],
+    ),
+    "verify-conjugacy-not-a-fibration": (
+        _verify_collapse, 1, "err", ["error: conjugacy certification requires a fibration"],
+    ),
+    "dynamics-unknown-representative": (
+        _with_dynamics({"classes": [{"representative": "zz", "exprs": ["-x[0]"]}]}),
+        2, "err", ["error: dynamics: unknown node id 'zz'"],
+    ),
+    "dynamics-missing-class": (_simulate_g3_mixed, 2, "err", ["no control for class of '3'"]),
+    "dynamics-classes-not-a-list": (
+        _with_dynamics({"classes": {"representative": "a", "exprs": ["-x[0]"]}}),
+        2, "err", ["error: dynamics: 'classes' must be a list"],
+    ),
+    "dynamics-non-string-expr": (
+        _with_dynamics({"classes": [{"representative": "a", "exprs": [1.5]}]}),
+        2, "err", ["error: dynamics class: 'exprs' must be a list of strings"],
+    ),
+    "map-nodes-a-list": (
+        lambda write: ["check-map", *map_files(write, fixtures.g3_to_c2(), {"nodes": [], "edges": {}})],
+        2, "err", ["error: map: 'nodes' and 'edges' must be objects"],
+    ),
+    "partition-blocks-a-string": (
+        lambda write: [
+            "balanced", "--check", write("p.json", {"blocks": "123"}), write("g3.json", network_to_json(fixtures.g3()))
+        ],
+        2, "err", ["error: partition: 'blocks' must be a list of lists"],
+    ),
+    "state-by-node-a-list": (_simulate_by_node_list, 2, "err", ["error: state: 'by_node' must be an object"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_PATHS))
+def test_failure_path(files, capsys, case):
+    argv, expected_code, stream, texts = FAILURE_PATHS[case]
+    write, _ = files
+    code, out, err = run_cli(capsys, argv(write))
+    assert code == expected_code
+    for text in texts:
+        assert text in {"out": out, "err": err}[stream]
+    assert "Traceback" not in err
+    if expected_code == 2:
+        assert_malformed(code, out, err)
+
+
+def _count_map_checks(monkeypatch) -> list:
+    """Record every ``check_network_map`` call, whichever fibra module makes it."""
+    calls = []
+    original = fibra.graphs.check_network_map
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    for module in (fibra.graphs, fibra.fibrations, fibra.cli):
+        monkeypatch.setattr(module, "check_network_map", counted)
+    return calls
+
+
+MAP_CHECK_COMMANDS = {
+    "check-fibration": lambda write, m, dyn: ["check-fibration", *map_files(write, m)],
+    "factorize": lambda write, m, dyn: ["factorize", *map_files(write, m)],
+    "pullback": lambda write, m, dyn: ["pullback", *map_files(write, m), dyn],
+    "verify conjugacy": lambda write, m, dyn: [
+        "verify", "conjugacy", *map_files(write, m), dyn, "--samples", "3", "--T", "0.02", "--h", "0.01"
+    ],
+    "verify polydiagonal": lambda write, m, dyn: [
+        "verify", "polydiagonal", *map_files(write, m), dyn,
+        "--x0", write("x0.json", {"flat": [0.25, -1.5, 0.25]}), "--T", "0.02", "--h", "0.01",
+    ],
+    "verify driving": lambda write, m, dyn: ["verify", "driving", *map_files(write, m), dyn, "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(MAP_CHECK_COMMANDS))
+def test_each_command_checks_its_map_once(files, capsys, monkeypatch, command):
+    write, _ = files
+    m = fixtures.c2_into_g3() if command == "verify driving" else fixtures.g3_to_c2()
+    dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(m.codomain)))
+    calls = _count_map_checks(monkeypatch)
+    code, _, err = run_cli(capsys, MAP_CHECK_COMMANDS[command](write, m, dyn))
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+
+
 def test_reports_are_byte_identical(files, capsys, tmp_path):
     write, _ = files
     m = fixtures.g3_to_c2()

@@ -65,6 +65,21 @@ def test_parse_error_positions():
         parse("x[0] +\n)", SIG_R2)
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("sum(u", "line 1, column 6: expected 'in', found 'end of input'"),
+        ("sum(u in", "line 1, column 9: expected 'inputs', found 'end of input'"),
+        ("sum(u on inputs[R1]) { u[0] }", "line 1, column 7: expected 'in', found 'on'"),
+        ("sum(u in inptus[R1]) { u[0] }", "line 1, column 10: expected 'inputs', found 'inptus'"),
+    ],
+)
+def test_parse_aggregator_keywords(src, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(src, SIG_MEAN)
+    assert str(exc.value) == message
+
+
 def test_parse_rejects_trailing_garbage():
     with pytest.raises(ExprSyntaxError, match="trailing"):
         parse("x[0] x[1]", SIG_R2)

@@ -672,15 +672,20 @@ def reference_pointwise_residual(m: NetworkMap, w_prime, samples: int, seed: int
     return float(worst)
 
 
-def reference_certify_conjugacy(m: NetworkMap, w_prime, samples: int, seed: int, T: float, h: float):
-    """The pointwise loop, then the two flows from a seeded codomain state, each side built per check."""
-    pointwise = reference_pointwise_residual(m, w_prime, samples, seed)
+def reference_flow_deviation(m: NetworkMap, w_prime, x0_prime: np.ndarray, T: float, h: float) -> float:
+    """The two flows from ``x0_prime``, each side built for this check alone."""
     p = phase_space_map(m)
-    x0_prime = reference_sample_state(p.codomain_index, np.random.default_rng(seed))
     traj_prime = integrate(interconnect(m.codomain, w_prime), x0_prime, T, h)
     traj = integrate(interconnect(m.domain, pullback(m, w_prime)), p(x0_prime), T, h)
     flow = np.max([coordinate_distance(p(xp), x, p.domain_index) for xp, x in zip(traj_prime.states, traj.states)])
-    return pointwise, float(flow)
+    return float(flow)
+
+
+def reference_certify_conjugacy(m: NetworkMap, w_prime, samples: int, seed: int, T: float, h: float):
+    """The pointwise loop, then the two flows from a seeded codomain state, each side built per check."""
+    pointwise = reference_pointwise_residual(m, w_prime, samples, seed)
+    x0_prime = reference_sample_state(phase_space_map(m).codomain_index, np.random.default_rng(seed))
+    return pointwise, reference_flow_deviation(m, w_prime, x0_prime, T, h)
 
 
 # --- reference JSON boundary -------------------------------------------------------
