@@ -14,6 +14,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .dynamics import interconnect, pullback
 from .errors import FibraError, InputError, PreconditionError
@@ -319,15 +321,9 @@ def _simulate(args, read):
     field = interconnect(net, class_dynamics_from_json(read(args.dynamics), net))
     x0 = state_from_json(read(args.x0), field.index)
     traj = integrate(field, x0, args.T, args.h)
-    header = ["t"]
-    for a in field.index.order:
-        dim = field.index.spaces[a].dim
-        header += [f"{a}[{i}]" for i in range(dim)]
-    lines = [",".join(header)]
-    for k in range(traj.states.shape[0]):
-        row = [repr(float(traj.times[k]))] + [repr(float(v)) for v in traj.states[k]]
-        lines.append(",".join(row))
-    _write(args.out, "\n".join(lines) + "\n")
+    header = ["t", *(f"{a}[{i}]" for a in field.index.order for i in range(field.index.spaces[a].dim))]
+    rows = np.column_stack((traj.times, traj.states)).tolist()
+    _write(args.out, "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows)]) + "\n")
     return None, True
 
 

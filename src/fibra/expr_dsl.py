@@ -734,8 +734,3 @@ class RawControl:
 
     signature: ControlSignature
     fn: Callable[[np.ndarray, tuple[tuple[str, np.ndarray], ...]], np.ndarray]
-    invariance: str = "unchecked"  # "claimed" | "unchecked"
-
-    def __post_init__(self):
-        if self.invariance not in ("claimed", "unchecked"):
-            raise ValueError("invariance must be 'claimed' or 'unchecked'")

@@ -130,9 +130,6 @@ class Partition:
         other_idx = other.block_index()
         return all(len({other_idx[a] for a in b}) == 1 for b in self.blocks)
 
-    def node_set(self) -> frozenset[NodeId]:
-        return frozenset(a for b in self.blocks for a in b)
-
     @cached_property
     def _block_by_node(self) -> dict[NodeId, tuple[NodeId, ...]]:
         # reversed, so that a node listed in several blocks maps to the first

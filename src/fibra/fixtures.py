@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
 from .dynamics import VirtualVectorField, per_class_field, signature_at
-from .expr_dsl import parse_control
-from .graphs import Network, NetworkMap, PhaseSpace, R1, R2, S1, network
+from .expr_dsl import ControlSignature, parse_control
+from .graphs import Network, NetworkMap, PhaseSpace, R1, R2, network
 from .input_trees import symmetry_groupoid
 
 
@@ -158,118 +160,40 @@ def double_collapse(space: PhaseSpace = R1) -> NetworkMap:
 # --- dynamics ----------------------------------------------------------------
 
 
-def linear_dynamics(net: Network) -> VirtualVectorField:
-    """One linear control per class: coordinate-wise sum of inputs minus own state."""
+def _per_class_dynamics(net: Network, exprs_of: Callable[[ControlSignature], list[str]]) -> VirtualVectorField:
+    """One expression control per groupoid class, its expressions read off the class signature."""
     g = symmetry_groupoid(net)
     controls = {}
     for rep in g.representatives():
         sig = signature_at(net, rep)
-        exprs = []
-        for i in range(sig.root.dim):
-            terms = [
-                f"sum(u in inputs[{name}]) {{ u[{min(i, dim - 1)}] }}"
-                for name, (dim, _) in sig.groups().items()
-            ]
-            terms.append(f"-x[{i}]")
-            exprs.append(" + ".join(terms))
-        controls[rep] = parse_control(exprs, sig)
+        controls[rep] = parse_control(exprs_of(sig), sig)
     return per_class_field(net, controls, g)
+
+
+def linear_dynamics(net: Network) -> VirtualVectorField:
+    """One linear control per class: coordinate-wise sum of inputs minus own state."""
+
+    def exprs(sig):
+        out = []
+        for i in range(sig.root.dim):
+            terms = [f"sum(u in inputs[{name}]) {{ u[{min(i, dim - 1)}] }}" for name, (dim, _) in sig.groups().items()]
+            out.append(" + ".join([*terms, f"-x[{i}]"]))
+        return out
+
+    return _per_class_dynamics(net, exprs)
 
 
 def kuramoto_dynamics(net: Network, omega: float = 0.5, coupling: float = 1.0) -> VirtualVectorField:
     """Phase-oscillator dynamics on an all-circle network."""
-    g = symmetry_groupoid(net)
-    controls = {}
-    for rep in g.representatives():
-        sig = signature_at(net, rep)
+
+    def exprs(sig):
         if any(not s.is_circle for s in (sig.root, *sig.inputs)):
             raise ValueError("kuramoto dynamics requires circle phase spaces everywhere")
-        expr = f"{omega!r}"
-        if sig.inputs:
-            expr += f" + {coupling!r} * sum(u in inputs[S1]) {{ sin(u[0] - x[0]) }}"
-        controls[rep] = parse_control([expr], sig)
-    return per_class_field(net, controls, g)
+        coupled = f" + {coupling!r} * sum(u in inputs[S1]) {{ sin(u[0] - x[0]) }}" if sig.inputs else ""
+        return [f"{omega!r}{coupled}"]
+
+    return _per_class_dynamics(net, exprs)
 
 
 def zero_dynamics(net: Network) -> VirtualVectorField:
-    g = symmetry_groupoid(net)
-    controls = {}
-    for rep in g.representatives():
-        sig = signature_at(net, rep)
-        controls[rep] = parse_control(["0"] * sig.root.dim, sig)
-    return per_class_field(net, controls, g)
-
-
-FIBRATION_MAPS = (
-    "g3-to-loop",
-    "g3-to-c2",
-    "c2-into-g3",
-    "c2-into-g3-mixed",
-    "g3-into-ten",
-    "string2-to-cycle",
-    "string3-to-cycle",
-    "fork-to-chain",
-    "g3-to-c2-s1",
-    "g3-to-loop-s1",
-    "string2-to-cycle-s1",
-)
-
-
-def catalog() -> dict[str, object]:
-    """Every bundled fixture keyed by name."""
-    nets: dict[str, object] = {
-        "g3": g3(),
-        "g3-s1": g3(S1),
-        "g3-mixed": g3_mixed(),
-        "loop": loop_net(),
-        "loop-s1": loop_net(S1),
-        "c2": cycle2(),
-        "c2-s1": cycle2(S1, S1),
-        "four": four_node_multi(),
-        "funnel": funnel4(),
-        "funnel-mixed": funnel4(R1, R2),
-        "string-n2": string_graph(2),
-        "string-n3": string_graph(3),
-        "string-n2-s1": string_graph(2, S1, S1),
-        "ten": broadcast10(),
-        "join3": join3(),
-        "chain3": chain3(),
-        "double-edge": double_edge(),
-    }
-    maps: dict[str, object] = {
-        "g3-to-loop": g3_to_loop(),
-        "g3-to-c2": g3_to_c2(),
-        "c2-into-g3": c2_into_g3(),
-        "c2-into-g3-mixed": c2_into_g3_mixed(),
-        "g3-into-ten": g3_into_ten(),
-        "string2-to-cycle": string_to_cycle(2),
-        "string3-to-cycle": string_to_cycle(3),
-        "fork-to-chain": fork_to_chain(),
-        "double-collapse": double_collapse(),
-        "g3-to-c2-s1": g3_to_c2(S1),
-        "g3-to-loop-s1": g3_to_loop(S1),
-        "string2-to-cycle-s1": string_to_cycle(2, S1, S1),
-    }
-    dyn: dict[str, object] = {
-        "linear-loop": linear_dynamics(loop_net()),
-        "linear-c2": linear_dynamics(cycle2()),
-        "linear-g3": linear_dynamics(g3()),
-        "linear-ten": linear_dynamics(broadcast10()),
-        "linear-chain3": linear_dynamics(chain3()),
-        "linear-cycle-mixed": linear_dynamics(cycle2(R1, R2)),
-        "kuramoto-c2": kuramoto_dynamics(cycle2(S1, S1)),
-        "kuramoto-loop": kuramoto_dynamics(loop_net(S1)),
-    }
-    out: dict[str, object] = {}
-    out.update(nets)
-    out.update(maps)
-    out.update(dyn)
-    out["motivating"] = {
-        "g3": nets["g3"],
-        "loop": nets["loop"],
-        "c2": nets["c2"],
-        "to-loop": maps["g3-to-loop"],
-        "to-c2": maps["g3-to-c2"],
-        "into-g3": maps["c2-into-g3"],
-    }
-    return out
+    return _per_class_dynamics(net, lambda sig: ["0"] * sig.root.dim)

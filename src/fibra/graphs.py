@@ -138,10 +138,6 @@ class Network:
     def in_edges(self, node: NodeId) -> tuple[Edge, ...]:
         return self.graph.in_edges(node)
 
-    @property
-    def nodes(self) -> tuple[NodeId, ...]:
-        return self.graph.nodes
-
     def is_same(self, other: "Network") -> bool:
         """Structural equality up to node/edge listing order."""
         if self is other:

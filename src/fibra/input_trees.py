@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EnumerationCapExceeded, PreconditionError
-from .graphs import Network, NetworkMap, NodeId, EdgeId, PhaseSpace, refinement_rounds
+from .graphs import Edge, EdgeId, Network, NetworkMap, NodeId, PhaseSpace, refinement_rounds
 
 DEFAULT_ISO_CAP = 10**6
 
@@ -59,16 +59,13 @@ def input_tree(net: Network, a: NodeId) -> InputTree:
     return InputTree(a, net.space(a), leaves)
 
 
-def _leaf_ids_by_type(net: Network, a: NodeId) -> dict[str, list[EdgeId]]:
-    """The in-edge ids of ``a`` grouped by source-space name, groups in name order, ids in edge-id order.
+def _typed_in_edges(net: Network, a: NodeId) -> list[Edge]:
+    """The in-edges of ``a`` in typed leaf order: by source-space name, and by edge id within a name.
 
-    The leaf ids of ``input_tree(net, a).type_groups()``, without building the tree.
+    ``in_edges`` lists them in edge-id order, which the stable sort keeps.
     """
     phase = net.phase
-    groups: dict[str, list[EdgeId]] = {}
-    for e in net.in_edges(a):
-        groups.setdefault(phase[e.src].name, []).append(e.edge_id)
-    return {name: groups[name] for name in sorted(groups)}
+    return sorted(net.in_edges(a), key=lambda e: phase[e.src].name)
 
 
 @dataclass(frozen=True)
@@ -150,14 +147,9 @@ def enumerate_tree_isos(
         return TreeIsos(a, b, (), (), 0)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-    groups_a, groups_b = _leaf_ids_by_type(net, a), _leaf_ids_by_type(net, b)
-    return TreeIsos(
-        a,
-        b,
-        tuple(itertools.chain.from_iterable(groups_a.values())),
-        tuple(tuple(groups_b[name]) for name in groups_a),
-        count,
-    )
+    runs_b = itertools.groupby(_typed_in_edges(net, b), lambda e: net.phase[e.src].name)
+    blocks_b = tuple(tuple(e.edge_id for e in run) for _, run in runs_b)
+    return TreeIsos(a, b, tuple(e.edge_id for e in _typed_in_edges(net, a)), blocks_b, count)
 
 
 class TreeIsos(Sequence):
@@ -257,14 +249,14 @@ class _Witnesses(Mapping):
 
     @cached_property
     def _rep_ids(self) -> tuple[EdgeId, ...]:
-        return tuple(itertools.chain.from_iterable(_leaf_ids_by_type(self._net, self._representative).values()))
+        return tuple(e.edge_id for e in _typed_in_edges(self._net, self._representative))
 
     def __getitem__(self, member: NodeId) -> TreeIso:
         iso = self._built.get(member)
         if iso is None:
             if member not in self._member_set:
                 raise KeyError(member)
-            ids = itertools.chain.from_iterable(_leaf_ids_by_type(self._net, member).values())
+            ids = (e.edge_id for e in _typed_in_edges(self._net, member))
             iso = self._built[member] = TreeIso(member, self._representative, dict(zip(ids, self._rep_ids)))
         return iso
 

@@ -35,7 +35,6 @@ class Trajectory:
     times: np.ndarray
     states: np.ndarray  # shape (steps + 1, total_dim)
     h: float
-    integrator: str = "rk4"
 
 
 def _step_count(T: float, h: float) -> int:

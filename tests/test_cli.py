@@ -793,23 +793,47 @@ def test_seed_env_override(files, capsys, monkeypatch):
 
 
 def test_fixture_catalog_is_wellformed():
-    from fibra import Network, NetworkMap, check_fibration, check_network_map, validate_network
-    from fibra.dynamics import VirtualVectorField
+    from fibra import R1, R2, S1, check_fibration, check_network_map, validate_network
 
-    cat = fixtures.catalog()
-    assert cat
-    nets = {k: v for k, v in cat.items() if isinstance(v, Network)}
-    maps = {k: v for k, v in cat.items() if isinstance(v, NetworkMap)}
-    dyns = {k: v for k, v in cat.items() if isinstance(v, VirtualVectorField)}
-    assert nets and maps and dyns
-    for name, net in nets.items():
-        assert validate_network(net) == [], name
-    for name, m in maps.items():
-        assert check_network_map(m) == [], name
-    for name in fixtures.FIBRATION_MAPS:
-        assert check_fibration(cat[name]).is_fibration, name
-    assert not check_fibration(cat["double-collapse"]).is_fibration
-    assert set(cat["motivating"]) == {"g3", "loop", "c2", "to-loop", "to-c2", "into-g3"}
+    f = fixtures
+    nets = [
+        *(f.g3(), f.g3(S1), f.g3_mixed(), f.loop_net(), f.loop_net(S1), f.cycle2(), f.cycle2(S1, S1)),
+        *(f.four_node_multi(), f.funnel4(), f.funnel4(R1, R2), f.broadcast10(), f.join3(), f.chain3()),
+        *(f.string_graph(2), f.string_graph(3), f.string_graph(2, S1, S1), f.double_edge()),
+    ]
+    fibrations = [
+        *(f.g3_to_loop(), f.g3_to_c2(), f.c2_into_g3(), f.c2_into_g3_mixed(), f.g3_into_ten()),
+        *(f.string_to_cycle(2), f.string_to_cycle(3), f.fork_to_chain()),
+        *(f.g3_to_c2(S1), f.g3_to_loop(S1), f.string_to_cycle(2, S1, S1)),
+    ]
+    for net in nets:
+        assert validate_network(net) == [], net.graph.nodes
+    for m in [*fibrations, f.double_collapse()]:
+        assert check_network_map(m) == [], m.node_map
+    for m in fibrations:
+        assert check_fibration(m).is_fibration, m.node_map
+    assert not check_fibration(f.double_collapse()).is_fibration
+    linear_on = [f.loop_net(), f.cycle2(), f.g3(), f.broadcast10(), f.chain3(), f.cycle2(R1, R2)]
+    kuramoto_on = [f.cycle2(S1, S1), f.loop_net(S1)]
+    for w in [*map(f.linear_dynamics, linear_on), *map(f.kuramoto_dynamics, kuramoto_on)]:
+        assert w.mode == "per_class" and set(w.controls) == set(w.groupoid.representatives())
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: fixtures.string_graph(1), "string graph needs n >= 2"),
+        (
+            lambda: fixtures.kuramoto_dynamics(fixtures.cycle2()),
+            "kuramoto dynamics requires circle phase spaces everywhere",
+        ),
+    ],
+    ids=["string-graph-of-one", "kuramoto-on-euclidean-nodes"],
+)
+def test_fixture_rejects_bad_arguments(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_console_entry_point():

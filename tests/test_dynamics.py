@@ -1,14 +1,18 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
 import fibra
 from fibra import (
+    ControlSignature,
     FibrationRequired,
+    GlobalField,
     PreconditionError,
     R1,
+    R2,
     RawControl,
     SignatureMismatch,
     check_invariance,
@@ -28,7 +32,7 @@ from fibra import (
     symmetry_groupoid,
 )
 from fibra import fixtures
-from fibra.dynamics import _vanishes_on_samples
+from fibra.dynamics import VirtualVectorField, _vanishes_on_samples
 from fibra.numerics import dependency_matrix, expected_dependencies
 from fibra.sampling import sample_space, sample_state
 
@@ -389,3 +393,56 @@ def test_per_node_field_requires_every_node():
     sig = signature_at(net, "1")
     with pytest.raises(PreconditionError):
         per_node_field(net, {"1": linear_ctrl(sig)})
+
+
+def _field_lacking_an_input_type():
+    """g3_mixed with a control at the R2 tail whose signature reads R2 inputs, where its input is R1."""
+    net = fixtures.g3_mixed()
+    controls = {a: linear_ctrl(signature_at(net, a)) for a in ("1", "2")}
+    controls["3"] = parse_control(["sum(u in inputs[R2]) { u[0] }", "0"], ControlSignature(R2, (R2,)))
+    return GlobalField(net, VirtualVectorField(net, "per_node", controls))
+
+
+def _transport_a_non_control():
+    swap = [i for i in enumerate_tree_isos(fixtures.double_edge(), "b", "b") if not i.is_identity][0]
+    return ctrl_transport(swap, "not a control")
+
+
+def _per_node_pullback_kernel_check():
+    m = fixtures.g3_to_c2()
+    w = fixtures.linear_dynamics(m.codomain)
+    return pullback_kernel_check(m, lift_to_nodes(w.groupoid, w.controls))
+
+
+FAILURE_PATHS = {
+    "per-class-field-keyed-by-a-non-representative": (
+        lambda: per_class_field(fixtures.g3(), {a: linear_ctrl(signature_at(fixtures.g3(), a)) for a in "12"}),
+        PreconditionError, "controls keyed by non-representatives: ['2']",
+    ),
+    "global-field-of-another-network": (
+        lambda: GlobalField(fixtures.cycle2(), fixtures.linear_dynamics(fixtures.g3())),
+        PreconditionError, "virtual vector field was built for a different network",
+    ),
+    "signature-lacks-an-input-type": (
+        _field_lacking_an_input_type, SignatureMismatch, "input of type R1 not in signature groups ['R2']",
+    ),
+    "pullback-of-a-field-on-another-network": (
+        lambda: pullback(fixtures.g3_to_c2(), fixtures.linear_dynamics(fixtures.g3())),
+        PreconditionError, "field is not defined on the codomain of the map",
+    ),
+    "check-invariance-root-space-mismatch": (
+        lambda: check_invariance(parse_control(["0", "0"], ControlSignature(R2, ())), "1", fixtures.g3()),
+        SignatureMismatch, "control for root space R2 at node '1'",
+    ),
+    "pullback-kernel-check-of-a-per-node-field": (
+        _per_node_pullback_kernel_check, PreconditionError, "pullback_kernel_check expects a per-class field",
+    ),
+    "transport-of-a-non-control": (_transport_a_non_control, TypeError, "not a control: 'not a control'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_PATHS))
+def test_failure_path(case):
+    call, exc, message = FAILURE_PATHS[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()

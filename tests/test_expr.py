@@ -21,7 +21,7 @@ from fibra import (
     parse_control,
     unparse,
 )
-from fibra.expr_dsl import Aggregate, BinOp, Call, ControlExpr, InputRef, Neg, Num, Pow, RootRef
+from fibra.expr_dsl import Aggregate, BinOp, Call, ControlExpr, InputRef, Neg, Num, Pow, RootRef, compile_control
 from fibra import fixtures
 
 
@@ -75,6 +75,21 @@ def test_parse_error_positions():
     ],
 )
 def test_parse_aggregator_keywords(src, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(src, SIG_MEAN)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("x[-1]", "line 1, column 3: index must be a non-negative integer"),
+        ("sum(x in inputs[R1]) { x[0] }", "line 1, column 5: expected a fresh aggregator variable name"),
+        ("sum(u in inputs[+]) { u[0] }", "line 1, column 17: expected an input type name"),
+        ("1.2.3", "line 1, column 1: bad number literal '1.2.3'"),
+    ],
+)
+def test_parse_rejects_malformed_source(src, message):
     with pytest.raises(ExprSyntaxError) as exc:
         parse(src, SIG_MEAN)
     assert str(exc.value) == message
@@ -158,6 +173,30 @@ def test_parse_precedence():
     assert parse("1 + 2 * 3", SIG_R2) == BinOp("+", Num(1.0), BinOp("*", Num(2.0), Num(3.0)))
     assert parse("-x[0]^2", SIG_R2) == Neg(Pow(RootRef(0), 2))
     assert parse("(1 + x[0]) * 2", SIG_R2) == BinOp("*", BinOp("+", Num(1.0), RootRef(0)), Num(2.0))
+
+
+HAND_BUILT_FAULTS = {
+    "input-reference-outside-an-aggregator": (
+        lambda: compile_control(ControlExpr(SIG_MEAN, (InputRef("u", 0),))),
+        SignatureMismatch, "u[0] outside an aggregator over 'u' at line 1, column 1",
+    ),
+    "aggregate-over-a-missing-group": (
+        lambda: compile_control(ControlExpr(SIG_MEAN, (Aggregate("sum", "u", "R2", InputRef("u", 0)),))),
+        SignatureMismatch, "no input group 'R2' in the signature at line 1, column 1",
+    ),
+    "component-not-an-expression": (
+        lambda: compile_control(ControlExpr(SIG_MEAN, (5,))), TypeError, "not an expression node: 5",
+    ),
+    "unparse-of-a-non-expression": (lambda: unparse(5), TypeError, "not an expression node: 5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT_FAULTS))
+def test_hand_built_expression_faults(case):
+    call, exc, message = HAND_BUILT_FAULTS[case]
+    with pytest.raises(exc) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_control_component_count_enforced():
@@ -252,7 +291,7 @@ def test_check_invariance_detects_asymmetric_raw_control():
 def test_check_invariance_symmetric_raw_control_small():
     net = fixtures.four_node_multi()
     sig = fibra.signature_at(net, "2")
-    symmetric = RawControl(sig, lambda x, ins: ins[0][1] + ins[1][1] - 2 * x, invariance="claimed")
+    symmetric = RawControl(sig, lambda x, ins: ins[0][1] + ins[1][1] - 2 * x)
     assert check_invariance(symmetric, "2", net, trials=200, seed=2) <= 1e-12
 
 
@@ -309,3 +348,4 @@ def test_unparse_known_forms():
     assert unparse(parse("x[0] - (x[1] - 1)", SIG_R2)) == "x[0] - (x[1] - 1.0)"
     src = "sum(u in inputs[S1]) { sin(u[0] - x[0]) }"
     assert unparse(parse(src, SIG_KURAMOTO)) == src
+    assert unparse(parse("1e-3 + 2E+1 * x[0]", SIG_MEAN)) == "0.001 + 20.0 * x[0]"  # signed exponents

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,14 @@ def test_phase_space_map_rejects_invalid():
     cod = network([("a", euclidean(3))], [])
     with pytest.raises(PreconditionError):
         phase_space_map(NetworkMap(dom, cod, {"1": "a"}, {}))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 1, 2)])
+def test_phase_space_map_rejects_a_wrong_shape_state(shape):
+    p = phase_space_map(fixtures.g3_to_c2())
+    message = f"state has dimension {shape}, expected (2,) or (samples, 2)"
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        p(np.zeros(shape))
 
 
 def test_compose_identity_right_and_left():

@@ -157,6 +157,18 @@ def test_iso_inverse_roundtrip():
         assert iso.then(iso.inverse()).is_identity
 
 
+def test_iso_then_rejects_mismatched_ends():
+    net = fixtures.four_node_multi()
+    at_4, at_2 = enumerate_tree_isos(net, "4", "4")[0], enumerate_tree_isos(net, "2", "2")[0]
+    with pytest.raises(PreconditionError, match="tree isomorphisms do not compose: target/source mismatch"):
+        at_4.then(at_2)
+
+
+def test_tree_isos_are_unequal_to_a_non_sequence():
+    isos = enumerate_tree_isos(fixtures.four_node_multi(), "4", "4")
+    assert (isos == 5) is False and isos != 5
+
+
 def test_aut_order_is_product_of_factorials():
     net = fixtures.four_node_multi()
     assert [aut_order(input_tree(net, a)) for a in "1234"] == [1, 2, 1, 6]

@@ -31,10 +31,20 @@ from fibra.jsonio import (
 from util import reference_network_from_json
 
 
-def test_network_roundtrip():
-    net = fixtures.string_graph(2)
-    back = network_from_json(network_to_json(net))
-    assert back.is_same(net)
+@pytest.mark.parametrize(
+    "net, circles",
+    [
+        (fixtures.string_graph(2), 0),
+        (fixtures.string_graph(2, S1, S1), 4),
+        (fixtures.g3_mixed(), 0),
+        (fixtures.funnel4(R1, R2), 0),
+    ],
+    ids=["string2", "string2-s1", "g3-mixed", "funnel4-mixed"],
+)
+def test_network_roundtrip(net, circles):
+    obj = network_to_json(net)
+    assert network_from_json(obj).is_same(net)
+    assert sum(node["space"] == {"kind": "S1"} for node in obj["nodes"]) == circles
 
 
 def test_network_schema_shapes():
@@ -105,6 +115,38 @@ def test_node_dynamics_export_after_pullback():
     assert [entry["id"] for entry in obj["nodes"]] == ["1", "2", "3"]
     exprs = {entry["id"]: entry["exprs"] for entry in obj["nodes"]}
     assert exprs["1"] == exprs["3"]  # both carry the image node's control
+
+
+def _per_node_linear_g3():
+    w = fixtures.linear_dynamics(fixtures.g3())
+    return fibra.lift_to_nodes(w.groupoid, w.controls)
+
+
+def _raw_controls(net):
+    return {a: fibra.RawControl(fibra.signature_at(net, a), lambda x, ins: x) for a in net.graph.nodes}
+
+
+EXPORT_FAULTS = {
+    "class-form-of-a-per-node-field": (
+        lambda: class_dynamics_to_json(_per_node_linear_g3()), "only per-class dynamics have a class JSON form",
+    ),
+    "class-form-of-a-raw-control": (
+        lambda: class_dynamics_to_json(fibra.per_class_field(fixtures.g3(), {"1": _raw_controls(fixtures.g3())["1"]})),
+        "opaque controls cannot be serialized",
+    ),
+    "node-form-of-a-raw-control": (
+        lambda: node_dynamics_to_json(fibra.per_node_field(fixtures.g3(), _raw_controls(fixtures.g3()))),
+        "opaque controls cannot be serialized",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPORT_FAULTS))
+def test_export_rejects_what_has_no_json_form(case):
+    call, message = EXPORT_FAULTS[case]
+    with pytest.raises(InputError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 def test_state_from_json_flat_and_by_node():
