@@ -24,10 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,66 +160,42 @@ class Aggregate(Expr):
 # --- tokenizer -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "ident" | "op" | "end"
     text: str
     pos: Pos
 
 
+# One alternative per token kind, tried in order; every character matches one
+# of them, so one scan covers the source.  Identifiers and numbers are ASCII.
+_TOKEN = re.compile(
+    r"(?P<num>(?=\.?[0-9])[0-9.]+(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()\[\]{}])"
+    r"|(?P<newline>\n)"
+    r"|(?P<space>[ \t\r]+)"
+    r"|(?P<bad>.)"
+)
+
+
 def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(src)
-    while i < n:
-        c = src[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        pos = (line, col)
-        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            while j < n and (src[j].isdigit() or src[j] == "."):
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            text = src[i:j]
-            try:
-                float(text)
-            except ValueError:
-                raise ExprSyntaxError(f"bad number literal {text!r}", pos) from None
-            tokens.append(_Token("num", text, pos))
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", src[i:j], pos))
-            col += j - i
-            i = j
-            continue
-        if c in "+-*/^()[]{}":
-            tokens.append(_Token("op", c, pos))
-            i += 1
-            col += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", pos)
-    tokens.append(_Token("end", "", (line, col)))
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):
+        kind, text = m.lastgroup, m.group()
+        pos = (line, m.start() - line_start + 1)
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {text!r}", pos)
+        elif kind != "space":
+            if kind == "num":
+                try:
+                    float(text)
+                except ValueError:
+                    raise ExprSyntaxError(f"bad number literal {text!r}", pos) from None
+            tokens.append(_Token(kind, text, pos))
+    tokens.append(_Token("end", "", (line, len(src) - line_start + 1)))
     return tokens
 
 

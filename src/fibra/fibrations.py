@@ -123,17 +123,20 @@ class Partition:
         return self.block_of(node)[0]
 
     def block_index(self) -> dict[NodeId, NodeId]:
-        return {a: b[0] for b in self.blocks for a in b}
+        """node -> block id, nodes in block order; a node listed in several blocks maps to the first."""
+        return {a: b[0] for a, b in self._block_by_node.items()}
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self lies inside a block of other."""
-        other_idx = other.block_index()
-        return all(len({other_idx[a] for a in b}) == 1 for b in self.blocks)
+        return all(len({other.block_id(a) for a in b}) == 1 for b in self.blocks)
 
     @cached_property
     def _block_by_node(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        # reversed, so that a node listed in several blocks maps to the first
-        return {a: b for b in reversed(self.blocks) for a in b}
+        by_node: dict[NodeId, tuple[NodeId, ...]] = {}
+        for b in self.blocks:
+            for a in b:
+                by_node.setdefault(a, b)
+        return by_node
 
 
 def _check_phase_homogeneous(net: Network, p: Partition) -> None:
@@ -251,7 +254,7 @@ class Polydiagonal:
 
     def violation(self, x: np.ndarray) -> float:
         """Max deviation from the fiber constraints, circle coordinates mod 2pi; NaN if any is NaN."""
-        x = np.asarray(x, dtype=float)
+        x = self.index.state(x)
         return coordinate_distance(x[self._representatives], x, self.index)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:

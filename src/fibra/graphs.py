@@ -334,6 +334,13 @@ class StateIndex:
         mask[self.gather(a for a in self.order if self.spaces[a].is_circle)] = True
         return mask
 
+    def state(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as one float state of this layout; PreconditionError for any other shape."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.total_dim,):
+            raise PreconditionError(f"state has shape {x.shape}, expected ({self.total_dim},)")
+        return x
+
     def circle_mask(self) -> np.ndarray:
         """Boolean mask of the circle coordinates (a fresh copy)."""
         return self._circle_mask.copy()
@@ -413,8 +420,7 @@ def circle_distance(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray 
 
 def coordinate_distance(x: np.ndarray, y: np.ndarray, index: StateIndex) -> float:
     """Max over coordinates of the per-coordinate distance, circle-aware; NaN if any is NaN."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = index.state(x), index.state(y)
     dist = np.abs(x - y)
     circ = index._circle_mask
     dist[circ] = circle_distance(x[circ], y[circ])

@@ -14,7 +14,7 @@ import math
 import operator
 from collections import Counter
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import EnumerationCapExceeded, PreconditionError
@@ -229,52 +229,28 @@ def aut_generators(tree: InputTree) -> list[TreeIso]:
     return gens
 
 
-class _Witnesses(Mapping):
-    """member -> canonical iso onto the representative, built on first access and kept.
-
-    The canonical iso matches the members' same-type in-edges positionally, in
-    edge-id order; it exists because every member has the representative's
-    typed leaf multiset.
-    """
-
-    def __init__(self, net: Network, representative: NodeId, members: tuple[NodeId, ...]):
-        self._net = net
-        self._representative = representative
-        self._members = members
-        self._built: dict[NodeId, TreeIso] = {}
-
-    @cached_property
-    def _member_set(self) -> frozenset[NodeId]:
-        return frozenset(self._members)
-
-    @cached_property
-    def _rep_ids(self) -> tuple[EdgeId, ...]:
-        return tuple(e.edge_id for e in _typed_in_edges(self._net, self._representative))
-
-    def __getitem__(self, member: NodeId) -> TreeIso:
-        iso = self._built.get(member)
-        if iso is None:
-            if member not in self._member_set:
-                raise KeyError(member)
-            ids = (e.edge_id for e in _typed_in_edges(self._net, member))
-            iso = self._built[member] = TreeIso(member, self._representative, dict(zip(ids, self._rep_ids)))
-        return iso
-
-    def __iter__(self):
-        return iter(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __repr__(self) -> str:
-        return f"<witnesses of {len(self._members)} members onto {self._representative!r}>"
-
-
 @dataclass(frozen=True)
 class IsoClass:
+    """One input-network isomorphism class of a network; equal to the same class of an equal network."""
+
     representative: NodeId
     members: tuple[NodeId, ...]
-    witnesses: Mapping[NodeId, TreeIso]  # member -> iso(member, representative), built lazily
+    network: Network = field(repr=False)
+
+    @cached_property
+    def witnesses(self) -> dict[NodeId, TreeIso]:
+        """member -> canonical iso onto the representative, all built on the first read.
+
+        The canonical iso matches the members' same-type in-edges positionally,
+        in edge-id order; it exists because every member has the
+        representative's typed leaf multiset.
+        """
+        rep = self.representative
+        rep_ids = [e.edge_id for e in _typed_in_edges(self.network, rep)]
+        return {
+            a: TreeIso(a, rep, dict(zip((e.edge_id for e in _typed_in_edges(self.network, a)), rep_ids)))
+            for a in self.members
+        }
 
 
 @dataclass(frozen=True)
@@ -308,15 +284,13 @@ def symmetry_groupoid(net: Network) -> SymmetryGroupoid:
 
     Two input trees are isomorphic exactly when their root spaces and typed
     leaf multisets agree: one refinement round from the phase colouring, whose
-    signature multiplicities give the automorphism orders.  Witnesses are built on access.
+    signature multiplicities give the automorphism orders.  Each class builds its
+    witnesses on their first read.
     """
     nodes, colours, signatures = next(refinement_rounds(net, net.phase))
     order_of = [math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(s)) for _, s in signatures]
     buckets: list[list[NodeId]] = [[] for _ in signatures]
     for a, c in zip(nodes, colours):
         buckets[c].append(a)
-    classes = []
-    for members in sorted((sorted(b) for b in buckets), key=lambda b: b[0]):
-        members = tuple(members)
-        classes.append(IsoClass(members[0], members, _Witnesses(net, members[0], members)))
-    return SymmetryGroupoid(net, tuple(classes), {a: order_of[c] for a, c in zip(nodes, colours)})
+    classes = tuple(IsoClass(ms[0], ms, net) for ms in sorted(tuple(sorted(b)) for b in buckets))
+    return SymmetryGroupoid(net, classes, {a: order_of[c] for a, c in zip(nodes, colours)})

@@ -52,11 +52,7 @@ def integrate(field: GlobalField, x0: np.ndarray, T: float, h: float) -> Traject
         raise PreconditionError("step size must be positive and finite")
     if not (T >= 0 and math.isfinite(T)):
         raise PreconditionError("horizon must be non-negative and finite")
-    x = np.asarray(x0, dtype=float).copy()
-    if x.shape != (field.index.total_dim,):
-        raise PreconditionError(
-            f"initial state has shape {x.shape}, expected ({field.index.total_dim},)"
-        )
+    x = field.index.state(x0)
     n = _step_count(T, h)
     states = np.empty((n + 1, x.shape[0]))
     states[0] = x
@@ -127,8 +123,8 @@ def dependency_matrix(
     field: GlobalField, x0: np.ndarray, step: float = 1e-6, tol: float = 1e-8
 ) -> dict[NodeId, set[NodeId]]:
     """Which nodes each component reacts to, by central finite differences at x0."""
-    x0 = np.asarray(x0, dtype=float)
     index = field.index
+    x0 = index.state(x0)
     offsets = [index.slices[a][0] for a in index.order]
     deps: dict[NodeId, set[NodeId]] = {a: set() for a in index.order}
     coords = iter(index.owners)

@@ -21,8 +21,12 @@ from fibra import (
     parse_control,
     unparse,
 )
-from fibra.expr_dsl import Aggregate, BinOp, Call, ControlExpr, InputRef, Neg, Num, Pow, RootRef, compile_control
+from fibra.expr_dsl import (
+    Aggregate, BinOp, Call, ControlExpr, InputRef, Neg, Num, Pow, RootRef, _tokenize, compile_control
+)
 from fibra import fixtures
+
+from util import reference_tokenize
 
 
 SIG_KURAMOTO = ControlSignature(S1, (S1, S1))
@@ -90,6 +94,51 @@ def test_parse_aggregator_keywords(src, message):
     ],
 )
 def test_parse_rejects_malformed_source(src, message):
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse(src, SIG_MEAN)
+    assert str(exc.value) == message
+
+
+def _scan(tokenize, src):
+    """The tokens as (kind, text, pos) triples, or the ExprSyntaxError message."""
+    try:
+        return [tuple(t) for t in tokenize(src)]
+    except ExprSyntaxError as exc:
+        return str(exc)
+
+
+ASCII_PIECES = list("0123456789.eE+-*/^()[]{}xu_ \t\r\n@#,;~\\\x00\x7f") + [
+    ".5", "3.", "1e5", "2.5e-3", "4E+2", "1e", "1e+", "7e-x", "1..2", "sum", "in", "inputs", "sin", "x_0", "\r\n",
+]
+
+
+@given(st.one_of(st.text(st.characters(max_codepoint=127)), st.lists(st.sampled_from(ASCII_PIECES)).map("".join)))
+def test_tokenize_matches_the_character_loop_on_ascii(src):
+    assert _scan(_tokenize, src) == _scan(reference_tokenize, src)
+
+
+@given(st.text())
+def test_tokenize_reads_ascii_tokens_only(src):
+    # the scan agrees with the loop up to the first non-ASCII character, which it reports as unexpected
+    # where the loop may read it as part of a number or a name
+    k = next((i for i, c in enumerate(src) if not c.isascii()), len(src))
+    expected = _scan(reference_tokenize, src[:k])
+    if k < len(src) and not isinstance(expected, str):
+        line, col = expected[-1][2]
+        expected = f"line {line}, column {col}: unexpected character {src[k]!r}"
+    assert _scan(_tokenize, src) == expected
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("x[0] * 2\u00b2", "line 1, column 9: unexpected character '\u00b2'"),
+        ("\u00bd", "line 1, column 1: unexpected character '\u00bd'"),
+        ("x[\u0663]", "line 1, column 3: unexpected character '\u0663'"),
+        ("sum(\u00e9 in inputs[R1]) { \u00e9[0] }", "line 1, column 5: unexpected character '\u00e9'"),
+    ],
+)
+def test_parse_rejects_non_ascii_names_and_digits(src, message):
     with pytest.raises(ExprSyntaxError) as exc:
         parse(src, SIG_MEAN)
     assert str(exc.value) == message

@@ -16,10 +16,15 @@ from fibra import (
     S1,
     check_network_map,
     compose_maps,
+    coordinate_distance,
+    dependency_matrix,
     euclidean,
     identity_map,
+    integrate,
+    interconnect,
     network,
     phase_space_map,
+    polydiagonal_of,
     total_phase_space,
     validate_network,
 )
@@ -196,6 +201,23 @@ def test_phase_space_map_rejects_a_wrong_shape_state(shape):
     message = f"state has dimension {shape}, expected (2,) or (samples, 2)"
     with pytest.raises(PreconditionError, match=re.escape(message)):
         p(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(2,), (1, 3), (2, 3)])
+def test_state_checks_reject_a_wrong_shape_state(shape):
+    message = re.escape(f"state has shape {shape}, expected (3,)")
+    g3 = fixtures.g3()
+    with pytest.raises(PreconditionError, match=message):
+        coordinate_distance(np.zeros(shape), np.zeros(3), total_phase_space(g3))
+    with pytest.raises(PreconditionError, match=message):
+        coordinate_distance(np.zeros(3), np.zeros(shape), total_phase_space(g3))
+    with pytest.raises(PreconditionError, match=message):
+        polydiagonal_of(fixtures.g3_to_c2()).violation(np.zeros(shape))
+    field = interconnect(g3, fixtures.linear_dynamics(g3))
+    with pytest.raises(PreconditionError, match=message):
+        dependency_matrix(field, np.zeros(shape))
+    with pytest.raises(PreconditionError, match=message):
+        integrate(field, np.zeros(shape), T=0.02, h=0.01)
 
 
 def test_compose_identity_right_and_left():

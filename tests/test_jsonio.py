@@ -280,3 +280,101 @@ NOT_REPORTS = {
 def test_dumps_refuses_sets_and_non_str_keys(value):
     with pytest.raises(TypeError):
         dumps(value)
+
+
+
+# --- every loaded file of a command fuzzed through main ----------------------------
+
+# the files of valid commands on the map g3 -> c2 with linear dynamics, by name
+FUZZ_FILES = {
+    "dom": network_to_json(fixtures.g3()),
+    "cod": network_to_json(fixtures.cycle2()),
+    "map": map_to_json(fixtures.g3_to_c2()),
+    "dynamics": class_dynamics_to_json(fixtures.linear_dynamics(fixtures.cycle2())),
+    "partition": {"blocks": [["1", "3"], ["2"]]},
+    "state": {"flat": [0.1, 0.2]},
+    "domain-state": {"by_node": {"1": [0.1], "2": [0.2], "3": [0.1]}},
+}
+HORIZON = ["--T", "0.02", "--h", "0.01"]
+# the commands that read each fuzzed file, which stands at "*"
+FUZZ_COMMANDS = {
+    "map": [["check-fibration", "dom", "cod", "*"], ["verify", "driving", "dom", "cod", "*", "dynamics", "--samples", "2"]],
+    "partition": [["balanced", "--check", "*", "dom"]],
+    "dynamics": [["pullback", "dom", "cod", "map", "*"], ["simulate", "cod", "*", "--x0", "state", *HORIZON]],
+    "state": [
+        ["simulate", "cod", "dynamics", "--x0", "*", *HORIZON],
+        ["verify", "conjugacy", "dom", "cod", "map", "dynamics", "--x0", "*", "--samples", "2", *HORIZON],
+    ],
+    "domain-state": [["verify", "polydiagonal", "dom", "cod", "map", "dynamics", "--x0", "*", *HORIZON]],
+}
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+# node and edge ids and coordinates of these files: a value replaced by one of them often still loads
+NEAR_VALUES = st.sampled_from(["1", "2", "3", "a", "b", "ab", "ba", "c", 0.5, -1.0, 1e308, 2, ["1", "3"], [0.5]])
+
+
+@st.composite
+def fuzzed_files(draw):
+    """A file name and an arbitrary JSON value, or that file's valid object with one value in it replaced."""
+    name = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    if draw(st.booleans()):
+        return name, draw(JSON_VALUES)
+    new = draw(st.one_of(NEAR_VALUES, JSON_VALUES))
+    obj = copy.deepcopy(FUZZ_FILES[name])
+    paths, stack = [], [()]
+    while stack:
+        path = stack.pop()
+        paths.append(path)
+        value = _at(obj, path)
+        keys = value.keys() if isinstance(value, dict) else range(len(value)) if isinstance(value, list) else ()
+        stack.extend(path + (k,) for k in keys)
+    path = draw(st.sampled_from(paths))
+    if not path:
+        return name, new
+    _at(obj, path[:-1])[path[-1]] = new
+    return name, obj
+
+
+def _run_fuzzed(root, name, obj) -> None:
+    """Write ``obj`` as the file ``name`` and run every command reading it: exit 0, 1 or 2, and ``error:`` for 2."""
+    fuzzed = root / "fuzzed.json"
+    fuzzed.write_text(json.dumps(obj), encoding="utf-8")
+    for command in FUZZ_COMMANDS[name]:
+        argv = [str(fuzzed) if a == "*" else str(root / f"{a}.json") if a in FUZZ_FILES else a for a in command]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert err.getvalue().startswith("error: "), argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, obj in FUZZ_FILES.items():
+        (root / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
+    return root
+
+
+@given(fuzzed_files())
+def test_loaded_files_never_escape_main(fuzz_root, fuzzed):
+    _run_fuzzed(fuzz_root, *fuzzed)
+
+
+EXPRESSION_PIECES = st.sampled_from(
+    ["sum", "mean", "(", ")", "u", " in ", "inputs", "[", "R1", "S1", "]", "{", "}", "u[0]", "x[0]", "x[1]",
+     "+", "-", "*", "/", "^", "2", "-1", "0", ".5", "1e400", "sin", "exp", "log", "sqrt", "é", "\n"]
+)
+
+
+@given(st.one_of(st.text(max_size=20), st.lists(EXPRESSION_PIECES, max_size=16).map("".join)))
+def test_expression_text_never_escapes_main(fuzz_root, text):
+    dynamics = copy.deepcopy(FUZZ_FILES["dynamics"])
+    dynamics["classes"][0]["exprs"] = [text]
+    _run_fuzzed(fuzz_root, "dynamics", dynamics)

@@ -183,6 +183,13 @@ def test_kitchen_sink_has_every_feature():
 def test_block_of_keeps_first_block_when_blocks_overlap():
     p = Partition((("a", "b"), ("b", "c")))
     assert p.block_of("b") == scan_block_of(p, "b") == ("a", "b")
+    overlapping = Partition.of([["a", "b"], ["b", "c"]])
+    assert overlapping.block_of("b") == ("a", "b")
+    assert overlapping.block_index() == {"a": "a", "b": "a", "c": "b"}
+    assert Partition.of([["a", "c"]]).refines(overlapping) is False
+    assert Partition.of([["a", "b"]]).refines(overlapping) is True
+    with pytest.raises(PreconditionError, match="node 'b' not covered by the partition"):
+        Partition.of([["a"], ["b"]]).refines(Partition.of([["a"]]))
 
 
 def test_doubled_edge_chain_refines_to_discrete_partition():

@@ -37,7 +37,7 @@ from fibra import (
     sample_state,
     total_phase_space,
 )
-from fibra.expr_dsl import FUNCTIONS, Aggregate, BinOp, Call, InputRef, Neg, Num, Pow, RootRef
+from fibra.expr_dsl import FUNCTIONS, Aggregate, BinOp, Call, ExprSyntaxError, InputRef, Neg, Num, Pow, RootRef
 from fibra.errors import EvaluationFault, InputError
 from fibra.graphs import TWO_PI
 from fibra.jsonio import _require, space_from_json
@@ -303,6 +303,69 @@ def doubled_edge_chain(n: int) -> Network:
         edges.append((f"e{i:03d}a", names[i], names[i + 1]))
         edges.append((f"e{i:03d}b", names[i], names[i + 1]))
     return network([(a, R1) for a in names], edges)
+
+
+# --- reference tokenizer ----------------------------------------------------------
+# The character loop that the regex scan replaced, kept as a differential
+# oracle: it yields (kind, text, (line, column)) triples ending with an "end"
+# triple, or raises the same ExprSyntaxError.  Its str.isdigit/isalpha/isalnum
+# tests agree with the scan's ASCII classes on ASCII text only.
+
+
+def reference_tokenize(src: str) -> list[tuple]:
+    tokens = []
+    line, col = 1, 1
+    i = 0
+    n = len(src)
+    while i < n:
+        c = src[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            i += 1
+            col += 1
+            continue
+        pos = (line, col)
+        if c.isdigit() or (c == "." and i + 1 < n and src[i + 1].isdigit()):
+            j = i
+            while j < n and (src[j].isdigit() or src[j] == "."):
+                j += 1
+            if j < n and src[j] in "eE":
+                k = j + 1
+                if k < n and src[k] in "+-":
+                    k += 1
+                if k < n and src[k].isdigit():
+                    j = k
+                    while j < n and src[j].isdigit():
+                        j += 1
+            text = src[i:j]
+            try:
+                float(text)
+            except ValueError:
+                raise ExprSyntaxError(f"bad number literal {text!r}", pos) from None
+            tokens.append(("num", text, pos))
+            col += j - i
+            i = j
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (src[j].isalnum() or src[j] == "_"):
+                j += 1
+            tokens.append(("ident", src[i:j], pos))
+            col += j - i
+            i = j
+            continue
+        if c in "+-*/^()[]{}":
+            tokens.append(("op", c, pos))
+            i += 1
+            col += 1
+            continue
+        raise ExprSyntaxError(f"unexpected character {c!r}", pos)
+    tokens.append(("end", "", (line, col)))
+    return tokens
 
 
 # --- reference evaluator ----------------------------------------------------------
