@@ -253,9 +253,12 @@ def _balanced(args, read):
             },
             True,
         )
-    partition = partition_from_json(read(args.check))
+    try:
+        partition = partition_from_json(read(args.check))
+    except PreconditionError:  # a node listed twice
+        partition = None
     net = _load_network(read, args.network)
-    if sorted(a for b in partition.blocks for a in b) != sorted(net.graph.nodes):
+    if partition is None or partition.block_index().keys() != net.graph.node_set:
         raise InputError(f"{args.check}: partition does not list each network node exactly once")
     ok, witness = is_balanced(net, partition)
     payload: dict = {"balanced": ok}

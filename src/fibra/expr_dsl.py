@@ -530,10 +530,8 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
     if values.shape[1] < 2:
         return values
     m, _, dim = values.shape
-    if dim == 1:
-        order = np.argsort(values[:, :, 0], axis=1, kind="stable")
-    else:  # lexsort's last key is the primary one
-        order = np.lexsort([values[:, :, j] for j in reversed(range(dim))], axis=-1)
+    # lexsort is stable and its last key is the primary one
+    order = np.lexsort([values[:, :, j] for j in reversed(range(dim))], axis=-1)
     return values[np.arange(m)[:, np.newaxis], order]
 
 

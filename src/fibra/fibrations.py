@@ -104,14 +104,24 @@ def factorize(m: NetworkMap) -> tuple[NetworkMap, NetworkMap]:
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint node blocks covering a node set; block id = least member."""
+    """Disjoint node blocks covering a node set; block id = least member.
+
+    Built from any iterable of node iterables: members are sorted, empty
+    blocks dropped and blocks ordered by their least member.  A node listed
+    more than once raises PreconditionError.
+    """
 
     blocks: tuple[tuple[NodeId, ...], ...]
 
+    def __post_init__(self) -> None:
+        blocks = (tuple(sorted(b)) for b in self.blocks)
+        object.__setattr__(self, "blocks", tuple(sorted(filter(None, blocks), key=lambda b: b[0])))
+        if len(self._block_by_node) < sum(map(len, self.blocks)):
+            raise PreconditionError("partition does not list each node exactly once")
+
     @classmethod
     def of(cls, blocks: Iterable[Iterable[NodeId]]) -> "Partition":
-        materialized = [tuple(sorted(b)) for b in blocks]
-        return cls(tuple(sorted((b for b in materialized if b), key=lambda b: b[0])))
+        return cls(blocks)
 
     def block_of(self, node: NodeId) -> tuple[NodeId, ...]:
         try:
@@ -123,7 +133,7 @@ class Partition:
         return self.block_of(node)[0]
 
     def block_index(self) -> dict[NodeId, NodeId]:
-        """node -> block id, nodes in block order; a node listed in several blocks maps to the first."""
+        """node -> block id, nodes in block order."""
         return {a: b[0] for a, b in self._block_by_node.items()}
 
     def refines(self, other: "Partition") -> bool:
@@ -132,20 +142,7 @@ class Partition:
 
     @cached_property
     def _block_by_node(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        by_node: dict[NodeId, tuple[NodeId, ...]] = {}
-        for b in self.blocks:
-            for a in b:
-                by_node.setdefault(a, b)
-        return by_node
-
-
-def _check_phase_homogeneous(net: Network, p: Partition) -> None:
-    if sorted(a for b in p.blocks for a in b) != sorted(net.graph.node_set):
-        raise PreconditionError("partition does not list each node exactly once")
-    for b in p.blocks:
-        spaces = {net.space(a) for a in b}
-        if len(spaces) > 1:
-            raise PreconditionError(f"block {b[0]!r} mixes phase spaces")
+        return {a: b for b in self.blocks for a in b}
 
 
 @dataclass(frozen=True)
@@ -156,7 +153,11 @@ class BalanceWitness:
 
 
 def _balance_witness(net: Network, p: Partition, idx: Mapping[NodeId, NodeId]) -> BalanceWitness | None:
-    _check_phase_homogeneous(net, p)
+    if idx.keys() != net.graph.node_set:
+        raise PreconditionError("partition does not list each node exactly once")
+    for b in p.blocks:
+        if len({net.space(a) for a in b}) > 1:
+            raise PreconditionError(f"block {b[0]!r} mixes phase spaces")
     nodes, colours, _ = next(refinement_rounds(net, idx))
     colour = dict(zip(nodes, colours))
     for b in p.blocks:
@@ -191,7 +192,7 @@ def quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkMap]:
             f"partition is not balanced: nodes {witness.left!r} and {witness.right!r} "
             f"in block {witness.block!r} have mismatched in-edge block multisets"
         )
-    q_nodes = tuple(sorted(b[0] for b in p.blocks))
+    q_nodes = tuple(b[0] for b in p.blocks)
     q_edges: list[Edge] = []
     edge_map: dict[str, str] = {}
     for b in p.blocks:

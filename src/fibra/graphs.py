@@ -283,6 +283,10 @@ def compose_maps(m1: NetworkMap, m2: NetworkMap) -> NetworkMap:
     """Diagrammatic composite of m1: A -> B and m2: B -> C."""
     if not m1.codomain.is_same(m2.domain):
         raise PreconditionError("compose_maps: codomain of the first map is not the domain of the second")
+    for kind, first, second in (("node", m1.node_map, m2.node_map), ("edge", m1.edge_map, m2.edge_map)):
+        for b in first.values():
+            if b not in second:
+                raise PreconditionError(f"compose_maps: the second map has no image of {kind} {b!r}")
     return NetworkMap(
         m1.domain,
         m2.codomain,

@@ -113,6 +113,8 @@ class InducedTreeMap:
 
 def induced_tree_map(m: NetworkMap, a: NodeId) -> InducedTreeMap:
     """Map of input trees sending the leaf at an in-edge to the leaf at its image edge."""
+    if a not in m.domain.graph.node_set:
+        raise PreconditionError(f"unknown node id {a!r}")
     b = m.node(a)
     leaf_map = {e.edge_id: m.edge(e.edge_id) for e in m.domain.in_edges(a)}
     codomain_leaves = {e.edge_id for e in m.codomain.in_edges(b)}

@@ -308,6 +308,17 @@ def test_balanced_check_partition(files, capsys):
     assert report_of(out)["results"]["witness"]
 
 
+@pytest.mark.parametrize(
+    "blocks", [[["1", "2", "3"], ["3"]], [["1", "3"]], [["1", "3"], ["2"], ["9"]]], ids=["repeated", "missing", "extra"]
+)
+def test_balanced_check_rejects_a_partition_not_listing_each_node_once(files, capsys, blocks):
+    write, _ = files
+    net = write("g3.json", network_to_json(fixtures.g3()))
+    partition = write("p.json", {"blocks": blocks})
+    code, out, err = run_cli(capsys, ["balanced", "--check", partition, net])
+    assert (code, out, err) == (2, "", f"error: {partition}: partition does not list each network node exactly once\n")
+
+
 def test_quotient_command(files, capsys):
     write, _ = files
     net = write("funnel.json", network_to_json(fixtures.funnel4()))

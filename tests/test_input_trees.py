@@ -1,16 +1,19 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, strategies as st
 
 from fibra import (
     EnumerationCapExceeded,
+    NetworkMap,
     PreconditionError,
     R1,
     R2,
     aut_generators,
     aut_order,
+    compose_maps,
     enumerate_tree_isos,
     identity_map,
     induced_tree_map,
@@ -54,6 +57,34 @@ def test_input_tree_loop_contributes_own_leaf():
 def test_input_tree_unknown_node():
     with pytest.raises(PreconditionError):
         input_tree(fixtures.g3(), "zzz")
+
+
+MISSING_IMAGES = {
+    "compose-maps-second-map-lacks-a-node": (
+        lambda: compose_maps(
+            fixtures.g3_to_c2(),
+            NetworkMap(fixtures.cycle2(), fixtures.cycle2(), {"a": "a"}, {"ab": "ab", "ba": "ba"}),
+        ),
+        PreconditionError, "compose_maps: the second map has no image of node 'b'",
+    ),
+    "compose-maps-second-map-lacks-an-edge": (
+        lambda: compose_maps(
+            fixtures.g3_to_c2(),
+            NetworkMap(fixtures.cycle2(), fixtures.cycle2(), {"a": "a", "b": "b"}, {"ab": "ab"}),
+        ),
+        PreconditionError, "compose_maps: the second map has no image of edge 'ba'",
+    ),
+    "induced-tree-map-at-an-unknown-node": (
+        lambda: induced_tree_map(fixtures.g3_to_c2(), "zz"), PreconditionError, "unknown node id 'zz'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MISSING_IMAGES))
+def test_structure_call_rejects_an_id_without_an_image(case):
+    call, exc, message = MISSING_IMAGES[case]
+    with pytest.raises(exc, match=re.escape(message)):
+        call()
 
 
 def test_induced_tree_map_collapse_onto_cycle():

@@ -9,6 +9,7 @@ parallel edges, mixed phase spaces and isolated nodes.
 
 import importlib
 import inspect
+import math
 import pkgutil
 
 import pytest
@@ -25,17 +26,20 @@ from fibra import (
     R2,
     S1,
     coarsest_balanced,
+    enumerate_tree_isos,
     is_balanced,
     network,
     quotient_of,
     symmetry_groupoid,
     validate_network,
 )
+from fibra import fixtures
 
 from util import (
     doubled_edge_chain,
     reference_balance_witness,
     reference_coarsest_balanced,
+    reference_partition_blocks,
     reference_quotient_of,
     scan_block_of,
     scan_class_of,
@@ -180,16 +184,40 @@ def test_kitchen_sink_has_every_feature():
     assert {s.name for s in KITCHEN_SINK.phase.values()} == {"R1", "R2", "S1"}
 
 
-def test_block_of_keeps_first_block_when_blocks_overlap():
-    p = Partition((("a", "b"), ("b", "c")))
-    assert p.block_of("b") == scan_block_of(p, "b") == ("a", "b")
-    overlapping = Partition.of([["a", "b"], ["b", "c"]])
-    assert overlapping.block_of("b") == ("a", "b")
-    assert overlapping.block_index() == {"a": "a", "b": "a", "c": "b"}
-    assert Partition.of([["a", "c"]]).refines(overlapping) is False
-    assert Partition.of([["a", "b"]]).refines(overlapping) is True
+@pytest.mark.parametrize("build", [Partition, Partition.of], ids=["init", "of"])
+def test_partition_is_canonical_by_construction(build):
+    p = build((("3", "1"), ("2",)))
+    assert p.blocks == (("1", "3"), ("2",))
+    assert p.block_id("3") == p.block_id("1") == "1" and p.block_of("3") == scan_block_of(p, "3")
+    assert build([[], ["2"], [], ["3", "1"]]) == p
+    quotient, projection = quotient_of(fixtures.g3(), build((("3", "1"), ("2",), ())))
+    assert (quotient, projection) == quotient_of(fixtures.g3(), Partition.of([["1", "3"], ["2"]]))
+    assert quotient.graph.nodes == ("1", "2") and projection.node_map == {"1": "1", "2": "2", "3": "1"}
+    for blocks in ([["a", "b"], ["b", "c"]], [["a", "a"]]):
+        with pytest.raises(PreconditionError, match="partition does not list each node exactly once"):
+            build(blocks)
     with pytest.raises(PreconditionError, match="node 'b' not covered by the partition"):
-        Partition.of([["a"], ["b"]]).refines(Partition.of([["a"]]))
+        build([["a"], ["b"]]).refines(build([["a"]]))
+
+
+@given(st.lists(st.lists(st.sampled_from("abcde"), max_size=3), max_size=4))
+def test_partition_constructors_match_the_sorting_oracle(blocks):
+    members = [a for b in blocks for a in b]
+    if len(set(members)) == len(members):
+        assert Partition(blocks) == Partition.of(blocks)
+        assert Partition(blocks).blocks == reference_partition_blocks(blocks)
+    else:
+        for build in (Partition, Partition.of):
+            with pytest.raises(PreconditionError, match="exactly once"):
+                build(blocks)
+
+
+@given(networks())
+@example(KITCHEN_SINK)
+def test_witness_is_the_first_enumerated_isomorphism(net):
+    for cls in symmetry_groupoid(net).classes:
+        for m in cls.members:
+            assert enumerate_tree_isos(net, m, cls.representative, cap=math.inf)[0] == cls.witnesses[m]
 
 
 def test_doubled_edge_chain_refines_to_discrete_partition():

@@ -216,6 +216,12 @@ def scan_block_of(p: Partition, node: str) -> tuple:
     raise PreconditionError(f"node {node!r} not covered by the partition")
 
 
+def reference_partition_blocks(blocks) -> tuple:
+    """Blocks in canonical form by sorting alone, with no check for a repeated node."""
+    materialized = [tuple(sorted(b)) for b in blocks]
+    return tuple(sorted((b for b in materialized if b), key=lambda b: b[0]))
+
+
 def scan_class_of(g, node: str):
     for c in g.classes:
         if node in c.members:
