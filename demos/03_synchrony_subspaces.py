@@ -22,7 +22,7 @@ field = interconnect(psi.domain, pullback(psi, w_cycle))
 x0 = np.array([0.3, -1.0, 0.3])  # x1 = x3, node 2 free
 traj = integrate(field, x0, T=10.0, h=1e-3)
 
-drift = max(pd.violation(s) for s in traj.states)
+drift = pd.violation(traj.states)
 movement = np.abs(traj.states[-1] - traj.states[0]).max()
 print(f"max |x1 - x3| along the trajectory: {drift:.3e}")
 print(f"total state movement over T=10:    {movement:.3f}")

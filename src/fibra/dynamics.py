@@ -254,10 +254,7 @@ class GlobalField:
             self._units.append((root_gather, bind_control(ctrl, slots), input_gathers))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        n = self.index.total_dim
-        if x.shape[-1:] != (n,) or x.ndim > 2:
-            raise PreconditionError(f"state has shape {x.shape}, expected ({n},) or (samples, {n})")
+        x = self.index.states(x)
         out = np.empty(x.shape)
         for target, kernel, gathers in self._units:
             if x.ndim == 1:  # one state, as integrate passes: the batch reshapes cost about 1 us a unit
@@ -298,7 +295,7 @@ def _pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
         raise PreconditionError("field is not defined on the codomain of the map")
 
     def pulled(a: NodeId) -> Control:
-        return _transported(w_prime.control_at(m.node(a)), lambda: induced_tree_map(m, a).as_iso().inverse())
+        return _transported(w_prime.control_at(m.node_map[a]), lambda: induced_tree_map(m, a).as_iso().inverse())
 
     if w_prime.mode == "per_class":
         g = symmetry_groupoid(m.domain)

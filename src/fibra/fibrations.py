@@ -254,9 +254,9 @@ class Polydiagonal:
         return self.index.gather(rep[a] for a in self.index.order)
 
     def violation(self, x: np.ndarray) -> float:
-        """Max deviation from the fiber constraints, circle coordinates mod 2pi; NaN if any is NaN."""
-        x = self.index.state(x)
-        return coordinate_distance(x[self._representatives], x, self.index)
+        """Max deviation of a state, or of all rows of a batch, from the fiber constraints; NaN if any is NaN."""
+        x = self.index.states(x)
+        return coordinate_distance(x[..., self._representatives], x, self.index)
 
     def contains(self, x: np.ndarray, tol: float = 1e-9) -> bool:
         return self.violation(x) <= tol
@@ -271,7 +271,7 @@ def polydiagonal_of(m: NetworkMap) -> Polydiagonal:
         raise PreconditionError("polydiagonal_of requires a surjective fibration")
     fibers: dict[NodeId, list[NodeId]] = {}
     for a in m.domain.graph.nodes:
-        fibers.setdefault(m.node(a), []).append(a)
+        fibers.setdefault(m.node_map[a], []).append(a)
     partition = Partition.of(fibers.values())
     return Polydiagonal(m.domain, partition, total_phase_space(m.domain))
 

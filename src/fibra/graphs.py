@@ -81,11 +81,6 @@ class Graph:
     nodes: tuple[NodeId, ...]
     edges: tuple[Edge, ...]
 
-    @classmethod
-    def build(cls, nodes: Iterable[NodeId], edges: Iterable[tuple[str, str, str]]) -> "Graph":
-        """Construct from node ids and (edge_id, src, tgt) triples."""
-        return cls(tuple(nodes), tuple(Edge(*e) for e in edges))
-
     def in_edges(self, node: NodeId) -> tuple[Edge, ...]:
         """In-edges of ``node`` sorted by edge id."""
         return self._adjacency[0].get(node, ())
@@ -152,7 +147,7 @@ class Network:
 def network(nodes: Iterable[tuple[str, PhaseSpace]], edges: Iterable[tuple[str, str, str]]) -> Network:
     """Build a network from (node_id, space) pairs and (edge_id, src, tgt) triples."""
     pairs = list(nodes)
-    return Network(Graph.build((n for n, _ in pairs), edges), {n: s for n, s in pairs})
+    return Network(Graph(tuple(n for n, _ in pairs), tuple(Edge(*e) for e in edges)), {n: s for n, s in pairs})
 
 
 def refinement_rounds(net: Network, colour: Mapping[NodeId, Hashable]) -> Iterator[tuple]:
@@ -221,12 +216,6 @@ class NetworkMap:
     codomain: Network
     node_map: Mapping[NodeId, NodeId]
     edge_map: Mapping[EdgeId, EdgeId]
-
-    def node(self, a: NodeId) -> NodeId:
-        return self.node_map[a]
-
-    def edge(self, e: EdgeId) -> EdgeId:
-        return self.edge_map[e]
 
 
 def identity_map(net: Network) -> NetworkMap:
@@ -345,6 +334,14 @@ class StateIndex:
             raise PreconditionError(f"state has shape {x.shape}, expected ({self.total_dim},)")
         return x
 
+    def states(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as one float state ``(D,)`` or a batch ``(samples, D)``; PreconditionError for any other shape."""
+        x = np.asarray(x, dtype=float)
+        n = self.total_dim
+        if x.shape[-1:] != (n,) or x.ndim > 2:
+            raise PreconditionError(f"state has shape {x.shape}, expected ({n},) or (samples, {n})")
+        return x
+
     def circle_mask(self) -> np.ndarray:
         """Boolean mask of the circle coordinates (a fresh copy)."""
         return self._circle_mask.copy()
@@ -390,11 +387,7 @@ class PhaseSpaceMap:
 
     def __call__(self, x_codomain: np.ndarray) -> np.ndarray:
         """Map one codomain state, or each row of a (samples, total_dim) batch."""
-        x_codomain = np.asarray(x_codomain, dtype=float)
-        n = self.codomain_index.total_dim
-        if x_codomain.shape[-1:] != (n,) or x_codomain.ndim > 2:
-            raise PreconditionError(f"state has dimension {x_codomain.shape}, expected ({n},) or (samples, {n})")
-        return x_codomain[..., self._gather]
+        return self.codomain_index.states(x_codomain)[..., self._gather]
 
     def differential(self, v_codomain: np.ndarray) -> np.ndarray:
         """Tangent-level action; the same gather, since the map is linear."""
@@ -423,9 +416,11 @@ def circle_distance(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray 
 
 
 def coordinate_distance(x: np.ndarray, y: np.ndarray, index: StateIndex) -> float:
-    """Max over coordinates of the per-coordinate distance, circle-aware; NaN if any is NaN."""
-    x, y = index.state(x), index.state(y)
+    """Max per-coordinate distance, circle-aware, over two states or all rows of two batches; NaN if any is NaN."""
+    x, y = index.states(x), index.states(y)
+    if x.shape != y.shape:
+        raise PreconditionError(f"states have shapes {x.shape} and {y.shape}, expected one shape")
     dist = np.abs(x - y)
     circ = index._circle_mask
-    dist[circ] = circle_distance(x[circ], y[circ])
+    dist[..., circ] = circle_distance(x[..., circ], y[..., circ])
     return float(dist.max(initial=0.0))

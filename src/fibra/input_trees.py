@@ -115,8 +115,11 @@ def induced_tree_map(m: NetworkMap, a: NodeId) -> InducedTreeMap:
     """Map of input trees sending the leaf at an in-edge to the leaf at its image edge."""
     if a not in m.domain.graph.node_set:
         raise PreconditionError(f"unknown node id {a!r}")
-    b = m.node(a)
-    leaf_map = {e.edge_id: m.edge(e.edge_id) for e in m.domain.in_edges(a)}
+    b = m.node_map.get(a)
+    leaf_map = {e.edge_id: m.edge_map.get(e.edge_id) for e in m.domain.in_edges(a)}
+    for kind, key, image in (("node", a, b), *(("edge", e, f) for e, f in leaf_map.items())):
+        if image is None:
+            raise PreconditionError(f"induced_tree_map: the map has no image of {kind} {key!r}")
     codomain_leaves = {e.edge_id for e in m.codomain.in_edges(b)}
     images = list(leaf_map.values())
     is_iso = (
@@ -131,7 +134,7 @@ def iso_count(net: Network, a: NodeId, b: NodeId) -> int:
     ta, tb = input_tree(net, a), input_tree(net, b)
     if ta.root_type != tb.root_type or ta.type_counts() != tb.type_counts():
         return 0
-    return math.prod(math.factorial(k) for k in ta.type_counts().values())
+    return aut_order(ta)
 
 
 def enumerate_tree_isos(
@@ -263,6 +266,10 @@ class SymmetryGroupoid:
     classes: tuple[IsoClass, ...]
     aut_orders: Mapping[NodeId, int]
 
+    def __post_init__(self) -> None:
+        if len(self._class_by_node) < sum(len(c.members) for c in self.classes):
+            raise PreconditionError("symmetry groupoid classes list a node more than once")
+
     def class_of(self, node: NodeId) -> IsoClass:
         try:
             return self._class_by_node[node]
@@ -277,8 +284,7 @@ class SymmetryGroupoid:
 
     @cached_property
     def _class_by_node(self) -> dict[NodeId, IsoClass]:
-        # reversed, so that a node listed in several classes maps to the first
-        return {a: c for c in reversed(self.classes) for a in c.members}
+        return {a: c for c in self.classes for a in c.members}
 
 
 def symmetry_groupoid(net: Network) -> SymmetryGroupoid:

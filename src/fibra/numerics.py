@@ -90,7 +90,7 @@ def verify_polydiagonal_invariance(
 ) -> float:
     """Max distance of the domain trajectory from the synchrony subspace of a surjective fibration."""
     pd = polydiagonal_of(m)
-    x0 = np.asarray(x0, dtype=float)
+    x0 = pd.index.state(x0)
     start_violation = pd.violation(x0)
     if start_violation > tol_sync:
         raise PreconditionError(
@@ -98,7 +98,7 @@ def verify_polydiagonal_invariance(
         )
     domain_field = interconnect(m.domain, _pullback(m, w_prime))  # polydiagonal_of checked the fibration
     traj = integrate(domain_field, x0, T, h)
-    return float(np.max([pd.violation(x) for x in traj.states]))
+    return pd.violation(traj.states)
 
 
 def _central_differences(field: GlobalField, x: np.ndarray, nodes, step: float):
@@ -246,8 +246,8 @@ def certify_conjugacy(
     if x0_prime is None:
         x0_prime = sample_state(p.codomain_index, np.random.default_rng(seed))
     traj_prime = integrate(codomain_field, x0_prime, T, h)
-    traj = integrate(domain_field, p(np.asarray(x0_prime, dtype=float)), T, h)
-    flow = np.max([coordinate_distance(p(xp), x, p.domain_index) for xp, x in zip(traj_prime.states, traj.states)])
+    traj = integrate(domain_field, p(x0_prime), T, h)
+    flow = coordinate_distance(p(traj_prime.states), traj.states, p.domain_index)
     return ConjugacyReport(
         pointwise_max_residual=float(pointwise),
         flow_max_deviation=float(flow),

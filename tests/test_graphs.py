@@ -198,26 +198,58 @@ def test_phase_space_map_rejects_invalid():
 @pytest.mark.parametrize("shape", [(3,), (1, 1, 2)])
 def test_phase_space_map_rejects_a_wrong_shape_state(shape):
     p = phase_space_map(fixtures.g3_to_c2())
-    message = f"state has dimension {shape}, expected (2,) or (samples, 2)"
+    message = f"state has shape {shape}, expected (2,) or (samples, 2)"
     with pytest.raises(PreconditionError, match=re.escape(message)):
         p(np.zeros(shape))
 
 
 @pytest.mark.parametrize("shape", [(2,), (1, 3), (2, 3)])
 def test_state_checks_reject_a_wrong_shape_state(shape):
+    # integrate and dependency_matrix take one state; a batch is a wrong shape there
     message = re.escape(f"state has shape {shape}, expected (3,)")
     g3 = fixtures.g3()
-    with pytest.raises(PreconditionError, match=message):
-        coordinate_distance(np.zeros(shape), np.zeros(3), total_phase_space(g3))
-    with pytest.raises(PreconditionError, match=message):
-        coordinate_distance(np.zeros(3), np.zeros(shape), total_phase_space(g3))
-    with pytest.raises(PreconditionError, match=message):
-        polydiagonal_of(fixtures.g3_to_c2()).violation(np.zeros(shape))
     field = interconnect(g3, fixtures.linear_dynamics(g3))
     with pytest.raises(PreconditionError, match=message):
         dependency_matrix(field, np.zeros(shape))
     with pytest.raises(PreconditionError, match=message):
         integrate(field, np.zeros(shape), T=0.02, h=0.01)
+
+
+def _batch_readers():
+    """The four readers of a state or a (samples, D) batch, each on a layout of D = 3."""
+    g3 = fixtures.g3()
+    index = total_phase_space(g3)
+    return {
+        "field": interconnect(g3, fixtures.linear_dynamics(g3)),
+        "phase_space_map": phase_space_map(identity_map(g3)),
+        "coordinate_distance(x, .)": lambda x: coordinate_distance(x, np.zeros(3), index),
+        "coordinate_distance(., y)": lambda y: coordinate_distance(np.zeros(3), y, index),
+        "violation": polydiagonal_of(fixtures.g3_to_c2()).violation,
+    }
+
+
+@pytest.mark.parametrize("shape", [(2,), (), (3, 2), (1, 1, 3)])
+def test_batch_readers_reject_a_wrong_shape_state_with_one_message(shape):
+    message = re.escape(f"state has shape {shape}, expected (3,) or (samples, 3)")
+    for read in _batch_readers().values():
+        with pytest.raises(PreconditionError, match=message):
+            read(np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (1, 3), (2, 3)])
+def test_batch_readers_take_a_state_or_a_batch(shape):
+    g3, x = fixtures.g3(), np.zeros(shape)
+    assert interconnect(g3, fixtures.linear_dynamics(g3))(x).shape == shape
+    assert phase_space_map(identity_map(g3))(x).shape == shape
+    assert coordinate_distance(x, x, total_phase_space(g3)) == 0.0
+    assert polydiagonal_of(fixtures.g3_to_c2()).violation(x) == 0.0
+
+
+@pytest.mark.parametrize("x_shape, y_shape", [((3,), (1, 3)), ((2, 3), (3,)), ((1, 3), (2, 3)), ((0, 3), (1, 3))])
+def test_coordinate_distance_rejects_states_of_two_shapes(x_shape, y_shape):
+    message = re.escape(f"states have shapes {x_shape} and {y_shape}, expected one shape")
+    with pytest.raises(PreconditionError, match=message):
+        coordinate_distance(np.zeros(x_shape), np.zeros(y_shape), total_phase_space(fixtures.g3()))
 
 
 def test_compose_identity_right_and_left():

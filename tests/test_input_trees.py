@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 
 from fibra import (
     EnumerationCapExceeded,
+    IsoClass,
     NetworkMap,
     PreconditionError,
     R1,
     R2,
+    SymmetryGroupoid,
     aut_generators,
     aut_order,
     compose_maps,
@@ -76,6 +78,17 @@ MISSING_IMAGES = {
     ),
     "induced-tree-map-at-an-unknown-node": (
         lambda: induced_tree_map(fixtures.g3_to_c2(), "zz"), PreconditionError, "unknown node id 'zz'",
+    ),
+    "induced-tree-map-lacks-a-node": (
+        lambda: induced_tree_map(NetworkMap(fixtures.g3(), fixtures.cycle2(), {}, {}), "1"),
+        PreconditionError, "induced_tree_map: the map has no image of node '1'",
+    ),
+    "induced-tree-map-lacks-an-edge": (
+        lambda: induced_tree_map(
+            NetworkMap(fixtures.g3(), fixtures.cycle2(), {"1": "a", "2": "b", "3": "a"}, {"a": "ab", "c": "ba"}),
+            "1",
+        ),
+        PreconditionError, "induced_tree_map: the map has no image of edge 'b'",
     ),
 }
 
@@ -233,6 +246,18 @@ def test_groupoid_two_tier_same_space():
 def test_groupoid_two_tier_split_by_sink_space():
     g = symmetry_groupoid(fixtures.funnel4(R1, R2))
     assert [c.members for c in g.classes] == [("1", "2"), ("3",), ("4",)]
+
+
+@pytest.mark.parametrize(
+    "members", [(("1", "2"), ("2", "3")), (("1", "2"), ("3", "1")), (("1", "1"), ("2", "3"))], ids=str
+)
+def test_groupoid_refuses_a_node_listed_twice(members):
+    g3 = fixtures.g3()
+    classes = tuple(IsoClass(ms[0], ms, g3) for ms in members)
+    with pytest.raises(PreconditionError, match="symmetry groupoid classes list a node more than once"):
+        SymmetryGroupoid(g3, classes, {})
+    disjoint = (IsoClass("1", ("1", "3"), g3), IsoClass("2", ("2",), g3))
+    assert SymmetryGroupoid(g3, disjoint, {}).class_of("3") is disjoint[0]
 
 
 def test_groupoid_broadcast_single_class_trivial_aut():

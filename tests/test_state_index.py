@@ -4,7 +4,8 @@
 ``sample_state``, ``circle_mask`` and ``dependency_matrix`` must give bitwise
 what the loops kept in ``util`` give.  Networks mix R1/R2/S1 nodes and have a
 self-loop and an isolated node; circle coordinate pairs are equal, about pi
-apart, or apart by multiples of 2pi.
+apart, or apart by multiples of 2pi.  On a ``(samples, D)`` batch, the first
+three must give bitwise what one call per row gives.
 """
 
 import math
@@ -25,13 +26,20 @@ from fibra import (
     S1,
     circle_distance,
     coordinate_distance,
+    identity_map,
+    integrate,
+    interconnect,
     network,
     per_node_field,
     phase_space_map,
+    polydiagonal_of,
+    pullback,
     sample_state,
     signature_at,
     total_phase_space,
+    verify_polydiagonal_invariance,
 )
+from fibra import fixtures
 from fibra.numerics import dependency_matrix
 
 from util import (
@@ -81,6 +89,11 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def row_max(values):
+    """The max of per-row results, 0.0 for no rows; NaN if any is NaN."""
+    return np.float64(np.max(values, initial=0.0))
+
+
 @given(st.data())
 def test_phase_space_map_matches_slice_copy(data):
     cod = data.draw(networks())
@@ -92,6 +105,10 @@ def test_phase_space_map_matches_slice_copy(data):
     x = states(data.draw, p.codomain_index.total_dim)
     assert same_bits(p(x), reference_phase_space_map(m)(x))
     assert same_bits(p.differential(x), reference_phase_space_map(m)(x))
+    batch = states(data.draw, (data.draw(st.integers(0, 3)), p.codomain_index.total_dim))
+    rows = np.array([p(row) for row in batch]).reshape(len(batch), p.domain_index.total_dim)
+    assert same_bits(p(batch), rows)
+    assert same_bits(p.differential(batch), rows)
 
 
 @given(st.data())
@@ -107,6 +124,11 @@ def test_coordinate_distance_matches_per_node_loop(data):
     assert same_bits(mask, reference_circle_mask(index))
     old = [reference_circle_distance(float(a), float(b)) for a, b in zip(x[mask], y[mask])]
     assert same_bits(circle_distance(x[mask], y[mask]), np.array(old, dtype=float))
+    xs = states(data.draw, (data.draw(st.integers(0, 3)), index.total_dim))
+    ys = xs + np.array([offsets(data.draw, index.total_dim) for _ in xs]).reshape(xs.shape)
+    for a, b in ((xs, ys), (ys, xs), (xs, np.where(mask, ys, xs))):
+        per_row = [coordinate_distance(u, v, index) for u, v in zip(a, b)]
+        assert same_bits(np.float64(coordinate_distance(a, b, index)), row_max(per_row))
 
 
 def test_circle_mask_is_a_copy_and_nan_propagates():
@@ -119,6 +141,19 @@ def test_circle_mask_is_a_copy_and_nan_propagates():
         y = x.copy()
         y[j] = np.nan
         assert math.isnan(coordinate_distance(x, y, index))
+        assert math.isnan(coordinate_distance(np.stack([x, x, x]), np.stack([x, y, x]), index))
+
+
+@pytest.mark.parametrize("samples", [0, 1, 3])
+def test_batch_readers_on_an_empty_layout(samples):
+    # D = 0: no node, so no coordinate; every row is the empty state
+    net = network([], [])
+    index = total_phase_space(net)
+    x = np.zeros((samples, 0))
+    assert same_bits(phase_space_map(identity_map(net))(x), x)
+    assert same_bits(GlobalField(net, per_node_field(net, {}))(x), x)
+    assert coordinate_distance(x, x, index) == 0.0
+    assert Polydiagonal(net, Partition(()), index).violation(x) == 0.0
 
 
 @st.composite
@@ -141,11 +176,13 @@ def polydiagonals(draw):
     return pd, x, moved
 
 
-@given(polydiagonals())
-def test_polydiagonal_violation_matches_per_block_loop(case):
+@given(polydiagonals(), st.integers(0, 3))
+def test_polydiagonal_violation_matches_per_block_loop(case, samples):
     pd, on, moved = case
     for x in (on, on + moved):
         assert same_bits(np.float64(pd.violation(x)), np.float64(reference_violation(pd, x)))
+    batch = np.stack([on + moved, on, on - moved])[:samples]
+    assert same_bits(np.float64(pd.violation(batch)), row_max([pd.violation(x) for x in batch]))
 
 
 def test_polydiagonal_violation_on_circle_blocks_matches_per_block_loop():
@@ -161,6 +198,20 @@ def test_polydiagonal_violation_on_circle_blocks_matches_per_block_loop():
         x[1:3] += np.where(rng.random(2) < 0.5, near_special, rng.uniform(-4.0, 4.0, 2))
         x[6:] += rng.uniform(-0.1, 0.1, 2)
         assert same_bits(np.float64(pd.violation(x)), np.float64(reference_violation(pd, x)))
+
+
+@pytest.mark.parametrize("dynamics, space", [(fixtures.linear_dynamics, R1), (fixtures.kuramoto_dynamics, S1)])
+def test_polydiagonal_invariance_is_the_max_over_the_trajectory(dynamics, space):
+    # a start 1e-10 off the subspace, inside the tolerance, gives a drift that is not 0.0
+    psi = fixtures.string_to_cycle(4, space, space)
+    w = dynamics(psi.codomain)
+    pd = polydiagonal_of(psi)
+    x0 = phase_space_map(psi)(np.array([3.0, -2.5]))
+    x0[-1] += 1e-10
+    traj = integrate(interconnect(psi.domain, pullback(psi, w)), x0, T=1.0, h=1e-2)
+    drift = verify_polydiagonal_invariance(psi, w, x0, T=1.0, h=1e-2)
+    assert drift > 0.0
+    assert same_bits(np.float64(drift), row_max([reference_violation(pd, x) for x in traj.states]))
 
 
 @given(networks(), st.integers(0, 2**32 - 1))
