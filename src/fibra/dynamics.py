@@ -101,7 +101,9 @@ def eval_control(ctrl: Control, root: np.ndarray, inputs: Sequence[LabelledInput
     """Evaluate any control kind on labelled inputs (edge id, space, state): a kernel call for one member."""
     root = as_state(root, ctrl.signature.root.dim, "root state")
     kernel = bind_control(ctrl, [(eid, space) for eid, space, _ in inputs])
-    return kernel(root[np.newaxis], member_groups(ctrl.signature, [(space, state) for _, space, state in inputs]))[0]
+    groups = member_groups(ctrl.signature, [(space, state) for _, space, state in inputs])
+    with np.errstate(all="ignore"):
+        return kernel(root[np.newaxis], groups)[0]
 
 
 def ctrl_transport(iso: TreeIso, ctrl: Control) -> Control:
@@ -256,15 +258,16 @@ class GlobalField:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = self.index.states(x)
         out = np.empty(x.shape)
-        for target, kernel, gathers in self._units:
-            if x.ndim == 1:  # one state, as integrate passes: the batch reshapes cost about 1 us a unit
-                out[target] = kernel(x[target], [x[g] for g in gathers])
-            else:  # S rows of m members are S*m members of one kernel call
-                tangents = kernel(
-                    x[:, target].reshape(-1, target.shape[1]),
-                    [x[:, g].reshape((-1,) + g.shape[1:]) for g in gathers],
-                )
-                out[:, target] = tangents.reshape(x.shape[:1] + target.shape)
+        with np.errstate(all="ignore"):  # IEEE overflow and NaN, as Python floats give them
+            for target, kernel, gathers in self._units:
+                if x.ndim == 1:  # one state, as integrate passes: the batch reshapes cost about 1 us a unit
+                    out[target] = kernel(x[target], [x[g] for g in gathers])
+                else:  # S rows of m members are S*m members of one kernel call
+                    tangents = kernel(
+                        x[:, target].reshape(-1, target.shape[1]),
+                        [x[:, g].reshape((-1,) + g.shape[1:]) for g in gathers],
+                    )
+                    out[:, target] = tangents.reshape(x.shape[:1] + target.shape)
         return out
 
 
@@ -338,8 +341,9 @@ def check_invariance(ctrl: Control, a: NodeId, net: Network, trials: int = 200, 
     kernel, roots, groups = _sampled_at(ctrl, net, a, trials, rng)
     rows = np.arange(trials)[:, np.newaxis]
     permuted = [grp[rows, rng.permuted(np.tile(np.arange(grp.shape[1]), (trials, 1)), axis=1)] for grp in groups]
-    # unlike max(), propagates NaN
-    return float(np.abs(kernel(roots, groups) - kernel(roots, permuted)).max(initial=0.0))
+    with np.errstate(all="ignore"):
+        drawn, moved = kernel(roots, groups), kernel(roots, permuted)
+    return float(np.abs(drawn - moved).max(initial=0.0))  # unlike max(), propagates NaN
 
 
 def _vanishes_on_samples(
@@ -347,7 +351,9 @@ def _vanishes_on_samples(
 ) -> bool:
     """Whether the control at node ``a`` stays within ``tol`` of zero at random states."""
     kernel, roots, groups = _sampled_at(ctrl, net, a, samples, rng)
-    return bool(np.abs(kernel(roots, groups)).max(initial=0.0) <= tol)  # NaN does not vanish
+    with np.errstate(all="ignore"):
+        values = kernel(roots, groups)
+    return bool(np.abs(values).max(initial=0.0) <= tol)  # NaN does not vanish
 
 
 def pullback_kernel_check(

@@ -471,10 +471,15 @@ def unparse(e: Expr) -> str:
 # at a time: their root states as an (m, d_root) array and, per type group in
 # signature order, their input states as an (m, count, dim) array.  Each
 # member gets the bits a scalar evaluation would give.  ``+ - * /``, ``abs``
-# and ``sqrt`` are exact IEEE operations in numpy as in Python.  ``^`` and the
-# other functions run elementwise through Python's ``**`` and ``math.*``:
-# numpy's vectorised versions may differ from them in the last bit, which
-# would break the exact invariance and synchrony guarantees.
+# and ``sqrt`` are exact IEEE operations in numpy as in Python.  ``sin`` and
+# ``cos`` run as numpy ufuncs on finite input: the tests gate that numpy
+# gives the bits of ``math.sin``/``math.cos`` at every position of an array.
+# ``^``, ``tan``, ``exp``, ``log`` and ``tanh`` run elementwise through
+# Python's ``**`` and ``math.*``: numpy's vectorised versions differ from
+# them in the last bit, which would break the exact invariance and synchrony
+# guarantees.  A kernel does not set numpy's error state; its callers run it
+# under ``np.errstate(all="ignore")``, so overflow and NaN pass silently, as
+# Python floats give them.
 
 BatchKernel = Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
 
@@ -527,9 +532,11 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
     This is the order ``sorted(key=tolist)`` gives; -0.0 and 0.0 tie.  A NaN
     coordinate sorts last here, where Python's sort gives it no defined place.
     """
-    if values.shape[1] < 2:
+    m, count, dim = values.shape
+    if count < 2:
         return values
-    m, _, dim = values.shape
+    if dim == 1:
+        return np.sort(values, axis=1, kind="stable")
     # lexsort is stable and its last key is the primary one
     order = np.lexsort([values[:, :, j] for j in reversed(range(dim))], axis=-1)
     return values[np.arange(m)[:, np.newaxis], order]
@@ -557,6 +564,16 @@ def _compile_call(e: Call, arg: _Node) -> _Node:
             return _map(checked, v)  # faults like math.sqrt on a negative
 
         return sqrt
+    if e.func in ("sin", "cos"):
+        ufunc = getattr(np, e.func)
+
+        def periodic(frame: list) -> _Value:
+            v = arg(frame)
+            if isinstance(v, np.ndarray) and np.isfinite(v).all():
+                return ufunc(v)
+            return _map(checked, v)  # faults like math.sin on ±inf, NaN stays NaN
+
+        return periodic
 
     return _elementwise(arg, fn, checked)
 
@@ -646,6 +663,8 @@ def compile_control(ctrl: ControlExpr) -> BatchKernel:
     per type group of the signature, in group order; the result is
     (m, d_root).  Faults raise :class:`EvaluationFault`; when members fault at
     different places, the one named may differ from a member-by-member loop.
+    Call the kernel under ``np.errstate(all="ignore")``: it leaves numpy's
+    error state to its caller, so that a field enters it once per call.
     """
     names = list(ctrl.signature.groups())
     groups = {name: 1 + g for g, name in enumerate(names)}
@@ -656,9 +675,8 @@ def compile_control(ctrl: ControlExpr) -> BatchKernel:
     def kernel(roots: np.ndarray, inputs: Sequence[np.ndarray]) -> np.ndarray:
         frame = [roots, *map(_canonical_order, inputs), *aggregator_slots]
         out = np.empty((roots.shape[0], len(components)))
-        with np.errstate(all="ignore"):  # IEEE overflow and NaN, as Python floats give them
-            for i, component in enumerate(components):
-                out[:, i] = component(frame)
+        for i, component in enumerate(components):
+            out[:, i] = component(frame)
         return out
 
     return kernel
@@ -694,7 +712,8 @@ def evaluate(
 ) -> np.ndarray:
     """Evaluate a control at a root state and typed input states; returns the tangent vector."""
     root = as_state(root, ctrl.signature.root.dim, "root state")
-    return compile_control(ctrl)(root[np.newaxis], member_groups(ctrl.signature, inputs))[0]
+    with np.errstate(all="ignore"):
+        return compile_control(ctrl)(root[np.newaxis], member_groups(ctrl.signature, inputs))[0]
 
 
 @dataclass(frozen=True)

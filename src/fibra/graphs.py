@@ -62,7 +62,7 @@ R2 = euclidean(2)
 S1 = circle()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     edge_id: EdgeId
     src: NodeId

@@ -28,6 +28,7 @@ from fibra import (
     check_invariance,
     ctrl_transport,
     enumerate_tree_isos,
+    euclidean,
     eval_control,
     evaluate,
     fixtures,
@@ -44,7 +45,7 @@ from fibra import (
 )
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples, bind_control
 from fibra.errors import EvaluationFault
-from fibra.expr_dsl import FUNCTIONS, ControlSignature, _canonical_order, group_positions
+from fibra.expr_dsl import FUNCTIONS, ControlSignature, _canonical_order, compile_control, group_positions
 from fibra.sampling import sample_state
 
 from util import (
@@ -407,10 +408,15 @@ def test_large_batch_matches_tree_walk():
         assert same_bits(field(x), reference(x))
 
 
+def _nan_last(state):
+    """Sort key: by value, coordinate by coordinate, with a NaN coordinate after every number."""
+    return [(math.isnan(c), 0.0 if math.isnan(c) else c) for c in state.tolist()]
+
+
 @given(
     st.integers(1, 3).flatmap(
         lambda dim: st.lists(
-            st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), min_size=dim, max_size=dim),
+            st.lists(st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, math.nan]), min_size=dim, max_size=dim),
                      min_size=0, max_size=40),
             min_size=1, max_size=4,
         ).filter(lambda ms: len({len(m) for m in ms}) == 1).map(lambda ms: (dim, ms))
@@ -419,7 +425,7 @@ def test_large_batch_matches_tree_walk():
 def test_canonical_order_is_stable_sort_by_value(case):
     dim, members = case
     values = np.array(members, dtype=float).reshape(len(members), len(members[0]), dim)
-    expected = np.array([sorted(m, key=np.ndarray.tolist) for m in values]).reshape(values.shape)
+    expected = np.array([sorted(m, key=_nan_last) for m in values]).reshape(values.shape)
     assert same_bits(_canonical_order(values), expected)
 
 
@@ -429,6 +435,7 @@ FAULTS = [
     ("log(-1 - x[0]^2)", "log fault"),
     ("sqrt(-1 - x[0]^2)", "sqrt fault"),
     ("sin(1e999 * (1 + x[0]^2))", "sin fault"),
+    ("cos(1e999 * (1 + x[0]^2))", "cos fault"),
     ("mean(u in inputs[R1]) { u[0] }", "mean of empty group"),
 ]
 
@@ -449,6 +456,93 @@ def test_overflow_gives_signed_infinity():
     out = evaluate(ctrl, root, [])
     assert out.tolist() == [np.inf, -np.inf]
     assert same_bits(out, reference_bind(ctrl, [])(root, []))
+
+
+# --- sin and cos as numpy ufuncs ---------------------------------------------------------
+# On finite input the kernels call np.sin and np.cos, whose SIMD loops depend on the
+# CPU and the numpy version.  The gate: each member gets the bits of math.sin and
+# math.cos wherever it sits in an array and however the array is strided.  Any other
+# input takes the math.* path, so ±inf faults as in the tree walk and NaN stays NaN.
+
+R3 = euclidean(3)
+WIDE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, math.pi, -math.pi / 2, 1e22, 2.0**1023]
+)
+
+
+def periodic(func, space=R3):
+    """``func`` of each root coordinate, as a control with no inputs."""
+    return parse_control([f"{func}(x[{i}])" for i in range(space.dim)], ControlSignature(space, ()))
+
+
+def run(kernel, roots):
+    """One kernel call with no inputs, under the error state its callers set."""
+    with np.errstate(all="ignore"):
+        return kernel(roots, [])
+
+
+@pytest.mark.parametrize("func", ["sin", "cos"])
+@given(data=st.data())
+def test_sin_cos_match_tree_walk(func, data):
+    ctrl = periodic(func)
+    walk = reference_bind(ctrl, [])
+    roots = np.array(data.draw(st.lists(st.lists(WIDE, min_size=3, max_size=3), min_size=1, max_size=24)))
+    assert same_bits(run(compile_control(ctrl), roots), np.array([walk(root, []) for root in roots]))
+    assert same_bits(evaluate(ctrl, roots[0], []), walk(roots[0], []))
+
+
+@given(st.data())
+def test_field_batch_with_sin_cos_matches_tree_walk(data):
+    net = data.draw(networks())
+    w = twisted_node_field(data.draw, net)
+    field, reference = GlobalField(net, w), reference_field(net, w)
+    d = field.index.total_dim
+    states = np.array(data.draw(st.lists(st.lists(st.floats(-1e6, 1e6) | WIDE, min_size=d, max_size=d),
+                                         min_size=1, max_size=4)))
+    with np.errstate(all="ignore"):  # as the field runs its raw controls
+        rows = [outcome(reference, x, message=False) for x in states]
+    batch = outcome(field, states, message=False)
+    if any(row[0] is EvaluationFault for row in rows):
+        assert batch[0] is EvaluationFault
+    else:
+        assert batch[2] == b"".join(row[2] for row in rows)
+        assert all(outcome(field, x, message=False) == row for x, row in zip(states, rows))
+
+
+@pytest.mark.parametrize("func", ["sin", "cos"])
+def test_sin_cos_bits_do_not_depend_on_position(func):
+    rng = np.random.default_rng(11)
+    pool = np.concatenate([
+        rng.uniform(-10.0, 10.0, 300),
+        rng.uniform(-1e6, 1e6, 100),
+        np.ldexp(rng.uniform(-1.0, 1.0, 200), rng.integers(-1074, 1024, 200)),
+        np.arange(-40, 41) * (math.pi / 4),
+        [0.0, -0.0, 5e-324, 1e22, 2.0**1023],
+    ])
+    rng.shuffle(pool)
+    contiguous, strided = compile_control(periodic(func, R1)), compile_control(periodic(func))
+    singletons = np.concatenate([run(contiguous, pool[k:k + 1, np.newaxis]) for k in range(pool.size)]).ravel()
+    assert same_bits(singletons, np.array([getattr(math, func)(v) for v in pool.tolist()]))
+    for offset in range(17):
+        for length in range(1, 65):
+            window = slice(offset, offset + length)
+            assert same_bits(run(contiguous, pool[window, np.newaxis]).ravel(), singletons[window])
+            window = slice(offset, offset + 3 * length)  # read as v[0::3], v[1::3] and v[2::3]
+            assert same_bits(run(strided, pool[window].reshape(length, 3)).ravel(), singletons[window])
+
+
+@pytest.mark.parametrize("func", ["sin", "cos"])
+def test_nonfinite_member_takes_scalar_path(func):
+    ctrl = periodic(func, R1)
+    kernel, walk = compile_control(ctrl), reference_bind(ctrl, [])
+    roots = np.array([[0.5], [-2.0], [math.inf], [3.0]])
+    fault = outcome(run, kernel, roots)
+    assert fault[0] is EvaluationFault and f"{func} fault" in fault[1]
+    assert fault == outcome(walk, roots[2], [])
+    roots[2] = math.nan
+    out = run(kernel, roots)
+    assert math.isnan(out[2, 0])
+    assert same_bits(out, np.array([walk(root, []) for root in roots]))
 
 
 # --- one kernel shape for every control kind -----------------------------------------

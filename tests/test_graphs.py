@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 import re
 
@@ -47,6 +50,19 @@ def test_phase_space_rejects_bad_dims():
         PhaseSpace("S1", 2)
     with pytest.raises(ValueError):
         PhaseSpace("T2", 1)
+
+
+def test_edge_is_a_frozen_slotted_value():
+    e = Edge("e1", "a", "b")
+    assert e == Edge("e1", "a", "b") and hash(e) == hash(Edge("e1", "a", "b"))
+    assert e != Edge("e1", "b", "a")
+    assert repr(e) == "Edge(edge_id='e1', src='a', tgt='b')"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(e, protocol)) == e
+    assert copy.deepcopy(e) == e and copy.copy(e) == e
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        e.src = "z"
+    assert not hasattr(e, "__dict__")
 
 
 def test_validate_wellformed_g3():
