@@ -14,10 +14,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .dynamics import interconnect, pullback
 from .errors import FibraError, InputError, PreconditionError
 from .fibrations import (
     check_fibration,
@@ -41,12 +38,9 @@ from .jsonio import (
     read_json,
     state_from_json,
 )
-from .numerics import (
-    certify_conjugacy,
-    integrate,
-    verify_driving_decomposition,
-    verify_polydiagonal_invariance,
-)
+
+# The structure commands never load numpy: the commands that build dynamics
+# import dynamics, numerics and numpy where they run.
 
 
 # Most floats one trajectory may hold (1 GiB); a longer horizon is malformed input.
@@ -309,6 +303,8 @@ def _essential_image(args, read):
 
 @_command("pullback", "pull per-class dynamics back along a fibration", MAP_FILES + " dynamics", SEED, OUT)
 def _pullback(args, read):
+    from .dynamics import pullback
+
     nmap = _load_map(args, read)
     w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
     return node_dynamics_to_json(pullback(nmap, w_prime)), True
@@ -319,6 +315,11 @@ def _pullback(args, read):
     _option("--x0", required=True, help="state JSON path"), _horizon(), OUT,
 )
 def _simulate(args, read):
+    import numpy as np
+
+    from .dynamics import interconnect
+    from .numerics import integrate
+
     net = _load_network(read, args.network)
     _check_horizon(args, net)
     field = interconnect(net, class_dynamics_from_json(read(args.dynamics), net))
@@ -335,6 +336,8 @@ def _simulate(args, read):
     SAMPLES, _tol(1e-12), _option("--x0", help="codomain state JSON path"), _horizon(1.0, 1e-3), FLOW_TOL, SEED, OUT,
 )
 def _verify_conjugacy(args, read):
+    from .numerics import certify_conjugacy
+
     nmap = _load_map(args, read)
     _check_horizon(args, nmap.domain, nmap.codomain)
     w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
@@ -353,6 +356,8 @@ def _verify_conjugacy(args, read):
     _option("--x0", required=True, help="domain state JSON path"), _tol(1e-9), _horizon(1.0, 1e-3), SEED, OUT,
 )
 def _verify_polydiagonal(args, read):
+    from .numerics import verify_polydiagonal_invariance
+
     nmap = _load_map(args, read)
     _check_horizon(args, nmap.domain, nmap.codomain)
     w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
@@ -367,6 +372,8 @@ def _verify_polydiagonal(args, read):
     SAMPLES, _tol(1e-8), FD_STEP, SEED, OUT,
 )
 def _verify_driving(args, read):
+    from .numerics import verify_driving_decomposition
+
     nmap = _load_map(args, read)
     w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
     report = verify_driving_decomposition(

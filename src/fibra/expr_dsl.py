@@ -166,15 +166,18 @@ class _Token(NamedTuple):
     pos: Pos
 
 
-# One alternative per token kind, tried in order; every character matches one
-# of them, so one scan covers the source.  Identifiers and numbers are ASCII.
+# Blanks, then one alternative per token kind, tried in order; every character
+# after blanks matches one of them, and blanks at the end of the source match
+# ``\Z``, so one scan covers the source with one match per token.
+# Identifiers and numbers are ASCII.
 _TOKEN = re.compile(
+    r"[ \t\r]*(?:"
     r"(?P<num>(?=\.?[0-9])[0-9.]+(?:[eE][+-]?[0-9]+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()\[\]{}])"
     r"|(?P<newline>\n)"
-    r"|(?P<space>[ \t\r]+)"
     r"|(?P<bad>.)"
+    r"|\Z)"
 )
 
 
@@ -182,13 +185,16 @@ def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0
     for m in _TOKEN.finditer(src):
-        kind, text = m.lastgroup, m.group()
-        pos = (line, m.start() - line_start + 1)
+        kind = m.lastgroup
+        if kind is None:  # the end of the source
+            break
+        text, start = m.group(kind), m.start(kind)
+        pos = (line, start - line_start + 1)
         if kind == "newline":
-            line, line_start = line + 1, m.end()
+            line, line_start = line + 1, start + 1
         elif kind == "bad":
             raise ExprSyntaxError(f"unexpected character {text!r}", pos)
-        elif kind != "space":
+        else:
             if kind == "num":
                 try:
                     float(text)
@@ -230,7 +236,6 @@ class _Parser:
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
-        _check_height(e)
         return e
 
     def descend(self) -> None:
@@ -390,7 +395,9 @@ def _check_height(e: Expr) -> None:
 
 def parse(src: str, signature: ControlSignature) -> Expr:
     """Parse and validate one output-component expression against a signature."""
-    return _Parser(src, signature).parse()
+    e = _Parser(src, signature).parse()
+    _check_height(e)
+    return e
 
 
 @dataclass(frozen=True)
@@ -415,7 +422,8 @@ class ControlExpr:
 def parse_control(sources: Sequence[str] | str, signature: ControlSignature) -> ControlExpr:
     if isinstance(sources, str):
         sources = [sources]
-    return ControlExpr(signature, tuple(parse(s, signature) for s in sources))
+    # ControlExpr checks the height of each component
+    return ControlExpr(signature, tuple(_Parser(s, signature).parse() for s in sources))
 
 
 # --- printing --------------------------------------------------------------

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import FibrationRequired, PreconditionError
 from .graphs import (
@@ -30,6 +28,9 @@ from .graphs import (
     total_phase_space,
 )
 from .input_trees import symmetry_groupoid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)

@@ -9,20 +9,25 @@ flat vectors by coordinate gathers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import Hashable, Iterable, Iterator, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
 
 from .errors import PreconditionError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+# The structure layer runs without numpy: the functions below that work on
+# states import it where they run, so only numeric callers load it.
 
 NodeId = str
 EdgeId = str
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -311,6 +316,8 @@ class StateIndex:
         ``gather(nodes).reshape(shape + (d,))`` with ``prod(shape) == k``
         stacks their states along ``shape``.
         """
+        import numpy as np
+
         spans = np.fromiter(chain.from_iterable(map(self.slices.__getitem__, nodes)), dtype=np.intp).reshape(-1, 2)
         starts, lengths = spans[:, 0], spans[:, 1]
         runs = np.cumsum(lengths) - lengths  # where each node's run begins in the result
@@ -323,12 +330,16 @@ class StateIndex:
 
     @cached_property
     def _circle_mask(self) -> np.ndarray:
+        import numpy as np
+
         mask = np.zeros(self.total_dim, dtype=bool)
         mask[self.gather(a for a in self.order if self.spaces[a].is_circle)] = True
         return mask
 
     def state(self, x: np.ndarray) -> np.ndarray:
         """``x`` as one float state of this layout; PreconditionError for any other shape."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         if x.shape != (self.total_dim,):
             raise PreconditionError(f"state has shape {x.shape}, expected ({self.total_dim},)")
@@ -336,6 +347,8 @@ class StateIndex:
 
     def states(self, x: np.ndarray) -> np.ndarray:
         """``x`` as one float state ``(D,)`` or a batch ``(samples, D)``; PreconditionError for any other shape."""
+        import numpy as np
+
         x = np.asarray(x, dtype=float)
         n = self.total_dim
         if x.shape[-1:] != (n,) or x.ndim > 2:
@@ -347,12 +360,16 @@ class StateIndex:
         return self._circle_mask.copy()
 
     def pack(self, by_node: Mapping[NodeId, np.ndarray]) -> np.ndarray:
+        import numpy as np
+
         x = np.zeros(self.total_dim)
         for a in self.order:
             x[self.slice_of(a)] = np.asarray(by_node[a], dtype=float)
         return x
 
     def unpack(self, x: np.ndarray) -> dict[NodeId, np.ndarray]:
+        import numpy as np
+
         return {a: np.asarray(x)[self.slice_of(a)].copy() for a in self.order}
 
 
@@ -405,18 +422,24 @@ def phase_space_map(m: NetworkMap) -> PhaseSpaceMap:
 
 def wrap_angle(theta: np.ndarray | float) -> np.ndarray | float:
     """Wrap angles to (-pi, pi]."""
+    import numpy as np
+
     wrapped = np.mod(np.asarray(theta) + np.pi, TWO_PI) - np.pi
     return np.where(wrapped == -np.pi, np.pi, wrapped)
 
 
 def circle_distance(a: np.ndarray | float, b: np.ndarray | float) -> np.ndarray | float:
     """Distance on the circle between (possibly unwrapped) angles, elementwise."""
+    import numpy as np
+
     d = np.mod(np.subtract(a, b), TWO_PI)
     return np.minimum(d, TWO_PI - d)
 
 
 def coordinate_distance(x: np.ndarray, y: np.ndarray, index: StateIndex) -> float:
     """Max per-coordinate distance, circle-aware, over two states or all rows of two batches; NaN if any is NaN."""
+    import numpy as np
+
     x, y = index.states(x), index.states(y)
     if x.shape != y.shape:
         raise PreconditionError(f"states have shapes {x.shape} and {y.shape}, expected one shape")

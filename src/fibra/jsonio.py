@@ -8,15 +8,20 @@ import math
 from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from .dynamics import VirtualVectorField, per_class_field, signature_at
 from .errors import InputError, PreconditionError
-from .expr_dsl import ControlExpr, parse_control
 from .fibrations import Partition
 from .graphs import Edge, Graph, Network, NetworkMap, PhaseSpace, StateIndex, circle, euclidean
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .dynamics import VirtualVectorField
+
+# Dynamics and state files need the numeric layers (numpy, expr_dsl,
+# dynamics); their readers and writers import them where they run, so the
+# structure commands never load them.
 
 
 def read_json(path: str | Path) -> tuple[Any, str]:
@@ -197,6 +202,9 @@ def partition_to_json(p: Partition) -> dict:
 
 def class_dynamics_from_json(obj: Any, net: Network) -> VirtualVectorField:
     """Per-class dynamics: one expression per output component, signatures from the representatives."""
+    from .dynamics import per_class_field, signature_at
+    from .expr_dsl import parse_control
+
     classes = _require(obj, "classes", "dynamics")
     if not isinstance(classes, list):
         raise InputError("dynamics: 'classes' must be a list")
@@ -220,24 +228,35 @@ def class_dynamics_from_json(obj: Any, net: Network) -> VirtualVectorField:
 def class_dynamics_to_json(field: VirtualVectorField) -> dict:
     if field.mode != "per_class":
         raise InputError("only per-class dynamics have a class JSON form")
-    classes = []
-    for rep in sorted(field.controls):
-        ctrl = field.controls[rep]
-        if not isinstance(ctrl, ControlExpr):
-            raise InputError("opaque controls cannot be serialized")
-        classes.append({"representative": rep, "exprs": list(ctrl.sources())})
-    return {"classes": classes}
+    exprs = _expression_printer()
+    return {"classes": [{"representative": r, "exprs": exprs(field.controls[r])} for r in sorted(field.controls)]}
 
 
 def node_dynamics_to_json(field: VirtualVectorField) -> dict:
     """Per-node bindings; requires expression controls."""
-    nodes = []
-    for a in sorted(field.network.graph.nodes):
-        ctrl = field.control_at(a)
+    exprs = _expression_printer()
+    return {"nodes": [{"id": a, "exprs": exprs(field.control_at(a))} for a in sorted(field.network.graph.nodes)]}
+
+
+def _expression_printer():
+    """A function from a control to a fresh list of its component sources.
+
+    Each distinct control is printed once per printer: the members of a class
+    share their representative's control object.
+    """
+    from .expr_dsl import ControlExpr
+
+    printed: dict[int, tuple[str, ...]] = {}  # id(control) -> its sources, for controls the field holds
+
+    def exprs(ctrl) -> list[str]:
         if not isinstance(ctrl, ControlExpr):
             raise InputError("opaque controls cannot be serialized")
-        nodes.append({"id": a, "exprs": list(ctrl.sources())})
-    return {"nodes": nodes}
+        sources = printed.get(id(ctrl))
+        if sources is None:
+            sources = printed[id(ctrl)] = ctrl.sources()
+        return list(sources)
+
+    return exprs
 
 
 def _finite_number(v: Any) -> bool:
@@ -251,6 +270,8 @@ def _finite_number(v: Any) -> bool:
 
 
 def _coordinates(values: Any, dim: int, what: str) -> np.ndarray:
+    import numpy as np
+
     if not isinstance(values, list) or len(values) != dim or not all(map(_finite_number, values)):
         raise InputError(f"state: {what} must be a list of {dim} finite numbers")
     return np.array(values, dtype=float)
@@ -258,6 +279,8 @@ def _coordinates(values: Any, dim: int, what: str) -> np.ndarray:
 
 def state_from_json(obj: Any, index: StateIndex) -> np.ndarray:
     """Flat state from {"flat": [...]} or {"by_node": {id: [...]}}; every coordinate a finite number."""
+    import numpy as np
+
     if isinstance(obj, Mapping) and "flat" in obj:
         return _coordinates(obj["flat"], index.total_dim, "'flat'")
     if isinstance(obj, Mapping) and "by_node" in obj:

@@ -860,3 +860,39 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "fibra" in proc.stdout
+
+
+def test_structure_commands_never_load_numpy(files, capsys):
+    """A fresh process runs every structure command without importing numpy, and writes the same bytes."""
+    write, tmp = files
+    m = fixtures.g3_to_c2()
+    net = write("g3.json", network_to_json(m.domain))
+    maps = map_files(write, m)
+    partition = write("partition.json", {"blocks": [["1", "2"], ["3"]]})
+    argvs = [
+        ["validate", net],
+        ["check-map", *maps],
+        ["check-fibration", *maps],
+        ["input-trees", net],
+        ["groupoid", net],
+        ["balanced", net, "--coarsest"],
+        ["balanced", net, "--check", partition],
+        ["quotient", net],
+        ["factorize", *maps],
+        ["essential-image", *maps],
+    ]
+    code = (
+        "import json, sys\n"
+        "from fibra.cli import main\n"
+        "print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))\n"
+        "assert 'numpy' not in sys.modules, 'a structure command imported numpy'\n"
+    )
+    child = [argv + ["--out", str(tmp / f"child{k}.json")] for k, argv in enumerate(argvs)]
+    src = str(Path(fibra.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(child)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes = [main(argv + ["--out", str(tmp / f"here{k}.json")]) for k, argv in enumerate(argvs)]
+    assert json.loads(proc.stdout) == codes
+    for k in range(len(argvs)):
+        assert (tmp / f"child{k}.json").read_bytes() == (tmp / f"here{k}.json").read_bytes()

@@ -117,6 +117,11 @@ def test_tokenize_matches_the_character_loop_on_ascii(src):
     assert _scan(_tokenize, src) == _scan(reference_tokenize, src)
 
 
+@pytest.mark.parametrize("src", ["", " ", "\n", "x[0]\n", "x[0] \t\r", " \n ", "x[0]\n\n", "1 @\n", "\n  2e"])
+def test_tokenize_matches_the_character_loop_at_blanks_and_line_ends(src):
+    assert _scan(_tokenize, src) == _scan(reference_tokenize, src)
+
+
 @given(st.text())
 def test_tokenize_reads_ascii_tokens_only(src):
     # the scan agrees with the loop up to the first non-ASCII character, which it reports as unexpected
@@ -184,6 +189,21 @@ def test_control_built_in_code_is_height_checked():
     for _ in range(99):
         ok = Neg(ok)
     assert evaluate(ControlExpr(ControlSignature(R1, ()), (ok,)), np.array([2.0]), [])[0] == -2.0
+
+
+def test_parse_control_checks_each_component_height_once(monkeypatch):
+    checked = []
+    check = fibra.expr_dsl._check_height
+    monkeypatch.setattr(fibra.expr_dsl, "_check_height", lambda e: checked.append(e) or check(e))
+    ctrl = parse_control(["x[0] + x[1]", "x[1]"], SIG_R2)
+    assert len(checked) == 2 and all(a is b for a, b in zip(checked, ctrl.components))
+    tall = " * ".join(["x[0]"] * 101)
+    with pytest.raises(ExprSyntaxError) as from_control:
+        parse_control(["x[1]", tall], SIG_R2)
+    with pytest.raises(ExprSyntaxError) as from_parse:
+        parse(tall, SIG_R2)
+    assert str(from_control.value) == str(from_parse.value)
+    assert from_control.value.pos == from_parse.value.pos == (1, 8)
 
 
 def _sum_nest(depth):

@@ -117,6 +117,24 @@ def test_node_dynamics_export_after_pullback():
     assert exprs["1"] == exprs["3"]  # both carry the image node's control
 
 
+def test_node_dynamics_prints_each_control_once(monkeypatch):
+    m = fixtures.string_to_cycle(6)
+    pulled = fibra.pullback(m, fixtures.linear_dynamics(m.codomain))
+    expected = [{"id": a, "exprs": list(pulled.control_at(a).sources())} for a in sorted(m.domain.graph.nodes)]
+    printed = []
+    sources = fibra.ControlExpr.sources
+    monkeypatch.setattr(fibra.ControlExpr, "sources", lambda ctrl: printed.append(ctrl) or sources(ctrl))
+    obj = node_dynamics_to_json(pulled)
+    assert obj == {"nodes": expected}
+    assert len(printed) == len({id(c) for c in pulled.controls.values()}) < len(expected)
+    by_control = {}
+    for entry in obj["nodes"]:  # nodes that share a control each get a list of their own
+        lists = by_control.setdefault(id(pulled.control_at(entry["id"])), [])
+        assert all(entry["exprs"] is not other for other in lists)
+        lists.append(entry["exprs"])
+    assert max(map(len, by_control.values())) > 1
+
+
 def _per_node_linear_g3():
     w = fixtures.linear_dynamics(fixtures.g3())
     return fibra.lift_to_nodes(w.groupoid, w.controls)
