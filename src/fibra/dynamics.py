@@ -11,7 +11,9 @@ pure input re-indexing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
@@ -61,8 +63,12 @@ Control = Union[ControlExpr, RawControl, TransportedControl]
 
 
 def signature_at(net: Network, a: NodeId) -> ControlSignature:
-    tree = input_tree(net, a)
-    return ControlSignature(tree.root_type, tuple(l.leaf_type for l in tree.leaves))
+    """The signature of the input tree of ``a``, read from its in-edges."""
+    if a not in net.graph.node_set:
+        raise PreconditionError(f"unknown node id {a!r}")
+    phase = net.phase
+    inputs = tuple(phase[e.src] for e in net.in_edges(a))
+    return ControlSignature(phase[a], inputs)
 
 
 def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]]) -> BatchKernel:
@@ -199,14 +205,44 @@ def lift_to_nodes(g: SymmetryGroupoid, per_class: Mapping[NodeId, Control]) -> V
     )
 
 
+def _runs(net: Network, w: VirtualVectorField) -> list[tuple[Control, tuple[NodeId, ...]]]:
+    """The field's nodes as (control, nodes) runs, in the order of each run's first node.
+
+    A class of a per-class field whose control is an expression is one run;
+    every other node is a run of its own.  The classes are read from the
+    field's groupoid when it is a groupoid of this network that holds every
+    node once, and each node's control is looked up alone otherwise.
+    """
+    index = total_phase_space(net)
+    g = w.groupoid
+    if not (
+        w.mode == "per_class"
+        and g is not None
+        and g.network.is_same(net)
+        and g._class_by_node.keys() == index.slices.keys()
+    ):
+        return [(w.control_at(a), (a,)) for a in index.order]
+    runs: list[tuple[Control, tuple[NodeId, ...]]] = []
+    for cls in g.classes:
+        ctrl = w.controls[cls.representative]
+        if isinstance(ctrl, ControlExpr):
+            runs.append((ctrl, cls.members))
+        else:
+            runs += [(w.control_at(a), (a,)) for a in cls.members]
+    runs.sort(key=lambda run: index.slices[run[1][0]][0])
+    return runs
+
+
 class GlobalField:
     """The interconnected vector field on the flat total state of a network.
 
-    Nodes that share one expression control and one shape of typed inputs,
-    as the members of a groupoid class do, form one unit; a node with a raw
-    or transported control is a unit of its own.  Each unit is evaluated with
+    The nodes of a groupoid class share their class's expression control and
+    form one unit; so do the nodes of a per-node field that share one
+    expression control and one shape of typed inputs.  A node with a raw or
+    transported control is a unit of its own.  Each unit is evaluated with
     one gather of its root and input states, one call of its bound kernel and
-    one scatter.  The gathers are built from the in-edge index.
+    one scatter.  The gathers of all units are views of one gather built from
+    the in-edge index.
 
     A call takes one state of shape ``(total_dim,)`` or a batch of shape
     ``(samples, total_dim)``; each row of a batch gives the bits a call on
@@ -218,42 +254,48 @@ class GlobalField:
             raise PreconditionError("virtual vector field was built for a different network")
         self.network = net
         self.index = index = total_phase_space(net)
-        name = {a: space.name for a, space in net.phase.items()}
+        spaces, in_edges = index.spaces, net.graph.in_edges
         # (id of the control, input counts per group), or the node of a control that is
-        # not an expression -> (control, slots, roots, sources per group)
+        # not an expression -> [control, slots, roots, sources per group]; in the order
+        # of each unit's first node, since the runs come in that order
         units: dict = {}
-        for a in index.order:
-            ctrl = w.control_at(a)
-            if ctrl.signature.root.dim != index.spaces[a].dim:
-                raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
-            edges = net.in_edges(a)
-            group = ctrl.signature.group_index
+        for ctrl, nodes in _runs(net, w):
+            dim, group = ctrl.signature.root.dim, ctrl.signature.group_index
             sources: list[list[NodeId]] = [[] for _ in group]
-            for e in edges:
-                g = group.get(name[e.src])
-                if g is None:
-                    raise SignatureMismatch(f"input of type {name[e.src]} not in signature groups {sorted(group)}")
-                sources[g].append(e.src)
+            for a in nodes:
+                if spaces[a].dim != dim:
+                    raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
+                for e in in_edges(a):
+                    name = spaces[e.src].name
+                    g = group.get(name)
+                    if g is None:
+                        raise SignatureMismatch(f"input of type {name} not in signature groups {sorted(group)}")
+                    sources[g].append(e.src)
             if isinstance(ctrl, ControlExpr):
-                key, slots = (id(ctrl), tuple(map(len, sources))), ()
-            else:  # bound to the edge ids of this node
-                key, slots = a, [(e.edge_id, net.space(e.src)) for e in edges]
+                key, slots = (id(ctrl), tuple(len(src) // len(nodes) for src in sources)), ()
+            else:  # bound to the edge ids of its one node
+                key, slots = nodes[0], [(e.edge_id, spaces[e.src]) for e in in_edges(nodes[0])]
             unit = units.get(key)
             if unit is None:
-                unit = units[key] = (ctrl, slots, [], [[] for _ in group])
-            unit[2].append(a)
-            for acc, src in zip(unit[3], sources):
-                acc.extend(src)
-        # (root gather, kernel, input gathers), in the order of each unit's first node
-        self._units: list = []
+                units[key] = [ctrl, slots, list(nodes), sources]
+            else:
+                unit[2] += nodes
+                for acc, src in zip(unit[3], sources):
+                    acc += src
+        # every unit's roots, then its sources group by group, in one gather cut into views
+        flat = index.gather(chain.from_iterable(chain(roots, *sources) for _, _, roots, sources in units.values()))
+        self._units: list = []  # (root gather, kernel, input gathers)
+        at = 0
         for ctrl, slots, roots, sources in units.values():
             m = len(roots)
-            root_gather = index.gather(roots).reshape(m, ctrl.signature.root.dim)
-            input_gathers = [
-                index.gather(src).reshape(m, len(src) // m, dim)
-                for src, (dim, _) in zip(sources, ctrl.signature.groups().values())
-            ]
-            self._units.append((root_gather, bind_control(ctrl, slots), input_gathers))
+            shapes = [(m, ctrl.signature.root.dim)]
+            shapes += [(m, len(src) // m, dim) for src, (dim, _) in zip(sources, ctrl.signature.groups().values())]
+            views = []
+            for shape in shapes:
+                size = math.prod(shape)
+                views.append(flat[at : at + size].reshape(shape))
+                at += size
+            self._units.append((views[0], bind_control(ctrl, slots), views[1:]))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = self.index.states(x)

@@ -25,7 +25,6 @@ import itertools
 import math
 import operator
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
@@ -82,9 +81,10 @@ class ControlSignature:
 
     @cached_property
     def _groups(self) -> dict[str, tuple[int, int]]:
-        counts = Counter(s.name for s in self.inputs)
-        dims = {s.name: s.dim for s in self.inputs}
-        return {name: (dims[name], counts[name]) for name in sorted(counts)}
+        groups: dict[str, tuple[int, int]] = {}
+        for s in self.inputs:  # in name order, and a name fixes the dim
+            groups[s.name] = (s.dim, groups.get(s.name, (0, 0))[1] + 1)
+        return groups
 
     @cached_property
     def group_index(self) -> dict[str, int]:
@@ -166,42 +166,50 @@ class _Token(NamedTuple):
     pos: Pos
 
 
-# Blanks, then one alternative per token kind, tried in order; every character
+# Blanks, then one group per token kind, tried in order, the commonest kind
+# first (the kinds but "bad" begin with disjoint characters); every character
 # after blanks matches one of them, and blanks at the end of the source match
-# ``\Z``, so one scan covers the source with one match per token.
+# ``\Z``, so ``findall`` covers the source with one tuple of group texts per
+# token, in which only the blanks and the token's own kind are non-empty.
 # Identifiers and numbers are ASCII.
 _TOKEN = re.compile(
-    r"[ \t\r]*(?:"
-    r"(?P<num>(?=\.?[0-9])[0-9.]+(?:[eE][+-]?[0-9]+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()\[\]{}])"
-    r"|(?P<newline>\n)"
-    r"|(?P<bad>.)"
+    r"([ \t\r]*)(?:"
+    r"([-+*/^()\[\]{}])"  # op
+    r"|([A-Za-z_][A-Za-z0-9_]*)"  # ident
+    r"|((?=\.?[0-9])[0-9.]+(?:[eE][+-]?[0-9]+)?)"  # num
+    r"|(\n)"  # newline
+    r"|(.)"  # bad
     r"|\Z)"
 )
 
 
 def _tokenize(src: str) -> list[_Token]:
+    # each token is built by tuple.__new__, which skips the Python-level NamedTuple constructor
+    new, token = tuple.__new__, _Token
     tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src):
-        kind = m.lastgroup
-        if kind is None:  # the end of the source
-            break
-        text, start = m.group(kind), m.start(kind)
-        pos = (line, start - line_start + 1)
-        if kind == "newline":
-            line, line_start = line + 1, start + 1
-        elif kind == "bad":
-            raise ExprSyntaxError(f"unexpected character {text!r}", pos)
-        else:
-            if kind == "num":
-                try:
-                    float(text)
-                except ValueError:
-                    raise ExprSyntaxError(f"bad number literal {text!r}", pos) from None
-            tokens.append(_Token(kind, text, pos))
-    tokens.append(_Token("end", "", (line, len(src) - line_start + 1)))
+    append = tokens.append
+    line, col = 1, 1
+    for blanks, op, ident, num, newline, bad in _TOKEN.findall(src):
+        if blanks:
+            col += len(blanks)
+        if op:
+            append(new(token, ("op", op, (line, col))))
+            col += 1
+        elif ident:
+            append(new(token, ("ident", ident, (line, col))))
+            col += len(ident)
+        elif num:
+            try:
+                float(num)
+            except ValueError:
+                raise ExprSyntaxError(f"bad number literal {num!r}", (line, col)) from None
+            append(new(token, ("num", num, (line, col))))
+            col += len(num)
+        elif newline:
+            line, col = line + 1, 1
+        elif bad:
+            raise ExprSyntaxError(f"unexpected character {bad!r}", (line, col))
+    append(new(token, ("end", "", (line, col))))
     return tokens
 
 
@@ -209,31 +217,31 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
+    # ``tok`` is the current token; ``advance`` moves past it.  The parser
+    # never advances past the "end" token, which matches no expected text.
     def __init__(self, src: str, signature: ControlSignature):
-        self.tokens = _tokenize(src)
-        self.k = 0
+        self._next = iter(_tokenize(src)).__next__
+        self.tok = self._next()
         self.signature = signature
-        self.groups = signature.groups()
+        self.groups = signature._groups  # read only
         self.scope: list[tuple[str, str]] = []  # (var, group name)
         self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.k]
-
     def advance(self) -> _Token:
-        tok = self.tokens[self.k]
-        self.k += 1
+        tok = self.tok
+        self.tok = self._next()
         return tok
 
     def expect(self, text: str) -> _Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.text != text:
             raise ExprSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.advance()
+        self.tok = self._next()
+        return tok
 
     def parse(self) -> Expr:
         e = self.expr()
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "end":
             raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
         return e
@@ -241,12 +249,12 @@ class _Parser:
     def descend(self) -> None:
         self.depth += 1
         if self.depth > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", self.peek().pos)
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", self.tok.pos)
 
     def expr(self) -> Expr:
         self.descend()
         left = self.term()
-        while self.peek().text in ("+", "-"):
+        while self.tok.text in ("+", "-"):
             op = self.advance()
             right = self.term()
             left = BinOp(op.text, left, right, pos=op.pos)
@@ -255,14 +263,14 @@ class _Parser:
 
     def term(self) -> Expr:
         left = self.factor()
-        while self.peek().text in ("*", "/"):
+        while self.tok.text in ("*", "/"):
             op = self.advance()
             right = self.factor()
             left = BinOp(op.text, left, right, pos=op.pos)
         return left
 
     def factor(self) -> Expr:
-        tok = self.peek()
+        tok = self.tok
         if tok.text == "-":
             self.advance()
             self.descend()
@@ -273,13 +281,13 @@ class _Parser:
 
     def power(self) -> Expr:
         base = self.atom()
-        if self.peek().text == "^":
+        if self.tok.text == "^":
             op = self.advance()
             sign = 1
-            if self.peek().text == "-":
+            if self.tok.text == "-":
                 self.advance()
                 sign = -1
-            tok = self.peek()
+            tok = self.tok
             if tok.kind != "num" or not tok.text.isdigit():
                 raise ExprSyntaxError("exponent must be an integer literal", tok.pos)
             self.advance()
@@ -287,7 +295,7 @@ class _Parser:
         return base
 
     def atom(self) -> Expr:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind == "num":
             self.advance()
             return Num(float(tok.text), pos=tok.pos)
@@ -312,7 +320,7 @@ class _Parser:
         name_tok = self.advance()
         name = name_tok.text
         self.expect("[")
-        idx_tok = self.peek()
+        idx_tok = self.tok
         if idx_tok.kind != "num" or not idx_tok.text.isdigit():
             raise ExprSyntaxError("index must be a non-negative integer", idx_tok.pos)
         self.advance()
@@ -337,14 +345,14 @@ class _Parser:
     def aggregate(self) -> Expr:
         op_tok = self.advance()
         self.expect("(")
-        var_tok = self.peek()
+        var_tok = self.tok
         if var_tok.kind != "ident" or var_tok.text in KEYWORDS or var_tok.text == "x" or var_tok.text in FUNCTIONS:
             raise ExprSyntaxError("expected a fresh aggregator variable name", var_tok.pos)
         self.advance()
         self.expect("in")
         self.expect("inputs")
         self.expect("[")
-        group_tok = self.peek()
+        group_tok = self.tok
         if group_tok.kind not in ("ident", "num"):
             raise ExprSyntaxError("expected an input type name", group_tok.pos)
         self.advance()
@@ -384,13 +392,17 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 
 
 def _check_height(e: Expr) -> None:
-    """Reject ASTs taller than MAX_DEPTH, such as long operator chains; no recursion."""
-    stack = [(e, 1)]
-    while stack:
-        node, height = stack.pop()
-        if height > MAX_DEPTH:
-            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", node.pos)
-        stack.extend((child, height + 1) for child in _children(node))
+    """Reject ASTs taller than MAX_DEPTH, such as long operator chains; no recursion.
+
+    The walk goes level by level and names the last node, left to right, of
+    the first level too deep.
+    """
+    level = [e]
+    for _ in range(MAX_DEPTH):
+        level = [child for node in level for child in _children(node)]
+        if not level:
+            return
+    raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", level[-1].pos)
 
 
 def parse(src: str, signature: ControlSignature) -> Expr:

@@ -45,7 +45,7 @@ class PhaseSpace:
         if self.kind == "S1" and self.dim != 1:
             raise ValueError("circle phase space has dim 1")
 
-    @property
+    @cached_property  # kept in the instance dict, outside the fields: field builders read it per in-edge
     def name(self) -> str:
         return "S1" if self.kind == "S1" else f"R{self.dim}"
 
@@ -127,7 +127,11 @@ class Graph:
 
 @dataclass(frozen=True)
 class Network:
-    """A graph plus a total assignment of phase spaces to its nodes."""
+    """A graph plus a total assignment of phase spaces to its nodes.
+
+    Like :class:`Graph`'s adjacency index, the flat state layout is built
+    once per instance, on first use, outside the dataclass fields.
+    """
 
     graph: Graph
     phase: Mapping[NodeId, PhaseSpace]
@@ -147,6 +151,20 @@ class Network:
             and set(self.graph.edges) == set(other.graph.edges)
             and dict(self.phase) == dict(other.phase)
         )
+
+    @cached_property
+    def _state_index(self) -> StateIndex:
+        """The layout :func:`total_phase_space` returns; a repeated node id raises on every call."""
+        order = tuple(sorted(self.graph.nodes))
+        slices: dict[NodeId, tuple[int, int]] = {}
+        off = 0
+        for a in order:
+            if a in slices:
+                raise PreconditionError(f"node id {a!r} repeated: a state layout needs distinct node ids")
+            d = self.space(a).dim
+            slices[a] = (off, d)
+            off += d
+        return StateIndex(order, slices, {a: self.space(a) for a in order}, off)
 
 
 def network(nodes: Iterable[tuple[str, PhaseSpace]], edges: Iterable[tuple[str, str, str]]) -> Network:
@@ -374,17 +392,8 @@ class StateIndex:
 
 
 def total_phase_space(net: Network) -> StateIndex:
-    """Deterministic flat layout of the product of the node phase spaces."""
-    order = tuple(sorted(net.graph.nodes))
-    slices: dict[NodeId, tuple[int, int]] = {}
-    off = 0
-    for a in order:
-        if a in slices:
-            raise PreconditionError(f"node id {a!r} repeated: a state layout needs distinct node ids")
-        d = net.space(a).dim
-        slices[a] = (off, d)
-        off += d
-    return StateIndex(order, slices, {a: net.space(a) for a in order}, off)
+    """Deterministic flat layout of the product of the node phase spaces, built once per network."""
+    return net._state_index
 
 
 class PhaseSpaceMap:

@@ -269,31 +269,34 @@ def _finite_number(v: Any) -> bool:
         return False
 
 
-def _coordinates(values: Any, dim: int, what: str) -> np.ndarray:
-    import numpy as np
-
+def _coordinates(values: Any, dim: int, what: str) -> list:
+    """``values`` checked to be a list of ``dim`` finite numbers."""
     if not isinstance(values, list) or len(values) != dim or not all(map(_finite_number, values)):
         raise InputError(f"state: {what} must be a list of {dim} finite numbers")
-    return np.array(values, dtype=float)
+    return values
 
 
 def state_from_json(obj: Any, index: StateIndex) -> np.ndarray:
-    """Flat state from {"flat": [...]} or {"by_node": {id: [...]}}; every coordinate a finite number."""
+    """Flat state from {"flat": [...]} or {"by_node": {id: [...]}}; every coordinate a finite number.
+
+    A ``by_node`` state is checked node by node in layout order, then for
+    unknown nodes, and made one array from the concatenated coordinates.
+    """
     import numpy as np
 
     if isinstance(obj, Mapping) and "flat" in obj:
-        return _coordinates(obj["flat"], index.total_dim, "'flat'")
+        return np.array(_coordinates(obj["flat"], index.total_dim, "'flat'"), dtype=float)
     if isinstance(obj, Mapping) and "by_node" in obj:
         by_node = obj["by_node"]
         if not isinstance(by_node, Mapping):
             raise InputError("state: 'by_node' must be an object")
-        x = np.zeros(index.total_dim)
+        flat: list = []
         for a in index.order:
             if a not in by_node:
                 raise InputError(f"state: missing node {a!r}")
-            x[index.slice_of(a)] = _coordinates(by_node[a], index.spaces[a].dim, f"node {a!r}")
+            flat += _coordinates(by_node[a], index.spaces[a].dim, f"node {a!r}")
         for a in by_node:
             if a not in index.slices:
                 raise InputError(f"state: unknown node {a!r}")
-        return x
+        return np.array(flat, dtype=float)
     raise InputError("state: expected 'flat' or 'by_node'")

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import fibra
 from fibra import (
+    ControlSignature,
     FibrationRequired,
     GlobalField,
     PreconditionError,
@@ -26,11 +27,15 @@ from fibra import (
     R2,
     RawControl,
     S1,
+    SignatureMismatch,
+    SymmetryGroupoid,
     TransportedControl,
+    VirtualVectorField,
     certify_conjugacy,
     ctrl_transport,
     dependency_matrix,
     enumerate_tree_isos,
+    input_tree,
     iso_count,
     network,
     parse_control,
@@ -57,6 +62,7 @@ from util import (
     reference_pointwise_residual,
     reference_sample_state,
     reference_symmetry_groupoid,
+    reference_units,
 )
 
 SPACES = (R1, R2, S1)
@@ -161,7 +167,7 @@ def _mixed_field(draw, net):
     moved = {}
     for a in net.graph.nodes:
         ctrl = w.control_at(a)
-        isos = enumerate_tree_isos(net, a, a, cap=10**9)
+        isos = enumerate_tree_isos(net, a, a, cap=math.inf)  # unranked on access, so any count will do
         if len(isos) > 1 and draw(st.booleans()):
             ctrl = ctrl_transport(isos[draw(st.integers(1, len(isos) - 1))], ctrl)
             if not isinstance(ctrl, TransportedControl):  # an expression: transport a copy by hand
@@ -184,6 +190,88 @@ def test_field_rows_equal_single_state_calls(net, data):
     for shape in [(n + 1,), (rows, n + 1), (1, rows, n), ()]:
         with pytest.raises(PreconditionError):
             field(np.zeros(shape))
+
+
+def _outcome(build):
+    """What a construction gives, or the type and message of what it raises."""
+    try:
+        return build()
+    except (SignatureMismatch, PreconditionError, KeyError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_units(units, expected, x):
+    """Unit by unit: bit-equal gathers and bit-equal kernel outputs at the rows of ``x``."""
+    assert len(units) == len(expected)
+    for (root, kernel, gathers), (ref_root, ref_kernel, ref_gathers) in zip(units, expected):
+        assert root.shape == ref_root.shape and root.tobytes() == ref_root.tobytes()
+        assert [(g.shape, g.tobytes()) for g in gathers] == [(g.shape, g.tobytes()) for g in ref_gathers]
+        for state in x:
+            with np.errstate(all="ignore"):
+                got = kernel(state[root], [state[g] for g in gathers])
+                want = ref_kernel(state[ref_root], [state[g] for g in ref_gathers])
+            assert got.tobytes() == want.tobytes()
+
+
+@given(networks(), st.data())
+def test_field_units_match_the_per_node_loop(net, data):
+    w = _mixed_field(data.draw, net)
+    field = GlobalField(net, w)
+    x = sample_states(field.index, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), 2)
+    _same_units(field._units, reference_units(net, w), x)
+
+
+@given(networks(), st.data())
+def test_field_reports_a_signature_mismatch_as_the_per_node_loop(net, data):
+    # controls handed to other classes or nodes than their own, past the checks of per_class_field
+    w = _mixed_field(data.draw, net)
+    keys = sorted(w.controls)
+    moved = dict(zip(keys, data.draw(st.permutations([w.controls[k] for k in keys]))))
+    w = VirtualVectorField(net, w.mode, moved, w.groupoid)
+    got, want = _outcome(lambda: GlobalField(net, w)), _outcome(lambda: reference_units(net, w))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        x = sample_states(got.index, np.random.default_rng(0), 2)
+        _same_units(got._units, want, x)
+
+
+def test_field_reports_the_first_mismatched_node_of_a_class():
+    # the class {a, c} reads an R2 and an S1 input, in edge-id order S1 first at a and R2 first at c
+    net = network(
+        [("a", R1), ("b", R1), ("c", R1), ("r", R2), ("s", S1)],
+        [("e1", "s", "a"), ("e2", "r", "a"), ("e3", "r", "c"), ("e4", "s", "c"), ("e5", "b", "b")],
+    )
+    exprs = {"a": ["-x[0]"], "b": ["-x[0]"], "r": ["-x[0]", "x[1]"], "s": ["-x[0]"]}
+    w = per_class_field(net, {rep: parse_control(src, signature_at(net, rep)) for rep, src in exprs.items()})
+    wrong = VirtualVectorField(net, "per_class", {**w.controls, "a": w.controls["b"]}, w.groupoid)
+    for build in (GlobalField, reference_units):
+        with pytest.raises(SignatureMismatch, match=r"^input of type S1 not in signature groups \['R1'\]$"):
+            build(net, wrong)
+    wrong = VirtualVectorField(net, "per_class", {**w.controls, "a": w.controls["r"]}, w.groupoid)
+    for build in (GlobalField, reference_units):
+        with pytest.raises(SignatureMismatch, match=r"^control for root space R2 at node 'a'$"):
+            build(net, wrong)
+
+
+def test_field_reads_each_node_alone_when_the_groupoid_misses_a_node():
+    net = fixtures.g3()
+    w = fixtures.linear_dynamics(net)
+    first, *rest = w.groupoid.classes
+    partial = VirtualVectorField(net, "per_class", w.controls, SymmetryGroupoid(net, tuple(rest), w.groupoid.aut_orders))
+    for build in (GlobalField, reference_units):
+        with pytest.raises(PreconditionError, match=f"^unknown node id {first.members[0]!r}$"):
+            build(net, partial)
+
+
+@given(networks())
+def test_signature_at_reads_the_input_tree(net):
+    for a in net.graph.nodes:
+        tree = input_tree(net, a)
+        assert signature_at(net, a) == ControlSignature(tree.root_type, tuple(l.leaf_type for l in tree.leaves))
+    for read in (signature_at, input_tree):
+        with pytest.raises(PreconditionError, match="^unknown node id 'zz'$"):
+            read(net, "zz")
 
 
 @given(networks(), st.integers(0, 2**32 - 1), st.integers(0, 7))

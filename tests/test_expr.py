@@ -22,11 +22,11 @@ from fibra import (
     unparse,
 )
 from fibra.expr_dsl import (
-    Aggregate, BinOp, Call, ControlExpr, InputRef, Neg, Num, Pow, RootRef, _tokenize, compile_control
+    Aggregate, BinOp, Call, ControlExpr, InputRef, Neg, Num, Pow, RootRef, _Token, _tokenize, compile_control
 )
 from fibra import fixtures
 
-from util import reference_tokenize
+from util import ast_positions, reference_parse_control, reference_tokenize
 
 
 SIG_KURAMOTO = ControlSignature(S1, (S1, S1))
@@ -102,9 +102,12 @@ def test_parse_rejects_malformed_source(src, message):
 def _scan(tokenize, src):
     """The tokens as (kind, text, pos) triples, or the ExprSyntaxError message."""
     try:
-        return [tuple(t) for t in tokenize(src)]
+        tokens = tokenize(src)
     except ExprSyntaxError as exc:
         return str(exc)
+    if tokenize is _tokenize:
+        assert all(type(t) is _Token for t in tokens)
+    return [tuple(t) for t in tokens]
 
 
 ASCII_PIECES = list("0123456789.eE+-*/^()[]{}xu_ \t\r\n@#,;~\\\x00\x7f") + [
@@ -418,3 +421,49 @@ def test_unparse_known_forms():
     src = "sum(u in inputs[S1]) { sin(u[0] - x[0]) }"
     assert unparse(parse(src, SIG_KURAMOTO)) == src
     assert unparse(parse("1e-3 + 2E+1 * x[0]", SIG_MEAN)) == "0.001 + 20.0 * x[0]"  # signed exponents
+
+
+# --- the parser against the one it replaced --------------------------------------
+
+
+def _parsed(parse_control, sources, signature):
+    """The control's ASTs with each node's position, or the type, message and position of the error."""
+    try:
+        ctrl = parse_control(sources, signature)
+    except (ExprSyntaxError, SignatureMismatch) as exc:
+        return type(exc), str(exc), getattr(exc, "pos", None)
+    return ctrl.components, [ast_positions(c) for c in ctrl.components]
+
+
+GRAMMAR_PIECES = ASCII_PIECES + [
+    "sum(u in inputs[R2]) { ", "mean(v in inputs[S1]) {", "sum(u in inputs[R9]) {", "sum(x in inputs[S1]) {",
+    "}", "x[0]", "x[1]", "x[2]", "u[0]", "u[1]", "v[0]", "w[0]", " + ", " * ", " / ", "^2", "^-1", "^x",
+    "sin(", "tanh(", "(", ")", "[", "]", "1.5", "\n", "  ",
+]
+SOURCES = st.one_of(
+    st.lists(st.sampled_from(GRAMMAR_PIECES), max_size=12).map("".join),
+    ast_exprs().map(unparse),
+    st.tuples(st.integers(95, 105), st.sampled_from([" - ", " * ", " ^ "])).map(lambda t: t[1].join(["x[0]"] * t[0])),
+    st.integers(97, 102).map(lambda k: "(" * k + "x[1]" + ")" * k),
+    st.integers(97, 102).map(lambda k: "-" * k + "x[0]"),
+)
+
+
+@given(st.lists(SOURCES, min_size=1, max_size=3), st.sampled_from([RT_SIG, SIG_MEAN, SIG_KURAMOTO]))
+def test_parse_control_matches_the_parser_it_replaced(sources, signature):
+    assert _parsed(parse_control, sources, signature) == _parsed(reference_parse_control, sources, signature)
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        [" + ".join(["x[0]"] * 101), "x[1]"],
+        ["x[0] * (" + " - ".join(["x[1]"] * 100) + ")", "x[0]"],
+        ["sum(u in inputs[R2]) { " + " * ".join(["u[0]"] * 99) + " } + x[0]", "x[1]"],
+        ["sum(u in inputs[R2])\n{ u[0] }", "mean(v in inputs[S1]) { sin(v[0]) } ^ -2"],
+        ["sum(u in inputs[R2]) { u[0] }\n  + 1e400", "x[1] @"],
+    ],
+    ids=["sum-chain", "nested-chain", "aggregated-chain", "lines", "late-fault"],
+)
+def test_parse_control_matches_the_parser_it_replaced_at_the_limits(sources):
+    assert _parsed(parse_control, sources, RT_SIG) == _parsed(reference_parse_control, sources, RT_SIG)

@@ -28,7 +28,7 @@ from fibra.jsonio import (
     state_from_json,
 )
 
-from util import reference_network_from_json
+from util import reference_network_from_json, reference_state_from_json
 
 
 @pytest.mark.parametrize(
@@ -183,6 +183,45 @@ def test_state_from_json_flat_and_by_node():
         state_from_json({}, idx)
     with pytest.raises(InputError, match="state: unknown node 'zzz'"):
         state_from_json({"by_node": {"1": [1], "2": [2, 3], "3": [4], "4": [5, 6], "zzz": [1.0]}}, idx)
+
+
+COORDINATE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-(2**70), 2**70),
+    st.sampled_from([-0.0, math.inf, math.nan, 10**400, True, None, "1", [1.0]]),
+)
+BY_NODE = st.dictionaries(
+    st.sampled_from(["1", "2", "3", "4", "zz"]),
+    st.one_of(st.lists(COORDINATE, max_size=3), st.sampled_from([None, 1.0, "x", {}])),
+)
+
+
+@given(st.one_of(BY_NODE.map(lambda d: {"by_node": d}), st.lists(COORDINATE, max_size=7).map(lambda v: {"flat": v})))
+def test_state_from_json_matches_the_per_node_loader(obj):
+    # string_graph(2) lays out node 1 (R1), 2 (R2), 3 (R1), 4 (R2)
+    idx = total_phase_space(fixtures.string_graph(2))
+
+    def outcome(load):
+        try:
+            x = load(obj, idx)
+        except InputError as exc:
+            return str(exc)
+        return x.dtype, x.shape, x.tobytes()
+
+    assert outcome(state_from_json) == outcome(reference_state_from_json)
+
+
+def test_state_from_json_checks_missing_then_coordinates_then_unknown():
+    idx = total_phase_space(fixtures.string_graph(2))
+    cases = [
+        ({"2": [1], "zz": [1.0]}, "state: missing node '1'"),
+        ({"1": [1], "2": [1], "zz": [1.0]}, "state: node '2' must be a list of 2 finite numbers"),
+        ({"1": [1], "2": [2, 3], "3": [True], "4": [5, 6]}, "state: node '3' must be a list of 1 finite numbers"),
+        ({"zz": [1.0], "1": [1], "2": [2, 3], "3": [4], "4": [5, 6]}, "state: unknown node 'zz'"),
+    ]
+    for by_node, message in cases:
+        with pytest.raises(InputError) as exc:
+            state_from_json({"by_node": by_node}, idx)
+        assert str(exc.value) == message
 
 
 # --- the one-pass loader against the loader it replaced ------------------------------

@@ -24,6 +24,7 @@ from fibra import (
     R2,
     RawControl,
     S1,
+    certify_conjugacy,
     circle_distance,
     coordinate_distance,
     identity_map,
@@ -39,7 +40,7 @@ from fibra import (
     total_phase_space,
     verify_polydiagonal_invariance,
 )
-from fibra import fixtures
+from fibra import fixtures, graphs
 from fibra.numerics import dependency_matrix
 
 from util import (
@@ -241,7 +242,26 @@ def test_repeated_node_id_has_no_layout():
     # the constructor stays permissive so that validation can list the repeat; a
     # layout would give both ids one slice and leave two coordinates unwritten
     net = network([("a", R1), ("a", R2), ("b", R1)], [("e1", "a", "b")])
-    with pytest.raises(PreconditionError, match="node id 'a' repeated"):
-        total_phase_space(net)
+    for _ in range(2):  # on every call: a failed layout is not kept
+        with pytest.raises(PreconditionError, match="node id 'a' repeated"):
+            total_phase_space(net)
     with pytest.raises(PreconditionError, match="node id 'a' repeated"):
         GlobalField(net, per_node_field(net, {a: RawControl(signature_at(net, a), lambda x, ins: x) for a in "ab"}))
+
+
+def test_each_network_builds_its_layout_once(monkeypatch):
+    built = []
+    layout = graphs.StateIndex
+    monkeypatch.setattr(graphs, "StateIndex", lambda *fields: built.append(fields[0]) or layout(*fields))
+    m = fixtures.g3_to_c2()
+    w = fixtures.linear_dynamics(m.codomain)
+    certify_conjugacy(m, w, samples=3, seed=1, T=0.02, h=0.01)
+    assert sorted(built) == sorted([total_phase_space(m.domain).order, total_phase_space(m.codomain).order])
+    m, built[:] = fixtures.g3_to_c2(), []
+    x0 = np.array([0.1, -0.2, 0.1])
+    assert verify_polydiagonal_invariance(m, fixtures.linear_dynamics(m.codomain), x0, 0.02, 0.01) == 0.0
+    assert built == [total_phase_space(m.domain).order]
+    assert total_phase_space(m.domain) is total_phase_space(m.domain)
+    twin = network([(a, m.domain.space(a)) for a in m.domain.graph.nodes], [])
+    assert total_phase_space(twin) == total_phase_space(m.domain)
+    assert total_phase_space(twin) is not total_phase_space(m.domain)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 
 import numpy as np
 
@@ -37,10 +38,27 @@ from fibra import (
     sample_state,
     total_phase_space,
 )
-from fibra.expr_dsl import FUNCTIONS, Aggregate, BinOp, Call, ExprSyntaxError, InputRef, Neg, Num, Pow, RootRef
+from fibra.dynamics import bind_control
+from fibra.expr_dsl import (
+    FUNCTIONS,
+    KEYWORDS,
+    MAX_BODY_RUNS,
+    MAX_DEPTH,
+    Aggregate,
+    BinOp,
+    Call,
+    ExprSyntaxError,
+    InputRef,
+    Neg,
+    Num,
+    Pow,
+    RootRef,
+    _children,
+    _Token,
+)
 from fibra.errors import EvaluationFault, InputError
 from fibra.graphs import TWO_PI
-from fibra.jsonio import _require, space_from_json
+from fibra.jsonio import _finite_number, _require, space_from_json
 
 SPACES = (R1, R2, S1)
 
@@ -374,6 +392,241 @@ def reference_tokenize(src: str) -> list[tuple]:
     return tokens
 
 
+# --- reference parser -------------------------------------------------------------
+# The regex scan with one match object and one NamedTuple constructor per
+# token, the recursive-descent parser that peeks and advances by method
+# calls, and the stack walk that checked each component's height, kept as a
+# differential oracle for ``parse_control``.
+
+_REFERENCE_TOKEN = re.compile(
+    r"[ \t\r]*(?:"
+    r"(?P<num>(?=\.?[0-9])[0-9.]+(?:[eE][+-]?[0-9]+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()\[\]{}])"
+    r"|(?P<newline>\n)"
+    r"|(?P<bad>.)"
+    r"|\Z)"
+)
+
+
+def reference_scan(src: str) -> list[_Token]:
+    tokens = []
+    line, line_start = 1, 0
+    for m in _REFERENCE_TOKEN.finditer(src):
+        kind = m.lastgroup
+        if kind is None:  # the end of the source
+            break
+        text, start = m.group(kind), m.start(kind)
+        pos = (line, start - line_start + 1)
+        if kind == "newline":
+            line, line_start = line + 1, start + 1
+        elif kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {text!r}", pos)
+        else:
+            if kind == "num":
+                try:
+                    float(text)
+                except ValueError:
+                    raise ExprSyntaxError(f"bad number literal {text!r}", pos) from None
+            tokens.append(_Token(kind, text, pos))
+    tokens.append(_Token("end", "", (line, len(src) - line_start + 1)))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, src, signature):
+        self.tokens = reference_scan(src)
+        self.k = 0
+        self.signature = signature
+        self.groups = signature.groups()
+        self.scope = []  # (var, group name)
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.k]
+
+    def advance(self):
+        tok = self.tokens[self.k]
+        self.k += 1
+        return tok
+
+    def expect(self, text):
+        tok = self.peek()
+        if tok.text != text:
+            raise ExprSyntaxError(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok.pos)
+        return self.advance()
+
+    def parse(self):
+        e = self.expr()
+        tok = self.peek()
+        if tok.kind != "end":
+            raise ExprSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
+        return e
+
+    def descend(self):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", self.peek().pos)
+
+    def expr(self):
+        self.descend()
+        left = self.term()
+        while self.peek().text in ("+", "-"):
+            op = self.advance()
+            right = self.term()
+            left = BinOp(op.text, left, right, pos=op.pos)
+        self.depth -= 1
+        return left
+
+    def term(self):
+        left = self.factor()
+        while self.peek().text in ("*", "/"):
+            op = self.advance()
+            right = self.factor()
+            left = BinOp(op.text, left, right, pos=op.pos)
+        return left
+
+    def factor(self):
+        tok = self.peek()
+        if tok.text == "-":
+            self.advance()
+            self.descend()
+            arg = self.factor()
+            self.depth -= 1
+            return Neg(arg, pos=tok.pos)
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek().text == "^":
+            op = self.advance()
+            sign = 1
+            if self.peek().text == "-":
+                self.advance()
+                sign = -1
+            tok = self.peek()
+            if tok.kind != "num" or not tok.text.isdigit():
+                raise ExprSyntaxError("exponent must be an integer literal", tok.pos)
+            self.advance()
+            return Pow(base, sign * int(tok.text), pos=op.pos)
+        return base
+
+    def atom(self):
+        tok = self.peek()
+        if tok.kind == "num":
+            self.advance()
+            return Num(float(tok.text), pos=tok.pos)
+        if tok.text == "(":
+            self.advance()
+            e = self.expr()
+            self.expect(")")
+            return e
+        if tok.kind == "ident":
+            if tok.text in ("sum", "mean"):
+                return self.aggregate()
+            if tok.text in FUNCTIONS:
+                self.advance()
+                self.expect("(")
+                arg = self.expr()
+                self.expect(")")
+                return Call(tok.text, arg, pos=tok.pos)
+            return self.reference()
+        raise ExprSyntaxError(f"expected an expression, found {tok.text or 'end of input'!r}", tok.pos)
+
+    def reference(self):
+        name_tok = self.advance()
+        name = name_tok.text
+        self.expect("[")
+        idx_tok = self.peek()
+        if idx_tok.kind != "num" or not idx_tok.text.isdigit():
+            raise ExprSyntaxError("index must be a non-negative integer", idx_tok.pos)
+        self.advance()
+        index = int(idx_tok.text)
+        self.expect("]")
+        if name == "x":
+            if index >= self.signature.root.dim:
+                raise ExprSyntaxError(
+                    f"x[{index}] out of range for root space {self.signature.root.name}", name_tok.pos
+                )
+            return RootRef(index, pos=name_tok.pos)
+        for var, group in reversed(self.scope):
+            if var == name:
+                dim = self.groups[group][0]
+                if index >= dim:
+                    raise ExprSyntaxError(
+                        f"{name}[{index}] out of range for input type {group}", name_tok.pos
+                    )
+                return InputRef(name, index, pos=name_tok.pos)
+        raise ExprSyntaxError("input reference outside aggregator", name_tok.pos)
+
+    def aggregate(self):
+        op_tok = self.advance()
+        self.expect("(")
+        var_tok = self.peek()
+        if var_tok.kind != "ident" or var_tok.text in KEYWORDS or var_tok.text == "x" or var_tok.text in FUNCTIONS:
+            raise ExprSyntaxError("expected a fresh aggregator variable name", var_tok.pos)
+        self.advance()
+        self.expect("in")
+        self.expect("inputs")
+        self.expect("[")
+        group_tok = self.peek()
+        if group_tok.kind not in ("ident", "num"):
+            raise ExprSyntaxError("expected an input type name", group_tok.pos)
+        self.advance()
+        group = group_tok.text
+        if group not in self.groups:
+            known = ", ".join(self.groups) or "none"
+            raise ExprSyntaxError(
+                f"type name mismatch: no input group {group!r} (signature has: {known})", group_tok.pos
+            )
+        self.expect("]")
+        self.expect(")")
+        self.expect("{")
+        runs = math.prod(self.groups[g][1] for _, g in self.scope) * self.groups[group][1]
+        if runs > MAX_BODY_RUNS:
+            raise ExprSyntaxError(
+                f"aggregator body would run {runs} times per call, more than {MAX_BODY_RUNS}", op_tok.pos
+            )
+        self.scope.append((var_tok.text, group))
+        try:
+            body = self.expr()
+        finally:
+            self.scope.pop()
+        self.expect("}")
+        return Aggregate(op_tok.text, var_tok.text, group, body, pos=op_tok.pos)
+
+
+def reference_check_height(e) -> None:
+    """The stack walk: the first node popped below MAX_DEPTH levels is the one named."""
+    stack = [(e, 1)]
+    while stack:
+        node, height = stack.pop()
+        if height > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels", node.pos)
+        stack.extend((child, height + 1) for child in _children(node))
+
+
+def reference_parse_control(sources, signature) -> ControlExpr:
+    """Every component parsed in turn, then the component count checked, then each height."""
+    if isinstance(sources, str):
+        sources = [sources]
+    components = tuple(_ReferenceParser(s, signature).parse() for s in sources)
+    if len(components) == signature.root.dim:  # else ControlExpr reports the count
+        for c in components:
+            reference_check_height(c)
+    return ControlExpr(signature, components)
+
+
+def ast_positions(e) -> list[tuple]:
+    """Every node's type and position, in preorder; AST equality ignores positions."""
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        out.append((type(node).__name__, node.pos))
+        stack.extend(reversed(_children(node)))
+    return out
+
+
 # --- reference evaluator ----------------------------------------------------------
 # The per-call path that bound controls replaced: every call re-checks its
 # inputs, re-buckets them by type and re-sorts a transported control's ids;
@@ -562,6 +815,52 @@ def reference_field(net: Network, w):
         return out
 
     return field
+
+
+def reference_units(net: Network, w):
+    """The unit-building loop that per-class runs and the single gather replaced.
+
+    Node by node in layout order: its control, checked against the node's root
+    space and each in-edge's type; nodes that share one expression control and
+    one count of inputs per group share a unit; each unit then makes one gather
+    for its roots and one per group.  Gives (root gather, kernel, input gathers)
+    per unit, in the order of each unit's first node, as ``GlobalField._units``.
+    """
+    index = total_phase_space(net)
+    name = {a: space.name for a, space in net.phase.items()}
+    units: dict = {}
+    for a in index.order:
+        ctrl = w.control_at(a)
+        if ctrl.signature.root.dim != index.spaces[a].dim:
+            raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
+        edges = net.in_edges(a)
+        group = ctrl.signature.group_index
+        sources = [[] for _ in group]
+        for e in edges:
+            g = group.get(name[e.src])
+            if g is None:
+                raise SignatureMismatch(f"input of type {name[e.src]} not in signature groups {sorted(group)}")
+            sources[g].append(e.src)
+        if isinstance(ctrl, ControlExpr):
+            key, slots = (id(ctrl), tuple(map(len, sources))), ()
+        else:
+            key, slots = a, [(e.edge_id, net.space(e.src)) for e in edges]
+        unit = units.get(key)
+        if unit is None:
+            unit = units[key] = (ctrl, slots, [], [[] for _ in group])
+        unit[2].append(a)
+        for acc, src in zip(unit[3], sources):
+            acc.extend(src)
+    out = []
+    for ctrl, slots, roots, sources in units.values():
+        m = len(roots)
+        root_gather = index.gather(roots).reshape(m, ctrl.signature.root.dim)
+        input_gathers = [
+            index.gather(src).reshape(m, len(src) // m, dim)
+            for src, (dim, _) in zip(sources, ctrl.signature.groups().values())
+        ]
+        out.append((root_gather, bind_control(ctrl, slots), input_gathers))
+    return out
 
 
 def reference_driving_residual(m: NetworkMap, w_prime, samples: int, seed: int, fd_step: float) -> float:
@@ -783,3 +1082,32 @@ def reference_network_from_json(obj) -> Network:
             raise InputError("network edge: id, src, tgt must be strings")
         edge_list.append(Edge(eid, src, tgt))
     return Network(Graph(tuple(ids), tuple(edge_list)), phase)
+
+
+# --- reference state loader -------------------------------------------------------
+# The loader that wrote each node's coordinates into a zeroed state through
+# one array per node, kept as the oracle of the one-array loader.
+
+
+def reference_state_from_json(obj, index) -> np.ndarray:
+    def coordinates(values, dim, what):
+        if not isinstance(values, list) or len(values) != dim or not all(map(_finite_number, values)):
+            raise InputError(f"state: {what} must be a list of {dim} finite numbers")
+        return np.array(values, dtype=float)
+
+    if isinstance(obj, dict) and "flat" in obj:
+        return coordinates(obj["flat"], index.total_dim, "'flat'")
+    if isinstance(obj, dict) and "by_node" in obj:
+        by_node = obj["by_node"]
+        if not isinstance(by_node, dict):
+            raise InputError("state: 'by_node' must be an object")
+        x = np.zeros(index.total_dim)
+        for a in index.order:
+            if a not in by_node:
+                raise InputError(f"state: missing node {a!r}")
+            x[index.slice_of(a)] = coordinates(by_node[a], index.spaces[a].dim, f"node {a!r}")
+        for a in by_node:
+            if a not in index.slices:
+                raise InputError(f"state: unknown node {a!r}")
+        return x
+    raise InputError("state: expected 'flat' or 'by_node'")
