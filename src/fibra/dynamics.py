@@ -151,17 +151,46 @@ def _check_signature(ctrl: Control, expected: ControlSignature, where: str) -> N
 
 @dataclass(frozen=True)
 class VirtualVectorField:
-    """Controls for every node, stored per node or once per groupoid class."""
+    """Controls for every node, stored per node or once per class of the network's groupoid.
+
+    Checked once, when built: the mode is known, each node (per node) or each
+    class representative (per class) has a control of its own signature, and
+    no control is keyed by any other id.  The field keeps its own copy of
+    ``controls``, so every reader can trust it.
+    """
 
     network: Network
     mode: str  # "per_node" | "per_class"
     controls: Mapping[NodeId, Control]
-    groupoid: SymmetryGroupoid | None = None
+
+    def __post_init__(self) -> None:
+        net, controls = self.network, dict(self.controls)
+        object.__setattr__(self, "controls", controls)
+        if self.mode == "per_node":
+            keys, owner, where, others = net.graph.nodes, "node", "node", "unknown node ids"
+        elif self.mode == "per_class":
+            keys, owner, where = self.groupoid.representatives(), "class of", "class representative"
+            others = "non-representatives"
+        else:
+            raise PreconditionError(f"unknown field mode {self.mode!r}")
+        for a in keys:
+            if a not in controls:
+                raise PreconditionError(f"no control for {owner} {a!r}")
+            _check_signature(controls[a], signature_at(net, a), f"{where} {a!r}")
+        extra = controls.keys() - set(keys)
+        if extra:
+            raise PreconditionError(f"controls keyed by {others}: {sorted(extra)}")
+
+    @property
+    def groupoid(self) -> SymmetryGroupoid:
+        """The network's groupoid, whose classes a per-class field's controls are keyed by."""
+        return symmetry_groupoid(self.network)
 
     def control_at(self, a: NodeId) -> Control:
         if self.mode == "per_node":
+            if a not in self.controls:
+                raise PreconditionError(f"unknown node id {a!r}")
             return self.controls[a]
-        assert self.groupoid is not None
         cls = self.groupoid.class_of(a)
         ctrl = self.controls[cls.representative]
         if a == cls.representative:
@@ -170,67 +199,17 @@ class VirtualVectorField:
 
 
 def per_node_field(net: Network, controls: Mapping[NodeId, Control]) -> VirtualVectorField:
-    for a in net.graph.nodes:
-        if a not in controls:
-            raise PreconditionError(f"no control for node {a!r}")
-        _check_signature(controls[a], signature_at(net, a), f"node {a!r}")
-    return VirtualVectorField(net, "per_node", dict(controls))
+    return VirtualVectorField(net, "per_node", controls)
 
 
-def per_class_field(
-    net: Network,
-    controls: Mapping[NodeId, Control],
-    groupoid: SymmetryGroupoid | None = None,
-) -> VirtualVectorField:
-    g = groupoid if groupoid is not None else symmetry_groupoid(net)
-    for cls in g.classes:
-        if cls.representative not in controls:
-            raise PreconditionError(f"no control for class of {cls.representative!r}")
-        _check_signature(
-            controls[cls.representative],
-            signature_at(net, cls.representative),
-            f"class representative {cls.representative!r}",
-        )
-    extra = set(controls) - set(g.representatives())
-    if extra:
-        raise PreconditionError(f"controls keyed by non-representatives: {sorted(extra)}")
-    return VirtualVectorField(net, "per_class", dict(controls), g)
+def per_class_field(net: Network, controls: Mapping[NodeId, Control]) -> VirtualVectorField:
+    return VirtualVectorField(net, "per_class", controls)
 
 
 def lift_to_nodes(g: SymmetryGroupoid, per_class: Mapping[NodeId, Control]) -> VirtualVectorField:
-    """Materialise a per-class assignment as a per-node field via the stored witnesses."""
-    field = per_class_field(g.network, per_class, g)
-    return VirtualVectorField(
-        g.network, "per_node", {a: field.control_at(a) for a in g.network.graph.nodes}
-    )
-
-
-def _runs(net: Network, w: VirtualVectorField) -> list[tuple[Control, tuple[NodeId, ...]]]:
-    """The field's nodes as (control, nodes) runs, in the order of each run's first node.
-
-    A class of a per-class field whose control is an expression is one run;
-    every other node is a run of its own.  The classes are read from the
-    field's groupoid when it is a groupoid of this network that holds every
-    node once, and each node's control is looked up alone otherwise.
-    """
-    index = total_phase_space(net)
-    g = w.groupoid
-    if not (
-        w.mode == "per_class"
-        and g is not None
-        and g.network.is_same(net)
-        and g._class_by_node.keys() == index.slices.keys()
-    ):
-        return [(w.control_at(a), (a,)) for a in index.order]
-    runs: list[tuple[Control, tuple[NodeId, ...]]] = []
-    for cls in g.classes:
-        ctrl = w.controls[cls.representative]
-        if isinstance(ctrl, ControlExpr):
-            runs.append((ctrl, cls.members))
-        else:
-            runs += [(w.control_at(a), (a,)) for a in cls.members]
-    runs.sort(key=lambda run: index.slices[run[1][0]][0])
-    return runs
+    """Materialise a per-class assignment on ``g.network`` as a per-node field via the stored witnesses."""
+    field = per_class_field(g.network, per_class)
+    return per_node_field(g.network, {a: field.control_at(a) for a in g.network.graph.nodes})
 
 
 class GlobalField:
@@ -238,10 +217,9 @@ class GlobalField:
 
     The nodes of a groupoid class share their class's expression control and
     form one unit; so do the nodes of a per-node field that share one
-    expression control and one shape of typed inputs.  A node with a raw or
-    transported control is a unit of its own.  Each unit is evaluated with
-    one gather of its root and input states, one call of its bound kernel and
-    one scatter.  The gathers of all units are views of one gather built from
+    expression control.  A node with a raw or transported control is a unit
+    of its own.  Each unit is evaluated with one gather of its root and input
+    states, one call of its bound kernel and one scatter.  The gathers of all units are views of one gather built from
     the in-edge index.
 
     A call takes one state of shape ``(total_dim,)`` or a batch of shape
@@ -255,24 +233,31 @@ class GlobalField:
         self.network = net
         self.index = index = total_phase_space(net)
         spaces, in_edges = index.spaces, net.graph.in_edges
-        # (id of the control, input counts per group), or the node of a control that is
-        # not an expression -> [control, slots, roots, sources per group]; in the order
-        # of each unit's first node, since the runs come in that order
+        # (control, nodes) runs in the order of each run's first node: a class whose control
+        # is an expression is one run, and every other node is a run of its own
+        if w.mode == "per_class":
+            runs: list[tuple[Control, tuple[NodeId, ...]]] = []
+            for cls in w.groupoid.classes:
+                ctrl = w.controls[cls.representative]
+                if isinstance(ctrl, ControlExpr):
+                    runs.append((ctrl, cls.members))
+                else:
+                    runs += [(w.control_at(a), (a,)) for a in cls.members]
+            runs.sort(key=lambda run: index.slices[run[1][0]][0])
+        else:
+            runs = [(w.controls[a], (a,)) for a in index.order]
+        # the id of an expression control, or the node of any other control -> [control, slots,
+        # roots, sources per group], in the order of each unit's first node; the field has
+        # checked that each node's control has the node's signature
         units: dict = {}
-        for ctrl, nodes in _runs(net, w):
-            dim, group = ctrl.signature.root.dim, ctrl.signature.group_index
+        for ctrl, nodes in runs:
+            group = ctrl.signature.group_index
             sources: list[list[NodeId]] = [[] for _ in group]
             for a in nodes:
-                if spaces[a].dim != dim:
-                    raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
                 for e in in_edges(a):
-                    name = spaces[e.src].name
-                    g = group.get(name)
-                    if g is None:
-                        raise SignatureMismatch(f"input of type {name} not in signature groups {sorted(group)}")
-                    sources[g].append(e.src)
+                    sources[group[spaces[e.src].name]].append(e.src)
             if isinstance(ctrl, ControlExpr):
-                key, slots = (id(ctrl), tuple(len(src) // len(nodes) for src in sources)), ()
+                key, slots = id(ctrl), ()
             else:  # bound to the edge ids of its one node
                 key, slots = nodes[0], [(e.edge_id, spaces[e.src]) for e in in_edges(nodes[0])]
             unit = units.get(key)
@@ -343,13 +328,8 @@ def _pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
         return _transported(w_prime.control_at(m.node_map[a]), lambda: induced_tree_map(m, a).as_iso().inverse())
 
     if w_prime.mode == "per_class":
-        g = symmetry_groupoid(m.domain)
-        return VirtualVectorField(
-            m.domain, "per_class", {r: pulled(r) for r in g.representatives()}, g
-        )
-    return VirtualVectorField(
-        m.domain, "per_node", {a: pulled(a) for a in m.domain.graph.nodes}
-    )
+        return per_class_field(m.domain, {r: pulled(r) for r in symmetry_groupoid(m.domain).representatives()})
+    return per_node_field(m.domain, {a: pulled(a) for a in m.domain.graph.nodes})
 
 
 def _sampled_at(
@@ -414,7 +394,6 @@ def pullback_kernel_check(
     check_count(samples)
     if w_prime.mode != "per_class":
         raise PreconditionError("pullback_kernel_check expects a per-class field")
-    assert w_prime.groupoid is not None
     pulled = pullback(m, w_prime)
     essim = essential_image(m)
     reps = [c.representative for c in w_prime.groupoid.classes if essim.intersection(c.members)]

@@ -162,12 +162,11 @@ def double_collapse(space: PhaseSpace = R1) -> NetworkMap:
 
 def _per_class_dynamics(net: Network, exprs_of: Callable[[ControlSignature], list[str]]) -> VirtualVectorField:
     """One expression control per groupoid class, its expressions read off the class signature."""
-    g = symmetry_groupoid(net)
     controls = {}
-    for rep in g.representatives():
+    for rep in symmetry_groupoid(net).representatives():
         sig = signature_at(net, rep)
         controls[rep] = parse_control(exprs_of(sig), sig)
-    return per_class_field(net, controls, g)
+    return per_class_field(net, controls)
 
 
 def linear_dynamics(net: Network) -> VirtualVectorField:

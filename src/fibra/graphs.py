@@ -21,6 +21,8 @@ from .errors import PreconditionError
 if TYPE_CHECKING:
     import numpy as np
 
+    from .input_trees import SymmetryGroupoid
+
 # The structure layer runs without numpy: the functions below that work on
 # states import it where they run, so only numeric callers load it.
 
@@ -129,8 +131,9 @@ class Graph:
 class Network:
     """A graph plus a total assignment of phase spaces to its nodes.
 
-    Like :class:`Graph`'s adjacency index, the flat state layout is built
-    once per instance, on first use, outside the dataclass fields.
+    Like :class:`Graph`'s adjacency index, the flat state layout and the
+    symmetry groupoid are built once per instance, on first use, outside the
+    dataclass fields.
     """
 
     graph: Graph
@@ -165,6 +168,13 @@ class Network:
             slices[a] = (off, d)
             off += d
         return StateIndex(order, slices, {a: self.space(a) for a in order}, off)
+
+    @cached_property
+    def _groupoid(self) -> SymmetryGroupoid:
+        """The groupoid :func:`~fibra.input_trees.symmetry_groupoid` returns."""
+        from .input_trees import _classify  # input_trees builds on this module
+
+        return _classify(self)
 
 
 def network(nodes: Iterable[tuple[str, PhaseSpace]], edges: Iterable[tuple[str, str, str]]) -> Network:

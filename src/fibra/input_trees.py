@@ -292,9 +292,15 @@ def symmetry_groupoid(net: Network) -> SymmetryGroupoid:
 
     Two input trees are isomorphic exactly when their root spaces and typed
     leaf multisets agree: one refinement round from the phase colouring, whose
-    signature multiplicities give the automorphism orders.  Each class builds its
-    witnesses on their first read.
+    signature multiplicities give the automorphism orders.  Each network builds
+    its groupoid once, on the first call, and each class builds its witnesses
+    on their first read.
     """
+    return net._groupoid
+
+
+def _classify(net: Network) -> SymmetryGroupoid:
+    """The groupoid of :func:`symmetry_groupoid`, from one refinement round."""
     nodes, colours, signatures = next(refinement_rounds(net, net.phase))
     order_of = [math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(s)) for _, s in signatures]
     buckets: list[list[NodeId]] = [[] for _ in signatures]

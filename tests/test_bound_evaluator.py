@@ -400,7 +400,7 @@ def test_large_batch_matches_tree_walk():
     )
     controls = {rep: parse_control(["-x[0]"] * net.space(rep).dim, signature_at(net, rep)) for rep in g.representatives()}
     controls[g.class_of("t000").representative] = parse_control([body], signature_at(net, "t000"))
-    w = per_class_field(net, controls, g)
+    w = per_class_field(net, controls)
     field, reference = GlobalField(net, w), reference_field(net, w)
     for _ in range(4):
         x = sample_state(field.index, rng)

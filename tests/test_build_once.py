@@ -37,6 +37,7 @@ from fibra import (
     enumerate_tree_isos,
     input_tree,
     iso_count,
+    lift_to_nodes,
     network,
     parse_control,
     per_class_field,
@@ -218,19 +219,22 @@ def test_field_units_match_the_per_node_loop(net, data):
     w = _mixed_field(data.draw, net)
     field = GlobalField(net, w)
     x = sample_states(field.index, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), 2)
-    _same_units(field._units, reference_units(net, w), x)
+    _same_units(field._units, reference_units(net, w.mode, w.controls), x)
 
 
 @given(networks(), st.data())
 def test_field_reports_a_signature_mismatch_as_the_per_node_loop(net, data):
-    # controls handed to other classes or nodes than their own, past the checks of per_class_field
+    # controls handed to other classes or nodes than their own: the field refuses them when
+    # built exactly where the per-node loop does, with the same exception, at the same node
+    # (networks() lists its nodes in layout order, the order both check them in)
     w = _mixed_field(data.draw, net)
     keys = sorted(w.controls)
     moved = dict(zip(keys, data.draw(st.permutations([w.controls[k] for k in keys]))))
-    w = VirtualVectorField(net, w.mode, moved, w.groupoid)
-    got, want = _outcome(lambda: GlobalField(net, w)), _outcome(lambda: reference_units(net, w))
+    got = _outcome(lambda: GlobalField(net, VirtualVectorField(net, w.mode, moved)))
+    want = _outcome(lambda: reference_units(net, w.mode, moved))
     if isinstance(want, tuple):
-        assert got == want
+        node = want[1].rpartition(" at node ")[2]
+        assert got[0] is want[0] and f" {node} has signature " in got[1]
     else:
         x = sample_states(got.index, np.random.default_rng(0), 2)
         _same_units(got._units, want, x)
@@ -244,24 +248,28 @@ def test_field_reports_the_first_mismatched_node_of_a_class():
     )
     exprs = {"a": ["-x[0]"], "b": ["-x[0]"], "r": ["-x[0]", "x[1]"], "s": ["-x[0]"]}
     w = per_class_field(net, {rep: parse_control(src, signature_at(net, rep)) for rep, src in exprs.items()})
-    wrong = VirtualVectorField(net, "per_class", {**w.controls, "a": w.controls["b"]}, w.groupoid)
-    for build in (GlobalField, reference_units):
-        with pytest.raises(SignatureMismatch, match=r"^input of type S1 not in signature groups \['R1'\]$"):
-            build(net, wrong)
-    wrong = VirtualVectorField(net, "per_class", {**w.controls, "a": w.controls["r"]}, w.groupoid)
-    for build in (GlobalField, reference_units):
-        with pytest.raises(SignatureMismatch, match=r"^control for root space R2 at node 'a'$"):
-            build(net, wrong)
+    wrong = {**w.controls, "a": w.controls["b"]}
+    with pytest.raises(SignatureMismatch, match=r"^input of type S1 not in signature groups \['R1'\] at node 'a'$"):
+        reference_units(net, "per_class", wrong)
+    with pytest.raises(
+        SignatureMismatch,
+        match=r"^control at class representative 'a' has signature \(R1; \['R1'\]\), expected \(R1; \['R2', 'S1'\]\)$",
+    ):
+        per_class_field(net, wrong)
+    wrong = {**w.controls, "a": w.controls["r"]}
+    with pytest.raises(SignatureMismatch, match=r"^control for root space R2 at node 'a'$"):
+        reference_units(net, "per_class", wrong)
+    with pytest.raises(SignatureMismatch, match=r"^control at class representative 'a' has signature \(R2; "):
+        per_class_field(net, wrong)
 
 
-def test_field_reads_each_node_alone_when_the_groupoid_misses_a_node():
-    net = fixtures.g3()
+def test_lift_to_nodes_reads_only_the_network_of_a_groupoid():
+    # a hand-built groupoid that misses a class gives the field of the network's own groupoid
+    net = fixtures.funnel4()
     w = fixtures.linear_dynamics(net)
-    first, *rest = w.groupoid.classes
-    partial = VirtualVectorField(net, "per_class", w.controls, SymmetryGroupoid(net, tuple(rest), w.groupoid.aut_orders))
-    for build in (GlobalField, reference_units):
-        with pytest.raises(PreconditionError, match=f"^unknown node id {first.members[0]!r}$"):
-            build(net, partial)
+    partial = SymmetryGroupoid(net, w.groupoid.classes[1:], w.groupoid.aut_orders)
+    assert lift_to_nodes(partial, w.controls) == lift_to_nodes(w.groupoid, w.controls)
+    assert w.groupoid is symmetry_groupoid(net)
 
 
 @given(networks())

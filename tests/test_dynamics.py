@@ -10,11 +10,14 @@ from fibra import (
     ControlSignature,
     FibrationRequired,
     GlobalField,
+    IsoClass,
     PreconditionError,
     R1,
     R2,
     RawControl,
     SignatureMismatch,
+    SymmetryGroupoid,
+    certify_conjugacy,
     check_invariance,
     ctrl_transport,
     enumerate_tree_isos,
@@ -31,7 +34,7 @@ from fibra import (
     signature_at,
     symmetry_groupoid,
 )
-from fibra import fixtures
+from fibra import fixtures, input_trees
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples
 from fibra.numerics import dependency_matrix, expected_dependencies
 from fibra.sampling import sample_space, sample_state
@@ -334,7 +337,7 @@ def test_pullback_kernel_vanishing_off_essential_image():
     assert g.representatives() == ("1", "3")
     zero_core = parse_control(["0"], signature_at(cod, "1"))
     tail_only = parse_control(["x[0]", "x[1] + 1"], signature_at(cod, "3"))
-    w_prime = per_class_field(cod, {"1": zero_core, "3": tail_only}, g)
+    w_prime = per_class_field(cod, {"1": zero_core, "3": tail_only})
     pulled = pullback(m, w_prime)
     # the pulled-back field vanishes identically even though w' does not
     X = interconnect(m.domain, pulled)
@@ -388,6 +391,38 @@ def test_global_field_rejects_wrong_dimension():
         X(np.zeros(7))
 
 
+def test_a_field_takes_its_classes_from_its_network():
+    # a split groupoid gave a and b different controls, and the identity fibration then
+    # failed to certify; the network's own groupoid gives all three nodes one control
+    net, split, controls = _split_three_cycle()
+    w = lift_to_nodes(split, {"a": controls["b"]})
+    assert w == lift_to_nodes(symmetry_groupoid(net), {"a": controls["b"]})
+    assert set(w.controls) == set("abc") and len({id(c) for c in w.controls.values()}) == 1
+    report = certify_conjugacy(identity_map(net), per_class_field(net, {"a": controls["b"]}), samples=20, T=0.1, h=0.01)
+    assert report.pointwise_max_residual == 0.0 and report.flow_max_deviation == 0.0
+
+
+def test_each_network_builds_its_groupoid_once(monkeypatch):
+    built = []
+    rounds = input_trees.refinement_rounds
+    monkeypatch.setattr(input_trees, "refinement_rounds", lambda net, colour: built.append(net) or rounds(net, colour))
+    m = fixtures.g3_to_c2()
+    w = fixtures.linear_dynamics(m.codomain)
+    certify_conjugacy(m, w, samples=3, seed=1, T=0.02, h=0.01)
+    assert pullback_kernel_check(m, w, samples=3)
+    assert len(built) == 2 and built[0] is m.codomain and built[1] is m.domain
+    assert symmetry_groupoid(m.domain) is symmetry_groupoid(m.domain) is pullback(m, w).groupoid
+    assert len(built) == 2
+
+
+def test_field_keeps_its_own_copy_of_the_controls():
+    net = fixtures.g3()
+    controls = {"1": _g3_linear_control("1")}
+    w = per_class_field(net, controls)
+    controls["2"] = controls["1"]
+    assert set(w.controls) == {"1"}
+
+
 def test_per_node_field_requires_every_node():
     net = fixtures.g3()
     sig = signature_at(net, "1")
@@ -400,7 +435,7 @@ def _field_lacking_an_input_type():
     net = fixtures.g3_mixed()
     controls = {a: linear_ctrl(signature_at(net, a)) for a in ("1", "2")}
     controls["3"] = parse_control(["sum(u in inputs[R2]) { u[0] }", "0"], ControlSignature(R2, (R2,)))
-    return GlobalField(net, VirtualVectorField(net, "per_node", controls))
+    return VirtualVectorField(net, "per_node", controls)
 
 
 def _transport_a_non_control():
@@ -414,17 +449,49 @@ def _per_node_pullback_kernel_check():
     return pullback_kernel_check(m, lift_to_nodes(w.groupoid, w.controls))
 
 
+def _split_three_cycle():
+    """The 3-cycle a -> b -> c -> a, one groupoid class, and a hand-built groupoid that splits it into {a}, {b, c}."""
+    net = network([(a, R1) for a in "abc"], [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
+    split = SymmetryGroupoid(net, (IsoClass("a", ("a",), net), IsoClass("b", ("b", "c"), net)), {a: 1 for a in "abc"})
+    sig = signature_at(net, "a")
+    controls = {"a": linear_ctrl(sig), "b": parse_control(["2 * sum(u in inputs[R1]) { u[0] } - x[0]"], sig)}
+    return net, split, controls
+
+
+def _g3_linear_control(a):
+    return linear_ctrl(signature_at(fixtures.g3(), a))
+
+
 FAILURE_PATHS = {
     "per-class-field-keyed-by-a-non-representative": (
-        lambda: per_class_field(fixtures.g3(), {a: linear_ctrl(signature_at(fixtures.g3(), a)) for a in "12"}),
+        lambda: per_class_field(fixtures.g3(), {a: _g3_linear_control(a) for a in "12"}),
         PreconditionError, "controls keyed by non-representatives: ['2']",
+    ),
+    "per-node-field-keyed-by-an-unknown-node": (
+        lambda: per_node_field(fixtures.g3(), {a: _g3_linear_control("1") for a in ["1", "2", "3", "zz", "y"]}),
+        PreconditionError, "controls keyed by unknown node ids: ['y', 'zz']",
+    ),
+    "field-of-an-unknown-mode": (
+        lambda: VirtualVectorField(fixtures.g3(), "per_edge", {}), PreconditionError, "unknown field mode 'per_edge'",
+    ),
+    "lift-along-a-split-groupoid": (
+        lambda: lift_to_nodes(*_split_three_cycle()[1:]),
+        PreconditionError, "controls keyed by non-representatives: ['b']",
+    ),
+    "control-at-an-unknown-node-of-a-per-node-field": (
+        lambda: per_node_field(fixtures.g3(), {a: _g3_linear_control(a) for a in "123"}).control_at("zz"),
+        PreconditionError, "unknown node id 'zz'",
+    ),
+    "control-at-an-unknown-node-of-a-per-class-field": (
+        lambda: fixtures.linear_dynamics(fixtures.g3()).control_at("zz"), PreconditionError, "unknown node id 'zz'",
     ),
     "global-field-of-another-network": (
         lambda: GlobalField(fixtures.cycle2(), fixtures.linear_dynamics(fixtures.g3())),
         PreconditionError, "virtual vector field was built for a different network",
     ),
     "signature-lacks-an-input-type": (
-        _field_lacking_an_input_type, SignatureMismatch, "input of type R1 not in signature groups ['R2']",
+        _field_lacking_an_input_type,
+        SignatureMismatch, "control at node '3' has signature (R2; ['R2']), expected (R2; ['R1'])",
     ),
     "pullback-of-a-field-on-another-network": (
         lambda: pullback(fixtures.g3_to_c2(), fixtures.linear_dynamics(fixtures.g3())),

@@ -231,6 +231,13 @@ def test_is_balanced_rejects_a_node_listed_twice():
         is_balanced(fixtures.g3(), Partition.of([["1", "2", "3"], ["3"]]))
 
 
+@pytest.mark.parametrize("blocks", [[["1", "2"]], [["1", "2", "3"], ["zz"]]], ids=["misses-a-node", "names-an-unknown-node"])
+def test_partition_must_cover_the_network(blocks):
+    for check in (is_balanced, quotient_of):
+        with pytest.raises(PreconditionError, match="^partition does not list each node exactly once$"):
+            check(fixtures.g3(), Partition.of(blocks))
+
+
 def test_quotient_rejects_unbalanced():
     with pytest.raises(PreconditionError):
         quotient_of(fixtures.funnel4(), Partition.of([["1", "2"], ["3", "4"]]))

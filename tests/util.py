@@ -28,6 +28,7 @@ from fibra import (
     TreeIso,
     check_fibration,
     coordinate_distance,
+    ctrl_transport,
     input_tree,
     integrate,
     interconnect,
@@ -36,6 +37,7 @@ from fibra import (
     pullback,
     sample_space,
     sample_state,
+    symmetry_groupoid,
     total_phase_space,
 )
 from fibra.dynamics import bind_control
@@ -817,21 +819,32 @@ def reference_field(net: Network, w):
     return field
 
 
-def reference_units(net: Network, w):
+def reference_units(net: Network, mode: str, controls):
     """The unit-building loop that per-class runs and the single gather replaced.
 
-    Node by node in layout order: its control, checked against the node's root
-    space and each in-edge's type; nodes that share one expression control and
-    one count of inputs per group share a unit; each unit then makes one gather
-    for its roots and one per group.  Gives (root gather, kernel, input gathers)
-    per unit, in the order of each unit's first node, as ``GlobalField._units``.
+    Takes a raw (mode, controls) pair that no field has checked.  Node by node
+    in layout order: its control, its own (per node) or its class
+    representative's moved along the class witness (per class), checked
+    against the node's root space, each in-edge's type and the input count
+    of each group, each refusal naming the node; nodes that share one
+    expression control and one count of inputs per group share a unit; each
+    unit then makes one gather for its roots and one per group.  Gives (root
+    gather, kernel, input gathers) per unit, in the order of each unit's
+    first node, as ``GlobalField._units``.
     """
     index = total_phase_space(net)
     name = {a: space.name for a, space in net.phase.items()}
+    groupoid = symmetry_groupoid(net)
     units: dict = {}
     for a in index.order:
-        ctrl = w.control_at(a)
-        if ctrl.signature.root.dim != index.spaces[a].dim:
+        if mode == "per_node":
+            ctrl = controls[a]
+        else:
+            cls = groupoid.class_of(a)
+            ctrl = controls[cls.representative]
+            if a != cls.representative:
+                ctrl = ctrl_transport(cls.witnesses[a].inverse(), ctrl)
+        if ctrl.signature.root != index.spaces[a]:
             raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
         edges = net.in_edges(a)
         group = ctrl.signature.group_index
@@ -839,10 +852,15 @@ def reference_units(net: Network, w):
         for e in edges:
             g = group.get(name[e.src])
             if g is None:
-                raise SignatureMismatch(f"input of type {name[e.src]} not in signature groups {sorted(group)}")
+                raise SignatureMismatch(
+                    f"input of type {name[e.src]} not in signature groups {sorted(group)} at node {a!r}"
+                )
             sources[g].append(e.src)
+        counts = tuple(map(len, sources))
+        if counts != tuple(count for _, count in ctrl.signature.groups().values()):
+            raise SignatureMismatch(f"{counts} inputs per signature group at node {a!r}")
         if isinstance(ctrl, ControlExpr):
-            key, slots = (id(ctrl), tuple(map(len, sources))), ()
+            key, slots = (id(ctrl), counts), ()
         else:
             key, slots = a, [(e.edge_id, net.space(e.src)) for e in edges]
         unit = units.get(key)
