@@ -71,9 +71,14 @@ def _seed(args) -> int:
         raise InputError(f"FIBRA_SEED={text!r}: {exc}") from None
 
 
-def _check_horizon(args, *nets: Network) -> None:
-    """Refuse ``--T``/``--h`` when a trajectory on one of ``nets`` would hold more than MAX_TRAJECTORY_FLOATS."""
-    width = max([1] + [sum(space.dim for space in net.phase.values()) for net in nets])
+def _width(net: Network) -> int:
+    """Coordinates in one state of ``net``."""
+    return sum(space.dim for space in net.phase.values())
+
+
+def _check_horizon(args, width: int) -> None:
+    """Refuse ``--T``/``--h`` when a trajectory of ``width`` coordinates would hold more than MAX_TRAJECTORY_FLOATS."""
+    width = max(1, width)
     steps = args.T / args.h  # inf when it overflows
     if (steps + 2.0) * width > MAX_TRAJECTORY_FLOATS:
         raise InputError(f"--T/--h gives {steps:.3g} steps of {width} coordinates: over {MAX_TRAJECTORY_FLOATS} floats")
@@ -321,7 +326,7 @@ def _simulate(args, read):
     from .numerics import integrate
 
     net = _load_network(read, args.network)
-    _check_horizon(args, net)
+    _check_horizon(args, _width(net))
     field = interconnect(net, class_dynamics_from_json(read(args.dynamics), net))
     x0 = state_from_json(read(args.x0), field.index)
     traj = integrate(field, x0, args.T, args.h)
@@ -339,7 +344,7 @@ def _verify_conjugacy(args, read):
     from .numerics import certify_conjugacy
 
     nmap = _load_map(args, read)
-    _check_horizon(args, nmap.domain, nmap.codomain)
+    _check_horizon(args, _width(nmap.codomain) + _width(nmap.domain))  # one joint trajectory of both sides
     w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
     x0p = None if args.x0 is None else state_from_json(read(args.x0), total_phase_space(nmap.codomain))
     report = certify_conjugacy(
@@ -359,7 +364,7 @@ def _verify_polydiagonal(args, read):
     from .numerics import verify_polydiagonal_invariance
 
     nmap = _load_map(args, read)
-    _check_horizon(args, nmap.domain, nmap.codomain)
+    _check_horizon(args, max(_width(nmap.domain), _width(nmap.codomain)))
     w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
     x0 = state_from_json(read(args.x0), total_phase_space(nmap.domain))
     distance = verify_polydiagonal_invariance(nmap, w_prime, x0, args.T, args.h, tol_sync=args.tol)

@@ -12,7 +12,7 @@ pure input re-indexing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from itertools import chain
 from typing import Callable, Mapping, Sequence, Union
 
@@ -30,7 +30,7 @@ from .expr_dsl import (
     member_groups,
 )
 from .fibrations import check_fibration, essential_image
-from .graphs import Network, NetworkMap, NodeId, PhaseSpace, total_phase_space
+from .graphs import Network, NetworkMap, NodeId, PhaseSpace, StateIndex, total_phase_space
 from .input_trees import (
     SymmetryGroupoid,
     TreeIso,
@@ -156,14 +156,18 @@ class VirtualVectorField:
     Checked once, when built: the mode is known, each node (per node) or each
     class representative (per class) has a control of its own signature, and
     no control is keyed by any other id.  The field keeps its own copy of
-    ``controls``, so every reader can trust it.
+    ``controls``, so every reader can trust it.  ``signatures`` may hold the
+    :func:`signature_at` of some keys, read by a caller that built their
+    controls from them; the check reads every other key's itself.
     """
 
     network: Network
     mode: str  # "per_node" | "per_class"
     controls: Mapping[NodeId, Control]
+    signatures: InitVar[Mapping[NodeId, ControlSignature] | None] = None
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, signatures: Mapping[NodeId, ControlSignature] | None) -> None:
+        known = signatures or {}
         net, controls = self.network, dict(self.controls)
         object.__setattr__(self, "controls", controls)
         if self.mode == "per_node":
@@ -176,7 +180,8 @@ class VirtualVectorField:
         for a in keys:
             if a not in controls:
                 raise PreconditionError(f"no control for {owner} {a!r}")
-            _check_signature(controls[a], signature_at(net, a), f"{where} {a!r}")
+            expected = known[a] if a in known else signature_at(net, a)
+            _check_signature(controls[a], expected, f"{where} {a!r}")
         extra = controls.keys() - set(keys)
         if extra:
             raise PreconditionError(f"controls keyed by {others}: {sorted(extra)}")
@@ -212,61 +217,84 @@ def lift_to_nodes(g: SymmetryGroupoid, per_class: Mapping[NodeId, Control]) -> V
     return per_node_field(g.network, {a: field.control_at(a) for a in g.network.graph.nodes})
 
 
+def _runs(w: VirtualVectorField, index: StateIndex) -> list[tuple[Control, tuple[NodeId, ...]]]:
+    """(control, nodes) runs of a field, in the order of each run's first node.
+
+    A class whose control is an expression is one run, and every other node
+    is a run of its own.
+    """
+    if w.mode == "per_node":
+        return [(w.controls[a], (a,)) for a in index.order]
+    runs: list[tuple[Control, tuple[NodeId, ...]]] = []
+    for cls in w.groupoid.classes:
+        ctrl = w.controls[cls.representative]
+        if isinstance(ctrl, ControlExpr):
+            runs.append((ctrl, cls.members))
+        else:
+            runs += [(w.control_at(a), (a,)) for a in cls.members]
+    runs.sort(key=lambda run: index.slices[run[1][0]][0])
+    return runs
+
+
 class GlobalField:
-    """The interconnected vector field on the flat total state of a network.
+    """The interconnected vector field on the flat total state of one or more networks.
+
+    ``GlobalField(net, w)`` is the field of one network, laid out as
+    :func:`total_phase_space` lays it out.  Each further ``(network, field)``
+    part follows the ones before it in the same flat state: a system on a
+    disjoint union of networks is itself a network system.  ``index`` then
+    keys node ``a`` of the i-th part (the first is part 0) as ``(i, a)``,
+    and ``network`` is the first part's network.
 
     The nodes of a groupoid class share their class's expression control and
     form one unit; so do the nodes of a per-node field that share one
-    expression control.  A node with a raw or transported control is a unit
-    of its own.  Each unit is evaluated with one gather of its root and input
-    states, one call of its bound kernel and one scatter.  The gathers of all units are views of one gather built from
-    the in-edge index.
+    expression control, in whichever parts they lie (a pulled-back field
+    holds the very controls of the field it was pulled back from).  A node
+    with a raw or transported control is a unit of its own.  Each unit is
+    evaluated with one gather of its root and input states, one call of its
+    bound kernel and one scatter.  The gathers of all units are views of one
+    gather built from the in-edge index.
 
     A call takes one state of shape ``(total_dim,)`` or a batch of shape
     ``(samples, total_dim)``; each row of a batch gives the bits a call on
-    that row alone gives.
+    that row alone gives, and each part's columns give the bits that part's
+    own field gives.
     """
 
-    def __init__(self, net: Network, w: VirtualVectorField):
-        if not w.network.is_same(net):
-            raise PreconditionError("virtual vector field was built for a different network")
+    def __init__(self, net: Network, w: VirtualVectorField, *more: tuple[Network, VirtualVectorField]):
+        parts = ((net, w), *more)
+        for part_net, part_w in parts:
+            if not part_w.network.is_same(part_net):
+                raise PreconditionError("virtual vector field was built for a different network")
         self.network = net
-        self.index = index = total_phase_space(net)
-        spaces, in_edges = index.spaces, net.graph.in_edges
-        # (control, nodes) runs in the order of each run's first node: a class whose control
-        # is an expression is one run, and every other node is a run of its own
-        if w.mode == "per_class":
-            runs: list[tuple[Control, tuple[NodeId, ...]]] = []
-            for cls in w.groupoid.classes:
-                ctrl = w.controls[cls.representative]
-                if isinstance(ctrl, ControlExpr):
-                    runs.append((ctrl, cls.members))
-                else:
-                    runs += [(w.control_at(a), (a,)) for a in cls.members]
-            runs.sort(key=lambda run: index.slices[run[1][0]][0])
-        else:
-            runs = [(w.controls[a], (a,)) for a in index.order]
-        # the id of an expression control, or the node of any other control -> [control, slots,
-        # roots, sources per group], in the order of each unit's first node; the field has
-        # checked that each node's control has the node's signature
+        indexes = [total_phase_space(part_net) for part_net, _ in parts]
+        self.index = index = StateIndex.joint(indexes) if more else indexes[0]
+        # the id of an expression control, or the part and node of any other control -> [control,
+        # slots, roots, sources per group] with nodes keyed as in self.index, in the order of each
+        # unit's first node; the fields have checked that each node's control has the node's signature
         units: dict = {}
-        for ctrl, nodes in runs:
-            group = ctrl.signature.group_index
-            sources: list[list[NodeId]] = [[] for _ in group]
-            for a in nodes:
-                for e in in_edges(a):
-                    sources[group[spaces[e.src].name]].append(e.src)
-            if isinstance(ctrl, ControlExpr):
-                key, slots = id(ctrl), ()
-            else:  # bound to the edge ids of its one node
-                key, slots = nodes[0], [(e.edge_id, spaces[e.src]) for e in in_edges(nodes[0])]
-            unit = units.get(key)
-            if unit is None:
-                units[key] = [ctrl, slots, list(nodes), sources]
-            else:
-                unit[2] += nodes
-                for acc, src in zip(unit[3], sources):
-                    acc += src
+        for i, ((part_net, part_w), part_index) in enumerate(zip(parts, indexes)):
+            spaces, in_edges = part_index.spaces, part_net.graph.in_edges
+            for ctrl, nodes in _runs(part_w, part_index):
+                group = ctrl.signature.group_index
+                sources: list[list] = [[] for _ in group]
+                for a in nodes:
+                    for e in in_edges(a):
+                        sources[group[spaces[e.src].name]].append(e.src)
+                if isinstance(ctrl, ControlExpr):
+                    key, slots = id(ctrl), ()
+                else:  # bound to the edge ids of its one node
+                    key, slots = (i, nodes[0]), [(e.edge_id, spaces[e.src]) for e in in_edges(nodes[0])]
+                roots = list(nodes)
+                if more:
+                    roots, sources = [(i, a) for a in roots], [[(i, b) for b in src] for src in sources]
+                unit = units.get(key)
+                if unit is None:
+                    units[key] = [ctrl, slots, roots, sources]
+                else:
+                    unit[2] += roots
+                    for acc, src in zip(unit[3], sources):
+                        acc += src
         # every unit's roots, then its sources group by group, in one gather cut into views
         flat = index.gather(chain.from_iterable(chain(roots, *sources) for _, _, roots, sources in units.values()))
         self._units: list = []  # (root gather, kernel, input gathers)

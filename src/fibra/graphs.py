@@ -332,6 +332,22 @@ class StateIndex:
     spaces: Mapping[NodeId, PhaseSpace]
     total_dim: int
 
+    @classmethod
+    def joint(cls, indexes: Iterable[StateIndex]) -> StateIndex:
+        """The layouts one after another in one flat state; node ``a`` of the i-th is keyed ``(i, a)``."""
+        order: list[tuple[int, NodeId]] = []
+        slices: dict[tuple[int, NodeId], tuple[int, int]] = {}
+        spaces: dict[tuple[int, NodeId], PhaseSpace] = {}
+        off = 0
+        for i, index in enumerate(indexes):
+            for a in index.order:
+                start, length = index.slices[a]
+                order.append((i, a))
+                slices[i, a] = (off + start, length)
+                spaces[i, a] = index.spaces[a]
+            off += index.total_dim
+        return cls(tuple(order), slices, spaces, off)
+
     def slice_of(self, node: NodeId) -> slice:
         off, length = self.slices[node]
         return slice(off, off + length)

@@ -227,27 +227,34 @@ def certify_conjugacy(
 ) -> ConjugacyReport:
     """Pointwise plus flow-level certification with a seeded starting state.
 
-    Checks the fibration once and builds the coordinate map and both fields
-    once; they serve both checks.  Samples are drawn and evaluated in batches.
+    Checks the fibration once and builds the coordinate map and one joint
+    field ``[codomain | domain]`` once; it serves both checks.  The pulled-back
+    domain field holds the codomain's class controls, so each class kernel is
+    compiled once and called once per field call for both sides; every domain
+    node's flow is still computed and compared.  Samples are drawn in batches
+    and each batch ``x'`` is evaluated as the joint states ``[x' | p(x')]``;
+    the flow integrates one joint trajectory from ``[x0' | p(x0')]``, which
+    faults at the first step where either side's state is not finite.  Both
+    residuals come from the columns of each side.
     """
     if not check_fibration(m).is_fibration:
         raise FibrationRequired("conjugacy certification requires a fibration")
     p = PhaseSpaceMap(m)  # check_fibration checked the map
-    codomain_field = interconnect(m.codomain, w_prime)
-    domain_field = interconnect(m.domain, _pullback(m, w_prime))
+    field = GlobalField(m.codomain, w_prime, (m.domain, _pullback(m, w_prime)))
+    split = p.codomain_index.total_dim  # the codomain's columns come first
     check_count(samples)
     rng = np.random.default_rng(seed)
     pointwise = 0.0
-    for count in _chunks(samples, max(p.codomain_index.total_dim, p.domain_index.total_dim)):
+    for count in _chunks(samples, field.index.total_dim):
         x_prime = sample_states(p.codomain_index, rng, count)
-        lhs = p.differential(codomain_field(x_prime))
-        rhs = domain_field(p(x_prime))
+        tangents = field(np.concatenate((x_prime, p(x_prime)), axis=1))
+        lhs, rhs = p.differential(tangents[:, :split]), tangents[:, split:]
         pointwise = np.maximum(pointwise, np.abs(lhs - rhs).max(initial=0.0))  # unlike max(), propagates NaN
     if x0_prime is None:
         x0_prime = sample_state(p.codomain_index, np.random.default_rng(seed))
-    traj_prime = integrate(codomain_field, x0_prime, T, h)
-    traj = integrate(domain_field, p(x0_prime), T, h)
-    flow = coordinate_distance(p(traj_prime.states), traj.states, p.domain_index)
+    x0_prime = p.codomain_index.state(x0_prime)
+    states = integrate(field, np.concatenate((x0_prime, p(x0_prime))), T, h).states
+    flow = coordinate_distance(p(states[:, :split]), states[:, split:], p.domain_index)
     return ConjugacyReport(
         pointwise_max_residual=float(pointwise),
         flow_max_deviation=float(flow),

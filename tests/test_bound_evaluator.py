@@ -11,6 +11,7 @@ and isolated nodes.
 """
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -33,22 +34,27 @@ from fibra import (
     evaluate,
     fixtures,
     input_tree,
+    integrate,
     iso_count,
     network,
     parse_control,
     per_class_field,
     per_node_field,
+    pullback,
     signature_at,
     symmetry_groupoid,
     total_phase_space,
     verify_driving_decomposition,
 )
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples, bind_control
-from fibra.errors import EvaluationFault
+from fibra.errors import EvaluationFault, IntegrationFault
 from fibra.expr_dsl import FUNCTIONS, ControlSignature, _canonical_order, compile_control, group_positions
-from fibra.sampling import sample_state
+from fibra.sampling import sample_state, sample_states
 
 from util import (
+    random_injective_fibration,
+    random_network,
+    random_surjective_fibration,
     reference_bind,
     reference_check_invariance,
     reference_driving_residual,
@@ -240,6 +246,67 @@ def test_field_rejects_control_of_wrong_root_space():
     wrong = RawControl(signature_at(net, "c"), lambda x, ins: x)  # R2 root at S1 node b
     with pytest.raises(SignatureMismatch):
         GlobalField(net, VirtualVectorField(net, "per_node", {**w.controls, "b": wrong}))
+
+
+# --- joint field -------------------------------------------------------------------
+
+
+@st.composite
+def fibrations(draw):
+    """A random surjective or injective fibration, or the identity of a mixed or an all-circle network."""
+    kind = draw(st.sampled_from(["surjective", "injective", "identity", "circle identity"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if kind == "surjective":
+        return random_surjective_fibration(rng)
+    if kind == "injective":
+        return random_injective_fibration(rng)
+    net = draw(networks()) if kind == "identity" else random_network(rng, spaces=(S1,))
+    return NetworkMap(net, net, {a: a for a in net.graph.nodes}, {e.edge_id: e.edge_id for e in net.graph.edges})
+
+
+def _integrated(field, x0):
+    """The trajectory over three steps, or the fault that stopped it."""
+    try:
+        with np.errstate(all="ignore"):  # raw controls may overflow, in every path alike
+            return integrate(field, x0, 0.03, 0.01)
+    except IntegrationFault as fault:
+        return fault
+
+
+@given(fibrations(), st.data())
+def test_joint_field_matches_each_side_alone(m, data):
+    """``[codomain | domain]`` gives each side's own bits, also when integrated.
+
+    The domain side holds the pullback, as certification builds it, or a field
+    drawn on its own; an identity map's sides share their node ids.
+    """
+    draw_field = data.draw(st.sampled_from([class_field, twisted_node_field]))
+    w = draw_field(data.draw, m.codomain)
+    w_domain = draw_field(data.draw, m.domain) if data.draw(st.booleans()) else pullback(m, w)
+    sides = [(m.codomain, w), (m.domain, w_domain)]
+    field = GlobalField(m.codomain, w, sides[1])
+    split = total_phase_space(m.codomain).total_dim
+    columns = [slice(None, split), slice(split, None)]
+    references = [reference_field(net, v) for net, v in sides]
+    assert field.index.order == tuple(
+        (i, a) for i, (net, _) in enumerate(sides) for a in total_phase_space(net).order
+    )
+    assert field.index.total_dim == split + total_phase_space(m.domain).total_dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    states = sample_states(field.index, rng, data.draw(st.integers(1, 4)))
+    batch = field(states)
+    for x, row in zip(states, batch):
+        assert same_bits(field(x), row)
+        for reference, part in zip(references, columns):
+            assert same_bits(row[part], reference(x[part]))
+    joint = _integrated(field, states[0])
+    alone = [_integrated(reference, states[0][part]) for reference, part in zip(references, columns)]
+    faults = [side.step for side in alone if isinstance(side, IntegrationFault)]
+    if faults:  # one trajectory stops at the first step where either side is not finite
+        assert isinstance(joint, IntegrationFault) and joint.step == min(faults)
+    else:
+        for side, part in zip(alone, columns):
+            assert same_bits(joint.states[:, part], side.states)
 
 
 # --- driving check -------------------------------------------------------------------

@@ -12,6 +12,7 @@ edges and isolated nodes.
 import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -309,11 +310,13 @@ def _spy_calls(monkeypatch):
 def test_pointwise_draws_in_chunks_of_bounded_size(monkeypatch, samples, rows):
     m = fixtures.string_to_cycle(3, R1, R2)
     w = fixtures.linear_dynamics(m.codomain)
-    width = max(total_phase_space(m.domain).total_dim, total_phase_space(m.codomain).total_dim)
+    split = total_phase_space(m.codomain).total_dim  # each call is on joint [codomain | domain] states
+    width = split + total_phase_space(m.domain).total_dim
     monkeypatch.setattr(numerics, "CHUNK_FLOATS", rows * width)
     calls = _spy_calls(monkeypatch)
     verify_conjugacy_pointwise(m, w, samples=samples, seed=11)
-    codomain_calls = [x for f, x in calls if f.network.is_same(m.codomain)]
+    assert all(x.shape[1] == width for _, x in calls)
+    codomain_calls = [x[:, :split] for _, x in calls]
     sizes = [len(x) for x in codomain_calls]
     assert sizes == [min(rows, samples - k) for k in range(0, samples, rows)]
     rng = np.random.default_rng(11)
@@ -369,6 +372,27 @@ def test_flow_starts_at_the_given_state():
         verify_conjugacy_flow(m, w, np.array([0.9, -0.2]), 0.03, 0.01)
 
 
+# blows up in finite time, sooner from a larger start
+BLOW_UP = "x[0] * x[0] * 50 + sum(u in inputs[R1]) { u[0] }"
+
+
+@pytest.mark.parametrize("x0, h", [([1.0, 0.5], 1e-3), ([0.2, -0.1], 1e-3), ([3.0, 3.0], 1e-2)])
+def test_flow_fault_names_the_step_of_the_two_pass_flows(x0, h):
+    """The sides are conjugate bit for bit, so the joint trajectory faults where the codomain's alone did."""
+    m = fixtures.g3_to_c2()
+    w = per_class_field(m.codomain, {"a": parse_control([BLOW_UP], signature_at(m.codomain, "a"))})
+    with np.errstate(all="ignore"), pytest.raises(fibra.IntegrationFault) as expected:
+        reference_flow_deviation(m, w, np.array(x0), 1.0, h)
+    assert expected.value.step > 1
+    for run in (
+        lambda: certify_conjugacy(m, w, samples=3, seed=0, T=1.0, h=h, x0_prime=np.array(x0)),
+        lambda: verify_conjugacy_flow(m, w, np.array(x0), 1.0, h),
+    ):
+        with np.errstate(all="ignore"), pytest.raises(fibra.IntegrationFault) as got:
+            run()
+        assert got.value.step == expected.value.step and str(got.value) == str(expected.value)
+
+
 @pytest.mark.parametrize(
     "check",
     [
@@ -413,18 +437,33 @@ def test_driving_and_dependencies_match_coordinate_loops(seed, rows):
     assert deps == reference_dependency_matrix(field, x0)
 
 
-def test_certify_conjugacy_builds_each_side_once(monkeypatch):
-    m = fixtures.g3_to_c2()
+def test_certify_conjugacy_builds_one_joint_field(monkeypatch):
+    m = fixtures.string_to_cycle(3, R1, R2)
     w = fixtures.linear_dynamics(m.codomain)
-    checks, fields = [], []
+    checks, fields, compiled, kernel_calls = [], [], [], []
     for module in (numerics, dynamics, fibrations):
         original = module.check_fibration
         monkeypatch.setattr(module, "check_fibration", lambda nmap, _f=original: checks.append(nmap) or _f(nmap))
     original_init = GlobalField.__init__
     monkeypatch.setattr(
-        GlobalField, "__init__", lambda self, net, vf: fields.append(net) or original_init(self, net, vf)
+        GlobalField, "__init__", lambda self, *parts: fields.append(parts) or original_init(self, *parts)
     )
+    original_compile = dynamics.compile_control
+
+    def compile_counted(ctrl):
+        compiled.append(ctrl)
+        kernel = original_compile(ctrl)
+        return lambda roots, groups: kernel_calls.append(ctrl) or kernel(roots, groups)
+
+    monkeypatch.setattr(dynamics, "compile_control", compile_counted)
+    calls = _spy_calls(monkeypatch)
     report = certify_conjugacy(m, w, samples=20, seed=1, T=0.05, h=0.01)
     assert len(checks) == 1
-    assert len(fields) == 2
+    [(codomain, codomain_field, (domain, domain_field))] = fields  # one field, [codomain | domain]
+    assert codomain is m.codomain and codomain_field is w and domain is m.domain
+    assert set(domain_field.controls.values()) <= set(w.controls.values())  # the pullback shares the controls
+    assert sorted(map(id, compiled)) == sorted(map(id, w.controls.values()))  # each compiled once
+    assert len(calls) == 1 + 4 * 5  # one batch of samples, then four stages a step
+    # each call runs every class's kernel once, for the members of both sides
+    assert Counter(map(id, kernel_calls)) == {id(ctrl): len(calls) for ctrl in w.controls.values()}
     assert report.pointwise_max_residual == 0.0 and report.flow_max_deviation == 0.0

@@ -194,6 +194,37 @@ def test_malformed_number_exits_2(files, capsys, monkeypatch, argv, env_seed):
     assert "error" in err and "Traceback" not in err
 
 
+def _conjugacy_argv(write, T, h="1"):
+    m = fixtures.g3_to_c2()  # 3 domain and 2 codomain coordinates
+    dom, cod = write("dom.json", network_to_json(m.domain)), write("cod.json", network_to_json(m.codomain))
+    dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(m.codomain)))
+    return ["verify", "conjugacy", dom, cod, write("m.json", map_to_json(m)), dyn,
+            "--samples", "2", "--T", str(T), "--h", h]
+
+
+@pytest.mark.parametrize("T, code", [(18, 0), (19, 2)])
+def test_conjugacy_horizon_counts_both_sides(files, capsys, monkeypatch, T, code):
+    """One joint trajectory holds (steps + 1) rows of 2 + 3 coordinates: 20 * 5 fits 100 floats, 21 * 5 does not."""
+    write, _ = files
+    monkeypatch.setattr(fibra.cli, "MAX_TRAJECTORY_FLOATS", 100)  # 21 * 3 would fit: the larger side alone
+    got, out, err = run_cli(capsys, _conjugacy_argv(write, T))
+    assert got == code
+    if code:
+        assert out == "" and f"--T/--h gives {T:.3g} steps of 5 coordinates: over 100 floats" in err
+    else:
+        assert report_of(out)["results"]["T"] == T
+
+
+def test_conjugacy_horizon_boundary_at_the_real_cap(files, capsys):
+    """(26843543 + 2) * 5 <= 2**27 < (26843544 + 2) * 5; the larger side alone (3) fits both."""
+    args = build_parser().parse_args(["verify", "conjugacy", "d", "c", "m", "w", "--T", "26843543", "--h", "1"])
+    fibra.cli._check_horizon(args, 5)
+    write, _ = files
+    code, out, err = run_cli(capsys, _conjugacy_argv(write, 26843544))
+    assert code == 2 and out == ""
+    assert "--T/--h gives 2.68e+07 steps of 5 coordinates" in err
+
+
 R1_JSON = {"kind": "R", "dim": 1}
 MALFORMED_NETWORKS = {
     "unknown-source": (

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import re
 import types
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 import fibra
 from fibra import InputError, R1, R2, S1, total_phase_space
-from fibra import fixtures
+from fibra import dynamics, fixtures
 from fibra.cli import main
 from fibra.jsonio import (
     class_dynamics_from_json,
@@ -105,6 +106,26 @@ def test_class_dynamics_rejects_bad_expressions():
     twice = [{"representative": "a", "exprs": ["-x[0]"]}, {"representative": "a", "exprs": ["5"]}]
     with pytest.raises(InputError, match="representative 'a' is listed twice"):
         class_dynamics_from_json({"classes": twice}, net)
+
+
+def test_class_dynamics_reads_each_signature_once(monkeypatch):
+    net = fixtures.string_graph(3)  # R1 and R2 nodes: two classes
+    obj = class_dynamics_to_json(fixtures.linear_dynamics(net))
+    reps = [c["representative"] for c in obj["classes"]]
+    original = dynamics.signature_at
+    read = []
+    monkeypatch.setattr(dynamics, "signature_at", lambda n, a: read.append(a) or original(n, a))
+    w = class_dynamics_from_json(obj, net)
+    assert len(reps) == 2 and sorted(read) == sorted(reps)  # parse and field check share one signature
+    assert all(w.controls[r].signature == original(net, r) for r in reps)
+    # the field checks each control against the signature it is handed, with the same message
+    wrong = fibra.parse_control(["-x[0]", "-x[1]"], fibra.ControlSignature(R2, ()))
+    r1 = next(r for r in reps if net.space(r) == R1)
+    with pytest.raises(fibra.SignatureMismatch, match=re.escape(f"control at class representative {r1!r} has")):
+        dynamics.VirtualVectorField(net, "per_class", {**w.controls, r1: wrong}, {r: original(net, r) for r in reps})
+    missing = {"classes": [c for c in obj["classes"] if c["representative"] != r1]}
+    with pytest.raises(InputError, match=re.escape(f"dynamics: no control for class of {r1!r}")):
+        class_dynamics_from_json(missing, net)
 
 
 def test_node_dynamics_export_after_pullback():

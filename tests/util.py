@@ -797,7 +797,10 @@ def reference_vanishes_on_samples(ctrl, net: Network, a, samples: int, rng, tol:
 
 
 def reference_field(net: Network, w):
-    """The interconnected field, evaluating every node through the per-call path."""
+    """The interconnected field, evaluating every node through the per-call path.
+
+    It carries the ``index`` that ``integrate`` reads, so it can be integrated.
+    """
     index = total_phase_space(net)
     bindings = [
         (
@@ -816,6 +819,7 @@ def reference_field(net: Network, w):
             out[sl] = reference_eval_control(ctrl, x[sl], inputs)
         return out
 
+    field.index = index
     return field
 
 
