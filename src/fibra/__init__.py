@@ -61,6 +61,7 @@ _EXPORTS = {
         "TreeIso",
         "aut_generators",
         "aut_order",
+        "canonical_isos",
         "enumerate_tree_isos",
         "induced_tree_map",
         "input_tree",

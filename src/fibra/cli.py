@@ -24,7 +24,7 @@ from .fibrations import (
     is_balanced,
 )
 from .graphs import Network, NetworkMap, check_network_map, total_phase_space, validate_network
-from .input_trees import aut_order, input_tree, symmetry_groupoid
+from .input_trees import aut_order, canonical_isos, input_tree, symmetry_groupoid
 from .jsonio import (
     class_dynamics_from_json,
     dumps,
@@ -69,11 +69,6 @@ def _seed(args) -> int:
         return _at_least(int, 0)(text)
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise InputError(f"FIBRA_SEED={text!r}: {exc}") from None
-
-
-def _width(net: Network) -> int:
-    """Coordinates in one state of ``net``."""
-    return sum(space.dim for space in net.phase.values())
 
 
 def _check_horizon(args, width: int) -> None:
@@ -228,12 +223,13 @@ def _input_trees(args, read):
 
 @_command("groupoid", "isomorphism classes, witnesses, automorphism orders", "network", SEED, OUT)
 def _groupoid(args, read):
-    g = symmetry_groupoid(_load_network(read, args.network))
+    net = _load_network(read, args.network)
+    g = symmetry_groupoid(net)
     classes = [
         {
             "representative": c.representative,
             "members": list(c.members),
-            "witnesses": {m: dict(c.witnesses[m].leaf_bijection) for m in c.members},
+            "witnesses": {w.source: dict(w.leaf_bijection) for w in canonical_isos(net, c.members, c.representative)},
         }
         for c in g.classes
     ]
@@ -326,7 +322,7 @@ def _simulate(args, read):
     from .numerics import integrate
 
     net = _load_network(read, args.network)
-    _check_horizon(args, _width(net))
+    _check_horizon(args, total_phase_space(net).total_dim)
     field = interconnect(net, class_dynamics_from_json(read(args.dynamics), net))
     x0 = state_from_json(read(args.x0), field.index)
     traj = integrate(field, x0, args.T, args.h)
@@ -344,9 +340,10 @@ def _verify_conjugacy(args, read):
     from .numerics import certify_conjugacy
 
     nmap = _load_map(args, read)
-    _check_horizon(args, _width(nmap.codomain) + _width(nmap.domain))  # one joint trajectory of both sides
+    codomain_index = total_phase_space(nmap.codomain)
+    _check_horizon(args, codomain_index.total_dim + total_phase_space(nmap.domain).total_dim)  # one joint trajectory
     w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
-    x0p = None if args.x0 is None else state_from_json(read(args.x0), total_phase_space(nmap.codomain))
+    x0p = None if args.x0 is None else state_from_json(read(args.x0), codomain_index)
     report = certify_conjugacy(
         nmap, w_prime, samples=args.samples, seed=args.seed, T=args.T, h=args.h, x0_prime=x0p
     )
@@ -364,9 +361,10 @@ def _verify_polydiagonal(args, read):
     from .numerics import verify_polydiagonal_invariance
 
     nmap = _load_map(args, read)
-    _check_horizon(args, max(_width(nmap.domain), _width(nmap.codomain)))
+    domain_index = total_phase_space(nmap.domain)
+    _check_horizon(args, max(domain_index.total_dim, total_phase_space(nmap.codomain).total_dim))
     w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
-    x0 = state_from_json(read(args.x0), total_phase_space(nmap.domain))
+    x0 = state_from_json(read(args.x0), domain_index)
     distance = verify_polydiagonal_invariance(nmap, w_prime, x0, args.T, args.h, tol_sync=args.tol)
     ok = distance <= args.tol
     return {"max_distance": distance, "T": args.T, "h": args.h, "tol": args.tol, "passed": ok}, ok

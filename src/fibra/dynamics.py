@@ -12,7 +12,7 @@ pure input re-indexing.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Mapping, Sequence, Union
 
@@ -34,6 +34,7 @@ from .graphs import Network, NetworkMap, NodeId, PhaseSpace, StateIndex, total_p
 from .input_trees import (
     SymmetryGroupoid,
     TreeIso,
+    canonical_isos,
     induced_tree_map,
     input_tree,
     symmetry_groupoid,
@@ -155,19 +156,16 @@ class VirtualVectorField:
 
     Checked once, when built: the mode is known, each node (per node) or each
     class representative (per class) has a control of its own signature, and
-    no control is keyed by any other id.  The field keeps its own copy of
-    ``controls``, so every reader can trust it.  ``signatures`` may hold the
-    :func:`signature_at` of some keys, read by a caller that built their
-    controls from them; the check reads every other key's itself.
+    no control is keyed by any other id; every signature is read from the
+    network.  The field keeps its own copy of ``controls``, so every reader
+    can trust it.
     """
 
     network: Network
     mode: str  # "per_node" | "per_class"
     controls: Mapping[NodeId, Control]
-    signatures: InitVar[Mapping[NodeId, ControlSignature] | None] = None
 
-    def __post_init__(self, signatures: Mapping[NodeId, ControlSignature] | None) -> None:
-        known = signatures or {}
+    def __post_init__(self) -> None:
         net, controls = self.network, dict(self.controls)
         object.__setattr__(self, "controls", controls)
         if self.mode == "per_node":
@@ -180,8 +178,7 @@ class VirtualVectorField:
         for a in keys:
             if a not in controls:
                 raise PreconditionError(f"no control for {owner} {a!r}")
-            expected = known[a] if a in known else signature_at(net, a)
-            _check_signature(controls[a], expected, f"{where} {a!r}")
+            _check_signature(controls[a], signature_at(net, a), f"{where} {a!r}")
         extra = controls.keys() - set(keys)
         if extra:
             raise PreconditionError(f"controls keyed by {others}: {sorted(extra)}")
@@ -196,11 +193,11 @@ class VirtualVectorField:
             if a not in self.controls:
                 raise PreconditionError(f"unknown node id {a!r}")
             return self.controls[a]
-        cls = self.groupoid.class_of(a)
-        ctrl = self.controls[cls.representative]
-        if a == cls.representative:
+        rep = self.groupoid.representative(a)
+        ctrl = self.controls[rep]
+        if a == rep:
             return ctrl
-        return _transported(ctrl, lambda: cls.witnesses[a].inverse())
+        return _transported(ctrl, lambda: canonical_isos(self.network, [rep], a)[0])
 
 
 def per_node_field(net: Network, controls: Mapping[NodeId, Control]) -> VirtualVectorField:
@@ -211,10 +208,10 @@ def per_class_field(net: Network, controls: Mapping[NodeId, Control]) -> Virtual
     return VirtualVectorField(net, "per_class", controls)
 
 
-def lift_to_nodes(g: SymmetryGroupoid, per_class: Mapping[NodeId, Control]) -> VirtualVectorField:
-    """Materialise a per-class assignment on ``g.network`` as a per-node field via the stored witnesses."""
-    field = per_class_field(g.network, per_class)
-    return per_node_field(g.network, {a: field.control_at(a) for a in g.network.graph.nodes})
+def lift_to_nodes(net: Network, per_class: Mapping[NodeId, Control]) -> VirtualVectorField:
+    """Materialise a per-class assignment on ``net`` as a per-node field, each control moved along its class."""
+    field = per_class_field(net, per_class)
+    return per_node_field(net, {a: field.control_at(a) for a in net.graph.nodes})
 
 
 def _runs(w: VirtualVectorField, index: StateIndex) -> list[tuple[Control, tuple[NodeId, ...]]]:

@@ -13,8 +13,8 @@ import itertools
 import math
 import operator
 from collections import Counter
-from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping, Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import EnumerationCapExceeded, PreconditionError
@@ -130,11 +130,26 @@ def induced_tree_map(m: NetworkMap, a: NodeId) -> InducedTreeMap:
 
 
 def iso_count(net: Network, a: NodeId, b: NodeId) -> int:
-    """Number of input-network isomorphisms from a's tree to b's tree."""
-    ta, tb = input_tree(net, a), input_tree(net, b)
-    if ta.root_type != tb.root_type or ta.type_counts() != tb.type_counts():
-        return 0
-    return aut_order(ta)
+    """Number of input-network isomorphisms from a's tree to b's tree: |Aut(a)| when they share a class, else 0."""
+    g = symmetry_groupoid(net)
+    return g.aut_orders[a] if g.class_of(a) is g.class_of(b) else 0
+
+
+def canonical_isos(net: Network, sources: Iterable[NodeId], target: NodeId) -> list[TreeIso]:
+    """The canonical isomorphism from each source's input tree onto ``target``'s, which must share its class.
+
+    Same-type in-edges are matched by position, in edge-id order; ``target``'s
+    order is read once for all sources.
+    """
+    g = symmetry_groupoid(net)
+    cls = g.class_of(target)
+    target_ids = [e.edge_id for e in _typed_in_edges(net, target)]
+    isos = []
+    for a in sources:
+        if g.class_of(a) is not cls:
+            raise PreconditionError(f"input trees of {a!r} and {target!r} are not isomorphic")
+        isos.append(TreeIso(a, target, dict(zip((e.edge_id for e in _typed_in_edges(net, a)), target_ids))))
+    return isos
 
 
 def enumerate_tree_isos(
@@ -236,33 +251,16 @@ def aut_generators(tree: InputTree) -> list[TreeIso]:
 
 @dataclass(frozen=True)
 class IsoClass:
-    """One input-network isomorphism class of a network; equal to the same class of an equal network."""
+    """One input-network isomorphism class: its least member and all its members, in order."""
 
     representative: NodeId
     members: tuple[NodeId, ...]
-    network: Network = field(repr=False)
-
-    @cached_property
-    def witnesses(self) -> dict[NodeId, TreeIso]:
-        """member -> canonical iso onto the representative, all built on the first read.
-
-        The canonical iso matches the members' same-type in-edges positionally,
-        in edge-id order; it exists because every member has the
-        representative's typed leaf multiset.
-        """
-        rep = self.representative
-        rep_ids = [e.edge_id for e in _typed_in_edges(self.network, rep)]
-        return {
-            a: TreeIso(a, rep, dict(zip((e.edge_id for e in _typed_in_edges(self.network, a)), rep_ids)))
-            for a in self.members
-        }
 
 
 @dataclass(frozen=True)
 class SymmetryGroupoid:
-    """Partition of the nodes into input-network isomorphism classes, with witnesses."""
+    """Partition of the nodes into input-network isomorphism classes, with each node's automorphism order."""
 
-    network: Network
     classes: tuple[IsoClass, ...]
     aut_orders: Mapping[NodeId, int]
 
@@ -293,8 +291,7 @@ def symmetry_groupoid(net: Network) -> SymmetryGroupoid:
     Two input trees are isomorphic exactly when their root spaces and typed
     leaf multisets agree: one refinement round from the phase colouring, whose
     signature multiplicities give the automorphism orders.  Each network builds
-    its groupoid once, on the first call, and each class builds its witnesses
-    on their first read.
+    its groupoid once, on the first call, and keeps it.
     """
     return net._groupoid
 
@@ -306,5 +303,5 @@ def _classify(net: Network) -> SymmetryGroupoid:
     buckets: list[list[NodeId]] = [[] for _ in signatures]
     for a, c in zip(nodes, colours):
         buckets[c].append(a)
-    classes = tuple(IsoClass(ms[0], ms, net) for ms in sorted(tuple(sorted(b)) for b in buckets))
-    return SymmetryGroupoid(net, classes, {a: order_of[c] for a, c in zip(nodes, colours)})
+    classes = tuple(IsoClass(ms[0], ms) for ms in sorted(tuple(sorted(b)) for b in buckets))
+    return SymmetryGroupoid(classes, {a: order_of[c] for a, c in zip(nodes, colours)})

@@ -202,13 +202,13 @@ def partition_to_json(p: Partition) -> dict:
 
 def class_dynamics_from_json(obj: Any, net: Network) -> VirtualVectorField:
     """Per-class dynamics: one expression per output component, signatures from the representatives."""
-    from .dynamics import VirtualVectorField, signature_at
+    from .dynamics import per_class_field, signature_at
     from .expr_dsl import parse_control
 
     classes = _require(obj, "classes", "dynamics")
     if not isinstance(classes, list):
         raise InputError("dynamics: 'classes' must be a list")
-    controls, signatures = {}, {}  # the field's check reads the signatures the controls were parsed with
+    controls = {}
     try:
         for entry in classes:
             rep = _require(entry, "representative", "dynamics class")
@@ -219,9 +219,8 @@ def class_dynamics_from_json(obj: Any, net: Network) -> VirtualVectorField:
             exprs = _require(entry, "exprs", "dynamics class")
             if not isinstance(exprs, list) or not all(isinstance(s, str) for s in exprs):
                 raise InputError("dynamics class: 'exprs' must be a list of strings")
-            signatures[rep] = signature_at(net, rep)
-            controls[rep] = parse_control(exprs, signatures[rep])
-        return VirtualVectorField(net, "per_class", controls, signatures)
+            controls[rep] = parse_control(exprs, signature_at(net, rep))
+        return per_class_field(net, controls)
     except PreconditionError as exc:  # file inconsistent with the network
         raise InputError(f"dynamics: {exc}") from None
 

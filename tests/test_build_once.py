@@ -1,7 +1,7 @@
 """Build-once certification against the eager and per-sample code it replaced.
 
-The groupoid keys nodes on typed in-degree counts and builds witnesses on
-access; ``enumerate_tree_isos`` unranks isomorphisms on access; a field
+The groupoid keys nodes on typed in-degree counts and builds no witness;
+``enumerate_tree_isos`` unranks isomorphisms on access; a field
 evaluates a batch of states in one pass; the certification checks draw and
 evaluate their samples in chunked batches and build each side once.  Each
 must give what the eager, materialised or per-sample code in ``util`` gives.
@@ -9,9 +9,11 @@ Networks are generated with mixed R1/R2/S1 spaces, self-loops, parallel
 edges and isolated nodes.
 """
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -29,20 +31,23 @@ from fibra import (
     RawControl,
     S1,
     SignatureMismatch,
-    SymmetryGroupoid,
     TransportedControl,
     VirtualVectorField,
+    canonical_isos,
     certify_conjugacy,
+    check_fibration,
     ctrl_transport,
     dependency_matrix,
     enumerate_tree_isos,
     input_tree,
+    interconnect,
     iso_count,
     lift_to_nodes,
     network,
     parse_control,
     per_class_field,
     per_node_field,
+    pullback,
     signature_at,
     symmetry_groupoid,
     total_phase_space,
@@ -55,6 +60,7 @@ from fibra.sampling import sample_states
 
 from util import (
     random_injective_fibration,
+    random_network,
     random_surjective_fibration,
     reference_certify_conjugacy,
     reference_dependency_matrix,
@@ -95,17 +101,59 @@ def test_groupoid_matches_eager_construction(net):
     assert [(c.representative, c.members) for c in g.classes] == [(r, ms) for r, ms, _ in classes]
     assert list(g.aut_orders.items()) == list(orders.items())
     for c, (_, members, witnesses) in zip(g.classes, classes):
-        assert list(c.witnesses) == list(members) and len(c.witnesses) == len(members)
-        for member in reversed(members):  # any access order gives the same witnesses
-            iso = c.witnesses[member]
-            assert iso == witnesses[member]
-            assert list(iso.leaf_bijection.items()) == list(witnesses[member].leaf_bijection.items())
-            assert c.witnesses[member] is iso  # built once
-        assert dict(c.witnesses) == witnesses
-        for other in set(net.graph.nodes) - set(members) | {"no-such-node"}:
-            with pytest.raises(KeyError):
-                c.witnesses[other]
-            assert other not in c.witnesses
+        isos = canonical_isos(net, members, c.representative)
+        assert [iso.source for iso in isos] == list(members)
+        for iso in isos:
+            assert iso == witnesses[iso.source]
+            assert list(iso.leaf_bijection.items()) == list(witnesses[iso.source].leaf_bijection.items())
+        assert canonical_isos(net, reversed(members), c.representative) == isos[::-1]
+        for other in set(net.graph.nodes) - set(members):
+            with pytest.raises(PreconditionError, match=f"^input trees of {other!r} and {c.representative!r} are not"):
+                canonical_isos(net, [other], c.representative)
+        with pytest.raises(PreconditionError, match="^unknown node id 'no-such-node'$"):
+            canonical_isos(net, [*members, "no-such-node"], c.representative)
+
+
+@given(networks())
+def test_iso_count_matches_the_counter_rule(net):
+    classes, orders = reference_symmetry_groupoid(net)
+    rep_of = {a: rep for rep, members, _ in classes for a in members}
+    for a, b in itertools.product(net.graph.nodes, repeat=2):
+        assert iso_count(net, a, b) == (orders[a] if rep_of[a] == rep_of[b] else 0)
+
+
+def _random_lift(seed: int, n: int) -> fibra.NetworkMap:
+    """A fibration of ``n`` nodes onto a random base: node i lies over base node i mod |base|."""
+    rng = random.Random(seed)
+    base = random_network(rng, max_nodes=4, max_edges=6)
+    over = {f"d{i}": base.graph.nodes[i % len(base.graph.nodes)] for i in range(n)}
+    fiber: dict = {}
+    for a, b in over.items():
+        fiber.setdefault(b, []).append(a)
+    edges = [(f"{a}/{e.edge_id}", rng.choice(fiber[e.src]), a) for a, b in over.items() for e in base.in_edges(b)]
+    lift = network([(a, base.space(b)) for a, b in over.items()], edges)
+    return fibra.NetworkMap(lift, base, over, {eid: eid.split("/")[1] for eid, _, _ in edges})
+
+
+@pytest.mark.parametrize("make_map", [fixtures.g3_to_c2, lambda: _random_lift(5, 200)], ids=["g3-to-c2", "lift-200"])
+def test_networks_are_freed_without_the_cyclic_collector(make_map):
+    # each network keeps its groupoid, and the groupoid holds no network back
+    gc.collect()
+    gc.disable()
+    try:
+        m = make_map()
+        w_prime = fixtures.linear_dynamics(m.codomain)
+        assert len(m.domain.graph.nodes) in (3, 200) and check_fibration(m).is_fibration
+        symmetry_groupoid(m.domain)
+        lifted = lift_to_nodes(m.codomain, w_prime.controls)
+        field = interconnect(m.domain, pullback(m, w_prime))
+        field(np.zeros(field.index.total_dim))
+        certify_conjugacy(m, lifted, samples=3, seed=1, T=0.02, h=0.01)
+        refs = [weakref.ref(m.domain), weakref.ref(m.codomain)]
+        del m, w_prime, lifted, field
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # --- lazy isomorphism sequence ---------------------------------------------------
@@ -262,15 +310,6 @@ def test_field_reports_the_first_mismatched_node_of_a_class():
         reference_units(net, "per_class", wrong)
     with pytest.raises(SignatureMismatch, match=r"^control at class representative 'a' has signature \(R2; "):
         per_class_field(net, wrong)
-
-
-def test_lift_to_nodes_reads_only_the_network_of_a_groupoid():
-    # a hand-built groupoid that misses a class gives the field of the network's own groupoid
-    net = fixtures.funnel4()
-    w = fixtures.linear_dynamics(net)
-    partial = SymmetryGroupoid(net, w.groupoid.classes[1:], w.groupoid.aut_orders)
-    assert lift_to_nodes(partial, w.controls) == lift_to_nodes(w.groupoid, w.controls)
-    assert w.groupoid is symmetry_groupoid(net)
 
 
 @given(networks())

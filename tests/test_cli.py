@@ -4,14 +4,18 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import fibra
 from fibra import fixtures
 from fibra.cli import build_parser, main
 from fibra.jsonio import class_dynamics_to_json, map_to_json, network_to_json
+
+from util import reference_symmetry_groupoid
 
 
 @pytest.fixture
@@ -371,6 +375,33 @@ def test_input_trees_and_groupoid(files, capsys):
     assert code == 0
     results = report_of(out)["results"]
     assert results["aut_orders"] == {"1": 1, "2": 2, "3": 1, "4": 6}
+
+
+SPACE = st.sampled_from([fibra.R1, fibra.R2, fibra.S1])
+
+
+@given(
+    st.one_of(
+        st.builds(fixtures.four_node_multi, SPACE),
+        st.builds(fixtures.funnel4, SPACE, SPACE),
+        st.builds(fixtures.string_graph, st.integers(2, 6), SPACE, SPACE),
+    )
+)
+@settings(max_examples=30)
+def test_groupoid_report_witnesses_match_the_reference(net):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = Path(tmp) / "net.json", Path(tmp) / "report.json"
+        path.write_text(json.dumps(network_to_json(net)), encoding="utf-8")
+        assert main(["groupoid", str(path), "--out", str(out)]) == 0
+        classes = json.loads(out.read_text(encoding="utf-8"))["results"]["classes"]
+    assert classes == [
+        {
+            "representative": rep,
+            "members": list(members),
+            "witnesses": {m: dict(w.leaf_bijection) for m, w in witnesses.items()},
+        }
+        for rep, members, witnesses in reference_symmetry_groupoid(net)[0]
+    ]
 
 
 def test_factorize_command(files, capsys):

@@ -10,13 +10,11 @@ from fibra import (
     ControlSignature,
     FibrationRequired,
     GlobalField,
-    IsoClass,
     PreconditionError,
     R1,
     R2,
     RawControl,
     SignatureMismatch,
-    SymmetryGroupoid,
     certify_conjugacy,
     check_invariance,
     ctrl_transport,
@@ -53,7 +51,7 @@ def test_lift_to_nodes_single_class():
     g = symmetry_groupoid(net)
     assert g.representatives() == ("1",)
     ctrl = linear_ctrl(signature_at(net, "1"))
-    w = lift_to_nodes(g, {"1": ctrl})
+    w = lift_to_nodes(net, {"1": ctrl})
     assert w.mode == "per_node"
     assert all(w.controls[a] is ctrl for a in "123")  # expr transport is the identity
 
@@ -62,25 +60,23 @@ def test_lift_to_nodes_broadcast():
     net = fixtures.broadcast10()
     g = symmetry_groupoid(net)
     ctrl = linear_ctrl(signature_at(net, g.representatives()[0]))
-    w = lift_to_nodes(g, {g.representatives()[0]: ctrl})
+    w = lift_to_nodes(net, {g.representatives()[0]: ctrl})
     assert len(w.controls) == 10
 
 
 def test_lift_to_nodes_two_classes():
     net = fixtures.funnel4()
-    g = symmetry_groupoid(net)
     c1 = linear_ctrl(signature_at(net, "1"))
     c3 = linear_ctrl(signature_at(net, "3"))
-    w = lift_to_nodes(g, {"1": c1, "3": c3})
+    w = lift_to_nodes(net, {"1": c1, "3": c3})
     assert w.controls["2"] is c1 and w.controls["4"] is c3
 
 
 def test_lift_rejects_signature_mismatch():
     net = fixtures.funnel4()
-    g = symmetry_groupoid(net)
     wrong = linear_ctrl(signature_at(net, "1"))  # no inputs; class of 3 has two
     with pytest.raises(SignatureMismatch):
-        lift_to_nodes(g, {"1": wrong, "3": wrong})
+        lift_to_nodes(net, {"1": wrong, "3": wrong})
 
 
 def test_transport_identity_is_identity():
@@ -263,7 +259,7 @@ def test_pullback_string_graph_alternates_controls():
 def test_pullback_preserves_per_node_mode():
     psi = fixtures.g3_to_c2()
     w_prime = fixtures.linear_dynamics(psi.codomain)
-    per_node = lift_to_nodes(symmetry_groupoid(psi.codomain), dict(w_prime.controls))
+    per_node = lift_to_nodes(psi.codomain, dict(w_prime.controls))
     pulled = pullback(psi, per_node)
     assert pulled.mode == "per_node"
     assert set(pulled.controls) == {"1", "2", "3"}
@@ -394,9 +390,8 @@ def test_global_field_rejects_wrong_dimension():
 def test_a_field_takes_its_classes_from_its_network():
     # a split groupoid gave a and b different controls, and the identity fibration then
     # failed to certify; the network's own groupoid gives all three nodes one control
-    net, split, controls = _split_three_cycle()
-    w = lift_to_nodes(split, {"a": controls["b"]})
-    assert w == lift_to_nodes(symmetry_groupoid(net), {"a": controls["b"]})
+    net, controls = _split_three_cycle()
+    w = lift_to_nodes(net, {"a": controls["b"]})
     assert set(w.controls) == set("abc") and len({id(c) for c in w.controls.values()}) == 1
     report = certify_conjugacy(identity_map(net), per_class_field(net, {"a": controls["b"]}), samples=20, T=0.1, h=0.01)
     assert report.pointwise_max_residual == 0.0 and report.flow_max_deviation == 0.0
@@ -413,6 +408,16 @@ def test_each_network_builds_its_groupoid_once(monkeypatch):
     assert len(built) == 2 and built[0] is m.codomain and built[1] is m.domain
     assert symmetry_groupoid(m.domain) is symmetry_groupoid(m.domain) is pullback(m, w).groupoid
     assert len(built) == 2
+
+
+def test_field_reads_every_signature_from_its_network():
+    # the field takes no signatures from its caller, so none can hide a mis-signed control
+    net, sig = fixtures.g3(), ControlSignature(R1, ())
+    controls = {"1": parse_control(["-x[0]"], sig)}
+    with pytest.raises(TypeError):
+        VirtualVectorField(net, "per_class", controls, {"1": sig})
+    with pytest.raises(SignatureMismatch, match=r"^control at class representative '1' has signature \(R1; \[\]\)"):
+        VirtualVectorField(net, "per_class", controls)
 
 
 def test_field_keeps_its_own_copy_of_the_controls():
@@ -446,16 +451,15 @@ def _transport_a_non_control():
 def _per_node_pullback_kernel_check():
     m = fixtures.g3_to_c2()
     w = fixtures.linear_dynamics(m.codomain)
-    return pullback_kernel_check(m, lift_to_nodes(w.groupoid, w.controls))
+    return pullback_kernel_check(m, lift_to_nodes(m.codomain, w.controls))
 
 
 def _split_three_cycle():
-    """The 3-cycle a -> b -> c -> a, one groupoid class, and a hand-built groupoid that splits it into {a}, {b, c}."""
+    """The 3-cycle a -> b -> c -> a, one groupoid class, with controls keyed as if it split into {a}, {b, c}."""
     net = network([(a, R1) for a in "abc"], [("e1", "a", "b"), ("e2", "b", "c"), ("e3", "c", "a")])
-    split = SymmetryGroupoid(net, (IsoClass("a", ("a",), net), IsoClass("b", ("b", "c"), net)), {a: 1 for a in "abc"})
     sig = signature_at(net, "a")
     controls = {"a": linear_ctrl(sig), "b": parse_control(["2 * sum(u in inputs[R1]) { u[0] } - x[0]"], sig)}
-    return net, split, controls
+    return net, controls
 
 
 def _g3_linear_control(a):
@@ -475,7 +479,7 @@ FAILURE_PATHS = {
         lambda: VirtualVectorField(fixtures.g3(), "per_edge", {}), PreconditionError, "unknown field mode 'per_edge'",
     ),
     "lift-along-a-split-groupoid": (
-        lambda: lift_to_nodes(*_split_three_cycle()[1:]),
+        lambda: lift_to_nodes(*_split_three_cycle()),
         PreconditionError, "controls keyed by non-representatives: ['b']",
     ),
     "control-at-an-unknown-node-of-a-per-node-field": (

@@ -15,6 +15,7 @@ from fibra import (
     SymmetryGroupoid,
     aut_generators,
     aut_order,
+    canonical_isos,
     compose_maps,
     enumerate_tree_isos,
     identity_map,
@@ -252,12 +253,11 @@ def test_groupoid_two_tier_split_by_sink_space():
     "members", [(("1", "2"), ("2", "3")), (("1", "2"), ("3", "1")), (("1", "1"), ("2", "3"))], ids=str
 )
 def test_groupoid_refuses_a_node_listed_twice(members):
-    g3 = fixtures.g3()
-    classes = tuple(IsoClass(ms[0], ms, g3) for ms in members)
+    classes = tuple(IsoClass(ms[0], ms) for ms in members)
     with pytest.raises(PreconditionError, match="symmetry groupoid classes list a node more than once"):
-        SymmetryGroupoid(g3, classes, {})
-    disjoint = (IsoClass("1", ("1", "3"), g3), IsoClass("2", ("2",), g3))
-    assert SymmetryGroupoid(g3, disjoint, {}).class_of("3") is disjoint[0]
+        SymmetryGroupoid(classes, {})
+    disjoint = (IsoClass("1", ("1", "3")), IsoClass("2", ("2",)))
+    assert SymmetryGroupoid(disjoint, {}).class_of("3") is disjoint[0]
 
 
 def test_groupoid_broadcast_single_class_trivial_aut():
@@ -271,8 +271,7 @@ def test_groupoid_witnesses_are_valid_isos():
     net = fixtures.funnel4()
     g = symmetry_groupoid(net)
     for cls in g.classes:
-        for member in cls.members:
-            w = cls.witnesses[member]
+        for member, w in zip(cls.members, canonical_isos(net, cls.members, cls.representative)):
             assert w.source == member and w.target == cls.representative
             keys = {tuple(sorted(i.leaf_bijection.items()))
                     for i in enumerate_tree_isos(net, member, cls.representative)}

@@ -108,21 +108,16 @@ def test_class_dynamics_rejects_bad_expressions():
         class_dynamics_from_json({"classes": twice}, net)
 
 
-def test_class_dynamics_reads_each_signature_once(monkeypatch):
+def test_class_dynamics_checks_each_signature_against_the_network():
     net = fixtures.string_graph(3)  # R1 and R2 nodes: two classes
     obj = class_dynamics_to_json(fixtures.linear_dynamics(net))
     reps = [c["representative"] for c in obj["classes"]]
-    original = dynamics.signature_at
-    read = []
-    monkeypatch.setattr(dynamics, "signature_at", lambda n, a: read.append(a) or original(n, a))
     w = class_dynamics_from_json(obj, net)
-    assert len(reps) == 2 and sorted(read) == sorted(reps)  # parse and field check share one signature
-    assert all(w.controls[r].signature == original(net, r) for r in reps)
-    # the field checks each control against the signature it is handed, with the same message
+    assert len(reps) == 2 and all(w.controls[r].signature == fibra.signature_at(net, r) for r in reps)
     wrong = fibra.parse_control(["-x[0]", "-x[1]"], fibra.ControlSignature(R2, ()))
     r1 = next(r for r in reps if net.space(r) == R1)
     with pytest.raises(fibra.SignatureMismatch, match=re.escape(f"control at class representative {r1!r} has")):
-        dynamics.VirtualVectorField(net, "per_class", {**w.controls, r1: wrong}, {r: original(net, r) for r in reps})
+        dynamics.VirtualVectorField(net, "per_class", {**w.controls, r1: wrong})
     missing = {"classes": [c for c in obj["classes"] if c["representative"] != r1]}
     with pytest.raises(InputError, match=re.escape(f"dynamics: no control for class of {r1!r}")):
         class_dynamics_from_json(missing, net)
@@ -158,7 +153,7 @@ def test_node_dynamics_prints_each_control_once(monkeypatch):
 
 def _per_node_linear_g3():
     w = fixtures.linear_dynamics(fixtures.g3())
-    return fibra.lift_to_nodes(w.groupoid, w.controls)
+    return fibra.lift_to_nodes(w.network, w.controls)
 
 
 def _raw_controls(net):

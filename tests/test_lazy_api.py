@@ -15,7 +15,7 @@ import pytest
 
 import fibra
 
-# The public names of fibra, as its eager import lists exported them.
+# The public names of fibra: the 90 its eager import exported, and canonical_isos.
 PUBLIC_NAMES = {
     "BalanceWitness", "ConjugacyReport", "ControlExpr", "ControlSignature", "DrivingReport", "Edge",
     "EnumerationCapExceeded", "EvaluationFault", "ExprSyntaxError", "FibraError", "FibrationReport",
@@ -23,7 +23,7 @@ PUBLIC_NAMES = {
     "IntegrationFault", "IsoClass", "Leaf", "LiftFailure", "Network", "NetworkMap", "Partition",
     "PhaseSpace", "PhaseSpaceMap", "Polydiagonal", "PreconditionError", "R1", "R2", "RawControl", "S1",
     "SignatureMismatch", "StateIndex", "SymmetryGroupoid", "Trajectory", "TransportedControl", "TreeIso",
-    "Violation", "VirtualVectorField", "aut_generators", "aut_order", "certify_conjugacy",
+    "Violation", "VirtualVectorField", "aut_generators", "aut_order", "canonical_isos", "certify_conjugacy",
     "check_fibration", "check_invariance", "check_network_map", "circle", "circle_distance",
     "coarsest_balanced", "compose_maps", "coordinate_distance", "ctrl_transport", "dependency_matrix",
     "enumerate_tree_isos", "essential_image", "euclidean", "eval_control", "evaluate",

@@ -828,7 +828,8 @@ def reference_units(net: Network, mode: str, controls):
 
     Takes a raw (mode, controls) pair that no field has checked.  Node by node
     in layout order: its control, its own (per node) or its class
-    representative's moved along the class witness (per class), checked
+    representative's moved along :func:`reference_canonical_witness` (per
+    class), checked
     against the node's root space, each in-edge's type and the input count
     of each group, each refusal naming the node; nodes that share one
     expression control and one count of inputs per group share a unit; each
@@ -844,10 +845,10 @@ def reference_units(net: Network, mode: str, controls):
         if mode == "per_node":
             ctrl = controls[a]
         else:
-            cls = groupoid.class_of(a)
-            ctrl = controls[cls.representative]
-            if a != cls.representative:
-                ctrl = ctrl_transport(cls.witnesses[a].inverse(), ctrl)
+            rep = groupoid.representative(a)
+            ctrl = controls[rep]
+            if a != rep:
+                ctrl = ctrl_transport(reference_canonical_witness(net, a, rep).inverse(), ctrl)
         if ctrl.signature.root != index.spaces[a]:
             raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
         edges = net.in_edges(a)
