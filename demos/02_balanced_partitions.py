@@ -29,7 +29,7 @@ print(f"quotient: {len(quotient.graph.nodes)} node, {len(quotient.graph.edges)} 
 # Membership checking of a user-supplied partition, with a witness on failure.
 net = funnel4()
 for blocks in ([["1", "2"], ["3"], ["4"]], [["1", "2"], ["3", "4"]]):
-    ok, witness = is_balanced(net, Partition.of(blocks))
+    ok, witness = is_balanced(net, Partition(blocks))
     print(f"\nfunnel partition {blocks}: balanced={ok}")
     if witness:
         print(f"  witness: nodes {witness.left} and {witness.right} in block {witness.block}")

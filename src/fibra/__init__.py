@@ -32,6 +32,7 @@ _EXPORTS = {
         "Graph",
         "Network",
         "NetworkMap",
+        "Partition",
         "PhaseSpace",
         "PhaseSpaceMap",
         "R1",
@@ -55,7 +56,6 @@ _EXPORTS = {
     "input_trees": (
         "InducedTreeMap",
         "InputTree",
-        "IsoClass",
         "Leaf",
         "SymmetryGroupoid",
         "TreeIso",
@@ -72,7 +72,6 @@ _EXPORTS = {
         "BalanceWitness",
         "FibrationReport",
         "LiftFailure",
-        "Partition",
         "Polydiagonal",
         "check_fibration",
         "coarsest_balanced",

@@ -227,11 +227,11 @@ def _groupoid(args, read):
     g = symmetry_groupoid(net)
     classes = [
         {
-            "representative": c.representative,
-            "members": list(c.members),
-            "witnesses": {w.source: dict(w.leaf_bijection) for w in canonical_isos(net, c.members, c.representative)},
+            "representative": b[0],
+            "members": list(b),
+            "witnesses": {w.source: w.leaf_bijection for w in canonical_isos(net, b, b[0])},
         }
-        for c in g.classes
+        for b in g.classes.blocks
     ]
     return {"classes": classes, "aut_orders": dict(sorted(g.aut_orders.items()))}, True
 

@@ -223,12 +223,12 @@ def _runs(w: VirtualVectorField, index: StateIndex) -> list[tuple[Control, tuple
     if w.mode == "per_node":
         return [(w.controls[a], (a,)) for a in index.order]
     runs: list[tuple[Control, tuple[NodeId, ...]]] = []
-    for cls in w.groupoid.classes:
-        ctrl = w.controls[cls.representative]
+    for members in w.groupoid.classes.blocks:
+        ctrl = w.controls[members[0]]
         if isinstance(ctrl, ControlExpr):
-            runs.append((ctrl, cls.members))
+            runs.append((ctrl, members))
         else:
-            runs += [(w.control_at(a), (a,)) for a in cls.members]
+            runs += [(w.control_at(a), (a,)) for a in members]
     runs.sort(key=lambda run: index.slices[run[1][0]][0])
     return runs
 
@@ -421,7 +421,7 @@ def pullback_kernel_check(
         raise PreconditionError("pullback_kernel_check expects a per-class field")
     pulled = pullback(m, w_prime)
     essim = essential_image(m)
-    reps = [c.representative for c in w_prime.groupoid.classes if essim.intersection(c.members)]
+    reps = [b[0] for b in w_prime.groupoid.classes.blocks if essim.intersection(b)]
     rng = np.random.default_rng(seed)
     pulled_zero = all(
         _vanishes_on_samples(pulled.control_at(a), m.domain, a, samples, rng, tol)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import FibrationRequired, PreconditionError
 from .graphs import (
@@ -21,6 +21,7 @@ from .graphs import (
     Network,
     NetworkMap,
     NodeId,
+    Partition,
     StateIndex,
     check_network_map,
     coordinate_distance,
@@ -104,49 +105,6 @@ def factorize(m: NetworkMap) -> tuple[NetworkMap, NetworkMap]:
 
 
 @dataclass(frozen=True)
-class Partition:
-    """Disjoint node blocks covering a node set; block id = least member.
-
-    Built from any iterable of node iterables: members are sorted, empty
-    blocks dropped and blocks ordered by their least member.  A node listed
-    more than once raises PreconditionError.
-    """
-
-    blocks: tuple[tuple[NodeId, ...], ...]
-
-    def __post_init__(self) -> None:
-        blocks = (tuple(sorted(b)) for b in self.blocks)
-        object.__setattr__(self, "blocks", tuple(sorted(filter(None, blocks), key=lambda b: b[0])))
-        if len(self._block_by_node) < sum(map(len, self.blocks)):
-            raise PreconditionError("partition does not list each node exactly once")
-
-    @classmethod
-    def of(cls, blocks: Iterable[Iterable[NodeId]]) -> "Partition":
-        return cls(blocks)
-
-    def block_of(self, node: NodeId) -> tuple[NodeId, ...]:
-        try:
-            return self._block_by_node[node]
-        except KeyError:
-            raise PreconditionError(f"node {node!r} not covered by the partition") from None
-
-    def block_id(self, node: NodeId) -> NodeId:
-        return self.block_of(node)[0]
-
-    def block_index(self) -> dict[NodeId, NodeId]:
-        """node -> block id, nodes in block order."""
-        return {a: b[0] for a, b in self._block_by_node.items()}
-
-    def refines(self, other: "Partition") -> bool:
-        """True when every block of self lies inside a block of other."""
-        return all(len({other.block_id(a) for a in b}) == 1 for b in self.blocks)
-
-    @cached_property
-    def _block_by_node(self) -> dict[NodeId, tuple[NodeId, ...]]:
-        return {a: b for b in self.blocks for a in b}
-
-
-@dataclass(frozen=True)
 class BalanceWitness:
     block: NodeId
     left: NodeId
@@ -193,6 +151,11 @@ def quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkMap]:
             f"partition is not balanced: nodes {witness.left!r} and {witness.right!r} "
             f"in block {witness.block!r} have mismatched in-edge block multisets"
         )
+    return _quotient(net, p, idx)
+
+
+def _quotient(net: Network, p: Partition, idx: Mapping[NodeId, NodeId]) -> tuple[Network, NetworkMap]:
+    """:func:`quotient_of` for a partition its caller knows to be balanced, with its node -> block id map."""
     q_nodes = tuple(b[0] for b in p.blocks)
     q_edges: list[Edge] = []
     edge_map: dict[str, str] = {}
@@ -235,8 +198,8 @@ def coarsest_balanced(net: Network) -> tuple[Partition, Network, NetworkMap]:
     groups: list[list[NodeId]] = [[] for _ in signatures]
     for a, c in zip(nodes, colours):
         groups[c].append(a)
-    partition = Partition.of(groups)
-    quotient, projection = quotient_of(net, partition)
+    partition = Partition(groups)  # balanced: the last round split no block
+    quotient, projection = _quotient(net, partition, partition.block_index())
     return partition, quotient, projection
 
 
@@ -273,7 +236,7 @@ def polydiagonal_of(m: NetworkMap) -> Polydiagonal:
     fibers: dict[NodeId, list[NodeId]] = {}
     for a in m.domain.graph.nodes:
         fibers.setdefault(m.node_map[a], []).append(a)
-    partition = Partition.of(fibers.values())
+    partition = Partition(fibers.values())
     return Polydiagonal(m.domain, partition, total_phase_space(m.domain))
 
 
@@ -282,7 +245,7 @@ def essential_image(m: NetworkMap) -> frozenset[NodeId]:
     groupoid = symmetry_groupoid(m.codomain)
     image = set(m.node_map.values())
     out: set[NodeId] = set()
-    for cls in groupoid.classes:
-        if image.intersection(cls.members):
-            out.update(cls.members)
+    for block in groupoid.classes.blocks:
+        if image.intersection(block):
+            out.update(block)
     return frozenset(out)

@@ -1,4 +1,4 @@
-"""Directed multigraphs, phase-space labels, and maps between labelled networks.
+"""Directed multigraphs, phase-space labels, node partitions, and maps between labelled networks.
 
 A network is a finite directed multigraph together with a coordinate phase
 space attached to each node.  States of the whole network live in the product
@@ -201,6 +201,47 @@ def refinement_rounds(net: Network, colour: Mapping[NodeId, Hashable]) -> Iterat
             for c, srcs in zip(colours, sources)
         ]
         yield nodes, colours, signatures
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Disjoint node blocks covering a node set; block id = least member.
+
+    The fibers of a surjective fibration and the classes of the symmetry
+    groupoid are both partitions of this kind.  Built from any iterable of
+    node iterables: members are sorted, empty blocks dropped and blocks
+    ordered by their least member.  A node listed more than once raises
+    PreconditionError.
+    """
+
+    blocks: tuple[tuple[NodeId, ...], ...]
+
+    def __post_init__(self) -> None:
+        blocks = (tuple(sorted(b)) for b in self.blocks)
+        object.__setattr__(self, "blocks", tuple(sorted(filter(None, blocks), key=lambda b: b[0])))
+        if len(self._block_by_node) < sum(map(len, self.blocks)):
+            raise PreconditionError("partition does not list each node exactly once")
+
+    def block_of(self, node: NodeId) -> tuple[NodeId, ...]:
+        try:
+            return self._block_by_node[node]
+        except KeyError:
+            raise PreconditionError(f"node {node!r} not covered by the partition") from None
+
+    def block_id(self, node: NodeId) -> NodeId:
+        return self.block_of(node)[0]
+
+    def block_index(self) -> dict[NodeId, NodeId]:
+        """node -> block id, nodes in block order."""
+        return {a: b[0] for a, b in self._block_by_node.items()}
+
+    def refines(self, other: "Partition") -> bool:
+        """True when every block of self lies inside a block of other."""
+        return all(len({other.block_id(a) for a in b}) == 1 for b in self.blocks)
+
+    @cached_property
+    def _block_by_node(self) -> dict[NodeId, tuple[NodeId, ...]]:
+        return {a: b for b in self.blocks for a in b}
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,9 @@ import operator
 from collections import Counter
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import EnumerationCapExceeded, PreconditionError
-from .graphs import Edge, EdgeId, Network, NetworkMap, NodeId, PhaseSpace, refinement_rounds
+from .graphs import Edge, EdgeId, Network, NetworkMap, NodeId, Partition, PhaseSpace, refinement_rounds
 
 DEFAULT_ISO_CAP = 10**6
 
@@ -132,7 +131,7 @@ def induced_tree_map(m: NetworkMap, a: NodeId) -> InducedTreeMap:
 def iso_count(net: Network, a: NodeId, b: NodeId) -> int:
     """Number of input-network isomorphisms from a's tree to b's tree: |Aut(a)| when they share a class, else 0."""
     g = symmetry_groupoid(net)
-    return g.aut_orders[a] if g.class_of(a) is g.class_of(b) else 0
+    return g.aut_orders[a] if g.representative(a) == g.representative(b) else 0
 
 
 def canonical_isos(net: Network, sources: Iterable[NodeId], target: NodeId) -> list[TreeIso]:
@@ -142,11 +141,11 @@ def canonical_isos(net: Network, sources: Iterable[NodeId], target: NodeId) -> l
     order is read once for all sources.
     """
     g = symmetry_groupoid(net)
-    cls = g.class_of(target)
+    rep = g.representative(target)
     target_ids = [e.edge_id for e in _typed_in_edges(net, target)]
     isos = []
     for a in sources:
-        if g.class_of(a) is not cls:
+        if g.representative(a) != rep:
             raise PreconditionError(f"input trees of {a!r} and {target!r} are not isomorphic")
         isos.append(TreeIso(a, target, dict(zip((e.edge_id for e in _typed_in_edges(net, a)), target_ids))))
     return isos
@@ -250,39 +249,24 @@ def aut_generators(tree: InputTree) -> list[TreeIso]:
 
 
 @dataclass(frozen=True)
-class IsoClass:
-    """One input-network isomorphism class: its least member and all its members, in order."""
-
-    representative: NodeId
-    members: tuple[NodeId, ...]
-
-
-@dataclass(frozen=True)
 class SymmetryGroupoid:
     """Partition of the nodes into input-network isomorphism classes, with each node's automorphism order."""
 
-    classes: tuple[IsoClass, ...]
+    classes: Partition
     aut_orders: Mapping[NodeId, int]
 
-    def __post_init__(self) -> None:
-        if len(self._class_by_node) < sum(len(c.members) for c in self.classes):
-            raise PreconditionError("symmetry groupoid classes list a node more than once")
-
-    def class_of(self, node: NodeId) -> IsoClass:
+    def class_of(self, node: NodeId) -> tuple[NodeId, ...]:
+        """The members of ``node``'s class, least first."""
         try:
-            return self._class_by_node[node]
-        except KeyError:
+            return self.classes.block_of(node)
+        except PreconditionError:
             raise PreconditionError(f"unknown node id {node!r}") from None
 
     def representative(self, node: NodeId) -> NodeId:
-        return self.class_of(node).representative
+        return self.class_of(node)[0]
 
     def representatives(self) -> tuple[NodeId, ...]:
-        return tuple(c.representative for c in self.classes)
-
-    @cached_property
-    def _class_by_node(self) -> dict[NodeId, IsoClass]:
-        return {a: c for c in self.classes for a in c.members}
+        return tuple(b[0] for b in self.classes.blocks)
 
 
 def symmetry_groupoid(net: Network) -> SymmetryGroupoid:
@@ -303,5 +287,4 @@ def _classify(net: Network) -> SymmetryGroupoid:
     buckets: list[list[NodeId]] = [[] for _ in signatures]
     for a, c in zip(nodes, colours):
         buckets[c].append(a)
-    classes = tuple(IsoClass(ms[0], ms) for ms in sorted(tuple(sorted(b)) for b in buckets))
-    return SymmetryGroupoid(classes, {a: order_of[c] for a, c in zip(nodes, colours)})
+    return SymmetryGroupoid(Partition(buckets), {a: order_of[c] for a, c in zip(nodes, colours)})

@@ -11,8 +11,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .errors import InputError, PreconditionError
-from .fibrations import Partition
-from .graphs import Edge, Graph, Network, NetworkMap, PhaseSpace, StateIndex, circle, euclidean
+from .graphs import Edge, Graph, Network, NetworkMap, Partition, PhaseSpace, StateIndex, circle, euclidean
 
 if TYPE_CHECKING:
     import numpy as np
@@ -193,7 +192,7 @@ def partition_from_json(obj: Any) -> Partition:
         raise InputError("partition: 'blocks' must be a list of lists")
     if not all(isinstance(a, str) for b in blocks for a in b):
         raise InputError("partition: block members must be node id strings")
-    return Partition.of(blocks)
+    return Partition(blocks)
 
 
 def partition_to_json(p: Partition) -> dict:

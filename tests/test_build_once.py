@@ -98,20 +98,20 @@ def networks(draw, max_nodes=6):
 def test_groupoid_matches_eager_construction(net):
     g = symmetry_groupoid(net)
     classes, orders = reference_symmetry_groupoid(net)
-    assert [(c.representative, c.members) for c in g.classes] == [(r, ms) for r, ms, _ in classes]
+    assert g.classes.blocks == tuple(ms for _, ms, _ in classes)
     assert list(g.aut_orders.items()) == list(orders.items())
-    for c, (_, members, witnesses) in zip(g.classes, classes):
-        isos = canonical_isos(net, members, c.representative)
+    for rep, members, witnesses in classes:
+        isos = canonical_isos(net, members, rep)
         assert [iso.source for iso in isos] == list(members)
         for iso in isos:
             assert iso == witnesses[iso.source]
             assert list(iso.leaf_bijection.items()) == list(witnesses[iso.source].leaf_bijection.items())
-        assert canonical_isos(net, reversed(members), c.representative) == isos[::-1]
+        assert canonical_isos(net, reversed(members), rep) == isos[::-1]
         for other in set(net.graph.nodes) - set(members):
-            with pytest.raises(PreconditionError, match=f"^input trees of {other!r} and {c.representative!r} are not"):
-                canonical_isos(net, [other], c.representative)
+            with pytest.raises(PreconditionError, match=f"^input trees of {other!r} and {rep!r} are not"):
+                canonical_isos(net, [other], rep)
         with pytest.raises(PreconditionError, match="^unknown node id 'no-such-node'$"):
-            canonical_isos(net, [*members, "no-such-node"], c.representative)
+            canonical_isos(net, [*members, "no-such-node"], rep)
 
 
 @given(networks())

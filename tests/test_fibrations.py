@@ -202,20 +202,20 @@ def test_coarsest_balanced_g3_all_same_space():
 
 def test_is_balanced_g3_examples():
     net = fixtures.g3()
-    ok, _ = is_balanced(net, Partition.of([["1", "3"], ["2"]]))
+    ok, _ = is_balanced(net, Partition([["1", "3"], ["2"]]))
     assert ok
     # confirmed by brute force: every member of {1,2} sees one input from {1,2}
-    ok, _ = is_balanced(net, Partition.of([["1", "2"], ["3"]]))
+    ok, _ = is_balanced(net, Partition([["1", "2"], ["3"]]))
     assert ok
-    assert oracle_balanced(net, Partition.of([["1", "2"], ["3"]]))
-    ok, witness = is_balanced(net, Partition.of([["2", "3"], ["1"]]))
+    assert oracle_balanced(net, Partition([["1", "2"], ["3"]]))
+    ok, witness = is_balanced(net, Partition([["2", "3"], ["1"]]))
     assert not ok and witness is not None
     assert {witness.left, witness.right} == {"2", "3"}
 
 
 def test_is_balanced_discrete_partition():
     net = fixtures.funnel4()
-    singletons = Partition.of([[a] for a in net.graph.nodes])
+    singletons = Partition([[a] for a in net.graph.nodes])
     ok, _ = is_balanced(net, singletons)
     assert ok
 
@@ -223,24 +223,24 @@ def test_is_balanced_discrete_partition():
 def test_is_balanced_rejects_non_homogeneous():
     net = fixtures.funnel4(R1, R2)
     with pytest.raises(PreconditionError):
-        is_balanced(net, Partition.of([["3", "4"], ["1", "2"]]))
+        is_balanced(net, Partition([["3", "4"], ["1", "2"]]))
 
 
 def test_is_balanced_rejects_a_node_listed_twice():
     with pytest.raises(PreconditionError, match="exactly once"):
-        is_balanced(fixtures.g3(), Partition.of([["1", "2", "3"], ["3"]]))
+        is_balanced(fixtures.g3(), Partition([["1", "2", "3"], ["3"]]))
 
 
 @pytest.mark.parametrize("blocks", [[["1", "2"]], [["1", "2", "3"], ["zz"]]], ids=["misses-a-node", "names-an-unknown-node"])
 def test_partition_must_cover_the_network(blocks):
     for check in (is_balanced, quotient_of):
         with pytest.raises(PreconditionError, match="^partition does not list each node exactly once$"):
-            check(fixtures.g3(), Partition.of(blocks))
+            check(fixtures.g3(), Partition(blocks))
 
 
 def test_quotient_rejects_unbalanced():
     with pytest.raises(PreconditionError):
-        quotient_of(fixtures.funnel4(), Partition.of([["1", "2"], ["3", "4"]]))
+        quotient_of(fixtures.funnel4(), Partition([["1", "2"], ["3", "4"]]))
 
 
 def test_fiber_partition_of_surjective_fibration_is_balanced():
@@ -250,7 +250,7 @@ def test_fiber_partition_of_surjective_fibration_is_balanced():
         fibers: dict[str, list[str]] = {}
         for a in m.domain.graph.nodes:
             fibers.setdefault(m.node_map[a], []).append(a)
-        ok, _ = is_balanced(m.domain, Partition.of(fibers.values()))
+        ok, _ = is_balanced(m.domain, Partition(fibers.values()))
         assert ok
 
 

@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 
 from fibra import (
     EnumerationCapExceeded,
-    IsoClass,
     NetworkMap,
+    Partition,
     PreconditionError,
     R1,
     R2,
@@ -32,6 +32,7 @@ from util import (
     random_injective_fibration,
     random_network,
     random_surjective_fibration,
+    reference_symmetry_groupoid,
 )
 
 
@@ -240,41 +241,42 @@ def test_aut_generators_generate_small_group():
 
 def test_groupoid_two_tier_same_space():
     g = symmetry_groupoid(fixtures.funnel4())
-    assert [c.members for c in g.classes] == [("1", "2"), ("3", "4")]
-    assert [c.representative for c in g.classes] == ["1", "3"]
+    assert g.classes.blocks == (("1", "2"), ("3", "4"))
+    assert g.representatives() == ("1", "3")
 
 
 def test_groupoid_two_tier_split_by_sink_space():
     g = symmetry_groupoid(fixtures.funnel4(R1, R2))
-    assert [c.members for c in g.classes] == [("1", "2"), ("3",), ("4",)]
+    assert g.classes.blocks == (("1", "2"), ("3",), ("4",))
 
 
 @pytest.mark.parametrize(
     "members", [(("1", "2"), ("2", "3")), (("1", "2"), ("3", "1")), (("1", "1"), ("2", "3"))], ids=str
 )
 def test_groupoid_refuses_a_node_listed_twice(members):
-    classes = tuple(IsoClass(ms[0], ms) for ms in members)
-    with pytest.raises(PreconditionError, match="symmetry groupoid classes list a node more than once"):
-        SymmetryGroupoid(classes, {})
-    disjoint = (IsoClass("1", ("1", "3")), IsoClass("2", ("2",)))
-    assert SymmetryGroupoid(disjoint, {}).class_of("3") is disjoint[0]
+    with pytest.raises(PreconditionError, match="^partition does not list each node exactly once$"):
+        SymmetryGroupoid(Partition(members), {})
+    disjoint = SymmetryGroupoid(Partition([("3", "1"), ("2",)]), {})
+    assert disjoint.class_of("3") == ("1", "3") and disjoint.representative("3") == "1"
+    with pytest.raises(PreconditionError, match="^unknown node id '4'$"):
+        disjoint.class_of("4")
 
 
 def test_groupoid_broadcast_single_class_trivial_aut():
     g = symmetry_groupoid(fixtures.broadcast10())
-    assert len(g.classes) == 1
-    assert len(g.classes[0].members) == 10
+    assert len(g.classes.blocks) == 1
+    assert len(g.classes.blocks[0]) == 10
     assert set(g.aut_orders.values()) == {1}
 
 
 def test_groupoid_witnesses_are_valid_isos():
     net = fixtures.funnel4()
     g = symmetry_groupoid(net)
-    for cls in g.classes:
-        for member, w in zip(cls.members, canonical_isos(net, cls.members, cls.representative)):
-            assert w.source == member and w.target == cls.representative
+    for members in g.classes.blocks:
+        for member, w in zip(members, canonical_isos(net, members, members[0])):
+            assert w.source == member and w.target == members[0]
             keys = {tuple(sorted(i.leaf_bijection.items()))
-                    for i in enumerate_tree_isos(net, member, cls.representative)}
+                    for i in enumerate_tree_isos(net, member, members[0])}
             assert tuple(sorted(w.leaf_bijection.items())) in keys
 
 
@@ -283,10 +285,19 @@ def test_groupoid_partitions_nodes_and_aut_counts(seed):
     rng = random.Random(seed)
     net = random_network(rng, max_nodes=5, max_edges=6)
     g = symmetry_groupoid(net)
-    members = [a for c in g.classes for a in c.members]
+    members = [a for b in g.classes.blocks for a in b]
     assert sorted(members) == sorted(net.graph.nodes)
     for a in net.graph.nodes:
         assert len(enumerate_tree_isos(net, a, a)) == g.aut_orders[a]
+
+
+@given(st.integers(0, 10_000))
+def test_groupoid_classes_are_the_partition_of_the_reference_classes(seed):
+    net = random_network(random.Random(seed), max_nodes=8, max_edges=12)
+    g = symmetry_groupoid(net)
+    classes, orders = reference_symmetry_groupoid(net)
+    assert g.classes == Partition(members for _, members, _ in classes)
+    assert dict(g.aut_orders) == orders
 
 
 @given(st.integers(0, 10_000))

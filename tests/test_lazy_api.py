@@ -15,12 +15,12 @@ import pytest
 
 import fibra
 
-# The public names of fibra: the 90 its eager import exported, and canonical_isos.
+# The public names of fibra: the 90 its eager import exported, less IsoClass, and canonical_isos.
 PUBLIC_NAMES = {
     "BalanceWitness", "ConjugacyReport", "ControlExpr", "ControlSignature", "DrivingReport", "Edge",
     "EnumerationCapExceeded", "EvaluationFault", "ExprSyntaxError", "FibraError", "FibrationReport",
     "FibrationRequired", "GlobalField", "Graph", "InducedTreeMap", "InputError", "InputTree",
-    "IntegrationFault", "IsoClass", "Leaf", "LiftFailure", "Network", "NetworkMap", "Partition",
+    "IntegrationFault", "Leaf", "LiftFailure", "Network", "NetworkMap", "Partition",
     "PhaseSpace", "PhaseSpaceMap", "Polydiagonal", "PreconditionError", "R1", "R2", "RawControl", "S1",
     "SignatureMismatch", "StateIndex", "SymmetryGroupoid", "Trajectory", "TransportedControl", "TreeIso",
     "Violation", "VirtualVectorField", "aut_generators", "aut_order", "canonical_isos", "certify_conjugacy",
@@ -82,6 +82,7 @@ def test_fresh_submodule_access():
         "import fibra\n"
         "from fibra import fixtures\n"
         "print(fibra.numerics.integrate is fibra.integrate, fibra.graphs.Edge is fibra.Edge)\n"
+        "print(fibra.Partition is fibra.fibrations.Partition is fibra.graphs.Partition)\n"
         "print(fixtures.g3().graph.nodes)\n"
     )
-    assert out == "True True\n('1', '2', '3')\n"
+    assert out == "True True\nTrue\n('1', '2', '3')\n"

@@ -165,7 +165,7 @@ def polydiagonals(draw):
     blocks: dict = {}
     for a, key in labels.items():
         blocks.setdefault(key, []).append(a)
-    pd = Polydiagonal(net, Partition.of(blocks.values()), total_phase_space(net))
+    pd = Polydiagonal(net, Partition(blocks.values()), total_phase_space(net))
     base = states(draw, pd.index.total_dim)
     x = base.copy()
     for block in pd.partition.blocks:
@@ -189,7 +189,7 @@ def test_polydiagonal_violation_matches_per_block_loop(case, samples):
 def test_polydiagonal_violation_on_circle_blocks_matches_per_block_loop():
     # the argument order of the circle distance shows in about 2% of such states
     net = network([("a", S1), ("b", S1), ("c", S1), ("d", S1), ("e", R2), ("f", R2)], [])
-    pd = Polydiagonal(net, Partition.of([["a", "b", "c"], ["d"], ["e", "f"]]), total_phase_space(net))
+    pd = Polydiagonal(net, Partition([["a", "b", "c"], ["d"], ["e", "f"]]), total_phase_space(net))
     rng = np.random.default_rng(5)
     special = np.array(SPECIAL_OFFSETS)
     for _ in range(2000):

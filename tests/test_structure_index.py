@@ -35,6 +35,7 @@ from fibra import (
     validate_network,
 )
 from fibra import fixtures
+from fibra.jsonio import map_to_json, network_to_json
 
 from util import (
     doubled_edge_chain,
@@ -124,7 +125,7 @@ def test_structure_layer_matches_reference(net):
     assert list(projection.node_map.items()) == list(ref_projection.node_map.items())
     assert list(projection.edge_map.items()) == list(ref_projection.edge_map.items())
 
-    discrete = Partition.of([a] for a in graph.nodes)
+    discrete = Partition([a] for a in graph.nodes)
     q_new, p_new = quotient_of(net, discrete)
     q_ref, p_ref = reference_quotient_of(ref_net, discrete)
     assert q_new.graph == q_ref.graph and dict(q_new.phase) == dict(q_ref.phase)
@@ -132,21 +133,19 @@ def test_structure_layer_matches_reference(net):
 
     groupoid = symmetry_groupoid(net)
     ref_groupoid = symmetry_groupoid(ref_net)
-    assert [(c.representative, c.members) for c in groupoid.classes] == [
-        (c.representative, c.members) for c in ref_groupoid.classes
-    ]
-    for c in groupoid.classes:
-        assert canonical_isos(net, c.members, c.representative) == canonical_isos(ref_net, c.members, c.representative)
+    assert groupoid.classes == ref_groupoid.classes
+    for b in groupoid.classes.blocks:
+        assert canonical_isos(net, b, b[0]) == canonical_isos(ref_net, b, b[0])
     assert dict(groupoid.aut_orders) == dict(ref_groupoid.aut_orders)
 
     for a in graph.nodes:
         assert partition.block_of(a) == scan_block_of(partition, a)
         assert partition.block_id(a) == scan_block_of(partition, a)[0]
         assert groupoid.class_of(a) == scan_class_of(groupoid, a)
-        assert groupoid.representative(a) == scan_class_of(groupoid, a).representative
+        assert groupoid.representative(a) == scan_class_of(groupoid, a)[0]
     with pytest.raises(PreconditionError):
         partition.block_of("no-such-node")
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^unknown node id 'no-such-node'$"):
         groupoid.class_of("no-such-node")
 
 
@@ -164,9 +163,9 @@ def test_balance_check_matches_per_node_signatures(net, labels):
         phase_classes.setdefault(net.space(a).name, []).append(a)
     partitions = [
         coarsest_balanced(net)[0],
-        Partition.of([a] for a in nodes),
-        Partition.of(phase_classes.values()),
-        Partition.of(merged.values()),
+        Partition([a] for a in nodes),
+        Partition(phase_classes.values()),
+        Partition(merged.values()),
     ]
     for p in partitions:
         witness = reference_balance_witness(scan_network(net), p)
@@ -178,6 +177,22 @@ def test_balance_check_matches_per_node_signatures(net, labels):
                 quotient_of(net, p)
 
 
+@given(networks())
+@example(KITCHEN_SINK)
+@example(doubled_edge_chain(9))
+def test_coarsest_quotient_matches_the_checked_quotient(net):
+    """``coarsest_balanced`` builds its quotient unchecked; ``quotient_of`` on its partition checks balance first."""
+    partition, quotient, projection = coarsest_balanced(net)
+    assert is_balanced(net, partition) == (True, None)
+    checked_quotient, checked_projection = quotient_of(net, partition)
+    fibers: dict = {}
+    for a, b in checked_projection.node_map.items():
+        fibers.setdefault(b, []).append(a)
+    assert Partition(fibers.values()) == partition
+    assert network_to_json(quotient) == network_to_json(checked_quotient)
+    assert map_to_json(projection) == map_to_json(checked_projection)
+
+
 def test_kitchen_sink_has_every_feature():
     edges = KITCHEN_SINK.graph.edges
     assert any(e.src == e.tgt for e in edges)
@@ -187,14 +202,14 @@ def test_kitchen_sink_has_every_feature():
     assert {s.name for s in KITCHEN_SINK.phase.values()} == {"R1", "R2", "S1"}
 
 
-@pytest.mark.parametrize("build", [Partition, Partition.of], ids=["init", "of"])
+@pytest.mark.parametrize("build", [Partition], ids=["init"])
 def test_partition_is_canonical_by_construction(build):
     p = build((("3", "1"), ("2",)))
     assert p.blocks == (("1", "3"), ("2",))
     assert p.block_id("3") == p.block_id("1") == "1" and p.block_of("3") == scan_block_of(p, "3")
     assert build([[], ["2"], [], ["3", "1"]]) == p
     quotient, projection = quotient_of(fixtures.g3(), build((("3", "1"), ("2",), ())))
-    assert (quotient, projection) == quotient_of(fixtures.g3(), Partition.of([["1", "3"], ["2"]]))
+    assert (quotient, projection) == quotient_of(fixtures.g3(), Partition([["1", "3"], ["2"]]))
     assert quotient.graph.nodes == ("1", "2") and projection.node_map == {"1": "1", "2": "2", "3": "1"}
     for blocks in ([["a", "b"], ["b", "c"]], [["a", "a"]]):
         with pytest.raises(PreconditionError, match="partition does not list each node exactly once"):
@@ -207,20 +222,18 @@ def test_partition_is_canonical_by_construction(build):
 def test_partition_constructors_match_the_sorting_oracle(blocks):
     members = [a for b in blocks for a in b]
     if len(set(members)) == len(members):
-        assert Partition(blocks) == Partition.of(blocks)
         assert Partition(blocks).blocks == reference_partition_blocks(blocks)
     else:
-        for build in (Partition, Partition.of):
-            with pytest.raises(PreconditionError, match="exactly once"):
-                build(blocks)
+        with pytest.raises(PreconditionError, match="exactly once"):
+            Partition(blocks)
 
 
 @given(networks())
 @example(KITCHEN_SINK)
 def test_witness_is_the_first_enumerated_isomorphism(net):
-    for cls in symmetry_groupoid(net).classes:
-        for m, witness in zip(cls.members, canonical_isos(net, cls.members, cls.representative)):
-            assert enumerate_tree_isos(net, m, cls.representative, cap=math.inf)[0] == witness
+    for b in symmetry_groupoid(net).classes.blocks:
+        for m, witness in zip(b, canonical_isos(net, b, b[0])):
+            assert enumerate_tree_isos(net, m, b[0], cap=math.inf)[0] == witness
 
 
 def test_doubled_edge_chain_refines_to_discrete_partition():

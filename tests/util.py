@@ -196,7 +196,7 @@ def all_phase_homogeneous_partitions(net: Network) -> list[Partition]:
     out = []
     for combo in itertools.product(*per_class):
         blocks = [block for part in combo for block in part]
-        out.append(Partition.of(blocks))
+        out.append(Partition(blocks))
     return out
 
 
@@ -242,10 +242,10 @@ def reference_partition_blocks(blocks) -> tuple:
     return tuple(sorted((b for b in materialized if b), key=lambda b: b[0]))
 
 
-def scan_class_of(g, node: str):
-    for c in g.classes:
-        if node in c.members:
-            return c
+def scan_class_of(g, node: str) -> tuple:
+    for b in g.classes.blocks:
+        if node in b:
+            return b
     raise PreconditionError(f"unknown node id {node!r}")
 
 
@@ -316,7 +316,7 @@ def reference_coarsest_balanced(net: Network) -> tuple[Partition, Network, Netwo
     groups = {}
     for a, key in block_of.items():
         groups.setdefault(key, []).append(a)
-    partition = Partition.of(groups.values())
+    partition = Partition(groups.values())
     quotient, projection = reference_quotient_of(net, partition)
     return partition, quotient, projection
 
