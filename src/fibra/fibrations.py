@@ -76,7 +76,7 @@ def check_fibration(m: NetworkMap) -> FibrationReport:
         failures=tuple(failures),
         surjective_on_nodes=node_images == m.codomain.graph.node_set,
         injective_on_nodes=len(node_images) == len(m.node_map),
-        surjective_on_edges=edge_images == {e.edge_id for e in m.codomain.graph.edges},
+        surjective_on_edges=edge_images == m.codomain.graph._index.edge_by_id.keys(),
         injective_on_edges=len(edge_images) == len(m.edge_map),
     )
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PreconditionError
 
@@ -76,12 +76,22 @@ class Edge:
     tgt: NodeId
 
 
+class _GraphIndex(NamedTuple):
+    """What one scan of a graph's nodes and one of its edges find; ``Graph._index`` builds it once."""
+
+    nodes: tuple[NodeId, ...]  # the distinct nodes, in listing order
+    in_edges: dict[NodeId, tuple[Edge, ...]]  # sorted by edge id; an unknown target has its own entry
+    sources: list[list]  # per distinct node, the positions in ``nodes`` of its in-edge sources (None: no node)
+    edge_by_id: dict[EdgeId, Edge]  # the last edge listed under each id
+    violations: tuple[Violation, ...]  # repeated node ids, then per edge: repeated id, unknown source, unknown target
+
+
 @dataclass(frozen=True)
 class Graph:
     """Finite directed multigraph; loops and parallel edges allowed.
 
-    Each instance builds its adjacency indexes lazily, once, on first use.
-    ``cached_property`` stores them in the instance ``__dict__``, outside the
+    Each instance builds its index lazily, once, on first use.
+    ``cached_property`` stores it in the instance ``__dict__``, outside the
     dataclass fields, so equality and hashing still see only nodes and edges.
     """
 
@@ -90,48 +100,48 @@ class Graph:
 
     def in_edges(self, node: NodeId) -> tuple[Edge, ...]:
         """In-edges of ``node`` sorted by edge id."""
-        return self._adjacency[0].get(node, ())
+        return self._index.in_edges.get(node, ())
 
     def edge_by_id(self, edge_id: EdgeId) -> Edge:
-        return self._edge_index[edge_id]
+        return self._index.edge_by_id[edge_id]
 
     @cached_property
     def node_set(self) -> frozenset[NodeId]:
-        return frozenset(self.nodes)
+        return frozenset(self._index.nodes)
 
     @cached_property
-    def _adjacency(self) -> tuple[dict[NodeId, tuple[Edge, ...]], tuple[NodeId, ...], list[list]]:
-        """From one pass over the edges: each node's in-edges sorted by edge id, the distinct
-        nodes in listing order, and for each of them the positions there of its in-edge sources.
-
-        A source that names no node has position None, so that ``in_edges`` still
-        works on a graph that ``validate_network`` rejects.
-        """
-        nodes = tuple(dict.fromkeys(self.nodes))
-        position = {a: i for i, a in enumerate(nodes)}.get
-        acc: dict[NodeId, tuple[list[Edge], list]] = {a: ([], []) for a in nodes}
+    def _index(self) -> _GraphIndex:
+        violations = []
+        position: dict[NodeId, int] = {}
+        for a in self.nodes:
+            if a in position:
+                violations.append(Violation("duplicate-node", a, f"node id {a!r} repeated"))
+            position.setdefault(a, len(position))
+        acc: dict[NodeId, tuple[list[Edge], list]] = {a: ([], []) for a in position}
+        edge_by_id: dict[EdgeId, Edge] = {}
         for e in self.edges:
+            eid, src = e.edge_id, position.get(e.src)
+            if eid in edge_by_id:
+                violations.append(Violation("duplicate-edge", eid, f"edge id {eid!r} repeated"))
+            if src is None:
+                violations.append(Violation("dangling-src", eid, f"edge {eid!r} has unknown source {e.src!r}"))
+            if e.tgt not in position:
+                violations.append(Violation("dangling-tgt", eid, f"edge {eid!r} has unknown target {e.tgt!r}"))
+            edge_by_id[eid] = e
             edges, sources = acc.get(e.tgt) or acc.setdefault(e.tgt, ([], []))  # a target that is no node too
             edges.append(e)
-            sources.append(position(e.src))
+            sources.append(src)
         by_id = attrgetter("edge_id")
-        in_edges = {}
-        for a, (edges, _) in acc.items():
-            if len(edges) > 1:
-                edges.sort(key=by_id)
-            in_edges[a] = tuple(edges)
-        return in_edges, nodes, [sources for _, sources in acc.values()][: len(nodes)]
-
-    @cached_property
-    def _edge_index(self) -> dict[EdgeId, Edge]:
-        return {e.edge_id: e for e in self.edges}
+        in_edges = {a: tuple(sorted(es, key=by_id) if len(es) > 1 else es) for a, (es, _) in acc.items()}
+        sources = [sources for _, sources in acc.values()][: len(position)]
+        return _GraphIndex(tuple(position), in_edges, sources, edge_by_id, tuple(violations))
 
 
 @dataclass(frozen=True)
 class Network:
     """A graph plus a total assignment of phase spaces to its nodes.
 
-    Like :class:`Graph`'s adjacency index, the flat state layout and the
+    Like :class:`Graph`'s index, the flat state layout and the
     symmetry groupoid are built once per instance, on first use, outside the
     dataclass fields.
     """
@@ -188,19 +198,21 @@ def refinement_rounds(net: Network, colour: Mapping[NodeId, Hashable]) -> Iterat
 
     Each round gives every node the dense id, numbered in node order, of (its
     colour, sorted colours of its in-edge sources), starting from ``colour``.
-    The yielded dict is the round's own, not a copy.
+    The yielded dict is the round's own, not a copy.  An edge from an unknown node raises PreconditionError.
     """
-    _, nodes, sources = net.graph._adjacency
+    index = net.graph._index
+    if unknown_sources := [v for v in index.violations if v.kind == "dangling-src"]:
+        raise PreconditionError(unknown_sources[0].message)
     dense: dict[Hashable, int] = {}
-    colours = [dense.setdefault(colour[a], len(dense)) for a in nodes]
+    colours = [dense.setdefault(colour[a], len(dense)) for a in index.nodes]
     while True:
         signatures: dict[tuple, int] = {}
         colour_at = colours.__getitem__
         colours = [
             signatures.setdefault((c, tuple(sorted(map(colour_at, srcs)))), len(signatures))
-            for c, srcs in zip(colours, sources)
+            for c, srcs in zip(colours, index.sources)
         ]
-        yield nodes, colours, signatures
+        yield index.nodes, colours, signatures
 
 
 @dataclass(frozen=True)
@@ -252,28 +264,13 @@ class Violation:
 
 
 def validate_network(net: Network) -> list[Violation]:
-    """Report every violated structural invariant; an empty list means valid."""
-    out: list[Violation] = []
-    node_set = net.graph.node_set
-    seen_nodes: set[str] = set()
-    for a in net.graph.nodes:
-        if a in seen_nodes:
-            out.append(Violation("duplicate-node", a, f"node id {a!r} repeated"))
-        seen_nodes.add(a)
-    seen_edges: set[str] = set()
-    for e in net.graph.edges:
-        if e.edge_id in seen_edges:
-            out.append(Violation("duplicate-edge", e.edge_id, f"edge id {e.edge_id!r} repeated"))
-        seen_edges.add(e.edge_id)
-        if e.src not in node_set:
-            out.append(Violation("dangling-src", e.edge_id, f"edge {e.edge_id!r} has unknown source {e.src!r}"))
-        if e.tgt not in node_set:
-            out.append(Violation("dangling-tgt", e.edge_id, f"edge {e.edge_id!r} has unknown target {e.tgt!r}"))
+    """Report every violated structural invariant, the graph's own first; an empty list means valid."""
+    out = list(net.graph._index.violations)
     for a in net.graph.nodes:
         if a not in net.phase:
             out.append(Violation("missing-phase", a, f"node {a!r} has no phase space"))
     for a in net.phase:
-        if a not in node_set:
+        if a not in net.graph.node_set:
             out.append(Violation("extra-phase", a, f"phase space assigned to unknown node {a!r}"))
     return out
 
@@ -305,7 +302,7 @@ def check_network_map(m: NetworkMap) -> list[Violation]:
     """Report every homomorphism or phase-compatibility violation."""
     out: list[Violation] = []
     cod_nodes = m.codomain.graph.node_set
-    cod_edges = m.codomain.graph._edge_index
+    cod_edges = m.codomain.graph._index.edge_by_id
     for a in m.domain.graph.nodes:
         if a not in m.node_map:
             out.append(Violation("unmapped-node", a, f"node {a!r} has no image"))
@@ -473,7 +470,6 @@ class PhaseSpaceMap:
     """
 
     def __init__(self, nmap: NetworkMap):
-        self.network_map = nmap
         self.domain_index = total_phase_space(nmap.domain)
         self.codomain_index = total_phase_space(nmap.codomain)
         self._gather = self.codomain_index.gather(nmap.node_map[a] for a in self.domain_index.order)

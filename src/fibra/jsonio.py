@@ -169,7 +169,7 @@ def map_from_json(obj: Any, domain: Network, codomain: Network) -> NetworkMap:
     if not isinstance(nodes, Mapping) or not isinstance(edges, Mapping):
         raise InputError("map: 'nodes' and 'edges' must be objects")
     _check_images(nodes, domain.graph.node_set, "node")
-    _check_images(edges, domain.graph._edge_index, "edge")
+    _check_images(edges, domain.graph._index.edge_by_id, "edge")
     return NetworkMap(domain, codomain, dict(nodes), dict(edges))
 
 

@@ -179,19 +179,22 @@ def verify_driving_decomposition(
     report = check_fibration(m)
     if not report.injective_on_nodes:
         raise PreconditionError("driving decomposition requires an injective map")
+    if not w_prime.network.is_same(m.codomain):
+        raise PreconditionError("virtual vector field was built for a different network")
     image = set(m.node_map.values())
     feedback_edges = [e for e in m.codomain.graph.edges if e.src not in image and e.tgt in image]
     feedback = tuple(sorted(e.edge_id for e in feedback_edges))
-    codomain_field = interconnect(m.codomain, w_prime)
-    index = codomain_field.index
-    image_coords = index.gather(a for a in index.order if a in image)
     perturbed = sorted({e.src for e in feedback_edges})
-    rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        x = sample_state(index, rng)
-        for diffs in _central_differences(codomain_field, x, perturbed, fd_step):
-            worst = np.maximum(worst, np.abs(diffs[:, image_coords]).max(initial=0.0))
+    if perturbed:  # with no feedback edge the residual is 0.0 by construction, so no field is built
+        codomain_field = interconnect(m.codomain, w_prime)
+        index = codomain_field.index
+        image_coords = index.gather(a for a in index.order if a in image)
+        rng = np.random.default_rng(seed)
+        for _ in range(samples):
+            x = sample_state(index, rng)
+            for diffs in _central_differences(codomain_field, x, perturbed, fd_step):
+                worst = np.maximum(worst, np.abs(diffs[:, image_coords]).max(initial=0.0))
     worst = float(worst)
     return DrivingReport(
         ok=report.is_fibration and (not feedback) and worst <= tol,

@@ -476,6 +476,24 @@ def test_driving_and_dependencies_match_coordinate_loops(seed, rows):
     assert deps == reference_dependency_matrix(field, x0)
 
 
+def test_driving_builds_its_field_only_when_an_edge_feeds_back(monkeypatch):
+    built = []
+    original_init = GlobalField.__init__
+    monkeypatch.setattr(
+        GlobalField, "__init__", lambda self, *parts: built.append(parts) or original_init(self, *parts)
+    )
+    host = network([("a", R1), ("b", R1)], [("f", "b", "a")])
+    fed = fibra.NetworkMap(network([("a", R1)], []), host, {"a": "a"}, {})
+    for m, feedback, builds in ((fixtures.c2_into_g3(), (), 0), (fed, ("f",), 1)):
+        built.clear()
+        report = verify_driving_decomposition(m, fixtures.linear_dynamics(m.codomain), samples=3, seed=0)
+        assert (report.feedback_edges, len(built)) == (feedback, builds)
+        assert report.fd_max_residual == reference_driving_residual(m, fixtures.linear_dynamics(m.codomain), 3, 0, 1e-6)
+    for m in (fixtures.c2_into_g3(), fed):
+        with pytest.raises(PreconditionError, match="^virtual vector field was built for a different network$"):
+            verify_driving_decomposition(m, fixtures.linear_dynamics(fixtures.cycle2()))
+
+
 def test_certify_conjugacy_builds_one_joint_field(monkeypatch):
     m = fixtures.string_to_cycle(3, R1, R2)
     w = fixtures.linear_dynamics(m.codomain)

@@ -1,6 +1,7 @@
 """The indexed structure layer against the scan-based paths it replaced.
 
-Per-graph adjacency indexes and their integer view, integer colour
+The per-graph index (in-edges and their integer view, the edge-id table and
+the structural violations, from one scan of the edges), integer colour
 refinement, the balance check, the one-pass quotient and the dict-backed
 ``block_of``/``class_of`` must give exactly what the reference
 implementations in ``util`` give, on generated networks with self-loops,
@@ -11,6 +12,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -39,10 +41,14 @@ from fibra.jsonio import map_to_json, network_to_json
 
 from util import (
     doubled_edge_chain,
+    random_network,
+    reference_adjacency,
     reference_balance_witness,
     reference_coarsest_balanced,
+    reference_edge_index,
     reference_partition_blocks,
     reference_quotient_of,
+    reference_validate_network,
     scan_block_of,
     scan_class_of,
     scan_network,
@@ -113,7 +119,7 @@ def test_structure_layer_matches_reference(net):
     assert graph.node_set == frozenset(graph.nodes)
     for e in graph.edges:
         assert graph.edge_by_id(e.edge_id) == e
-    _, nodes, sources = graph._adjacency
+    nodes, sources = graph._index.nodes, graph._index.sources
     assert nodes == tuple(dict.fromkeys(graph.nodes))
     assert [sorted(nodes[j] for j in s) for s in sources] == [sorted(e.src for e in ref_net.graph.in_edges(a)) for a in nodes]
 
@@ -269,6 +275,90 @@ def test_validate_network_reports_in_order():
         ("missing-phase", "b"),
         ("extra-phase", "q"),
     ]
+
+
+@st.composite
+def faulty_networks(draw):
+    """A ``util.random_network`` with repeated node and edge ids, unknown edge endpoints and
+    missing and extra phase entries injected, each at drawn positions."""
+    net = random_network(random.Random(draw(st.integers(0, 2**32 - 1))), max_nodes=5, max_edges=8)
+    nodes, edges, phase = list(net.graph.nodes), list(net.graph.edges), dict(net.phase)
+    for _ in range(draw(st.integers(0, 2))):
+        nodes.insert(draw(st.integers(0, len(nodes))), draw(st.sampled_from(nodes)))
+    for i in range(len(edges)):
+        e = edges[i]
+        fault = draw(st.sampled_from(["none", "none", "id", "src", "tgt", "both"]))
+        if fault == "id" and i:
+            e = Edge(edges[draw(st.integers(0, i - 1))].edge_id, e.src, e.tgt)
+        if fault in ("src", "both"):
+            e = Edge(e.edge_id, draw(st.sampled_from(["ghost", "zz"])), e.tgt)
+        if fault in ("tgt", "both"):
+            e = Edge(e.edge_id, e.src, draw(st.sampled_from(["ghost", "yy"])))
+        edges[i] = e
+    for a in draw(st.lists(st.sampled_from(nodes), max_size=2)):
+        phase.pop(a, None)
+    for a in draw(st.lists(st.sampled_from(["ghost", "extra"]), max_size=2)):
+        phase[a] = R1
+    return Network(Graph(tuple(nodes), tuple(edges)), phase)
+
+
+@given(faulty_networks())
+@example(
+    Network(
+        Graph(("a", "b", "a"), (Edge("e", "zz", "yy"), Edge("e", "a", "yy"), Edge("f", "a", "b"))),
+        {"b": R1, "q": R2},
+    )
+)
+def test_graph_index_matches_the_separate_scans(net):
+    graph = net.graph
+    in_edges, nodes, sources = reference_adjacency(graph)
+    assert validate_network(net) == reference_validate_network(net)
+    for a in (*graph.nodes, *(e.tgt for e in graph.edges), "no-such-node"):
+        assert graph.in_edges(a) == in_edges.get(a, ())
+    by_id = reference_edge_index(graph)
+    for edge_id in by_id:
+        assert graph.edge_by_id(edge_id) is by_id[edge_id]
+    assert graph.node_set == frozenset(graph.nodes)
+    assert (graph._index.nodes, graph._index.sources) == (nodes, sources)
+
+
+class CountedEdges(tuple):
+    """An edge tuple that counts how often it is iterated."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_one_scan_of_the_edges_serves_every_lookup():
+    edges = CountedEdges(KITCHEN_SINK.graph.edges)
+    net = Network(Graph(KITCHEN_SINK.graph.nodes, edges), dict(KITCHEN_SINK.phase))
+    assert validate_network(net) == []
+    assert [e.edge_id for e in net.graph.in_edges("b")] == ["e0", "e1"]
+    assert net.graph.edge_by_id("e4") == Edge("e4", "e", "d")
+    symmetry_groupoid(net)
+    assert edges.iterations == 1
+
+
+TWO_BLOCKS = Partition([["a"], ["b"]])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        symmetry_groupoid,
+        lambda net: is_balanced(net, TWO_BLOCKS),
+        lambda net: quotient_of(net, TWO_BLOCKS),
+        coarsest_balanced,
+    ],
+    ids=["symmetry_groupoid", "is_balanced", "quotient_of", "coarsest_balanced"],
+)
+def test_refinement_refuses_an_edge_from_an_unknown_node(call):
+    net = network([("a", R1), ("b", R1)], [("e", "a", "b"), ("f", "zz", "b")])
+    with pytest.raises(PreconditionError, match=r"^edge 'f' has unknown source 'zz'$"):
+        call(net)
 
 
 def test_no_module_level_caches():

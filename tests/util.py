@@ -26,6 +26,7 @@ from fibra import (
     SignatureMismatch,
     TransportedControl,
     TreeIso,
+    Violation,
     check_fibration,
     coordinate_distance,
     ctrl_transport,
@@ -213,9 +214,10 @@ def oracle_balanced(net: Network, p: Partition) -> bool:
 
 
 # --- reference structure layer ---------------------------------------------------
-# The scan-based adjacency, the per-node balance signatures and the
-# nested-tuple refinement that the indexed graph and integer colour refinement
-# replaced, kept as differential oracles.
+# The scan-based adjacency, the separate in-edge, edge-id and validation scans,
+# the per-node balance signatures and the nested-tuple refinement that the
+# graph's one index and integer colour refinement replaced, kept as
+# differential oracles.
 
 
 class ScanGraph(Graph):
@@ -227,6 +229,52 @@ class ScanGraph(Graph):
 
 def scan_network(net: Network) -> Network:
     return Network(ScanGraph(net.graph.nodes, net.graph.edges), dict(net.phase))
+
+
+def reference_adjacency(graph: Graph) -> tuple[dict, tuple, list[list]]:
+    """Each node's in-edges sorted by edge id, the distinct nodes in listing order, and for each
+    of them the positions there of its in-edge sources (None for a source that is no node)."""
+    nodes = tuple(dict.fromkeys(graph.nodes))
+    position = {a: i for i, a in enumerate(nodes)}.get
+    acc: dict = {a: ([], []) for a in nodes}
+    for e in graph.edges:
+        edges, sources = acc.get(e.tgt) or acc.setdefault(e.tgt, ([], []))  # a target that is no node too
+        edges.append(e)
+        sources.append(position(e.src))
+    in_edges = {a: tuple(sorted(edges, key=lambda e: e.edge_id)) for a, (edges, _) in acc.items()}
+    return in_edges, nodes, [sources for _, sources in acc.values()][: len(nodes)]
+
+
+def reference_edge_index(graph: Graph) -> dict:
+    """The last edge listed under each edge id."""
+    return {e.edge_id: e for e in graph.edges}
+
+
+def reference_validate_network(net: Network) -> list[Violation]:
+    """Every structural violation, from scans of the nodes, the edges and the phase map."""
+    out: list[Violation] = []
+    node_set = frozenset(net.graph.nodes)
+    seen_nodes: set[str] = set()
+    for a in net.graph.nodes:
+        if a in seen_nodes:
+            out.append(Violation("duplicate-node", a, f"node id {a!r} repeated"))
+        seen_nodes.add(a)
+    seen_edges: set[str] = set()
+    for e in net.graph.edges:
+        if e.edge_id in seen_edges:
+            out.append(Violation("duplicate-edge", e.edge_id, f"edge id {e.edge_id!r} repeated"))
+        seen_edges.add(e.edge_id)
+        if e.src not in node_set:
+            out.append(Violation("dangling-src", e.edge_id, f"edge {e.edge_id!r} has unknown source {e.src!r}"))
+        if e.tgt not in node_set:
+            out.append(Violation("dangling-tgt", e.edge_id, f"edge {e.edge_id!r} has unknown target {e.tgt!r}"))
+    for a in net.graph.nodes:
+        if a not in net.phase:
+            out.append(Violation("missing-phase", a, f"node {a!r} has no phase space"))
+    for a in net.phase:
+        if a not in node_set:
+            out.append(Violation("extra-phase", a, f"phase space assigned to unknown node {a!r}"))
+    return out
 
 
 def scan_block_of(p: Partition, node: str) -> tuple:
