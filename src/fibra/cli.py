@@ -118,7 +118,8 @@ def _coarsest_or_check(parser: argparse.ArgumentParser) -> None:
 # such as "verify conjugacy" is a suite of the first word.  ``run(args, read)``
 # reads each input file through ``read`` (path -> parsed JSON, recorded in the
 # report's ``inputs``) and returns (results, property holds); results of None
-# mean the command wrote its own output and there is no report.
+# mean the command wrote its own output and there is no report.  The docstring
+# of ``run``, if it has one, is the description its command's --help prints.
 _COMMANDS: list[tuple] = []
 _SUITES_HELP = {"verify": "numerical certification suites"}
 MAP_FILES = "domain codomain map"
@@ -144,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
                 dest="suite", required=True
             )
         # no abbreviations: "--h" would otherwise mean --help to a command without --h
-        parser = suites[group].add_parser(leaf, help=summary, allow_abbrev=False)
+        parser = suites[group].add_parser(leaf, help=summary, description=run.__doc__, allow_abbrev=False)
         for file in files:
             parser.add_argument(file)
         for add in options:
@@ -375,6 +376,13 @@ def _verify_polydiagonal(args, read):
     SAMPLES, _tol(1e-8), FD_STEP, SEED, OUT,
 )
 def _verify_driving(args, read):
+    """The exit code comes from two tests of the map: it is a fibration (each
+    edge into the image lifts uniquely), and no edge runs from outside the
+    image into it (no feedback edge).  The finite-difference residual
+    fd_max_residual cannot change it: with a feedback edge the check fails
+    whatever the residual, and with none the residual is 0.0 by construction.
+    --samples and --fd-step shape only that reported residual, and --tol,
+    recorded in the report, never changes the exit code."""
     from .numerics import verify_driving_decomposition
 
     nmap = _load_map(args, read)

@@ -2,9 +2,10 @@
 
 Input states are reachable only through ``sum``/``mean`` aggregators over a
 named type group, so every expressible control is invariant under
-permutations of same-type inputs by construction.  Aggregation order is
-canonicalized (input vectors sorted by value) before summation, which makes
-that invariance exact in floating point, not just up to roundoff.
+permutations of same-type inputs by construction.  Wherever the order of a
+group's inputs could show in the bits, they are sorted by value before
+summation, which makes that invariance exact in floating point, not just up
+to roundoff.
 
 Grammar sketch::
 
@@ -562,6 +563,39 @@ def _canonical_order(values: np.ndarray) -> np.ndarray:
     return values[np.arange(m)[:, np.newaxis], order]
 
 
+# A coordinate fold, ``sum(u in inputs[G]) { u[i] }`` or its ``mean``, adds one
+# column of the group array.  Over two inputs it gives the same bits in either
+# order, so a group that only such folds read is sorted only when it holds
+# three or more inputs per member.  IEEE addition commutes, and the leading
+# ``0.0 +`` turns -0.0 into 0.0 whichever term comes first.  A 1-dim group's
+# stable sort swaps two inputs only when at most one is NaN, which then
+# propagates either way; a group of higher dim can differ only in the payload
+# of a NaN, on states where the tree walk's sort defines no order.
+
+
+def _coordinate(e: Aggregate) -> int | None:
+    """The coordinate ``i`` when the aggregate's body is ``u[i]`` of its own variable ``u``."""
+    body = e.body
+    return body.index if isinstance(body, InputRef) and body.var == e.var else None
+
+
+def _ordered_groups(components: Sequence[Expr]) -> set[str]:
+    """The groups read by some aggregate that is not a coordinate fold: their input order can show."""
+    groups: set[str] = set()
+    stack = list(components)
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Aggregate) and _coordinate(e) is None:
+            groups.add(e.group)
+        stack.extend(_children(e))
+    return groups
+
+
+def _group_order(values: np.ndarray, ordered: bool) -> np.ndarray:
+    """A group's inputs as its aggregates read them: sorted unless only coordinate folds of two or fewer read them."""
+    return _canonical_order(values) if ordered or values.shape[1] > 2 else values
+
+
 def _compile_call(e: Call, arg: _Node) -> _Node:
     if e.func == "abs":
         return lambda frame: abs(arg(frame))
@@ -589,7 +623,8 @@ def _compile_call(e: Call, arg: _Node) -> _Node:
 
         def periodic(frame: list) -> _Value:
             v = arg(frame)
-            if isinstance(v, np.ndarray) and np.isfinite(v).all():
+            # a sum is finite only when every member is; it may also overflow, so check again then
+            if isinstance(v, np.ndarray) and (math.isfinite(np.add.reduce(v)) or np.isfinite(v).all()):
                 return ufunc(v)
             return _map(checked, v)  # faults like math.sin on ±inf, NaN stays NaN
 
@@ -640,6 +675,23 @@ def _compile_aggregate(e: Aggregate, body: _Node, group: int, slot: int) -> _Nod
     return aggregate
 
 
+def _compile_fold(e: Aggregate, group: int, i: int) -> _Node:
+    """A coordinate fold: the sum or mean of column ``i`` of the group array, one input at a time."""
+    mean = e.op == "mean"
+
+    def fold(frame: list) -> _Value:
+        values = frame[group]
+        count = values.shape[1]
+        if mean and not count:
+            raise EvaluationFault(f"mean of empty group at {_at(e)}")
+        total: _Value = 0.0
+        for k in range(count):  # in sequence, so each member sums in scalar order
+            total = total + values[:, k, i]
+        return total / count if mean else total
+
+    return fold
+
+
 def _compile(e: Expr, scope: Mapping[str, int], groups: Mapping[str, int], slots: Iterator[int]) -> _Node:
     """A batched closure for ``e``; ``scope`` maps aggregator variables to frame slots."""
     if isinstance(e, Num):
@@ -670,6 +722,9 @@ def _compile(e: Expr, scope: Mapping[str, int], groups: Mapping[str, int], slots
     if isinstance(e, Aggregate):
         if e.group not in groups:
             raise SignatureMismatch(f"no input group {e.group!r} in the signature at {_at(e)}")
+        i = _coordinate(e)
+        if i is not None:
+            return _compile_fold(e, groups[e.group], i)
         slot = next(slots)
         body = _compile(e.body, {**scope, e.var: slot}, groups, slots)
         return _compile_aggregate(e, body, groups[e.group], slot)
@@ -691,9 +746,11 @@ def compile_control(ctrl: ControlExpr) -> BatchKernel:
     slots = itertools.count(1 + len(names))
     components = [_compile(c, {}, groups, slots) for c in ctrl.components]
     aggregator_slots = [None] * (next(slots) - 1 - len(names))
+    ordered = _ordered_groups(ctrl.components)
+    flags = [name in ordered for name in names]
 
     def kernel(roots: np.ndarray, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        frame = [roots, *map(_canonical_order, inputs), *aggregator_slots]
+        frame = [roots, *map(_group_order, inputs, flags), *aggregator_slots]
         out = np.empty((roots.shape[0], len(components)))
         for i, component in enumerate(components):
             out[:, i] = component(frame)

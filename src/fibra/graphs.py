@@ -167,13 +167,19 @@ class Network:
 
     @cached_property
     def _state_index(self) -> StateIndex:
-        """The layout :func:`total_phase_space` returns; a repeated node id raises on every call."""
-        order = tuple(sorted(self.graph.nodes))
+        """The layout :func:`total_phase_space` returns; a repeated node id raises on every call.
+
+        The node named is the graph index's first repeated one, which
+        :func:`validate_network` names first too.
+        """
+        index = self.graph._index
+        repeated = next((v for v in index.violations if v.kind == "duplicate-node"), None)
+        if repeated is not None:
+            raise PreconditionError(f"{repeated.message}: a state layout needs distinct node ids")
+        order = tuple(sorted(index.nodes))
         slices: dict[NodeId, tuple[int, int]] = {}
         off = 0
         for a in order:
-            if a in slices:
-                raise PreconditionError(f"node id {a!r} repeated: a state layout needs distinct node ids")
             d = self.space(a).dim
             slices[a] = (off, d)
             off += d

@@ -46,6 +46,7 @@ from fibra import (
     total_phase_space,
     verify_driving_decomposition,
 )
+from fibra import expr_dsl
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples, bind_control
 from fibra.errors import EvaluationFault, IntegrationFault
 from fibra.expr_dsl import FUNCTIONS, ControlSignature, _canonical_order, compile_control, group_positions
@@ -494,6 +495,120 @@ def test_canonical_order_is_stable_sort_by_value(case):
     values = np.array(members, dtype=float).reshape(len(members), len(members[0]), dim)
     expected = np.array([sorted(m, key=_nan_last) for m in values]).reshape(values.shape)
     assert same_bits(_canonical_order(values), expected)
+
+
+# --- coordinate folds and the groups they leave unsorted -------------------------------
+# ``sum(u in inputs[G]) { u[i] }`` and its ``mean`` fold column i of the group array, and
+# a group read only by such folds is sorted only when it holds three or more inputs.
+# Two-input groups of dim 1 and 2 are drawn with ties, -0.0 and 0.0, +-inf and sums
+# that overflow, beside aggregates whose bodies are not a coordinate and nested ones.
+
+FOLD_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, math.inf, -math.inf]) | st.floats(-4.0, 4.0)
+
+
+def fold_term(draw, groups):
+    """A coordinate fold, an aggregate with another body, or a nested one, over a drawn group."""
+    g = draw(st.sampled_from(sorted(groups)))
+    h = draw(st.sampled_from(sorted(groups)))
+    j, k = draw(st.integers(0, groups[g][0] - 1)), draw(st.integers(0, groups[h][0] - 1))
+    op = draw(st.sampled_from(["sum", "mean"]))
+    return draw(st.sampled_from([
+        f"{op}(u in inputs[{g}]) {{ u[{j}] }}",
+        f"{op}(u in inputs[{g}]) {{ u[{j}] * x[0] }}",
+        f"{op}(u in inputs[{g}]) {{ {op}(v in inputs[{h}]) {{ v[{k}] }} }}",
+        f"{op}(u in inputs[{g}]) {{ {op}(v in inputs[{h}]) {{ u[{j}] }} }}",
+        f"sum(u in inputs[{g}]) {{ sum(v in inputs[{h}]) {{ u[{j}] - v[{k}] }} }}",
+    ]))
+
+
+def run_with(ctrl, roots, groups):
+    """One call of the control's kernel, under the error state its callers set."""
+    with np.errstate(all="ignore"):
+        return compile_control(ctrl)(roots, groups)
+
+
+@given(st.data())
+def test_coordinate_folds_match_tree_walk(data):
+    draw = data.draw
+    counts = {R1: draw(st.integers(0, 3)), R2: draw(st.integers(0, 3))}
+    inputs = tuple(s for s, n in counts.items() for _ in range(n))
+    sig = ControlSignature(draw(st.sampled_from([R1, R2])), inputs)
+    groups = sig.groups()
+    if not groups:
+        return
+    ctrl = parse_control(
+        [" + ".join(fold_term(draw, groups) for _ in range(draw(st.integers(1, 3)))) for _ in range(sig.root.dim)], sig
+    )
+    types = draw(st.permutations(inputs))
+    if draw(st.booleans()):  # a group may go missing, where mean faults
+        gone = draw(st.sampled_from(sorted(groups)))
+        types = [t for t in types if t.name != gone]
+    m = draw(st.integers(1, 4))
+    roots = np.array(draw(st.lists(FOLD_VALUES, min_size=m * sig.root.dim, max_size=m * sig.root.dim))).reshape(m, -1)
+    members = [[np.array(draw(st.lists(FOLD_VALUES, min_size=t.dim, max_size=t.dim))) for t in types] for _ in range(m)]
+    batch = [
+        np.array([[states[i] for i in pos] for states in members]).reshape(m, len(pos), dim)
+        for pos, (dim, _) in zip(group_positions(sig, types), groups.values())
+    ]
+    walk = reference_bind(ctrl, types)
+    rows = [outcome(walk, root, states) for root, states in zip(roots, members)]
+    got = outcome(run_with, ctrl, roots, batch)
+    if isinstance(rows[0][0], type):  # only an empty mean faults, at every member alike
+        assert got == rows[0]
+    else:
+        assert got[2] == b"".join(row[2] for row in rows)
+
+
+@pytest.mark.parametrize("op", ["sum", "mean"])
+def test_three_input_fold_is_sorted(op):
+    # 1 + 1e-16 rounds to 1, so the sum of these three depends on their order
+    ctrl = parse_control([f"{op}(u in inputs[R1]) {{ u[0] }}"], ControlSignature(R1, (R1, R1, R1)))
+    states = [np.array([1.0]), np.array([1e-16]), np.array([-1.0])]
+    out = run_with(ctrl, np.zeros((1, 1)), [np.array(states).reshape(1, 3, 1)])
+    assert same_bits(out[0], reference_bind(ctrl, [R1] * 3)(np.zeros(1), states))
+    assert out[0, 0] != (0.0 + 1.0 + 1e-16 - 1.0) / (3 if op == "mean" else 1)
+
+
+def _sorted_groups(monkeypatch, source, inputs):
+    """The (count, dim) of each group array a kernel call sorts."""
+    seen = []
+
+    def counted(values):
+        seen.append(values.shape[1:])
+        return _canonical_order(values)
+
+    monkeypatch.setattr(expr_dsl, "_canonical_order", counted)
+    sig = ControlSignature(R1, inputs)
+    groups = [np.zeros((2, count, dim)) for dim, count in sig.groups().values()]
+    run_with(parse_control([source], sig), np.zeros((2, 1)), groups)
+    return seen
+
+
+def test_only_visible_order_is_sorted(monkeypatch):
+    two = (R1, R1, R2, R2)
+    folds = "sum(u in inputs[R1]) { u[0] } + mean(v in inputs[R2]) { v[1] }"
+    assert _sorted_groups(monkeypatch, folds, two) == []
+    assert _sorted_groups(monkeypatch, folds, (R1, R1, R1, R2, R2)) == [(3, 1)]
+    assert _sorted_groups(monkeypatch, folds + " + sum(v in inputs[R2]) { v[1] * x[0] }", two) == [(2, 2)]
+    nested = "sum(u in inputs[R1]) { sum(v in inputs[R2]) { v[0] } }"  # the outer body is no coordinate
+    assert _sorted_groups(monkeypatch, nested, two) == [(2, 1)]
+    outer = "sum(u in inputs[R1]) { sum(v in inputs[R2]) { u[0] } }"  # the inner body reads the outer variable
+    assert _sorted_groups(monkeypatch, outer, two) == [(2, 1), (2, 2)]
+
+
+# NaNs with distinct payloads, so the order in which two of them are added shows in the bits
+NANS = np.array([0x7FF8000000000001, 0xFFF8000000000002, 0x7FF0000000000003], dtype=np.uint64).view(np.float64)
+
+
+@pytest.mark.parametrize("op", ["sum", "mean"])
+def test_two_input_fold_of_dim_one_gives_the_sorted_bits_on_every_state(op):
+    # a stable sort swaps two inputs only when at most one is NaN, which then propagates either way
+    pool = np.concatenate([NANS, [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 1e308]])
+    pairs = np.array([(a, b) for a in pool for b in pool]).reshape(-1, 2, 1)
+    kernel = compile_control(parse_control([f"{op}(u in inputs[R1]) {{ u[0] }}"], ControlSignature(R1, (R1, R1))))
+    roots = np.zeros((len(pairs), 1))
+    with np.errstate(all="ignore"):
+        assert same_bits(kernel(roots, [pairs]), kernel(roots, [_canonical_order(pairs)]))
 
 
 FAULTS = [

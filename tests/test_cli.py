@@ -518,6 +518,30 @@ def test_verify_driving_command(files, capsys):
     assert results["ok"] and results["feedback_edges"] == []
 
 
+def test_driving_exit_code_does_not_read_the_residual(files, capsys):
+    # the lift and feedback-edge tests decide; --samples, --fd-step and --tol move only the report
+    write, _ = files
+    cod = fibra.network(
+        [("a", fibra.R1), ("b", fibra.R1), ("z", fibra.R1)], [("ab", "a", "b"), ("ba", "b", "a"), ("za", "z", "a")]
+    )
+    feedback = fibra.NetworkMap(fixtures.cycle2(), cod, {"a": "a", "b": "b"}, {"ab": "ab", "ba": "ba"})
+    for k, (m, expected) in enumerate([(fixtures.c2_into_g3(), 0), (feedback, 1)]):
+        argv = [
+            "verify", "driving",
+            write(f"dom{k}.json", network_to_json(m.domain)),
+            write(f"cod{k}.json", network_to_json(m.codomain)),
+            write(f"map{k}.json", map_to_json(m)),
+            write(f"dyn{k}.json", class_dynamics_to_json(fixtures.linear_dynamics(m.codomain))),
+        ]
+        for options in (["--samples", "0"], ["--samples", "3", "--fd-step", "1.0", "--tol", "0"], ["--tol", "1e300"]):
+            code, out, _ = run_cli(capsys, argv + options)
+            assert code == expected
+            assert report_of(out)["results"]["ok"] is (expected == 0)
+    with pytest.raises(SystemExit):
+        main(["verify", "driving", "--help"])
+    assert "fd_max_residual cannot change it" in " ".join(capsys.readouterr().out.split())
+
+
 def test_verify_conjugacy_nan_residual_fails(files, capsys):
     # exp overflows to inf for x[0] > 0.71 and 0 * inf is NaN at such samples; the flow stays below it
     write, _ = files

@@ -1,7 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fibra
 from fibra import (
@@ -18,12 +20,16 @@ from fibra import (
     per_class_field,
     pullback_kernel_check,
     signature_at,
+    symmetry_groupoid,
     verify_conjugacy_flow,
     verify_conjugacy_pointwise,
     verify_driving_decomposition,
     verify_polydiagonal_invariance,
 )
 from fibra import fixtures
+from fibra.errors import EvaluationFault
+
+from util import random_network, reference_integrate
 
 
 def growth_field():
@@ -86,6 +92,63 @@ def test_integrate_refuses_non_finite_horizon_or_step(T, h):
     X = interconnect(net, fixtures.linear_dynamics(net))
     with pytest.raises(PreconditionError):
         integrate(X, np.zeros(3), T=T, h=h)
+
+
+# --- the in-place RK4 loop against the loop it replaced -------------------------------
+# Each control adds a coordinate fold over every input group to a term in its own
+# state; the starts reach the float maximum, where states blow up at different
+# steps or, as a sum over the state overflows, stay finite.
+
+
+def _fold_field(net, term):
+    """Per class: ``term`` of each root coordinate plus a coordinate fold over each input group."""
+    controls = {}
+    for rep in symmetry_groupoid(net).representatives():
+        sig = signature_at(net, rep)
+        exprs = []
+        for i in range(sig.root.dim):
+            folds = [f"sum(u in inputs[{g}]) {{ u[{min(i, dim - 1)}] }}" for g, (dim, _) in sig.groups().items()]
+            exprs.append(" + ".join([*folds, term.format(i=i)]))
+        controls[rep] = parse_control(exprs, sig)
+    return interconnect(net, per_class_field(net, controls))
+
+
+def _trajectory(integrator, field, x0, T, h):
+    """The times and states as bytes, or the fault that stopped them: ``sin`` faults on an infinite stage."""
+    try:
+        traj = integrator(field, x0, T, h)
+    except (IntegrationFault, EvaluationFault) as fault:
+        return type(fault), str(fault)
+    return traj.times.tobytes(), traj.states.tobytes()
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["-x[{i}]", "x[{i}]^2", "1e300 * x[{i}]", "3.0 * sin(x[{i}])"]),
+    st.sampled_from([1.0, 1e150, 1e307, 1e308]),
+    st.integers(0, 8),
+)
+def test_integrate_matches_reference_loop(seed, term, scale, steps):
+    net = random_network(random.Random(seed))
+    field = _fold_field(net, term)
+    x0 = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, field.index.total_dim)
+    x0[: seed % 3] = scale  # some coordinates at the scale itself, so sums over the state overflow
+    with np.errstate(all="ignore"):  # the old loop's stage arithmetic warns on overflow
+        expected = _trajectory(reference_integrate, field, x0, 0.5 * steps, 0.5)
+    # bare: pytest turns a RuntimeWarning from the new loop into an error
+    assert _trajectory(integrate, field, x0, 0.5 * steps, 0.5) == expected
+
+
+def test_integrate_stays_finite_where_the_state_sum_overflows():
+    # two nodes feeding each other stay at 1e308: every state is finite, the sum over one is not
+    net = network([("a", R1), ("b", R1)], [("e1", "a", "b"), ("e2", "b", "a")])
+    field = _fold_field(net, "-x[{i}]")
+    x0 = np.array([1e308, 1e308])
+    with np.errstate(all="ignore"):
+        assert np.add.reduce(x0) == math.inf
+    traj = integrate(field, x0, 0.05, 0.01)
+    assert traj.states.tolist() == [[1e308, 1e308]] * 6
+    assert _trajectory(integrate, field, x0, 0.05, 0.01) == _trajectory(reference_integrate, field, x0, 0.05, 0.01)
 
 
 def _negative_count_calls():

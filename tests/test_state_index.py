@@ -16,6 +16,8 @@ from hypothesis import given, strategies as st
 
 from fibra import (
     GlobalField,
+    Graph,
+    Network,
     NetworkMap,
     Partition,
     Polydiagonal,
@@ -38,6 +40,7 @@ from fibra import (
     sample_state,
     signature_at,
     total_phase_space,
+    validate_network,
     verify_polydiagonal_invariance,
 )
 from fibra import fixtures, graphs
@@ -247,6 +250,12 @@ def test_repeated_node_id_has_no_layout():
             total_phase_space(net)
     with pytest.raises(PreconditionError, match="node id 'a' repeated"):
         GlobalField(net, per_node_field(net, {a: RawControl(signature_at(net, a), lambda x, ins: x) for a in "ab"}))
+    # the layout names the node validation names first: 'b' repeats first in listing order, 'a' in sorted order
+    net = Network(Graph(("b", "a", "b", "a"), ()), {"a": R1, "b": R1})
+    assert [(v.kind, v.subject) for v in validate_network(net)] == [("duplicate-node", "b"), ("duplicate-node", "a")]
+    with pytest.raises(PreconditionError) as caught:
+        total_phase_space(net)
+    assert str(caught.value) == "node id 'b' repeated: a state layout needs distinct node ids"
 
 
 def test_each_network_builds_its_layout_once(monkeypatch):

@@ -59,9 +59,10 @@ from fibra.expr_dsl import (
     _children,
     _Token,
 )
-from fibra.errors import EvaluationFault, InputError
+from fibra.errors import EvaluationFault, InputError, IntegrationFault
 from fibra.graphs import TWO_PI
 from fibra.jsonio import _finite_number, _require, space_from_json
+from fibra.numerics import Trajectory, _step_count
 
 SPACES = (R1, R2, S1)
 
@@ -1095,6 +1096,29 @@ def reference_enumerate_tree_isos(net: Network, a: str, b: str, cap: int = 10**6
         TreeIso(a, b, dict(zip(ids_a, itertools.chain.from_iterable(combo))))
         for combo in itertools.product(*per_type)
     ]
+
+
+def reference_integrate(field, x0, T: float, h: float) -> Trajectory:
+    """The RK4 loop that built a fresh array for each stage and tested ``np.isfinite`` on each step."""
+    if not (h > 0 and math.isfinite(h)):
+        raise PreconditionError("step size must be positive and finite")
+    if not (T >= 0 and math.isfinite(T)):
+        raise PreconditionError("horizon must be non-negative and finite")
+    x = field.index.state(x0)
+    n = _step_count(T, h)
+    states = np.empty((n + 1, x.shape[0]))
+    states[0] = x
+    for k in range(n):
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(x).all():
+            raise IntegrationFault(k + 1)
+        states[k + 1] = x
+    times = np.arange(n + 1) * h
+    return Trajectory(times, states, h)
 
 
 def reference_pointwise_residual(m: NetworkMap, w_prime, samples: int, seed: int) -> float:
