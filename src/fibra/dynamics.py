@@ -28,9 +28,10 @@ from .expr_dsl import (
     compile_control,
     group_positions,
     member_groups,
+    stack_columns,
 )
 from .fibrations import check_fibration, essential_image
-from .graphs import Network, NetworkMap, NodeId, PhaseSpace, StateIndex, total_phase_space
+from .graphs import Network, NetworkMap, NodeId, PhaseSpace, StateIndex, gather_runs, total_phase_space
 from .input_trees import (
     SymmetryGroupoid,
     TreeIso,
@@ -75,31 +76,34 @@ def signature_at(net: Network, a: NodeId) -> ControlSignature:
 def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]]) -> BatchKernel:
     """Bind any control kind to its input slots (edge id, source space) once.
 
-    Returns the kernel ``f(roots, groups)`` of :func:`compile_control` for m
-    members: ``roots`` is (m, d_root) and ``groups`` holds, per type group of
-    the signature, the states of that group's slots in slot order as one
-    (m, count, dim) array.  An expression control is its compiled kernel.  A
-    raw control, transported any number of times, reads each member's states
-    back into its own slot order and calls its callable member by member.
+    Returns the kernel ``f(roots, groups) -> columns`` of
+    :func:`compile_control` for m members: ``roots`` is (m, d_root) and
+    ``groups`` holds, per type group of the signature, the states of that
+    group's slots in slot order as one (m, count, dim) array, with the counts
+    the slots fix.  The result holds one column per root coordinate, an (m,)
+    array or a float.  An expression control is its kernel compiled for those
+    counts.  A raw control, transported any number of times, reads each
+    member's states back into its own slot order, calls its callable member
+    by member and returns the columns of the tangents.
     """
-    if isinstance(ctrl, ControlExpr):
-        return compile_control(ctrl)
     positions = group_positions(ctrl.signature, [space for _, space in slots])
+    if isinstance(ctrl, ControlExpr):
+        return compile_control(ctrl, list(map(len, positions)))
     place = {i: (g, k) for g, pos in enumerate(positions) for k, i in enumerate(pos)}
     where = {eid: place[i] for i, (eid, _) in enumerate(slots)}  # edge id -> (group, position in it)
     while isinstance(ctrl, TransportedControl):  # the base's slots are its leaf ids, in edge-id order
         where = {src: where[ctrl.source_to_current[src]] for src in sorted(ctrl.source_to_current)}
         ctrl = ctrl.base
     if isinstance(ctrl, ControlExpr):  # transported by hand: it sorts each type group, so reads no order
-        return compile_control(ctrl)
+        return compile_control(ctrl, list(map(len, positions)))
     ids, at, fn, dim = list(where), list(where.values()), ctrl.fn, ctrl.signature.root.dim
 
-    def kernel(roots: np.ndarray, groups: Sequence[np.ndarray]) -> np.ndarray:
+    def kernel(roots: np.ndarray, groups: Sequence[np.ndarray]) -> list[np.ndarray]:
         out = np.empty((len(roots), dim))
         for i, root in enumerate(roots):
             states = tuple((eid, groups[g][i, k]) for eid, (g, k) in zip(ids, at))
             out[i] = as_state(fn(root, states), dim, "raw control tangent vector")
-        return out
+        return list(out.T)
 
     return kernel
 
@@ -110,7 +114,7 @@ def eval_control(ctrl: Control, root: np.ndarray, inputs: Sequence[LabelledInput
     kernel = bind_control(ctrl, [(eid, space) for eid, space, _ in inputs])
     groups = member_groups(ctrl.signature, [(space, state) for _, space, state in inputs])
     with np.errstate(all="ignore"):
-        return kernel(root[np.newaxis], groups)[0]
+        return stack_columns(kernel(root[np.newaxis], groups), 1)[0]
 
 
 def ctrl_transport(iso: TreeIso, ctrl: Control) -> Control:
@@ -233,6 +237,19 @@ def _runs(w: VirtualVectorField, index: StateIndex) -> list[tuple[Control, tuple
     return runs
 
 
+def _compact(index: np.ndarray) -> slice | np.ndarray:
+    """A 1-D gather as the slice that reads the same coordinates, where one does; else a contiguous copy.
+
+    A slice reads a view and writes without an index array.
+    """
+    index = np.ascontiguousarray(index)
+    first, n = int(index[0]), len(index)
+    step = int(index[1]) - first if n > 1 else 1
+    if step > 0 and int(index[-1]) == first + (n - 1) * step and (n < 3 or (np.diff(index) == step).all()):
+        return slice(first, first + (n - 1) * step + 1, step)
+    return index
+
+
 class GlobalField:
     """The interconnected vector field on the flat total state of one or more networks.
 
@@ -247,10 +264,12 @@ class GlobalField:
     form one unit; so do the nodes of a per-node field that share one
     expression control, in whichever parts they lie (a pulled-back field
     holds the very controls of the field it was pulled back from).  A node
-    with a raw or transported control is a unit of its own.  Each unit is
-    evaluated with one gather of its root and input states, one call of its
-    bound kernel and one scatter.  The gathers of all units are views of one
-    gather built from the in-edge index.
+    with a raw or transported control is a unit of its own.  Each unit's
+    kernel is bound once, to the input counts its gathers fix, and each call
+    evaluates it with one gather of its root and one of each input group's
+    states, then writes each of its columns through that coordinate's own
+    index.  The gathers of all units are views of one gather, built through
+    each part's own layout plus the part's offset.
 
     A call takes one state of shape ``(total_dim,)`` or a batch of shape
     ``(samples, total_dim)``; each row of a batch gives the bits a call on
@@ -265,61 +284,85 @@ class GlobalField:
                 raise PreconditionError("virtual vector field was built for a different network")
         self.network = net
         indexes = [total_phase_space(part_net) for part_net, _ in parts]
-        self.index = index = StateIndex.joint(indexes) if more else indexes[0]
-        # the id of an expression control, or the part and node of any other control -> [control,
-        # slots, roots, sources per group] with nodes keyed as in self.index, in the order of each
-        # unit's first node; the fields have checked that each node's control has the node's signature
+        self.index = StateIndex.joint(indexes) if more else indexes[0]
+        # the id of an expression control, or the part and node of any other control -> [control, slots
+        # of its first node, flat starts of its roots, flat starts of its sources per group], in the order
+        # of each unit's first node; the fields have checked that each node's control has the node's
+        # signature, so the nodes of one unit hold the same number of inputs per group
         units: dict = {}
+        off = 0
         for i, ((part_net, part_w), part_index) in enumerate(zip(parts, indexes)):
-            spaces, in_edges = part_index.spaces, part_net.graph.in_edges
+            slices, spaces, in_edges = part_index.slices, part_index.spaces, part_net.graph._index.in_edges
             for ctrl, nodes in _runs(part_w, part_index):
-                group = ctrl.signature.group_index
-                sources: list[list] = [[] for _ in group]
-                for a in nodes:
-                    for e in in_edges(a):
-                        sources[group[spaces[e.src].name]].append(e.src)
-                if isinstance(ctrl, ControlExpr):
-                    key, slots = id(ctrl), ()
-                else:  # bound to the edge ids of its one node
-                    key, slots = (i, nodes[0]), [(e.edge_id, spaces[e.src]) for e in in_edges(nodes[0])]
-                roots = list(nodes)
-                if more:
-                    roots, sources = [(i, a) for a in roots], [[(i, b) for b in src] for src in sources]
+                key = id(ctrl) if isinstance(ctrl, ControlExpr) else (i, nodes[0])
                 unit = units.get(key)
                 if unit is None:
-                    units[key] = [ctrl, slots, roots, sources]
-                else:
-                    unit[2] += roots
-                    for acc, src in zip(unit[3], sources):
-                        acc += src
+                    slots = [(e.edge_id, spaces[e.src]) for e in in_edges[nodes[0]]]
+                    unit = units[key] = [ctrl, slots, [], [[] for _ in ctrl.signature.group_index]]
+                _, _, roots, sources = unit
+                roots += [slices[a][0] + off for a in nodes]
+                if len(sources) == 1:  # every input is of the one group
+                    sources[0] += [slices[e.src][0] + off for a in nodes for e in in_edges[a]]
+                    continue
+                group = ctrl.signature.group_index
+                for a in nodes:
+                    for e in in_edges[a]:
+                        sources[group[spaces[e.src].name]].append(slices[e.src][0] + off)
+            off += part_index.total_dim
         # every unit's roots, then its sources group by group, in one gather cut into views
-        flat = index.gather(chain.from_iterable(chain(roots, *sources) for _, _, roots, sources in units.values()))
-        self._units: list = []  # (root gather, kernel, input gathers)
-        at = 0
-        for ctrl, slots, roots, sources in units.values():
+        shapes = []
+        for ctrl, _, roots, sources in units.values():
             m = len(roots)
-            shapes = [(m, ctrl.signature.root.dim)]
+            shapes.append((m, ctrl.signature.root.dim))
             shapes += [(m, len(src) // m, dim) for src, (dim, _) in zip(sources, ctrl.signature.groups().values())]
-            views = []
-            for shape in shapes:
-                size = math.prod(shape)
-                views.append(flat[at : at + size].reshape(shape))
-                at += size
-            self._units.append((views[0], bind_control(ctrl, slots), views[1:]))
+        starts = np.fromiter(
+            chain.from_iterable(chain(roots, *sources) for _, _, roots, sources in units.values()), dtype=np.intp
+        )
+        lengths = np.repeat(  # each node's dim, once per node
+            np.array([shape[-1] for shape in shapes], dtype=np.intp),
+            np.array([math.prod(shape[:-1]) for shape in shapes], dtype=np.intp),
+        )
+        flat = gather_runs(starts, lengths)
+        views, at = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[at : at + size].reshape(shape))
+            at += size
+        views.reverse()
+        self._units: list = []  # (root gather, its key for one state, kernel, input gathers, output columns)
+        for ctrl, slots, _, _ in units.values():
+            target = views.pop()
+            gathers = [views.pop() for _ in ctrl.signature.group_index]
+            columns = [_compact(target[:, j]) for j in range(target.shape[1])]
+            # one state reads the roots of a 1-dim expression unit as a view where its column is a slice;
+            # a raw control gets copies, which its callable may change
+            view = isinstance(ctrl, ControlExpr) and len(columns) == 1 and isinstance(columns[0], slice)
+            key = (columns[0], np.newaxis) if view else target
+            self._units.append((target, key, bind_control(ctrl, slots), gathers, columns))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The field at one state ``(total_dim,)`` or at each row of ``(samples, total_dim)``.
+
+        Numpy's error state belongs to the caller: a kernel gives IEEE
+        overflow and NaN as Python floats give them only under
+        ``np.errstate(all="ignore")``, which ``integrate`` and the batch
+        checks enter once around all their calls.  Called outside it, a state
+        whose arithmetic overflows may make numpy warn; the values are the same.
+        """
         x = self.index.states(x)
         out = np.empty(x.shape)
-        with np.errstate(all="ignore"):  # IEEE overflow and NaN, as Python floats give them
-            for target, kernel, gathers in self._units:
-                if x.ndim == 1:  # one state, as integrate passes: the batch reshapes cost about 1 us a unit
-                    out[target] = kernel(x[target], [x[g] for g in gathers])
-                else:  # S rows of m members are S*m members of one kernel call
-                    tangents = kernel(
-                        x[:, target].reshape(-1, target.shape[1]),
-                        [x[:, g].reshape((-1,) + g.shape[1:]) for g in gathers],
-                    )
-                    out[:, target] = tangents.reshape(x.shape[:1] + target.shape)
+        if x.ndim == 1:  # one state, as integrate passes: no batch reshape
+            for _, roots, kernel, gathers, columns in self._units:
+                for column, value in zip(columns, kernel(x[roots], [x[g] for g in gathers])):
+                    out[column] = value
+            return out
+        rows = x.shape[0]
+        for target, _, kernel, gathers, columns in self._units:  # S rows of m members are S*m members
+            values = kernel(
+                x[:, target].reshape(-1, target.shape[1]), [x[:, g].reshape((-1,) + g.shape[1:]) for g in gathers]
+            )
+            for column, value in zip(columns, values):
+                out[:, column] = value.reshape(rows, target.shape[0]) if isinstance(value, np.ndarray) else value
         return out
 
 
@@ -332,8 +375,13 @@ def pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
     """Pull a codomain virtual vector field back along a fibration.
 
     Each node receives the control of its image, re-indexed through the
-    inverse of the induced input-tree isomorphism.  Per-class fields stay
-    per-class (domain classes map into codomain classes).
+    inverse of the induced input-tree isomorphism.  A per-class field whose
+    controls are all expressions stays per-class (domain classes map into
+    codomain classes, and an expression reads no input order).  A per-class
+    field with any other control pulls back node by node, as its
+    :func:`lift_to_nodes` does: a raw control need not be symmetric in
+    same-type inputs, so each node's control moves along that node's own
+    induced isomorphism, not along its class.
     """
     if not check_fibration(m).is_fibration:
         raise FibrationRequired("pullback requires a fibration")
@@ -352,7 +400,7 @@ def _pullback(m: NetworkMap, w_prime: VirtualVectorField) -> VirtualVectorField:
     def pulled(a: NodeId) -> Control:
         return _transported(w_prime.control_at(m.node_map[a]), lambda: induced_tree_map(m, a).as_iso().inverse())
 
-    if w_prime.mode == "per_class":
+    if w_prime.mode == "per_class" and all(isinstance(c, ControlExpr) for c in w_prime.controls.values()):
         return per_class_field(m.domain, {r: pulled(r) for r in symmetry_groupoid(m.domain).representatives()})
     return per_node_field(m.domain, {a: pulled(a) for a in m.domain.graph.nodes})
 
@@ -389,7 +437,7 @@ def check_invariance(ctrl: Control, a: NodeId, net: Network, trials: int = 200, 
     rows = np.arange(trials)[:, np.newaxis]
     permuted = [grp[rows, rng.permuted(np.tile(np.arange(grp.shape[1]), (trials, 1)), axis=1)] for grp in groups]
     with np.errstate(all="ignore"):
-        drawn, moved = kernel(roots, groups), kernel(roots, permuted)
+        drawn, moved = (stack_columns(kernel(roots, inputs), trials) for inputs in (groups, permuted))
     return float(np.abs(drawn - moved).max(initial=0.0))  # unlike max(), propagates NaN
 
 
@@ -399,7 +447,7 @@ def _vanishes_on_samples(
     """Whether the control at node ``a`` stays within ``tol`` of zero at random states."""
     kernel, roots, groups = _sampled_at(ctrl, net, a, samples, rng)
     with np.errstate(all="ignore"):
-        values = kernel(roots, groups)
+        values = stack_columns(kernel(roots, groups), samples)
     return bool(np.abs(values).max(initial=0.0) <= tol)  # NaN does not vanish
 
 

@@ -489,8 +489,10 @@ def unparse(e: Expr) -> str:
 
 # --- evaluation ------------------------------------------------------------
 # A control compiles once into a batch kernel that evaluates it for m members
-# at a time: their root states as an (m, d_root) array and, per type group in
-# signature order, their input states as an (m, count, dim) array.  Each
+# at a time, each with a fixed number of inputs per type group: their root
+# states as an (m, d_root) array and, per type group in signature order, their
+# input states as an (m, count, dim) array.  The kernel returns one column per
+# root coordinate: an (m,) array, or a float that every member shares.  Each
 # member gets the bits a scalar evaluation would give.  ``+ - * /``, ``abs``
 # and ``sqrt`` are exact IEEE operations in numpy as in Python.  ``sin`` and
 # ``cos`` run as numpy ufuncs on finite input: the tests gate that numpy
@@ -502,12 +504,12 @@ def unparse(e: Expr) -> str:
 # under ``np.errstate(all="ignore")``, so overflow and NaN pass silently, as
 # Python floats give them.
 
-BatchKernel = Callable[[np.ndarray, Sequence[np.ndarray]], np.ndarray]
-
 # One value per member, or a float shared by all of them.
 _Value = np.ndarray | float
-# A compiled AST node.  Its frame holds the root states, the sorted group
-# arrays and, per aggregator, the current input of every member.
+BatchKernel = Callable[[np.ndarray, Sequence[np.ndarray]], list[_Value]]
+# A compiled AST node.  Its frame holds the root states, the group arrays
+# (sorted where their order can show) and, per aggregator, the current input
+# of every member.
 _Node = Callable[[list], _Value]
 
 
@@ -521,6 +523,14 @@ def as_state(value, dim: int, what: str) -> np.ndarray:
     if vec.shape[0] != dim:
         raise SignatureMismatch(f"{what} has dimension {vec.shape[0]}, expected {dim}")
     return vec
+
+
+def stack_columns(columns: Sequence[_Value], m: int) -> np.ndarray:
+    """A kernel's columns as one (m, d_root) array; a float column is every member's value."""
+    out = np.empty((m, len(columns)))
+    for i, column in enumerate(columns):
+        out[:, i] = column
+    return out
 
 
 def _at(e: Expr) -> str:
@@ -579,21 +589,20 @@ def _coordinate(e: Aggregate) -> int | None:
     return body.index if isinstance(body, InputRef) and body.var == e.var else None
 
 
-def _ordered_groups(components: Sequence[Expr]) -> set[str]:
-    """The groups read by some aggregate that is not a coordinate fold: their input order can show."""
-    groups: set[str] = set()
+def _groups_to_sort(components: Sequence[Expr], counts: Mapping[str, int]) -> set[str]:
+    """The groups whose input order can show, so a kernel with these input ``counts`` sorts them.
+
+    Those are the groups of three or more inputs, and the groups of two that
+    some aggregate other than a coordinate fold reads.
+    """
+    groups = {name for name, count in counts.items() if count > 2}
     stack = list(components)
     while stack:
         e = stack.pop()
-        if isinstance(e, Aggregate) and _coordinate(e) is None:
+        if isinstance(e, Aggregate) and _coordinate(e) is None and counts[e.group] == 2:
             groups.add(e.group)
         stack.extend(_children(e))
     return groups
-
-
-def _group_order(values: np.ndarray, ordered: bool) -> np.ndarray:
-    """A group's inputs as its aggregates read them: sorted unless only coordinate folds of two or fewer read them."""
-    return _canonical_order(values) if ordered or values.shape[1] > 2 else values
 
 
 def _compile_call(e: Call, arg: _Node) -> _Node:
@@ -660,40 +669,51 @@ def _compile_divide(e: BinOp, left: _Node, right: _Node) -> _Node:
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
-def _compile_aggregate(e: Aggregate, body: _Node, group: int, slot: int) -> _Node:
+def _empty_mean(e: Aggregate) -> _Node:
+    """The ``mean`` of a group with no inputs: it faults at every call."""
+
+    def fault(frame: list) -> _Value:
+        raise EvaluationFault(f"mean of empty group at {_at(e)}")
+
+    return fault
+
+
+def _compile_aggregate(e: Aggregate, body: _Node, group: int, count: int, slot: int) -> _Node:
+    mean, inputs = e.op == "mean", range(count)
+
     def aggregate(frame: list) -> _Value:
         values = frame[group]
-        count = values.shape[1]
-        if e.op == "mean" and not count:
-            raise EvaluationFault(f"mean of empty group at {_at(e)}")
         total: _Value = 0.0
-        for k in range(count):  # in sequence, so each member sums in scalar order
+        for k in inputs:  # in sequence, so each member sums in scalar order
             frame[slot] = values[:, k]
             total = total + body(frame)
-        return total / count if e.op == "mean" else total
+        return total / count if mean else total
 
     return aggregate
 
 
-def _compile_fold(e: Aggregate, group: int, i: int) -> _Node:
+def _compile_fold(e: Aggregate, group: int, count: int, i: int) -> _Node:
     """A coordinate fold: the sum or mean of column ``i`` of the group array, one input at a time."""
-    mean = e.op == "mean"
+    mean, inputs = e.op == "mean", range(count)
 
     def fold(frame: list) -> _Value:
         values = frame[group]
-        count = values.shape[1]
-        if mean and not count:
-            raise EvaluationFault(f"mean of empty group at {_at(e)}")
         total: _Value = 0.0
-        for k in range(count):  # in sequence, so each member sums in scalar order
+        for k in inputs:  # in sequence, so each member sums in scalar order
             total = total + values[:, k, i]
         return total / count if mean else total
 
     return fold
 
 
-def _compile(e: Expr, scope: Mapping[str, int], groups: Mapping[str, int], slots: Iterator[int]) -> _Node:
-    """A batched closure for ``e``; ``scope`` maps aggregator variables to frame slots."""
+def _compile(
+    e: Expr, scope: Mapping[str, int], groups: Mapping[str, tuple[int, int]], slots: Iterator[int]
+) -> _Node:
+    """A batched closure for ``e``.
+
+    ``scope`` maps aggregator variables to frame slots, and ``groups`` maps
+    each group name to its frame slot and input count.
+    """
     if isinstance(e, Num):
         value = e.value
         return lambda frame: value
@@ -722,39 +742,49 @@ def _compile(e: Expr, scope: Mapping[str, int], groups: Mapping[str, int], slots
     if isinstance(e, Aggregate):
         if e.group not in groups:
             raise SignatureMismatch(f"no input group {e.group!r} in the signature at {_at(e)}")
+        group, count = groups[e.group]
+        if e.op == "mean" and not count:
+            return _empty_mean(e)
         i = _coordinate(e)
         if i is not None:
-            return _compile_fold(e, groups[e.group], i)
+            return _compile_fold(e, group, count, i)
         slot = next(slots)
         body = _compile(e.body, {**scope, e.var: slot}, groups, slots)
-        return _compile_aggregate(e, body, groups[e.group], slot)
+        return _compile_aggregate(e, body, group, count, slot)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_control(ctrl: ControlExpr) -> BatchKernel:
-    """Compile a control once into ``f(roots, groups) -> tangents`` for m members.
+def compile_control(ctrl: ControlExpr, counts: Sequence[int]) -> BatchKernel:
+    """Compile a control once into ``f(roots, groups) -> columns`` for m members at a time.
 
-    ``roots`` is (m, d_root) and ``groups`` holds one (m, count, dim) array
-    per type group of the signature, in group order; the result is
-    (m, d_root).  Faults raise :class:`EvaluationFault`; when members fault at
-    different places, the one named may differ from a member-by-member loop.
-    Call the kernel under ``np.errstate(all="ignore")``: it leaves numpy's
-    error state to its caller, so that a field enters it once per call.
+    ``counts`` holds the number of inputs per type group of the signature, in
+    group order, that every call will pass: ``roots`` is (m, d_root) and
+    ``groups`` holds one (m, count, dim) array per group.  The result holds
+    one column per root coordinate: an (m,) array, or a float that every
+    member shares.  The counts settle here, once, which groups each call sorts
+    (see :func:`_groups_to_sort`), how many inputs each aggregate adds, and
+    that a ``mean`` over an empty group faults.  Faults raise
+    :class:`EvaluationFault`; when members fault at different places, the one
+    named may differ from a member-by-member loop.  Call the kernel under
+    ``np.errstate(all="ignore")``: it leaves numpy's error state to its
+    caller, which enters it once around many calls.
     """
     names = list(ctrl.signature.groups())
-    groups = {name: 1 + g for g, name in enumerate(names)}
+    if len(counts) != len(names):
+        raise SignatureMismatch(f"{len(counts)} input counts for the {len(names)} groups of the signature")
+    groups = {name: (1 + g, count) for g, (name, count) in enumerate(zip(names, counts))}
     slots = itertools.count(1 + len(names))
     components = [_compile(c, {}, groups, slots) for c in ctrl.components]
     aggregator_slots = [None] * (next(slots) - 1 - len(names))
-    ordered = _ordered_groups(ctrl.components)
-    flags = [name in ordered for name in names]
+    to_sort = _groups_to_sort(ctrl.components, dict(zip(names, counts)))
+    sort = [slot for name, (slot, _) in groups.items() if name in to_sort]
+    canonical_order = _canonical_order
 
-    def kernel(roots: np.ndarray, inputs: Sequence[np.ndarray]) -> np.ndarray:
-        frame = [roots, *map(_group_order, inputs, flags), *aggregator_slots]
-        out = np.empty((roots.shape[0], len(components)))
-        for i, component in enumerate(components):
-            out[:, i] = component(frame)
-        return out
+    def kernel(roots: np.ndarray, inputs: Sequence[np.ndarray]) -> list[_Value]:
+        frame = [roots, *inputs, *aggregator_slots]
+        for g in sort:
+            frame[g] = canonical_order(frame[g])
+        return [component(frame) for component in components]
 
     return kernel
 
@@ -789,8 +819,10 @@ def evaluate(
 ) -> np.ndarray:
     """Evaluate a control at a root state and typed input states; returns the tangent vector."""
     root = as_state(root, ctrl.signature.root.dim, "root state")
+    groups = member_groups(ctrl.signature, inputs)
+    kernel = compile_control(ctrl, [g.shape[1] for g in groups])
     with np.errstate(all="ignore"):
-        return compile_control(ctrl)(root[np.newaxis], member_groups(ctrl.signature, inputs))[0]
+        return stack_columns(kernel(root[np.newaxis], groups), 1)[0]
 
 
 @dataclass(frozen=True)

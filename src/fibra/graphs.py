@@ -10,11 +10,12 @@ flat vectors by coordinate gathers.
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import PreconditionError
 
@@ -361,6 +362,34 @@ def compose_maps(m1: NetworkMap, m2: NetworkMap) -> NetworkMap:
     )
 
 
+def gather_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the runs ``starts[k], ..., starts[k] + lengths[k] - 1``, one run after another."""
+    import numpy as np
+
+    runs = np.cumsum(lengths) - lengths  # where each run begins in the result
+    return np.repeat(starts - runs, lengths) + np.arange(lengths.sum(), dtype=np.intp)
+
+
+class _JointMapping(abc.Mapping):
+    """``(i, a)`` -> ``move(i, parts[i][a])``: one mapping per layout of a joint index, read on demand."""
+
+    def __init__(self, parts: list[Mapping], move: Callable[[int, object], object]):
+        self._parts, self._move = dict(enumerate(parts)), move
+
+    def __getitem__(self, key):
+        try:
+            i, a = key
+            return self._move(i, self._parts[i][a])
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(key) from None
+
+    def __iter__(self) -> Iterator:
+        return chain.from_iterable(zip(repeat(i), part) for i, part in self._parts.items())
+
+    def __len__(self) -> int:
+        return sum(map(len, self._parts.values()))
+
+
 @dataclass(frozen=True)
 class StateIndex:
     """Flat-vector layout of the total state of a network.
@@ -378,19 +407,21 @@ class StateIndex:
 
     @classmethod
     def joint(cls, indexes: Iterable[StateIndex]) -> StateIndex:
-        """The layouts one after another in one flat state; node ``a`` of the i-th is keyed ``(i, a)``."""
-        order: list[tuple[int, NodeId]] = []
-        slices: dict[tuple[int, NodeId], tuple[int, int]] = {}
-        spaces: dict[tuple[int, NodeId], PhaseSpace] = {}
-        off = 0
-        for i, index in enumerate(indexes):
-            for a in index.order:
-                start, length = index.slices[a]
-                order.append((i, a))
-                slices[i, a] = (off + start, length)
-                spaces[i, a] = index.spaces[a]
+        """The layouts one after another in one flat state; node ``a`` of the i-th is keyed ``(i, a)``.
+
+        Its ``slices`` and ``spaces`` read the layouts' own entries when asked
+        and store none per node, so a joint field's hot path (``state``,
+        ``states`` and ``total_dim``) builds no dict keyed by ``(i, a)``.
+        """
+        indexes = list(indexes)
+        offsets, off = [], 0
+        for index in indexes:
+            offsets.append(off)
             off += index.total_dim
-        return cls(tuple(order), slices, spaces, off)
+        order = tuple(chain.from_iterable(zip(repeat(i), index.order) for i, index in enumerate(indexes)))
+        slices = _JointMapping([index.slices for index in indexes], lambda i, span: (offsets[i] + span[0], span[1]))
+        spaces = _JointMapping([index.spaces for index in indexes], lambda i, space: space)
+        return cls(order, slices, spaces, off)
 
     def slice_of(self, node: NodeId) -> slice:
         off, length = self.slices[node]
@@ -407,9 +438,7 @@ class StateIndex:
         import numpy as np
 
         spans = np.fromiter(chain.from_iterable(map(self.slices.__getitem__, nodes)), dtype=np.intp).reshape(-1, 2)
-        starts, lengths = spans[:, 0], spans[:, 1]
-        runs = np.cumsum(lengths) - lengths  # where each node's run begins in the result
-        return np.repeat(starts - runs, lengths) + np.arange(lengths.sum(), dtype=np.intp)
+        return gather_runs(spans[:, 0], spans[:, 1])
 
     @cached_property
     def owners(self) -> tuple[NodeId, ...]:

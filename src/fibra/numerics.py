@@ -130,8 +130,10 @@ def _central_differences(field: GlobalField, x: np.ndarray, nodes, step: float):
         batch = np.tile(x, (2 * count, 1))
         batch[rows, coords[start : start + count]] += step
         batch[count + rows, coords[start : start + count]] -= step
-        values = field(batch)
-        yield (values[:count] - values[count:]) / (2.0 * step)
+        with np.errstate(all="ignore"):  # the field leaves numpy's error state to its caller
+            values = field(batch)
+            diffs = (values[:count] - values[count:]) / (2.0 * step)  # inf - inf is NaN, silently
+        yield diffs
         start += count
 
 
@@ -270,11 +272,12 @@ def certify_conjugacy(
     check_count(samples)
     rng = np.random.default_rng(seed)
     pointwise = 0.0
-    for count in _chunks(samples, field.index.total_dim):
-        x_prime = sample_states(p.codomain_index, rng, count)
-        tangents = field(np.concatenate((x_prime, p(x_prime)), axis=1))
-        lhs, rhs = p.differential(tangents[:, :split]), tangents[:, split:]
-        pointwise = np.maximum(pointwise, np.abs(lhs - rhs).max(initial=0.0))  # unlike max(), propagates NaN
+    with np.errstate(all="ignore"):  # once for every batch: the field leaves numpy's error state to its caller
+        for count in _chunks(samples, field.index.total_dim):
+            x_prime = sample_states(p.codomain_index, rng, count)
+            tangents = field(np.concatenate((x_prime, p(x_prime)), axis=1))
+            lhs, rhs = p.differential(tangents[:, :split]), tangents[:, split:]
+            pointwise = np.maximum(pointwise, np.abs(lhs - rhs).max(initial=0.0))  # unlike max(), propagates NaN
     if x0_prime is None:
         x0_prime = sample_state(p.codomain_index, np.random.default_rng(seed))
     x0_prime = p.codomain_index.state(x0_prime)

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fibra import (
+    ControlExpr,
     GlobalField,
     NetworkMap,
     R1,
@@ -49,7 +50,9 @@ from fibra import (
 from fibra import expr_dsl
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples, bind_control
 from fibra.errors import EvaluationFault, IntegrationFault
-from fibra.expr_dsl import FUNCTIONS, ControlSignature, _canonical_order, compile_control, group_positions
+from fibra.expr_dsl import (
+    FUNCTIONS, ControlSignature, _canonical_order, compile_control, group_positions, stack_columns,
+)
 from fibra.sampling import sample_state, sample_states
 
 from util import (
@@ -62,6 +65,7 @@ from util import (
     reference_eval_control,
     reference_evaluate,
     reference_field,
+    reference_integrate,
     reference_vanishes_on_samples,
 )
 
@@ -522,9 +526,10 @@ def fold_term(draw, groups):
 
 
 def run_with(ctrl, roots, groups):
-    """One call of the control's kernel, under the error state its callers set."""
+    """One call of the control's kernel, bound to the groups' input counts and under the error state its
+    callers set, as one (m, d_root) array."""
     with np.errstate(all="ignore"):
-        return compile_control(ctrl)(roots, groups)
+        return stack_columns(compile_control(ctrl, [g.shape[1] for g in groups])(roots, groups), len(roots))
 
 
 @given(st.data())
@@ -570,18 +575,27 @@ def test_three_input_fold_is_sorted(op):
 
 
 def _sorted_groups(monkeypatch, source, inputs):
-    """The (count, dim) of each group array a kernel call sorts."""
-    seen = []
+    """The (count, dim) of each group array a kernel sorts, the same at each of three calls of one kernel.
+
+    The kernel is bound once, to the signature's input counts, and that takes the one sort decision.
+    """
+    seen, decisions = [], []
 
     def counted(values):
-        seen.append(values.shape[1:])
+        seen[-1].append(values.shape[1:])
         return _canonical_order(values)
 
+    decide = expr_dsl._groups_to_sort
     monkeypatch.setattr(expr_dsl, "_canonical_order", counted)
+    monkeypatch.setattr(expr_dsl, "_groups_to_sort", lambda *args: decisions.append(args) or decide(*args))
     sig = ControlSignature(R1, inputs)
     groups = [np.zeros((2, count, dim)) for dim, count in sig.groups().values()]
-    run_with(parse_control([source], sig), np.zeros((2, 1)), groups)
-    return seen
+    kernel = compile_control(parse_control([source], sig), [count for _, count in sig.groups().values()])
+    for _ in range(3):
+        seen.append([])
+        kernel(np.zeros((2, 1)), groups)
+    assert len(decisions) == 1 and seen[0] == seen[1] == seen[2]
+    return seen[0]
 
 
 def test_only_visible_order_is_sorted(monkeypatch):
@@ -594,6 +608,13 @@ def test_only_visible_order_is_sorted(monkeypatch):
     assert _sorted_groups(monkeypatch, nested, two) == [(2, 1)]
     outer = "sum(u in inputs[R1]) { sum(v in inputs[R2]) { u[0] } }"  # the inner body reads the outer variable
     assert _sorted_groups(monkeypatch, outer, two) == [(2, 1), (2, 2)]
+    # the counts bound, not the arrays of a call, decide what is sorted and added: bound to two inputs
+    # per group, the fold adds the first two of three, unsorted (sorted, it would add -1.0 and 1e-16)
+    kernel = compile_control(parse_control([folds], ControlSignature(R1, two)), [2, 2])
+    three = np.array([1.0, 1e-16, -1.0]).reshape(1, 3, 1)
+    with np.errstate(all="ignore"):
+        column = kernel(np.zeros((1, 1)), [three, np.zeros((1, 2, 2))])[0]
+    assert column[0] == 0.0 + 1.0 + 1e-16
 
 
 # NaNs with distinct payloads, so the order in which two of them are added shows in the bits
@@ -605,10 +626,9 @@ def test_two_input_fold_of_dim_one_gives_the_sorted_bits_on_every_state(op):
     # a stable sort swaps two inputs only when at most one is NaN, which then propagates either way
     pool = np.concatenate([NANS, [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, 1e308]])
     pairs = np.array([(a, b) for a in pool for b in pool]).reshape(-1, 2, 1)
-    kernel = compile_control(parse_control([f"{op}(u in inputs[R1]) {{ u[0] }}"], ControlSignature(R1, (R1, R1))))
+    ctrl = parse_control([f"{op}(u in inputs[R1]) {{ u[0] }}"], ControlSignature(R1, (R1, R1)))
     roots = np.zeros((len(pairs), 1))
-    with np.errstate(all="ignore"):
-        assert same_bits(kernel(roots, [pairs]), kernel(roots, [_canonical_order(pairs)]))
+    assert same_bits(run_with(ctrl, roots, [pairs]), run_with(ctrl, roots, [_canonical_order(pairs)]))
 
 
 FAULTS = [
@@ -658,9 +678,9 @@ def periodic(func, space=R3):
 
 
 def run(kernel, roots):
-    """One kernel call with no inputs, under the error state its callers set."""
+    """One kernel call with no inputs, under the error state its callers set, as one (m, d_root) array."""
     with np.errstate(all="ignore"):
-        return kernel(roots, [])
+        return stack_columns(kernel(roots, []), len(roots))
 
 
 @pytest.mark.parametrize("func", ["sin", "cos"])
@@ -669,7 +689,7 @@ def test_sin_cos_match_tree_walk(func, data):
     ctrl = periodic(func)
     walk = reference_bind(ctrl, [])
     roots = np.array(data.draw(st.lists(st.lists(WIDE, min_size=3, max_size=3), min_size=1, max_size=24)))
-    assert same_bits(run(compile_control(ctrl), roots), np.array([walk(root, []) for root in roots]))
+    assert same_bits(run(compile_control(ctrl, []), roots), np.array([walk(root, []) for root in roots]))
     assert same_bits(evaluate(ctrl, roots[0], []), walk(roots[0], []))
 
 
@@ -681,14 +701,15 @@ def test_field_batch_with_sin_cos_matches_tree_walk(data):
     d = field.index.total_dim
     states = np.array(data.draw(st.lists(st.lists(st.floats(-1e6, 1e6) | WIDE, min_size=d, max_size=d),
                                          min_size=1, max_size=4)))
-    with np.errstate(all="ignore"):  # as the field runs its raw controls
+    with np.errstate(all="ignore"):  # as the field's callers set it
         rows = [outcome(reference, x, message=False) for x in states]
-    batch = outcome(field, states, message=False)
+        batch = outcome(field, states, message=False)
+        alone = [outcome(field, x, message=False) for x in states]
     if any(row[0] is EvaluationFault for row in rows):
         assert batch[0] is EvaluationFault
     else:
         assert batch[2] == b"".join(row[2] for row in rows)
-        assert all(outcome(field, x, message=False) == row for x, row in zip(states, rows))
+        assert alone == rows
 
 
 @pytest.mark.parametrize("func", ["sin", "cos"])
@@ -702,7 +723,7 @@ def test_sin_cos_bits_do_not_depend_on_position(func):
         [0.0, -0.0, 5e-324, 1e22, 2.0**1023],
     ])
     rng.shuffle(pool)
-    contiguous, strided = compile_control(periodic(func, R1)), compile_control(periodic(func))
+    contiguous, strided = compile_control(periodic(func, R1), []), compile_control(periodic(func), [])
     singletons = np.concatenate([run(contiguous, pool[k:k + 1, np.newaxis]) for k in range(pool.size)]).ravel()
     assert same_bits(singletons, np.array([getattr(math, func)(v) for v in pool.tolist()]))
     for offset in range(17):
@@ -716,7 +737,7 @@ def test_sin_cos_bits_do_not_depend_on_position(func):
 @pytest.mark.parametrize("func", ["sin", "cos"])
 def test_nonfinite_member_takes_scalar_path(func):
     ctrl = periodic(func, R1)
-    kernel, walk = compile_control(ctrl), reference_bind(ctrl, [])
+    kernel, walk = compile_control(ctrl, []), reference_bind(ctrl, [])
     roots = np.array([[0.5], [-2.0], [math.inf], [3.0]])
     fault = outcome(run, kernel, roots)
     assert fault[0] is EvaluationFault and f"{func} fault" in fault[1]
@@ -757,7 +778,7 @@ def test_bind_control_rows_match_each_member_alone(data):
     ]
     faults = {o[0] for o in alone if isinstance(o[0], type)}
     try:
-        out = bind_control(ctrl, slots)(roots, groups)
+        out = stack_columns(bind_control(ctrl, slots)(roots, groups), m)
     except Exception as exc:  # the class is what is compared
         assert type(exc) in faults
         return
@@ -817,3 +838,117 @@ def test_sampled_checks_raise_a_fault_at_any_sample():
         _vanishes_on_samples(ctrl, net, "a", 50, np.random.default_rng(0), 0.0)
     with pytest.raises(EvaluationFault, match="log fault"):
         check_invariance(ctrl, "a", net, trials=50)
+
+
+# --- kernels bound to their unit's input counts ---------------------------------------
+# A field binds each unit's kernel once, to the input counts its gathers fix, and writes
+# each returned column through that coordinate's own index.  On random networks with
+# R1, R2 and S1 nodes, 0-3 inputs per group (groups that only coordinate folds read and
+# groups whose order shows), raw, transported and expression controls side by side, one
+# state and a batch of states, and starts that overflow: the bits, the fault messages and
+# the fault steps of the per-call path and of the RK4 loop it replaced.  Every expression
+# control of a field may carry the same faulting term at the same place, so the message
+# does not depend on which member faults first.
+
+BOUND_FOLDS = ["sum(u in inputs[{g}]) {{ u[{j}] }}", "mean(u in inputs[{g}]) {{ u[{j}] }}"]
+BOUND_ORDERED = [
+    "sum(u in inputs[{g}]) {{ u[{j}] * x[{i}] }}",
+    "sum(u in inputs[{g}]) {{ sin(u[{j}] - x[{i}]) }}",
+    "mean(u in inputs[{g}]) {{ sum(v in inputs[{g}]) {{ u[{j}] - v[0] }} }}",
+]
+BOUND_ROOT = ["-x[{i}]", "1e300 * x[{i}]", "x[{i}] * x[{i}]"]
+
+
+def bound_expr_control(draw, sig, fault):
+    """Per component a root term and one aggregate per group; component 0 starts with ``fault``."""
+    components = []
+    for i in range(sig.root.dim):
+        terms = [draw(st.sampled_from(BOUND_ROOT)).format(i=i)]
+        for name, (dim, _) in sig.groups().items():
+            kind = draw(st.sampled_from([BOUND_FOLDS, BOUND_ORDERED]))
+            terms.append(draw(st.sampled_from(kind)).format(g=name, j=draw(st.integers(0, dim - 1)), i=i))
+        components.append(" + ".join(([fault] if fault and i == 0 else []) + terms))
+    return parse_control(components, sig)
+
+
+def bound_field(draw, net):
+    """Expression controls per class, each node's possibly moved along an automorphism, beside raw ones."""
+    fault = draw(st.sampled_from([None, "log(x[0] + 0.5)", "sqrt(x[0] + 0.5)"]))
+    classes = {}
+    for rep in symmetry_groupoid(net).representatives():
+        sig = signature_at(net, rep)
+        classes[rep] = raw_control(sig) if draw(st.integers(0, 3)) == 0 else bound_expr_control(draw, sig, fault)
+    w = per_class_field(net, classes)
+    controls = {}
+    for a in net.graph.nodes:
+        ctrl = w.control_at(a)
+        if draw(st.integers(0, 3)) == 0:
+            ctrl = raw_control(ctrl.signature)
+        if iso_count(net, a, a) <= 120 and draw(st.booleans()):
+            ctrl = ctrl_transport(draw(st.sampled_from(enumerate_tree_isos(net, a, a))), ctrl)
+        controls[a] = ctrl
+    return per_node_field(net, controls)
+
+
+def bound_outcome(fn, *args):
+    """The output's bits, a trajectory's bits, or the class, message and step of the fault it raised."""
+    try:
+        out = fn(*args)
+    except IntegrationFault as fault:
+        return IntegrationFault, fault.step
+    except EvaluationFault as exc:
+        return EvaluationFault, str(exc)
+    out = getattr(out, "states", out)
+    return out.shape, out.tobytes()
+
+
+@given(st.data())
+def test_bound_field_matches_per_call_path_and_rk4_loop(data):
+    draw = data.draw
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    net = random_surjective_fibration(rng).domain  # a lift of a random_network, so units hold several members
+    w = bound_field(draw, net)
+    field, reference = GlobalField(net, w), reference_field(net, w)
+    index = field.index
+    states = sample_states(index, np.random.default_rng(rng.getrandbits(32)), draw(st.integers(1, 3)))
+    states[:, ~index.circle_mask()] *= draw(st.sampled_from([1.0, 1e150, 1e308]))
+    with np.errstate(all="ignore"):  # as the field's callers set it
+        rows = [bound_outcome(reference, x) for x in states]
+        alone = [bound_outcome(field, x) for x in states]
+        batch = bound_outcome(field, states)
+    assert alone == rows
+    faults = [row for row in rows if row[0] is EvaluationFault]
+    assert batch == (faults[0] if faults else (states.shape, b"".join(row[1] for row in rows)))
+    # each node's kernel, bound to its own slots, on all the states as one batch of members
+    for a in net.graph.nodes:
+        ctrl, edges = w.control_at(a), net.in_edges(a)
+        slots = [(e.edge_id, net.space(e.src)) for e in edges]
+        positions = group_positions(ctrl.signature, [space for _, space in slots])
+        roots = states[:, index.slice_of(a)]
+        groups = [
+            np.stack([states[:, index.slice_of(edges[k].src)] for k in pos], axis=1).reshape(len(states), len(pos), -1)
+            for pos in positions
+        ]
+        with np.errstate(all="ignore"):
+            if isinstance(ctrl, ControlExpr):
+                walk = reference_bind(ctrl, [space for _, space in slots])
+                want = [
+                    bound_outcome(walk, root, [x[index.slice_of(e.src)] for e in edges])
+                    for root, x in zip(roots, states)
+                ]
+            else:
+                want = [
+                    bound_outcome(reference_eval_control, ctrl, root, [(e.edge_id, space, x[index.slice_of(e.src)])
+                                                                        for e, (_, space) in zip(edges, slots)])
+                    for root, x in zip(roots, states)
+                ]
+            got = bound_outcome(lambda: stack_columns(bind_control(ctrl, slots)(roots, groups), len(states)))
+        member_faults = [row for row in want if row[0] is EvaluationFault]
+        if member_faults:
+            assert got == member_faults[0]
+        else:
+            assert got == ((len(states), roots.shape[1]), b"".join(row[1] for row in want))
+    # the RK4 loop: the same trajectory bits, or the same fault at the same step
+    with np.errstate(all="ignore"):  # the reference loop leaves the error state to its caller
+        expected = bound_outcome(reference_integrate, reference, states[0], 0.05, 0.01)
+    assert bound_outcome(integrate, field, states[0], 0.05, 0.01) == expected

@@ -56,6 +56,7 @@ from fibra import (
     verify_driving_decomposition,
 )
 from fibra import dynamics, fibrations, fixtures, numerics
+from fibra.expr_dsl import stack_columns
 from fibra.sampling import sample_states
 
 from util import (
@@ -251,15 +252,19 @@ def _outcome(build):
 
 
 def _same_units(units, expected, x):
-    """Unit by unit: bit-equal gathers and bit-equal kernel outputs at the rows of ``x``."""
+    """Unit by unit: bit-equal gathers, output columns that write the root gather's coordinates, and
+    bit-equal kernel outputs at the rows of ``x``, also through the root key of a one-state call."""
     assert len(units) == len(expected)
-    for (root, kernel, gathers), (ref_root, ref_kernel, ref_gathers) in zip(units, expected):
+    coords = np.arange(x.shape[1])
+    for (root, key, kernel, gathers, columns), (ref_root, ref_kernel, ref_gathers) in zip(units, expected):
         assert root.shape == ref_root.shape and root.tobytes() == ref_root.tobytes()
         assert [(g.shape, g.tobytes()) for g in gathers] == [(g.shape, g.tobytes()) for g in ref_gathers]
+        assert [coords[c].tolist() for c in columns] == ref_root.T.tolist()
         for state in x:
+            assert state[key].tobytes() == state[ref_root].tobytes()
             with np.errstate(all="ignore"):
-                got = kernel(state[root], [state[g] for g in gathers])
-                want = ref_kernel(state[ref_root], [state[g] for g in ref_gathers])
+                got = stack_columns(kernel(state[key], [state[g] for g in gathers]), len(root))
+                want = stack_columns(ref_kernel(state[ref_root], [state[g] for g in ref_gathers]), len(root))
             assert got.tobytes() == want.tobytes()
 
 
@@ -507,9 +512,9 @@ def test_certify_conjugacy_builds_one_joint_field(monkeypatch):
     )
     original_compile = dynamics.compile_control
 
-    def compile_counted(ctrl):
+    def compile_counted(ctrl, counts):
         compiled.append(ctrl)
-        kernel = original_compile(ctrl)
+        kernel = original_compile(ctrl, counts)
         return lambda roots, groups: kernel_calls.append(ctrl) or kernel(roots, groups)
 
     monkeypatch.setattr(dynamics, "compile_control", compile_counted)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fibra
-from fibra import fixtures
+from fibra import R1, NetworkMap, fixtures, network
 from fibra.cli import build_parser, main
 from fibra.jsonio import class_dynamics_to_json, map_to_json, network_to_json
 
@@ -849,6 +849,33 @@ MAP_CHECK_COMMANDS = {
     ],
     "verify driving": lambda write, m, dyn: ["verify", "driving", *map_files(write, m), dyn, "--samples", "2"],
 }
+
+
+def test_conjugacy_whose_samples_overflow_prints_only_its_fault(files, capsys):
+    # the pointwise batch runs under the one error state certify_conjugacy enters, so numpy warns of
+    # nothing (under this suite's filter a warning would raise); the flow faults at its first step
+    write, _ = files
+    m = fixtures.g3_to_c2()
+    dyn = write("dyn.json", {"classes": [
+        {"representative": "a", "exprs": ["1e308 * (10 * x[0]) + sum(u in inputs[R1]) { u[0] }"]}
+    ]})
+    argv = ["verify", "conjugacy", *map_files(write, m), dyn, "--samples", "5", "--T", "0.05", "--h", "0.01"]
+    assert run_cli(capsys, argv) == (1, "", "error: non-finite state at step 1\n")
+
+
+def test_driving_whose_differences_overflow_prints_no_warning(files, capsys):
+    # both perturbations of the feedback source overflow to inf, so a difference is inf - inf; it is NaN
+    # under the error state the central differences enter, and numpy warns of nothing
+    write, _ = files
+    host = network([("a", R1), ("s", R1)], [("e1", "s", "a"), ("e2", "a", "a")])
+    m = NetworkMap(network([("a", R1)], [("f", "a", "a")]), host, {"a": "a"}, {"f": "e2"})
+    dyn = write("dyn.json", {"classes": [
+        {"representative": "a", "exprs": ["1e308 * (10 * x[0]) + sum(u in inputs[R1]) { 1e308 * (10 * u[0]) }"]},
+        {"representative": "s", "exprs": ["-x[0]"]},
+    ]})
+    code, out, err = run_cli(capsys, ["verify", "driving", *map_files(write, m), dyn, "--samples", "2"])
+    assert (code, err) == (1, "")
+    assert report_of(out)["results"]["feedback_edges"] == ["e1"]
 
 
 @pytest.mark.parametrize("command", sorted(MAP_CHECK_COMMANDS))

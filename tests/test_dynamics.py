@@ -4,18 +4,22 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import fibra
 from fibra import (
+    ControlExpr,
     ControlSignature,
     FibrationRequired,
     GlobalField,
+    NetworkMap,
     PreconditionError,
     R1,
     R2,
     RawControl,
     SignatureMismatch,
     certify_conjugacy,
+    check_fibration,
     check_invariance,
     ctrl_transport,
     enumerate_tree_isos,
@@ -35,7 +39,7 @@ from fibra import (
 from fibra import fixtures, input_trees
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples
 from fibra.numerics import dependency_matrix, expected_dependencies
-from fibra.sampling import sample_space, sample_state
+from fibra.sampling import sample_space, sample_state, sample_states
 
 from util import random_network, random_surjective_fibration
 
@@ -265,6 +269,87 @@ def test_pullback_preserves_per_node_mode():
     assert set(pulled.controls) == {"1", "2", "3"}
 
 
+def _positional_raw(sig):
+    """A raw control that reads its inputs by position and by edge id, so it is not symmetric in same-type inputs."""
+
+    def fn(x, ins):
+        return -x + sum(
+            (k + 1.0) * float(state @ np.arange(1.0, state.size + 1)) + ord(eid[-1])
+            for k, (eid, state) in enumerate(ins)
+        )
+
+    return RawControl(sig, fn)
+
+
+def _two_into_one():
+    """a1 and a2 lie over a and read b and c in opposite edge-id orders; b and c share a class."""
+    cod = network([("a", R1), ("b", R1), ("c", R1)], [("e1", "b", "a"), ("e2", "c", "a")])
+    dom = network(
+        [("a1", R1), ("a2", R1), ("b", R1), ("c", R1)],
+        [("f1", "b", "a1"), ("f2", "c", "a1"), ("g1", "c", "a2"), ("g2", "b", "a2")],
+    )
+    node_map = {"a1": "a", "a2": "a", "b": "b", "c": "c"}
+    m = NetworkMap(dom, cod, node_map, {"f1": "e1", "f2": "e2", "g1": "e2", "g2": "e1"})
+    controls = {
+        "a": RawControl(signature_at(cod, "a"), lambda x, ins: ins[0][1] - 2.0 * ins[1][1]),  # u_first - 2 u_second
+        "b": parse_control(["-x[0]"], signature_at(cod, "b")),
+    }
+    return m, controls
+
+
+def test_pullback_of_an_asymmetric_raw_class_control_is_conjugate():
+    # the per-class pullback moved a's raw control to a2 along the domain class, not along a2's own
+    # induced isomorphism, and certify_conjugacy read 5.72 and 0.87 where the per-node lift read 0.0
+    m, controls = _two_into_one()
+    assert check_fibration(m).is_fibration
+    assert symmetry_groupoid(m.domain).classes.blocks == (("a1", "a2"), ("b", "c"))
+    w = per_class_field(m.codomain, controls)
+    pulled = pullback(m, w)
+    assert pulled.mode == "per_node"
+    # at x_b = 1, x_c = 0 node a2 reads b through g2, which lies over e1: 1 - 2 * 0
+    assert interconnect(m.domain, pulled)(np.array([0.0, 0.0, 1.0, 0.0]))[1] == 1.0
+    for field in (w, lift_to_nodes(m.codomain, controls)):
+        report = certify_conjugacy(m, field, samples=50, T=1.0, h=1e-2)
+        assert (report.pointwise_max_residual, report.flow_max_deviation) == (0.0, 0.0)
+
+
+def _renamed_domain_edges(m, rng):
+    """The same fibration with its domain edges renamed at random.
+
+    Each domain node then reads its inputs in an order of its own, not in its image's edge-id order.
+    """
+    edges = m.domain.graph.edges
+    names = [f"x{k}" for k in range(len(edges))]
+    rng.shuffle(names)
+    rename = {e.edge_id: name for e, name in zip(edges, names)}
+    dom = network(
+        [(a, m.domain.space(a)) for a in m.domain.graph.nodes], [(rename[e.edge_id], e.src, e.tgt) for e in edges]
+    )
+    return NetworkMap(dom, m.codomain, m.node_map, {rename[f]: e for f, e in m.edge_map.items()})
+
+
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_pullback_of_a_class_field_is_the_pullback_of_its_lift(seed, raw_share):
+    rng = random.Random(seed)
+    m = _renamed_domain_edges(random_surjective_fibration(rng), rng)
+    controls = {}
+    for rep in symmetry_groupoid(m.codomain).representatives():
+        sig = signature_at(m.codomain, rep)
+        raw = rng.random() < raw_share
+        controls[rep] = _positional_raw(sig) if raw else fixtures.linear_dynamics(m.codomain).controls[rep]
+    w = per_class_field(m.codomain, controls)
+    pulled, lifted = pullback(m, w), pullback(m, lift_to_nodes(m.codomain, controls))
+    expressions = all(isinstance(c, ControlExpr) for c in controls.values())
+    assert pulled.mode == ("per_class" if expressions else "per_node")
+    X, Y = interconnect(m.domain, pulled), interconnect(m.domain, lifted)
+    states = sample_states(X.index, np.random.default_rng(seed), 3)
+    with np.errstate(all="ignore"):  # as the field's callers set it
+        assert X(states).tobytes() == Y(states).tobytes()
+        assert all(X(x).tobytes() == Y(x).tobytes() for x in states)
+    report = certify_conjugacy(m, w, samples=5, seed=seed % 1000, T=0.02, h=0.01)
+    assert (report.pointwise_max_residual, report.flow_max_deviation) == (0.0, 0.0)
+
+
 def test_pullback_requires_fibration():
     m = fixtures.double_collapse()
     w_prime = fixtures.linear_dynamics(m.codomain)
@@ -322,7 +407,8 @@ def test_nan_derivative_counts_as_dependency():
     body = ["sum(u in inputs[R1]) { 0 * exp(1000 * u[0]) }"]
     field = interconnect(net, per_node_field(net, {a: parse_control(body, signature_at(net, a)) for a in "ab"}))
     x = np.full(2, 0.9)
-    assert np.isnan(field(x)).all()
+    with np.errstate(all="ignore"):  # a direct call leaves numpy's error state to its caller
+        assert np.isnan(field(x)).all()
     assert dependency_matrix(field, x) == {"a": {"a", "b"}, "b": {"a", "b"}}
 
 

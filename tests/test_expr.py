@@ -249,15 +249,15 @@ def test_parse_precedence():
 
 HAND_BUILT_FAULTS = {
     "input-reference-outside-an-aggregator": (
-        lambda: compile_control(ControlExpr(SIG_MEAN, (InputRef("u", 0),))),
+        lambda: compile_control(ControlExpr(SIG_MEAN, (InputRef("u", 0),)), [2]),
         SignatureMismatch, "u[0] outside an aggregator over 'u' at line 1, column 1",
     ),
     "aggregate-over-a-missing-group": (
-        lambda: compile_control(ControlExpr(SIG_MEAN, (Aggregate("sum", "u", "R2", InputRef("u", 0)),))),
+        lambda: compile_control(ControlExpr(SIG_MEAN, (Aggregate("sum", "u", "R2", InputRef("u", 0)),)), [2]),
         SignatureMismatch, "no input group 'R2' in the signature at line 1, column 1",
     ),
     "component-not-an-expression": (
-        lambda: compile_control(ControlExpr(SIG_MEAN, (5,))), TypeError, "not an expression node: 5",
+        lambda: compile_control(ControlExpr(SIG_MEAN, (5,)), [2]), TypeError, "not an expression node: 5",
     ),
     "unparse-of-a-non-expression": (lambda: unparse(5), TypeError, "not an expression node: 5"),
 }

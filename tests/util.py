@@ -882,9 +882,10 @@ def reference_units(net: Network, mode: str, controls):
     against the node's root space, each in-edge's type and the input count
     of each group, each refusal naming the node; nodes that share one
     expression control and one count of inputs per group share a unit; each
-    unit then makes one gather for its roots and one per group.  Gives (root
-    gather, kernel, input gathers) per unit, in the order of each unit's
-    first node, as ``GlobalField._units``.
+    unit then makes one gather for its roots and one per group, and binds
+    its control to its first node's slots.  Gives (root gather, kernel,
+    input gathers) per unit, in the order of each unit's first node, as
+    ``GlobalField._units`` orders its units.
     """
     index = total_phase_space(net)
     name = {a: space.name for a, space in net.phase.items()}
@@ -913,10 +914,8 @@ def reference_units(net: Network, mode: str, controls):
         counts = tuple(map(len, sources))
         if counts != tuple(count for _, count in ctrl.signature.groups().values()):
             raise SignatureMismatch(f"{counts} inputs per signature group at node {a!r}")
-        if isinstance(ctrl, ControlExpr):
-            key, slots = (id(ctrl), counts), ()
-        else:
-            key, slots = a, [(e.edge_id, net.space(e.src)) for e in edges]
+        key = (id(ctrl), counts) if isinstance(ctrl, ControlExpr) else a
+        slots = [(e.edge_id, net.space(e.src)) for e in edges]
         unit = units.get(key)
         if unit is None:
             unit = units[key] = (ctrl, slots, [], [[] for _ in group])
@@ -1038,7 +1037,9 @@ def reference_dependency_matrix(field, x0, step: float = 1e-6, tol: float = 1e-8
             plus, minus = x0.copy(), x0.copy()
             plus[j] += step
             minus[j] -= step
-            diff = (field(plus) - field(minus)) / (2.0 * step)
+            with np.errstate(all="ignore"):  # as the field's callers set it
+                up, down = field(plus), field(minus)
+            diff = (up - down) / (2.0 * step)
             for a in index.order:
                 if np.abs(diff[index.slice_of(a)]).max() > tol:
                     deps[a].add(c)
@@ -1127,11 +1128,12 @@ def reference_pointwise_residual(m: NetworkMap, w_prime, samples: int, seed: int
     codomain_field, domain_field = interconnect(m.codomain, w_prime), interconnect(m.domain, pullback(m, w_prime))
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(samples):
-        x_prime = reference_sample_state(p.codomain_index, rng)
-        lhs = p.differential(codomain_field(x_prime))
-        rhs = domain_field(p(x_prime))
-        worst = np.maximum(worst, np.abs(lhs - rhs).max(initial=0.0))
+    with np.errstate(all="ignore"):  # as the fields' callers set it
+        for _ in range(samples):
+            x_prime = reference_sample_state(p.codomain_index, rng)
+            lhs = p.differential(codomain_field(x_prime))
+            rhs = domain_field(p(x_prime))
+            worst = np.maximum(worst, np.abs(lhs - rhs).max(initial=0.0))
     return float(worst)
 
 
