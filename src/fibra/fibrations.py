@@ -59,13 +59,14 @@ def check_fibration(m: NetworkMap) -> FibrationReport:
             "check_fibration requires a valid network map; first violation: " + violations[0].message
         )
     failures: list[LiftFailure] = []
-    edge_map = m.edge_map
+    node_map, edge_map = m.node_map, m.edge_map
+    domain_in, codomain_in = m.domain.graph._index.in_edges, m.codomain.graph._index.in_edges
     for a in sorted(m.domain.graph.nodes):
         lifts: dict[str, int] = {}  # codomain in-edge -> its preimages among a's in-edges
-        for e in m.domain.in_edges(a):
+        for e in domain_in[a]:
             image = edge_map[e.edge_id]
             lifts[image] = lifts.get(image, 0) + 1
-        for e_prime in m.codomain.in_edges(m.node_map[a]):
+        for e_prime in codomain_in[node_map[a]]:
             n = lifts.get(e_prime.edge_id, 0)
             if n != 1:
                 failures.append(LiftFailure(a, e_prime.edge_id, n))
@@ -159,12 +160,13 @@ def _quotient(net: Network, p: Partition, idx: Mapping[NodeId, NodeId]) -> tuple
     q_nodes = tuple(b[0] for b in p.blocks)
     q_edges: list[Edge] = []
     edge_map: dict[str, str] = {}
+    in_edges = net.graph._index.in_edges
     for b in p.blocks:
         rep = b[0]
         rep_groups: dict[NodeId, list[str]] = {}
         for i, a in enumerate(b):  # the representative comes first and fixes the quotient edges
             groups: dict[NodeId, list[str]] = {}
-            for e in net.in_edges(a):
+            for e in in_edges[a]:
                 groups.setdefault(idx[e.src], []).append(e.edge_id)
                 if i == 0:
                     q_edges.append(Edge(f"{rep}:{e.edge_id}", idx[e.src], rep))

@@ -70,11 +70,26 @@ R2 = euclidean(2)
 S1 = circle()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Edge:
+    """A directed edge ``edge_id: src -> tgt``; a frozen slotted value.
+
+    Its ``__init__`` sets the three slots through their member descriptors,
+    which skips the frozen ``__setattr__`` that a generated ``__init__`` calls
+    once per field: every loader builds one ``Edge`` per edge.
+    """
+
     edge_id: EdgeId
     src: NodeId
     tgt: NodeId
+
+    def __init__(self, edge_id: EdgeId, src: NodeId, tgt: NodeId) -> None:
+        _set_edge_id(self, edge_id)
+        _set_src(self, src)
+        _set_tgt(self, tgt)
+
+
+_set_edge_id, _set_src, _set_tgt = Edge.edge_id.__set__, Edge.src.__set__, Edge.tgt.__set__
 
 
 class _GraphIndex(NamedTuple):
@@ -322,25 +337,27 @@ def check_network_map(m: NetworkMap) -> list[Violation]:
             out.append(Violation("bad-edge-image", e.edge_id, f"edge {e.edge_id!r} maps outside the codomain"))
     if out:
         return out
+    node_map, edge_map = m.node_map, m.edge_map
     for e in m.domain.graph.edges:
-        img = cod_edges[m.edge_map[e.edge_id]]
-        if m.node_map[e.src] != img.src or m.node_map[e.tgt] != img.tgt:
+        img = cod_edges[edge_map[e.edge_id]]
+        if node_map[e.src] != img.src or node_map[e.tgt] != img.tgt:
             out.append(
                 Violation(
                     "homomorphism",
                     e.edge_id,
-                    f"edge {e.edge_id!r}: endpoints map to ({m.node_map[e.src]!r},{m.node_map[e.tgt]!r}) "
+                    f"edge {e.edge_id!r}: endpoints map to ({node_map[e.src]!r},{node_map[e.tgt]!r}) "
                     f"but its image {img.edge_id!r} runs ({img.src!r},{img.tgt!r})",
                 )
             )
+    dom_phase, cod_phase = m.domain.phase, m.codomain.phase
     for a in m.domain.graph.nodes:
-        if m.codomain.space(m.node_map[a]) != m.domain.space(a):
+        space, image = dom_phase[a], cod_phase[node_map[a]]
+        if image != space:
             out.append(
                 Violation(
                     "phase",
                     a,
-                    f"node {a!r}: domain space {m.domain.space(a).name} != "
-                    f"codomain space {m.codomain.space(m.node_map[a]).name} at {m.node_map[a]!r}",
+                    f"node {a!r}: domain space {space.name} != codomain space {image.name} at {node_map[a]!r}",
                 )
             )
     return out
@@ -463,14 +480,28 @@ class StateIndex:
         return x
 
     def states(self, x: np.ndarray) -> np.ndarray:
-        """``x`` as one float state ``(D,)`` or a batch ``(samples, D)``; PreconditionError for any other shape."""
+        """``x`` as one float state ``(D,)`` or a batch ``(samples, D)``; PreconditionError for any other shape.
+
+        A float64 ndarray, as every field call inside ``integrate`` passes, is
+        taken as it is, which is what ``np.asarray(x, dtype=float)`` gives it.
+        """
+        array, double = self._float64
+        if x.__class__ is not array or x.dtype is not double:
+            import numpy as np
+
+            x = np.asarray(x, dtype=float)
+        shape = x.shape
+        if not 0 < len(shape) < 3 or shape[-1] != self.total_dim:
+            n = self.total_dim
+            raise PreconditionError(f"state has shape {shape}, expected ({n},) or (samples, {n})")
+        return x
+
+    @cached_property
+    def _float64(self) -> tuple[type, np.dtype]:
+        """The ndarray type and the native float64 dtype, read once per layout: the structure layer loads no numpy."""
         import numpy as np
 
-        x = np.asarray(x, dtype=float)
-        n = self.total_dim
-        if x.shape[-1:] != (n,) or x.ndim > 2:
-            raise PreconditionError(f"state has shape {x.shape}, expected ({n},) or (samples, {n})")
-        return x
+        return np.ndarray, np.dtype(float)
 
     def circle_mask(self) -> np.ndarray:
         """Boolean mask of the circle coordinates (a fresh copy)."""

@@ -58,13 +58,13 @@ def input_tree(net: Network, a: NodeId) -> InputTree:
     return InputTree(a, net.space(a), leaves)
 
 
-def _typed_in_edges(net: Network, a: NodeId) -> list[Edge]:
-    """The in-edges of ``a`` in typed leaf order: by source-space name, and by edge id within a name.
+def _typed(in_edges: Sequence[Edge], phase: Mapping[NodeId, PhaseSpace]) -> Sequence[Edge]:
+    """A node's in-edges in typed leaf order: by source-space name, and by edge id within a name.
 
-    ``in_edges`` lists them in edge-id order, which the stable sort keeps.
+    ``in_edges`` lists them in edge-id order, which the stable sort keeps;
+    fewer than two are already in order.
     """
-    phase = net.phase
-    return sorted(net.in_edges(a), key=lambda e: phase[e.src].name)
+    return sorted(in_edges, key=lambda e: phase[e.src].name) if len(in_edges) > 1 else in_edges
 
 
 @dataclass(frozen=True)
@@ -141,13 +141,15 @@ def canonical_isos(net: Network, sources: Iterable[NodeId], target: NodeId) -> l
     order is read once for all sources.
     """
     g = symmetry_groupoid(net)
-    rep = g.representative(target)
-    target_ids = [e.edge_id for e in _typed_in_edges(net, target)]
+    members = set(g.class_of(target))
+    in_edges, phase = net.graph._index.in_edges, net.phase
+    target_ids = [e.edge_id for e in _typed(in_edges[target], phase)]
     isos = []
     for a in sources:
-        if g.representative(a) != rep:
+        if a not in members:
+            g.class_of(a)  # an unknown node raises its own error
             raise PreconditionError(f"input trees of {a!r} and {target!r} are not isomorphic")
-        isos.append(TreeIso(a, target, dict(zip((e.edge_id for e in _typed_in_edges(net, a)), target_ids))))
+        isos.append(TreeIso(a, target, dict(zip([e.edge_id for e in _typed(in_edges[a], phase)], target_ids))))
     return isos
 
 
@@ -166,9 +168,9 @@ def enumerate_tree_isos(
         return TreeIsos(a, b, (), (), 0)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-    runs_b = itertools.groupby(_typed_in_edges(net, b), lambda e: net.phase[e.src].name)
+    runs_b = itertools.groupby(_typed(net.in_edges(b), net.phase), lambda e: net.phase[e.src].name)
     blocks_b = tuple(tuple(e.edge_id for e in run) for _, run in runs_b)
-    return TreeIsos(a, b, tuple(e.edge_id for e in _typed_in_edges(net, a)), blocks_b, count)
+    return TreeIsos(a, b, tuple(e.edge_id for e in _typed(net.in_edges(a), net.phase)), blocks_b, count)
 
 
 class TreeIsos(Sequence):

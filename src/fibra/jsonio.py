@@ -52,14 +52,18 @@ def _dumps(obj: Any, newline: str) -> str:
         if not obj:
             return "{}"
         inner = newline + "  "
-        # encode_basestring_ascii raises TypeError on a key that is not a str
-        items = [encode_basestring_ascii(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+        # encode_basestring_ascii raises TypeError on a key that is not a str; a str value is encoded inline
+        items = [
+            encode_basestring_ascii(k) + ": " + (encode_basestring_ascii(v) if type(v) is str else _dumps(v, inner))
+            for k, v in sorted(obj.items())
+        ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + newline + "]"
+        items = [encode_basestring_ascii(v) if type(v) is str else _dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if obj is None:
         return "null"
     if obj is True:

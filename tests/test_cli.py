@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import random
+import re
 import shlex
 import subprocess
 import sys
@@ -11,11 +13,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fibra
-from fibra import R1, NetworkMap, fixtures, network
+from fibra import R1, NetworkMap, PreconditionError, canonical_isos, fixtures, network
 from fibra.cli import build_parser, main
-from fibra.jsonio import class_dynamics_to_json, map_to_json, network_to_json
+from fibra.jsonio import class_dynamics_to_json, map_to_json, network_to_json, partition_to_json
 
-from util import reference_symmetry_groupoid
+from util import (
+    SPACES,
+    naive_is_fibration,
+    random_lift,
+    random_map_onto,
+    reference_coarsest_balanced,
+    reference_symmetry_groupoid,
+)
 
 
 @pytest.fixture
@@ -402,6 +411,88 @@ def test_groupoid_report_witnesses_match_the_reference(net):
         }
         for rep, members, witnesses in reference_symmetry_groupoid(net)[0]
     ]
+
+
+def _mixed_base(rng: random.Random) -> fibra.Network:
+    """Nodes ``s`` with no in-edge, ``t`` with one and ``h`` with three or more from R1 and S1 sources.
+
+    Up to two more nodes and up to four more edges, none into ``s`` or ``t``, are drawn at random.
+    """
+    extra = [f"x{i}" for i in range(rng.randint(0, 2))]
+    nodes = [("s", R1), ("u", fibra.S1), ("t", rng.choice(SPACES)), ("h", rng.choice(SPACES))]
+    nodes += [(a, rng.choice(SPACES)) for a in extra]
+    names = [a for a, _ in nodes]
+    edges = [("e0", "s", "h"), ("e1", "u", "h"), ("e2", "s", "h"), ("e3", rng.choice(names), "t")]
+    edges += [(f"f{j}", rng.choice(names), rng.choice(["h", "u", *extra])) for j in range(rng.randint(0, 4))]
+    return network(nodes, edges)
+
+
+def _report(argv: list[str], out: Path) -> tuple[int, dict]:
+    """Exit code and results of one command, whose report text must be the canonical JSON text."""
+    code = main([*argv, "--out", str(out)])
+    text = out.read_text(encoding="utf-8")
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return code, report["results"]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_structure_commands_match_the_oracles(seed):
+    """``groupoid``, ``balanced --coarsest``, ``quotient`` and ``check-fibration`` through ``main``.
+
+    The networks are lifts of ``_mixed_base``, so class members have 0, 1 and
+    3 or more in-edges of mixed source spaces, listed in an edge-id order of
+    their own; the maps are such a lift and a random map that need not be a
+    fibration.
+    """
+    rng = random.Random(seed)
+    base = _mixed_base(rng)
+    lift, other = random_lift(rng, base), random_map_onto(rng, base)
+    net = lift.domain
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        files = {}
+        for name, obj in [
+            ("net", network_to_json(net)), ("base", network_to_json(base)), ("lift", map_to_json(lift)),
+            ("other", network_to_json(other.domain)), ("other.map", map_to_json(other)),
+        ]:
+            files[name] = tmp / f"{name}.json"
+            files[name].write_text(json.dumps(obj), encoding="utf-8")
+        net_file, out = str(files["net"]), tmp / "report.json"
+
+        classes, orders = reference_symmetry_groupoid(net)
+        assert _report(["groupoid", net_file], out) == (0, {
+            "classes": [
+                {
+                    "representative": rep,
+                    "members": list(members),
+                    "witnesses": {m: dict(w.leaf_bijection) for m, w in witnesses.items()},
+                }
+                for rep, members, witnesses in classes
+            ],
+            "aut_orders": dict(sorted(orders.items())),
+        })
+
+        partition, quotient, projection = reference_coarsest_balanced(net)
+        expected = {"quotient": network_to_json(quotient), "projection": map_to_json(projection)}
+        assert _report(["balanced", "--coarsest", net_file], out) == (
+            0, {"blocks": [list(b) for b in partition.blocks], **expected}
+        )
+        assert _report(["quotient", net_file], out) == (0, {"partition": partition_to_json(partition), **expected})
+
+        for domain, m, name in ((files["net"], lift, "lift"), (files["other"], other, "other.map")):
+            code, results = _report(["check-fibration", str(domain), str(files["base"]), str(files[name])], out)
+            assert results["is_fibration"] == naive_is_fibration(m) == (not results["failures"])
+            assert code == (0 if results["is_fibration"] else 1)
+
+    # a source outside the target's class keeps its message; so does a node of no class
+    hub = next(a for a in net.graph.nodes if lift.node_map[a] == "h")
+    source = next(a for a in net.graph.nodes if lift.node_map[a] == "s")
+    with pytest.raises(PreconditionError, match=re.escape(f"input trees of {source!r} and {hub!r} are not isomorphic")):
+        canonical_isos(net, [hub, source], hub)
+    with pytest.raises(PreconditionError, match="unknown node id 'zz'"):
+        canonical_isos(net, [hub, "zz"], hub)
 
 
 def test_factorize_command(files, capsys):

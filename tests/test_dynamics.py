@@ -313,25 +313,10 @@ def test_pullback_of_an_asymmetric_raw_class_control_is_conjugate():
         assert (report.pointwise_max_residual, report.flow_max_deviation) == (0.0, 0.0)
 
 
-def _renamed_domain_edges(m, rng):
-    """The same fibration with its domain edges renamed at random.
-
-    Each domain node then reads its inputs in an order of its own, not in its image's edge-id order.
-    """
-    edges = m.domain.graph.edges
-    names = [f"x{k}" for k in range(len(edges))]
-    rng.shuffle(names)
-    rename = {e.edge_id: name for e, name in zip(edges, names)}
-    dom = network(
-        [(a, m.domain.space(a)) for a in m.domain.graph.nodes], [(rename[e.edge_id], e.src, e.tgt) for e in edges]
-    )
-    return NetworkMap(dom, m.codomain, m.node_map, {rename[f]: e for f, e in m.edge_map.items()})
-
-
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
 def test_pullback_of_a_class_field_is_the_pullback_of_its_lift(seed, raw_share):
     rng = random.Random(seed)
-    m = _renamed_domain_edges(random_surjective_fibration(rng), rng)
+    m = random_surjective_fibration(rng)  # its domain edges are named in random order
     controls = {}
     for rep in symmetry_groupoid(m.codomain).representatives():
         sig = signature_at(m.codomain, rep)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import pickle
 import random
 import re
@@ -63,6 +64,35 @@ def test_edge_is_a_frozen_slotted_value():
     with pytest.raises(dataclasses.FrozenInstanceError):
         e.src = "z"
     assert not hasattr(e, "__dict__")
+
+
+def test_edge_constructor_keeps_the_dataclass_contract():
+    # Edge's own __init__ takes what a generated one takes and builds the same value
+    fields = dataclasses.fields(Edge)
+    assert [(f.name, f.type, f.init, f.default, f.kw_only) for f in fields] == [
+        (name, kind, True, dataclasses.MISSING, False)
+        for name, kind in (("edge_id", "EdgeId"), ("src", "NodeId"), ("tgt", "NodeId"))
+    ]
+    parameters = inspect.signature(Edge).parameters
+    assert [(p.name, p.kind, p.default, p.annotation) for p in parameters.values()] == [
+        (f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, inspect.Parameter.empty, f.type) for f in fields
+    ]
+    e = Edge("e1", "a", "b")
+    assert Edge(tgt="b", edge_id="e1", src="a") == Edge("e1", src="a", tgt="b") == e
+    assert (e.edge_id, e.src, e.tgt) == ("e1", "a", "b")
+    assert dataclasses.asdict(e) == {"edge_id": "e1", "src": "a", "tgt": "b"}
+    assert dataclasses.astuple(e) == ("e1", "a", "b")
+    moved = dataclasses.replace(e, src="z")
+    assert moved == Edge("e1", "z", "b") and e == Edge("e1", "a", "b")
+    assert dataclasses.replace(e) == e and dataclasses.replace(e) is not e
+    with pytest.raises(TypeError):
+        Edge("e1", "a")
+    with pytest.raises(TypeError):
+        Edge("e1", "a", "b", "c")
+    with pytest.raises(TypeError):
+        Edge("e1", "a", tgt="b", weight=1)
+    with pytest.raises(TypeError):
+        dataclasses.replace(e, weight=1)
 
 
 def test_validate_wellformed_g3():

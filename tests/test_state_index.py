@@ -9,6 +9,7 @@ three must give bitwise what one call per row gives.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -53,6 +54,7 @@ from util import (
     reference_dependency_matrix,
     reference_phase_space_map,
     reference_sample_state,
+    reference_states,
     reference_violation,
 )
 
@@ -158,6 +160,47 @@ def test_batch_readers_on_an_empty_layout(samples):
     assert same_bits(GlobalField(net, per_node_field(net, {}))(x), x)
     assert coordinate_distance(x, x, index) == 0.0
     assert Polydiagonal(net, Partition(()), index).violation(x) == 0.0
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+# ways to hand a state over: (name, array of float64 values -> the object passed)
+STATE_FORMS = [
+    ("float64", lambda a: a),
+    ("strided float64", lambda a: np.repeat(a, 2, axis=-1)[..., ::2] if a.ndim else a),
+    ("big-endian float64", lambda a: a.astype(">f8")),
+    ("float32", lambda a: a.astype(np.float32)),
+    ("int64", lambda a: a.astype(np.int64)),
+    ("bool", lambda a: a > 0),
+    ("ndarray subclass", lambda a: a.view(_Subclass)),
+    ("nested list", lambda a: a.tolist()),
+    ("Python float", lambda a: float(a.flat[0]) if a.size else 0.0),
+]
+
+
+@pytest.mark.parametrize("form", [form for _, form in STATE_FORMS], ids=[name for name, _ in STATE_FORMS])
+@given(
+    st.integers(0, 3),
+    st.lists(st.integers(0, 4), max_size=3),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_states_takes_and_refuses_what_asarray_and_the_shape_test_do(form, dim, shape, fits, seed):
+    index = total_phase_space(network([(f"v{i}", R1) for i in range(dim)], []))
+    if shape and fits:
+        shape[-1] = dim
+    x = form(np.random.default_rng(seed).uniform(-3.0, 3.0, shape))
+    try:
+        expected = reference_states(index, x)
+    except PreconditionError as exc:
+        with pytest.raises(PreconditionError, match=re.escape(str(exc))):
+            index.states(x)
+        return
+    got = index.states(x)
+    assert type(got) is np.ndarray and same_bits(got, expected)
+    assert (got is x) == (expected is x)
 
 
 @st.composite

@@ -101,7 +101,17 @@ def random_map_onto(rng: random.Random, codomain: Network, max_nodes: int = 6,
 
 def random_surjective_fibration(rng: random.Random, max_fiber: int = 3,
                                 cod_max_nodes: int = 4, cod_max_edges: int = 5) -> NetworkMap:
-    cod = random_network(rng, cod_max_nodes, cod_max_edges)
+    """:func:`random_lift` of a :func:`random_network`."""
+    return random_lift(rng, random_network(rng, cod_max_nodes, cod_max_edges), max_fiber)
+
+
+def random_lift(rng: random.Random, cod: Network, max_fiber: int = 3) -> NetworkMap:
+    """A surjective fibration onto ``cod`` with 1 to ``max_fiber`` nodes over each node.
+
+    Each domain edge runs from a random member of its image's source fiber.
+    The domain edges are named in random order, so a domain node does not
+    list its in-edges in its image's edge-id order.
+    """
     node_map: dict[str, str] = {}
     i = 0
     for b in cod.graph.nodes:
@@ -111,14 +121,13 @@ def random_surjective_fibration(rng: random.Random, max_fiber: int = 3,
     preimg: dict[str, list[str]] = {}
     for a, b in node_map.items():
         preimg.setdefault(b, []).append(a)
+    lifts = [(e, a) for a in sorted(node_map) for e in cod.in_edges(node_map[a])]
+    names = [f"de{j}" for j in range(len(lifts))]
+    rng.shuffle(names)
     edges, edge_map = [], {}
-    j = 0
-    for a in sorted(node_map):
-        for e in cod.in_edges(node_map[a]):
-            eid = f"de{j}"
-            j += 1
-            edges.append((eid, rng.choice(preimg[e.src]), a))
-            edge_map[eid] = e.edge_id
+    for eid, (e, a) in zip(names, lifts):
+        edges.append((eid, rng.choice(preimg[e.src]), a))
+        edge_map[eid] = e.edge_id
     dom = network([(a, cod.space(node_map[a])) for a in sorted(node_map)], edges)
     return NetworkMap(dom, cod, node_map, edge_map)
 
@@ -964,6 +973,15 @@ def reference_driving_residual(m: NetworkMap, w_prime, samples: int, seed: int, 
 # The per-node slice loops that StateIndex gathers replaced, kept as
 # differential oracles.  Their running maxima skip NaN, as the old code did, so
 # compare them on finite values only.
+
+
+def reference_states(index, x):
+    """``StateIndex.states`` without its float64 shortcut: ``np.asarray`` first, then the shape test."""
+    x = np.asarray(x, dtype=float)
+    n = index.total_dim
+    if x.shape[-1:] != (n,) or x.ndim > 2:
+        raise PreconditionError(f"state has shape {x.shape}, expected ({n},) or (samples, {n})")
+    return x
 
 
 def reference_circle_mask(index):
