@@ -2,8 +2,8 @@
 """Driving subsystems and the kernel of the pullback.
 
 An injective fibration exhibits its image as an autonomous subsystem that
-drives the rest of the network: no edges feed back into the image, and the
-image components of the vector field never react to outside coordinates.
+drives the rest of the network: no edges feed back into the image, and
+restriction to the image maps the large system's field onto the small one's.
 The pullback of class controls along the map is onto, and it kills exactly
 the controls supported off the essential image.
 """
@@ -34,7 +34,7 @@ incl = g3_into_ten()
 report = verify_driving_decomposition(incl, linear_dynamics(broadcast10()), samples=20, seed=0)
 print(f"core drives the broadcast network: {report.ok}")
 print(f"  feedback edges: {list(report.feedback_edges)}")
-print(f"  finite-difference residual: {report.fd_max_residual:.3e}")
+print(f"  restriction conjugacy residual: {report.pointwise_max_residual:.3e}")
 
 # With one space everywhere, every input tree is isomorphic to a core tree,
 # so the inclusion is essentially surjective and only the zero control

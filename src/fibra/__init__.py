@@ -111,8 +111,6 @@ _EXPORTS = {
         "DrivingReport",
         "Trajectory",
         "certify_conjugacy",
-        "dependency_matrix",
-        "expected_dependencies",
         "integrate",
         "verify_conjugacy_flow",
         "verify_conjugacy_pointwise",

@@ -3,13 +3,12 @@
 Certifies, on concrete fixtures and seeded samples, that the coordinate map
 induced by a fibration intertwines the interconnected vector fields: the
 pointwise identity between both sides, commutation of the flows, invariance
-of synchrony subspaces under surjective fibrations, and autonomy of driving
-subsystems under injective ones.
+of synchrony subspaces under surjective fibrations, and the restriction to
+the image of an injective one, which makes that image a driving subsystem.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,13 +17,7 @@ import numpy as np
 from .dynamics import GlobalField, VirtualVectorField, _pullback, interconnect
 from .errors import FibrationRequired, IntegrationFault, PreconditionError
 from .fibrations import check_fibration, polydiagonal_of
-from .graphs import (
-    Network,
-    NetworkMap,
-    NodeId,
-    PhaseSpaceMap,
-    coordinate_distance,
-)
+from .graphs import NetworkMap, PhaseSpaceMap, coordinate_distance
 from .sampling import check_count, sample_state, sample_states
 
 
@@ -117,50 +110,6 @@ def verify_polydiagonal_invariance(
     return pd.violation(traj.states)
 
 
-def _central_differences(field: GlobalField, x: np.ndarray, nodes, step: float):
-    """Yield the central-difference derivatives of the field along each coordinate of the given nodes.
-
-    Each item holds one row per coordinate, in gather order; all ± perturbations
-    of a chunk of coordinates are evaluated as one batch.
-    """
-    coords = field.index.gather(nodes)
-    start = 0
-    for count in _chunks(len(coords), 2 * x.shape[0]):
-        rows = np.arange(count)
-        batch = np.tile(x, (2 * count, 1))
-        batch[rows, coords[start : start + count]] += step
-        batch[count + rows, coords[start : start + count]] -= step
-        with np.errstate(all="ignore"):  # the field leaves numpy's error state to its caller
-            values = field(batch)
-            diffs = (values[:count] - values[count:]) / (2.0 * step)  # inf - inf is NaN, silently
-        yield diffs
-        start += count
-
-
-def dependency_matrix(
-    field: GlobalField, x0: np.ndarray, step: float = 1e-6, tol: float = 1e-8
-) -> dict[NodeId, set[NodeId]]:
-    """Which nodes each component reacts to, by central finite differences at x0."""
-    index = field.index
-    x0 = index.state(x0)
-    offsets = [index.slices[a][0] for a in index.order]
-    deps: dict[NodeId, set[NodeId]] = {a: set() for a in index.order}
-    coords = iter(index.owners)
-    for diffs in _central_differences(field, x0, index.order, step):
-        per_node = np.maximum.reduceat(np.abs(diffs), offsets, axis=1)
-        for reacts, c in zip(~(per_node <= tol), coords):  # NaN counts as a dependency
-            for a in itertools.compress(index.order, reacts):
-                deps[a].add(c)
-    return deps
-
-
-def expected_dependencies(net: Network) -> dict[NodeId, set[NodeId]]:
-    """Structural dependencies: a node and the sources of its in-edges."""
-    return {
-        a: {a} | {e.src for e in net.in_edges(a)} for a in net.graph.nodes
-    }
-
-
 @dataclass(frozen=True)
 class DrivingReport:
     """Outcome of the driving-subsystem check for an injective map."""
@@ -168,8 +117,7 @@ class DrivingReport:
     ok: bool
     is_fibration: bool
     feedback_edges: tuple[str, ...]
-    fd_max_residual: float
-    fd_step: float
+    pointwise_max_residual: float | None
     samples: int
     seed: int
 
@@ -179,25 +127,20 @@ def verify_driving_decomposition(
     w_prime: VirtualVectorField,
     samples: int = 20,
     seed: int = 0,
-    fd_step: float = 1e-6,
     tol: float = 1e-8,
 ) -> DrivingReport:
     """Check that the image subsystem of an injective fibration is autonomous.
 
-    Combinatorially: no codomain edge runs from outside the image into it.
-    Numerically: perturbing any non-image coordinate leaves the field
-    components at image nodes unchanged up to ``tol``.  Only the sources of
-    feedback edges are perturbed: an image node's control sees only its own
-    and its in-edge sources' states, so every other non-image coordinate
-    leaves the image components bitwise unchanged.  Injections that fail the
-    unique-lift property (e.g. because of a feedback edge) report ``ok=False``
-    rather than raising.
-
-    The verdict comes from the unique-lift test and the feedback-edge test
-    alone; the finite-difference residual cannot change it.  With a feedback
-    edge ``ok`` is False whatever the residual, and with none the residual is
-    0.0 by construction, within any ``tol >= 0``.  ``samples`` and
-    ``fd_step`` shape only the reported ``fd_max_residual``.
+    Combinatorially: the map is a fibration, so no codomain edge runs from
+    outside the image into it (such a feedback edge has no lift); the
+    feedback edges are reported either way.  Numerically: restriction to the
+    image maps the codomain system onto the domain system, and the report
+    holds the pointwise residual of that conjugacy at ``samples`` seeded
+    codomain states, as :func:`certify_conjugacy` computes it, or None when
+    the map is not a fibration.  ``ok`` holds when the map is a fibration and
+    the residual is at most ``tol``; a residual of NaN, from field values
+    that are not finite, fails.  Injections that are not fibrations report
+    ``ok=False`` rather than raising.
     """
     check_count(samples)
     report = check_fibration(m)
@@ -206,26 +149,15 @@ def verify_driving_decomposition(
     if not w_prime.network.is_same(m.codomain):
         raise PreconditionError("virtual vector field was built for a different network")
     image = set(m.node_map.values())
-    feedback_edges = [e for e in m.codomain.graph.edges if e.src not in image and e.tgt in image]
-    feedback = tuple(sorted(e.edge_id for e in feedback_edges))
-    perturbed = sorted({e.src for e in feedback_edges})
-    worst = 0.0
-    if perturbed:  # with no feedback edge the residual is 0.0 by construction, so no field is built
-        codomain_field = interconnect(m.codomain, w_prime)
-        index = codomain_field.index
-        image_coords = index.gather(a for a in index.order if a in image)
-        rng = np.random.default_rng(seed)
-        for _ in range(samples):
-            x = sample_state(index, rng)
-            for diffs in _central_differences(codomain_field, x, perturbed, fd_step):
-                worst = np.maximum(worst, np.abs(diffs[:, image_coords]).max(initial=0.0))
-    worst = float(worst)
+    feedback = tuple(sorted(e.edge_id for e in m.codomain.graph.edges if e.src not in image and e.tgt in image))
+    residual = None
+    if report.is_fibration:
+        residual = _certify_fibration(m, w_prime, samples, seed, 0.0, 1e-3, None).pointwise_max_residual
     return DrivingReport(
-        ok=report.is_fibration and (not feedback) and worst <= tol,
+        ok=residual is not None and residual <= tol,
         is_fibration=report.is_fibration,
         feedback_edges=feedback,
-        fd_max_residual=worst,
-        fd_step=fd_step,
+        pointwise_max_residual=residual,
         samples=samples,
         seed=seed,
     )
@@ -266,6 +198,11 @@ def certify_conjugacy(
     """
     if not check_fibration(m).is_fibration:
         raise FibrationRequired("conjugacy certification requires a fibration")
+    return _certify_fibration(m, w_prime, samples, seed, T, h, x0_prime)
+
+
+def _certify_fibration(m, w_prime, samples, seed, T, h, x0_prime) -> ConjugacyReport:
+    """The body of :func:`certify_conjugacy` for a map its caller has found to be a fibration."""
     p = PhaseSpaceMap(m)  # check_fibration checked the map
     field = GlobalField(m.codomain, w_prime, (m.domain, _pullback(m, w_prime)))
     split = p.codomain_index.total_dim  # the codomain's columns come first

@@ -178,12 +178,12 @@ def test_criterion_07_driving_decomposition():
     with criterion(7, "driving-decomposition", limit=30.0):
         tau = fixtures.c2_into_g3()
         report = verify_driving_decomposition(tau, fixtures.linear_dynamics(fixtures.g3()), samples=20, seed=0)
-        assert report.ok and report.fd_max_residual < 1e-8
+        assert report.ok and report.pointwise_max_residual == 0.0
         incl = fixtures.g3_into_ten()
         report = verify_driving_decomposition(
             incl, fixtures.linear_dynamics(fixtures.broadcast10()), samples=20, seed=0
         )
-        assert report.ok and report.fd_max_residual < 1e-8
+        assert report.ok and report.pointwise_max_residual == 0.0
 
 
 def test_criterion_08_pullback_kernel():

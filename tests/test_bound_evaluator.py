@@ -2,10 +2,10 @@
 
 ``GlobalField``, ``bind_control``, ``eval_control`` and ``evaluate`` must give bitwise
 what the per-call evaluator and the scalar tree walk in ``util`` give, for
-expression, raw and transported controls; the driving check, which perturbs
-only feedback-edge sources, must report the same residual as the loop over
-every coordinate outside the image; and the sampled checks, which make all
-their draws as one batch, must reach the verdicts of the per-sample loops.
+expression, raw and transported controls; the driving check must fail
+exactly on the injections that are not fibrations and read the restriction
+conjugacy on those that are; and the sampled checks, which make all their
+draws as one batch, must reach the verdicts of the per-sample loops.
 Networks are generated with mixed R1/R2/S1 spaces, self-loops, parallel edges
 and isolated nodes.
 """
@@ -27,6 +27,7 @@ from fibra import (
     S1,
     SignatureMismatch,
     TransportedControl,
+    check_fibration,
     check_invariance,
     ctrl_transport,
     enumerate_tree_isos,
@@ -56,16 +57,17 @@ from fibra.expr_dsl import (
 from fibra.sampling import sample_state, sample_states
 
 from util import (
+    random_injection,
     random_injective_fibration,
     random_network,
     random_surjective_fibration,
     reference_bind,
     reference_check_invariance,
-    reference_driving_residual,
     reference_eval_control,
     reference_evaluate,
     reference_field,
     reference_integrate,
+    reference_pointwise_residual,
     reference_vanishes_on_samples,
 )
 
@@ -317,29 +319,29 @@ def test_joint_field_matches_each_side_alone(m, data):
 # --- driving check -------------------------------------------------------------------
 
 
-@st.composite
-def injective_maps(draw):
-    """Inclusion of a network into one with extra nodes; optionally with feedback edges."""
-    n = draw(st.integers(1, 3))
-    k = draw(st.integers(1, 3))
-    spaces = draw(st.lists(st.sampled_from(SPACES), min_size=n + k + 1, max_size=n + k + 1))
-    base = _edges(draw, n)
-    extra = draw(st.lists(st.tuples(st.integers(0, n + k), st.integers(n, n + k)), max_size=6))
-    feedback = draw(st.lists(st.tuples(st.integers(n, n + k), st.integers(0, n - 1)), max_size=3))
-    cod = _build([(f"n{i}", s) for i, s in enumerate(spaces)], base + extra + feedback, draw)
-    image = {f"n{i}" for i in range(n)}
-    dom_edges = [e for e in cod.graph.edges if e.src in image and e.tgt in image]
-    dom = network([(a, cod.space(a)) for a in sorted(image)], [(e.edge_id, e.src, e.tgt) for e in dom_edges])
-    return NetworkMap(dom, cod, {a: a for a in image}, {e.edge_id: e.edge_id for e in dom_edges})
-
-
 @given(st.data())
-def test_driving_residual_matches_loop_over_all_outside_coordinates(data):
-    m = data.draw(injective_maps())
-    w = class_field(data.draw, m.codomain)
-    seed = data.draw(st.integers(0, 1000))
-    report = verify_driving_decomposition(m, w, samples=3, seed=seed)
-    assert report.fd_max_residual == reference_driving_residual(m, w, samples=3, seed=seed, fd_step=1e-6)
+def test_driving_verdict_is_the_fibration_test_and_its_residual_the_conjugacy(data):
+    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+    feedback = data.draw(st.booleans())
+    m = random_injection(rng, feedback)
+    raw = data.draw(st.booleans())
+    controls = {}
+    for rep in symmetry_groupoid(m.codomain).representatives():
+        sig = signature_at(m.codomain, rep)
+        controls[rep] = raw_control(sig) if raw else expr_control(data.draw, sig)
+    w = per_class_field(m.codomain, controls)
+    samples, seed = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 1000))
+    report = verify_driving_decomposition(m, w, samples=samples, seed=seed)
+    is_fibration = check_fibration(m).is_fibration
+    assert is_fibration is not feedback  # a feedback edge has no lift
+    assert report.is_fibration is is_fibration and report.feedback_edges == (("fb",) if feedback else ())
+    assert report.ok is is_fibration
+    if not is_fibration:
+        assert report.pointwise_max_residual is None
+    elif raw:
+        assert report.pointwise_max_residual <= 1e-12
+    else:
+        assert report.pointwise_max_residual == 0.0
 
 
 def test_driving_with_raw_control_at_feedback_source():
@@ -354,15 +356,14 @@ def test_driving_with_raw_control_at_feedback_source():
     w = per_class_field(cod, controls)
     report = verify_driving_decomposition(m, w, samples=4, seed=3)
     assert report.feedback_edges == ("e2",) and not report.ok
-    assert report.fd_max_residual > 0.0
-    assert report.fd_max_residual == reference_driving_residual(m, w, samples=4, seed=3, fd_step=1e-6)
-    # without the feedback edge nothing is perturbed, and the old loop agrees on 0.0
+    assert report.pointwise_max_residual is None
+    # without the feedback edge the inclusion is a fibration, and restriction intertwines the raw fields
     cod2 = network(list(cod.phase.items()), [(e.edge_id, e.src, e.tgt) for e in cod.graph.edges if e.edge_id != "e2"])
     m2 = NetworkMap(dom, cod2, m.node_map, m.edge_map)
     w2 = per_class_field(cod2, {a: raw_control(signature_at(cod2, a)) for a in symmetry_groupoid(cod2).representatives()})
     report2 = verify_driving_decomposition(m2, w2, samples=4, seed=3)
-    assert report2.feedback_edges == () and report2.fd_max_residual == 0.0
-    assert reference_driving_residual(m2, w2, samples=4, seed=3, fd_step=1e-6) == 0.0
+    assert report2.feedback_edges == () and report2.ok
+    assert report2.pointwise_max_residual == reference_pointwise_residual(m2, w2, samples=4, seed=3) <= 1e-12
 
 
 # --- batched kernels against the scalar tree walk ------------------------------------

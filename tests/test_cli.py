@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fibra
-from fibra import R1, NetworkMap, PreconditionError, canonical_isos, fixtures, network
+from fibra import R1, NetworkMap, PreconditionError, canonical_isos, fixtures, network, signature_at
 from fibra.cli import build_parser, main
 from fibra.jsonio import class_dynamics_to_json, map_to_json, network_to_json, partition_to_json
 
@@ -172,7 +172,6 @@ BAD_NUMBERS = (
         (["verify", "conjugacy", "--flow-tol", "nan"], None),
         (["verify", "conjugacy", "--seed", "-1"], None),
         (["verify", "driving", "--seed", "-1"], None),
-        (["verify", "driving", "--fd-step", "nan"], None),
         (["verify", "driving", "--tol", "nan"], None),
         (["validate"], "abc"),
         (["verify", "conjugacy"], "-1"),
@@ -606,11 +605,11 @@ def test_verify_driving_command(files, capsys):
     code, out, _ = run_cli(capsys, ["verify", "driving", dom, cod, mp, dyn, "--samples", "5"])
     assert code == 0
     results = report_of(out)["results"]
-    assert results["ok"] and results["feedback_edges"] == []
+    assert results["ok"] and results["feedback_edges"] == [] and results["pointwise_max_residual"] == 0.0
 
 
-def test_driving_exit_code_does_not_read_the_residual(files, capsys):
-    # the lift and feedback-edge tests decide; --samples, --fd-step and --tol move only the report
+def test_driving_exit_code_is_the_fibration_verdict(files, capsys):
+    # the restriction residual of linear dynamics is exactly 0.0, so no --samples or --tol moves the verdict
     write, _ = files
     cod = fibra.network(
         [("a", fibra.R1), ("b", fibra.R1), ("z", fibra.R1)], [("ab", "a", "b"), ("ba", "b", "a"), ("za", "z", "a")]
@@ -624,13 +623,16 @@ def test_driving_exit_code_does_not_read_the_residual(files, capsys):
             write(f"map{k}.json", map_to_json(m)),
             write(f"dyn{k}.json", class_dynamics_to_json(fixtures.linear_dynamics(m.codomain))),
         ]
-        for options in (["--samples", "0"], ["--samples", "3", "--fd-step", "1.0", "--tol", "0"], ["--tol", "1e300"]):
+        for options in (["--samples", "0"], ["--samples", "3", "--tol", "0"], ["--tol", "1e300"]):
             code, out, _ = run_cli(capsys, argv + options)
+            results = report_of(out)["results"]
             assert code == expected
-            assert report_of(out)["results"]["ok"] is (expected == 0)
+            assert results["ok"] is (expected == 0)
+            assert results["pointwise_max_residual"] == (0.0 if expected == 0 else None)
+            assert "fd_max_residual" not in results and "fd_step" not in results
     with pytest.raises(SystemExit):
         main(["verify", "driving", "--help"])
-    assert "fd_max_residual cannot change it" in " ".join(capsys.readouterr().out.split())
+    assert "On a map that is not a fibration the residual is null" in " ".join(capsys.readouterr().out.split())
 
 
 def test_verify_conjugacy_nan_residual_fails(files, capsys):
@@ -760,15 +762,16 @@ READ_OPTIONS = {
     "simulate": ["--x0", "--T", "--h", "--out"],
     "verify conjugacy": ["--samples", "--tol", "--x0", "--T", "--h", "--flow-tol", "--seed", "--out"],
     "verify polydiagonal": ["--x0", "--tol", "--T", "--h", "--seed", "--out"],
-    "verify driving": ["--samples", "--tol", "--fd-step", "--seed", "--out"],
+    "verify driving": ["--samples", "--tol", "--seed", "--out"],
 }
-# (command, option) pairs that every command accepted before each declared only the options it reads
+# (command, option) pairs that every command accepted before each declared only the options it reads,
+# and --fd-step, which verify driving read while its residual came from finite differences
 UNREAD_OPTIONS = [
     *[(c, o) for c in READ_OPTIONS if READ_OPTIONS[c] == REPORT_ONLY for o in ["--samples", "--tol"]],
     *[("simulate", o) for o in ["--seed", "--samples", "--tol"]],
     ("verify conjugacy", "--fd-step"),
     *[("verify polydiagonal", o) for o in ["--samples", "--flow-tol", "--fd-step"]],
-    *[("verify driving", o) for o in ["--x0", "--T", "--h", "--flow-tol"]],
+    *[("verify driving", o) for o in ["--x0", "--T", "--h", "--flow-tol", "--fd-step"]],
 ]
 
 
@@ -781,7 +784,7 @@ def test_command_reads_its_options(command):
 
 @pytest.mark.parametrize("command, option", UNREAD_OPTIONS, ids=[f"{c} {o}" for c, o in UNREAD_OPTIONS])
 def test_unread_option_exits_2(capsys, command, option):
-    assert len(UNREAD_OPTIONS) == 31
+    assert len(UNREAD_OPTIONS) == 32
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(BASE_ARGV[command] + [option, OPTION_VALUES[option]])
     assert exc.value.code == 2
@@ -955,18 +958,24 @@ def test_conjugacy_whose_samples_overflow_prints_only_its_fault(files, capsys):
 
 
 def test_driving_whose_differences_overflow_prints_no_warning(files, capsys):
-    # both perturbations of the feedback source overflow to inf, so a difference is inf - inf; it is NaN
-    # under the error state the central differences enter, and numpy warns of nothing
+    # on a fibration both sides of the restriction overflow to inf, so a residual is inf - inf: NaN under
+    # the error state the pointwise batch enters, so numpy warns of nothing and the check fails, as verify
+    # conjugacy's does; on a map with a feedback edge no field is built and the residual is null
     write, _ = files
+    overflow = "1e308 * (10 * x[0]) + sum(u in inputs[R1]) { 1e308 * (10 * u[0]) }"
     host = network([("a", R1), ("s", R1)], [("e1", "s", "a"), ("e2", "a", "a")])
-    m = NetworkMap(network([("a", R1)], [("f", "a", "a")]), host, {"a": "a"}, {"f": "e2"})
-    dyn = write("dyn.json", {"classes": [
-        {"representative": "a", "exprs": ["1e308 * (10 * x[0]) + sum(u in inputs[R1]) { 1e308 * (10 * u[0]) }"]},
-        {"representative": "s", "exprs": ["-x[0]"]},
-    ]})
-    code, out, err = run_cli(capsys, ["verify", "driving", *map_files(write, m), dyn, "--samples", "2"])
-    assert (code, err) == (1, "")
-    assert report_of(out)["results"]["feedback_edges"] == ["e1"]
+    fed = NetworkMap(network([("a", R1)], [("f", "a", "a")]), host, {"a": "a"}, {"f": "e2"})
+    for m, feedback in ((fixtures.c2_into_g3(), []), (fed, ["e1"])):
+        dyn = write("dyn.json", {"classes": [
+            {"representative": r, "exprs": [overflow if signature_at(m.codomain, r).inputs else "-x[0]"]}
+            for r in fibra.symmetry_groupoid(m.codomain).representatives()
+        ]})
+        code, out, err = run_cli(capsys, ["verify", "driving", *map_files(write, m), dyn, "--samples", "2"])
+        assert (code, err) == (1, "")
+        results = report_of(out)["results"]
+        assert results["feedback_edges"] == feedback and results["is_fibration"] is (feedback == [])
+        residual = results["pointwise_max_residual"]
+        assert residual is None if feedback else math.isnan(residual)
 
 
 @pytest.mark.parametrize("command", sorted(MAP_CHECK_COMMANDS))

@@ -21,7 +21,6 @@ from fibra import (
     check_network_map,
     compose_maps,
     coordinate_distance,
-    dependency_matrix,
     euclidean,
     identity_map,
     integrate,
@@ -251,12 +250,10 @@ def test_phase_space_map_rejects_a_wrong_shape_state(shape):
 
 @pytest.mark.parametrize("shape", [(2,), (1, 3), (2, 3)])
 def test_state_checks_reject_a_wrong_shape_state(shape):
-    # integrate and dependency_matrix take one state; a batch is a wrong shape there
+    # integrate takes one state; a batch is a wrong shape there
     message = re.escape(f"state has shape {shape}, expected (3,)")
     g3 = fixtures.g3()
     field = interconnect(g3, fixtures.linear_dynamics(g3))
-    with pytest.raises(PreconditionError, match=message):
-        dependency_matrix(field, np.zeros(shape))
     with pytest.raises(PreconditionError, match=message):
         integrate(field, np.zeros(shape), T=0.02, h=0.01)
 

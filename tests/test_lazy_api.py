@@ -15,7 +15,8 @@ import pytest
 
 import fibra
 
-# The public names of fibra: the 90 its eager import exported, less IsoClass, and canonical_isos.
+# The public names of fibra: the 90 its eager import exported, less IsoClass, dependency_matrix and
+# expected_dependencies, and canonical_isos.
 PUBLIC_NAMES = {
     "BalanceWitness", "ConjugacyReport", "ControlExpr", "ControlSignature", "DrivingReport", "Edge",
     "EnumerationCapExceeded", "EvaluationFault", "ExprSyntaxError", "FibraError", "FibrationReport",
@@ -25,9 +26,9 @@ PUBLIC_NAMES = {
     "SignatureMismatch", "StateIndex", "SymmetryGroupoid", "Trajectory", "TransportedControl", "TreeIso",
     "Violation", "VirtualVectorField", "aut_generators", "aut_order", "canonical_isos", "certify_conjugacy",
     "check_fibration", "check_invariance", "check_network_map", "circle", "circle_distance",
-    "coarsest_balanced", "compose_maps", "coordinate_distance", "ctrl_transport", "dependency_matrix",
+    "coarsest_balanced", "compose_maps", "coordinate_distance", "ctrl_transport",
     "enumerate_tree_isos", "essential_image", "euclidean", "eval_control", "evaluate",
-    "expected_dependencies", "factorize", "identity_map", "induced_tree_map", "input_tree", "integrate",
+    "factorize", "identity_map", "induced_tree_map", "input_tree", "integrate",
     "interconnect", "is_balanced", "iso_count", "lift_to_nodes", "network", "parse", "parse_control",
     "per_class_field", "per_node_field", "phase_space_map", "polydiagonal_of", "pullback",
     "pullback_kernel_check", "quotient_of", "sample_space", "sample_state", "signature_at",

@@ -296,16 +296,16 @@ def test_driving_decomposition_cycle_in_g3():
     report = verify_driving_decomposition(tau, w, samples=10, seed=0)
     assert report.ok
     assert report.feedback_edges == ()
-    assert report.fd_max_residual < 1e-8
+    assert report.pointwise_max_residual == 0.0
     exact = verify_driving_decomposition(tau, w, samples=10, seed=0, tol=0.0)
-    assert exact.ok and exact.fd_max_residual == 0.0  # passes on <=, as the conjugacy checks do
+    assert exact.ok and exact.pointwise_max_residual == 0.0  # passes on <=, as the conjugacy checks do
 
 
 def test_driving_decomposition_core_in_broadcast():
     m = fixtures.g3_into_ten()
     w = fixtures.linear_dynamics(m.codomain)
     report = verify_driving_decomposition(m, w, samples=10, seed=1)
-    assert report.ok and report.fd_max_residual < 1e-8
+    assert report.ok and report.pointwise_max_residual == 0.0
 
 
 def test_driving_decomposition_detects_feedback():
@@ -323,6 +323,7 @@ def test_driving_decomposition_detects_feedback():
     assert not report.ok
     assert not report.is_fibration
     assert report.feedback_edges == ("za",)
+    assert report.pointwise_max_residual is None
 
 
 def test_driving_decomposition_requires_injective():

@@ -1,8 +1,8 @@
 """The flat-state gathers of ``StateIndex`` against the per-node slice loops they replaced.
 
 ``PhaseSpaceMap``, ``coordinate_distance``, ``Polydiagonal.violation``,
-``sample_state``, ``circle_mask`` and ``dependency_matrix`` must give bitwise
-what the loops kept in ``util`` give.  Networks mix R1/R2/S1 nodes and have a
+``sample_state`` and ``circle_mask`` must give bitwise what the loops kept in
+``util`` give.  Networks mix R1/R2/S1 nodes and have a
 self-loop and an isolated node; circle coordinate pairs are equal, about pi
 apart, or apart by multiples of 2pi.  On a ``(samples, D)`` batch, the first
 three must give bitwise what one call per row gives.
@@ -45,13 +45,11 @@ from fibra import (
     verify_polydiagonal_invariance,
 )
 from fibra import fixtures, graphs
-from fibra.numerics import dependency_matrix
 
 from util import (
     reference_circle_distance,
     reference_circle_mask,
     reference_coordinate_distance,
-    reference_dependency_matrix,
     reference_phase_space_map,
     reference_sample_state,
     reference_states,
@@ -268,20 +266,6 @@ def test_sample_state_makes_the_per_node_draws(net, seed):
     for _ in range(3):
         assert same_bits(sample_state(index, new), reference_sample_state(index, old))
     assert new.random() == old.random()
-
-
-def _weighted_inputs(x, ins):
-    """Reacts to every input but the first, with a different weight per coordinate."""
-    acc = sum(k * float(state @ np.arange(1.0, state.size + 1)) for k, (_, state) in enumerate(ins))
-    return -x * np.arange(1.0, x.size + 1) + np.sin(acc)
-
-
-@given(networks(), st.integers(0, 1000))
-def test_dependency_matrix_matches_per_node_loop(net, seed):
-    w = per_node_field(net, {a: RawControl(signature_at(net, a), _weighted_inputs) for a in net.graph.nodes})
-    field = GlobalField(net, w)
-    x0 = sample_state(field.index, np.random.default_rng(seed))
-    assert dependency_matrix(field, x0) == reference_dependency_matrix(field, x0)
 
 
 def test_repeated_node_id_has_no_layout():

@@ -37,7 +37,6 @@ from fibra import (
     phase_space_map,
     pullback,
     sample_space,
-    sample_state,
     symmetry_groupoid,
     total_phase_space,
 )
@@ -150,6 +149,19 @@ def random_injective_fibration(rng: random.Random, base_max_nodes: int = 4,
         {a: a for a in dom.graph.nodes},
         {e.edge_id: e.edge_id for e in dom.graph.edges},
     )
+
+
+def random_injection(rng: random.Random, feedback: bool = False) -> NetworkMap:
+    """:func:`random_injective_fibration`, or with ``feedback`` the same inclusion plus one edge
+    ``fb`` from a node outside the image into the image, which has no lift, so no fibration."""
+    m = random_injective_fibration(rng)
+    if not feedback:
+        return m
+    edges = [(e.edge_id, e.src, e.tgt) for e in m.codomain.graph.edges]
+    outside = [a for a in m.codomain.graph.nodes if a not in m.node_map]
+    edges.append(("fb", rng.choice(outside), rng.choice(m.domain.graph.nodes)))
+    cod = network(list(m.codomain.phase.items()), edges)
+    return NetworkMap(m.domain, cod, m.node_map, m.edge_map)
 
 
 # --- independent oracles -------------------------------------------------------
@@ -943,32 +955,6 @@ def reference_units(net: Network, mode: str, controls):
     return out
 
 
-def reference_driving_residual(m: NetworkMap, w_prime, samples: int, seed: int, fd_step: float) -> float:
-    """Largest image-component central difference over every coordinate outside the image."""
-    image = set(m.node_map.values())
-    field = reference_field(m.codomain, w_prime)
-    index = total_phase_space(m.codomain)
-    image_slices = [index.slice_of(a) for a in index.order if a in image]
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        x = sample_state(index, rng)
-        for c in index.order:
-            if c in image:
-                continue
-            sl_c = index.slice_of(c)
-            for j in range(sl_c.start, sl_c.stop):
-                plus, minus = x.copy(), x.copy()
-                plus[j] += fd_step
-                minus[j] -= fd_step
-                diff = (field(plus) - field(minus)) / (2.0 * fd_step)
-                for sl in image_slices:
-                    block = np.abs(diff[sl])
-                    if block.size:
-                        worst = max(worst, float(block.max()))
-    return worst
-
-
 # --- reference flat-state layout --------------------------------------------------
 # The per-node slice loops that StateIndex gathers replaced, kept as
 # differential oracles.  Their running maxima skip NaN, as the old code did, so
@@ -1045,8 +1031,14 @@ def reference_sample_state(index, rng):
     return x
 
 
+def expected_dependencies(net: Network) -> dict[str, set[str]]:
+    """Structural dependencies: a node and the sources of its in-edges."""
+    return {a: {a} | {e.src for e in net.in_edges(a)} for a in net.graph.nodes}
+
+
 def reference_dependency_matrix(field, x0, step: float = 1e-6, tol: float = 1e-8):
-    """Central differences along every coordinate, compared node slice by node slice."""
+    """Which nodes each component reacts to: central differences along every
+    coordinate, compared node slice by node slice; NaN counts as a dependency."""
     index = field.index
     deps = {a: set() for a in index.order}
     for c in index.order:
@@ -1059,7 +1051,7 @@ def reference_dependency_matrix(field, x0, step: float = 1e-6, tol: float = 1e-8
                 up, down = field(plus), field(minus)
             diff = (up - down) / (2.0 * step)
             for a in index.order:
-                if np.abs(diff[index.slice_of(a)]).max() > tol:
+                if not np.abs(diff[index.slice_of(a)]).max() <= tol:
                     deps[a].add(c)
     return deps
 
