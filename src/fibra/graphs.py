@@ -412,9 +412,8 @@ class StateIndex:
     """Flat-vector layout of the total state of a network.
 
     Nodes are laid out in lexicographic id order; each node owns a contiguous
-    slice of length equal to its phase-space dimension.  The circle mask, the
-    node gathers and the coordinate owners are derived from this layout here
-    and nowhere else.
+    slice of length equal to its phase-space dimension.  The circle mask and
+    the node gathers are derived from this layout here and nowhere else.
     """
 
     order: tuple[NodeId, ...]
@@ -456,11 +455,6 @@ class StateIndex:
 
         spans = np.fromiter(chain.from_iterable(map(self.slices.__getitem__, nodes)), dtype=np.intp).reshape(-1, 2)
         return gather_runs(spans[:, 0], spans[:, 1])
-
-    @cached_property
-    def owners(self) -> tuple[NodeId, ...]:
-        """The node of each flat coordinate, in coordinate order."""
-        return tuple(a for a in self.order for _ in range(self.slices[a][1]))
 
     @cached_property
     def _circle_mask(self) -> np.ndarray:

@@ -989,6 +989,17 @@ def test_each_command_checks_its_map_once(files, capsys, monkeypatch, command):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", [["balanced", "--coarsest"], ["quotient"]], ids=["balanced --coarsest", "quotient"])
+def test_quotient_commands_check_no_map(files, capsys, monkeypatch, command):
+    # a balanced partition's projection is a fibration by construction, so no command re-proves it
+    write, _ = files
+    net = write("g3.json", network_to_json(fixtures.g3()))
+    calls = _count_map_checks(monkeypatch)
+    code, _, err = run_cli(capsys, [*command, net])
+    assert (code, err) == (0, "")
+    assert calls == []
+
+
 def test_reports_are_byte_identical(files, capsys, tmp_path):
     write, _ = files
     m = fixtures.g3_to_c2()

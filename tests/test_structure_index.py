@@ -28,6 +28,7 @@ from fibra import (
     R2,
     S1,
     canonical_isos,
+    check_fibration,
     coarsest_balanced,
     enumerate_tree_isos,
     is_balanced,
@@ -167,8 +168,10 @@ def test_balance_check_matches_per_node_signatures(net, labels):
     phase_classes = {}
     for a in nodes:
         phase_classes.setdefault(net.space(a).name, []).append(a)
+    coarsest, _, projection = coarsest_balanced(net)
+    assert check_fibration(projection).is_fibration
     partitions = [
-        coarsest_balanced(net)[0],
+        coarsest,
         Partition([a] for a in nodes),
         Partition(phase_classes.values()),
         Partition(merged.values()),
@@ -177,7 +180,7 @@ def test_balance_check_matches_per_node_signatures(net, labels):
         witness = reference_balance_witness(scan_network(net), p)
         assert is_balanced(net, p) == (witness is None, witness)
         if witness is None:
-            quotient_of(net, p)
+            assert check_fibration(quotient_of(net, p)[1]).is_fibration
         else:
             with pytest.raises(PreconditionError, match="not balanced"):
                 quotient_of(net, p)
@@ -187,10 +190,14 @@ def test_balance_check_matches_per_node_signatures(net, labels):
 @example(KITCHEN_SINK)
 @example(doubled_edge_chain(9))
 def test_coarsest_quotient_matches_the_checked_quotient(net):
-    """``coarsest_balanced`` builds its quotient unchecked; ``quotient_of`` on its partition checks balance first."""
+    """``coarsest_balanced`` builds its quotient unchecked; ``quotient_of`` on its partition checks balance first.
+
+    Neither re-checks its projection, so this test proves both are fibrations.
+    """
     partition, quotient, projection = coarsest_balanced(net)
     assert is_balanced(net, partition) == (True, None)
     checked_quotient, checked_projection = quotient_of(net, partition)
+    assert check_fibration(projection).is_fibration and check_fibration(checked_projection).is_fibration
     fibers: dict = {}
     for a, b in checked_projection.node_map.items():
         fibers.setdefault(b, []).append(a)
