@@ -158,7 +158,10 @@ def quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkMap]:
 def _quotient(net: Network, p: Partition, idx: Mapping[NodeId, NodeId]) -> tuple[Network, NetworkMap]:
     """:func:`quotient_of` for a partition its caller knows to be balanced, with its node -> block id map.
 
-    The projection of a balanced partition is a fibration by construction, so it is returned unchecked.
+    The projection of a balanced partition of a valid network is a fibration
+    by construction once its quotient edge ids are distinct, so only that is
+    checked: ids may contain ':', so two (block, edge) pairs can join to the
+    same quotient edge id, and such a partition raises PreconditionError.
     """
     q_nodes = tuple(b[0] for b in p.blocks)
     q_edges: list[Edge] = []
@@ -178,10 +181,13 @@ def _quotient(net: Network, p: Partition, idx: Mapping[NodeId, NodeId]) -> tuple
             for src_block, ids in groups.items():
                 for own, reps in zip(ids, rep_groups[src_block]):
                     edge_map[own] = f"{rep}:{reps}"
-    quotient = Network(
-        Graph(q_nodes, tuple(sorted(q_edges, key=lambda e: e.edge_id))),
-        {b[0]: net.space(b[0]) for b in p.blocks},
-    )
+    q_edges.sort(key=lambda e: e.edge_id)
+    if len({e.edge_id for e in q_edges}) < len(q_edges):
+        repeated = next(e.edge_id for e, f in zip(q_edges, q_edges[1:]) if e.edge_id == f.edge_id)
+        raise PreconditionError(
+            f"quotient edge id {repeated!r} would name two edges: block ids and edge ids joined by ':' collide"
+        )
+    quotient = Network(Graph(q_nodes, tuple(q_edges)), {b[0]: net.space(b[0]) for b in p.blocks})
     return quotient, NetworkMap(net, quotient, idx, edge_map)
 
 

@@ -1000,6 +1000,18 @@ def test_quotient_commands_check_no_map(files, capsys, monkeypatch, command):
     assert calls == []
 
 
+@pytest.mark.parametrize("command", [["balanced", "--coarsest"], ["quotient"]], ids=["balanced --coarsest", "quotient"])
+def test_quotient_commands_refuse_colliding_edge_ids(files, capsys, command):
+    # block "a" with edge "b:c" and block "a:b" with edge "c" both join to the quotient edge id "a:b:c"
+    write, _ = files
+    net = write("net.json", network_to_json(
+        network([("a", R1), ("a:b", R1), ("x", R1)], [("b:c", "x", "a"), ("c", "x", "a:b"), ("d", "x", "a:b")])
+    ))
+    code, out, err = run_cli(capsys, [*command, net])
+    assert (code, out) == (1, "")
+    assert err == "error: quotient edge id 'a:b:c' would name two edges: block ids and edge ids joined by ':' collide\n"
+
+
 def test_reports_are_byte_identical(files, capsys, tmp_path):
     write, _ = files
     m = fixtures.g3_to_c2()

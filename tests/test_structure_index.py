@@ -13,6 +13,7 @@ import inspect
 import math
 import pkgutil
 import random
+import re
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -205,6 +206,65 @@ def test_coarsest_quotient_matches_the_checked_quotient(net):
     assert network_to_json(quotient) == network_to_json(checked_quotient)
     assert map_to_json(projection) == map_to_json(checked_projection)
 
+
+# Three nodes in three blocks whose quotient edge ids "a" + ":" + "b:c" and "a:b" + ":" + "c" are the same.
+COLON_COLLISION = network(
+    [("a", R1), ("a:b", R1), ("x", R1)],
+    [("b:c", "x", "a"), ("c", "x", "a:b"), ("d", "x", "a:b")],
+)
+
+
+def colon_ids(n: int):
+    """n distinct ids of the form "a", "a:a", "a:a:a", ...
+
+    A block id joined to an edge id then repeats whenever two such pairs hold as many 'a's in all.
+    """
+    ids = st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True)
+    return ids.map(lambda ks: [":".join("a" * k) for k in ks])
+
+
+def renamed(net: Network, node_ids, edge_ids) -> tuple[Network, dict]:
+    """``net`` with its nodes and edges renamed in listing order, and the node renaming."""
+    rename = dict(zip(net.graph.nodes, node_ids))
+    nodes = [(rename[a], net.space(a)) for a in net.graph.nodes]
+    return network(nodes, [(eid, rename[e.src], rename[e.tgt]) for eid, e in zip(edge_ids, net.graph.edges)]), rename
+
+
+@st.composite
+def colon_networks(draw):
+    net = draw(networks())
+    return renamed(net, draw(colon_ids(len(net.graph.nodes))), draw(colon_ids(len(net.graph.edges))))[0]
+
+
+def test_colliding_quotient_edge_ids_are_refused():
+    partition = Partition([a] for a in COLON_COLLISION.graph.nodes)
+    assert is_balanced(COLON_COLLISION, partition) == (True, None)
+    for build in (lambda: coarsest_balanced(COLON_COLLISION), lambda: quotient_of(COLON_COLLISION, partition)):
+        with pytest.raises(PreconditionError, match="^quotient edge id 'a:b:c' would name two edges"):
+            build()
+
+@given(colon_networks())
+@example(COLON_COLLISION)
+def test_colon_ids_give_a_fibration_or_a_refusal(net):
+    """Where the coarsest partition's joined quotient edge ids repeat, both quotients refuse it.
+
+    Otherwise each builds exactly those ids, and a fibration.  The partition
+    comes from the same network with plain ids, which join without repeats.
+    """
+    n_nodes, n_edges = len(net.graph.nodes), len(net.graph.edges)
+    plain, rename = renamed(net, [f"n{i}" for i in range(n_nodes)], [f"e{j}" for j in range(n_edges)])
+    name = {b: a for a, b in rename.items()}
+    partition = Partition([name[a] for a in b] for b in coarsest_balanced(plain)[0].blocks)
+    joined = sorted(f"{b[0]}:{e.edge_id}" for b in partition.blocks for e in net.in_edges(b[0]))
+    repeated = next((i for i, j in zip(joined, joined[1:]) if i == j), None)
+    for build in (lambda: coarsest_balanced(net)[1:], lambda: quotient_of(net, partition)):
+        if repeated is not None:
+            with pytest.raises(PreconditionError, match=f"^quotient edge id {re.escape(repr(repeated))} would"):
+                build()
+        else:
+            quotient, projection = build()
+            assert [e.edge_id for e in quotient.graph.edges] == joined
+            assert check_fibration(projection).is_fibration
 
 def test_kitchen_sink_has_every_feature():
     edges = KITCHEN_SINK.graph.edges
