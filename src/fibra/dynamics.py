@@ -218,25 +218,6 @@ def lift_to_nodes(net: Network, per_class: Mapping[NodeId, Control]) -> VirtualV
     return per_node_field(net, {a: field.control_at(a) for a in net.graph.nodes})
 
 
-def _runs(w: VirtualVectorField, index: StateIndex) -> list[tuple[Control, tuple[NodeId, ...]]]:
-    """(control, nodes) runs of a field, in the order of each run's first node.
-
-    A class whose control is an expression is one run, and every other node
-    is a run of its own.
-    """
-    if w.mode == "per_node":
-        return [(w.controls[a], (a,)) for a in index.order]
-    runs: list[tuple[Control, tuple[NodeId, ...]]] = []
-    for members in w.groupoid.classes.blocks:
-        ctrl = w.controls[members[0]]
-        if isinstance(ctrl, ControlExpr):
-            runs.append((ctrl, members))
-        else:
-            runs += [(w.control_at(a), (a,)) for a in members]
-    runs.sort(key=lambda run: index.slices[run[1][0]][0])
-    return runs
-
-
 def _compact(index: np.ndarray) -> slice | np.ndarray:
     """A 1-D gather as the slice that reads the same coordinates, where one does; else a contiguous copy.
 
@@ -260,11 +241,15 @@ class GlobalField:
     keys node ``a`` of the i-th part (the first is part 0) as ``(i, a)``,
     and ``network`` is the first part's network.
 
-    The nodes of a groupoid class share their class's expression control and
-    form one unit; so do the nodes of a per-node field that share one
-    expression control, in whichever parts they lie (a pulled-back field
-    holds the very controls of the field it was pulled back from).  A node
-    with a raw or transported control is a unit of its own.  Each unit's
+    The nodes of a groupoid class share their class's control, whatever its
+    kind, and form one unit bound at the class representative: the canonical
+    isomorphism that moves the control within its class pairs same-type
+    inputs by position in edge-id order, the order in which each member's
+    inputs are gathered, so it moves no kernel position.  The nodes of a
+    per-node field that share one expression control form one unit too, in
+    whichever parts they lie (a pulled-back field holds the very controls of
+    the field it was pulled back from); a node of a per-node field with any
+    other control is a unit of its own.  Each unit's
     kernel is bound once, to the input counts its gathers fix, and each call
     evaluates it with one gather of its root and one of each input group's
     states, then writes each of its columns through that coordinate's own
@@ -285,15 +270,20 @@ class GlobalField:
         self.network = net
         indexes = [total_phase_space(part_net) for part_net, _ in parts]
         self.index = StateIndex.joint(indexes) if more else indexes[0]
-        # the id of an expression control, or the part and node of any other control -> [control, slots
-        # of its first node, flat starts of its roots, flat starts of its sources per group], in the order
-        # of each unit's first node; the fields have checked that each node's control has the node's
-        # signature, so the nodes of one unit hold the same number of inputs per group
+        # the id of an expression control, or the part and first node (a class's representative) of any
+        # other control -> [control, slots of its first node, flat starts of its roots, flat starts of its
+        # sources per group], in the order of each unit's first node; the fields have checked that each
+        # node's or representative's control has its signature, which a class's members share, so the
+        # nodes of one unit hold the same number of inputs per group
         units: dict = {}
         off = 0
         for i, ((part_net, part_w), part_index) in enumerate(zip(parts, indexes)):
             slices, spaces, in_edges = part_index.slices, part_index.spaces, part_net.graph._index.in_edges
-            for ctrl, nodes in _runs(part_w, part_index):
+            if part_w.mode == "per_node":
+                runs = [(part_w.controls[a], (a,)) for a in part_index.order]
+            else:  # blocks come in the order of their least member, the layout order
+                runs = [(part_w.controls[b[0]], b) for b in part_w.groupoid.classes.blocks]
+            for ctrl, nodes in runs:
                 key = id(ctrl) if isinstance(ctrl, ControlExpr) else (i, nodes[0])
                 unit = units.get(key)
                 if unit is None:

@@ -48,7 +48,7 @@ from fibra import (
     total_phase_space,
     verify_driving_decomposition,
 )
-from fibra import expr_dsl
+from fibra import dynamics, expr_dsl
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples, bind_control
 from fibra.errors import EvaluationFault, IntegrationFault
 from fibra.expr_dsl import (
@@ -161,7 +161,7 @@ def same_bits(a, b):
 @given(st.data())
 def test_field_and_eval_control_match_per_call_path(data):
     net = data.draw(networks())
-    w = twisted_node_field(data.draw, net)
+    w = data.draw(st.sampled_from([class_field, twisted_node_field]))(data.draw, net)
     field, reference = GlobalField(net, w), reference_field(net, w)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     for _ in range(3):
@@ -171,6 +171,31 @@ def test_field_and_eval_control_match_per_call_path(data):
             root, inputs = x[field.index.slice_of(a)], labelled_inputs(net, a, x, field.index)
             ctrl = w.control_at(a)
             assert same_bits(eval_control(ctrl, root, inputs), reference_eval_control(ctrl, root, inputs))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: fixtures.string_graph(8), fixtures.broadcast10, fixtures.g3_mixed],
+    ids=["string16", "broadcast10", "g3-mixed"],
+)
+def test_a_raw_class_is_one_unit_built_without_transport(make):
+    # the canonical isomorphism pairs a class's same-type inputs by position in edge-id order, the order
+    # each member's inputs are gathered in, so a build moves no control and binds each class once
+    net = make()
+    classes = symmetry_groupoid(net).classes.blocks
+    w = per_class_field(net, {b[0]: raw_control(signature_at(net, b[0])) for b in classes})
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        for owner, name in [(dynamics, "canonical_isos"), (dynamics, "_transported"), (VirtualVectorField, "control_at")]:
+            original = getattr(owner, name)
+            patch.setattr(owner, name, lambda *args, _f=original, _name=name: calls.append(_name) or _f(*args))
+        field = GlobalField(net, w)
+    assert calls == []
+    assert len(field._units) == len(classes) < len(net.graph.nodes)
+    reference = reference_field(net, w)
+    states = sample_states(field.index, np.random.default_rng(0), 3)
+    for x, row in zip(states, field(states)):
+        assert same_bits(row, reference(x)) and same_bits(field(x), row)
 
 
 @given(st.data())

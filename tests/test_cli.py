@@ -362,6 +362,14 @@ def test_balanced_check_rejects_a_partition_not_listing_each_node_once(files, ca
     assert (code, out, err) == (2, "", f"error: {partition}: partition does not list each network node exactly once\n")
 
 
+def test_balanced_check_refuses_a_block_that_mixes_phase_spaces(files, capsys):
+    write, _ = files
+    net = write("g3_mixed.json", network_to_json(fixtures.g3_mixed(fibra.R2)))
+    partition = write("p.json", {"blocks": [["1", "2", "3"]]})
+    code, out, err = run_cli(capsys, ["balanced", "--check", partition, net])
+    assert (code, out, err) == (1, "", "error: block '1' mixes phase spaces\n")
+
+
 def test_quotient_command(files, capsys):
     write, _ = files
     net = write("funnel.json", network_to_json(fixtures.funnel4()))

@@ -260,6 +260,14 @@ HAND_BUILT_FAULTS = {
         lambda: compile_control(ControlExpr(SIG_MEAN, (5,)), [2]), TypeError, "not an expression node: 5",
     ),
     "unparse-of-a-non-expression": (lambda: unparse(5), TypeError, "not an expression node: 5"),
+    "no-input-count-for-a-group": (
+        lambda: compile_control(ControlExpr(SIG_MEAN, (RootRef(0),)), []),
+        SignatureMismatch, "0 input counts for the 1 groups of the signature",
+    ),
+    "an-input-count-past-the-groups": (
+        lambda: compile_control(ControlExpr(SIG_MEAN, (RootRef(0),)), [2, 1]),
+        SignatureMismatch, "2 input counts for the 1 groups of the signature",
+    ),
 }
 
 

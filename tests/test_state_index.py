@@ -268,6 +268,29 @@ def test_sample_state_makes_the_per_node_draws(net, seed):
     assert new.random() == old.random()
 
 
+@given(st.lists(networks(), min_size=1, max_size=3))
+def test_joint_layout_reads_each_part_as_a_mapping(nets):
+    indexes = [total_phase_space(net) for net in nets]
+    joint = graphs.StateIndex.joint(indexes)
+    slices, spaces, off = {}, {}, 0
+    for i, index in enumerate(indexes):
+        for a in index.order:
+            start, length = index.slices[a]
+            slices[i, a], spaces[i, a] = (off + start, length), index.spaces[a]
+        off += index.total_dim
+    assert joint.total_dim == off
+    for mapping, expected in [(joint.slices, slices), (joint.spaces, spaces)]:
+        assert list(mapping) == list(joint.order) == list(expected)
+        assert len(mapping) == len(expected)
+        assert dict(mapping.items()) == expected
+        a = indexes[0].order[0]
+        for key in [a, (a,), (0, a, 0), 7, (len(nets), a), (0, "zz"), (None, a)]:  # not (part, node)
+            assert key not in mapping
+            with pytest.raises(KeyError) as caught:
+                mapping[key]
+            assert caught.value.args == (key,)
+
+
 def test_repeated_node_id_has_no_layout():
     # the constructor stays permissive so that validation can list the repeat; a
     # layout would give both ids one slice and leave two coordinates unwritten

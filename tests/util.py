@@ -29,7 +29,6 @@ from fibra import (
     Violation,
     check_fibration,
     coordinate_distance,
-    ctrl_transport,
     input_tree,
     integrate,
     interconnect,
@@ -898,14 +897,14 @@ def reference_units(net: Network, mode: str, controls):
 
     Takes a raw (mode, controls) pair that no field has checked.  Node by node
     in layout order: its control, its own (per node) or its class
-    representative's moved along :func:`reference_canonical_witness` (per
-    class), checked
-    against the node's root space, each in-edge's type and the input count
-    of each group, each refusal naming the node; nodes that share one
-    expression control and one count of inputs per group share a unit; each
-    unit then makes one gather for its roots and one per group, and binds
-    its control to its first node's slots.  Gives (root gather, kernel,
-    input gathers) per unit, in the order of each unit's first node, as
+    representative's (per class), checked against the node's root space,
+    each in-edge's type and the input count of each group, each refusal
+    naming the node; nodes that share one expression control and one count
+    of inputs per group share a unit, and so do the nodes of one class,
+    whatever its control; each unit then makes one gather for its roots and
+    one per group, and binds its control to its first node's slots, a
+    class's at its representative.  Gives (root gather, kernel, input
+    gathers) per unit, in the order of each unit's first node, as
     ``GlobalField._units`` orders its units.
     """
     index = total_phase_space(net)
@@ -913,13 +912,8 @@ def reference_units(net: Network, mode: str, controls):
     groupoid = symmetry_groupoid(net)
     units: dict = {}
     for a in index.order:
-        if mode == "per_node":
-            ctrl = controls[a]
-        else:
-            rep = groupoid.representative(a)
-            ctrl = controls[rep]
-            if a != rep:
-                ctrl = ctrl_transport(reference_canonical_witness(net, a, rep).inverse(), ctrl)
+        owner = a if mode == "per_node" else groupoid.representative(a)
+        ctrl = controls[owner]
         if ctrl.signature.root != index.spaces[a]:
             raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
         edges = net.in_edges(a)
@@ -935,7 +929,7 @@ def reference_units(net: Network, mode: str, controls):
         counts = tuple(map(len, sources))
         if counts != tuple(count for _, count in ctrl.signature.groups().values()):
             raise SignatureMismatch(f"{counts} inputs per signature group at node {a!r}")
-        key = (id(ctrl), counts) if isinstance(ctrl, ControlExpr) else a
+        key = (id(ctrl), counts) if isinstance(ctrl, ControlExpr) else owner
         slots = [(e.edge_id, net.space(e.src)) for e in edges]
         unit = units.get(key)
         if unit is None:
