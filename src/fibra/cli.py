@@ -224,16 +224,17 @@ def _input_trees(args, read):
 @_command("groupoid", "isomorphism classes, witnesses, automorphism orders", "network", SEED, OUT)
 def _groupoid(args, read):
     net = _load_network(read, args.network)
-    g = symmetry_groupoid(net)
-    classes = [
-        {
-            "representative": b[0],
-            "members": list(b),
-            "witnesses": {w.source: w.leaf_bijection for w in canonical_isos(net, b, b[0])},
-        }
-        for b in g.classes.blocks
-    ]
-    return {"classes": classes, "aut_orders": dict(sorted(g.aut_orders.items()))}, True
+    classes, orders = [], {}
+    for b in symmetry_groupoid(net).classes.blocks:
+        classes.append(
+            {
+                "representative": b[0],
+                "members": list(b),
+                "witnesses": {w.source: w.leaf_bijection for w in canonical_isos(net, b, b[0])},
+            }
+        )
+        orders.update(dict.fromkeys(b, aut_order(input_tree(net, b[0]))))  # a class shares one order
+    return {"classes": classes, "aut_orders": orders}, True
 
 
 @_command("balanced", "coarsest balanced partition, or check one", "network", _coarsest_or_check, SEED, OUT)
@@ -255,7 +256,10 @@ def _balanced(args, read):
     net = _load_network(read, args.network)
     if partition is None or partition.block_index().keys() != net.graph.node_set:
         raise InputError(f"{args.check}: partition does not list each network node exactly once")
-    ok, witness = is_balanced(net, partition)
+    try:
+        ok, witness = is_balanced(net, partition)
+    except PreconditionError as exc:  # a block that mixes phase spaces
+        raise InputError(f"{args.check}: {exc}") from None
     payload: dict = {"balanced": ok}
     if witness is not None:
         payload["witness"] = dataclasses.asdict(witness)

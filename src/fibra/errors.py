@@ -24,10 +24,10 @@ class SignatureMismatch(PreconditionError):
 
 
 class EnumerationCapExceeded(FibraError):
-    """Isomorphism enumeration would exceed the configured size cap."""
+    """Isomorphism enumeration would exceed the configured size cap; the message names the cap, not the count."""
 
     def __init__(self, count: int, cap: int):
-        super().__init__(f"{count} isomorphisms exceed the enumeration cap {cap}")
+        super().__init__(f"more than {cap} isomorphisms: over the enumeration cap")
         self.count = count
         self.cap = cap
 

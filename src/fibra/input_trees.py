@@ -131,7 +131,7 @@ def induced_tree_map(m: NetworkMap, a: NodeId) -> InducedTreeMap:
 def iso_count(net: Network, a: NodeId, b: NodeId) -> int:
     """Number of input-network isomorphisms from a's tree to b's tree: |Aut(a)| when they share a class, else 0."""
     g = symmetry_groupoid(net)
-    return g.aut_orders[a] if g.representative(a) == g.representative(b) else 0
+    return aut_order(input_tree(net, a)) if g.representative(a) == g.representative(b) else 0
 
 
 def canonical_isos(net: Network, sources: Iterable[NodeId], target: NodeId) -> list[TreeIso]:
@@ -252,10 +252,9 @@ def aut_generators(tree: InputTree) -> list[TreeIso]:
 
 @dataclass(frozen=True)
 class SymmetryGroupoid:
-    """Partition of the nodes into input-network isomorphism classes, with each node's automorphism order."""
+    """Partition of the nodes into input-network isomorphism classes."""
 
     classes: Partition
-    aut_orders: Mapping[NodeId, int]
 
     def class_of(self, node: NodeId) -> tuple[NodeId, ...]:
         """The members of ``node``'s class, least first."""
@@ -275,9 +274,10 @@ def symmetry_groupoid(net: Network) -> SymmetryGroupoid:
     """Classify nodes by input-network isomorphism; representative = least member.
 
     Two input trees are isomorphic exactly when their root spaces and typed
-    leaf multisets agree: one refinement round from the phase colouring, whose
-    signature multiplicities give the automorphism orders.  Each network builds
-    its groupoid once, on the first call, and keeps it.
+    leaf multisets agree: one refinement round from the phase colouring.  The
+    groupoid holds only its classes; every member of a class shares the
+    automorphism order :func:`aut_order` gives for any one member's tree.
+    Each network builds its groupoid once, on the first call, and keeps it.
     """
     return net._groupoid
 
@@ -285,8 +285,7 @@ def symmetry_groupoid(net: Network) -> SymmetryGroupoid:
 def _classify(net: Network) -> SymmetryGroupoid:
     """The groupoid of :func:`symmetry_groupoid`, from one refinement round."""
     nodes, colours, signatures = next(refinement_rounds(net, net.phase))
-    order_of = [math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(s)) for _, s in signatures]
     buckets: list[list[NodeId]] = [[] for _ in signatures]
     for a, c in zip(nodes, colours):
         buckets[c].append(a)
-    return SymmetryGroupoid(Partition(buckets), {a: order_of[c] for a, c in zip(nodes, colours)})
+    return SymmetryGroupoid(Partition(buckets))

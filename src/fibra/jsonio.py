@@ -41,6 +41,10 @@ def dumps(obj: Any) -> str:
     Takes str-keyed dicts, lists, tuples, strings, ints, floats, bools and
     None; raises TypeError on anything else, a non-str key included.  (With
     ``indent`` set, the standard encoder runs its pure-Python generator.)
+    One exception: an int with more decimal digits than
+    ``sys.get_int_max_str_digits()`` allows, which ``json.dumps`` refuses with
+    ``ValueError``, is written as the JSON string of its hex form (``"0x..."``),
+    which ``int(s, 16)`` reads back under any limit.
     """
     return _dumps(obj, "\n")
 
@@ -71,7 +75,10 @@ def _dumps(obj: Any, newline: str) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        try:
+            return int.__repr__(obj)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() lets Python print
+            return '"' + hex(obj) + '"'
     if isinstance(obj, float):
         if obj != obj:
             return "NaN"

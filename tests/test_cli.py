@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fibra
-from fibra import R1, NetworkMap, PreconditionError, canonical_isos, fixtures, network, signature_at
+from fibra import (
+    R1, NetworkMap, PreconditionError, aut_order, canonical_isos, fixtures, input_tree, network, signature_at,
+)
 from fibra.cli import build_parser, main
 from fibra.jsonio import class_dynamics_to_json, map_to_json, network_to_json, partition_to_json
 
@@ -367,7 +369,7 @@ def test_balanced_check_refuses_a_block_that_mixes_phase_spaces(files, capsys):
     net = write("g3_mixed.json", network_to_json(fixtures.g3_mixed(fibra.R2)))
     partition = write("p.json", {"blocks": [["1", "2", "3"]]})
     code, out, err = run_cli(capsys, ["balanced", "--check", partition, net])
-    assert (code, out, err) == (1, "", "error: block '1' mixes phase spaces\n")
+    assert (code, out, err) == (2, "", f"error: {partition}: block '1' mixes phase spaces\n")
 
 
 def test_quotient_command(files, capsys):
@@ -391,6 +393,26 @@ def test_input_trees_and_groupoid(files, capsys):
     assert code == 0
     results = report_of(out)["results"]
     assert results["aut_orders"] == {"1": 1, "2": 2, "3": 1, "4": 6}
+
+
+def test_an_automorphism_order_too_long_to_print_is_reported_in_hex(files, capsys):
+    # a root fed by 2000 R1 leaves: |Aut(root)| = 2000! has 5736 digits, more than Python prints by default
+    n = 2000
+    star = network([("root", R1)] + [(f"l{i}", R1) for i in range(n)], [(f"e{i}", f"l{i}", "root") for i in range(n)])
+    write, _ = files
+    path = write("star.json", network_to_json(star))
+    code, out, err = run_cli(capsys, ["groupoid", path])
+    assert (code, err) == (0, "")
+    orders = report_of(out)["results"]["aut_orders"]
+    assert int(orders.pop("root"), 16) == math.factorial(n) and set(orders.values()) == {1}
+    code, out, err = run_cli(capsys, ["input-trees", path])
+    assert (code, err) == (0, "")
+    root = next(t for t in report_of(out)["results"]["trees"] if t["root"] == "root")
+    assert int(root["aut_order"], 16) == math.factorial(n)
+    with pytest.raises(fibra.EnumerationCapExceeded) as exc:
+        fibra.enumerate_tree_isos(star, "root", "root")
+    assert str(exc.value) == "more than 1000000 isomorphisms: over the enumeration cap"
+    assert (exc.value.count, exc.value.cap) == (math.factorial(n), 10**6)
 
 
 SPACE = st.sampled_from([fibra.R1, fibra.R2, fibra.S1])
@@ -469,6 +491,7 @@ def test_structure_commands_match_the_oracles(seed):
         net_file, out = str(files["net"]), tmp / "report.json"
 
         classes, orders = reference_symmetry_groupoid(net)
+        assert orders == {a: aut_order(input_tree(net, a)) for a in net.graph.nodes}
         assert _report(["groupoid", net_file], out) == (0, {
             "classes": [
                 {

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 import types
 
 import numpy as np
@@ -334,6 +335,18 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_dumps_matches_json(value):
     assert dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dumps_writes_an_int_too_long_to_print_as_its_hex_string():
+    # json.dumps raises ValueError past the digit limit; dumps writes "0x..." there and keeps every shorter int
+    limit = sys.get_int_max_str_digits()
+    longest, too_long = 10**limit - 1, 10**limit
+    assert dumps([longest, -longest]) == json.dumps([longest, -longest], indent=2)
+    with pytest.raises(ValueError):
+        json.dumps(too_long)
+    text = dumps({"n": too_long, "m": [-too_long]})
+    assert json.loads(text) == {"n": hex(too_long), "m": [hex(-too_long)]}
+    assert int(json.loads(text)["n"], 16) == too_long and sys.get_int_max_str_digits() == limit
 
 
 NOT_REPORTS = {
