@@ -93,7 +93,6 @@ _EXPORTS = {
     ),
     "dynamics": (
         "GlobalField",
-        "TransportedControl",
         "VirtualVectorField",
         "check_invariance",
         "ctrl_transport",

@@ -249,16 +249,11 @@ def _balanced(args, read):
             },
             True,
         )
-    try:
-        partition = partition_from_json(read(args.check))
-    except PreconditionError:  # a node listed twice
-        partition = None
+    partition_json = read(args.check)  # before the network, the order in which the report lists its inputs
     net = _load_network(read, args.network)
-    if partition is None or partition.block_index().keys() != net.graph.node_set:
-        raise InputError(f"{args.check}: partition does not list each network node exactly once")
     try:
-        ok, witness = is_balanced(net, partition)
-    except PreconditionError as exc:  # a block that mixes phase spaces
+        ok, witness = is_balanced(net, partition_from_json(partition_json))
+    except PreconditionError as exc:  # a node listed twice, missing or extra, or a block that mixes phase spaces
         raise InputError(f"{args.check}: {exc}") from None
     payload: dict = {"balanced": ok}
     if witness is not None:

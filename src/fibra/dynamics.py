@@ -6,7 +6,8 @@ in-edge source states into those controls, yielding a genuine vector field on
 the flat total state.  Along a fibration, controls transport backwards
 through the induced input-tree isomorphisms; since all phase spaces here are
 coordinate spaces, the root differential is the identity and transport is
-pure input re-indexing.
+pure input re-indexing.  A control is an expression or a raw callable, and a
+transported control is a control of the same kind.
 """
 
 from __future__ import annotations
@@ -45,23 +46,7 @@ from .sampling import check_count, sample_space
 LabelledInput = tuple[str, PhaseSpace, np.ndarray]  # (edge id, source space, state)
 
 
-@dataclass(frozen=True)
-class TransportedControl:
-    """A control moved to another input tree by re-indexing its inputs.
-
-    ``source_to_current`` maps the base control's leaf edge ids to leaf edge
-    ids of the tree the control now lives on.
-    """
-
-    base: Union[ControlExpr, RawControl]
-    source_to_current: Mapping[str, str]
-
-    @property
-    def signature(self) -> ControlSignature:
-        return self.base.signature
-
-
-Control = Union[ControlExpr, RawControl, TransportedControl]
+Control = Union[ControlExpr, RawControl]
 
 
 def signature_at(net: Network, a: NodeId) -> ControlSignature:
@@ -82,21 +67,16 @@ def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]]) -> Batc
     group's slots in slot order as one (m, count, dim) array, with the counts
     the slots fix.  The result holds one column per root coordinate, an (m,)
     array or a float.  An expression control is its kernel compiled for those
-    counts.  A raw control, transported any number of times, reads each
-    member's states back into its own slot order, calls its callable member
-    by member and returns the columns of the tangents.
+    counts.  A raw control's callable is called member by member on the
+    member's (edge id, state) pairs in slot order, and the kernel returns the
+    columns of the tangents.
     """
     positions = group_positions(ctrl.signature, [space for _, space in slots])
     if isinstance(ctrl, ControlExpr):
         return compile_control(ctrl, list(map(len, positions)))
     place = {i: (g, k) for g, pos in enumerate(positions) for k, i in enumerate(pos)}
-    where = {eid: place[i] for i, (eid, _) in enumerate(slots)}  # edge id -> (group, position in it)
-    while isinstance(ctrl, TransportedControl):  # the base's slots are its leaf ids, in edge-id order
-        where = {src: where[ctrl.source_to_current[src]] for src in sorted(ctrl.source_to_current)}
-        ctrl = ctrl.base
-    if isinstance(ctrl, ControlExpr):  # transported by hand: it sorts each type group, so reads no order
-        return compile_control(ctrl, list(map(len, positions)))
-    ids, at, fn, dim = list(where), list(where.values()), ctrl.fn, ctrl.signature.root.dim
+    ids, at = [eid for eid, _ in slots], [place[i] for i in range(len(slots))]  # edge id, (group, position in it)
+    fn, dim = ctrl.fn, ctrl.signature.root.dim
 
     def kernel(roots: np.ndarray, groups: Sequence[np.ndarray]) -> list[np.ndarray]:
         out = np.empty((len(roots), dim))
@@ -120,10 +100,14 @@ def eval_control(ctrl: Control, root: np.ndarray, inputs: Sequence[LabelledInput
 def ctrl_transport(iso: TreeIso, ctrl: Control) -> Control:
     """Transport a control along an input-tree isomorphism.
 
-    Expression controls are symmetric in same-type inputs and leaf types are
-    preserved, so they transport to themselves; opaque controls acquire a
-    re-indexing layer.  The root differential is the identity on coordinate
-    spaces.
+    ``iso`` maps the leaf ids of the tree the control is written for to those
+    of the tree it moves to.  Expression controls are symmetric in same-type
+    inputs and leaf types are preserved, so they transport to themselves, as
+    does any control along an identity.  A raw control moves to a raw control
+    of the same signature whose callable reads its inputs back at the base's
+    leaf ids, in the base's edge-id order, and calls the base's callable; a
+    control moved twice calls through both.  The root differential is the
+    identity on coordinate spaces.
     """
     return _transported(ctrl, lambda: iso)
 
@@ -135,14 +119,16 @@ def _transported(ctrl: Control, iso_of: Callable[[], TreeIso]) -> Control:
     iso = iso_of()
     if iso.is_identity:
         return ctrl
-    if isinstance(ctrl, RawControl):
-        return TransportedControl(ctrl, dict(iso.leaf_bijection))
-    if isinstance(ctrl, TransportedControl):
-        composed = {
-            src: iso.leaf_bijection[cur] for src, cur in ctrl.source_to_current.items()
-        }
-        return TransportedControl(ctrl.base, composed)
-    raise TypeError(f"not a control: {ctrl!r}")
+    if not isinstance(ctrl, RawControl):
+        raise TypeError(f"not a control: {ctrl!r}")
+    pairs = sorted(iso.leaf_bijection.items())  # (base leaf id, current leaf id), in the base's edge-id order
+    fn = ctrl.fn
+
+    def moved(root: np.ndarray, states: tuple[tuple[str, np.ndarray], ...]) -> np.ndarray:
+        at = dict(states)
+        return fn(root, tuple((base, at[current]) for base, current in pairs))
+
+    return RawControl(ctrl.signature, moved)
 
 
 def _check_signature(ctrl: Control, expected: ControlSignature, where: str) -> None:
@@ -248,8 +234,8 @@ class GlobalField:
     inputs are gathered, so it moves no kernel position.  The nodes of a
     per-node field that share one expression control form one unit too, in
     whichever parts they lie (a pulled-back field holds the very controls of
-    the field it was pulled back from); a node of a per-node field with any
-    other control is a unit of its own.  Each unit's
+    the field it was pulled back from); a node of a per-node field with a raw
+    control, transported or not, is a unit of its own.  Each unit's
     kernel is bound once, to the input counts its gathers fix, and each call
     evaluates it with one gather of its root and one of each input group's
     states, then writes each of its columns through that coordinate's own

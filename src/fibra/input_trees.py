@@ -13,7 +13,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import EnumerationCapExceeded, PreconditionError
@@ -179,7 +179,10 @@ class TreeIsos(Sequence):
     Item ``i`` is the ``i``-th element of the product, in type-name order, of
     each type block's permutations in lexicographic order (the last block
     varies fastest); it is unranked on access.  Compares equal to any
-    sequence holding the same isomorphisms in the same order.
+    sequence holding the same isomorphisms in the same order; two built alike
+    compare equal without iterating.  Equality and ``repr`` read the count
+    itself, so neither fails for its size; ``len()`` raises ``OverflowError``
+    past ``sys.maxsize``, CPython's limit on a length.
     """
 
     def __init__(self, source: NodeId, target: NodeId, source_ids: tuple, target_blocks: tuple, count: int):
@@ -210,18 +213,34 @@ class TreeIsos(Sequence):
 
     def __iter__(self):
         if self._len:
-            for combo in itertools.product(*map(itertools.permutations, self._blocks)):
-                yield self._iso(itertools.chain.from_iterable(combo))
+            yield from map(self._iso, _permutation_product(self._blocks))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
             return NotImplemented
-        return len(self) == len(other) and all(x == y for x, y in zip(self, other))
+        if isinstance(other, TreeIsos) and vars(self) == vars(other):  # the same trees, ids and count
+            return True
+        count = other._len if isinstance(other, TreeIsos) else len(other)
+        return self._len == count and all(x == y for x, y in zip(self, other))
 
     __hash__ = None
 
     def __repr__(self) -> str:
-        return f"TreeIsos({self._source!r} -> {self._target!r}, {self._len} isomorphisms)"
+        try:
+            count = repr(self._len)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() lets Python print: hex, as jsonio.dumps
+            count = hex(self._len)
+        return f"TreeIsos({self._source!r} -> {self._target!r}, {count} isomorphisms)"
+
+
+def _permutation_product(blocks: tuple) -> Iterator[tuple]:
+    """One permutation of each block, chained, in ``itertools.product`` order; lazy, as ``product`` is not."""
+    if not blocks:
+        yield ()
+        return
+    for head in itertools.permutations(blocks[0]):
+        for tail in _permutation_product(blocks[1:]):
+            yield head + tail
 
 
 def _unrank_permutation(items: tuple, rank: int) -> list:

@@ -26,7 +26,7 @@ from fibra import (
     RawControl,
     S1,
     SignatureMismatch,
-    TransportedControl,
+    TreeIso,
     check_fibration,
     check_invariance,
     ctrl_transport,
@@ -62,12 +62,14 @@ from util import (
     random_network,
     random_surjective_fibration,
     reference_bind,
+    reference_canonical_witness,
     reference_check_invariance,
     reference_eval_control,
     reference_evaluate,
     reference_field,
     reference_integrate,
     reference_pointwise_residual,
+    reference_transport,
     reference_vanishes_on_samples,
 )
 
@@ -220,17 +222,83 @@ def test_transported_kinds_are_covered():
     swap = [i for i in enumerate_tree_isos(net, "b", "b") if not i.is_identity]
     raw = raw_control(sig)
     moved = ctrl_transport(swap[0], ctrl_transport(swap[1], raw))
-    assert isinstance(moved, TransportedControl)
-    # a transported expression control, built directly
-    expr = TransportedControl(
-        parse_control(["sum(u in inputs[R1]) { u[0] * 3.0 } - x[0]"], sig), {"e1": "e3", "e2": "e1", "e3": "e2"}
-    )
+    assert type(moved) is RawControl and moved.signature == sig
+    # an expression, and any control along an identity, transport to themselves
+    expr = parse_control(["sum(u in inputs[R1]) { u[0] * 3.0 } - x[0]"], sig)
+    assert ctrl_transport(swap[0], expr) is expr
+    assert ctrl_transport(enumerate_tree_isos(net, "b", "b")[0], raw) is raw
     w = per_node_field(net, {"a": raw_control(signature_at(net, "a")), "b": moved})
     x = np.array([0.25, -0.75])
     assert same_bits(GlobalField(net, w)(x), reference_field(net, w)(x))
     inputs = labelled_inputs(net, "b", x, total_phase_space(net))
     for ctrl in (moved, expr):
         assert same_bits(eval_control(ctrl, x[1:], inputs), reference_eval_control(ctrl, x[1:], inputs))
+
+
+# --- transport against a hand-relabelled oracle --------------------------------------
+
+
+def _typed_out_of_id_order():
+    """Node b reads S1, R1, R1, S1 inputs in edge-id order: typed order e2, e3, e1, e4."""
+    return network(
+        [("a", R1), ("s", S1), ("b", R1)],
+        [("e1", "s", "b"), ("e2", "a", "b"), ("e3", "b", "b"), ("e4", "s", "b"), ("e5", "b", "a")],
+    )
+
+
+def _agree(ctrl, hand, net, a, rng, trials=3):
+    """``ctrl`` through ``eval_control`` and ``hand`` through the per-call path give the same bits at random states."""
+    index = total_phase_space(net)
+    for _ in range(trials):
+        x = sample_state(index, rng)
+        root, inputs = x[index.slice_of(a)], labelled_inputs(net, a, x, index)
+        assert same_bits(eval_control(ctrl, root, inputs), reference_eval_control(hand, root, inputs))
+
+
+@given(st.data())
+def test_transport_matches_hand_relabelling(data):
+    draw = data.draw
+    net = draw(st.one_of(st.just(_typed_out_of_id_order()), networks()))
+    a = draw(st.sampled_from([a for a in sorted(net.graph.nodes) if iso_count(net, a, a) <= 120]))
+    raw = raw_control(signature_at(net, a))
+    sigma, tau = (draw(st.sampled_from(enumerate_tree_isos(net, a, a))) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    _agree(ctrl_transport(sigma, raw), reference_transport(sigma, raw), net, a, rng)
+    twice = ctrl_transport(tau, ctrl_transport(sigma, raw))
+    _agree(twice, reference_transport(tau, reference_transport(sigma, raw)), net, a, rng)
+    composed = {k: tau.leaf_bijection[v] for k, v in sigma.leaf_bijection.items()}  # sigma then tau, by hand
+    _agree(twice, reference_transport(TreeIso(a, a, composed), raw), net, a, rng)
+
+
+def test_transport_reads_the_base_order_not_the_typed_order():
+    # the swap of b's two S1 inputs moves e1's state to e4 and back; the R1 inputs stay
+    net = _typed_out_of_id_order()
+    pick = RawControl(signature_at(net, "b"), lambda x, ins: np.array([ins[0][1][0] - 10.0 * ins[3][1][0]]))
+    # enumerated, so its bijection lists the leaves in typed order
+    exchange = {"e1": "e4", "e2": "e2", "e3": "e3", "e4": "e1"}
+    swap = next(i for i in enumerate_tree_isos(net, "b", "b") if i.leaf_bijection == exchange)
+    ins = [(f"e{k}", space, np.array([float(k)])) for k, space in enumerate([S1, R1, R1, S1], 1)]
+    assert eval_control(pick, np.zeros(1), ins)[0] == 1.0 - 40.0
+    assert eval_control(ctrl_transport(swap, pick), np.zeros(1), ins)[0] == 4.0 - 10.0
+
+
+@given(st.data())
+def test_pullback_of_raw_class_fields_matches_hand_relabelling(data):
+    draw = data.draw
+    m = random_surjective_fibration(random.Random(draw(st.integers(0, 2**32 - 1))))
+    cod, groupoid = m.codomain, symmetry_groupoid(m.codomain)
+    controls = {r: raw_control(signature_at(cod, r)) for r in groupoid.representatives()}
+    pulled = pullback(m, per_class_field(cod, controls))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for a in m.domain.graph.nodes:
+        # the representative's leaves -> its class member b's, by position in each typed block -> a's, through
+        # the edge map
+        b = m.node_map[a]
+        r = groupoid.representative(b)
+        to_b = reference_canonical_witness(cod, r, b).leaf_bijection
+        to_a = {m.edge_map[e.edge_id]: e.edge_id for e in m.domain.in_edges(a)}
+        hand = reference_transport(TreeIso(r, a, {k: to_a[v] for k, v in to_b.items()}), controls[r])
+        _agree(pulled.control_at(a), hand, m.domain, a, rng, trials=2)
 
 
 # --- boundary checks ----------------------------------------------------------------
@@ -246,7 +314,8 @@ def _kuramoto_node():
 
 def test_wrong_root_dimension_raises():
     _, sig, expr, ins = _kuramoto_node()
-    for ctrl in (expr, raw_control(sig), TransportedControl(raw_control(sig), {"e1": "e2", "e2": "e1", "e3": "e3"})):
+    swap = TreeIso("b", "b", {"e1": "e2", "e2": "e1", "e3": "e3"})
+    for ctrl in (expr, raw_control(sig), ctrl_transport(swap, raw_control(sig))):
         with pytest.raises(SignatureMismatch, match="root state has dimension 2"):
             eval_control(ctrl, np.zeros(2), ins)
     with pytest.raises(SignatureMismatch, match="root state"):
@@ -775,9 +844,9 @@ def test_nonfinite_member_takes_scalar_path(func):
 
 
 # --- one kernel shape for every control kind -----------------------------------------
-# bind_control returns a batch kernel for expression, raw, transported and nested
-# transported controls alike; each row of a batch is what the per-call path gives
-# for that member alone.
+# bind_control returns a batch kernel for expression and raw controls alike, raw ones
+# moved along automorphisms once, twice or not at all; each row of a batch is what
+# the per-call path gives for that member alone.
 
 
 @given(st.data())
@@ -788,8 +857,8 @@ def test_bind_control_rows_match_each_member_alone(data):
     sig = signature_at(net, a)
     ctrl = any_expr_control(draw, sig) if draw(st.booleans()) else raw_control(sig)
     if iso_count(net, a, a) <= 120:
-        for _ in range(draw(st.integers(0, 2))):  # built by hand, so transports nest
-            ctrl = TransportedControl(ctrl, dict(draw(st.sampled_from(enumerate_tree_isos(net, a, a))).leaf_bijection))
+        for _ in range(draw(st.integers(0, 2))):  # a raw control's transports nest
+            ctrl = ctrl_transport(draw(st.sampled_from(enumerate_tree_isos(net, a, a))), ctrl)
     slots = draw(st.permutations([(e.edge_id, net.space(e.src)) for e in net.in_edges(a)]))
     m = draw(st.integers(1, 3))
     roots = np.array(draw(st.lists(VALUES, min_size=m * sig.root.dim, max_size=m * sig.root.dim))).reshape(m, -1)

@@ -31,7 +31,6 @@ from fibra import (
     RawControl,
     S1,
     SignatureMismatch,
-    TransportedControl,
     VirtualVectorField,
     aut_order,
     canonical_isos,
@@ -224,11 +223,9 @@ def _mixed_field(draw, net):
     moved = {}
     for a in net.graph.nodes:
         ctrl = w.control_at(a)
-        isos = enumerate_tree_isos(net, a, a, cap=math.inf)  # unranked on access, so any count will do
-        if len(isos) > 1 and draw(st.booleans()):
-            ctrl = ctrl_transport(isos[draw(st.integers(1, len(isos) - 1))], ctrl)
-            if not isinstance(ctrl, TransportedControl):  # an expression: transport a copy by hand
-                ctrl = TransportedControl(ctrl, {e.edge_id: e.edge_id for e in net.in_edges(a)})
+        count = iso_count(net, a, a)  # isomorphisms are unranked on access, so any count will do
+        if count > 1 and draw(st.booleans()):
+            ctrl = ctrl_transport(enumerate_tree_isos(net, a, a, cap=math.inf)[draw(st.integers(1, count - 1))], ctrl)
         moved[a] = ctrl
     return draw(st.sampled_from([w, per_node_field(net, moved)]))
 

@@ -361,7 +361,7 @@ def test_balanced_check_rejects_a_partition_not_listing_each_node_once(files, ca
     net = write("g3.json", network_to_json(fixtures.g3()))
     partition = write("p.json", {"blocks": blocks})
     code, out, err = run_cli(capsys, ["balanced", "--check", partition, net])
-    assert (code, out, err) == (2, "", f"error: {partition}: partition does not list each network node exactly once\n")
+    assert (code, out, err) == (2, "", f"error: {partition}: partition does not list each node exactly once\n")
 
 
 def test_balanced_check_refuses_a_block_that_mixes_phase_spaces(files, capsys):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -213,6 +214,34 @@ def test_iso_then_rejects_mismatched_ends():
 def test_tree_isos_are_unequal_to_a_non_sequence():
     isos = enumerate_tree_isos(fixtures.four_node_multi(), "4", "4")
     assert (isos == 5) is False and isos != 5
+
+
+@pytest.mark.parametrize("n", [25, 2000])
+def test_tree_isos_of_a_large_star_compare_and_print(n):
+    # 25! passes sys.maxsize, so len() overflows; 2000! has 5736 digits, more than Python prints by default
+    star = network([("root", R1)] + [(f"l{i}", R1) for i in range(n)], [(f"e{i}", f"l{i}", "root") for i in range(n)])
+    isos, count = enumerate_tree_isos(star, "root", "root", cap=math.inf), math.factorial(n)
+    assert iso_count(star, "root", "root") == count
+    with pytest.raises(OverflowError):
+        len(isos)
+    shown = hex(count) if n == 2000 else str(count)
+    assert repr(isos) == f"TreeIsos('root' -> 'root', {shown} isomorphisms)"
+    assert isos == enumerate_tree_isos(star, "root", "root", cap=math.inf)
+    assert isos != [] and isos != [None]  # the counts differ, so no isomorphism is built
+    assert enumerate_tree_isos(star, "l0", "root", cap=math.inf) != isos
+
+
+def test_tree_isos_build_each_isomorphism_on_iteration():
+    # a 9-leaf star has 9! = 362880 automorphisms: building every permutation before the first takes tens of MB
+    star = network([("root", R1)] + [(f"l{i}", R1) for i in range(9)], [(f"e{i}", f"l{i}", "root") for i in range(9)])
+    isos = iter(enumerate_tree_isos(star, "root", "root"))
+    tracemalloc.start()
+    try:
+        first = next(isos)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first.is_identity and peak < 2**20
 
 
 def test_aut_order_is_product_of_factorials():

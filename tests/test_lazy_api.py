@@ -16,14 +16,14 @@ import pytest
 import fibra
 
 # The public names of fibra: the 90 its eager import exported, less IsoClass, dependency_matrix and
-# expected_dependencies, and canonical_isos.
+# expected_dependencies, and canonical_isos; less TransportedControl, now that a transport is a raw control.
 PUBLIC_NAMES = {
     "BalanceWitness", "ConjugacyReport", "ControlExpr", "ControlSignature", "DrivingReport", "Edge",
     "EnumerationCapExceeded", "EvaluationFault", "ExprSyntaxError", "FibraError", "FibrationReport",
     "FibrationRequired", "GlobalField", "Graph", "InducedTreeMap", "InputError", "InputTree",
     "IntegrationFault", "Leaf", "LiftFailure", "Network", "NetworkMap", "Partition",
     "PhaseSpace", "PhaseSpaceMap", "Polydiagonal", "PreconditionError", "R1", "R2", "RawControl", "S1",
-    "SignatureMismatch", "StateIndex", "SymmetryGroupoid", "Trajectory", "TransportedControl", "TreeIso",
+    "SignatureMismatch", "StateIndex", "SymmetryGroupoid", "Trajectory", "TreeIso",
     "Violation", "VirtualVectorField", "aut_generators", "aut_order", "canonical_isos", "certify_conjugacy",
     "check_fibration", "check_invariance", "check_network_map", "circle", "circle_distance",
     "coarsest_balanced", "compose_maps", "coordinate_distance", "ctrl_transport",

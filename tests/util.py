@@ -24,7 +24,6 @@ from fibra import (
     RawControl,
     S1,
     SignatureMismatch,
-    TransportedControl,
     TreeIso,
     Violation,
     check_fibration,
@@ -824,14 +823,22 @@ def reference_eval_control(ctrl, root, inputs):
         if out.shape[0] != ctrl.signature.root.dim:
             raise SignatureMismatch("raw control returned a tangent vector of the wrong dimension")
         return out
-    if isinstance(ctrl, TransportedControl):
-        by_id = {eid: (eid, space, state) for eid, space, state in inputs}
-        relabelled = []
-        for src_id in sorted(ctrl.source_to_current):
-            _, space, state = by_id[ctrl.source_to_current[src_id]]
-            relabelled.append((src_id, space, state))
-        return reference_eval_control(ctrl.base, root, relabelled)
     raise TypeError(f"not a control: {ctrl!r}")
+
+
+def reference_transport(iso: TreeIso, raw: RawControl) -> RawControl:
+    """``raw`` moved along ``iso``, relabelled by hand at every call.
+
+    For each of the base's leaf ids, in sorted order, the moved control passes
+    the state it finds at that id's image under ``iso.leaf_bijection``.
+    """
+
+    def fn(root, pairs):
+        by_id = dict(pairs)
+        relabelled = [(base_id, by_id[iso.leaf_bijection[base_id]]) for base_id in sorted(iso.leaf_bijection)]
+        return raw.fn(root, tuple(relabelled))
+
+    return RawControl(raw.signature, fn)
 
 
 def reference_check_invariance(ctrl, a, net: Network, trials: int = 200, seed: int = 0) -> float:
