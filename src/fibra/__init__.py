@@ -57,9 +57,7 @@ _EXPORTS = {
         "InducedTreeMap",
         "InputTree",
         "Leaf",
-        "SymmetryGroupoid",
         "TreeIso",
-        "aut_generators",
         "aut_order",
         "canonical_isos",
         "enumerate_tree_isos",

@@ -225,7 +225,7 @@ def _input_trees(args, read):
 def _groupoid(args, read):
     net = _load_network(read, args.network)
     classes, orders = [], {}
-    for b in symmetry_groupoid(net).classes.blocks:
+    for b in symmetry_groupoid(net).blocks:
         classes.append(
             {
                 "representative": b[0],

@@ -32,15 +32,8 @@ from .expr_dsl import (
     stack_columns,
 )
 from .fibrations import check_fibration, essential_image
-from .graphs import Network, NetworkMap, NodeId, PhaseSpace, StateIndex, gather_runs, total_phase_space
-from .input_trees import (
-    SymmetryGroupoid,
-    TreeIso,
-    canonical_isos,
-    induced_tree_map,
-    input_tree,
-    symmetry_groupoid,
-)
+from .graphs import Network, NetworkMap, NodeId, Partition, PhaseSpace, StateIndex, gather_runs, total_phase_space
+from .input_trees import TreeIso, canonical_isos, induced_tree_map, input_tree, symmetry_groupoid
 from .sampling import check_count, sample_space
 
 LabelledInput = tuple[str, PhaseSpace, np.ndarray]  # (edge id, source space, state)
@@ -174,16 +167,16 @@ class VirtualVectorField:
             raise PreconditionError(f"controls keyed by {others}: {sorted(extra)}")
 
     @property
-    def groupoid(self) -> SymmetryGroupoid:
-        """The network's groupoid, whose classes a per-class field's controls are keyed by."""
+    def groupoid(self) -> Partition:
+        """The classes of the network's groupoid, by whose block ids a per-class field's controls are keyed."""
         return symmetry_groupoid(self.network)
 
     def control_at(self, a: NodeId) -> Control:
+        if a not in self.network.graph.node_set:
+            raise PreconditionError(f"unknown node id {a!r}")
         if self.mode == "per_node":
-            if a not in self.controls:
-                raise PreconditionError(f"unknown node id {a!r}")
             return self.controls[a]
-        rep = self.groupoid.representative(a)
+        rep = self.groupoid.block_id(a)
         ctrl = self.controls[rep]
         if a == rep:
             return ctrl
@@ -268,7 +261,7 @@ class GlobalField:
             if part_w.mode == "per_node":
                 runs = [(part_w.controls[a], (a,)) for a in part_index.order]
             else:  # blocks come in the order of their least member, the layout order
-                runs = [(part_w.controls[b[0]], b) for b in part_w.groupoid.classes.blocks]
+                runs = [(part_w.controls[b[0]], b) for b in part_w.groupoid.blocks]
             for ctrl, nodes in runs:
                 key = id(ctrl) if isinstance(ctrl, ControlExpr) else (i, nodes[0])
                 unit = units.get(key)
@@ -445,7 +438,7 @@ def pullback_kernel_check(
         raise PreconditionError("pullback_kernel_check expects a per-class field")
     pulled = pullback(m, w_prime)
     essim = essential_image(m)
-    reps = [b[0] for b in w_prime.groupoid.classes.blocks if essim.intersection(b)]
+    reps = [b[0] for b in w_prime.groupoid.blocks if essim.intersection(b)]
     rng = np.random.default_rng(seed)
     pulled_zero = all(
         _vanishes_on_samples(pulled.control_at(a), m.domain, a, samples, rng, tol)

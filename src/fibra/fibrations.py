@@ -24,6 +24,7 @@ from .graphs import (
     Partition,
     StateIndex,
     check_network_map,
+    colour_classes,
     coordinate_distance,
     refinement_rounds,
     total_phase_space,
@@ -202,10 +203,7 @@ def coarsest_balanced(net: Network) -> tuple[Partition, Network, NetworkMap]:
         if len(signatures) == n_colours:
             break
         n_colours = len(signatures)
-    groups: list[list[NodeId]] = [[] for _ in signatures]
-    for a, c in zip(nodes, colours):
-        groups[c].append(a)
-    partition = Partition(groups)  # balanced: the last round split no block
+    partition = colour_classes(nodes, colours, signatures)  # balanced: the last round split no block
     quotient, projection = _quotient(net, partition, partition.block_index())
     return partition, quotient, projection
 
@@ -249,10 +247,9 @@ def polydiagonal_of(m: NetworkMap) -> Polydiagonal:
 
 def essential_image(m: NetworkMap) -> frozenset[NodeId]:
     """Codomain nodes whose input network is isomorphic to that of some image node."""
-    groupoid = symmetry_groupoid(m.codomain)
     image = set(m.node_map.values())
     out: set[NodeId] = set()
-    for block in groupoid.classes.blocks:
+    for block in symmetry_groupoid(m.codomain).blocks:
         if image.intersection(block):
             out.update(block)
     return frozenset(out)

@@ -22,8 +22,6 @@ from .errors import PreconditionError
 if TYPE_CHECKING:
     import numpy as np
 
-    from .input_trees import SymmetryGroupoid
-
 # The structure layer runs without numpy: the functions below that work on
 # states import it where they run, so only numeric callers load it.
 
@@ -157,9 +155,9 @@ class Graph:
 class Network:
     """A graph plus a total assignment of phase spaces to its nodes.
 
-    Like :class:`Graph`'s index, the flat state layout and the
-    symmetry groupoid are built once per instance, on first use, outside the
-    dataclass fields.
+    Like :class:`Graph`'s index, the flat state layout and the classes of
+    the symmetry groupoid are built once per instance, on first use, outside
+    the dataclass fields.
     """
 
     graph: Graph
@@ -202,11 +200,9 @@ class Network:
         return StateIndex(order, slices, {a: self.space(a) for a in order}, off)
 
     @cached_property
-    def _groupoid(self) -> SymmetryGroupoid:
-        """The groupoid :func:`~fibra.input_trees.symmetry_groupoid` returns."""
-        from .input_trees import _classify  # input_trees builds on this module
-
-        return _classify(self)
+    def _classes(self) -> Partition:
+        """The classes :func:`~fibra.input_trees.symmetry_groupoid` returns: one refinement round's colours."""
+        return colour_classes(*next(refinement_rounds(self, self.phase)))
 
 
 def network(nodes: Iterable[tuple[str, PhaseSpace]], edges: Iterable[tuple[str, str, str]]) -> Network:
@@ -237,6 +233,14 @@ def refinement_rounds(net: Network, colour: Mapping[NodeId, Hashable]) -> Iterat
         yield index.nodes, colours, signatures
 
 
+def colour_classes(nodes: Iterable[NodeId], colours: Iterable[int], signatures: Mapping) -> Partition:
+    """The nodes of one round of :func:`refinement_rounds` as a partition, one block per colour."""
+    buckets: list[list[NodeId]] = [[] for _ in signatures]
+    for a, c in zip(nodes, colours):
+        buckets[c].append(a)
+    return Partition(buckets)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Disjoint node blocks covering a node set; block id = least member.
@@ -264,6 +268,10 @@ class Partition:
 
     def block_id(self, node: NodeId) -> NodeId:
         return self.block_of(node)[0]
+
+    def representatives(self) -> tuple[NodeId, ...]:
+        """The block ids, in block order."""
+        return tuple(b[0] for b in self.blocks)
 
     def block_index(self) -> dict[NodeId, NodeId]:
         """node -> block id, nodes in block order."""

@@ -17,7 +17,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import EnumerationCapExceeded, PreconditionError
-from .graphs import Edge, EdgeId, Network, NetworkMap, NodeId, Partition, PhaseSpace, refinement_rounds
+from .graphs import Edge, EdgeId, Network, NetworkMap, NodeId, Partition, PhaseSpace
 
 DEFAULT_ISO_CAP = 10**6
 
@@ -130,8 +130,11 @@ def induced_tree_map(m: NetworkMap, a: NodeId) -> InducedTreeMap:
 
 def iso_count(net: Network, a: NodeId, b: NodeId) -> int:
     """Number of input-network isomorphisms from a's tree to b's tree: |Aut(a)| when they share a class, else 0."""
-    g = symmetry_groupoid(net)
-    return aut_order(input_tree(net, a)) if g.representative(a) == g.representative(b) else 0
+    for node in (a, b):
+        if node not in net.graph.node_set:
+            raise PreconditionError(f"unknown node id {node!r}")
+    classes = symmetry_groupoid(net)
+    return aut_order(input_tree(net, a)) if classes.block_id(a) == classes.block_id(b) else 0
 
 
 def canonical_isos(net: Network, sources: Iterable[NodeId], target: NodeId) -> list[TreeIso]:
@@ -140,14 +143,17 @@ def canonical_isos(net: Network, sources: Iterable[NodeId], target: NodeId) -> l
     Same-type in-edges are matched by position, in edge-id order; ``target``'s
     order is read once for all sources.
     """
-    g = symmetry_groupoid(net)
-    members = set(g.class_of(target))
+    node_set = net.graph.node_set
+    if target not in node_set:
+        raise PreconditionError(f"unknown node id {target!r}")
+    members = set(symmetry_groupoid(net).block_of(target))
     in_edges, phase = net.graph._index.in_edges, net.phase
     target_ids = [e.edge_id for e in _typed(in_edges[target], phase)]
     isos = []
     for a in sources:
         if a not in members:
-            g.class_of(a)  # an unknown node raises its own error
+            if a not in node_set:
+                raise PreconditionError(f"unknown node id {a!r}")
             raise PreconditionError(f"input trees of {a!r} and {target!r} are not isomorphic")
         isos.append(TreeIso(a, target, dict(zip([e.edge_id for e in _typed(in_edges[a], phase)], target_ids))))
     return isos
@@ -207,8 +213,9 @@ class TreeIsos(Sequence):
             raise IndexError("tree isomorphism index out of range")
         per_block = []
         for block in reversed(self._blocks):
-            i, rank = divmod(i, math.factorial(len(block)))
-            per_block.append(_unrank_permutation(block, rank))
+            n_perms = math.factorial(len(block))
+            i, rank = divmod(i, n_perms)
+            per_block.append(_unrank_permutation(block, rank, n_perms))
         return self._iso(itertools.chain.from_iterable(reversed(per_block)))
 
     def __iter__(self):
@@ -243,11 +250,16 @@ def _permutation_product(blocks: tuple) -> Iterator[tuple]:
             yield head + tail
 
 
-def _unrank_permutation(items: tuple, rank: int) -> list:
-    """The ``rank``-th permutation of ``items`` in ``itertools.permutations`` order."""
+def _unrank_permutation(items: tuple, rank: int, n_perms: int) -> list:
+    """The ``rank``-th permutation of ``items`` in ``itertools.permutations`` order; ``n_perms`` is ``len(items)!``.
+
+    Position ``j`` picks among the ``(n - j - 1)!`` permutations of the rest,
+    so the one factorial is divided down by one count per position.
+    """
     pool, out = list(items), []
-    for k in range(len(pool) - 1, -1, -1):
-        q, rank = divmod(rank, math.factorial(k))
+    for k in range(len(pool), 0, -1):
+        n_perms //= k
+        q, rank = divmod(rank, n_perms)
         out.append(pool.pop(q))
     return out
 
@@ -257,54 +269,13 @@ def aut_order(tree: InputTree) -> int:
     return math.prod(math.factorial(k) for k in tree.type_counts().values())
 
 
-def aut_generators(tree: InputTree) -> list[TreeIso]:
-    """Adjacent transpositions within each same-type leaf block; generate the full group."""
-    gens = []
-    for _, leaves in tree.type_groups().items():
-        ids = [l.edge_id for l in leaves]
-        for i in range(len(ids) - 1):
-            bij = {e: e for e in tree.leaf_ids()}
-            bij[ids[i]], bij[ids[i + 1]] = ids[i + 1], ids[i]
-            gens.append(TreeIso(tree.root, tree.root, bij))
-    return gens
-
-
-@dataclass(frozen=True)
-class SymmetryGroupoid:
-    """Partition of the nodes into input-network isomorphism classes."""
-
-    classes: Partition
-
-    def class_of(self, node: NodeId) -> tuple[NodeId, ...]:
-        """The members of ``node``'s class, least first."""
-        try:
-            return self.classes.block_of(node)
-        except PreconditionError:
-            raise PreconditionError(f"unknown node id {node!r}") from None
-
-    def representative(self, node: NodeId) -> NodeId:
-        return self.class_of(node)[0]
-
-    def representatives(self) -> tuple[NodeId, ...]:
-        return tuple(b[0] for b in self.classes.blocks)
-
-
-def symmetry_groupoid(net: Network) -> SymmetryGroupoid:
-    """Classify nodes by input-network isomorphism; representative = least member.
+def symmetry_groupoid(net: Network) -> Partition:
+    """The nodes' input-network isomorphism classes; a class's representative is its block id, its least member.
 
     Two input trees are isomorphic exactly when their root spaces and typed
     leaf multisets agree: one refinement round from the phase colouring.  The
-    groupoid holds only its classes; every member of a class shares the
+    classes are all the groupoid keeps; every member of a class shares the
     automorphism order :func:`aut_order` gives for any one member's tree.
-    Each network builds its groupoid once, on the first call, and keeps it.
+    Each network builds its classes once, on the first call, and keeps them.
     """
-    return net._groupoid
-
-
-def _classify(net: Network) -> SymmetryGroupoid:
-    """The groupoid of :func:`symmetry_groupoid`, from one refinement round."""
-    nodes, colours, signatures = next(refinement_rounds(net, net.phase))
-    buckets: list[list[NodeId]] = [[] for _ in signatures]
-    for a, c in zip(nodes, colours):
-        buckets[c].append(a)
-    return SymmetryGroupoid(Partition(buckets))
+    return net._classes

@@ -118,6 +118,29 @@ MUTANTS = (
         "ok=residual is not None,",
         (
             "tests/test_cli.py::test_driving_whose_differences_overflow_prints_no_warning",
+            "tests/test_numerics.py::test_driving_decomposition_fails_on_a_finite_residual_above_tol",
+        ),
+    ),
+    Mutant(
+        "groupoid-classes-from-the-second-round",
+        "src/fibra/graphs.py",
+        "colour_classes(*next(refinement_rounds(self, self.phase)))",
+        "colour_classes(*[*zip(refinement_rounds(self, self.phase), range(2))][-1][0])",
+        (
+            "tests/test_input_trees.py::test_groupoid_two_tier_same_space",
+            "tests/test_input_trees.py::test_groupoid_classes_are_the_partition_of_the_reference_classes",
+            "tests/test_cli.py::test_groupoid_report_witnesses_match_the_reference",
+            "tests/test_dynamics.py::test_lift_to_nodes_two_classes",
+        ),
+    ),
+    Mutant(
+        "control-at-without-its-node-check",
+        "src/fibra/dynamics.py",
+        "if a not in self.network.graph.node_set:",
+        "if False:",
+        (
+            "tests/test_dynamics.py::test_failure_path[control-at-an-unknown-node-of-a-per-node-field]",
+            "tests/test_dynamics.py::test_failure_path[control-at-an-unknown-node-of-a-per-class-field]",
         ),
     ),
 )

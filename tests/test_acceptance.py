@@ -99,15 +99,15 @@ def test_criterion_02_balanced_quotient_suite():
 def test_criterion_03_groupoid_suite():
     with criterion(3, "groupoid-suite", limit=1.0):
         same = symmetry_groupoid(fixtures.funnel4())
-        assert same.classes.blocks == (("1", "2"), ("3", "4"))
+        assert same.blocks == (("1", "2"), ("3", "4"))
         mixed = symmetry_groupoid(fixtures.funnel4(R1, R2))
-        assert mixed.classes.blocks == (("1", "2"), ("3",), ("4",))
+        assert mixed.blocks == (("1", "2"), ("3",), ("4",))
         four = fixtures.four_node_multi()
         counts = [len(fibra.enumerate_tree_isos(four, a, a)) for a in "1234"]
         assert counts == [1, 2, 1, 6]  # explicit enumeration
         ten = fixtures.broadcast10()
         broadcast = symmetry_groupoid(ten)
-        assert len(broadcast.classes.blocks) == 1
+        assert len(broadcast.blocks) == 1
         assert {fibra.aut_order(fibra.input_tree(ten, a)) for a in ten.graph.nodes} == {1}
 
 

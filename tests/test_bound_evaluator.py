@@ -184,7 +184,7 @@ def test_a_raw_class_is_one_unit_built_without_transport(make):
     # the canonical isomorphism pairs a class's same-type inputs by position in edge-id order, the order
     # each member's inputs are gathered in, so a build moves no control and binds each class once
     net = make()
-    classes = symmetry_groupoid(net).classes.blocks
+    classes = symmetry_groupoid(net).blocks
     w = per_class_field(net, {b[0]: raw_control(signature_at(net, b[0])) for b in classes})
     calls = []
     with pytest.MonkeyPatch.context() as patch:
@@ -294,7 +294,7 @@ def test_pullback_of_raw_class_fields_matches_hand_relabelling(data):
         # the representative's leaves -> its class member b's, by position in each typed block -> a's, through
         # the edge map
         b = m.node_map[a]
-        r = groupoid.representative(b)
+        r = groupoid.block_id(b)
         to_b = reference_canonical_witness(cod, r, b).leaf_bijection
         to_a = {m.edge_map[e.edge_id]: e.edge_id for e in m.domain.in_edges(a)}
         hand = reference_transport(TreeIso(r, a, {k: to_a[v] for k, v in to_b.items()}), controls[r])
@@ -558,7 +558,7 @@ def test_large_batch_matches_tree_walk():
     ]
     net = network(sources + [(t, R1) for t in targets], edges)
     g = symmetry_groupoid(net)
-    assert len(g.class_of("t000")) == 300
+    assert len(g.block_of("t000")) == 300
     body = (
         "sum(u in inputs[R1]) { exp(u[0]) * tanh(x[0] - u[0]) + tan(u[0]) }"
         " + mean(v in inputs[R2]) { sin(v[0]) * cos(v[1]) + log(1 + v[1]^2) + sqrt(abs(v[0])) }"
@@ -566,7 +566,7 @@ def test_large_batch_matches_tree_walk():
         " + (x[0] + 3)^-2 + (x[0] * 1000)^3"
     )
     controls = {rep: parse_control(["-x[0]"] * net.space(rep).dim, signature_at(net, rep)) for rep in g.representatives()}
-    controls[g.representative("t000")] = parse_control([body], signature_at(net, "t000"))
+    controls[g.block_id("t000")] = parse_control([body], signature_at(net, "t000"))
     w = per_class_field(net, controls)
     field, reference = GlobalField(net, w), reference_field(net, w)
     for _ in range(4):

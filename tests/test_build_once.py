@@ -98,8 +98,8 @@ def networks(draw, max_nodes=6):
 def test_groupoid_matches_eager_construction(net):
     g = symmetry_groupoid(net)
     classes, orders = reference_symmetry_groupoid(net)
-    assert g.classes.blocks == tuple(ms for _, ms, _ in classes)
-    assert {a: aut_order(input_tree(net, g.representative(a))) for a in orders} == orders  # a class shares one order
+    assert g.blocks == tuple(ms for _, ms, _ in classes)
+    assert {a: aut_order(input_tree(net, g.block_id(a))) for a in orders} == orders  # a class shares one order
     for rep, members, witnesses in classes:
         isos = canonical_isos(net, members, rep)
         assert [iso.source for iso in isos] == list(members)

@@ -36,7 +36,7 @@ from fibra import (
     signature_at,
     symmetry_groupoid,
 )
-from fibra import fixtures, input_trees
+from fibra import fixtures, graphs
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples
 from fibra.sampling import sample_space, sample_state, sample_states
 
@@ -301,7 +301,7 @@ def test_pullback_of_an_asymmetric_raw_class_control_is_conjugate():
     # induced isomorphism, and certify_conjugacy read 5.72 and 0.87 where the per-node lift read 0.0
     m, controls = _two_into_one()
     assert check_fibration(m).is_fibration
-    assert symmetry_groupoid(m.domain).classes.blocks == (("a1", "a2"), ("b", "c"))
+    assert symmetry_groupoid(m.domain).blocks == (("a1", "a2"), ("b", "c"))
     w = per_class_field(m.codomain, controls)
     pulled = pullback(m, w)
     assert pulled.mode == "per_node"
@@ -469,8 +469,8 @@ def test_a_field_takes_its_classes_from_its_network():
 
 def test_each_network_builds_its_groupoid_once(monkeypatch):
     built = []
-    rounds = input_trees.refinement_rounds
-    monkeypatch.setattr(input_trees, "refinement_rounds", lambda net, colour: built.append(net) or rounds(net, colour))
+    rounds = graphs.refinement_rounds
+    monkeypatch.setattr(graphs, "refinement_rounds", lambda net, colour: built.append(net) or rounds(net, colour))
     m = fixtures.g3_to_c2()
     w = fixtures.linear_dynamics(m.codomain)
     certify_conjugacy(m, w, samples=3, seed=1, T=0.02, h=0.01)

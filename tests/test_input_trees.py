@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -13,8 +14,7 @@ from fibra import (
     PreconditionError,
     R1,
     R2,
-    SymmetryGroupoid,
-    aut_generators,
+    TreeIso,
     aut_order,
     canonical_isos,
     compose_maps,
@@ -229,6 +229,10 @@ def test_tree_isos_of_a_large_star_compare_and_print(n):
     assert isos == enumerate_tree_isos(star, "root", "root", cap=math.inf)
     assert isos != [] and isos != [None]  # the counts differ, so no isomorphism is built
     assert enumerate_tree_isos(star, "l0", "root", cap=math.inf) != isos
+    # indexing unranks: the last item reverses the leaves, in edge-id order, and the first three are iteration's
+    ids = sorted(f"e{i}" for i in range(n))
+    assert isos[-1] == TreeIso("root", "root", dict(zip(ids, reversed(ids))))
+    assert isos[:3] == list(itertools.islice(isos, 3))
 
 
 def test_tree_isos_build_each_isomorphism_on_iteration():
@@ -249,34 +253,15 @@ def test_aut_order_is_product_of_factorials():
     assert [aut_order(input_tree(net, a)) for a in "1234"] == [1, 2, 1, 6]
 
 
-def test_aut_generators_generate_small_group():
-    net = fixtures.four_node_multi()
-    tree = input_tree(net, "4")
-    gens = aut_generators(tree)
-    assert len(gens) == 2
-    closure = {tuple(sorted({e: e for e in tree.leaf_ids()}.items()))}
-    frontier = list(gens)
-    elems = {tuple(sorted(g.leaf_bijection.items())) for g in gens} | closure
-    while frontier:
-        g = frontier.pop()
-        for h in gens:
-            comp = g.then(h)
-            key = tuple(sorted(comp.leaf_bijection.items()))
-            if key not in elems:
-                elems.add(key)
-                frontier.append(comp)
-    assert len(elems) == 6
-
-
 def test_groupoid_two_tier_same_space():
     g = symmetry_groupoid(fixtures.funnel4())
-    assert g.classes.blocks == (("1", "2"), ("3", "4"))
+    assert g.blocks == (("1", "2"), ("3", "4"))
     assert g.representatives() == ("1", "3")
 
 
 def test_groupoid_two_tier_split_by_sink_space():
     g = symmetry_groupoid(fixtures.funnel4(R1, R2))
-    assert g.classes.blocks == (("1", "2"), ("3",), ("4",))
+    assert g.blocks == (("1", "2"), ("3",), ("4",))
 
 
 @pytest.mark.parametrize(
@@ -284,25 +269,26 @@ def test_groupoid_two_tier_split_by_sink_space():
 )
 def test_groupoid_refuses_a_node_listed_twice(members):
     with pytest.raises(PreconditionError, match="^partition does not list each node exactly once$"):
-        SymmetryGroupoid(Partition(members))
-    disjoint = SymmetryGroupoid(Partition([("3", "1"), ("2",)]))
-    assert disjoint.class_of("3") == ("1", "3") and disjoint.representative("3") == "1"
-    with pytest.raises(PreconditionError, match="^unknown node id '4'$"):
-        disjoint.class_of("4")
+        Partition(members)
+    disjoint = Partition([("3", "1"), ("2",)])
+    assert disjoint.block_of("3") == ("1", "3") and disjoint.block_id("3") == "1"
+    assert disjoint.representatives() == ("1", "2")
+    with pytest.raises(PreconditionError, match="^node '4' not covered by the partition$"):
+        disjoint.block_of("4")
 
 
 def test_groupoid_broadcast_single_class_trivial_aut():
     net = fixtures.broadcast10()
     g = symmetry_groupoid(net)
-    assert len(g.classes.blocks) == 1
-    assert len(g.classes.blocks[0]) == 10
+    assert len(g.blocks) == 1
+    assert len(g.blocks[0]) == 10
     assert {aut_order(input_tree(net, a)) for a in net.graph.nodes} == {1}
 
 
 def test_groupoid_witnesses_are_valid_isos():
     net = fixtures.funnel4()
     g = symmetry_groupoid(net)
-    for members in g.classes.blocks:
+    for members in g.blocks:
         for member, w in zip(members, canonical_isos(net, members, members[0])):
             assert w.source == member and w.target == members[0]
             keys = {tuple(sorted(i.leaf_bijection.items()))
@@ -310,15 +296,30 @@ def test_groupoid_witnesses_are_valid_isos():
             assert tuple(sorted(w.leaf_bijection.items())) in keys
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda net, zz: iso_count(net, zz, "1"),
+        lambda net, zz: iso_count(net, "1", zz),
+        lambda net, zz: canonical_isos(net, ["1", zz], "1"),
+        lambda net, zz: canonical_isos(net, ["1"], zz),
+    ],
+    ids=["iso-count-source", "iso-count-target", "canonical-isos-source", "canonical-isos-target"],
+)
+def test_groupoid_readers_name_an_unknown_node(call):
+    with pytest.raises(PreconditionError, match="^unknown node id 'zz'$"):
+        call(fixtures.g3(), "zz")
+
+
 @given(st.integers(0, 10_000))
 def test_groupoid_partitions_nodes_and_aut_counts(seed):
     rng = random.Random(seed)
     net = random_network(rng, max_nodes=5, max_edges=6)
     g = symmetry_groupoid(net)
-    members = [a for b in g.classes.blocks for a in b]
+    members = [a for b in g.blocks for a in b]
     assert sorted(members) == sorted(net.graph.nodes)
     for a in net.graph.nodes:
-        assert sum(1 for _ in enumerate_tree_isos(net, a, a)) == aut_order(input_tree(net, g.representative(a)))
+        assert sum(1 for _ in enumerate_tree_isos(net, a, a)) == aut_order(input_tree(net, g.block_id(a)))
 
 
 @given(st.integers(0, 10_000))
@@ -326,7 +327,7 @@ def test_groupoid_classes_are_the_partition_of_the_reference_classes(seed):
     net = random_network(random.Random(seed), max_nodes=8, max_edges=12)
     g = symmetry_groupoid(net)
     classes, orders = reference_symmetry_groupoid(net)
-    assert g.classes == Partition(members for _, members, _ in classes)
+    assert g == Partition(members for _, members, _ in classes)
     assert {a: aut_order(input_tree(net, a)) for a in net.graph.nodes} == orders
 
 

@@ -23,8 +23,8 @@ PUBLIC_NAMES = {
     "FibrationRequired", "GlobalField", "Graph", "InducedTreeMap", "InputError", "InputTree",
     "IntegrationFault", "Leaf", "LiftFailure", "Network", "NetworkMap", "Partition",
     "PhaseSpace", "PhaseSpaceMap", "Polydiagonal", "PreconditionError", "R1", "R2", "RawControl", "S1",
-    "SignatureMismatch", "StateIndex", "SymmetryGroupoid", "Trajectory", "TreeIso",
-    "Violation", "VirtualVectorField", "aut_generators", "aut_order", "canonical_isos", "certify_conjugacy",
+    "SignatureMismatch", "StateIndex", "Trajectory", "TreeIso",
+    "Violation", "VirtualVectorField", "aut_order", "canonical_isos", "certify_conjugacy",
     "check_fibration", "check_invariance", "check_network_map", "circle", "circle_distance",
     "coarsest_balanced", "compose_maps", "coordinate_distance", "ctrl_transport",
     "enumerate_tree_isos", "essential_image", "euclidean", "eval_control", "evaluate",

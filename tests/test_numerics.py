@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from fibra import (
     IntegrationFault,
     PreconditionError,
     R1,
+    RawControl,
     S1,
     certify_conjugacy,
     check_invariance,
@@ -299,6 +301,18 @@ def test_driving_decomposition_cycle_in_g3():
     assert report.pointwise_max_residual == 0.0
     exact = verify_driving_decomposition(tau, w, samples=10, seed=0, tol=0.0)
     assert exact.ok and exact.pointwise_max_residual == 0.0  # passes on <=, as the conjugacy checks do
+
+
+def test_driving_decomposition_fails_on_a_finite_residual_above_tol():
+    # a raw control whose value counts its own calls is no function of its inputs: the domain and the
+    # restricted codomain fields disagree by a finite amount, and that residual alone fails the report
+    tau = fixtures.c2_into_g3()
+    calls = itertools.count(1)
+    w = per_class_field(tau.codomain, {"1": RawControl(signature_at(tau.codomain, "1"), lambda x, u: [next(calls)])})
+    report = verify_driving_decomposition(tau, w, samples=5, seed=0)
+    assert report.is_fibration and report.feedback_edges == ()
+    assert math.isfinite(report.pointwise_max_residual) and report.pointwise_max_residual > 1e-8
+    assert not report.ok
 
 
 def test_driving_decomposition_core_in_broadcast():

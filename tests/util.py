@@ -310,13 +310,6 @@ def reference_partition_blocks(blocks) -> tuple:
     return tuple(sorted((b for b in materialized if b), key=lambda b: b[0]))
 
 
-def scan_class_of(g, node: str) -> tuple:
-    for b in g.classes.blocks:
-        if node in b:
-            return b
-    raise PreconditionError(f"unknown node id {node!r}")
-
-
 def reference_quotient_of(net: Network, p: Partition) -> tuple[Network, NetworkMap]:
     """Two-pass quotient construction: representative groups first, then every member."""
     idx = p.block_index()
@@ -919,7 +912,7 @@ def reference_units(net: Network, mode: str, controls):
     groupoid = symmetry_groupoid(net)
     units: dict = {}
     for a in index.order:
-        owner = a if mode == "per_node" else groupoid.representative(a)
+        owner = a if mode == "per_node" else groupoid.block_id(a)
         ctrl = controls[owner]
         if ctrl.signature.root != index.spaces[a]:
             raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
