@@ -292,7 +292,11 @@ class _Parser:
             if tok.kind != "num" or not tok.text.isdigit():
                 raise ExprSyntaxError("exponent must be an integer literal", tok.pos)
             self.advance()
-            return Pow(base, sign * int(tok.text), pos=op.pos)
+            try:
+                exponent = int(tok.text)
+            except ValueError:  # more digits than int() reads
+                raise ExprSyntaxError("exponent has too many digits", tok.pos) from None
+            return Pow(base, sign * exponent, pos=op.pos)
         return base
 
     def atom(self) -> Expr:
@@ -325,7 +329,10 @@ class _Parser:
         if idx_tok.kind != "num" or not idx_tok.text.isdigit():
             raise ExprSyntaxError("index must be a non-negative integer", idx_tok.pos)
         self.advance()
-        index = int(idx_tok.text)
+        try:
+            index = int(idx_tok.text)
+        except ValueError:  # more digits than int() reads
+            raise ExprSyntaxError("index has too many digits", idx_tok.pos) from None
         self.expect("]")
         if name == "x":
             if index >= self.signature.root.dim:

@@ -31,7 +31,7 @@ def read_json(path: str | Path) -> tuple[Any, str]:
         raise InputError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, an int too long to read, nested too deep
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 

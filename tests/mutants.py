@@ -131,6 +131,8 @@ MUTANTS = (
             "tests/test_input_trees.py::test_groupoid_classes_are_the_partition_of_the_reference_classes",
             "tests/test_cli.py::test_groupoid_report_witnesses_match_the_reference",
             "tests/test_dynamics.py::test_lift_to_nodes_two_classes",
+            "tests/test_build_once.py::test_groupoid_matches_eager_construction",
+            "tests/test_build_once.py::test_iso_count_matches_the_counter_rule",
         ),
     ),
     Mutant(
@@ -141,6 +143,31 @@ MUTANTS = (
         (
             "tests/test_dynamics.py::test_failure_path[control-at-an-unknown-node-of-a-per-node-field]",
             "tests/test_dynamics.py::test_failure_path[control-at-an-unknown-node-of-a-per-class-field]",
+        ),
+    ),
+    Mutant(
+        "refinement-rounds-without-the-source-sort",
+        "src/fibra/graphs.py",
+        "tuple(sorted(map(colour_at, srcs)))",
+        "tuple(map(colour_at, srcs))",
+        (
+            "tests/test_acceptance.py::test_criterion_02_balanced_quotient_suite",
+            "tests/test_build_once.py::test_field_reports_the_first_mismatched_node_of_a_class",
+            "tests/test_input_trees.py::test_groupoid_classes_are_the_partition_of_the_reference_classes",
+            "tests/test_build_once.py::test_groupoid_matches_eager_construction",
+            "tests/test_build_once.py::test_iso_count_matches_the_counter_rule",
+            "tests/test_structure_index.py::test_structure_layer_matches_reference",
+            "tests/test_structure_index.py::test_balance_check_matches_per_node_signatures",
+        ),
+    ),
+    Mutant(
+        "layout-in-listing-order",
+        "src/fibra/graphs.py",
+        "order = tuple(sorted(index.nodes))",
+        "order = tuple(index.nodes)",
+        (
+            "tests/test_graphs.py::test_total_phase_space_deterministic",
+            "tests/test_build_once.py::test_field_units_match_the_per_node_loop",
         ),
     ),
 )

@@ -5,8 +5,8 @@ The groupoid keys nodes on typed in-degree counts and builds no witness;
 evaluates a batch of states in one pass; the certification checks draw and
 evaluate their samples in chunked batches and build each side once.  Each
 must give what the eager, materialised or per-sample code in ``util`` gives.
-Networks are generated with mixed R1/R2/S1 spaces, self-loops, parallel
-edges and isolated nodes.
+Networks come from ``util.networks``: mixed R1/R2/S1 spaces, self-loops,
+parallel edges, isolated nodes, deep class splits and lifts.
 """
 
 import gc
@@ -60,6 +60,7 @@ from fibra.sampling import sample_states
 
 from util import (
     expected_dependencies,
+    networks,
     random_injective_fibration,
     random_network,
     random_surjective_fibration,
@@ -72,23 +73,6 @@ from util import (
     reference_symmetry_groupoid,
     reference_units,
 )
-
-SPACES = (R1, R2, S1)
-
-
-@st.composite
-def networks(draw, max_nodes=6):
-    """Wired nodes of mixed spaces plus one isolated node; a self-loop and a parallel edge."""
-    n = draw(st.integers(1, max_nodes))
-    spaces = draw(st.lists(st.sampled_from(SPACES), min_size=n + 1, max_size=n + 1))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
-    v = draw(st.integers(0, n - 1))
-    pairs += [(v, v), draw(st.sampled_from(pairs + [(v, v)]))]
-    edge_ids = draw(st.permutations([f"e{k:02d}" for k in range(len(pairs))]))
-    return network(
-        [(f"n{i}", s) for i, s in enumerate(spaces)],
-        [(eid, f"n{s}", f"n{t}") for eid, (s, t) in zip(edge_ids, pairs)],
-    )
 
 
 # --- groupoid ----------------------------------------------------------------------
@@ -159,7 +143,7 @@ def test_networks_are_freed_without_the_cyclic_collector(make_map):
 # --- lazy isomorphism sequence ---------------------------------------------------
 
 
-@given(networks(max_nodes=4), st.data())
+@given(networks(max_nodes=5), st.data())
 def test_enumerated_isos_match_materialised_list(net, data):
     a, b = data.draw(st.sampled_from(net.graph.nodes)), data.draw(st.sampled_from(net.graph.nodes))
     if iso_count(net, a, b) > 720:
@@ -201,9 +185,10 @@ def test_enumerated_isos_unrank_deep_in_a_large_block():
 def _mixed_field(draw, net):
     """Expression, raw and transported controls in one per-node field; classes share expressions.
 
-    The raw control reads the order and the ids (``networks()`` names edges ``eNN``) of its inputs, so a
-    unit bound at another member than its class's representative computes other values.
+    The raw control reads the order and the ids of its inputs, each id by its position in the edge list,
+    so a unit bound at another member than its class's representative computes other values.
     """
+    number = {e.edge_id: k for k, e in enumerate(net.graph.edges)}
     exprs = ["-x[{i}] + sum(u in inputs[{t}]) {{ sin(u[{j}] - x[{i}]) * 3.0 }}", "x[{i}]^2 - sum(u in inputs[{t}]) {{ u[{j}] }}"]
     controls = {}
     for rep in symmetry_groupoid(net).representatives():
@@ -211,7 +196,7 @@ def _mixed_field(draw, net):
         kind = draw(st.sampled_from(["expr", "raw"]))
         if kind == "raw" or not sig.inputs:
             controls[rep] = RawControl(
-                sig, lambda x, ins: -x + sum(k * (s.sum() + int(eid[1:])) for k, (eid, s) in enumerate(ins, 1))
+                sig, lambda x, ins: -x + sum(k * (s.sum() + number[eid]) for k, (eid, s) in enumerate(ins, 1))
             )
         else:
             t = sig.inputs[0]
@@ -282,8 +267,9 @@ def test_field_units_match_the_per_node_loop(net, data):
 @given(networks(), st.data())
 def test_field_reports_a_signature_mismatch_as_the_per_node_loop(net, data):
     # controls handed to other classes or nodes than their own: the field refuses them when
-    # built exactly where the per-node loop does, with the same exception, at the same node
-    # (networks() lists its nodes in layout order, the order both check them in)
+    # built exactly where the per-node loop does, with the same exception, at the same node,
+    # once the nodes are listed in layout order, the order both check them in
+    net = network([(a, net.space(a)) for a in sorted(net.graph.nodes)], [(e.edge_id, e.src, e.tgt) for e in net.graph.edges])
     w = _mixed_field(data.draw, net)
     keys = sorted(w.controls)
     moved = dict(zip(keys, data.draw(st.permutations([w.controls[k] for k in keys]))))

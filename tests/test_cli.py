@@ -103,6 +103,22 @@ def test_malformed_json_exits_2(files, capsys, malformed):
     assert err.startswith(f"error: {path} is not valid JSON: ")
 
 
+def test_an_integer_too_long_to_read_exits_2_naming_its_file(files, capsys):
+    # 5000 digits, more than json.loads reads under Python's default limit of 4300: as a network's dim and as
+    # a coordinate of --x0
+    write, tmp = files
+    huge = "9" * 5000
+    net, x0 = tmp / "net.json", tmp / "x0.json"
+    net.write_text('{"nodes": [{"id": "a", "space": {"kind": "R", "dim": ' + huge + '}}], "edges": []}')
+    x0.write_text('{"flat": [0, 0, ' + huge + "]}")
+    g3 = write("g3.json", network_to_json(fixtures.g3()))
+    dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(fixtures.g3())))
+    for path, argv in ((net, ["validate", str(net)]), (x0, ["simulate", g3, dyn, "--x0", str(x0), "--T", "0.1", "--h", "0.1"])):
+        code, out, err = run_cli(capsys, argv)
+        assert_malformed(code, out, err)
+        assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit (4300 digits)") and err.count("\n") == 1
+
+
 # --x0 files for g3 (three R1 nodes "1", "2", "3"), each with one bad coordinate
 MALFORMED_STATES = {
     "string": '{"flat": ["a", 0, 0]}',

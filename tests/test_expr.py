@@ -241,6 +241,23 @@ def test_parse_integer_power_only():
         parse("x[0]^2.5", SIG_R2)
 
 
+# more digits than int() reads under Python's default limit of 4300
+TOO_LONG = {
+    "exponent": ("x[0]^" + "9" * 5000, "line 1, column 6: exponent has too many digits"),
+    "negative-exponent": ("x[0]^-" + "9" * 5000, "line 1, column 7: exponent has too many digits"),
+    "root-index": ("x[" + "0" * 5000 + "]", "line 1, column 3: index has too many digits"),
+    "input-index": ("sum(u in inputs[R1]) { u[" + "0" * 5000 + "] }", "line 1, column 26: index has too many digits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOO_LONG))
+def test_parse_refuses_an_integer_too_long_to_read(case):
+    src, message = TOO_LONG[case]
+    with pytest.raises(ExprSyntaxError) as exc:
+        parse_control([src], SIG_MEAN)
+    assert str(exc.value) == message
+
+
 def test_parse_precedence():
     assert parse("1 + 2 * 3", SIG_R2) == BinOp("+", Num(1.0), BinOp("*", Num(2.0), Num(3.0)))
     assert parse("-x[0]^2", SIG_R2) == Neg(Pow(RootRef(0), 2))

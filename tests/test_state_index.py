@@ -2,10 +2,11 @@
 
 ``PhaseSpaceMap``, ``coordinate_distance``, ``Polydiagonal.violation``,
 ``sample_state`` and ``circle_mask`` must give bitwise what the loops kept in
-``util`` give.  Networks mix R1/R2/S1 nodes and have a
-self-loop and an isolated node; circle coordinate pairs are equal, about pi
-apart, or apart by multiples of 2pi.  On a ``(samples, D)`` batch, the first
-three must give bitwise what one call per row gives.
+``util`` give.  Networks come from ``util.networks``: they mix R1/R2/S1
+nodes, have a self-loop and an isolated node, and list their nodes out of
+layout order; circle coordinate pairs are equal, about pi apart, or apart by
+multiples of 2pi.  On a ``(samples, D)`` batch, the first three must give
+bitwise what one call per row gives.
 """
 
 import math
@@ -47,6 +48,7 @@ from fibra import (
 from fibra import fixtures, graphs
 
 from util import (
+    networks,
     reference_circle_distance,
     reference_circle_mask,
     reference_coordinate_distance,
@@ -56,25 +58,12 @@ from util import (
     reference_violation,
 )
 
-SPACES = (R1, R2, S1)
 TWO_PI = 2.0 * np.pi
 # Offsets between two angles: equal, about +-pi, and multiples of 2pi, each
 # also a rounding error away.
 SPECIAL_OFFSETS = [
     0.0, np.pi, -np.pi, TWO_PI, -TWO_PI, 3 * TWO_PI, -5 * TWO_PI, np.pi + 2 * TWO_PI, -np.pi - TWO_PI,
 ]
-
-
-@st.composite
-def networks(draw):
-    """One to six wired nodes of mixed spaces, one self-loop and one isolated node."""
-    n = draw(st.integers(1, 6))
-    spaces = draw(st.lists(st.sampled_from(SPACES), min_size=n + 1, max_size=n + 1))
-    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8))
-    v = draw(st.integers(0, n - 1))
-    ids = draw(st.permutations([f"v{i}" for i in range(n + 1)]))
-    edges = [(f"e{k}", ids[s], ids[t]) for k, (s, t) in enumerate(pairs + [(v, v)])]
-    return network(list(zip(ids, spaces)), edges)
 
 
 def offsets(draw, size):

@@ -4,8 +4,9 @@ The per-graph index (in-edges and their integer view, the edge-id table and
 the structural violations, from one scan of the edges), integer colour
 refinement, the balance check, the one-pass quotient and the dict-backed
 ``block_of`` must give exactly what the reference
-implementations in ``util`` give, on generated networks with self-loops,
-parallel edges, mixed phase spaces and isolated nodes.
+implementations in ``util`` give, on ``util.networks``: self-loops, parallel
+edges, mixed phase spaces, isolated nodes, deep class splits and lifts, with
+creation order, id order and least block members at odds.
 """
 
 import importlib
@@ -45,6 +46,7 @@ from fibra.jsonio import map_to_json, network_to_json
 
 from util import (
     doubled_edge_chain,
+    networks,
     random_network,
     reference_adjacency,
     reference_balance_witness,
@@ -57,43 +59,7 @@ from util import (
     scan_network,
 )
 
-SPACES = (R1, R2, S1)
-
-
-@st.composite
-def networks(draw):
-    """A small base network, optionally lifted by fibers of 1-3 nodes each.
-
-    The base may get a self-loop, a parallel edge and an isolated node; a lift
-    copies each of them into every fiber, so coarsest partitions come out
-    non-trivial.  Node and edge ids are shuffled so that creation order, id
-    order and least block members disagree.
-    """
-    n_base = draw(st.integers(1, 4))
-    spaces = draw(st.lists(st.sampled_from(SPACES), min_size=n_base, max_size=n_base))
-    base_edges = draw(st.lists(st.tuples(st.integers(0, n_base - 1), st.integers(0, n_base - 1)), max_size=6))
-    if draw(st.booleans()):
-        v = draw(st.integers(0, n_base - 1))
-        base_edges.append((v, v))
-    if base_edges and draw(st.booleans()):
-        base_edges.append(draw(st.sampled_from(base_edges)))
-    if draw(st.booleans()):
-        spaces.append(draw(st.sampled_from(SPACES)))  # isolated: no edge touches it
-    fiber_sizes = draw(st.lists(st.integers(1, 3), min_size=len(spaces), max_size=len(spaces)))
-    fibers, n = [], 0
-    for size in fiber_sizes:
-        fibers.append(list(range(n, n + size)))
-        n += size
-    node_ids = draw(st.permutations([f"n{i}" for i in range(n)]))
-    nodes = [(node_ids[i], spaces[b]) for b, fiber in enumerate(fibers) for i in fiber]
-    pairs = []
-    for b, fiber in enumerate(fibers):
-        for a in fiber:
-            for src, tgt in base_edges:
-                if tgt == b:
-                    pairs.append((node_ids[draw(st.sampled_from(fibers[src]))], node_ids[a]))
-    edge_ids = draw(st.permutations([f"e{k}" for k in range(len(pairs))]))
-    return network(nodes, [(eid, s, t) for eid, (s, t) in zip(edge_ids, pairs)])
+MAX_NODES = 12  # room for lifts whose fibers hold several members
 
 
 KITCHEN_SINK = network(
@@ -111,7 +77,7 @@ KITCHEN_SINK = network(
 )
 
 
-@given(networks())
+@given(networks(MAX_NODES))
 @example(KITCHEN_SINK)
 def test_structure_layer_matches_reference(net):
     ref_net = scan_network(net)
@@ -158,7 +124,7 @@ def test_structure_layer_matches_reference(net):
         canonical_isos(net, [], "no-such-node")
 
 
-@given(networks(), st.lists(st.integers(0, 2), min_size=1, max_size=40))
+@given(networks(MAX_NODES), st.lists(st.integers(0, 2), min_size=1, max_size=40))
 @example(KITCHEN_SINK, [0])
 @example(KITCHEN_SINK, [0, 1])
 def test_balance_check_matches_per_node_signatures(net, labels):
@@ -188,7 +154,7 @@ def test_balance_check_matches_per_node_signatures(net, labels):
                 quotient_of(net, p)
 
 
-@given(networks())
+@given(networks(MAX_NODES))
 @example(KITCHEN_SINK)
 @example(doubled_edge_chain(9))
 def test_coarsest_quotient_matches_the_checked_quotient(net):
@@ -233,7 +199,7 @@ def renamed(net: Network, node_ids, edge_ids) -> tuple[Network, dict]:
 
 @st.composite
 def colon_networks(draw):
-    net = draw(networks())
+    net = draw(networks(MAX_NODES))
     return renamed(net, draw(colon_ids(len(net.graph.nodes))), draw(colon_ids(len(net.graph.edges))))[0]
 
 
@@ -302,7 +268,7 @@ def test_partition_constructors_match_the_sorting_oracle(blocks):
             Partition(blocks)
 
 
-@given(networks())
+@given(networks(MAX_NODES))
 @example(KITCHEN_SINK)
 def test_witness_is_the_first_enumerated_isomorphism(net):
     for b in symmetry_groupoid(net).blocks:

@@ -8,6 +8,7 @@ import random
 import re
 
 import numpy as np
+from hypothesis import strategies as st
 
 from fibra import (
     BalanceWitness,
@@ -102,17 +103,23 @@ def random_surjective_fibration(rng: random.Random, max_fiber: int = 3,
     return random_lift(rng, random_network(rng, cod_max_nodes, cod_max_edges), max_fiber)
 
 
-def random_lift(rng: random.Random, cod: Network, max_fiber: int = 3) -> NetworkMap:
+def random_lift(rng: random.Random, cod: Network, max_fiber: int = 3,
+                max_nodes: int | None = None) -> NetworkMap:
     """A surjective fibration onto ``cod`` with 1 to ``max_fiber`` nodes over each node.
 
     Each domain edge runs from a random member of its image's source fiber.
     The domain edges are named in random order, so a domain node does not
-    list its in-edges in its image's edge-id order.
+    list its in-edges in its image's edge-id order.  With ``max_nodes``, a
+    fiber drawn larger than the nodes left allow is cut down, in the
+    codomain's listing order.
     """
     node_map: dict[str, str] = {}
     i = 0
+    spare = math.inf if max_nodes is None else max_nodes - len(cod.graph.nodes)
     for b in cod.graph.nodes:
-        for _ in range(rng.randint(1, max_fiber)):
+        extra = min(rng.randint(1, max_fiber) - 1, spare)
+        spare -= extra
+        for _ in range(1 + extra):
             node_map[f"d{i}"] = b
             i += 1
     preimg: dict[str, list[str]] = {}
@@ -127,6 +134,61 @@ def random_lift(rng: random.Random, cod: Network, max_fiber: int = 3) -> Network
         edge_map[eid] = e.edge_id
     dom = network([(a, cod.space(node_map[a])) for a in sorted(node_map)], edges)
     return NetworkMap(dom, cod, node_map, edge_map)
+
+
+def planted_network(seed: int, max_nodes: int = 7) -> Network:
+    """A random network of 5 to ``max_nodes`` nodes, drawn from ``seed``, that holds these by construction:
+
+    - nodes of each of the spaces R1, R2 and S1;
+    - a chain c0 -> c1 -> c2 of one space, where c0 also has a self-loop and a
+      parallel copy of it, and a node t of another space feeds c1 and c2 and
+      nothing else feeds the chain: c1 and c2 share their first refinement
+      round's colour, and their mixed-space inputs, and the second round
+      splits them;
+    - an isolated node;
+    - on about half the seeds, a :func:`random_lift` with fibers of 1 to 3 nodes;
+    - node ids ``nNN`` and edge ids ``eNN`` dealt out at random, and nodes and
+      edges listed at random, so that listing order, id order and the sorted
+      state layout disagree.
+
+    The rest, t and 0 to ``max_nodes - 5`` more nodes (fewer for a lift) with
+    their edges, is a :func:`random_network`, fed at random by the chain.
+    """
+    rng = random.Random(seed)
+    lifted = max_nodes >= 6 and rng.random() < 0.5
+    k = max(1, (max_nodes - 4) // 2) if lifted else max_nodes - 4
+    rest = random_network(rng, k, 2 * k)
+    chain, isolated, third = rng.sample(SPACES, 3)
+    t, *others = rest.graph.nodes
+    nodes = [("c0", chain), ("c1", chain), ("c2", chain), ("z", isolated), (t, third)]
+    nodes += [(a, rest.space(a)) for a in others]
+    rng.shuffle(nodes)
+    edges = [("loop", "c0", "c0"), ("twin", "c0", "c0"), ("c01", "c0", "c1"), ("c12", "c1", "c2")]
+    edges += [("t1", t, "c1"), ("t2", t, "c2")]
+    edges += [(e.edge_id, e.src, e.tgt) for e in rest.graph.edges]
+    edges += [(f"x{j}", rng.choice(("c0", "c1", "c2")), rng.choice(rest.graph.nodes)) for j in range(rng.randint(0, 2))]
+    net = network(nodes, edges)
+    if lifted:
+        net = random_lift(rng, net, max_nodes=max_nodes).domain
+    nodes, edges = (rng.sample(items, len(items)) for items in (net.graph.nodes, net.graph.edges))
+    rename = dict(zip(nodes, _dealt(rng, "n", len(nodes))))
+    return network(
+        [(rename[a], net.space(a)) for a in nodes],
+        [(eid, rename[e.src], rename[e.tgt]) for eid, e in zip(_dealt(rng, "e", len(edges)), edges)],
+    )
+
+
+def _dealt(rng: random.Random, prefix: str, n: int) -> list[str]:
+    """The ids ``prefix`` + two or more digits, for ``n`` >= 2, in a random order that is not their sorted order."""
+    ids = rng.sample([f"{prefix}{i:02d}" for i in range(n)], n)
+    if ids == sorted(ids):
+        ids[:2] = ids[1::-1]
+    return ids
+
+
+def networks(max_nodes: int = 7):
+    """The hypothesis strategy of :func:`planted_network`: one drawn seed per network."""
+    return st.integers(0, 2**32 - 1).map(lambda seed: planted_network(seed, max_nodes))
 
 
 def random_injective_fibration(rng: random.Random, base_max_nodes: int = 4,
