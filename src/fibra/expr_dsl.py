@@ -57,6 +57,11 @@ MAX_DEPTH = 100
 # product of the group counts along the nest, which the signature fixes.
 MAX_BODY_RUNS = 10**6
 
+# Most digits an exponent or index literal may have.  Every exponent below
+# 10**15 < 2**53 is exact as the float that Python and numpy raise to; a
+# longer one can only overflow or vanish.  An index is held to the same count.
+MAX_INT_DIGITS = 15
+
 Pos = tuple[int, int]
 
 
@@ -291,12 +296,10 @@ class _Parser:
             tok = self.tok
             if tok.kind != "num" or not tok.text.isdigit():
                 raise ExprSyntaxError("exponent must be an integer literal", tok.pos)
+            if len(tok.text) > MAX_INT_DIGITS:
+                raise ExprSyntaxError("exponent has too many digits", tok.pos)
             self.advance()
-            try:
-                exponent = int(tok.text)
-            except ValueError:  # more digits than int() reads
-                raise ExprSyntaxError("exponent has too many digits", tok.pos) from None
-            return Pow(base, sign * exponent, pos=op.pos)
+            return Pow(base, sign * int(tok.text), pos=op.pos)
         return base
 
     def atom(self) -> Expr:
@@ -328,11 +331,10 @@ class _Parser:
         idx_tok = self.tok
         if idx_tok.kind != "num" or not idx_tok.text.isdigit():
             raise ExprSyntaxError("index must be a non-negative integer", idx_tok.pos)
+        if len(idx_tok.text) > MAX_INT_DIGITS:
+            raise ExprSyntaxError("index has too many digits", idx_tok.pos)
         self.advance()
-        try:
-            index = int(idx_tok.text)
-        except ValueError:  # more digits than int() reads
-            raise ExprSyntaxError("index has too many digits", idx_tok.pos) from None
+        index = int(idx_tok.text)
         self.expect("]")
         if name == "x":
             if index >= self.signature.root.dim:

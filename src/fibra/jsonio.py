@@ -90,6 +90,11 @@ def _dumps(obj: Any, newline: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+# Most coordinates a space read from JSON may have: one state of it already
+# fills 1 GiB of floats, the CLI's whole trajectory budget.
+MAX_DIM = 2**27
+
+
 def _require(obj: Any, key: str, where: str) -> Any:
     if not isinstance(obj, Mapping) or key not in obj:
         raise InputError(f"{where}: missing key {key!r}")
@@ -104,6 +109,8 @@ def space_from_json(obj: Any) -> PhaseSpace:
         dim = _require(obj, "dim", "space")
         if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
             raise InputError(f"space: dim must be a positive integer, got {dim!r}")
+        if dim > MAX_DIM:
+            raise InputError(f"space: dim must be at most {MAX_DIM}")
         return euclidean(dim)
     raise InputError(f"space: unknown kind {kind!r}")
 

@@ -75,7 +75,7 @@ from util import (
 )
 
 SPACES = (R1, R2, S1)
-MAX_NODES = 6  # these tests draw controls and states node by node, so their networks stay small
+MAX_NODES = 5  # these tests draw controls and states node by node, so their networks stay small
 
 
 def expr_control(draw, sig):

@@ -143,7 +143,7 @@ def test_networks_are_freed_without_the_cyclic_collector(make_map):
 # --- lazy isomorphism sequence ---------------------------------------------------
 
 
-@given(networks(max_nodes=5), st.data())
+@given(networks(), st.data())
 def test_enumerated_isos_match_materialised_list(net, data):
     a, b = data.draw(st.sampled_from(net.graph.nodes)), data.draw(st.sampled_from(net.graph.nodes))
     if iso_count(net, a, b) > 720:

@@ -22,7 +22,8 @@ from fibra import (
     unparse,
 )
 from fibra.expr_dsl import (
-    Aggregate, BinOp, Call, ControlExpr, InputRef, Neg, Num, Pow, RootRef, _Token, _tokenize, compile_control
+    MAX_INT_DIGITS,
+    Aggregate, BinOp, Call, ControlExpr, InputRef, Neg, Num, Pow, RootRef, _Token, _tokenize, compile_control,
 )
 from fibra import fixtures
 
@@ -241,9 +242,11 @@ def test_parse_integer_power_only():
         parse("x[0]^2.5", SIG_R2)
 
 
-# more digits than int() reads under Python's default limit of 4300
+# more digits than MAX_INT_DIGITS: 400 digits overflow a float, 5000 more than int() reads by default
 TOO_LONG = {
     "exponent": ("x[0]^" + "9" * 5000, "line 1, column 6: exponent has too many digits"),
+    "exponent-beyond-floats": ("x[0]^" + "9" * 400, "line 1, column 6: exponent has too many digits"),
+    "exponent-of-16-digits": ("x[0]^" + "9" * 16, "line 1, column 6: exponent has too many digits"),
     "negative-exponent": ("x[0]^-" + "9" * 5000, "line 1, column 7: exponent has too many digits"),
     "root-index": ("x[" + "0" * 5000 + "]", "line 1, column 3: index has too many digits"),
     "input-index": ("sum(u in inputs[R1]) { u[" + "0" * 5000 + "] }", "line 1, column 26: index has too many digits"),
@@ -256,6 +259,11 @@ def test_parse_refuses_an_integer_too_long_to_read(case):
     with pytest.raises(ExprSyntaxError) as exc:
         parse_control([src], SIG_MEAN)
     assert str(exc.value) == message
+
+
+def test_parse_reads_an_integer_of_the_most_digits():
+    assert parse("x[0]^-" + "9" * MAX_INT_DIGITS, SIG_R2) == Pow(RootRef(0), -(10**MAX_INT_DIGITS - 1))
+    assert parse("x[" + "0" * MAX_INT_DIGITS + "]", SIG_R2) == RootRef(0)
 
 
 def test_parse_precedence():

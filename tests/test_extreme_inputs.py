@@ -6,7 +6,8 @@ Python prints); self-loops and parallel edges; a 300-node doubled-edge chain;
 and nodes in R^500.  Each is run with its identity map, its linear dynamics
 and states at +-1e308 and at subnormal values.  Integers of 5000 digits, more
 than ``int()`` reads under Python's default limit, sit in a JSON file and in
-an expression.  A run may hold or fail; it never lets an exception out of
+an expression, and a space's ``dim`` of 10^19 or of 400 digits, too large for
+any state array, in a network.  A run may hold or fail; it never lets an exception out of
 ``main``, and its stderr is empty or one ``error: ...`` line.
 """
 
@@ -49,20 +50,15 @@ NETWORKS = {
 STATES = {"max": [1e308, -1e308], "subnormal": [5e-324, -2.5e-308]}
 
 
-def _argvs(path, net):
-    """Every command once on ``net``, each state-reading one at both extreme states."""
-    files = {
-        "net": network_to_json(net),
-        "map": map_to_json(identity_map(net)),
-        "dyn": class_dynamics_to_json(fixtures.linear_dynamics(net)),
-        "singletons": {"blocks": [[a] for a in net.graph.nodes]},
-    }
-    dim = sum(s.dim for s in net.phase.values())
-    for name, values in STATES.items():
-        files[name] = {"flat": [values[i % 2] for i in range(dim)]}
-    for name, obj in files.items():
-        (path / f"{name}.json").write_text(json.dumps(obj), encoding="utf-8")
-    f = {name: str(path / f"{name}.json") for name in files}
+def _write(path, texts):
+    """Each JSON text written to ``path / name``; the paths by name."""
+    for name, text in texts.items():
+        (path / name).write_text(text, encoding="utf-8")
+    return {name: str(path / name) for name in texts}
+
+
+def _argvs(f, states):
+    """Every command once on the files ``f``, each state-reading one at each of ``states``."""
     maps = [f["net"], f["net"], f["map"]]
     short = ["--T", "0.02", "--h", "0.01"]
     argvs = [
@@ -77,10 +73,37 @@ def _argvs(path, net):
         ["verify", "conjugacy", *maps, f["dyn"], "--samples", "2", *short],
         ["verify", "driving", *maps, f["dyn"], "--samples", "2"],
     ]
-    for state in STATES:
+    for state in states:
         argvs.append(["simulate", f["net"], f["dyn"], "--x0", f[state], *short])
         argvs.append(["verify", "polydiagonal", *maps, f["dyn"], "--x0", f[state], *short])
+    assert {" ".join(a[:2]) if a[0] == "verify" else a[0] for a in argvs} == {c[0] for c in _COMMANDS}
     return argvs
+
+
+def _network_argvs(path, net):
+    """Every command on ``net``, its identity map and its linear dynamics, at both extreme states."""
+    objs = {
+        "net": network_to_json(net),
+        "map": map_to_json(identity_map(net)),
+        "dyn": class_dynamics_to_json(fixtures.linear_dynamics(net)),
+        "singletons": {"blocks": [[a] for a in net.graph.nodes]},
+    }
+    dim = sum(s.dim for s in net.phase.values())
+    for name, values in STATES.items():
+        objs[name] = {"flat": [values[i % 2] for i in range(dim)]}
+    return _argvs(_write(path, {name: json.dumps(obj) for name, obj in objs.items()}), STATES)
+
+
+def _dim_argvs(path, dim):
+    """Every command on a one-node network in R^``dim``, a dim no state array can hold."""
+    texts = {
+        "net": '{"nodes": [{"id": "a", "space": {"kind": "R", "dim": ' + dim + '}}], "edges": []}',
+        "map": json.dumps({"nodes": {"a": "a"}, "edges": {}}),
+        "dyn": json.dumps({"classes": [{"representative": "a", "exprs": ["x[0]"]}]}),
+        "singletons": json.dumps({"blocks": [["a"]]}),
+        "x0": json.dumps({"flat": [0.0]}),
+    }
+    return _argvs(_write(path, texts), ["x0"])
 
 
 def _literals(path):
@@ -95,9 +118,7 @@ def _literals(path):
         "power.json": json.dumps({"classes": [{"representative": "1", "exprs": ["x[0]^" + HUGE_INT]}]}),
         "index.json": json.dumps({"classes": [{"representative": "1", "exprs": ["x[" + "0" * 5000 + "]"]}]}),
     }
-    for name, text in texts.items():
-        (path / name).write_text(text, encoding="utf-8")
-    f = {name: str(path / name) for name in texts}
+    f = _write(path, texts)
     maps = [f["g3.json"], f["g3.json"], f["map.json"]]
     short = ["--T", "0.02", "--h", "0.01"]
     argvs = [["validate", f["dim.json"]], ["simulate", f["g3.json"], f["dyn.json"], "--x0", f["x0.json"], *short]]
@@ -133,12 +154,16 @@ def _holds_or_refuses(capsys, argv, out):
 
 @pytest.mark.parametrize("name", sorted(NETWORKS))
 def test_every_command_on_an_extreme_network_exits_0_1_or_2(tmp_path, capsys, name):
-    argvs = _argvs(tmp_path, NETWORKS[name]())
-    assert {" ".join(a[:2]) if a[0] == "verify" else a[0] for a in argvs} == {c[0] for c in _COMMANDS}
-    for argv in argvs:
+    for argv in _network_argvs(tmp_path, NETWORKS[name]()):
         _holds_or_refuses(capsys, argv, tmp_path / "report")
 
 
 def test_every_reader_of_a_5000_digit_integer_exits_2(tmp_path, capsys):
     for argv in _literals(tmp_path):
+        assert _holds_or_refuses(capsys, argv, tmp_path / "report") == 2, argv
+
+
+@pytest.mark.parametrize("dim", [str(10**19), "9" * 400], ids=["1e19", "400-digits"])
+def test_every_command_on_a_dim_no_array_holds_exits_2(tmp_path, capsys, dim):
+    for argv in _dim_argvs(tmp_path, dim):
         assert _holds_or_refuses(capsys, argv, tmp_path / "report") == 2, argv

@@ -16,6 +16,7 @@ from fibra import InputError, R1, R2, S1, total_phase_space
 from fibra import dynamics, fixtures
 from fibra.cli import main
 from fibra.jsonio import (
+    MAX_DIM,
     class_dynamics_from_json,
     class_dynamics_to_json,
     dumps,
@@ -70,6 +71,13 @@ def test_network_rejects_malformed():
         network_from_json({"nodes": [{"id": "a", "space": {"kind": "R", "dim": 0}}], "edges": []})
     with pytest.raises(InputError):
         space_from_json({"kind": "sphere"})
+
+
+def test_space_dim_is_at_most_max_dim():
+    assert space_from_json({"kind": "R", "dim": MAX_DIM}).dim == MAX_DIM
+    for dim in (MAX_DIM + 1, 10**19, 10**400):
+        with pytest.raises(InputError, match=f"^space: dim must be at most {MAX_DIM}$"):
+            space_from_json({"kind": "R", "dim": dim})
 
 
 def test_map_roundtrip():

@@ -14,7 +14,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fibra import (
     GlobalField,
@@ -48,6 +48,8 @@ from fibra import (
 from fibra import fixtures, graphs
 
 from util import (
+    LONE_NODE,
+    R1_TRIANGLE,
     networks,
     reference_circle_distance,
     reference_circle_mask,
@@ -249,6 +251,8 @@ def test_polydiagonal_invariance_is_the_max_over_the_trajectory(dynamics, space)
 
 
 @given(networks(), st.integers(0, 2**32 - 1))
+@example(LONE_NODE, 0)
+@example(R1_TRIANGLE, 0)
 def test_sample_state_makes_the_per_node_draws(net, seed):
     index = total_phase_space(net)
     new, old = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -258,6 +262,7 @@ def test_sample_state_makes_the_per_node_draws(net, seed):
 
 
 @given(st.lists(networks(), min_size=1, max_size=3))
+@example([LONE_NODE, R1_TRIANGLE])
 def test_joint_layout_reads_each_part_as_a_mapping(nets):
     indexes = [total_phase_space(net) for net in nets]
     joint = graphs.StateIndex.joint(indexes)

@@ -45,6 +45,8 @@ from fibra import fixtures
 from fibra.jsonio import map_to_json, network_to_json
 
 from util import (
+    LONE_NODE,
+    R1_TRIANGLE,
     doubled_edge_chain,
     networks,
     random_network,
@@ -58,8 +60,6 @@ from util import (
     scan_block_of,
     scan_network,
 )
-
-MAX_NODES = 12  # room for lifts whose fibers hold several members
 
 
 KITCHEN_SINK = network(
@@ -77,8 +77,10 @@ KITCHEN_SINK = network(
 )
 
 
-@given(networks(MAX_NODES))
+@given(networks())
 @example(KITCHEN_SINK)
+@example(LONE_NODE)
+@example(R1_TRIANGLE)
 def test_structure_layer_matches_reference(net):
     ref_net = scan_network(net)
     graph = net.graph
@@ -124,9 +126,11 @@ def test_structure_layer_matches_reference(net):
         canonical_isos(net, [], "no-such-node")
 
 
-@given(networks(MAX_NODES), st.lists(st.integers(0, 2), min_size=1, max_size=40))
+@given(networks(), st.lists(st.integers(0, 2), min_size=1, max_size=40))
 @example(KITCHEN_SINK, [0])
 @example(KITCHEN_SINK, [0, 1])
+@example(LONE_NODE, [0])
+@example(R1_TRIANGLE, [0])
 def test_balance_check_matches_per_node_signatures(net, labels):
     """Coarsest, discrete, phase-class and random within-phase partitions, each against the reference."""
     nodes = sorted(net.graph.node_set)
@@ -154,9 +158,11 @@ def test_balance_check_matches_per_node_signatures(net, labels):
                 quotient_of(net, p)
 
 
-@given(networks(MAX_NODES))
+@given(networks())
 @example(KITCHEN_SINK)
 @example(doubled_edge_chain(9))
+@example(LONE_NODE)
+@example(R1_TRIANGLE)
 def test_coarsest_quotient_matches_the_checked_quotient(net):
     """``coarsest_balanced`` builds its quotient unchecked; ``quotient_of`` on its partition checks balance first.
 
@@ -199,7 +205,7 @@ def renamed(net: Network, node_ids, edge_ids) -> tuple[Network, dict]:
 
 @st.composite
 def colon_networks(draw):
-    net = draw(networks(MAX_NODES))
+    net = draw(networks())
     return renamed(net, draw(colon_ids(len(net.graph.nodes))), draw(colon_ids(len(net.graph.edges))))[0]
 
 
@@ -268,8 +274,10 @@ def test_partition_constructors_match_the_sorting_oracle(blocks):
             Partition(blocks)
 
 
-@given(networks(MAX_NODES))
+@given(networks())
 @example(KITCHEN_SINK)
+@example(LONE_NODE)
+@example(R1_TRIANGLE)
 def test_witness_is_the_first_enumerated_isomorphism(net):
     for b in symmetry_groupoid(net).blocks:
         for m, witness in zip(b, canonical_isos(net, b, b[0])):

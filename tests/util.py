@@ -103,23 +103,17 @@ def random_surjective_fibration(rng: random.Random, max_fiber: int = 3,
     return random_lift(rng, random_network(rng, cod_max_nodes, cod_max_edges), max_fiber)
 
 
-def random_lift(rng: random.Random, cod: Network, max_fiber: int = 3,
-                max_nodes: int | None = None) -> NetworkMap:
+def random_lift(rng: random.Random, cod: Network, max_fiber: int = 3) -> NetworkMap:
     """A surjective fibration onto ``cod`` with 1 to ``max_fiber`` nodes over each node.
 
     Each domain edge runs from a random member of its image's source fiber.
     The domain edges are named in random order, so a domain node does not
-    list its in-edges in its image's edge-id order.  With ``max_nodes``, a
-    fiber drawn larger than the nodes left allow is cut down, in the
-    codomain's listing order.
+    list its in-edges in its image's edge-id order.
     """
     node_map: dict[str, str] = {}
     i = 0
-    spare = math.inf if max_nodes is None else max_nodes - len(cod.graph.nodes)
     for b in cod.graph.nodes:
-        extra = min(rng.randint(1, max_fiber) - 1, spare)
-        spare -= extra
-        for _ in range(1 + extra):
+        for _ in range(rng.randint(1, max_fiber)):
             node_map[f"d{i}"] = b
             i += 1
     preimg: dict[str, list[str]] = {}
@@ -136,46 +130,55 @@ def random_lift(rng: random.Random, cod: Network, max_fiber: int = 3,
     return NetworkMap(dom, cod, node_map, edge_map)
 
 
-def planted_network(seed: int, max_nodes: int = 7) -> Network:
-    """A random network of 5 to ``max_nodes`` nodes, drawn from ``seed``, that holds these by construction:
+def planted_network(seed: int, max_nodes: int = 6) -> Network:
+    """A random network drawn from ``seed``, built around a :func:`random_network` of 1 to ``max_nodes`` nodes.
 
-    - nodes of each of the spaces R1, R2 and S1;
+    That random part has up to three edges per node of its cap.  On three
+    seeds in four, these are planted around it:
+
     - a chain c0 -> c1 -> c2 of one space, where c0 also has a self-loop and a
-      parallel copy of it, and a node t of another space feeds c1 and c2 and
-      nothing else feeds the chain: c1 and c2 share their first refinement
-      round's colour, and their mixed-space inputs, and the second round
-      splits them;
-    - an isolated node;
-    - on about half the seeds, a :func:`random_lift` with fibers of 1 to 3 nodes;
-    - node ids ``nNN`` and edge ids ``eNN`` dealt out at random, and nodes and
-      edges listed at random, so that listing order, id order and the sorted
-      state layout disagree.
+      parallel copy of it, and the random part's first node t, recast into
+      another space, feeds c1 and c2, and nothing else feeds the chain: c1
+      and c2 share their first refinement round's colour, and their
+      mixed-space inputs, and the second round splits them;
+    - an isolated node of the third space, so that R1, R2 and S1 all occur;
+    - 0 to 2 edges from the chain into the random part.
 
-    The rest, t and 0 to ``max_nodes - 5`` more nodes (fewer for a lift) with
-    their edges, is a :func:`random_network`, fed at random by the chain.
+    On the fourth seed the random part stands alone, so it may be a single
+    node, have no edges or hold one space.  Either way, on about half the
+    seeds the random part has at most ``max_nodes // 3`` nodes and the network
+    is a :func:`random_lift` of what was built, with fibers of 1 to 3 nodes.
+    Node ids ``nNN`` and edge ids ``eNN`` are dealt out at random, and nodes
+    and edges listed at random, so that listing order, id order and the
+    sorted state layout disagree.
     """
     rng = random.Random(seed)
-    lifted = max_nodes >= 6 and rng.random() < 0.5
-    k = max(1, (max_nodes - 4) // 2) if lifted else max_nodes - 4
-    rest = random_network(rng, k, 2 * k)
-    chain, isolated, third = rng.sample(SPACES, 3)
-    t, *others = rest.graph.nodes
-    nodes = [("c0", chain), ("c1", chain), ("c2", chain), ("z", isolated), (t, third)]
-    nodes += [(a, rest.space(a)) for a in others]
-    rng.shuffle(nodes)
-    edges = [("loop", "c0", "c0"), ("twin", "c0", "c0"), ("c01", "c0", "c1"), ("c12", "c1", "c2")]
-    edges += [("t1", t, "c1"), ("t2", t, "c2")]
-    edges += [(e.edge_id, e.src, e.tgt) for e in rest.graph.edges]
-    edges += [(f"x{j}", rng.choice(("c0", "c1", "c2")), rng.choice(rest.graph.nodes)) for j in range(rng.randint(0, 2))]
-    net = network(nodes, edges)
+    lifted = rng.random() < 0.5
+    k = max(1, max_nodes // 3) if lifted else max_nodes
+    net = random_network(rng, k, 3 * k)
+    if rng.random() < 0.75:
+        net = _planted_around(rng, net)
     if lifted:
-        net = random_lift(rng, net, max_nodes=max_nodes).domain
+        net = random_lift(rng, net).domain
     nodes, edges = (rng.sample(items, len(items)) for items in (net.graph.nodes, net.graph.edges))
     rename = dict(zip(nodes, _dealt(rng, "n", len(nodes))))
     return network(
         [(rename[a], net.space(a)) for a in nodes],
         [(eid, rename[e.src], rename[e.tgt]) for eid, e in zip(_dealt(rng, "e", len(edges)), edges)],
     )
+
+
+def _planted_around(rng: random.Random, rest: Network) -> Network:
+    """``rest`` with the chain c0 -> c1 -> c2, its feed t and an isolated node z planted around it (see :func:`planted_network`)."""
+    chain, isolated, third = rng.sample(SPACES, 3)
+    t, *others = rest.graph.nodes
+    nodes = [("c0", chain), ("c1", chain), ("c2", chain), ("z", isolated), (t, third)]
+    nodes += [(a, rest.space(a)) for a in others]
+    edges = [("loop", "c0", "c0"), ("twin", "c0", "c0"), ("c01", "c0", "c1"), ("c12", "c1", "c2")]
+    edges += [("t1", t, "c1"), ("t2", t, "c2")]
+    edges += [(e.edge_id, e.src, e.tgt) for e in rest.graph.edges]
+    edges += [(f"x{j}", rng.choice(("c0", "c1", "c2")), rng.choice(rest.graph.nodes)) for j in range(rng.randint(0, 2))]
+    return network(nodes, edges)
 
 
 def _dealt(rng: random.Random, prefix: str, n: int) -> list[str]:
@@ -186,9 +189,14 @@ def _dealt(rng: random.Random, prefix: str, n: int) -> list[str]:
     return ids
 
 
-def networks(max_nodes: int = 7):
+def networks(max_nodes: int = 6):
     """The hypothesis strategy of :func:`planted_network`: one drawn seed per network."""
     return st.integers(0, 2**32 - 1).map(lambda seed: planted_network(seed, max_nodes))
+
+
+# Explicit examples at the small end of the domain: no edges, and a coarsest partition of one block.
+LONE_NODE = network([("a", R1)], [])
+R1_TRIANGLE = network([("a", R1), ("b", R1), ("c", R1)], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a")])
 
 
 def random_injective_fibration(rng: random.Random, base_max_nodes: int = 4,
