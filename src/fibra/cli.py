@@ -162,6 +162,15 @@ def _load_network(read, path: str) -> Network:
     return net
 
 
+def _load_dynamics(read, path: str, net: Network):
+    """Read a per-class dynamics file for ``net``; its errors name the file."""
+    obj = read(path)
+    try:
+        return class_dynamics_from_json(obj, net)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _load_map(args, read) -> NetworkMap:
     domain = _load_network(read, args.domain)
     codomain = _load_network(read, args.codomain)
@@ -306,7 +315,7 @@ def _pullback(args, read):
     from .dynamics import pullback
 
     nmap = _load_map(args, read)
-    w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
+    w_prime = _load_dynamics(read, args.dynamics, nmap.codomain)
     return node_dynamics_to_json(pullback(nmap, w_prime)), True
 
 
@@ -322,7 +331,7 @@ def _simulate(args, read):
 
     net = _load_network(read, args.network)
     _check_horizon(args, total_phase_space(net).total_dim)
-    field = interconnect(net, class_dynamics_from_json(read(args.dynamics), net))
+    field = interconnect(net, _load_dynamics(read, args.dynamics, net))
     x0 = state_from_json(read(args.x0), field.index)
     traj = integrate(field, x0, args.T, args.h)
     header = ["t", *(f"{a}[{i}]" for a in field.index.order for i in range(field.index.spaces[a].dim))]
@@ -341,7 +350,7 @@ def _verify_conjugacy(args, read):
     nmap = _load_map(args, read)
     codomain_index = total_phase_space(nmap.codomain)
     _check_horizon(args, codomain_index.total_dim + total_phase_space(nmap.domain).total_dim)  # one joint trajectory
-    w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
+    w_prime = _load_dynamics(read, args.dynamics, nmap.codomain)
     x0p = None if args.x0 is None else state_from_json(read(args.x0), codomain_index)
     report = certify_conjugacy(
         nmap, w_prime, samples=args.samples, seed=args.seed, T=args.T, h=args.h, x0_prime=x0p
@@ -362,7 +371,7 @@ def _verify_polydiagonal(args, read):
     nmap = _load_map(args, read)
     domain_index = total_phase_space(nmap.domain)
     _check_horizon(args, max(domain_index.total_dim, total_phase_space(nmap.codomain).total_dim))
-    w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
+    w_prime = _load_dynamics(read, args.dynamics, nmap.codomain)
     x0 = state_from_json(read(args.x0), domain_index)
     distance = verify_polydiagonal_invariance(nmap, w_prime, x0, args.T, args.h, tol_sync=args.tol)
     ok = distance <= args.tol
@@ -382,7 +391,7 @@ def _verify_driving(args, read):
     from .numerics import verify_driving_decomposition
 
     nmap = _load_map(args, read)
-    w_prime = class_dynamics_from_json(read(args.dynamics), nmap.codomain)
+    w_prime = _load_dynamics(read, args.dynamics, nmap.codomain)
     report = verify_driving_decomposition(nmap, w_prime, samples=args.samples, seed=args.seed, tol=args.tol)
     payload = dataclasses.asdict(report)
     payload["tol"] = args.tol

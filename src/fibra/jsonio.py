@@ -236,7 +236,11 @@ def class_dynamics_from_json(obj: Any, net: Network) -> VirtualVectorField:
             exprs = _require(entry, "exprs", "dynamics class")
             if not isinstance(exprs, list) or not all(isinstance(s, str) for s in exprs):
                 raise InputError("dynamics class: 'exprs' must be a list of strings")
-            controls[rep] = parse_control(exprs, signature_at(net, rep))
+            signature = signature_at(net, rep)
+            try:
+                controls[rep] = parse_control(exprs, signature)
+            except (InputError, PreconditionError) as exc:  # a syntax error, or a component count off the root's dim
+                raise InputError(f"dynamics class {rep!r}: {exc}") from None
         return per_class_field(net, controls)
     except PreconditionError as exc:  # file inconsistent with the network
         raise InputError(f"dynamics: {exc}") from None

@@ -152,7 +152,7 @@ def verify_driving_decomposition(
     feedback = tuple(sorted(e.edge_id for e in m.codomain.graph.edges if e.src not in image and e.tgt in image))
     residual = None
     if report.is_fibration:
-        residual = _certify_fibration(m, w_prime, samples, seed, 0.0, 1e-3, None).pointwise_max_residual
+        residual = _pointwise(*_joint_field(m, w_prime), samples, seed)
     return DrivingReport(
         ok=residual is not None and residual <= tol,
         is_fibration=report.is_fibration,
@@ -196,15 +196,31 @@ def certify_conjugacy(
     faults at the first step where either side's state is not finite.  Both
     residuals come from the columns of each side.
     """
+    p, field = _checked_joint_field(m, w_prime)
+    return ConjugacyReport(
+        pointwise_max_residual=_pointwise(p, field, samples, seed),
+        flow_max_deviation=_flow(p, field, x0_prime, seed, T, h),
+        samples=samples,
+        seed=seed,
+        T=T,
+        h=h,
+    )
+
+
+def _checked_joint_field(m: NetworkMap, w_prime: VirtualVectorField) -> tuple[PhaseSpaceMap, GlobalField]:
+    """:func:`_joint_field`, once ``m`` is found to be a fibration."""
     if not check_fibration(m).is_fibration:
         raise FibrationRequired("conjugacy certification requires a fibration")
-    return _certify_fibration(m, w_prime, samples, seed, T, h, x0_prime)
+    return _joint_field(m, w_prime)
 
 
-def _certify_fibration(m, w_prime, samples, seed, T, h, x0_prime) -> ConjugacyReport:
-    """The body of :func:`certify_conjugacy` for a map its caller has found to be a fibration."""
-    p = PhaseSpaceMap(m)  # check_fibration checked the map
-    field = GlobalField(m.codomain, w_prime, (m.domain, _pullback(m, w_prime)))
+def _joint_field(m: NetworkMap, w_prime: VirtualVectorField) -> tuple[PhaseSpaceMap, GlobalField]:
+    """The coordinate map of a fibration and the joint field ``[codomain | domain]`` that holds its pullback."""
+    return PhaseSpaceMap(m), GlobalField(m.codomain, w_prime, (m.domain, _pullback(m, w_prime)))
+
+
+def _pointwise(p: PhaseSpaceMap, field: GlobalField, samples: int, seed: int) -> float:
+    """The pointwise residual of :func:`certify_conjugacy` on the joint field."""
     split = p.codomain_index.total_dim  # the codomain's columns come first
     check_count(samples)
     rng = np.random.default_rng(seed)
@@ -215,29 +231,24 @@ def _certify_fibration(m, w_prime, samples, seed, T, h, x0_prime) -> ConjugacyRe
             tangents = field(np.concatenate((x_prime, p(x_prime)), axis=1))
             lhs, rhs = p.differential(tangents[:, :split]), tangents[:, split:]
             pointwise = np.maximum(pointwise, np.abs(lhs - rhs).max(initial=0.0))  # unlike max(), propagates NaN
+    return float(pointwise)
+
+
+def _flow(p: PhaseSpaceMap, field: GlobalField, x0_prime, seed: int, T: float, h: float) -> float:
+    """The flow deviation of :func:`certify_conjugacy` on the joint field."""
+    split = p.codomain_index.total_dim
     if x0_prime is None:
         x0_prime = sample_state(p.codomain_index, np.random.default_rng(seed))
     x0_prime = p.codomain_index.state(x0_prime)
     states = integrate(field, np.concatenate((x0_prime, p(x0_prime))), T, h).states
-    flow = coordinate_distance(p(states[:, :split]), states[:, split:], p.domain_index)
-    return ConjugacyReport(
-        pointwise_max_residual=float(pointwise),
-        flow_max_deviation=float(flow),
-        samples=samples,
-        seed=seed,
-        T=T,
-        h=h,
-    )
+    return float(coordinate_distance(p(states[:, :split]), states[:, split:], p.domain_index))
 
 
 def verify_conjugacy_pointwise(
     m: NetworkMap, w_prime: VirtualVectorField, samples: int = 1000, seed: int = 0
 ) -> float:
-    """Max residual of the intertwining identity at random codomain states, as ``certify_conjugacy`` reports it.
-
-    Its zero-step flow calls no field.
-    """
-    return certify_conjugacy(m, w_prime, samples, seed, T=0.0).pointwise_max_residual
+    """Max residual of the intertwining identity at random codomain states, as ``certify_conjugacy`` reports it."""
+    return _pointwise(*_checked_joint_field(m, w_prime), samples, seed)
 
 
 def verify_conjugacy_flow(
@@ -248,4 +259,4 @@ def verify_conjugacy_flow(
     h: float,
 ) -> float:
     """Max deviation over time between the mapped codomain flow and the domain flow, with no samples drawn."""
-    return certify_conjugacy(m, w_prime, 0, T=T, h=h, x0_prime=x0_prime).flow_max_deviation
+    return _flow(*_checked_joint_field(m, w_prime), x0_prime, 0, T, h)

@@ -170,6 +170,16 @@ MUTANTS = (
             "tests/test_build_once.py::test_field_units_match_the_per_node_loop",
         ),
     ),
+    Mutant(
+        "two-input-group-read-unsorted",
+        "src/fibra/expr_dsl.py",
+        "if isinstance(e, Aggregate) and _coordinate(e) is None and counts[e.group] == 2:",
+        "if False:",
+        (
+            "tests/test_bound_evaluator.py::test_two_input_group_read_by_another_body_is_sorted",
+            "tests/test_bound_evaluator.py::test_only_visible_order_is_sorted",
+        ),
+    ),
 )
 
 

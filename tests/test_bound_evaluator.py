@@ -6,12 +6,13 @@ expression, raw and transported controls; the driving check must fail
 exactly on the injections that are not fibrations and read the restriction
 conjugacy on those that are; and the sampled checks, which make all their
 draws as one batch, must reach the verdicts of the per-sample loops.
-Networks come from ``util.networks``: mixed R1/R2/S1 spaces, self-loops,
-parallel edges, isolated nodes, deep class splits and lifts.
+Each property draws one seed, from which ``util.Seeded`` builds its case: a
+planted network (mixed R1/R2/S1 spaces, self-loops, parallel edges, isolated
+nodes, deep class splits, lifts, inputs out of typed order), a field on it
+and its states.
 """
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from fibra import (
     fixtures,
     input_tree,
     integrate,
-    iso_count,
     network,
     parse_control,
     per_class_field,
@@ -52,16 +52,24 @@ from fibra import dynamics, expr_dsl
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples, bind_control
 from fibra.errors import EvaluationFault, IntegrationFault
 from fibra.expr_dsl import (
-    FUNCTIONS, ControlSignature, _canonical_order, compile_control, group_positions, stack_columns,
+    ControlSignature, _canonical_order, compile_control, group_positions, stack_columns,
 )
 from fibra.sampling import sample_state, sample_states
 
 from util import (
-    networks,
+    BOUND,
+    FOLD_VALUES,
+    FOLDS,
+    GRAMMAR,
+    VALUES,
+    WIDE,
+    cases,
     random_injection,
     random_injective_fibration,
+    random_lift,
     random_network,
     random_surjective_fibration,
+    raw_control,
     reference_bind,
     reference_canonical_witness,
     reference_check_invariance,
@@ -75,62 +83,7 @@ from util import (
 )
 
 SPACES = (R1, R2, S1)
-MAX_NODES = 5  # these tests draw controls and states node by node, so their networks stay small
-
-
-def expr_control(draw, sig):
-    """Per component: a root term plus aggregates over each input group, nested or not."""
-    groups = sig.groups()
-    components = []
-    for i in range(sig.root.dim):
-        terms = [draw(st.sampled_from([f"-x[{i}]", f"0.5 * x[{i}]^2", f"cos(x[{i}])"]))]
-        for name, (dim, count) in groups.items():
-            j = draw(st.integers(0, dim - 1))
-            choices = [
-                f"sum(u in inputs[{name}]) {{ sin(u[{j}] - x[{i}]) }}",
-                f"sum(u in inputs[{name}]) {{ u[{j}] * 1000.0 + tanh(u[0]) }}",
-                f"sum(u in inputs[{name}]) {{ sum(v in inputs[{name}]) {{ u[{j}] * v[0] - v[{j}] }} }}",
-            ]
-            if count:
-                choices.append(f"mean(u in inputs[{name}]) {{ u[{j}] }}")
-            terms.append(draw(st.sampled_from(choices)))
-        components.append(" + ".join(terms))
-    return parse_control(components, sig)
-
-
-def raw_control(sig):
-    """Depends on the order and the ids of its inputs, and differently on each coordinate."""
-
-    def fn(x, ins):
-        acc = sum(
-            (k + 1.0) * float(state @ np.arange(1.0, state.size + 1)) + ord(eid[-1])
-            for k, (eid, state) in enumerate(ins)
-        )
-        return -x + acc
-
-    return RawControl(sig, fn)
-
-
-def class_field(draw, net, expr=expr_control):
-    """Per-class field, expression or raw control per class."""
-    controls = {}
-    for rep in symmetry_groupoid(net).representatives():
-        sig = signature_at(net, rep)
-        controls[rep] = expr(draw, sig) if draw(st.booleans()) else raw_control(sig)
-    return per_class_field(net, controls)
-
-
-def twisted_node_field(draw, net, expr=expr_control):
-    """Per-node field whose controls are moved along random automorphisms, some twice."""
-    w = class_field(draw, net, expr)
-    controls = {}
-    for a in net.graph.nodes:
-        ctrl = w.control_at(a)
-        if iso_count(net, a, a) <= 120:
-            for _ in range(draw(st.integers(1, 2))):
-                ctrl = ctrl_transport(draw(st.sampled_from(enumerate_tree_isos(net, a, a))), ctrl)
-        controls[a] = ctrl
-    return per_node_field(net, controls)
+MAX_NODES = 5  # these tests evaluate controls node by node, so their networks stay small
 
 
 def labelled_inputs(net, a, x, index):
@@ -141,12 +94,12 @@ def same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@given(st.data())
-def test_field_and_eval_control_match_per_call_path(data):
-    net = data.draw(networks(MAX_NODES))
-    w = data.draw(st.sampled_from([class_field, twisted_node_field]))(data.draw, net)
+@given(cases())
+def test_field_and_eval_control_match_per_call_path(case):
+    net = case.network(MAX_NODES)
+    w = case.field(net)
     field, reference = GlobalField(net, w), reference_field(net, w)
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rng = case.rng()
     for _ in range(3):
         x = sample_state(field.index, rng)
         assert same_bits(field(x), reference(x))
@@ -166,7 +119,7 @@ def test_a_raw_class_is_one_unit_built_without_transport(make):
     # each member's inputs are gathered in, so a build moves no control and binds each class once
     net = make()
     classes = symmetry_groupoid(net).blocks
-    w = per_class_field(net, {b[0]: raw_control(signature_at(net, b[0])) for b in classes})
+    w = per_class_field(net, {b[0]: raw_control(signature_at(net, b[0]), net) for b in classes})
     calls = []
     with pytest.MonkeyPatch.context() as patch:
         for owner, name in [(dynamics, "canonical_isos"), (dynamics, "_transported"), (VirtualVectorField, "control_at")]:
@@ -181,19 +134,16 @@ def test_a_raw_class_is_one_unit_built_without_transport(make):
         assert same_bits(row, reference(x)) and same_bits(field(x), row)
 
 
-@given(st.data())
-def test_evaluate_matches_per_call_path(data):
-    net = data.draw(networks(MAX_NODES))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+@given(cases())
+def test_evaluate_matches_per_call_path(case):
+    net, rng = case.network(MAX_NODES), case.rng()
     for a in net.graph.nodes:
-        ctrl = expr_control(data.draw, signature_at(net, a))
-        leaves = data.draw(st.permutations(input_tree(net, a).leaves))
+        ctrl = case.expression(signature_at(net, a))
+        leaves = input_tree(net, a).leaves
+        leaves = case.sample(leaves, len(leaves))
         for _ in range(3):
             root = rng.uniform(-2, 2, ctrl.signature.root.dim)
-            inputs = [
-                (data.draw(st.sampled_from([l.leaf_type, l.leaf_type.name])), rng.uniform(-2, 2, l.leaf_type.dim))
-                for l in leaves
-            ]
+            inputs = [(case.choice([l.leaf_type, l.leaf_type.name]), rng.uniform(-2, 2, l.leaf_type.dim)) for l in leaves]
             assert same_bits(evaluate(ctrl, root, inputs), reference_evaluate(ctrl, root, inputs))
 
 
@@ -201,14 +151,14 @@ def test_transported_kinds_are_covered():
     net = network([("a", R1), ("b", R1)], [("e1", "a", "b"), ("e2", "a", "b"), ("e3", "b", "b")])
     sig = signature_at(net, "b")
     swap = [i for i in enumerate_tree_isos(net, "b", "b") if not i.is_identity]
-    raw = raw_control(sig)
+    raw = raw_control(sig, net)
     moved = ctrl_transport(swap[0], ctrl_transport(swap[1], raw))
     assert type(moved) is RawControl and moved.signature == sig
     # an expression, and any control along an identity, transport to themselves
     expr = parse_control(["sum(u in inputs[R1]) { u[0] * 3.0 } - x[0]"], sig)
     assert ctrl_transport(swap[0], expr) is expr
     assert ctrl_transport(enumerate_tree_isos(net, "b", "b")[0], raw) is raw
-    w = per_node_field(net, {"a": raw_control(signature_at(net, "a")), "b": moved})
+    w = per_node_field(net, {"a": raw_control(signature_at(net, "a"), net), "b": moved})
     x = np.array([0.25, -0.75])
     assert same_bits(GlobalField(net, w)(x), reference_field(net, w)(x))
     inputs = labelled_inputs(net, "b", x, total_phase_space(net))
@@ -236,14 +186,13 @@ def _agree(ctrl, hand, net, a, rng, trials=3):
         assert same_bits(eval_control(ctrl, root, inputs), reference_eval_control(hand, root, inputs))
 
 
-@given(st.data())
-def test_transport_matches_hand_relabelling(data):
-    draw = data.draw
-    net = draw(st.one_of(st.just(_typed_out_of_id_order()), networks(MAX_NODES)))
-    a = draw(st.sampled_from([a for a in sorted(net.graph.nodes) if iso_count(net, a, a) <= 120]))
-    raw = raw_control(signature_at(net, a))
-    sigma, tau = (draw(st.sampled_from(enumerate_tree_isos(net, a, a))) for _ in range(2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+@given(cases())
+def test_transport_matches_hand_relabelling(case):
+    net = _typed_out_of_id_order() if case.random() < 0.5 else case.network(MAX_NODES)
+    a = case.choice(sorted(net.graph.nodes))
+    raw = raw_control(signature_at(net, a), net)
+    sigma, tau = (case.choice(enumerate_tree_isos(net, a, a, cap=math.inf)) for _ in range(2))
+    rng = case.rng()
     _agree(ctrl_transport(sigma, raw), reference_transport(sigma, raw), net, a, rng)
     twice = ctrl_transport(tau, ctrl_transport(sigma, raw))
     _agree(twice, reference_transport(tau, reference_transport(sigma, raw)), net, a, rng)
@@ -263,14 +212,13 @@ def test_transport_reads_the_base_order_not_the_typed_order():
     assert eval_control(ctrl_transport(swap, pick), np.zeros(1), ins)[0] == 4.0 - 10.0
 
 
-@given(st.data())
-def test_pullback_of_raw_class_fields_matches_hand_relabelling(data):
-    draw = data.draw
-    m = random_surjective_fibration(random.Random(draw(st.integers(0, 2**32 - 1))))
+@given(cases())
+def test_pullback_of_raw_class_fields_matches_hand_relabelling(case):
+    m = random_surjective_fibration(case)
     cod, groupoid = m.codomain, symmetry_groupoid(m.codomain)
-    controls = {r: raw_control(signature_at(cod, r)) for r in groupoid.representatives()}
+    controls = {r: raw_control(signature_at(cod, r), cod) for r in groupoid.representatives()}
     pulled = pullback(m, per_class_field(cod, controls))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = case.rng()
     for a in m.domain.graph.nodes:
         # the representative's leaves -> its class member b's, by position in each typed block -> a's, through
         # the edge map
@@ -294,9 +242,9 @@ def _kuramoto_node():
 
 
 def test_wrong_root_dimension_raises():
-    _, sig, expr, ins = _kuramoto_node()
     swap = TreeIso("b", "b", {"e1": "e2", "e2": "e1", "e3": "e3"})
-    for ctrl in (expr, raw_control(sig), ctrl_transport(swap, raw_control(sig))):
+    net, sig, expr, ins = _kuramoto_node()
+    for ctrl in (expr, raw_control(sig, net), ctrl_transport(swap, raw_control(sig, net))):
         with pytest.raises(SignatureMismatch, match="root state has dimension 2"):
             eval_control(ctrl, np.zeros(2), ins)
     with pytest.raises(SignatureMismatch, match="root state"):
@@ -304,9 +252,9 @@ def test_wrong_root_dimension_raises():
 
 
 def test_wrong_input_dimension_raises():
-    _, sig, expr, ins = _kuramoto_node()
+    net, sig, expr, ins = _kuramoto_node()
     bad = ins[:2] + [("e3", R2, np.array([1.0, 2.0, 3.0]))]
-    for ctrl in (expr, raw_control(sig)):  # raw inputs are checked at the boundary too
+    for ctrl in (expr, raw_control(sig, net)):  # raw inputs are checked at the boundary too
         with pytest.raises(SignatureMismatch, match="dimension 3"):
             eval_control(ctrl, np.zeros(1), bad)
     with pytest.raises(SignatureMismatch, match="input of type R2 has dimension 3"):
@@ -324,7 +272,7 @@ def test_unknown_input_type_raises():
 
 def test_field_rejects_control_of_wrong_root_space():
     net, *_ = _kuramoto_node()
-    w = per_node_field(net, {a: raw_control(signature_at(net, a)) for a in net.graph.nodes})
+    w = per_node_field(net, {a: raw_control(signature_at(net, a), net) for a in net.graph.nodes})
     wrong = RawControl(signature_at(net, "c"), lambda x, ins: x)  # R2 root at S1 node b
     with pytest.raises(SignatureMismatch):
         GlobalField(net, VirtualVectorField(net, "per_node", {**w.controls, "b": wrong}))
@@ -333,16 +281,15 @@ def test_field_rejects_control_of_wrong_root_space():
 # --- joint field -------------------------------------------------------------------
 
 
-@st.composite
-def fibrations(draw):
-    """A random surjective or injective fibration, or the identity of a mixed or an all-circle network."""
-    kind = draw(st.sampled_from(["surjective", "injective", "identity", "circle identity"]))
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    if kind == "surjective":
-        return random_surjective_fibration(rng)
-    if kind == "injective":
-        return random_injective_fibration(rng)
-    net = draw(networks(MAX_NODES)) if kind == "identity" else random_network(rng, spaces=(S1,))
+def _fibration(case):
+    """A lift of a planted network, a random injective fibration, or the identity of a planted or an all-circle
+    network."""
+    kind = case.randrange(4)
+    if kind == 0:
+        return random_lift(case, case.network(2))
+    if kind == 1:
+        return random_injective_fibration(case)
+    net = case.network(MAX_NODES) if kind == 2 else random_network(case, spaces=(S1,))
     return NetworkMap(net, net, {a: a for a in net.graph.nodes}, {e.edge_id: e.edge_id for e in net.graph.edges})
 
 
@@ -372,16 +319,16 @@ def _integrated(field, x0):
         return counted.calls, isinstance(fault, IntegrationFault)
 
 
-@given(fibrations(), st.data())
-def test_joint_field_matches_each_side_alone(m, data):
+@given(cases())
+def test_joint_field_matches_each_side_alone(case):
     """``[codomain | domain]`` gives each side's own bits, also when integrated.
 
     The domain side holds the pullback, as certification builds it, or a field
     drawn on its own; an identity map's sides share their node ids.
     """
-    draw_field = data.draw(st.sampled_from([class_field, twisted_node_field]))
-    w = draw_field(data.draw, m.codomain)
-    w_domain = draw_field(data.draw, m.domain) if data.draw(st.booleans()) else pullback(m, w)
+    m = _fibration(case)
+    w = case.field(m.codomain)
+    w_domain = case.field(m.domain) if case.random() < 0.5 else pullback(m, w)
     sides = [(m.codomain, w), (m.domain, w_domain)]
     field = GlobalField(m.codomain, w, sides[1])
     split = total_phase_space(m.codomain).total_dim
@@ -391,8 +338,7 @@ def test_joint_field_matches_each_side_alone(m, data):
         (i, a) for i, (net, _) in enumerate(sides) for a in total_phase_space(net).order
     )
     assert field.index.total_dim == split + total_phase_space(m.domain).total_dim
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    states = sample_states(field.index, rng, data.draw(st.integers(1, 4)))
+    states = sample_states(field.index, case.rng(), case.randint(1, 4))
     batch = field(states)
     for x, row in zip(states, batch):
         assert same_bits(field(x), row)
@@ -411,19 +357,18 @@ def test_joint_field_matches_each_side_alone(m, data):
 # --- driving check -------------------------------------------------------------------
 
 
-@given(st.data())
-def test_driving_verdict_is_the_fibration_test_and_its_residual_the_conjugacy(data):
-    rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
-    feedback = data.draw(st.booleans())
-    m = random_injection(rng, feedback)
-    raw = data.draw(st.booleans())
+@given(cases())
+def test_driving_verdict_is_the_fibration_test_and_its_residual_the_conjugacy(case):
+    feedback = case.random() < 0.5
+    m = random_injection(case, feedback)
+    raw = case.random() < 0.5
     controls = {}
     for rep in symmetry_groupoid(m.codomain).representatives():
         sig = signature_at(m.codomain, rep)
-        controls[rep] = raw_control(sig) if raw else expr_control(data.draw, sig)
+        controls[rep] = raw_control(sig, m.codomain) if raw else case.expression(sig)
     w = per_class_field(m.codomain, controls)
-    samples, seed = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 1000))
-    report = verify_driving_decomposition(m, w, samples=samples, seed=seed)
+    samples = case.randint(0, 5)
+    report = verify_driving_decomposition(m, w, samples=samples, seed=case.randint(0, 1000))
     is_fibration = check_fibration(m).is_fibration
     assert is_fibration is not feedback  # a feedback edge has no lift
     assert report.is_fibration is is_fibration and report.feedback_edges == (("fb",) if feedback else ())
@@ -444,7 +389,7 @@ def test_driving_with_raw_control_at_feedback_source():
     )
     dom = network([("a", R1), ("b", R2)], [("e1", "a", "b")])
     m = NetworkMap(dom, cod, {"a": "a", "b": "b"}, {"e1": "e1"})
-    controls = {a: raw_control(signature_at(cod, a)) for a in symmetry_groupoid(cod).representatives()}
+    controls = {a: raw_control(signature_at(cod, a), cod) for a in symmetry_groupoid(cod).representatives()}
     w = per_class_field(cod, controls)
     report = verify_driving_decomposition(m, w, samples=4, seed=3)
     assert report.feedback_edges == ("e2",) and not report.ok
@@ -452,7 +397,7 @@ def test_driving_with_raw_control_at_feedback_source():
     # without the feedback edge the inclusion is a fibration, and restriction intertwines the raw fields
     cod2 = network(list(cod.phase.items()), [(e.edge_id, e.src, e.tgt) for e in cod.graph.edges if e.edge_id != "e2"])
     m2 = NetworkMap(dom, cod2, m.node_map, m.edge_map)
-    w2 = per_class_field(cod2, {a: raw_control(signature_at(cod2, a)) for a in symmetry_groupoid(cod2).representatives()})
+    w2 = per_class_field(cod2, {a: raw_control(signature_at(cod2, a), cod2) for a in symmetry_groupoid(cod2).representatives()})
     report2 = verify_driving_decomposition(m2, w2, samples=4, seed=3)
     assert report2.feedback_edges == () and report2.ok
     assert report2.pointwise_max_residual == reference_pointwise_residual(m2, w2, samples=4, seed=3) <= 1e-12
@@ -466,45 +411,6 @@ def test_driving_with_raw_control_at_feedback_source():
 # tree walk bit for bit; a fault must raise the same class, and in a batch of
 # one the same message.
 
-FUNCS = sorted(FUNCTIONS)
-VALUES = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -3.0, 700.0]) | st.floats(-4.0, 4.0)
-
-
-def expr_source(draw, sig, depth=4, scope=()):
-    """One random component over the whole grammar; it may fault."""
-    groups = sig.groups()
-    kinds = ["num", "root"] + (["var"] if scope else [])
-    if depth:
-        kinds += ["neg", "func", "binop", "pow"] + (["agg"] if groups and len(scope) < 2 else [])
-    kind = draw(st.sampled_from(kinds))
-
-    def sub():
-        return expr_source(draw, sig, depth - 1, scope)
-
-    if kind == "num":
-        return draw(st.sampled_from(["0.0", "0.5", "2.0", "1000.0", "1e999"]))
-    if kind == "root":
-        return f"x[{draw(st.integers(0, sig.root.dim - 1))}]"
-    if kind == "var":
-        var, group = draw(st.sampled_from(scope))
-        return f"{var}[{draw(st.integers(0, groups[group][0] - 1))}]"
-    if kind == "neg":
-        return f"-({sub()})"
-    if kind == "func":
-        return f"{draw(st.sampled_from(FUNCS))}({sub()})"
-    if kind == "binop":
-        return f"({sub()}) {draw(st.sampled_from('+-*/'))} ({sub()})"
-    if kind == "pow":
-        return f"({sub()})^{draw(st.sampled_from([-3, -2, -1, 0, 1, 2, 3, 400, 401]))}"
-    group = draw(st.sampled_from(sorted(groups)))
-    var = "uv"[len(scope)]
-    body = expr_source(draw, sig, depth - 1, scope + ((var, group),))
-    return f"{draw(st.sampled_from(['sum', 'mean']))}({var} in inputs[{group}]) {{ {body} }}"
-
-
-def any_expr_control(draw, sig):
-    return parse_control([expr_source(draw, sig) for _ in range(sig.root.dim)], sig)
-
 
 def outcome(fn, *args, message=True):
     """The output's bits, or the exception class (and message) it raised."""
@@ -515,29 +421,28 @@ def outcome(fn, *args, message=True):
     return out.dtype, out.shape, out.tobytes()
 
 
-@given(st.data())
-def test_bind_and_evaluate_match_tree_walk(data):
-    draw = data.draw
-    inputs = draw(st.lists(st.sampled_from(SPACES), max_size=5))
-    sig = ControlSignature(draw(st.sampled_from(SPACES)), tuple(inputs))
-    ctrl = any_expr_control(draw, sig)
-    types = draw(st.permutations(inputs))
-    if types and draw(st.booleans()):
+@given(cases())
+def test_bind_and_evaluate_match_tree_walk(case):
+    inputs = case.choices(SPACES, k=case.randint(0, 5))
+    sig = ControlSignature(case.choice(SPACES), tuple(inputs))
+    ctrl = case.expression(sig, GRAMMAR)
+    types = case.sample(inputs, len(inputs))
+    if types and case.random() < 0.5:
         types = types[1:]  # a group may go missing, where mean faults
-    root = np.array(draw(st.lists(VALUES, min_size=sig.root.dim, max_size=sig.root.dim)))
-    states = [np.array(draw(st.lists(VALUES, min_size=t.dim, max_size=t.dim))) for t in types]
+    root = case.values(VALUES, sig.root.dim)
+    states = [case.values(VALUES, t.dim) for t in types]
     pairs = list(zip(types, states))
     assert outcome(evaluate, ctrl, root, pairs) == outcome(reference_bind(ctrl, types), root, states)
     assert outcome(evaluate, ctrl, root, pairs) == outcome(reference_evaluate, ctrl, root, pairs)
 
 
-@given(st.data())
-def test_field_matches_tree_walk(data):
-    net = data.draw(networks(MAX_NODES))
-    w = twisted_node_field(data.draw, net, any_expr_control)
+@given(cases())
+def test_field_matches_tree_walk(case):
+    net = case.network(MAX_NODES)
+    w = case.field(net, GRAMMAR)
     field, reference = GlobalField(net, w), reference_field(net, w)
     for _ in range(3):
-        x = np.array(data.draw(st.lists(VALUES, min_size=field.index.total_dim, max_size=field.index.total_dim)))
+        x = case.values(VALUES, field.index.total_dim)
         with np.errstate(all="ignore"):  # as the field's callers set it
             assert outcome(field, x, message=False) == outcome(reference, x, message=False)
 
@@ -601,23 +506,6 @@ def test_canonical_order_is_stable_sort_by_value(case):
 # Two-input groups of dim 1 and 2 are drawn with ties, -0.0 and 0.0, +-inf and sums
 # that overflow, beside aggregates whose bodies are not a coordinate and nested ones.
 
-FOLD_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, math.inf, -math.inf]) | st.floats(-4.0, 4.0)
-
-
-def fold_term(draw, groups):
-    """A coordinate fold, an aggregate with another body, or a nested one, over a drawn group."""
-    g = draw(st.sampled_from(sorted(groups)))
-    h = draw(st.sampled_from(sorted(groups)))
-    j, k = draw(st.integers(0, groups[g][0] - 1)), draw(st.integers(0, groups[h][0] - 1))
-    op = draw(st.sampled_from(["sum", "mean"]))
-    return draw(st.sampled_from([
-        f"{op}(u in inputs[{g}]) {{ u[{j}] }}",
-        f"{op}(u in inputs[{g}]) {{ u[{j}] * x[0] }}",
-        f"{op}(u in inputs[{g}]) {{ {op}(v in inputs[{h}]) {{ v[{k}] }} }}",
-        f"{op}(u in inputs[{g}]) {{ {op}(v in inputs[{h}]) {{ u[{j}] }} }}",
-        f"sum(u in inputs[{g}]) {{ sum(v in inputs[{h}]) {{ u[{j}] - v[{k}] }} }}",
-    ]))
-
 
 def run_with(ctrl, roots, groups):
     """One call of the control's kernel, bound to the groups' input counts and under the error state its
@@ -626,25 +514,22 @@ def run_with(ctrl, roots, groups):
         return stack_columns(compile_control(ctrl, [g.shape[1] for g in groups])(roots, groups), len(roots))
 
 
-@given(st.data())
-def test_coordinate_folds_match_tree_walk(data):
-    draw = data.draw
-    counts = {R1: draw(st.integers(0, 3)), R2: draw(st.integers(0, 3))}
+@given(cases())
+def test_coordinate_folds_match_tree_walk(case):
+    counts = {R1: case.randint(0, 3), R2: case.randint(0, 3)}
     inputs = tuple(s for s, n in counts.items() for _ in range(n))
-    sig = ControlSignature(draw(st.sampled_from([R1, R2])), inputs)
+    sig = ControlSignature(case.choice([R1, R2]), inputs)
     groups = sig.groups()
     if not groups:
         return
-    ctrl = parse_control(
-        [" + ".join(fold_term(draw, groups) for _ in range(draw(st.integers(1, 3)))) for _ in range(sig.root.dim)], sig
-    )
-    types = draw(st.permutations(inputs))
-    if draw(st.booleans()):  # a group may go missing, where mean faults
-        gone = draw(st.sampled_from(sorted(groups)))
+    ctrl = case.expression(sig, FOLDS)
+    types = case.sample(inputs, len(inputs))
+    if case.random() < 0.5:  # a group may go missing, where mean faults
+        gone = case.choice(sorted(groups))
         types = [t for t in types if t.name != gone]
-    m = draw(st.integers(1, 4))
-    roots = np.array(draw(st.lists(FOLD_VALUES, min_size=m * sig.root.dim, max_size=m * sig.root.dim))).reshape(m, -1)
-    members = [[np.array(draw(st.lists(FOLD_VALUES, min_size=t.dim, max_size=t.dim))) for t in types] for _ in range(m)]
+    m = case.randint(1, 4)
+    roots = case.values(FOLD_VALUES, m, sig.root.dim)
+    members = [[case.values(FOLD_VALUES, t.dim) for t in types] for _ in range(m)]
     batch = [
         np.array([[states[i] for i in pos] for states in members]).reshape(m, len(pos), dim)
         for pos, (dim, _) in zip(group_positions(sig, types), groups.values())
@@ -666,6 +551,21 @@ def test_three_input_fold_is_sorted(op):
     out = run_with(ctrl, np.zeros((1, 1)), [np.array(states).reshape(1, 3, 1)])
     assert same_bits(out[0], reference_bind(ctrl, [R1] * 3)(np.zeros(1), states))
     assert out[0, 0] != (0.0 + 1.0 + 1e-16 - 1.0) / (3 if op == "mean" else 1)
+
+
+@pytest.mark.parametrize("op", ["sum", "mean"])
+def test_two_input_group_read_by_another_body_is_sorted(op):
+    # past +-0.2 an input makes a NaN, of one sign bit for a positive input and the other for a negative one, and
+    # a sum of two NaNs keeps the first one's bits: a group of two that a body other than a coordinate reads is
+    # sorted, as the tree walk sorts it
+    body = "-(u[0] * 1e308 * 10.0 - 1e308 * 10.0) + (u[0] * 1e308 * 10.0 + 1e308 * 10.0)"
+    ctrl = parse_control([f"{op}(u in inputs[R1]) {{ {body} }}"], ControlSignature(R1, (R1, R1)))
+    states = [np.array([0.5]), np.array([-0.5])]
+    out = run_with(ctrl, np.zeros((1, 1)), [np.array(states).reshape(1, 2, 1)])
+    assert same_bits(out[0], reference_bind(ctrl, [R1, R1])(np.zeros(1), states))
+    with np.errstate(all="ignore"):
+        first, second = (-(u * 1e308 * 10.0 - 1e308 * 10.0) + (u * 1e308 * 10.0 + 1e308 * 10.0) for u in np.array([0.5, -0.5]))
+    assert math.isnan(first) and math.isnan(second) and (first + second).tobytes() != (second + first).tobytes()
 
 
 def _sorted_groups(monkeypatch, source, inputs):
@@ -761,9 +661,6 @@ def test_overflow_gives_signed_infinity():
 # input takes the math.* path, so ±inf faults as in the tree walk and NaN stays NaN.
 
 R3 = euclidean(3)
-WIDE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
-    [0.0, -0.0, 5e-324, math.pi, -math.pi / 2, 1e22, 2.0**1023]
-)
 
 
 def periodic(func, space=R3):
@@ -778,23 +675,21 @@ def run(kernel, roots):
 
 
 @pytest.mark.parametrize("func", ["sin", "cos"])
-@given(data=st.data())
-def test_sin_cos_match_tree_walk(func, data):
+@given(case=cases())
+def test_sin_cos_match_tree_walk(func, case):
     ctrl = periodic(func)
     walk = reference_bind(ctrl, [])
-    roots = np.array(data.draw(st.lists(st.lists(WIDE, min_size=3, max_size=3), min_size=1, max_size=24)))
+    roots = case.values(WIDE, case.randint(1, 24), 3)
     assert same_bits(run(compile_control(ctrl, []), roots), np.array([walk(root, []) for root in roots]))
     assert same_bits(evaluate(ctrl, roots[0], []), walk(roots[0], []))
 
 
-@given(st.data())
-def test_field_batch_with_sin_cos_matches_tree_walk(data):
-    net = data.draw(networks(MAX_NODES))
-    w = twisted_node_field(data.draw, net)
+@given(cases())
+def test_field_batch_with_sin_cos_matches_tree_walk(case):
+    net = case.network(MAX_NODES)
+    w = case.field(net)
     field, reference = GlobalField(net, w), reference_field(net, w)
-    d = field.index.total_dim
-    states = np.array(data.draw(st.lists(st.lists(st.floats(-1e6, 1e6) | WIDE, min_size=d, max_size=d),
-                                         min_size=1, max_size=4)))
+    states = case.values((*WIDE, 1e6), case.randint(1, 4), field.index.total_dim)
     with np.errstate(all="ignore"):  # as the field's callers set it
         rows = [outcome(reference, x, message=False) for x in states]
         batch = outcome(field, states, message=False)
@@ -848,35 +743,32 @@ def test_nonfinite_member_takes_scalar_path(func):
 # the per-call path gives for that member alone.
 
 
-@given(st.data())
-def test_bind_control_rows_match_each_member_alone(data):
-    draw = data.draw
-    net = draw(networks(MAX_NODES))
-    a = draw(st.sampled_from(sorted(net.graph.nodes)))
+@given(cases())
+def test_bind_control_rows_match_each_member_alone(case):
+    net = case.network(MAX_NODES)
+    a = case.choice(sorted(net.graph.nodes))
     sig = signature_at(net, a)
-    ctrl = any_expr_control(draw, sig) if draw(st.booleans()) else raw_control(sig)
-    if iso_count(net, a, a) <= 120:
-        for _ in range(draw(st.integers(0, 2))):  # a raw control's transports nest
-            ctrl = ctrl_transport(draw(st.sampled_from(enumerate_tree_isos(net, a, a))), ctrl)
-    slots = draw(st.permutations([(e.edge_id, net.space(e.src)) for e in net.in_edges(a)]))
-    m = draw(st.integers(1, 3))
-    roots = np.array(draw(st.lists(VALUES, min_size=m * sig.root.dim, max_size=m * sig.root.dim))).reshape(m, -1)
-    members = [[np.array(draw(st.lists(VALUES, min_size=s.dim, max_size=s.dim))) for _, s in slots] for _ in range(m)]
+    ctrl = case.moved(net, a, case.expression(sig, GRAMMAR) if case.random() < 0.5 else raw_control(sig, net))
+    slots = [(e.edge_id, net.space(e.src)) for e in net.in_edges(a)]
+    slots = case.sample(slots, len(slots))
+    m = case.randint(1, 3)
+    roots = case.values(VALUES, m, sig.root.dim)
+    members = [[case.values(VALUES, s.dim) for _, s in slots] for _ in range(m)]
     groups = [
         np.array([[states[i] for i in pos] for states in members]).reshape(m, len(pos), dim)
         for pos, (dim, _) in zip(group_positions(sig, [s for _, s in slots]), sig.groups().values())
     ]
-    alone = [
-        outcome(reference_eval_control, ctrl, root, [(eid, s, x) for (eid, s), x in zip(slots, states)], message=False)
-        for root, states in zip(roots, members)
-    ]
-    faults = {o[0] for o in alone if isinstance(o[0], type)}
-    try:
-        with np.errstate(all="ignore"):  # as the field's callers set it
+    with np.errstate(all="ignore"):  # as the field's callers set it, for both sides
+        alone = [
+            outcome(reference_eval_control, ctrl, root, [(eid, s, x) for (eid, s), x in zip(slots, states)], message=False)
+            for root, states in zip(roots, members)
+        ]
+        faults = {o[0] for o in alone if isinstance(o[0], type)}
+        try:
             out = stack_columns(bind_control(ctrl, slots)(roots, groups), m)
-    except Exception as exc:  # the class is what is compared
-        assert type(exc) in faults
-        return
+        except Exception as exc:  # the class is what is compared
+            assert type(exc) in faults
+            return
     assert not faults
     assert [outcome(np.copy, row) for row in out] == alone
 
@@ -945,45 +837,6 @@ def test_sampled_checks_raise_a_fault_at_any_sample():
 # control of a field may carry the same faulting term at the same place, so the message
 # does not depend on which member faults first.
 
-BOUND_FOLDS = ["sum(u in inputs[{g}]) {{ u[{j}] }}", "mean(u in inputs[{g}]) {{ u[{j}] }}"]
-BOUND_ORDERED = [
-    "sum(u in inputs[{g}]) {{ u[{j}] * x[{i}] }}",
-    "sum(u in inputs[{g}]) {{ sin(u[{j}] - x[{i}]) }}",
-    "mean(u in inputs[{g}]) {{ sum(v in inputs[{g}]) {{ u[{j}] - v[0] }} }}",
-]
-BOUND_ROOT = ["-x[{i}]", "1e300 * x[{i}]", "x[{i}] * x[{i}]"]
-
-
-def bound_expr_control(draw, sig, fault):
-    """Per component a root term and one aggregate per group; component 0 starts with ``fault``."""
-    components = []
-    for i in range(sig.root.dim):
-        terms = [draw(st.sampled_from(BOUND_ROOT)).format(i=i)]
-        for name, (dim, _) in sig.groups().items():
-            kind = draw(st.sampled_from([BOUND_FOLDS, BOUND_ORDERED]))
-            terms.append(draw(st.sampled_from(kind)).format(g=name, j=draw(st.integers(0, dim - 1)), i=i))
-        components.append(" + ".join(([fault] if fault and i == 0 else []) + terms))
-    return parse_control(components, sig)
-
-
-def bound_field(draw, net):
-    """Expression controls per class, each node's possibly moved along an automorphism, beside raw ones."""
-    fault = draw(st.sampled_from([None, "log(x[0] + 0.5)", "sqrt(x[0] + 0.5)"]))
-    classes = {}
-    for rep in symmetry_groupoid(net).representatives():
-        sig = signature_at(net, rep)
-        classes[rep] = raw_control(sig) if draw(st.integers(0, 3)) == 0 else bound_expr_control(draw, sig, fault)
-    w = per_class_field(net, classes)
-    controls = {}
-    for a in net.graph.nodes:
-        ctrl = w.control_at(a)
-        if draw(st.integers(0, 3)) == 0:
-            ctrl = raw_control(ctrl.signature)
-        if iso_count(net, a, a) <= 120 and draw(st.booleans()):
-            ctrl = ctrl_transport(draw(st.sampled_from(enumerate_tree_isos(net, a, a))), ctrl)
-        controls[a] = ctrl
-    return per_node_field(net, controls)
-
 
 def bound_outcome(fn, *args):
     """The output's bits, a trajectory's bits, or the class, message and step of the fault it raised."""
@@ -997,16 +850,14 @@ def bound_outcome(fn, *args):
     return out.shape, out.tobytes()
 
 
-@given(st.data())
-def test_bound_field_matches_per_call_path_and_rk4_loop(data):
-    draw = data.draw
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    net = random_surjective_fibration(rng).domain  # a lift of a random_network, so units hold several members
-    w = bound_field(draw, net)
+@given(cases())
+def test_bound_field_matches_per_call_path_and_rk4_loop(case):
+    net = random_surjective_fibration(case).domain  # a lift of a random_network, so units hold several members
+    w = case.field(net, BOUND)
     field, reference = GlobalField(net, w), reference_field(net, w)
     index = field.index
-    states = sample_states(index, np.random.default_rng(rng.getrandbits(32)), draw(st.integers(1, 3)))
-    states[:, ~index.circle_mask()] *= draw(st.sampled_from([1.0, 1e150, 1e308]))
+    states = sample_states(index, case.rng(), case.randint(1, 3))
+    states[:, ~index.circle_mask()] *= case.choice([1.0, 1e150, 1e308])
     with np.errstate(all="ignore"):  # as the field's callers set it
         rows = [bound_outcome(reference, x) for x in states]
         alone = [bound_outcome(field, x) for x in states]

@@ -5,8 +5,9 @@ The groupoid keys nodes on typed in-degree counts and builds no witness;
 evaluates a batch of states in one pass; the certification checks draw and
 evaluate their samples in chunked batches and build each side once.  Each
 must give what the eager, materialised or per-sample code in ``util`` gives.
-Networks come from ``util.networks``: mixed R1/R2/S1 spaces, self-loops,
-parallel edges, isolated nodes, deep class splits and lifts.
+Networks come from ``util.networks``, or from a ``util.Seeded`` case with a
+field on the network: mixed R1/R2/S1 spaces, self-loops, parallel edges,
+isolated nodes, deep class splits, lifts and inputs out of typed order.
 """
 
 import gc
@@ -28,7 +29,6 @@ from fibra import (
     PreconditionError,
     R1,
     R2,
-    RawControl,
     S1,
     SignatureMismatch,
     VirtualVectorField,
@@ -36,7 +36,6 @@ from fibra import (
     canonical_isos,
     certify_conjugacy,
     check_fibration,
-    ctrl_transport,
     enumerate_tree_isos,
     input_tree,
     interconnect,
@@ -45,7 +44,6 @@ from fibra import (
     network,
     parse_control,
     per_class_field,
-    per_node_field,
     pullback,
     signature_at,
     symmetry_groupoid,
@@ -59,6 +57,7 @@ from fibra.expr_dsl import stack_columns
 from fibra.sampling import sample_states
 
 from util import (
+    cases,
     expected_dependencies,
     networks,
     random_injective_fibration,
@@ -143,9 +142,10 @@ def test_networks_are_freed_without_the_cyclic_collector(make_map):
 # --- lazy isomorphism sequence ---------------------------------------------------
 
 
-@given(networks(), st.data())
-def test_enumerated_isos_match_materialised_list(net, data):
-    a, b = data.draw(st.sampled_from(net.graph.nodes)), data.draw(st.sampled_from(net.graph.nodes))
+@given(cases())
+def test_enumerated_isos_match_materialised_list(case):
+    net = case.network()
+    a, b = case.choice(net.graph.nodes), case.choice(net.graph.nodes)
     if iso_count(net, a, b) > 720:
         return
     lazy, eager = enumerate_tree_isos(net, a, b), reference_enumerate_tree_isos(net, a, b)
@@ -153,7 +153,7 @@ def test_enumerated_isos_match_materialised_list(net, data):
     assert lazy == eager and eager == lazy and list(lazy) == eager
     assert [lazy[i] for i in range(len(lazy))] == eager
     assert [lazy[i] for i in range(-len(lazy), 0)] == eager
-    step = data.draw(st.sampled_from([1, 2, -1, -3]))
+    step = case.choice([1, 2, -1, -3])
     assert lazy[1:5:step] == eager[1:5:step] and lazy[::step] == eager[::step]
     for bad in (len(lazy), -len(lazy) - 1):
         with pytest.raises(IndexError):
@@ -182,45 +182,12 @@ def test_enumerated_isos_unrank_deep_in_a_large_block():
 # --- sample batches --------------------------------------------------------------
 
 
-def _mixed_field(draw, net):
-    """Expression, raw and transported controls in one per-node field; classes share expressions.
-
-    The raw control reads the order and the ids of its inputs, each id by its position in the edge list,
-    so a unit bound at another member than its class's representative computes other values.
-    """
-    number = {e.edge_id: k for k, e in enumerate(net.graph.edges)}
-    exprs = ["-x[{i}] + sum(u in inputs[{t}]) {{ sin(u[{j}] - x[{i}]) * 3.0 }}", "x[{i}]^2 - sum(u in inputs[{t}]) {{ u[{j}] }}"]
-    controls = {}
-    for rep in symmetry_groupoid(net).representatives():
-        sig = signature_at(net, rep)
-        kind = draw(st.sampled_from(["expr", "raw"]))
-        if kind == "raw" or not sig.inputs:
-            controls[rep] = RawControl(
-                sig, lambda x, ins: -x + sum(k * (s.sum() + number[eid]) for k, (eid, s) in enumerate(ins, 1))
-            )
-        else:
-            t = sig.inputs[0]
-            src = draw(st.sampled_from(exprs))
-            controls[rep] = parse_control(
-                [src.format(i=i, t=t.name, j=min(i, t.dim - 1)) for i in range(sig.root.dim)], sig
-            )
-    w = per_class_field(net, controls)
-    moved = {}
-    for a in net.graph.nodes:
-        ctrl = w.control_at(a)
-        count = iso_count(net, a, a)  # isomorphisms are unranked on access, so any count will do
-        if count > 1 and draw(st.booleans()):
-            ctrl = ctrl_transport(enumerate_tree_isos(net, a, a, cap=math.inf)[draw(st.integers(1, count - 1))], ctrl)
-        moved[a] = ctrl
-    return draw(st.sampled_from([w, per_node_field(net, moved)]))
-
-
-@given(networks(), st.data())
-def test_field_rows_equal_single_state_calls(net, data):
-    field = GlobalField(net, _mixed_field(data.draw, net))
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    rows = data.draw(st.integers(1, 5))
-    states = sample_states(field.index, rng, rows)
+@given(cases())
+def test_field_rows_equal_single_state_calls(case):
+    net = case.network()
+    field = GlobalField(net, case.field(net))
+    rows = case.randint(1, 5)
+    states = sample_states(field.index, case.rng(), rows)
     batch = field(states)
     assert batch.shape == states.shape
     for x, row in zip(states, batch):
@@ -239,9 +206,10 @@ def _outcome(build):
         return type(exc), str(exc)
 
 
-def _same_units(units, expected, x):
+def _same_units(units, expected, x, run=lambda call: call()):
     """Unit by unit: bit-equal gathers, output columns that write the root gather's coordinates, and
-    bit-equal kernel outputs at the rows of ``x``, also through the root key of a one-state call."""
+    bit-equal kernel outputs at the rows of ``x``, also through the root key of a one-state call.
+    ``run`` makes each kernel call; with :func:`_outcome` both sides may raise the same error instead."""
     assert len(units) == len(expected)
     coords = np.arange(x.shape[1])
     for (root, key, kernel, gathers, columns), (ref_root, ref_kernel, ref_gathers) in zip(units, expected):
@@ -251,36 +219,40 @@ def _same_units(units, expected, x):
         for state in x:
             assert state[key].tobytes() == state[ref_root].tobytes()
             with np.errstate(all="ignore"):
-                got = stack_columns(kernel(state[key], [state[g] for g in gathers]), len(root))
-                want = stack_columns(ref_kernel(state[ref_root], [state[g] for g in ref_gathers]), len(root))
-            assert got.tobytes() == want.tobytes()
+                got = run(lambda: stack_columns(kernel(state[key], [state[g] for g in gathers]), len(root)).tobytes())
+                want = run(lambda: stack_columns(ref_kernel(state[ref_root], [state[g] for g in ref_gathers]), len(root)).tobytes())
+            assert got == want
 
 
-@given(networks(), st.data())
-def test_field_units_match_the_per_node_loop(net, data):
-    w = _mixed_field(data.draw, net)
+@given(cases())
+def test_field_units_match_the_per_node_loop(case):
+    net = case.network()
+    w = case.field(net)
     field = GlobalField(net, w)
-    x = sample_states(field.index, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), 2)
+    x = sample_states(field.index, case.rng(), 2)
     _same_units(field._units, reference_units(net, w.mode, w.controls), x)
 
 
-@given(networks(), st.data())
-def test_field_reports_a_signature_mismatch_as_the_per_node_loop(net, data):
+@given(cases())
+def test_field_reports_a_signature_mismatch_as_the_per_node_loop(case):
     # controls handed to other classes or nodes than their own: the field refuses them when
     # built exactly where the per-node loop does, with the same exception, at the same node,
     # once the nodes are listed in layout order, the order both check them in
+    net = case.network()
     net = network([(a, net.space(a)) for a in sorted(net.graph.nodes)], [(e.edge_id, e.src, e.tgt) for e in net.graph.edges])
-    w = _mixed_field(data.draw, net)
+    w = case.field(net)
     keys = sorted(w.controls)
-    moved = dict(zip(keys, data.draw(st.permutations([w.controls[k] for k in keys]))))
+    moved = dict(zip(keys, case.sample([w.controls[k] for k in keys], len(keys))))
     got = _outcome(lambda: GlobalField(net, VirtualVectorField(net, w.mode, moved)))
     want = _outcome(lambda: reference_units(net, w.mode, moved))
     if isinstance(want, tuple):
         node = want[1].rpartition(" at node ")[2]
         assert got[0] is want[0] and f" {node} has signature " in got[1]
     else:
+        # a moved raw control called at another node than its own finds no input at its ids: the
+        # field and the loop raise the same KeyError
         x = sample_states(got.index, np.random.default_rng(0), 2)
-        _same_units(got._units, want, x)
+        _same_units(got._units, want, x, run=_outcome)
 
 
 def test_field_reports_the_first_mismatched_node_of_a_class():

@@ -119,6 +119,29 @@ def test_an_integer_too_long_to_read_exits_2_naming_its_file(files, capsys):
         assert err.startswith(f"error: {path} is not valid JSON: Exceeds the limit (4300 digits)") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "exprs, message",
+    [(["x[0]^" + "9" * 20], "line 1, column 6: exponent has too many digits"), (["-x[0]", "x[0]"], "2 components for root space R1")],
+    ids=["syntax", "component-count"],
+)
+def test_a_dynamics_expression_error_names_its_file_and_class(files, capsys, exprs, message):
+    # every command that reads a dynamics file; the codomains c2 and g3 are each one class of R1 nodes
+    write, _ = files
+    x0 = write("x0.json", {"flat": [0.0, 0.0, 0.0]})
+    runs = [
+        (fixtures.g3_to_c2(), "a", lambda maps, dyn: ["pullback", *maps, dyn]),
+        (fixtures.g3_to_c2(), "a", lambda maps, dyn: ["verify", "conjugacy", *maps, dyn]),
+        (fixtures.g3_to_c2(), "a", lambda maps, dyn: ["verify", "polydiagonal", *maps, dyn, "--x0", x0]),
+        (fixtures.c2_into_g3(), "1", lambda maps, dyn: ["verify", "driving", *maps, dyn]),
+        (fixtures.c2_into_g3(), "1", lambda maps, dyn: ["simulate", maps[1], dyn, "--x0", x0, "--T", "0.1", "--h", "0.1"]),
+    ]
+    for m, rep, argv in runs:
+        dyn = write("dyn.json", {"classes": [{"representative": rep, "exprs": exprs}]})
+        code, out, err = run_cli(capsys, argv(map_files(write, m), dyn))
+        assert_malformed(code, out, err)
+        assert err == f"error: {dyn}: dynamics class {rep!r}: {message}\n"
+
+
 # --x0 files for g3 (three R1 nodes "1", "2", "3"), each with one bad coordinate
 MALFORMED_STATES = {
     "string": '{"flat": ["a", 0, 0]}',
@@ -925,16 +948,16 @@ FAILURE_PATHS = {
     ),
     "dynamics-unknown-representative": (
         _with_dynamics({"classes": [{"representative": "zz", "exprs": ["-x[0]"]}]}),
-        2, "err", ["error: dynamics: unknown node id 'zz'"],
+        2, "err", ["/dyn.json: dynamics: unknown node id 'zz'\n"],
     ),
     "dynamics-missing-class": (_simulate_g3_mixed, 2, "err", ["no control for class of '3'"]),
     "dynamics-classes-not-a-list": (
         _with_dynamics({"classes": {"representative": "a", "exprs": ["-x[0]"]}}),
-        2, "err", ["error: dynamics: 'classes' must be a list"],
+        2, "err", ["/dyn.json: dynamics: 'classes' must be a list\n"],
     ),
     "dynamics-non-string-expr": (
         _with_dynamics({"classes": [{"representative": "a", "exprs": [1.5]}]}),
-        2, "err", ["error: dynamics class: 'exprs' must be a list of strings"],
+        2, "err", ["/dyn.json: dynamics class: 'exprs' must be a list of strings\n"],
     ),
     "map-nodes-a-list": (
         lambda write: ["check-map", *map_files(write, fixtures.g3_to_c2(), {"nodes": [], "edges": {}})],

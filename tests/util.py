@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import re
+import sys
 
 import numpy as np
 from hypothesis import strategies as st
@@ -27,15 +28,23 @@ from fibra import (
     SignatureMismatch,
     TreeIso,
     Violation,
+    VirtualVectorField,
     check_fibration,
     coordinate_distance,
+    ctrl_transport,
+    enumerate_tree_isos,
     input_tree,
     integrate,
     interconnect,
+    iso_count,
     network,
+    parse_control,
+    per_class_field,
+    per_node_field,
     phase_space_map,
     pullback,
     sample_space,
+    signature_at,
     symmetry_groupoid,
     total_phase_space,
 )
@@ -141,7 +150,9 @@ def planted_network(seed: int, max_nodes: int = 6) -> Network:
       another space, feeds c1 and c2, and nothing else feeds the chain: c1
       and c2 share their first refinement round's colour, and their
       mixed-space inputs, and the second round splits them;
-    - an isolated node of the third space, so that R1, R2 and S1 all occur;
+    - an isolated node z of the third space, so that R1, R2 and S1 all occur;
+    - a node h of z's space fed by c0, c1 and c2 twice and by t: four inputs
+      of one space and one of another;
     - 0 to 2 edges from the chain into the random part.
 
     On the fourth seed the random part stands alone, so it may be a single
@@ -150,7 +161,10 @@ def planted_network(seed: int, max_nodes: int = 6) -> Network:
     is a :func:`random_lift` of what was built, with fibers of 1 to 3 nodes.
     Node ids ``nNN`` and edge ids ``eNN`` are dealt out at random, and nodes
     and edges listed at random, so that listing order, id order and the
-    sorted state layout disagree.
+    sorted state layout disagree; then the in-edge ids of each node over c2
+    are in typed order (by source space, then id), and those over c1 and h
+    in typed order with the first and last swapped, so that c1 and c2 pair
+    their inputs by type, not by position.
     """
     rng = random.Random(seed)
     lifted = rng.random() < 0.5
@@ -158,24 +172,34 @@ def planted_network(seed: int, max_nodes: int = 6) -> Network:
     net = random_network(rng, k, 3 * k)
     if rng.random() < 0.75:
         net = _planted_around(rng, net)
+    over = {a: a for a in net.graph.nodes}
     if lifted:
-        net = random_lift(rng, net).domain
+        lift = random_lift(rng, net)
+        net, over = lift.domain, lift.node_map
     nodes, edges = (rng.sample(items, len(items)) for items in (net.graph.nodes, net.graph.edges))
     rename = dict(zip(nodes, _dealt(rng, "n", len(nodes))))
+    ids = dict(zip((e.edge_id for e in edges), _dealt(rng, "e", len(edges))))
+    for a in nodes:
+        if over[a] in ("c1", "c2", "h"):
+            typed = sorted(net.in_edges(a), key=lambda e: (net.space(e.src).name, ids[e.edge_id]))
+            if over[a] != "c2":
+                typed[0], typed[-1] = typed[-1], typed[0]
+            ids.update(zip((e.edge_id for e in typed), sorted(ids[e.edge_id] for e in typed)))
     return network(
         [(rename[a], net.space(a)) for a in nodes],
-        [(eid, rename[e.src], rename[e.tgt]) for eid, e in zip(_dealt(rng, "e", len(edges)), edges)],
+        [(ids[e.edge_id], rename[e.src], rename[e.tgt]) for e in edges],
     )
 
 
 def _planted_around(rng: random.Random, rest: Network) -> Network:
-    """``rest`` with the chain c0 -> c1 -> c2, its feed t and an isolated node z planted around it (see :func:`planted_network`)."""
+    """``rest`` with the chain c0 -> c1 -> c2, its feed t and the nodes z and h planted around it (see :func:`planted_network`)."""
     chain, isolated, third = rng.sample(SPACES, 3)
     t, *others = rest.graph.nodes
-    nodes = [("c0", chain), ("c1", chain), ("c2", chain), ("z", isolated), (t, third)]
+    nodes = [("c0", chain), ("c1", chain), ("c2", chain), ("z", isolated), ("h", isolated), (t, third)]
     nodes += [(a, rest.space(a)) for a in others]
     edges = [("loop", "c0", "c0"), ("twin", "c0", "c0"), ("c01", "c0", "c1"), ("c12", "c1", "c2")]
     edges += [("t1", t, "c1"), ("t2", t, "c2")]
+    edges += [("h0", "c0", "h"), ("h1", "c1", "h"), ("h2", "c2", "h"), ("h3", "c2", "h"), ("h4", t, "h")]
     edges += [(e.edge_id, e.src, e.tgt) for e in rest.graph.edges]
     edges += [(f"x{j}", rng.choice(("c0", "c1", "c2")), rng.choice(rest.graph.nodes)) for j in range(rng.randint(0, 2))]
     return network(nodes, edges)
@@ -197,6 +221,187 @@ def networks(max_nodes: int = 6):
 # Explicit examples at the small end of the domain: no edges, and a coarsest partition of one block.
 LONE_NODE = network([("a", R1)], [])
 R1_TRIANGLE = network([("a", R1), ("b", R1), ("c", R1)], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a")])
+
+
+# --- seeded dynamics cases ------------------------------------------------------
+# A dynamics property draws one case from ``cases()``: a ``Seeded`` of one seed, which
+# makes every other draw, so the seed a failing property prints rebuilds its case.
+# In a menu, a component sums one "root" term, one "group" term per input group,
+# 1 to "most" of "terms" and, with "grammar", one expression of that depth over the
+# whole grammar; a field's expression controls may all start component 0 with one of
+# "faults".  Templates are ``str.format`` strings (see ``Seeded._filled``).
+
+MILD = {
+    "root": ("-x[{i}]", "0.5 * x[{i}]^2", "cos(x[{i}])"),
+    "group": (
+        "sum(u in inputs[{g}]) {{ sin(u[{j}] - x[{i}]) }}",
+        "sum(u in inputs[{g}]) {{ u[{j}] * 1000.0 + tanh(u[0]) }}",
+        "sum(u in inputs[{g}]) {{ sum(v in inputs[{g}]) {{ u[{j}] * v[0] - v[{j}] }} }}",
+        "mean(u in inputs[{g}]) {{ u[{j}] }}",
+    ),
+}
+# every function, ^ with negative exponents and overflow, mean, nested aggregators and
+# constants that overflow; a drawn control may fault
+GRAMMAR = {"grammar": 4}
+# coordinate folds, aggregates with another body, and nested ones; the last term's two
+# NaNs, from u * 1e308 * 10.0 at u >= 0.2 and at u <= -0.2, differ in sign, so their sum
+# shows the order in which a group of two inputs is added
+FOLDS = {
+    "terms": (
+        "{op}(u in inputs[{g}]) {{ u[{j}] }}",
+        "{op}(u in inputs[{g}]) {{ u[{j}] * x[0] }}",
+        "{op}(u in inputs[{g}]) {{ {op}(v in inputs[{h}]) {{ v[{k}] }} }}",
+        "{op}(u in inputs[{g}]) {{ {op}(v in inputs[{h}]) {{ u[{j}] }} }}",
+        "sum(u in inputs[{g}]) {{ sum(v in inputs[{h}]) {{ u[{j}] - v[{k}] }} }}",
+        "sum(u in inputs[{g}]) {{ -(u[{j}] * 1e308 * 10.0 - 1e308 * 10.0) + (u[{j}] * 1e308 * 10.0 + 1e308 * 10.0) }}",
+    ),
+    "most": 3,
+}
+# folds and ordered aggregates beside root terms that overflow, and a shared fault term;
+# no other term faults on any input (tanh, not sin, of a difference that may overflow),
+# so a field's first fault has one message whichever member meets it first
+BOUND = {
+    "root": ("-x[{i}]", "1e300 * x[{i}]", "x[{i}] * x[{i}]"),
+    "group": (
+        "sum(u in inputs[{g}]) {{ u[{j}] }}",
+        "mean(u in inputs[{g}]) {{ u[{j}] }}",
+        "sum(u in inputs[{g}]) {{ u[{j}] * x[{i}] }}",
+        "sum(u in inputs[{g}]) {{ tanh(u[{j}] - x[{i}]) }}",
+        "mean(u in inputs[{g}]) {{ sum(v in inputs[{g}]) {{ u[{j}] - v[0] }} }}",
+    ),
+    "faults": ("log(x[0] + 0.5)", "sqrt(x[0] + 0.5)"),
+}
+
+# Value pools: a tuple of numbers, then spreads s, each drawn as often as the numbers:
+# a uniform float in [-s, s], or any finite float where s is inf.  The numbers hold the
+# boundary floats: the largest finite, the smallest normal and the smallest subnormal.
+BIG, TINY, SUB = sys.float_info.max, sys.float_info.min, 5e-324
+VALUES = ((0.0, -0.0, 0.5, -0.5, 1.0, -3.0, 700.0, BIG, -BIG, TINY, -SUB), 4.0)
+FOLD_VALUES = ((0.0, -0.0, 1.0, -1.0, 0.5, 1e308, -1e308, math.inf, -math.inf, BIG, -BIG, TINY, -SUB), 4.0)
+WIDE = ((0.0, -0.0, SUB, -SUB, TINY, math.pi, -math.pi / 2, 1e22, 2.0**1023, BIG, -BIG), math.inf)
+
+
+def cases():
+    """The hypothesis strategy of seeded cases: one drawn seed each, which the case prints as ``Seeded(seed)``."""
+    return st.integers(0, 2**32 - 1).map(Seeded)
+
+
+def raw_control(sig, net: Network) -> RawControl:
+    """A raw control that reads the order and the ids of its inputs, each id by its position in the edge list of
+    ``net``, and each coordinate differently."""
+    number = {e.edge_id: k for k, e in enumerate(net.graph.edges)}
+
+    def fn(x, ins):
+        weighed = ((k + 1.0) * (float(state @ np.arange(1.0, state.size + 1)) + number[eid]) for k, (eid, state) in enumerate(ins))
+        return -x + sum(weighed)
+
+    return RawControl(sig, fn)
+
+
+class Seeded(random.Random):
+    """The draws of one seeded dynamics case: ``Seeded(seed)`` makes the same draws for the same calls."""
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.initial = seed
+
+    def __repr__(self) -> str:
+        return f"Seeded({self.initial})"
+
+    def network(self, max_nodes: int = 6) -> Network:
+        """A :func:`planted_network` of a drawn seed."""
+        return planted_network(self.getrandbits(32), max_nodes)
+
+    def rng(self) -> np.random.Generator:
+        """A numpy generator of a drawn seed, for the library's own samplers."""
+        return np.random.default_rng(self.getrandbits(32))
+
+    def values(self, pool, *shape: int) -> np.ndarray:
+        """An array of ``shape`` drawn from ``pool`` (see VALUES)."""
+        numbers, *spreads = pool
+
+        def one():
+            s = self.choice((None, *spreads))
+            if s is None:
+                return self.choice(numbers)
+            return self.uniform(-s, s) if s < math.inf else math.ldexp(self.uniform(-1.0, 1.0), self.randint(-1074, 1023))
+
+        return np.array([one() for _ in range(math.prod(shape))]).reshape(shape)
+
+    def expression(self, sig, menu: dict = MILD, fault: str | None = None) -> ControlExpr:
+        """An expression control of terms from ``menu``, component 0 starting with ``fault``."""
+        components = []
+        for i in range(sig.root.dim):
+            terms = [fault] if fault and i == 0 else []
+            if "root" in menu:
+                terms.append(self._filled(menu["root"], sig, i))
+            if "group" in menu:
+                terms += [self._filled(menu["group"], sig, i, g=name) for name in sig.groups()]
+            if "terms" in menu:
+                terms += [self._filled(menu["terms"], sig, i) for _ in range(self.randint(1, menu.get("most", 1)))]
+            if "grammar" in menu:
+                terms.append(self.grammar(sig, menu["grammar"]))
+            components.append(" + ".join(terms))
+        return parse_control(components, sig)
+
+    def _filled(self, templates, sig, i: int, g: str | None = None) -> str:
+        """One of ``templates`` with {i} the component's root coordinate, {g} and {h} input groups (``g``
+        if given), {j} and {k} coordinates of them and {op} an aggregator, each drawn once."""
+        groups = sig.groups()
+        drawn = {"i": i, "op": self.choice(("sum", "mean"))}
+        if groups:
+            drawn["g"], drawn["h"] = g or self.choice(sorted(groups)), self.choice(sorted(groups))
+            drawn["j"], drawn["k"] = self.randrange(groups[drawn["g"]][0]), self.randrange(groups[drawn["h"]][0])
+        return self.choice(templates).format(**drawn)
+
+    def grammar(self, sig, depth: int, scope: tuple = ()) -> str:
+        """One expression over the whole grammar, of depth at most ``depth``, reading the aggregator
+        variables of ``scope`` ((variable, group) pairs); it may fault."""
+        groups = sig.groups()
+        kinds = ["num", "root"] + (["var"] if scope else [])
+        if depth:
+            kinds += ["neg", "func", "binop", "pow"] + (["agg"] if groups and len(scope) < 2 else [])
+        kind = self.choice(kinds)
+        if kind == "num":
+            return self.choice(("0.0", "0.5", "2.0", "1000.0", "1e999"))
+        if kind == "root":
+            return f"x[{self.randrange(sig.root.dim)}]"
+        if kind == "var":
+            var, group = self.choice(scope)
+            return f"{var}[{self.randrange(groups[group][0])}]"
+        if kind == "agg":
+            group, var = self.choice(sorted(groups)), "uv"[len(scope)]
+            body = self.grammar(sig, depth - 1, scope + ((var, group),))
+            return f"{self.choice(('sum', 'mean'))}({var} in inputs[{group}]) {{ {body} }}"
+        sub = self.grammar(sig, depth - 1, scope)
+        if kind == "neg":
+            return f"-({sub})"
+        if kind == "func":
+            return f"{self.choice(sorted(FUNCTIONS))}({sub})"
+        if kind == "pow":
+            return f"({sub})^{self.choice((-3, -2, -1, 0, 1, 2, 3, 400, 401))}"
+        return f"({sub}) {self.choice('+-*/')} ({self.grammar(sig, depth - 1, scope)})"
+
+    def field(self, net: Network, menu: dict = MILD) -> VirtualVectorField:
+        """Per class an expression control from ``menu`` or a :func:`raw_control`, as often each; in a
+        per-class field or, as often, in a per-node field of each node's control :meth:`moved`.  Every
+        expression control starts component 0 with the same one of the menu's faults, or with none."""
+        fault = self.choice((None, *menu.get("faults", ())))
+        classes = {}
+        for rep in symmetry_groupoid(net).representatives():
+            sig = signature_at(net, rep)
+            classes[rep] = self.expression(sig, menu, fault) if self.random() < 0.5 else raw_control(sig, net)
+        w = per_class_field(net, classes)
+        if self.random() < 0.5:
+            return w
+        return per_node_field(net, {a: self.moved(net, a, w.control_at(a)) for a in net.graph.nodes})
+
+    def moved(self, net: Network, a: str, ctrl):
+        """``ctrl`` moved 0 to 2 times along random automorphisms of ``a``'s input tree."""
+        count = iso_count(net, a, a)
+        for _ in range(self.randint(0, 2)):
+            ctrl = ctrl_transport(enumerate_tree_isos(net, a, a, cap=math.inf)[self.randrange(count)], ctrl)
+        return ctrl
 
 
 def random_injective_fibration(rng: random.Random, base_max_nodes: int = 4,
