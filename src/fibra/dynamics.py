@@ -6,16 +6,16 @@ in-edge source states into those controls, yielding a genuine vector field on
 the flat total state.  Along a fibration, controls transport backwards
 through the induced input-tree isomorphisms; since all phase spaces here are
 coordinate spaces, the root differential is the identity and transport is
-pure input re-indexing.  A control is an expression or a raw callable, and a
-transported control is a control of the same kind.
+pure input re-indexing, fixed when a raw control moves: it keeps its callable
+and records the edge ids it reads, which every field and binding checks.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Collection, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -51,7 +51,7 @@ def signature_at(net: Network, a: NodeId) -> ControlSignature:
     return ControlSignature(phase[a], inputs)
 
 
-def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]]) -> BatchKernel:
+def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]], where: str = "its slots") -> BatchKernel:
     """Bind any control kind to its input slots (edge id, source space) once.
 
     Returns the kernel ``f(roots, groups) -> columns`` of
@@ -61,14 +61,19 @@ def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]]) -> Batc
     the slots fix.  The result holds one column per root coordinate, an (m,)
     array or a float.  An expression control is its kernel compiled for those
     counts.  A raw control's callable is called member by member on the
-    member's (edge id, state) pairs in slot order, and the kernel returns the
-    columns of the tangents.
+    member's (edge id, state) pairs in slot order, or on a moved control's
+    ``reads`` labels with the states they read (slots of other edge ids raise
+    :class:`SignatureMismatch` naming ``where``), and returns the tangents.
     """
     positions = group_positions(ctrl.signature, [space for _, space in slots])
     if isinstance(ctrl, ControlExpr):
         return compile_control(ctrl, list(map(len, positions)))
     place = {i: (g, k) for g, pos in enumerate(positions) for k, i in enumerate(pos)}
-    ids, at = [eid for eid, _ in slots], [place[i] for i in range(len(slots))]  # edge id, (group, position in it)
+    ids, at = [eid for eid, _ in slots], [place[i] for i in range(len(slots))]  # label, (group, position in it)
+    if ctrl.reads is not None:  # moved: each label reads the slot of its edge id
+        _check_placement(ctrl, ids, where)
+        slot = dict(zip(ids, at))
+        ids, at = [label for label, _ in ctrl.reads], [slot[eid] for _, eid in ctrl.reads]
     fn, dim = ctrl.fn, ctrl.signature.root.dim
 
     def kernel(roots: np.ndarray, groups: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -84,7 +89,7 @@ def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]]) -> Batc
 def eval_control(ctrl: Control, root: np.ndarray, inputs: Sequence[LabelledInput]) -> np.ndarray:
     """Evaluate any control kind on labelled inputs (edge id, space, state): a kernel call for one member."""
     root = as_state(root, ctrl.signature.root.dim, "root state")
-    kernel = bind_control(ctrl, [(eid, space) for eid, space, _ in inputs])
+    kernel = bind_control(ctrl, [(eid, space) for eid, space, _ in inputs], "its labelled inputs")
     groups = member_groups(ctrl.signature, [(space, state) for _, space, state in inputs])
     with np.errstate(all="ignore"):
         return stack_columns(kernel(root[np.newaxis], groups), 1)[0]
@@ -96,41 +101,36 @@ def ctrl_transport(iso: TreeIso, ctrl: Control) -> Control:
     ``iso`` maps the leaf ids of the tree the control is written for to those
     of the tree it moves to.  Expression controls are symmetric in same-type
     inputs and leaf types are preserved, so they transport to themselves, as
-    does any control along an identity.  A raw control moves to a raw control
-    of the same signature whose callable reads its inputs back at the base's
-    leaf ids, in the base's edge-id order, and calls the base's callable; a
-    control moved twice calls through both.  The root differential is the
-    identity on coordinate spaces.
+    does any control along an identity.  A raw control keeps its signature
+    and callable, and each label it passes reads the image under ``iso`` of
+    the edge id it read (``RawControl.reads``), so k moves compose to one
+    tuple and equal moves compare equal; one that does not read ``iso``'s
+    source leaves raises :class:`SignatureMismatch`.
     """
-    return _transported(ctrl, lambda: iso)
+    if isinstance(ctrl, ControlExpr) or iso.is_identity:
+        return ctrl
+    if not isinstance(ctrl, RawControl):
+        raise TypeError(f"not a control: {ctrl!r}")
+    _check_placement(ctrl, iso.leaf_bijection, f"the source {iso.source!r} of an isomorphism")
+    reads = ctrl.reads if ctrl.reads is not None else [(eid, eid) for eid in sorted(iso.leaf_bijection)]
+    return replace(ctrl, reads=tuple((label, iso.leaf_bijection[eid]) for label, eid in reads))
 
 
 def _transported(ctrl: Control, iso_of: Callable[[], TreeIso]) -> Control:
     """:func:`ctrl_transport` along ``iso_of()``, built only for controls that read it."""
-    if isinstance(ctrl, ControlExpr):
-        return ctrl
-    iso = iso_of()
-    if iso.is_identity:
-        return ctrl
-    if not isinstance(ctrl, RawControl):
-        raise TypeError(f"not a control: {ctrl!r}")
-    pairs = sorted(iso.leaf_bijection.items())  # (base leaf id, current leaf id), in the base's edge-id order
-    fn = ctrl.fn
-
-    def moved(root: np.ndarray, states: tuple[tuple[str, np.ndarray], ...]) -> np.ndarray:
-        at = dict(states)
-        return fn(root, tuple((base, at[current]) for base, current in pairs))
-
-    return RawControl(ctrl.signature, moved)
+    return ctrl if isinstance(ctrl, ControlExpr) else ctrl_transport(iso_of(), ctrl)
 
 
 def _check_signature(ctrl: Control, expected: ControlSignature, where: str) -> None:
     if ctrl.signature != expected:
-        raise SignatureMismatch(
-            f"control at {where} has signature ({ctrl.signature.root.name}; "
-            f"{[s.name for s in ctrl.signature.inputs]}), expected ({expected.root.name}; "
-            f"{[s.name for s in expected.inputs]})"
-        )
+        got, want = (f"({sig.root.name}; {[s.name for s in sig.inputs]})" for sig in (ctrl.signature, expected))
+        raise SignatureMismatch(f"control at {where} has signature {got}, expected {want}")
+
+
+def _check_placement(ctrl: RawControl, ids: Collection[str], where: str) -> None:
+    """Refuse a moved raw control at other edge ids than the ones it reads."""
+    if ctrl.reads is not None and sorted(e for _, e in ctrl.reads) != sorted(ids):
+        raise SignatureMismatch(f"control at {where} reads edge ids {sorted(e for _, e in ctrl.reads)}, expected {sorted(ids)}")
 
 
 @dataclass(frozen=True)
@@ -138,10 +138,10 @@ class VirtualVectorField:
     """Controls for every node, stored per node or once per class of the network's groupoid.
 
     Checked once, when built: the mode is known, each node (per node) or each
-    class representative (per class) has a control of its own signature, and
-    no control is keyed by any other id; every signature is read from the
-    network.  The field keeps its own copy of ``controls``, so every reader
-    can trust it.
+    class representative (per class) has a control of its own signature, a
+    moved raw control reads that node's in-edges, and no control is keyed by
+    any other id; every signature is read from the network.  The field keeps
+    its own copy of ``controls``, so every reader can trust it.
     """
 
     network: Network
@@ -162,6 +162,8 @@ class VirtualVectorField:
             if a not in controls:
                 raise PreconditionError(f"no control for {owner} {a!r}")
             _check_signature(controls[a], signature_at(net, a), f"{where} {a!r}")
+            if isinstance(controls[a], RawControl):  # an expression reads no edge ids
+                _check_placement(controls[a], [e.edge_id for e in net.in_edges(a)], f"{where} {a!r}")
         extra = controls.keys() - set(keys)
         if extra:
             raise PreconditionError(f"controls keyed by {others}: {sorted(extra)}")
@@ -176,11 +178,8 @@ class VirtualVectorField:
             raise PreconditionError(f"unknown node id {a!r}")
         if self.mode == "per_node":
             return self.controls[a]
-        rep = self.groupoid.block_id(a)
-        ctrl = self.controls[rep]
-        if a == rep:
-            return ctrl
-        return _transported(ctrl, lambda: canonical_isos(self.network, [rep], a)[0])
+        rep = self.groupoid.block_id(a)  # the identity from a representative to itself moves nothing
+        return _transported(self.controls[rep], lambda: canonical_isos(self.network, [rep], a)[0])
 
 
 def per_node_field(net: Network, controls: Mapping[NodeId, Control]) -> VirtualVectorField:
@@ -385,7 +384,7 @@ def _sampled_at(
     if ctrl.signature.root.dim != tree.root_type.dim:
         raise SignatureMismatch(f"control for root space {ctrl.signature.root.name} at node {a!r}")
     slots = [(l.edge_id, l.leaf_type) for l in tree.leaves]
-    kernel = bind_control(ctrl, slots)
+    kernel = bind_control(ctrl, slots, f"node {a!r}")
     positions = group_positions(ctrl.signature, [space for _, space in slots])
     spaces = {s.name: s for s in ctrl.signature.inputs}  # one per group, in group order
     roots = sample_space(tree.root_type, rng, (count,))

@@ -838,11 +838,12 @@ def evaluate(
 class RawControl:
     """Escape hatch: an opaque evaluable on (root state, ordered labelled input states).
 
-    The callable receives the input states as (leaf edge id, state) pairs in
-    edge-id lexicographic order, the canonical leaf order of the tree the
-    control is bound to.  Its groupoid invariance is only ever checked by
-    sampling.
+    The callable receives (label, state) pairs: unmoved, the edge ids it is
+    bound to in slot order; moved by ``dynamics.ctrl_transport``, the labels of
+    ``reads``, its (label, edge id read) pairs in label order, and it binds only
+    to those edge ids.  Its groupoid invariance is only ever checked by sampling.
     """
 
     signature: ControlSignature
     fn: Callable[[np.ndarray, tuple[tuple[str, np.ndarray], ...]], np.ndarray]
+    reads: tuple[tuple[str, str], ...] | None = None

@@ -43,8 +43,8 @@ MUTANTS = (
     Mutant(
         "transport-skips-relabelling",
         "src/fibra/dynamics.py",
-        "return fn(root, tuple((base, at[current]) for base, current in pairs))",
-        "return fn(root, states)",
+        "ids, at = [label for label, _ in ctrl.reads], [slot[eid] for _, eid in ctrl.reads]",
+        "pass",
         (
             "tests/test_dynamics.py::test_transport_swaps_raw_control_inputs",
             "tests/test_dynamics.py::test_pullback_of_an_asymmetric_raw_class_control_is_conjugate",
@@ -56,14 +56,34 @@ MUTANTS = (
     Mutant(
         "transport-keeps-the-isomorphism-order",
         "src/fibra/dynamics.py",
-        "pairs = sorted(iso.leaf_bijection.items())",
-        "pairs = list(iso.leaf_bijection.items())",
+        "for eid in sorted(iso.leaf_bijection)]",
+        "for eid in iso.leaf_bijection]",
         (
             "tests/test_dynamics.py::test_pullback_of_an_asymmetric_raw_class_control_is_conjugate",
             "tests/test_dynamics.py::test_pullback_of_a_class_field_is_the_pullback_of_its_lift",
             "tests/test_bound_evaluator.py::test_transport_matches_hand_relabelling",
             "tests/test_bound_evaluator.py::test_transport_reads_the_base_order_not_the_typed_order",
             "tests/test_bound_evaluator.py::test_pullback_of_raw_class_fields_matches_hand_relabelling",
+        ),
+    ),
+    Mutant(
+        "transport-composes-the-wrong-way",
+        "src/fibra/dynamics.py",
+        "reads=tuple((label, iso.leaf_bijection[eid]) for label, eid in reads)",
+        "reads=tuple((label, dict(reads)[iso.leaf_bijection[label]]) for label, eid in reads)",
+        (
+            "tests/test_dynamics.py::test_transport_respects_composition",
+            "tests/test_bound_evaluator.py::test_transport_matches_hand_relabelling",
+        ),
+    ),
+    Mutant(
+        "moved-control-placement-unchecked",
+        "src/fibra/dynamics.py",
+        "and sorted(e for _, e in ctrl.reads) != sorted(ids):",
+        "and False:",
+        (
+            "tests/test_dynamics.py::test_a_misplaced_moved_control_is_refused_where_it_is_placed",
+            "tests/test_build_once.py::test_field_reports_a_signature_mismatch_as_the_per_node_loop",
         ),
     ),
     Mutant(

@@ -40,7 +40,13 @@ from fibra import fixtures, graphs
 from fibra.dynamics import VirtualVectorField, _vanishes_on_samples
 from fibra.sampling import sample_space, sample_state, sample_states
 
-from util import expected_dependencies, random_network, random_surjective_fibration, reference_dependency_matrix
+from util import (
+    R1_TRIANGLE,
+    expected_dependencies,
+    random_network,
+    random_surjective_fibration,
+    reference_dependency_matrix,
+)
 
 
 def linear_ctrl(sig):
@@ -117,12 +123,60 @@ def test_transport_respects_composition():
     raw = RawControl(sig, lambda x, ins: np.array([ins[0][1][0] - 2 * ins[1][1][0] + 3 * ins[2][1][0]]))
     two_steps = ctrl_transport(tau, ctrl_transport(sigma, raw))
     one_step = ctrl_transport(sigma.then(tau), raw)
+    # a move is data: one tuple of (label, edge id read) pairs beside the base's own callable
+    assert two_steps == one_step and two_steps.fn is raw.fn and len(two_steps.reads) == 3
+    assert ctrl_transport(sigma, raw) == ctrl_transport(sigma, raw) != raw
     tree = fibra.input_tree(net, "4")
     rng = np.random.default_rng(1)
     for _ in range(10):
         root = sample_space(sig.root, rng)
         ins = [(l.edge_id, l.leaf_type, sample_space(l.leaf_type, rng)) for l in tree.leaves]
         assert np.array_equal(eval_control(two_steps, root, ins), eval_control(one_step, root, ins))
+
+
+def _moved_to_b():
+    """The all-R1 3-cycle a -> b -> c -> a of one class, and a raw control moved from a to b, which reads e0."""
+    net = R1_TRIANGLE
+    raw = RawControl(signature_at(net, "a"), lambda x, ins: ins[0][1] - x)
+    return net, raw, per_class_field(net, {"a": raw}).control_at("b")
+
+
+@pytest.mark.parametrize(
+    "place, message",
+    [
+        (
+            lambda net, raw, moved: interconnect(net, per_node_field(net, {"a": raw, "b": moved, "c": moved})),
+            r"control at node 'c' reads edge ids \['e0'\], expected \['e1'\]",
+        ),
+        (
+            lambda net, raw, moved: per_class_field(net, {"a": moved}),
+            r"control at class representative 'a' reads edge ids \['e0'\], expected \['e2'\]",
+        ),
+        (
+            lambda net, raw, moved: eval_control(moved, np.zeros(1), [("e1", R1, np.ones(1))]),
+            r"control at its labelled inputs reads edge ids \['e0'\], expected \['e1'\]",
+        ),
+        (
+            lambda net, raw, moved: check_invariance(moved, "c", net, trials=2),
+            r"control at node 'c' reads edge ids \['e0'\], expected \['e1'\]",
+        ),
+        (
+            lambda net, raw, moved: ctrl_transport(enumerate_tree_isos(net, "c", "a")[0], moved),
+            r"control at the source 'c' of an isomorphism reads edge ids \['e0'\], expected \['e1'\]",
+        ),
+    ],
+    ids=["per-node-field", "per-class-representative", "eval-control", "check-invariance", "transport"],
+)
+def test_a_misplaced_moved_control_is_refused_where_it_is_placed(place, message):
+    # a moved raw control reads the in-edge ids it was moved to; every entry point that places it
+    # at another node refuses it there, before any call, naming the node or the inputs
+    net, raw, moved = _moved_to_b()
+    with pytest.raises(SignatureMismatch, match=f"^{message}$"):
+        place(net, raw, moved)
+    # placed where it was moved to, it reads b's input
+    w = per_node_field(net, {"a": raw, "b": moved, "c": per_class_field(net, {"a": raw}).control_at("c")})
+    assert interconnect(net, w)(np.array([1.0, 2.0, 4.0])).tolist() == [3.0, -1.0, -2.0]
+    assert check_invariance(moved, "b", net, trials=2) == 0.0
 
 
 def test_interconnect_double_edge_passes_source_twice():

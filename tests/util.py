@@ -1087,6 +1087,9 @@ def reference_eval_control(ctrl, root, inputs):
                 f"root state has dimension {root.shape[0]}, expected {ctrl.signature.root.dim}"
             )
         pairs = tuple((eid, np.asarray(state, dtype=float).reshape(-1)) for eid, _, state in inputs)
+        if ctrl.reads is not None:  # a moved control: each label reads the state at its edge id
+            at = dict(pairs)
+            pairs = tuple((label, at[eid]) for label, eid in ctrl.reads)
         out = np.asarray(ctrl.fn(root, pairs), dtype=float).reshape(-1)
         if out.shape[0] != ctrl.signature.root.dim:
             raise SignatureMismatch("raw control returned a tangent vector of the wrong dimension")
@@ -1173,14 +1176,15 @@ def reference_units(net: Network, mode: str, controls):
     Takes a raw (mode, controls) pair that no field has checked.  Node by node
     in layout order: its control, its own (per node) or its class
     representative's (per class), checked against the node's root space,
-    each in-edge's type and the input count of each group, each refusal
-    naming the node; nodes that share one expression control and one count
-    of inputs per group share a unit, and so do the nodes of one class,
-    whatever its control; each unit then makes one gather for its roots and
-    one per group, and binds its control to its first node's slots, a
-    class's at its representative.  Gives (root gather, kernel, input
-    gathers) per unit, in the order of each unit's first node, as
-    ``GlobalField._units`` orders its units.
+    each in-edge's type and the input count of each group, and a moved raw
+    control also against the in-edge ids of the node it is placed at (its
+    own, or its representative), each refusal naming the node; nodes that
+    share one expression control and one count of inputs per group share a
+    unit, and so do the nodes of one class, whatever its control; each unit
+    then makes one gather for its roots and one per group, and binds its
+    control to its first node's slots, a class's at its representative.
+    Gives (root gather, kernel, input gathers) per unit, in the order of each
+    unit's first node, as ``GlobalField._units`` orders its units.
     """
     index = total_phase_space(net)
     name = {a: space.name for a, space in net.phase.items()}
@@ -1204,6 +1208,9 @@ def reference_units(net: Network, mode: str, controls):
         counts = tuple(map(len, sources))
         if counts != tuple(count for _, count in ctrl.signature.groups().values()):
             raise SignatureMismatch(f"{counts} inputs per signature group at node {a!r}")
+        placed = {e.edge_id for e in net.in_edges(owner)}  # a class's control is placed at its representative
+        if isinstance(ctrl, RawControl) and ctrl.reads is not None and {eid for _, eid in ctrl.reads} != placed:
+            raise SignatureMismatch(f"moved control reads other edge ids than the in-edges {sorted(placed)} at node {a!r}")
         key = (id(ctrl), counts) if isinstance(ctrl, ControlExpr) else owner
         slots = [(e.edge_id, net.space(e.src)) for e in edges]
         unit = units.get(key)
