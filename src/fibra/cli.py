@@ -182,10 +182,26 @@ def _violations_json(violations) -> list[dict]:
 
 
 def _write(out: str | None, text: str) -> None:
+    """``text`` in UTF-8 to ``out``, or to stdout whatever its encoding (one with no byte buffer, such as an
+    ``io.StringIO``, takes the text)."""
     if out:
         Path(out).write_text(text, encoding="utf-8")
-    else:
+    elif (raw := getattr(sys.stdout, "buffer", None)) is None:
         sys.stdout.write(text)
+    else:
+        sys.stdout.flush()
+        raw.write(text.encode("utf-8"))
+        raw.flush()
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field (RFC 4180): quoted, with each ``"`` doubled, where it holds ``,``, ``"``, CR or LF.
+
+    Not ``csv.writer``: before Python 3.12 it leaves a CR unquoted where lines end in LF.
+    """
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 @_command("validate", "check network invariants", "network", SEED, OUT)
@@ -336,7 +352,7 @@ def _simulate(args, read):
     traj = integrate(field, x0, args.T, args.h)
     header = ["t", *(f"{a}[{i}]" for a in field.index.order for i in range(field.index.spaces[a].dim))]
     rows = np.column_stack((traj.times, traj.states)).tolist()
-    _write(args.out, "\n".join([",".join(header), *(",".join(map(repr, row)) for row in rows)]) + "\n")
+    _write(args.out, "\n".join([",".join(map(_csv_field, header)), *(",".join(map(repr, row)) for row in rows)]) + "\n")
     return None, True
 
 

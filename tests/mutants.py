@@ -121,6 +121,16 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "circle-distance-arguments-swapped",
+        "src/fibra/graphs.py",
+        "dist[..., circ] = circle_distance(x[..., circ], y[..., circ])",
+        "dist[..., circ] = circle_distance(y[..., circ], x[..., circ])",
+        (
+            "tests/test_state_index.py::test_coordinate_distance_matches_per_node_loop",
+            "tests/test_state_index.py::test_polydiagonal_violation_on_circle_blocks_matches_per_block_loop",
+        ),
+    ),
+    Mutant(
         "quotient-edge-id-guard-disabled",
         "src/fibra/fibrations.py",
         "if len({e.edge_id for e in q_edges}) < len(q_edges):",

@@ -5,9 +5,10 @@ The groupoid keys nodes on typed in-degree counts and builds no witness;
 evaluates a batch of states in one pass; the certification checks draw and
 evaluate their samples in chunked batches and build each side once.  Each
 must give what the eager, materialised or per-sample code in ``util`` gives.
-Networks come from ``util.networks``, or from a ``util.Seeded`` case with a
-field on the network: mixed R1/R2/S1 spaces, self-loops, parallel edges,
-isolated nodes, deep class splits, lifts and inputs out of typed order.
+Networks come from ``util.networks``, or from a ``util.Seeded`` case, which
+also draws the field, the fibration and the samples: mixed R1/R2/S1 spaces,
+self-loops, parallel edges, isolated nodes, deep class splits, lifts and
+inputs out of typed order.
 """
 
 import gc
@@ -19,7 +20,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 import fibra
 from fibra import (
@@ -347,29 +348,29 @@ def outcome(fn, *args):
 NAN_PRONE = "0 * exp(1000 * x[{i}]) + sum(u in inputs[R1]) {{ u[0] }} - x[{i}]"
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(0, 40), st.sampled_from([1, 2, 5, 2**20]))
+@given(cases())
 @settings(max_examples=40)
-def test_certify_conjugacy_matches_per_sample_loops(seed, samples, rows):
-    rng = random.Random(seed)
-    m = random_surjective_fibration(rng)
+def test_certify_conjugacy_matches_per_sample_loops(case):
+    m = random_surjective_fibration(case)
+    samples, rows, seed = case.randint(0, 40), case.choice([1, 2, 5, 2**20]), case.randrange(1000)
     controls = {}
     for rep in symmetry_groupoid(m.codomain).representatives():
         sig = signature_at(m.codomain, rep)
-        src = NAN_PRONE if sig.root == R1 and R1 in sig.inputs and rng.random() < 0.5 else "-x[{i}]"
+        src = NAN_PRONE if sig.root == R1 and R1 in sig.inputs and case.random() < 0.5 else "-x[{i}]"
         controls[rep] = parse_control([src.format(i=i) for i in range(sig.root.dim)], sig)
     w = per_class_field(m.codomain, controls)
     width = max(total_phase_space(m.domain).total_dim, total_phase_space(m.codomain).total_dim)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "CHUNK_FLOATS", rows * width)
-        report = outcome(certify_conjugacy, m, w, samples, seed % 1000, 0.03, 0.01)
-    expected = outcome(reference_certify_conjugacy, m, w, samples, seed % 1000, 0.03, 0.01)
+        report = outcome(certify_conjugacy, m, w, samples, seed, 0.03, 0.01)
+    expected = outcome(reference_certify_conjugacy, m, w, samples, seed, 0.03, 0.01)
     if isinstance(expected, tuple):
         report = (report.pointwise_max_residual, report.flow_max_deviation)
     assert repr(report) == repr(expected)  # NaN included; a flow fault raises the same class
-    assert repr(verify_conjugacy_pointwise(m, w, samples, seed % 1000)) == repr(
-        reference_pointwise_residual(m, w, samples, seed % 1000)
+    assert repr(verify_conjugacy_pointwise(m, w, samples, seed)) == repr(
+        reference_pointwise_residual(m, w, samples, seed)
     )
-    x0 = reference_sample_state(total_phase_space(m.codomain), np.random.default_rng(seed))
+    x0 = reference_sample_state(total_phase_space(m.codomain), case.rng())
     assert repr(outcome(verify_conjugacy_flow, m, w, x0, 0.03, 0.01)) == repr(
         outcome(reference_flow_deviation, m, w, x0, 0.03, 0.01)
     )
@@ -419,13 +420,13 @@ def test_fibration_is_checked_before_the_sample_count(check):
         check(m, fixtures.linear_dynamics(m.codomain))
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 2**20]))
+@given(cases())
 @settings(max_examples=40)
-def test_driving_and_dependencies_match_coordinate_loops(seed, rows):
+def test_driving_and_dependencies_match_coordinate_loops(case):
     # the batched residual is the per-sample loop's, and the loop over every coordinate finds no image
     # component that reacts to a node outside the image
-    rng = random.Random(seed)
-    m = random_injective_fibration(rng)
+    m = random_injective_fibration(case)
+    rows, seed = case.choice([1, 2, 3, 2**20]), case.randrange(1000)
     sources = [
         "-x[{i}] + sum(u in inputs[{t}]) {{ u[{j}] * u[0] + sin(x[{i}]) }}",
         "x[{i}] * sum(u in inputs[{t}]) {{ cos(u[{j}]) }}",
@@ -433,9 +434,9 @@ def test_driving_and_dependencies_match_coordinate_loops(seed, rows):
     controls = {}
     for rep in symmetry_groupoid(m.codomain).representatives():
         sig = signature_at(m.codomain, rep)
-        if sig.inputs and rng.random() < 0.7:
+        if sig.inputs and case.random() < 0.7:
             t = sig.inputs[0]
-            src = rng.choice(sources)
+            src = case.choice(sources)
             exprs = [src.format(i=i, t=t.name, j=min(i, t.dim - 1)) for i in range(sig.root.dim)]
         else:
             exprs = [f"-x[{i}]" for i in range(sig.root.dim)]
@@ -445,9 +446,9 @@ def test_driving_and_dependencies_match_coordinate_loops(seed, rows):
     width = total_phase_space(m.codomain).total_dim + total_phase_space(m.domain).total_dim
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numerics, "CHUNK_FLOATS", rows * width)
-        report = verify_driving_decomposition(m, w, samples=2, seed=seed % 1000)
-    assert report.ok and report.pointwise_max_residual == reference_pointwise_residual(m, w, 2, seed % 1000)
-    x0 = reference_sample_state(field.index, np.random.default_rng(seed))
+        report = verify_driving_decomposition(m, w, samples=2, seed=seed)
+    assert report.ok and report.pointwise_max_residual == reference_pointwise_residual(m, w, 2, seed)
+    x0 = reference_sample_state(field.index, case.rng())
     deps, structural = reference_dependency_matrix(field, x0), expected_dependencies(m.codomain)
     image = set(m.node_map.values())
     assert all(deps[a] <= structural[a] and (a not in image or deps[a] <= image) for a in deps)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 import fibra
 from fibra import (
-    R1, NetworkMap, PreconditionError, aut_order, canonical_isos, fixtures, input_tree, network, signature_at,
+    R1, R2, NetworkMap, PreconditionError, aut_order, canonical_isos, fixtures, input_tree, network, signature_at,
+    total_phase_space,
 )
 from fibra.cli import build_parser, main
 from fibra.jsonio import class_dynamics_to_json, map_to_json, network_to_json, partition_to_json
@@ -630,6 +633,47 @@ def test_simulate_writes_csv(files, capsys, tmp_path):
     assert lines[0] == "t,1[0],2[0],3[0]"
     assert len(lines) == 7  # header + 6 states
     assert lines[1].startswith("0.0,1.0,1.0,1.0")
+
+
+# node ids that a CSV header must quote (a comma, a double quote and LF, a CR), one it must not, and one
+# that is not ASCII
+CSV_IDS = ["a,b", 'c"d\ne', "f\rg", "plain", "\u00e9"]
+
+
+def _csv_ids_argv(write):
+    """``simulate`` of a mixed R1/R2 network whose node ids are ``CSV_IDS``, and its CSV header."""
+    net = network([(a, space) for a, space in zip(CSV_IDS, [R1, R2, R1, R1, R2])], [("e", "a,b", 'c"d\ne')])
+    index = total_phase_space(net)
+    dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(net)))
+    x0 = write("x0.json", {"flat": [0.5] * index.total_dim})
+    header = ["t", *(f"{a}[{i}]" for a in index.order for i in range(index.spaces[a].dim))]
+    return ["simulate", write("net.json", network_to_json(net)), dyn, "--x0", x0, "--T", "0.3", "--h", "0.1"], header
+
+
+def test_simulate_quotes_the_header_fields_that_need_it(files, capsys, tmp_path):
+    write, _ = files
+    argv, header = _csv_ids_argv(write)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert rows[0] == header and len(rows) == 5
+    assert all(len(row) == len(header) for row in rows)
+    assert out.startswith('t,"a,b[0]","c""d\ne[0]","c""d\ne[1]","f\rg[0]",plain[0],\u00e9[0],\u00e9[1]\n0.0,')
+    assert run_cli(capsys, [*argv, "--out", str(tmp_path / "traj.csv")])[0] == 0
+    assert (tmp_path / "traj.csv").read_bytes() == out.encode("utf-8")
+
+
+def test_simulate_writes_utf8_whatever_the_stdout_encoding(files, tmp_path):
+    write, _ = files
+    argv, header = _csv_ids_argv(write)
+    src = str(Path(fibra.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-m", "fibra.cli", *argv], capture_output=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert main([*argv, "--out", str(tmp_path / "traj.csv")]) == 0
+    assert proc.stdout == (tmp_path / "traj.csv").read_bytes()
+    assert next(csv.reader(io.StringIO(proc.stdout.decode("utf-8"), newline=""))) == header
 
 
 def test_verify_conjugacy_command(files, capsys):

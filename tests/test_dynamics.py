@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 import fibra
 from fibra import (
@@ -42,6 +42,7 @@ from fibra.sampling import sample_space, sample_state, sample_states
 
 from util import (
     R1_TRIANGLE,
+    cases,
     expected_dependencies,
     random_network,
     random_surjective_fibration,
@@ -366,25 +367,25 @@ def test_pullback_of_an_asymmetric_raw_class_control_is_conjugate():
         assert (report.pointwise_max_residual, report.flow_max_deviation) == (0.0, 0.0)
 
 
-@given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
-def test_pullback_of_a_class_field_is_the_pullback_of_its_lift(seed, raw_share):
-    rng = random.Random(seed)
-    m = random_surjective_fibration(rng)  # its domain edges are named in random order
+@given(cases())
+def test_pullback_of_a_class_field_is_the_pullback_of_its_lift(case):
+    m = random_surjective_fibration(case)  # its domain edges are named in random order
+    raw_share = case.choice((0.0, 1.0, case.random()))  # no raw control, all raw, or a mix
     controls = {}
     for rep in symmetry_groupoid(m.codomain).representatives():
         sig = signature_at(m.codomain, rep)
-        raw = rng.random() < raw_share
+        raw = case.random() < raw_share
         controls[rep] = _positional_raw(sig) if raw else fixtures.linear_dynamics(m.codomain).controls[rep]
     w = per_class_field(m.codomain, controls)
     pulled, lifted = pullback(m, w), pullback(m, lift_to_nodes(m.codomain, controls))
     expressions = all(isinstance(c, ControlExpr) for c in controls.values())
     assert pulled.mode == ("per_class" if expressions else "per_node")
     X, Y = interconnect(m.domain, pulled), interconnect(m.domain, lifted)
-    states = sample_states(X.index, np.random.default_rng(seed), 3)
+    states = sample_states(X.index, case.rng(), 3)
     with np.errstate(all="ignore"):  # as the field's callers set it
         assert X(states).tobytes() == Y(states).tobytes()
         assert all(X(x).tobytes() == Y(x).tobytes() for x in states)
-    report = certify_conjugacy(m, w, samples=5, seed=seed % 1000, T=0.02, h=0.01)
+    report = certify_conjugacy(m, w, samples=5, seed=case.randrange(1000), T=0.02, h=0.01)
     assert (report.pointwise_max_residual, report.flow_max_deviation) == (0.0, 0.0)
 
 

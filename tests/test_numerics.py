@@ -1,10 +1,9 @@
 import itertools
 import math
-import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 import fibra
 from fibra import (
@@ -31,7 +30,7 @@ from fibra import (
 from fibra import fixtures
 from fibra.errors import EvaluationFault
 
-from util import random_network, reference_integrate
+from util import cases, random_network, reference_integrate
 
 
 def growth_field():
@@ -124,17 +123,14 @@ def _trajectory(integrator, field, x0, T, h):
     return traj.times.tobytes(), traj.states.tobytes()
 
 
-@given(
-    st.integers(0, 2**32 - 1),
-    st.sampled_from(["-x[{i}]", "x[{i}]^2", "1e300 * x[{i}]", "3.0 * sin(x[{i}])"]),
-    st.sampled_from([1.0, 1e150, 1e307, 1e308]),
-    st.integers(0, 8),
-)
-def test_integrate_matches_reference_loop(seed, term, scale, steps):
-    net = random_network(random.Random(seed))
+@given(cases())
+def test_integrate_matches_reference_loop(case):
+    net = random_network(case)
+    term = case.choice(["-x[{i}]", "x[{i}]^2", "1e300 * x[{i}]", "3.0 * sin(x[{i}])"])
+    scale, steps = case.choice([1.0, 1e150, 1e307, 1e308]), case.randint(0, 8)
     field = _fold_field(net, term)
-    x0 = scale * np.random.default_rng(seed).uniform(-1.0, 1.0, field.index.total_dim)
-    x0[: seed % 3] = scale  # some coordinates at the scale itself, so sums over the state overflow
+    x0 = scale * case.rng().uniform(-1.0, 1.0, field.index.total_dim)
+    x0[: case.randrange(3)] = scale  # some coordinates at the scale itself, so sums over the state overflow
     with np.errstate(all="ignore"):  # the old loop's stage arithmetic warns on overflow
         expected = _trajectory(reference_integrate, field, x0, 0.5 * steps, 0.5)
     # bare: pytest turns a RuntimeWarning from the new loop into an error

@@ -2,11 +2,13 @@
 
 ``PhaseSpaceMap``, ``coordinate_distance``, ``Polydiagonal.violation``,
 ``sample_state`` and ``circle_mask`` must give bitwise what the loops kept in
-``util`` give.  Networks come from ``util.networks``: they mix R1/R2/S1
-nodes, have a self-loop and an isolated node, and list their nodes out of
-layout order; circle coordinate pairs are equal, about pi apart, or apart by
-multiples of 2pi.  On a ``(samples, D)`` batch, the first three must give
-bitwise what one call per row gives.
+``util`` give.  A property draws one ``util.Seeded`` case, and the case draws
+the rest: a ``util.planted_network``, which mixes R1/R2/S1 nodes, has a
+self-loop and an isolated node, and lists its nodes out of layout order;
+states of generic floats below 4 in magnitude, on a finer grid than 2pi's, so
+argument order shows in rounding; and circle coordinate pairs that are equal,
+about pi apart, or apart by multiples of 2pi.  On a ``(samples, D)`` batch,
+the first three must give bitwise what one call per row gives.
 """
 
 import math
@@ -14,7 +16,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from fibra import (
     GlobalField,
@@ -50,7 +52,7 @@ from fibra import fixtures, graphs
 from util import (
     LONE_NODE,
     R1_TRIANGLE,
-    networks,
+    cases,
     reference_circle_distance,
     reference_circle_mask,
     reference_coordinate_distance,
@@ -66,17 +68,8 @@ TWO_PI = 2.0 * np.pi
 SPECIAL_OFFSETS = [
     0.0, np.pi, -np.pi, TWO_PI, -TWO_PI, 3 * TWO_PI, -5 * TWO_PI, np.pi + 2 * TWO_PI, -np.pi - TWO_PI,
 ]
-
-
-def offsets(draw, size):
-    special = st.tuples(st.sampled_from(SPECIAL_OFFSETS), st.sampled_from([0.0, 1e-15, -1e-13, 1e-9])).map(sum)
-    both = st.one_of(st.just(0.0), special, st.floats(-4.0, 4.0))
-    return np.array(draw(st.lists(both, min_size=size, max_size=size)), dtype=float)
-
-
-def states(draw, size):
-    """Generic floats below 4 in magnitude, on a finer grid than 2pi's, so argument order shows in rounding."""
-    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-3.0, 3.0, size)
+# the value pool (see ``util.VALUES``) of offsets: a special offset, or a uniform float in [-4, 4]
+OFFSETS = (tuple(s + d for s in SPECIAL_OFFSETS for d in (0.0, 1e-15, -1e-13, 1e-9)), 4.0)
 
 
 def same_bits(a, b):
@@ -89,28 +82,27 @@ def row_max(values):
     return np.float64(np.max(values, initial=0.0))
 
 
-@given(st.data())
-def test_phase_space_map_matches_slice_copy(data):
-    cod = data.draw(networks())
-    cod_ids = list(cod.graph.nodes)
-    images = data.draw(st.lists(st.sampled_from(cod_ids), min_size=1, max_size=8))
+@given(cases())
+def test_phase_space_map_matches_slice_copy(case):
+    cod = case.network()
+    images = case.choices(cod.graph.nodes, k=case.randint(1, 8))
     dom = network([(f"d{i}", cod.space(b)) for i, b in enumerate(images)], [])
     m = NetworkMap(dom, cod, {f"d{i}": b for i, b in enumerate(images)}, {})
     p = phase_space_map(m)
-    x = states(data.draw, p.codomain_index.total_dim)
+    x = case.rng().uniform(-3.0, 3.0, p.codomain_index.total_dim)
     assert same_bits(p(x), reference_phase_space_map(m)(x))
     assert same_bits(p.differential(x), reference_phase_space_map(m)(x))
-    batch = states(data.draw, (data.draw(st.integers(0, 3)), p.codomain_index.total_dim))
+    batch = case.rng().uniform(-3.0, 3.0, (case.randint(0, 3), p.codomain_index.total_dim))
     rows = np.array([p(row) for row in batch]).reshape(len(batch), p.domain_index.total_dim)
     assert same_bits(p(batch), rows)
     assert same_bits(p.differential(batch), rows)
 
 
-@given(st.data())
-def test_coordinate_distance_matches_per_node_loop(data):
-    index = total_phase_space(data.draw(networks()))
-    x = states(data.draw, index.total_dim)
-    y = x + offsets(data.draw, index.total_dim)
+@given(cases())
+def test_coordinate_distance_matches_per_node_loop(case):
+    index = total_phase_space(case.network())
+    x = case.rng().uniform(-3.0, 3.0, index.total_dim)
+    y = x + case.values(OFFSETS, index.total_dim)
     mask = index.circle_mask()
     y_circles = np.where(mask, y, x)  # the circle coordinates alone set the maximum
     for a, b in ((x, y), (y, x), (x, y_circles), (y_circles, x)):
@@ -119,8 +111,8 @@ def test_coordinate_distance_matches_per_node_loop(data):
     assert same_bits(mask, reference_circle_mask(index))
     old = [reference_circle_distance(float(a), float(b)) for a, b in zip(x[mask], y[mask])]
     assert same_bits(circle_distance(x[mask], y[mask]), np.array(old, dtype=float))
-    xs = states(data.draw, (data.draw(st.integers(0, 3)), index.total_dim))
-    ys = xs + np.array([offsets(data.draw, index.total_dim) for _ in xs]).reshape(xs.shape)
+    xs = case.rng().uniform(-3.0, 3.0, (case.randint(0, 3), index.total_dim))
+    ys = xs + case.values(OFFSETS, *xs.shape)
     for a, b in ((xs, ys), (ys, xs), (xs, np.where(mask, ys, xs))):
         per_row = [coordinate_distance(u, v, index) for u, v in zip(a, b)]
         assert same_bits(np.float64(coordinate_distance(a, b, index)), row_max(per_row))
@@ -192,32 +184,23 @@ def test_states_takes_and_refuses_what_asarray_and_the_shape_test_do(form, dim, 
     assert (got is x) == (expected is x)
 
 
-@st.composite
-def polydiagonals(draw):
-    """A random phase-homogeneous partition, a state on its polydiagonal, and offsets for the members."""
-    net = draw(networks())
-    labels = {a: (net.space(a).name, draw(st.integers(0, 1))) for a in net.graph.nodes}
+@given(cases())
+def test_polydiagonal_violation_matches_per_block_loop(case):
+    # a random phase-homogeneous partition, a state on its polydiagonal, and offsets that move the members
+    net = case.network()
     blocks: dict = {}
-    for a, key in labels.items():
-        blocks.setdefault(key, []).append(a)
+    for a in net.graph.nodes:
+        blocks.setdefault((net.space(a).name, case.randint(0, 1)), []).append(a)
     pd = Polydiagonal(net, Partition(blocks.values()), total_phase_space(net))
-    base = states(draw, pd.index.total_dim)
-    x = base.copy()
+    on = case.rng().uniform(-3.0, 3.0, pd.index.total_dim)
     for block in pd.partition.blocks:
-        ref = pd.index.slice_of(block[0])
         for a in block[1:]:
-            x[pd.index.slice_of(a)] = base[ref]
-    moved = offsets(draw, pd.index.total_dim)
+            on[pd.index.slice_of(a)] = on[pd.index.slice_of(block[0])]
+    moved = case.values(OFFSETS, pd.index.total_dim)
     moved[pd.index.gather(b[0] for b in pd.partition.blocks)] = 0.0  # members move, representatives stay
-    return pd, x, moved
-
-
-@given(polydiagonals(), st.integers(0, 3))
-def test_polydiagonal_violation_matches_per_block_loop(case, samples):
-    pd, on, moved = case
     for x in (on, on + moved):
         assert same_bits(np.float64(pd.violation(x)), np.float64(reference_violation(pd, x)))
-    batch = np.stack([on + moved, on, on - moved])[:samples]
+    batch = np.stack([on + moved, on, on - moved])[: case.randint(0, 3)]
     assert same_bits(np.float64(pd.violation(batch)), row_max([pd.violation(x) for x in batch]))
 
 
@@ -250,10 +233,7 @@ def test_polydiagonal_invariance_is_the_max_over_the_trajectory(dynamics, space)
     assert same_bits(np.float64(drift), row_max([reference_violation(pd, x) for x in traj.states]))
 
 
-@given(networks(), st.integers(0, 2**32 - 1))
-@example(LONE_NODE, 0)
-@example(R1_TRIANGLE, 0)
-def test_sample_state_makes_the_per_node_draws(net, seed):
+def _same_draws_as_per_node(net, seed):
     index = total_phase_space(net)
     new, old = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(3):
@@ -261,9 +241,17 @@ def test_sample_state_makes_the_per_node_draws(net, seed):
     assert new.random() == old.random()
 
 
-@given(st.lists(networks(), min_size=1, max_size=3))
-@example([LONE_NODE, R1_TRIANGLE])
-def test_joint_layout_reads_each_part_as_a_mapping(nets):
+@given(cases())
+def test_sample_state_makes_the_per_node_draws(case):
+    _same_draws_as_per_node(case.network(), case.getrandbits(32))
+
+
+@pytest.mark.parametrize("net", [LONE_NODE, R1_TRIANGLE], ids=["lone-node", "r1-triangle"])
+def test_sample_state_makes_the_per_node_draws_on_small_networks(net):
+    _same_draws_as_per_node(net, 0)
+
+
+def _joint_layout_reads_each_part(nets):
     indexes = [total_phase_space(net) for net in nets]
     joint = graphs.StateIndex.joint(indexes)
     slices, spaces, off = {}, {}, 0
@@ -283,6 +271,15 @@ def test_joint_layout_reads_each_part_as_a_mapping(nets):
             with pytest.raises(KeyError) as caught:
                 mapping[key]
             assert caught.value.args == (key,)
+
+
+@given(cases())
+def test_joint_layout_reads_each_part_as_a_mapping(case):
+    _joint_layout_reads_each_part([case.network() for _ in range(case.randint(1, 3))])
+
+
+def test_joint_layout_reads_each_part_as_a_mapping_on_small_networks():
+    _joint_layout_reads_each_part([LONE_NODE, R1_TRIANGLE])
 
 
 def test_repeated_node_id_has_no_layout():

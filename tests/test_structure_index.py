@@ -4,16 +4,16 @@ The per-graph index (in-edges and their integer view, the edge-id table and
 the structural violations, from one scan of the edges), integer colour
 refinement, the balance check, the one-pass quotient and the dict-backed
 ``block_of`` must give exactly what the reference
-implementations in ``util`` give, on ``util.networks``: self-loops, parallel
-edges, mixed phase spaces, isolated nodes, deep class splits and lifts, with
-creation order, id order and least block members at odds.
+implementations in ``util`` give, on ``util.networks``, or on a network that a
+``util.Seeded`` case draws: self-loops, parallel edges, mixed phase spaces,
+isolated nodes, deep class splits and lifts, with creation order, id order and
+least block members at odds.
 """
 
 import importlib
 import inspect
 import math
 import pkgutil
-import random
 import re
 
 import pytest
@@ -47,6 +47,7 @@ from fibra.jsonio import map_to_json, network_to_json
 from util import (
     LONE_NODE,
     R1_TRIANGLE,
+    cases,
     doubled_edge_chain,
     networks,
     random_network,
@@ -126,12 +127,7 @@ def test_structure_layer_matches_reference(net):
         canonical_isos(net, [], "no-such-node")
 
 
-@given(networks(), st.lists(st.integers(0, 2), min_size=1, max_size=40))
-@example(KITCHEN_SINK, [0])
-@example(KITCHEN_SINK, [0, 1])
-@example(LONE_NODE, [0])
-@example(R1_TRIANGLE, [0])
-def test_balance_check_matches_per_node_signatures(net, labels):
+def _balance_check_matches(net, labels):
     """Coarsest, discrete, phase-class and random within-phase partitions, each against the reference."""
     nodes = sorted(net.graph.node_set)
     merged = {}
@@ -156,6 +152,21 @@ def test_balance_check_matches_per_node_signatures(net, labels):
         else:
             with pytest.raises(PreconditionError, match="not balanced"):
                 quotient_of(net, p)
+
+
+@given(cases())
+def test_balance_check_matches_per_node_signatures(case):
+    net = case.network()
+    _balance_check_matches(net, [case.randint(0, 2) for _ in range(case.randint(1, 40))])
+
+
+@pytest.mark.parametrize(
+    "net, labels",
+    [(KITCHEN_SINK, [0]), (KITCHEN_SINK, [0, 1]), (LONE_NODE, [0]), (R1_TRIANGLE, [0])],
+    ids=["kitchen-sink-0", "kitchen-sink-01", "lone-node", "r1-triangle"],
+)
+def test_balance_check_matches_per_node_signatures_on_listed_networks(net, labels):
+    _balance_check_matches(net, labels)
 
 
 @given(networks())
@@ -187,26 +198,11 @@ COLON_COLLISION = network(
 )
 
 
-def colon_ids(n: int):
-    """n distinct ids of the form "a", "a:a", "a:a:a", ...
-
-    A block id joined to an edge id then repeats whenever two such pairs hold as many 'a's in all.
-    """
-    ids = st.lists(st.integers(1, 40), min_size=n, max_size=n, unique=True)
-    return ids.map(lambda ks: [":".join("a" * k) for k in ks])
-
-
 def renamed(net: Network, node_ids, edge_ids) -> tuple[Network, dict]:
     """``net`` with its nodes and edges renamed in listing order, and the node renaming."""
     rename = dict(zip(net.graph.nodes, node_ids))
     nodes = [(rename[a], net.space(a)) for a in net.graph.nodes]
     return network(nodes, [(eid, rename[e.src], rename[e.tgt]) for eid, e in zip(edge_ids, net.graph.edges)]), rename
-
-
-@st.composite
-def colon_networks(draw):
-    net = draw(networks())
-    return renamed(net, draw(colon_ids(len(net.graph.nodes))), draw(colon_ids(len(net.graph.edges))))[0]
 
 
 def test_colliding_quotient_edge_ids_are_refused():
@@ -216,9 +212,8 @@ def test_colliding_quotient_edge_ids_are_refused():
         with pytest.raises(PreconditionError, match="^quotient edge id 'a:b:c' would name two edges"):
             build()
 
-@given(colon_networks())
-@example(COLON_COLLISION)
-def test_colon_ids_give_a_fibration_or_a_refusal(net):
+
+def _fibration_or_refusal(net):
     """Where the coarsest partition's joined quotient edge ids repeat, both quotients refuse it.
 
     Otherwise each builds exactly those ids, and a fibration.  The partition
@@ -238,6 +233,24 @@ def test_colon_ids_give_a_fibration_or_a_refusal(net):
             quotient, projection = build()
             assert [e.edge_id for e in quotient.graph.edges] == joined
             assert check_fibration(projection).is_fibration
+
+
+@given(cases())
+def test_colon_ids_give_a_fibration_or_a_refusal(case):
+    # node and edge ids of the form "a", "a:a", "a:a:a", ..., each of 1 to 40 'a's (or as many as there are
+    # nodes or edges), distinct within nodes and within edges: a block id joined to an edge id then repeats
+    # whenever two such pairs hold as many 'a's in all
+    net = case.network()
+    node_ids, edge_ids = (
+        [":".join("a" * k) for k in case.sample(range(1, max(n, 40) + 1), n)]
+        for n in (len(net.graph.nodes), len(net.graph.edges))
+    )
+    _fibration_or_refusal(renamed(net, node_ids, edge_ids)[0])
+
+
+def test_colon_ids_give_a_fibration_or_a_refusal_on_the_collision():
+    _fibration_or_refusal(COLON_COLLISION)
+
 
 def test_kitchen_sink_has_every_feature():
     edges = KITCHEN_SINK.graph.edges
@@ -319,39 +332,7 @@ def test_validate_network_reports_in_order():
     ]
 
 
-@st.composite
-def faulty_networks(draw):
-    """A ``util.random_network`` with repeated node and edge ids, unknown edge endpoints and
-    missing and extra phase entries injected, each at drawn positions."""
-    net = random_network(random.Random(draw(st.integers(0, 2**32 - 1))), max_nodes=5, max_edges=8)
-    nodes, edges, phase = list(net.graph.nodes), list(net.graph.edges), dict(net.phase)
-    for _ in range(draw(st.integers(0, 2))):
-        nodes.insert(draw(st.integers(0, len(nodes))), draw(st.sampled_from(nodes)))
-    for i in range(len(edges)):
-        e = edges[i]
-        fault = draw(st.sampled_from(["none", "none", "id", "src", "tgt", "both"]))
-        if fault == "id" and i:
-            e = Edge(edges[draw(st.integers(0, i - 1))].edge_id, e.src, e.tgt)
-        if fault in ("src", "both"):
-            e = Edge(e.edge_id, draw(st.sampled_from(["ghost", "zz"])), e.tgt)
-        if fault in ("tgt", "both"):
-            e = Edge(e.edge_id, e.src, draw(st.sampled_from(["ghost", "yy"])))
-        edges[i] = e
-    for a in draw(st.lists(st.sampled_from(nodes), max_size=2)):
-        phase.pop(a, None)
-    for a in draw(st.lists(st.sampled_from(["ghost", "extra"]), max_size=2)):
-        phase[a] = R1
-    return Network(Graph(tuple(nodes), tuple(edges)), phase)
-
-
-@given(faulty_networks())
-@example(
-    Network(
-        Graph(("a", "b", "a"), (Edge("e", "zz", "yy"), Edge("e", "a", "yy"), Edge("f", "a", "b"))),
-        {"b": R1, "q": R2},
-    )
-)
-def test_graph_index_matches_the_separate_scans(net):
+def _graph_index_matches(net):
     graph = net.graph
     in_edges, nodes, sources = reference_adjacency(graph)
     assert validate_network(net) == reference_validate_network(net)
@@ -362,6 +343,35 @@ def test_graph_index_matches_the_separate_scans(net):
         assert graph.edge_by_id(edge_id) is by_id[edge_id]
     assert graph.node_set == frozenset(graph.nodes)
     assert (graph._index.nodes, graph._index.sources) == (nodes, sources)
+
+
+@given(cases())
+def test_graph_index_matches_the_separate_scans(case):
+    # a ``util.random_network`` with repeated node and edge ids, unknown edge endpoints and missing and
+    # extra phase entries injected, each at drawn positions
+    net = random_network(case, max_nodes=5, max_edges=8)
+    nodes, edges, phase = list(net.graph.nodes), list(net.graph.edges), dict(net.phase)
+    for _ in range(case.randint(0, 2)):
+        nodes.insert(case.randint(0, len(nodes)), case.choice(nodes))
+    for i, e in enumerate(edges):
+        fault = case.choice(["none", "none", "id", "src", "tgt", "both"])
+        if fault == "id" and i:
+            e = Edge(edges[case.randrange(i)].edge_id, e.src, e.tgt)
+        if fault in ("src", "both"):
+            e = Edge(e.edge_id, case.choice(["ghost", "zz"]), e.tgt)
+        if fault in ("tgt", "both"):
+            e = Edge(e.edge_id, e.src, case.choice(["ghost", "yy"]))
+        edges[i] = e
+    for _ in range(case.randint(0, 2)):
+        phase.pop(case.choice(nodes), None)
+    for _ in range(case.randint(0, 2)):
+        phase[case.choice(["ghost", "extra"])] = R1
+    _graph_index_matches(Network(Graph(tuple(nodes), tuple(edges)), phase))
+
+
+def test_graph_index_matches_the_separate_scans_on_a_listed_network():
+    nodes, edges = ("a", "b", "a"), (Edge("e", "zz", "yy"), Edge("e", "a", "yy"), Edge("f", "a", "b"))
+    _graph_index_matches(Network(Graph(nodes, edges), {"b": R1, "q": R2}))
 
 
 class CountedEdges(tuple):

@@ -223,9 +223,10 @@ LONE_NODE = network([("a", R1)], [])
 R1_TRIANGLE = network([("a", R1), ("b", R1), ("c", R1)], [("e0", "a", "b"), ("e1", "b", "c"), ("e2", "c", "a")])
 
 
-# --- seeded dynamics cases ------------------------------------------------------
-# A dynamics property draws one case from ``cases()``: a ``Seeded`` of one seed, which
-# makes every other draw, so the seed a failing property prints rebuilds its case.
+# --- seeded cases ----------------------------------------------------------------
+# A property over networks draws one case from ``cases()``: a ``Seeded`` of one seed,
+# which makes every other draw (its network, field, states, counts and labels), so the
+# seed a failing property prints rebuilds its case, and each example draws a new network.
 # In a menu, a component sums one "root" term, one "group" term per input group,
 # 1 to "most" of "terms" and, with "grammar", one expression of that depth over the
 # whole grammar; a field's expression controls may all start component 0 with one of
@@ -299,7 +300,7 @@ def raw_control(sig, net: Network) -> RawControl:
 
 
 class Seeded(random.Random):
-    """The draws of one seeded dynamics case: ``Seeded(seed)`` makes the same draws for the same calls."""
+    """The draws of one seeded case: ``Seeded(seed)`` makes the same draws for the same calls."""
 
     def __init__(self, seed: int):
         super().__init__(seed)
