@@ -183,9 +183,12 @@ def _violations_json(violations) -> list[dict]:
 
 def _write(out: str | None, text: str) -> None:
     """``text`` in UTF-8 to ``out``, or to stdout whatever its encoding (one with no byte buffer, such as an
-    ``io.StringIO``, takes the text)."""
+    ``io.StringIO``, takes the text).  An ``out`` that cannot be written is malformed input."""
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a missing directory, a directory, no permission: malformed input
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
     elif (raw := getattr(sys.stdout, "buffer", None)) is None:
         sys.stdout.write(text)
     else:
@@ -386,7 +389,7 @@ def _verify_polydiagonal(args, read):
 
     nmap = _load_map(args, read)
     domain_index = total_phase_space(nmap.domain)
-    _check_horizon(args, max(domain_index.total_dim, total_phase_space(nmap.codomain).total_dim))
+    _check_horizon(args, domain_index.total_dim)  # only the domain is integrated
     w_prime = _load_dynamics(read, args.dynamics, nmap.codomain)
     x0 = state_from_json(read(args.x0), domain_index)
     distance = verify_polydiagonal_invariance(nmap, w_prime, x0, args.T, args.h, tol_sync=args.tol)
@@ -433,21 +436,21 @@ def main(argv=None) -> int:
         if "seed" in args:  # every command but simulate, which draws nothing and writes no report
             args.seed = _seed(args)
         results, ok = args.run(args, read)
+        if results is not None:
+            report = {
+                "artifact_version": __version__,
+                "command": args.command,
+                "inputs": inputs,
+                "seed": args.seed,
+                "results": results,
+            }
+            _write(args.out, dumps(report) + "\n")
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FibraError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if results is not None:
-        report = {
-            "artifact_version": __version__,
-            "command": args.command,
-            "inputs": inputs,
-            "seed": args.seed,
-            "results": results,
-        }
-        _write(args.out, dumps(report) + "\n")
     return 0 if ok else 1
 
 

@@ -201,6 +201,29 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "unwritable-out-escapes-main",
+        "src/fibra/cli.py",
+        """        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:  # a missing directory, a directory, no permission: malformed input
+            raise InputError(f"cannot write {out}: {exc.strerror or exc}") from None
+""",
+        """        Path(out).write_text(text, encoding="utf-8")
+""",
+        (
+            "tests/test_cli.py::test_an_out_path_that_cannot_be_written_exits_2",
+        ),
+    ),
+    Mutant(
+        "polydiagonal-horizon-counts-codomain",
+        "src/fibra/cli.py",
+        "_check_horizon(args, domain_index.total_dim)",
+        "_check_horizon(args, max(domain_index.total_dim, total_phase_space(nmap.codomain).total_dim))",
+        (
+            "tests/test_cli.py::test_polydiagonal_horizon_counts_only_the_integrated_domain",
+        ),
+    ),
+    Mutant(
         "two-input-group-read-unsorted",
         "src/fibra/expr_dsl.py",
         "if isinstance(e, Aggregate) and _coordinate(e) is None and counts[e.group] == 2:",

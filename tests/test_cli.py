@@ -86,7 +86,13 @@ def test_validate_bad_network_exits_1(files, capsys):
     net = write("bad.json", obj)
     code, out, _ = run_cli(capsys, ["validate", net])
     assert code == 1
-    assert report_of(out)["results"]["violations"]
+    assert [(v["kind"], v["subject"]) for v in report_of(out)["results"]["violations"]] == [("dangling-src", "a")]
+    # validate lists every violation, in order; every other command refuses the first (see MALFORMED_NETWORKS)
+    net = write("bad2.json", MALFORMED_NETWORKS["duplicate-node-and-unknown-source"][0])
+    code, out, _ = run_cli(capsys, ["validate", net])
+    assert code == 1
+    violations = report_of(out)["results"]["violations"]
+    assert [(v["kind"], v["subject"]) for v in violations] == [("duplicate-node", "a"), ("dangling-src", "f")]
 
 
 MALFORMED_JSON = {
@@ -124,8 +130,12 @@ def test_an_integer_too_long_to_read_exits_2_naming_its_file(files, capsys):
 
 @pytest.mark.parametrize(
     "exprs, message",
-    [(["x[0]^" + "9" * 20], "line 1, column 6: exponent has too many digits"), (["-x[0]", "x[0]"], "2 components for root space R1")],
-    ids=["syntax", "component-count"],
+    [
+        (["x[0]^" + "9" * 20], "line 1, column 6: exponent has too many digits"),
+        (["x[0]^" + "9" * 5000], "line 1, column 6: exponent has too many digits"),
+        (["-x[0]", "x[0]"], "2 components for root space R1"),
+    ],
+    ids=["syntax", "syntax-5000-digits", "component-count"],
 )
 def test_a_dynamics_expression_error_names_its_file_and_class(files, capsys, exprs, message):
     # every command that reads a dynamics file; the codomains c2 and g3 are each one class of R1 nodes
@@ -281,6 +291,22 @@ def test_conjugacy_horizon_boundary_at_the_real_cap(files, capsys):
     assert "--T/--h gives 2.68e+07 steps of 5 coordinates" in err
 
 
+def test_polydiagonal_horizon_counts_only_the_integrated_domain(files, capsys):
+    """cycle2 into a 1000-node codomain: only the 2 domain coordinates are integrated, so 10^6 steps fit."""
+    write, _ = files
+    cod = network([("a", R1), ("b", R1), *((f"z{i}", R1) for i in range(998))], [("ab", "a", "b"), ("ba", "b", "a")])
+    m = NetworkMap(fixtures.cycle2(), cod, {"a": "a", "b": "b"}, {"ab": "ab", "ba": "ba"})
+    argv = [
+        "verify", "polydiagonal", *map_files(write, m),
+        write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(cod))),
+        "--x0", write("x0.json", {"flat": [0.5, 0.5]}), "--h", "0.001",
+    ]
+    for T in ("1", "1000"):  # the map is not surjective, whatever the horizon
+        assert run_cli(capsys, [*argv, "--T", T]) == (1, "", "error: polydiagonal_of requires a surjective fibration\n")
+    refused = f"error: --T/--h gives 1e+15 steps of 2 coordinates: over {2**27} floats\n"
+    assert run_cli(capsys, [*argv, "--T", "1e12"]) == (2, "", refused)
+
+
 R1_JSON = {"kind": "R", "dim": 1}
 MALFORMED_NETWORKS = {
     "unknown-source": (
@@ -289,6 +315,13 @@ MALFORMED_NETWORKS = {
     ),
     "duplicate-node": (
         {"nodes": [{"id": "a", "space": R1_JSON}, {"id": "a", "space": R1_JSON}], "edges": []},
+        "node id 'a' repeated",
+    ),
+    "duplicate-node-and-unknown-source": (
+        {
+            "nodes": [{"id": a, "space": R1_JSON} for a in "aba"],
+            "edges": [{"id": "e", "src": "a", "tgt": "b"}, {"id": "f", "src": "zz", "tgt": "b"}],
+        },
         "node id 'a' repeated",
     ),
 }
@@ -365,6 +398,8 @@ def test_check_map_reports_violations(files, capsys):
     psi = fixtures.g3_to_c2()
     dom = write("g3.json", network_to_json(psi.domain))
     cod = write("c2.json", network_to_json(psi.codomain))
+    code, out, _ = run_cli(capsys, ["check-map", dom, cod, write("psi.json", map_to_json(psi))])
+    assert (code, report_of(out)["results"]) == (0, {"violations": []})
     broken = dict(map_to_json(psi))
     broken["edges"] = {**broken["edges"], "a": "ba"}
     bad = write("bad_map.json", broken)
@@ -392,7 +427,8 @@ def test_balanced_check_partition(files, capsys):
     assert code == 0 and report_of(out)["results"]["balanced"]
     code, out, _ = run_cli(capsys, ["balanced", "--check", bad, net])
     assert code == 1
-    assert report_of(out)["results"]["witness"]
+    results = report_of(out)["results"]
+    assert results["balanced"] is False and {results["witness"]["left"], results["witness"]["right"]} == {"2", "3"}
 
 
 @pytest.mark.parametrize(
@@ -435,6 +471,23 @@ def test_input_trees_and_groupoid(files, capsys):
     assert code == 0
     results = report_of(out)["results"]
     assert results["aut_orders"] == {"1": 1, "2": 2, "3": 1, "4": 6}
+
+    # g3: one class of three single-input nodes, each with its witness at the representative's edge b
+    net = write("g3.json", network_to_json(fixtures.g3()))
+    code, out, _ = run_cli(capsys, ["input-trees", net])
+    assert code == 0 and [t["root"] for t in report_of(out)["results"]["trees"]] == ["1", "2", "3"]
+    code, out, _ = run_cli(capsys, ["groupoid", net])
+    assert code == 0
+    assert report_of(out)["results"] == {
+        "classes": [
+            {
+                "representative": "1",
+                "members": ["1", "2", "3"],
+                "witnesses": {"1": {"b": "b"}, "2": {"a": "b"}, "3": {"c": "b"}},
+            }
+        ],
+        "aut_orders": {"1": 1, "2": 1, "3": 1},
+    }
 
 
 def test_an_automorphism_order_too_long_to_print_is_reported_in_hex(files, capsys):
@@ -551,7 +604,15 @@ def test_structure_commands_match_the_oracles(seed):
         assert _report(["balanced", "--coarsest", net_file], out) == (
             0, {"blocks": [list(b) for b in partition.blocks], **expected}
         )
-        assert _report(["quotient", net_file], out) == (0, {"partition": partition_to_json(partition), **expected})
+        code, results = _report(["quotient", net_file], out)
+        assert (code, results) == (0, {"partition": partition_to_json(partition), **expected})
+        # the quotient report's projection is a fibration onto its quotient, and its partition is balanced
+        for name in ("quotient", "projection", "partition"):
+            files[name] = tmp / f"{name}.json"
+            files[name].write_text(json.dumps(results[name]), encoding="utf-8")
+        code, results = _report(["check-fibration", net_file, str(files["quotient"]), str(files["projection"])], out)
+        assert (code, results["is_fibration"], results["surjective_on_nodes"]) == (0, True, True)
+        assert _report(["balanced", "--check", str(files["partition"]), net_file], out) == (0, {"balanced": True})
 
         for domain, m, name in ((files["net"], lift, "lift"), (files["other"], other, "other.map")):
             code, results = _report(["check-fibration", str(domain), str(files["base"]), str(files[name])], out)
@@ -577,6 +638,7 @@ def test_factorize_command(files, capsys):
     assert code == 0
     results = report_of(out)["results"]
     assert {n["id"] for n in results["image"]["nodes"]} == {"a", "b"}
+    assert results["surjection"]["nodes"] == {"a1": "a", "a2": "a", "b": "b"}
 
 
 def test_factorize_non_fibration_exits_1(files, capsys):
@@ -601,6 +663,10 @@ def test_essential_image_command(files, capsys):
     results = report_of(out)["results"]
     assert results["essentially_surjective"]
     assert len(results["essential_image"]) == 10
+    # the inclusion of the 2-cycle misses g3_mixed's tail node, which is in R2
+    code, out, _ = run_cli(capsys, ["essential-image", *map_files(write, fixtures.c2_into_g3_mixed())])
+    results = report_of(out)["results"]
+    assert (code, results["essential_image"], results["essentially_surjective"]) == (0, ["1", "2"], False)
 
 
 def test_pullback_command(files, capsys):
@@ -676,6 +742,41 @@ def test_simulate_writes_utf8_whatever_the_stdout_encoding(files, tmp_path):
     assert next(csv.reader(io.StringIO(proc.stdout.decode("utf-8"), newline=""))) == header
 
 
+def test_simulate_faults_on_a_blow_up_and_not_at_the_float_maximum(files, capsys):
+    write, _ = files
+    c2 = write("c2.json", network_to_json(fixtures.cycle2()))
+
+    def simulate(expr, a, b, T, h):
+        dyn = write("dyn.json", {"classes": [{"representative": "a", "exprs": [expr]}]})
+        x0 = write("x0.json", {"by_node": {"a": [a], "b": [b]}})
+        return run_cli(capsys, ["simulate", c2, dyn, "--x0", x0, "--T", T, "--h", h])
+
+    # x' = x^2 + u from (0.5, -0.25) leaves the floats at step 21; stdout gets no partial CSV
+    assert simulate("x[0] * x[0] + sum(u in inputs[R1]) { u[0] }", 0.5, -0.25, "10", "0.1") == (
+        1, "", "error: non-finite state at step 21\n"
+    )
+    # x' = u - x from the float maximum: the sum of a state overflows, but each state stays at 1e308, so there
+    # is no fault and no warning (this suite raises on one)
+    code, out, err = simulate("sum(u in inputs[R1]) { u[0] } - x[0]", 1e308, 1e308, "0.05", "0.01")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "0.05,1e+308,1e+308"
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "directory"])
+def test_an_out_path_that_cannot_be_written_exits_2(files, capsys, target):
+    write, tmp = files
+    out, reason = {
+        "missing-directory": (str(tmp / "missing" / "r.json"), "No such file or directory"),
+        "directory": (str(tmp), "Is a directory"),
+    }[target]
+    net = fixtures.g3()
+    netp = write("g3.json", network_to_json(net))
+    dyn = write("dyn.json", class_dynamics_to_json(fixtures.linear_dynamics(net)))
+    x0 = write("x0.json", {"flat": [1.0, 1.0, 1.0]})
+    for argv in (["validate", netp], ["simulate", netp, dyn, "--x0", x0, "--T", "0.1", "--h", "0.1"]):
+        assert run_cli(capsys, [*argv, "--out", out]) == (2, "", f"error: cannot write {out}: {reason}\n")
+
+
 def test_verify_conjugacy_command(files, capsys):
     write, _ = files
     m = fixtures.g3_to_c2()
@@ -743,6 +844,7 @@ def test_driving_exit_code_is_the_fibration_verdict(files, capsys):
             assert code == expected
             assert results["ok"] is (expected == 0)
             assert results["pointwise_max_residual"] == (0.0 if expected == 0 else None)
+            assert results["feedback_edges"] == ([] if expected == 0 else ["za"])
             assert "fd_max_residual" not in results and "fd_step" not in results
     with pytest.raises(SystemExit):
         main(["verify", "driving", "--help"])
@@ -1243,6 +1345,6 @@ def test_structure_commands_never_load_numpy(files, capsys):
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(child)], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     codes = [main(argv + ["--out", str(tmp / f"here{k}.json")]) for k, argv in enumerate(argvs)]
-    assert json.loads(proc.stdout) == codes
+    assert json.loads(proc.stdout) == codes == [0] * len(argvs)
     for k in range(len(argvs)):
         assert (tmp / f"child{k}.json").read_bytes() == (tmp / f"here{k}.json").read_bytes()
