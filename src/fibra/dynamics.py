@@ -43,12 +43,20 @@ Control = Union[ControlExpr, RawControl]
 
 
 def signature_at(net: Network, a: NodeId) -> ControlSignature:
-    """The signature of the input tree of ``a``, read from its in-edges."""
-    if a not in net.graph.node_set:
-        raise PreconditionError(f"unknown node id {a!r}")
-    phase = net.phase
-    inputs = tuple(phase[e.src] for e in net.in_edges(a))
-    return ControlSignature(phase[a], inputs)
+    """The signature of the input tree of ``a``, read from its in-edges once per network and node.
+
+    A loader parses a class's expressions against its representative's
+    signature, and the field it builds checks the control against the same
+    one, which the network keeps (``Network._signatures``).
+    """
+    signature = net._signatures.get(a)
+    if signature is None:
+        if a not in net.graph.node_set:
+            raise PreconditionError(f"unknown node id {a!r}")
+        phase = net.phase
+        inputs = tuple(phase[src] for _, src in net.graph._index.in_pairs(a))
+        signature = net._signatures[a] = ControlSignature(phase[a], inputs)
+    return signature
 
 
 def bind_control(ctrl: Control, slots: Sequence[tuple[str, PhaseSpace]], where: str = "its slots") -> BatchKernel:
@@ -256,7 +264,7 @@ class GlobalField:
         units: dict = {}
         off = 0
         for i, ((part_net, part_w), part_index) in enumerate(zip(parts, indexes)):
-            slices, spaces, in_edges = part_index.slices, part_index.spaces, part_net.graph._index.in_edges
+            slices, spaces, graph_index = part_index.slices, part_index.spaces, part_net.graph._index
             if part_w.mode == "per_node":
                 runs = [(part_w.controls[a], (a,)) for a in part_index.order]
             else:  # blocks come in the order of their least member, the layout order
@@ -265,17 +273,17 @@ class GlobalField:
                 key = id(ctrl) if isinstance(ctrl, ControlExpr) else (i, nodes[0])
                 unit = units.get(key)
                 if unit is None:
-                    slots = [(e.edge_id, spaces[e.src]) for e in in_edges[nodes[0]]]
+                    slots = [(eid, spaces[src]) for eid, src in graph_index.in_pairs(nodes[0])]
                     unit = units[key] = [ctrl, slots, [], [[] for _ in ctrl.signature.group_index]]
                 _, _, roots, sources = unit
                 roots += [slices[a][0] + off for a in nodes]
                 if len(sources) == 1:  # every input is of the one group
-                    sources[0] += [slices[e.src][0] + off for a in nodes for e in in_edges[a]]
+                    sources[0] += [slices[src][0] + off for a in nodes for _, src in graph_index.in_pairs(a)]
                     continue
                 group = ctrl.signature.group_index
                 for a in nodes:
-                    for e in in_edges[a]:
-                        sources[group[spaces[e.src].name]].append(slices[e.src][0] + off)
+                    for _, src in graph_index.in_pairs(a):
+                        sources[group[spaces[src].name]].append(slices[src][0] + off)
             off += part_index.total_dim
         # every unit's roots, then its sources group by group, in one gather cut into views
         shapes = []

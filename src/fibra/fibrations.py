@@ -12,17 +12,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import FibrationRequired, PreconditionError
 from .graphs import (
-    Edge,
     Graph,
     Network,
     NetworkMap,
     NodeId,
     Partition,
     StateIndex,
+    _images,
+    _transposed,
     check_network_map,
     colour_classes,
     coordinate_distance,
@@ -53,24 +55,25 @@ class FibrationReport:
 
 
 def check_fibration(m: NetworkMap) -> FibrationReport:
-    """Count lifts of every codomain in-edge at every domain node; unique lifts everywhere = fibration."""
+    """Count lifts of every codomain in-edge at every domain node; unique lifts everywhere = fibration.
+
+    A valid map sends each in-edge of a node to an in-edge of the node's
+    image, so its lifts are unique exactly when no two in-edges of a node
+    share an image and each node has as many in-edges as its image: two
+    whole-column comparisons.  Lifts are counted node by node only where
+    they fail, to name each failure.
+    """
     violations = check_network_map(m)
     if violations:
         raise PreconditionError(
             "check_fibration requires a valid network map; first violation: " + violations[0].message
         )
-    failures: list[LiftFailure] = []
-    node_map, edge_map = m.node_map, m.edge_map
-    domain_in, codomain_in = m.domain.graph._index.in_edges, m.codomain.graph._index.in_edges
-    for a in sorted(m.domain.graph.nodes):
-        lifts: dict[str, int] = {}  # codomain in-edge -> its preimages among a's in-edges
-        for e in domain_in[a]:
-            image = edge_map[e.edge_id]
-            lifts[image] = lifts.get(image, 0) + 1
-        for e_prime in codomain_in[node_map[a]]:
-            n = lifts.get(e_prime.edge_id, 0)
-            if n != 1:
-                failures.append(LiftFailure(a, e_prime.edge_id, n))
+    dom, cod = m.domain.graph._index, m.codomain.graph._index
+    node_image, edge_image = _images(m)  # each a position, the map being valid
+    unique = len(set(zip(dom.tgt, edge_image))) == len(edge_image) and list(
+        map(len, dom.in_edges[: len(dom.nodes)])
+    ) == list(map(len, map(cod.in_edges.__getitem__, node_image)))
+    failures = [] if unique else _lift_failures(m, node_image)
     node_images = set(m.node_map.values())
     edge_images = set(m.edge_map.values())
     return FibrationReport(
@@ -78,9 +81,27 @@ def check_fibration(m: NetworkMap) -> FibrationReport:
         failures=tuple(failures),
         surjective_on_nodes=node_images == m.codomain.graph.node_set,
         injective_on_nodes=len(node_images) == len(m.node_map),
-        surjective_on_edges=edge_images == m.codomain.graph._index.edge_by_id.keys(),
+        surjective_on_edges=edge_images == cod.edge_pos.keys(),
         injective_on_edges=len(edge_images) == len(m.edge_map),
     )
+
+
+def _lift_failures(m: NetworkMap, node_image: list[int]) -> list[LiftFailure]:
+    """Each codomain in-edge at a domain node's image that does not lift uniquely there; nodes in id order."""
+    dom, cod, edge_map = m.domain.graph._index, m.codomain.graph._index, m.edge_map
+    failures: list[LiftFailure] = []
+    for a in sorted(m.domain.graph.nodes):
+        i = dom.position[a]
+        lifts: dict[str, int] = {}  # codomain in-edge -> its preimages among a's in-edges
+        for k in dom.in_edges[i]:
+            image = edge_map[dom.edge_ids[k]]
+            lifts[image] = lifts.get(image, 0) + 1
+        for k in cod.in_edges[node_image[i]]:
+            image = cod.edge_ids[k]
+            n = lifts.get(image, 0)
+            if n != 1:
+                failures.append(LiftFailure(a, image, n))
+    return failures
 
 
 def factorize(m: NetworkMap) -> tuple[NetworkMap, NetworkMap]:
@@ -165,30 +186,32 @@ def _quotient(net: Network, p: Partition, idx: Mapping[NodeId, NodeId]) -> tuple
     same quotient edge id, and such a partition raises PreconditionError.
     """
     q_nodes = tuple(b[0] for b in p.blocks)
-    q_edges: list[Edge] = []
+    q_edges: list[tuple[str, NodeId, NodeId]] = []  # (id, source, target) of each quotient edge
     edge_map: dict[str, str] = {}
-    in_edges = net.graph._index.in_edges
+    index = net.graph._index
+    ids, src, in_edges, position = index.edge_ids, index.src, index.in_edges, index.position
+    block = list(map(idx.__getitem__, index.nodes))  # per node position, its block id
     for b in p.blocks:
         rep = b[0]
         rep_groups: dict[NodeId, list[str]] = {}
         for i, a in enumerate(b):  # the representative comes first and fixes the quotient edges
             groups: dict[NodeId, list[str]] = {}
-            for e in in_edges[a]:
-                groups.setdefault(idx[e.src], []).append(e.edge_id)
-                if i == 0:
-                    q_edges.append(Edge(f"{rep}:{e.edge_id}", idx[e.src], rep))
+            for k in in_edges[position[a]]:
+                groups.setdefault(block[src[k]], []).append(ids[k])
             if i == 0:
                 rep_groups = groups
-            for src_block, ids in groups.items():
-                for own, reps in zip(ids, rep_groups[src_block]):
+                q_edges += [(f"{rep}:{ids[k]}", block[src[k]], rep) for k in in_edges[position[a]]]
+            for src_block, own_ids in groups.items():
+                for own, reps in zip(own_ids, rep_groups[src_block]):
                     edge_map[own] = f"{rep}:{reps}"
-    q_edges.sort(key=lambda e: e.edge_id)
-    if len({e.edge_id for e in q_edges}) < len(q_edges):
-        repeated = next(e.edge_id for e, f in zip(q_edges, q_edges[1:]) if e.edge_id == f.edge_id)
+    q_edges.sort(key=itemgetter(0))
+    q_ids, q_srcs, q_tgts = _transposed(q_edges)
+    if len(set(q_ids)) < len(q_ids):
+        repeated = next(e for e, f in zip(q_ids, q_ids[1:]) if e == f)
         raise PreconditionError(
             f"quotient edge id {repeated!r} would name two edges: block ids and edge ids joined by ':' collide"
         )
-    quotient = Network(Graph(q_nodes, tuple(q_edges)), {b[0]: net.space(b[0]) for b in p.blocks})
+    quotient = Network(Graph._from_columns(q_nodes, q_ids, q_srcs, q_tgts), {b[0]: net.space(b[0]) for b in p.blocks})
     return quotient, NetworkMap(net, quotient, idx, edge_map)
 
 

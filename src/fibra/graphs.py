@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from operator import attrgetter
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import PreconditionError
 
@@ -74,7 +74,8 @@ class Edge:
 
     Its ``__init__`` sets the three slots through their member descriptors,
     which skips the frozen ``__setattr__`` that a generated ``__init__`` calls
-    once per field: every loader builds one ``Edge`` per edge.
+    once per field: a graph read from JSON builds one ``Edge`` per edge when
+    its edges are first read.
     """
 
     edge_id: EdgeId
@@ -91,13 +92,82 @@ _set_edge_id, _set_src, _set_tgt = Edge.edge_id.__set__, Edge.src.__set__, Edge.
 
 
 class _GraphIndex(NamedTuple):
-    """What one scan of a graph's nodes and one of its edges find; ``Graph._index`` builds it once."""
+    """A graph's edges as integer columns over name positions, and its structural violations.
+
+    A position indexes ``names``: the distinct nodes in listing order, then
+    each edge endpoint that is no node.  ``Graph._index`` builds it once.
+    """
 
     nodes: tuple[NodeId, ...]  # the distinct nodes, in listing order
-    in_edges: dict[NodeId, tuple[Edge, ...]]  # sorted by edge id; an unknown target has its own entry
-    sources: list[list]  # per distinct node, the positions in ``nodes`` of its in-edge sources (None: no node)
-    edge_by_id: dict[EdgeId, Edge]  # the last edge listed under each id
+    names: tuple[NodeId, ...]  # ``nodes``, then each edge endpoint that is no node
+    position: dict[NodeId, int]  # name -> its position in ``names``
+    edge_ids: Sequence[EdgeId]  # per edge, in listing order
+    src: list[int]  # per edge, the position of its source
+    tgt: list[int]  # per edge, the position of its target
+    in_edges: list[list[int]]  # per name, the positions of the edges into it, sorted by edge id
+    edge_pos: dict[EdgeId, int]  # per edge id, the position of the last edge listed under it
     violations: tuple[Violation, ...]  # repeated node ids, then per edge: repeated id, unknown source, unknown target
+
+    def in_positions(self, node: NodeId) -> Sequence[int]:
+        """The positions of the edges into ``node``, sorted by edge id; none for a name no edge ends at."""
+        i = self.position.get(node)
+        return () if i is None else self.in_edges[i]
+
+    def in_pairs(self, node: NodeId) -> list[tuple[EdgeId, NodeId]]:
+        """(edge id, source) of each edge into ``node``, sorted by edge id."""
+        ids, names, src = self.edge_ids, self.names, self.src
+        return [(ids[k], names[src[k]]) for k in self.in_positions(node)]
+
+
+def _graph_index(
+    nodes: Sequence[NodeId], edge_ids: Sequence[EdgeId], sources: Sequence[NodeId], targets: Sequence[NodeId]
+) -> _GraphIndex:
+    """The index of a graph whose edges are given as three columns, one entry per edge.
+
+    Whole columns are mapped to positions at once; the scans that name
+    violations run only where a node id or an edge id repeats or an
+    endpoint is no node.
+    """
+    distinct = tuple(dict.fromkeys(nodes))
+    position = dict(zip(distinct, range(len(distinct))))
+    violations = []
+    if len(distinct) < len(nodes):
+        seen: set[NodeId] = set()
+        for a in nodes:
+            if a in seen:
+                violations.append(Violation("duplicate-node", a, f"node id {a!r} repeated"))
+            seen.add(a)
+    src, tgt = list(map(position.get, sources)), list(map(position.get, targets))
+    unknown = None in src or None in tgt
+    if unknown:  # each endpoint that is no node takes the next position
+        for a in chain(sources, targets):
+            position.setdefault(a, len(position))
+        src, tgt = list(map(position.__getitem__, sources)), list(map(position.__getitem__, targets))
+    edge_pos = dict(zip(edge_ids, range(len(edge_ids))))
+    if unknown or len(edge_pos) < len(edge_ids):
+        n, seen = len(distinct), set()
+        for eid, s, t, a, b in zip(edge_ids, src, tgt, sources, targets):
+            if eid in seen:
+                violations.append(Violation("duplicate-edge", eid, f"edge id {eid!r} repeated"))
+            seen.add(eid)
+            if s >= n:
+                violations.append(Violation("dangling-src", eid, f"edge {eid!r} has unknown source {a!r}"))
+            if t >= n:
+                violations.append(Violation("dangling-tgt", eid, f"edge {eid!r} has unknown target {b!r}"))
+    names = tuple(position) if unknown else distinct
+    in_edges: list[list[int]] = [[] for _ in names]
+    for k, t in enumerate(tgt):
+        in_edges[t].append(k)
+    by_id = edge_ids.__getitem__
+    for ks in in_edges:
+        if len(ks) > 1:
+            ks.sort(key=by_id)
+    return _GraphIndex(distinct, names, position, edge_ids, src, tgt, in_edges, edge_pos, tuple(violations))
+
+
+def _transposed(rows: Iterable[tuple]) -> tuple[list, list, list]:
+    """The three columns of rows of three."""
+    return tuple(map(list, zip(*rows))) or ([], [], [])
 
 
 @dataclass(frozen=True)
@@ -107,57 +177,58 @@ class Graph:
     Each instance builds its index lazily, once, on first use.
     ``cached_property`` stores it in the instance ``__dict__``, outside the
     dataclass fields, so equality and hashing still see only nodes and edges.
+    A graph read from JSON starts from its edge columns instead, and builds
+    ``edges`` from them when it is first read.
     """
 
     nodes: tuple[NodeId, ...]
     edges: tuple[Edge, ...]
 
+    @classmethod
+    def _from_columns(
+        cls, nodes: tuple[NodeId, ...], edge_ids: list[EdgeId], sources: list[NodeId], targets: list[NodeId]
+    ) -> Graph:
+        """The graph of ``nodes`` and of the edges whose ids, sources and targets the columns list, in order."""
+        graph = cls.__new__(cls)
+        graph.__dict__.update(nodes=nodes, _edge_columns=(edge_ids, sources, targets))
+        return graph
+
+    def __getattr__(self, name: str):
+        # called only for an attribute the instance lacks: ``edges`` of a graph built from columns
+        columns = self.__dict__.get("_edge_columns") if name == "edges" else None
+        if columns is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        edges = self.__dict__["edges"] = tuple(map(Edge, *columns))
+        return edges
+
     def in_edges(self, node: NodeId) -> tuple[Edge, ...]:
         """In-edges of ``node`` sorted by edge id."""
-        return self._index.in_edges.get(node, ())
+        return tuple(map(self.edges.__getitem__, self._index.in_positions(node)))
 
     def edge_by_id(self, edge_id: EdgeId) -> Edge:
-        return self._index.edge_by_id[edge_id]
+        return self.edges[self._index.edge_pos[edge_id]]
 
     @cached_property
     def node_set(self) -> frozenset[NodeId]:
         return frozenset(self._index.nodes)
 
     @cached_property
+    def _edge_columns(self) -> tuple[list[EdgeId], list[NodeId], list[NodeId]]:
+        """Edge ids, sources and targets, one entry per edge in listing order, from one scan of ``edges``."""
+        return _transposed(map(attrgetter("edge_id", "src", "tgt"), self.edges))
+
+    @cached_property
     def _index(self) -> _GraphIndex:
-        violations = []
-        position: dict[NodeId, int] = {}
-        for a in self.nodes:
-            if a in position:
-                violations.append(Violation("duplicate-node", a, f"node id {a!r} repeated"))
-            position.setdefault(a, len(position))
-        acc: dict[NodeId, tuple[list[Edge], list]] = {a: ([], []) for a in position}
-        edge_by_id: dict[EdgeId, Edge] = {}
-        for e in self.edges:
-            eid, src = e.edge_id, position.get(e.src)
-            if eid in edge_by_id:
-                violations.append(Violation("duplicate-edge", eid, f"edge id {eid!r} repeated"))
-            if src is None:
-                violations.append(Violation("dangling-src", eid, f"edge {eid!r} has unknown source {e.src!r}"))
-            if e.tgt not in position:
-                violations.append(Violation("dangling-tgt", eid, f"edge {eid!r} has unknown target {e.tgt!r}"))
-            edge_by_id[eid] = e
-            edges, sources = acc.get(e.tgt) or acc.setdefault(e.tgt, ([], []))  # a target that is no node too
-            edges.append(e)
-            sources.append(src)
-        by_id = attrgetter("edge_id")
-        in_edges = {a: tuple(sorted(es, key=by_id) if len(es) > 1 else es) for a, (es, _) in acc.items()}
-        sources = [sources for _, sources in acc.values()][: len(position)]
-        return _GraphIndex(tuple(position), in_edges, sources, edge_by_id, tuple(violations))
+        return _graph_index(self.nodes, *self._edge_columns)
 
 
 @dataclass(frozen=True)
 class Network:
     """A graph plus a total assignment of phase spaces to its nodes.
 
-    Like :class:`Graph`'s index, the flat state layout and the classes of
-    the symmetry groupoid are built once per instance, on first use, outside
-    the dataclass fields.
+    Like :class:`Graph`'s index, the flat state layout, the leaf types, the
+    control signatures and the classes of the symmetry groupoid are built
+    once per instance, on first use, outside the dataclass fields.
     """
 
     graph: Graph
@@ -200,6 +271,22 @@ class Network:
         return StateIndex(order, slices, {a: self.space(a) for a in order}, off)
 
     @cached_property
+    def _leaf_types(self) -> list[str]:
+        """Per edge position, the phase-space name of its source: the type of the input-tree leaf the edge gives.
+
+        Read where every edge source is a node with a phase space, as after
+        :func:`~fibra.input_trees.symmetry_groupoid`.
+        """
+        index, phase = self.graph._index, self.phase
+        names = [phase[a].name for a in index.nodes]
+        return list(map(names.__getitem__, index.src))
+
+    @cached_property
+    def _signatures(self) -> dict:
+        """Node -> its control signature, each kept by :func:`~fibra.dynamics.signature_at` as it builds it."""
+        return {}
+
+    @cached_property
     def _classes(self) -> Partition:
         """The classes :func:`~fibra.input_trees.symmetry_groupoid` returns: one refinement round's colours."""
         return colour_classes(*next(refinement_rounds(self, self.phase)))
@@ -225,10 +312,10 @@ def refinement_rounds(net: Network, colour: Mapping[NodeId, Hashable]) -> Iterat
     colours = [dense.setdefault(colour[a], len(dense)) for a in index.nodes]
     while True:
         signatures: dict[tuple, int] = {}
-        colour_at = colours.__getitem__
+        colour_at = list(map(colours.__getitem__, index.src)).__getitem__  # an edge's position -> its source's colour
         colours = [
-            signatures.setdefault((c, tuple(sorted(map(colour_at, srcs)))), len(signatures))
-            for c, srcs in zip(colours, index.sources)
+            signatures.setdefault((c, tuple(sorted(map(colour_at, in_edges)))), len(signatures))
+            for c, in_edges in zip(colours, index.in_edges)
         ]
         yield index.nodes, colours, signatures
 
@@ -294,8 +381,14 @@ class Violation:
 
 
 def validate_network(net: Network) -> list[Violation]:
-    """Report every violated structural invariant, the graph's own first; an empty list means valid."""
+    """Report every violated structural invariant, the graph's own first; an empty list means valid.
+
+    The phase map's keys are compared with the node set at once; the scans
+    that name a missing or an extra phase space run only where they differ.
+    """
     out = list(net.graph._index.violations)
+    if net.phase.keys() == net.graph.node_set:
+        return out
     for a in net.graph.nodes:
         if a not in net.phase:
             out.append(Violation("missing-phase", a, f"node {a!r} has no phase space"))
@@ -329,45 +422,66 @@ def identity_map(net: Network) -> NetworkMap:
 
 
 def check_network_map(m: NetworkMap) -> list[Violation]:
-    """Report every homomorphism or phase-compatibility violation."""
+    """Report every homomorphism or phase-compatibility violation.
+
+    Whole columns are compared at once; the scans that name violations, in
+    the order the nodes and edges are listed, run only where a comparison
+    fails.
+    """
+    dom, cod = m.domain.graph._index, m.codomain.graph._index
+    node_image, edge_image = _images(m)
+    if None in node_image or max(node_image, default=-1) >= len(cod.nodes) or None in edge_image:
+        return _image_violations(m)
     out: list[Violation] = []
-    cod_nodes = m.codomain.graph.node_set
-    cod_edges = m.codomain.graph._index.edge_by_id
+    node_map, image_at = m.node_map, node_image.__getitem__
+    if (
+        len(dom.names) > len(dom.nodes)  # an endpoint that is no node: only the scan reads its image
+        or list(map(image_at, dom.src)) != list(map(cod.src.__getitem__, edge_image))
+        or list(map(image_at, dom.tgt)) != list(map(cod.tgt.__getitem__, edge_image))
+    ):
+        for eid, s, t, k in zip(dom.edge_ids, dom.src, dom.tgt, edge_image):
+            src, tgt, img_src, img_tgt = node_map[dom.names[s]], node_map[dom.names[t]], cod.src[k], cod.tgt[k]
+            if src != cod.names[img_src] or tgt != cod.names[img_tgt]:
+                out.append(
+                    Violation(
+                        "homomorphism",
+                        eid,
+                        f"edge {eid!r}: endpoints map to ({src!r},{tgt!r}) "
+                        f"but its image {cod.edge_ids[k]!r} runs ({cod.names[img_src]!r},{cod.names[img_tgt]!r})",
+                    )
+                )
+    nodes, dom_phase, cod_phase = m.domain.graph.nodes, m.domain.phase, m.codomain.phase
+    targets = list(map(node_map.__getitem__, nodes))
+    if list(map(dom_phase.__getitem__, nodes)) != list(map(cod_phase.__getitem__, targets)):
+        for a, b in zip(nodes, targets):
+            space, image = dom_phase[a], cod_phase[b]
+            if image != space:
+                message = f"node {a!r}: domain space {space.name} != codomain space {image.name} at {b!r}"
+                out.append(Violation("phase", a, message))
+    return out
+
+
+def _images(m: NetworkMap) -> tuple[list, list]:
+    """The codomain position of the image of each distinct domain node and of each domain edge; None for none."""
+    dom, cod = m.domain.graph._index, m.codomain.graph._index
+    node_image = list(map(cod.position.get, map(m.node_map.get, dom.nodes)))
+    return node_image, list(map(cod.edge_pos.get, map(m.edge_map.get, dom.edge_ids)))
+
+
+def _image_violations(m: NetworkMap) -> list[Violation]:
+    """Every domain node and edge with no image, or an image outside the codomain, in listing order."""
+    out: list[Violation] = []
+    cod_nodes, cod_edges = m.codomain.graph.node_set, m.codomain.graph._index.edge_pos
     for a in m.domain.graph.nodes:
         if a not in m.node_map:
             out.append(Violation("unmapped-node", a, f"node {a!r} has no image"))
         elif m.node_map[a] not in cod_nodes:
             out.append(Violation("bad-node-image", a, f"node {a!r} maps outside the codomain"))
-    for e in m.domain.graph.edges:
-        if e.edge_id not in m.edge_map:
-            out.append(Violation("unmapped-edge", e.edge_id, f"edge {e.edge_id!r} has no image"))
-        elif m.edge_map[e.edge_id] not in cod_edges:
-            out.append(Violation("bad-edge-image", e.edge_id, f"edge {e.edge_id!r} maps outside the codomain"))
-    if out:
-        return out
-    node_map, edge_map = m.node_map, m.edge_map
-    for e in m.domain.graph.edges:
-        img = cod_edges[edge_map[e.edge_id]]
-        if node_map[e.src] != img.src or node_map[e.tgt] != img.tgt:
-            out.append(
-                Violation(
-                    "homomorphism",
-                    e.edge_id,
-                    f"edge {e.edge_id!r}: endpoints map to ({node_map[e.src]!r},{node_map[e.tgt]!r}) "
-                    f"but its image {img.edge_id!r} runs ({img.src!r},{img.tgt!r})",
-                )
-            )
-    dom_phase, cod_phase = m.domain.phase, m.codomain.phase
-    for a in m.domain.graph.nodes:
-        space, image = dom_phase[a], cod_phase[node_map[a]]
-        if image != space:
-            out.append(
-                Violation(
-                    "phase",
-                    a,
-                    f"node {a!r}: domain space {space.name} != codomain space {image.name} at {node_map[a]!r}",
-                )
-            )
+    for eid in m.domain.graph._index.edge_ids:
+        if eid not in m.edge_map:
+            out.append(Violation("unmapped-edge", eid, f"edge {eid!r} has no image"))
+        elif m.edge_map[eid] not in cod_edges:
+            out.append(Violation("bad-edge-image", eid, f"edge {eid!r} maps outside the codomain"))
     return out
 
 

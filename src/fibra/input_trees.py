@@ -13,11 +13,11 @@ import itertools
 import math
 import operator
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .errors import EnumerationCapExceeded, PreconditionError
-from .graphs import Edge, EdgeId, Network, NetworkMap, NodeId, Partition, PhaseSpace
+from .graphs import EdgeId, Network, NetworkMap, NodeId, Partition, PhaseSpace
 
 DEFAULT_ISO_CAP = 10**6
 
@@ -54,17 +54,18 @@ class InputTree:
 def input_tree(net: Network, a: NodeId) -> InputTree:
     if a not in net.graph.node_set:
         raise PreconditionError(f"unknown node id {a!r}")
-    leaves = tuple(Leaf(e.edge_id, e.src, net.space(e.src)) for e in net.in_edges(a))
+    leaves = tuple(Leaf(eid, src, net.space(src)) for eid, src in net.graph._index.in_pairs(a))
     return InputTree(a, net.space(a), leaves)
 
 
-def _typed(in_edges: Sequence[Edge], phase: Mapping[NodeId, PhaseSpace]) -> Sequence[Edge]:
-    """A node's in-edges in typed leaf order: by source-space name, and by edge id within a name.
+def _typed(in_edges: Sequence[int], leaf_type: Callable[[int], str]) -> Sequence[int]:
+    """A node's in-edge positions in typed leaf order: by source-space name, and by edge id within a name.
 
     ``in_edges`` lists them in edge-id order, which the stable sort keeps;
-    fewer than two are already in order.
+    fewer than two are already in order.  ``leaf_type`` reads
+    ``Network._leaf_types``.
     """
-    return sorted(in_edges, key=lambda e: phase[e.src].name) if len(in_edges) > 1 else in_edges
+    return sorted(in_edges, key=leaf_type) if len(in_edges) > 1 else in_edges
 
 
 @dataclass(frozen=True)
@@ -115,11 +116,11 @@ def induced_tree_map(m: NetworkMap, a: NodeId) -> InducedTreeMap:
     if a not in m.domain.graph.node_set:
         raise PreconditionError(f"unknown node id {a!r}")
     b = m.node_map.get(a)
-    leaf_map = {e.edge_id: m.edge_map.get(e.edge_id) for e in m.domain.in_edges(a)}
+    leaf_map = {eid: m.edge_map.get(eid) for eid, _ in m.domain.graph._index.in_pairs(a)}
     for kind, key, image in (("node", a, b), *(("edge", e, f) for e, f in leaf_map.items())):
         if image is None:
             raise PreconditionError(f"induced_tree_map: the map has no image of {kind} {key!r}")
-    codomain_leaves = {e.edge_id for e in m.codomain.in_edges(b)}
+    codomain_leaves = {eid for eid, _ in m.codomain.graph._index.in_pairs(b)}
     images = list(leaf_map.values())
     is_iso = (
         len(set(images)) == len(images)
@@ -147,15 +148,16 @@ def canonical_isos(net: Network, sources: Iterable[NodeId], target: NodeId) -> l
     if target not in node_set:
         raise PreconditionError(f"unknown node id {target!r}")
     members = set(symmetry_groupoid(net).block_of(target))
-    in_edges, phase = net.graph._index.in_edges, net.phase
-    target_ids = [e.edge_id for e in _typed(in_edges[target], phase)]
+    index, leaf_type = net.graph._index, net._leaf_types.__getitem__
+    in_edges, position, id_at = index.in_edges, index.position, index.edge_ids.__getitem__
+    target_ids = list(map(id_at, _typed(in_edges[position[target]], leaf_type)))
     isos = []
     for a in sources:
         if a not in members:
             if a not in node_set:
                 raise PreconditionError(f"unknown node id {a!r}")
             raise PreconditionError(f"input trees of {a!r} and {target!r} are not isomorphic")
-        isos.append(TreeIso(a, target, dict(zip([e.edge_id for e in _typed(in_edges[a], phase)], target_ids))))
+        isos.append(TreeIso(a, target, dict(zip(map(id_at, _typed(in_edges[position[a]], leaf_type)), target_ids))))
     return isos
 
 
@@ -174,9 +176,11 @@ def enumerate_tree_isos(
         return TreeIsos(a, b, (), (), 0)
     if count > cap:
         raise EnumerationCapExceeded(count, cap)
-    runs_b = itertools.groupby(_typed(net.in_edges(b), net.phase), lambda e: net.phase[e.src].name)
-    blocks_b = tuple(tuple(e.edge_id for e in run) for _, run in runs_b)
-    return TreeIsos(a, b, tuple(e.edge_id for e in _typed(net.in_edges(a), net.phase)), blocks_b, count)
+    index, leaf_type = net.graph._index, net._leaf_types.__getitem__
+    id_at = index.edge_ids.__getitem__
+    runs_b = itertools.groupby(_typed(index.in_positions(b), leaf_type), leaf_type)
+    blocks_b = tuple(tuple(map(id_at, run)) for _, run in runs_b)
+    return TreeIsos(a, b, tuple(map(id_at, _typed(index.in_positions(a), leaf_type))), blocks_b, count)
 
 
 class TreeIsos(Sequence):

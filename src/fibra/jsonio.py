@@ -5,13 +5,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Set as AbstractSet
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from .errors import InputError, PreconditionError
-from .graphs import Edge, Graph, Network, NetworkMap, Partition, PhaseSpace, StateIndex, circle, euclidean
+from .graphs import R1, R2, S1, Graph, Network, NetworkMap, Partition, PhaseSpace, StateIndex, circle, euclidean
 
 if TYPE_CHECKING:
     import numpy as np
@@ -125,14 +125,18 @@ def network_from_json(obj: Any) -> Network:
     """A network from {"nodes": [{"id", "space"}], "edges": [{"id", "src", "tgt"}]}, each list read once.
 
     A plain dict entry whose fields have their JSON types is read directly; any
-    other entry goes through the checks that name what is wrong with it.
+    other entry goes through the checks that name what is wrong with it.  The
+    edges are kept as three columns (ids, sources, targets), from which the
+    graph builds its index, and its ``Edge`` objects only when they are read.
     """
     nodes = _require(obj, "nodes", "network")
     edges = _require(obj, "edges", "network")
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise InputError("network: 'nodes' and 'edges' must be lists")
     ids, phase = [], {}
-    spaces: dict[tuple, PhaseSpace] = {}  # (kind, dim) -> its space, one per distinct JSON space
+    # (kind, dim) -> its space, one per distinct JSON space; every network read shares the common ones, so
+    # a map's phase check finds equal spaces by identity
+    spaces: dict[tuple, PhaseSpace] = {("S1", None): S1, ("R", 1): R1, ("R", 2): R2}
     for entry in nodes:
         if type(entry) is dict and type(nid := entry.get("id")) is str and type(js := entry.get("space")) is dict:
             kind, dim = js.get("kind"), js.get("dim")
@@ -147,15 +151,18 @@ def network_from_json(obj: Any) -> Network:
             space = space_from_json(_require(entry, "space", "network node"))
         ids.append(nid)
         phase[nid] = space
-    edge_list = []
+    edge_ids, sources, targets = [], [], []
     for entry in edges:
         if type(entry) is dict:
             eid, src, tgt = entry.get("id"), entry.get("src"), entry.get("tgt")
-            if type(eid) is str and type(src) is str and type(tgt) is str:
-                edge_list.append(Edge(eid, src, tgt))
-                continue
-        edge_list.append(_edge(entry))
-    return Network(Graph(tuple(ids), tuple(edge_list)), phase)
+            if type(eid) is not str or type(src) is not str or type(tgt) is not str:
+                eid, src, tgt = _edge(entry)
+        else:
+            eid, src, tgt = _edge(entry)
+        edge_ids.append(eid)
+        sources.append(src)
+        targets.append(tgt)
+    return Network(Graph._from_columns(tuple(ids), edge_ids, sources, targets), phase)
 
 
 def _node_id(entry: Any) -> str:
@@ -165,20 +172,22 @@ def _node_id(entry: Any) -> str:
     return nid
 
 
-def _edge(entry: Any) -> Edge:
+def _edge(entry: Any) -> tuple[str, str, str]:
     eid = _require(entry, "id", "network edge")
     src = _require(entry, "src", "network edge")
     tgt = _require(entry, "tgt", "network edge")
     if not all(isinstance(v, str) for v in (eid, src, tgt)):
         raise InputError("network edge: id, src, tgt must be strings")
-    return Edge(eid, src, tgt)
+    return eid, src, tgt
 
 
 def network_to_json(net: Network) -> dict:
-    return {
-        "nodes": [{"id": a, "space": space_to_json(net.space(a))} for a in net.graph.nodes],
-        "edges": [{"id": e.edge_id, "src": e.src, "tgt": e.tgt} for e in net.graph.edges],
-    }
+    graph = net.graph
+    if "edges" in vars(graph):  # built from Edge objects, or its edges already read
+        edges = [{"id": e.edge_id, "src": e.src, "tgt": e.tgt} for e in graph.edges]
+    else:  # read from JSON, or a quotient: written from its columns, with no Edge built
+        edges = [{"id": e, "src": s, "tgt": t} for e, s, t in zip(*graph._edge_columns)]
+    return {"nodes": [{"id": a, "space": space_to_json(net.space(a))} for a in graph.nodes], "edges": edges}
 
 
 def map_from_json(obj: Any, domain: Network, codomain: Network) -> NetworkMap:
@@ -187,12 +196,18 @@ def map_from_json(obj: Any, domain: Network, codomain: Network) -> NetworkMap:
     if not isinstance(nodes, Mapping) or not isinstance(edges, Mapping):
         raise InputError("map: 'nodes' and 'edges' must be objects")
     _check_images(nodes, domain.graph.node_set, "node")
-    _check_images(edges, domain.graph._index.edge_by_id, "edge")
+    _check_images(edges, domain.graph._index.edge_pos.keys(), "edge")
     return NetworkMap(domain, codomain, dict(nodes), dict(edges))
 
 
-def _check_images(images: Mapping, domain_ids, what: str) -> None:
-    """Every key names a domain node (edge) and every image is an id string."""
+def _check_images(images: Mapping, domain_ids: AbstractSet, what: str) -> None:
+    """Every key names a domain node (edge) and every image is an id string.
+
+    Keys and image types are compared as whole sets; the scan that names
+    the first bad entry runs only where that comparison fails.
+    """
+    if type(images) is dict and images.keys() <= domain_ids and {*map(type, images.values())} <= {str}:
+        return
     for key, image in images.items():
         if key not in domain_ids:
             raise InputError(f"map: {what} key {key!r} names no domain {what}")

@@ -89,8 +89,8 @@ MUTANTS = (
     Mutant(
         "class-unit-bound-at-its-last-member",
         "src/fibra/dynamics.py",
-        "for e in in_edges[nodes[0]]]",
-        "for e in in_edges[nodes[-1]]]",
+        "graph_index.in_pairs(nodes[0])]",
+        "graph_index.in_pairs(nodes[-1])]",
         (
             "tests/test_build_once.py::test_field_units_match_the_per_node_loop",
             "tests/test_bound_evaluator.py::test_a_raw_class_is_one_unit_built_without_transport",
@@ -133,7 +133,7 @@ MUTANTS = (
     Mutant(
         "quotient-edge-id-guard-disabled",
         "src/fibra/fibrations.py",
-        "if len({e.edge_id for e in q_edges}) < len(q_edges):",
+        "if len(set(q_ids)) < len(q_ids):",
         "if False:",
         (
             "tests/test_structure_index.py::test_colliding_quotient_edge_ids_are_refused",
@@ -178,8 +178,8 @@ MUTANTS = (
     Mutant(
         "refinement-rounds-without-the-source-sort",
         "src/fibra/graphs.py",
-        "tuple(sorted(map(colour_at, srcs)))",
-        "tuple(map(colour_at, srcs))",
+        "tuple(sorted(map(colour_at, in_edges)))",
+        "tuple(map(colour_at, in_edges))",
         (
             "tests/test_acceptance.py::test_criterion_02_balanced_quotient_suite",
             "tests/test_build_once.py::test_field_reports_the_first_mismatched_node_of_a_class",
@@ -198,6 +198,29 @@ MUTANTS = (
         (
             "tests/test_graphs.py::test_total_phase_space_deterministic",
             "tests/test_build_once.py::test_field_units_match_the_per_node_loop",
+        ),
+    ),
+    Mutant(
+        "bulk-homomorphism-check-compares-sources-only",
+        "src/fibra/graphs.py",
+        "        or list(map(image_at, dom.tgt)) != list(map(cod.tgt.__getitem__, edge_image))\n",
+        "",
+        (
+            "tests/test_graphs.py::test_check_map_flags_source_mismatch",
+            "tests/test_structure_index.py::test_map_checks_match_the_edge_scans",
+        ),
+    ),
+    Mutant(
+        "in-edges-in-listing-order",
+        "src/fibra/graphs.py",
+        "ks.sort(key=by_id)",
+        "ks.sort()",
+        (
+            "tests/test_structure_index.py::test_graph_index_matches_the_separate_scans",
+            "tests/test_structure_index.py::test_structure_layer_matches_reference",
+            "tests/test_structure_index.py::test_one_scan_of_the_edges_serves_every_lookup",
+            "tests/test_dynamics.py::test_interconnect_input_order_is_edge_id_lexicographic",
+            "tests/test_input_trees.py::test_tree_isos_of_a_large_star_compare_and_print",
         ),
     ),
     Mutant(

@@ -18,6 +18,7 @@ from fibra import (
     R1,
     R2,
     S1,
+    Violation,
     check_network_map,
     compose_maps,
     coordinate_distance,
@@ -129,6 +130,12 @@ def test_check_map_flags_source_mismatch():
     violations = check_network_map(bad)
     assert [v.kind for v in violations] == ["homomorphism"]
     assert violations[0].subject == "a"
+    # a mismatch at the target alone: edge ba: b -> a sent to c: 2 -> 3, whose source is b's image
+    iota = fixtures.c2_into_g3()
+    bad = NetworkMap(iota.domain, iota.codomain, dict(iota.node_map), {**iota.edge_map, "ba": "c"})
+    assert check_network_map(bad) == [
+        Violation("homomorphism", "ba", "edge 'ba': endpoints map to ('2','1') but its image 'c' runs ('2','3')")
+    ]
 
 
 def test_check_map_flags_phase_mismatch():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import fibra
-from fibra import InputError, R1, R2, S1, total_phase_space
+from fibra import InputError, R1, R2, S1, total_phase_space, validate_network
 from fibra import dynamics, fixtures
 from fibra.cli import main
 from fibra.jsonio import (
@@ -31,7 +31,7 @@ from fibra.jsonio import (
     state_from_json,
 )
 
-from util import reference_network_from_json, reference_state_from_json
+from util import reference_network_from_json, reference_state_from_json, reference_validate_network
 
 
 @pytest.mark.parametrize(
@@ -130,6 +130,17 @@ def test_class_dynamics_checks_each_signature_against_the_network():
     missing = {"classes": [c for c in obj["classes"] if c["representative"] != r1]}
     with pytest.raises(InputError, match=re.escape(f"dynamics: no control for class of {r1!r}")):
         class_dynamics_from_json(missing, net)
+
+
+def test_class_dynamics_builds_each_representative_signature_once(monkeypatch):
+    net = network_from_json(network_to_json(fixtures.string_graph(3)))  # two classes, no signature built yet
+    obj = class_dynamics_to_json(fixtures.linear_dynamics(fixtures.string_graph(3)))
+    built = []
+    signature = dynamics.ControlSignature
+    monkeypatch.setattr(dynamics, "ControlSignature", lambda *args: built.append(args[0]) or signature(*args))
+    w = class_dynamics_from_json(obj, net)
+    assert sorted(w.controls) == sorted(c["representative"] for c in obj["classes"])
+    assert built == [net.space(r) for r in w.controls]  # one per representative: parsed, then checked
 
 
 def test_node_dynamics_export_after_pullback():
@@ -313,6 +324,30 @@ def test_network_loader_matches_reference(obj):
     got, want = _outcome(network_from_json, obj), _outcome(reference_network_from_json, obj)
     assert got == want
     assert got[0] is InputError or isinstance(got[0], fibra.Network)
+
+
+# one bad entry after 10^4 well-formed edges: the message that names it, or the violations it makes
+LONG_TAIL = {
+    "non-dict": (["e", "a", "b"], "network edge: missing key 'id'"),
+    "missing-src": ({"id": "x", "tgt": "a"}, "network edge: missing key 'src'"),
+    "int-id": ({"id": 7, "src": "a", "tgt": "b"}, "network edge: id, src, tgt must be strings"),
+    "repeated-id": ({"id": "e17", "src": "c", "tgt": "a"}, [("duplicate-edge", "e17")]),
+    "unknown-target": ({"id": "x", "src": "a", "tgt": "zz"}, [("dangling-tgt", "x")]),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(LONG_TAIL))
+def test_network_loader_names_one_bad_entry_after_many_good_ones(bad):
+    entry, expected = LONG_TAIL[bad]
+    good = [{"id": f"e{k}", "src": "abc"[k % 3], "tgt": "abc"[(k + 1) % 3]} for k in range(10**4)]
+    obj = {"nodes": [{"id": a, "space": {"kind": "R", "dim": 1}} for a in "abc"], "edges": good + [entry]}
+    got, want = _outcome(network_from_json, obj), _outcome(reference_network_from_json, obj)
+    assert got == want
+    if isinstance(expected, str):
+        assert got == (InputError, expected)
+    else:
+        assert validate_network(got[0]) == reference_validate_network(want[0])
+        assert [(v.kind, v.subject) for v in validate_network(got[0])] == expected
 
 
 @given(network_values())

@@ -24,6 +24,7 @@ from fibra import (
     Edge,
     Graph,
     Network,
+    NetworkMap,
     Partition,
     PreconditionError,
     R1,
@@ -32,6 +33,7 @@ from fibra import (
     aut_order,
     canonical_isos,
     check_fibration,
+    check_network_map,
     coarsest_balanced,
     enumerate_tree_isos,
     input_tree,
@@ -42,19 +44,23 @@ from fibra import (
     validate_network,
 )
 from fibra import fixtures
-from fibra.jsonio import map_to_json, network_to_json
+from fibra.jsonio import map_to_json, network_from_json, network_to_json
 
 from util import (
     LONE_NODE,
     R1_TRIANGLE,
     cases,
     doubled_edge_chain,
+    random_lift,
+    random_map_onto,
     networks,
     random_network,
     reference_adjacency,
     reference_balance_witness,
+    reference_check_network_map,
     reference_coarsest_balanced,
     reference_edge_index,
+    reference_lift_failures,
     reference_partition_blocks,
     reference_quotient_of,
     reference_validate_network,
@@ -91,9 +97,9 @@ def test_structure_layer_matches_reference(net):
     assert graph.node_set == frozenset(graph.nodes)
     for e in graph.edges:
         assert graph.edge_by_id(e.edge_id) == e
-    nodes, sources = graph._index.nodes, graph._index.sources
-    assert nodes == tuple(dict.fromkeys(graph.nodes))
-    assert [sorted(nodes[j] for j in s) for s in sources] == [sorted(e.src for e in ref_net.graph.in_edges(a)) for a in nodes]
+    assert graph._index.nodes == tuple(dict.fromkeys(graph.nodes))
+    for a in graph.nodes:  # what the readers of the columns walk
+        assert graph._index.in_pairs(a) == [(e.edge_id, e.src) for e in ref_net.graph.in_edges(a)]
 
     partition, quotient, projection = coarsest_balanced(net)
     ref_partition, ref_quotient, ref_projection = reference_coarsest_balanced(ref_net)
@@ -311,6 +317,19 @@ def test_graph_indexes_stay_out_of_equality_and_hash():
     g2 = Graph(("a", "b"), (Edge("e", "a", "b"),))
     g1.in_edges("b"), g1.edge_by_id("e"), g1.node_set  # build g1's indexes only
     assert g1 == g2 and hash(g1) == hash(g2)
+    # a graph read from JSON keeps its edges as columns until they are read; before and after, it equals,
+    # hashes and prints as the graph built from the same lists
+    obj = {
+        "nodes": [{"id": a, "space": {"kind": "S1"}} for a in ("b", "a")],
+        "edges": [{"id": "f", "src": "b", "tgt": "b"}, {"id": "e", "src": "a", "tgt": "b"}],
+    }
+    built = Graph(("b", "a"), (Edge("f", "b", "b"), Edge("e", "a", "b")))
+    for read_first in (False, True):
+        loaded = network_from_json(obj).graph
+        loaded.in_edges("b") if read_first else loaded.node_set  # the edges, or only the index
+        assert ("edges" in vars(loaded)) is read_first
+        assert hash(loaded) == hash(built) and loaded == built and built == loaded and repr(loaded) == repr(built)
+        assert loaded.edges == built.edges and loaded.in_edges("b") == built.in_edges("b")
 
 
 def test_validate_network_reports_in_order():
@@ -334,15 +353,33 @@ def test_validate_network_reports_in_order():
 
 def _graph_index_matches(net):
     graph = net.graph
-    in_edges, nodes, sources = reference_adjacency(graph)
+    in_edges, nodes = reference_adjacency(graph)
     assert validate_network(net) == reference_validate_network(net)
-    for a in (*graph.nodes, *(e.tgt for e in graph.edges), "no-such-node"):
+    for a in (*graph.nodes, *(e.tgt for e in graph.edges), *(e.src for e in graph.edges), "no-such-node"):
         assert graph.in_edges(a) == in_edges.get(a, ())
     by_id = reference_edge_index(graph)
     for edge_id in by_id:
         assert graph.edge_by_id(edge_id) is by_id[edge_id]
     assert graph.node_set == frozenset(graph.nodes)
-    assert (graph._index.nodes, graph._index.sources) == (nodes, sources)
+    # the columns: names are the nodes, then the endpoints that are none, and every position reads back the
+    # listed edge; each name's in-edges are listed by position in edge-id order, ties in listing order
+    index = graph._index
+    assert index.nodes == nodes and index.names[: len(nodes)] == nodes
+    assert sorted(index.names[len(nodes) :]) == sorted({a for e in graph.edges for a in (e.src, e.tgt)} - set(nodes))
+    assert index.position == {a: i for i, a in enumerate(index.names)}
+    at = index.names.__getitem__
+    assert [*zip(index.edge_ids, map(at, index.src), map(at, index.tgt))] == [(e.edge_id, e.src, e.tgt) for e in graph.edges]
+    assert len(index.in_edges) == len(index.names)
+    assert {a: tuple(graph.edges[k] for k in ks) for a, ks in zip(index.names, index.in_edges) if ks} == in_edges
+    assert index.edge_pos.keys() == by_id.keys() and all(graph.edges[k] is by_id[e] for e, k in index.edge_pos.items())
+    # the loader builds the same index from the same lists, and the same graph
+    loaded = network_from_json(
+        {
+            "nodes": [{"id": a, "space": {"kind": "S1"}} for a in graph.nodes],
+            "edges": [{"id": e.edge_id, "src": e.src, "tgt": e.tgt} for e in graph.edges],
+        }
+    ).graph
+    assert loaded._index == index and loaded == graph
 
 
 @given(cases())
@@ -372,6 +409,51 @@ def test_graph_index_matches_the_separate_scans(case):
 def test_graph_index_matches_the_separate_scans_on_a_listed_network():
     nodes, edges = ("a", "b", "a"), (Edge("e", "zz", "yy"), Edge("e", "a", "yy"), Edge("f", "a", "b"))
     _graph_index_matches(Network(Graph(nodes, edges), {"b": R1, "q": R2}))
+
+
+@given(cases())
+def test_map_checks_match_the_edge_scans(case):
+    # a lift of a random network, or another map onto it, with up to three images changed: a node's moved,
+    # dropped or sent outside the codomain; an edge's moved to any codomain edge, to one that shares its
+    # image's source, target or both, dropped or sent outside; so maps of every kind of fault occur, as do
+    # valid maps whose lifts fail
+    cod = case.network()
+    m = random_lift(case, cod) if case.random() < 0.5 else random_map_onto(case, cod)
+    node_map, edge_map = dict(m.node_map), dict(m.edge_map)
+    cod_edges = cod.graph.edges
+    for _ in range(case.randint(0, 3)):
+        how = case.choice(["node", "drop-node", "node-outside", "edge", "src", "tgt", "parallel", "drop-edge", "edge-outside"])
+        if how.endswith("node") or how == "node-outside":
+            a = case.choice(m.domain.graph.nodes)
+            if how == "node":
+                node_map[a] = case.choice(cod.graph.nodes)
+            elif how == "drop-node":
+                node_map.pop(a, None)
+            else:
+                node_map[a] = "zz"
+        elif edge_map:
+            eid = case.choice(sorted(edge_map))
+            image = cod.graph.edge_by_id(edge_map[eid]) if edge_map[eid] in cod.graph._index.edge_pos else None
+            shares = {
+                "edge": lambda e: True,
+                "src": lambda e: e.src == image.src,
+                "tgt": lambda e: e.tgt == image.tgt,
+                "parallel": lambda e: (e.src, e.tgt) == (image.src, image.tgt),
+            }.get(how)
+            if shares is not None and image is not None:
+                edge_map[eid] = case.choice([e for e in cod_edges if shares(e)]).edge_id
+            elif how == "drop-edge":
+                del edge_map[eid]
+            elif how == "edge-outside":
+                edge_map[eid] = "zz"
+    m = NetworkMap(m.domain, cod, node_map, edge_map)
+    violations = reference_check_network_map(m)
+    assert check_network_map(m) == violations
+    if violations:
+        with pytest.raises(PreconditionError, match="^check_fibration requires a valid network map; first violation: "):
+            check_fibration(m)
+    else:
+        assert check_fibration(m).failures == tuple(reference_lift_failures(m))
 
 
 class CountedEdges(tuple):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from fibra import (
     BalanceWitness,
+    LiftFailure,
     ControlExpr,
     Edge,
     EnumerationCapExceeded,
@@ -527,18 +528,14 @@ def scan_network(net: Network) -> Network:
     return Network(ScanGraph(net.graph.nodes, net.graph.edges), dict(net.phase))
 
 
-def reference_adjacency(graph: Graph) -> tuple[dict, tuple, list[list]]:
-    """Each node's in-edges sorted by edge id, the distinct nodes in listing order, and for each
-    of them the positions there of its in-edge sources (None for a source that is no node)."""
-    nodes = tuple(dict.fromkeys(graph.nodes))
-    position = {a: i for i, a in enumerate(nodes)}.get
-    acc: dict = {a: ([], []) for a in nodes}
+def reference_adjacency(graph: Graph) -> tuple[dict, tuple]:
+    """The in-edges of each edge target, node or not, sorted by edge id (ties in listing order), and the
+    distinct nodes in listing order."""
+    acc: dict = {}
     for e in graph.edges:
-        edges, sources = acc.get(e.tgt) or acc.setdefault(e.tgt, ([], []))  # a target that is no node too
-        edges.append(e)
-        sources.append(position(e.src))
-    in_edges = {a: tuple(sorted(edges, key=lambda e: e.edge_id)) for a, (edges, _) in acc.items()}
-    return in_edges, nodes, [sources for _, sources in acc.values()][: len(nodes)]
+        acc.setdefault(e.tgt, []).append(e)
+    in_edges = {a: tuple(sorted(edges, key=lambda e: e.edge_id)) for a, edges in acc.items()}
+    return in_edges, tuple(dict.fromkeys(graph.nodes))
 
 
 def reference_edge_index(graph: Graph) -> dict:
@@ -571,6 +568,59 @@ def reference_validate_network(net: Network) -> list[Violation]:
         if a not in node_set:
             out.append(Violation("extra-phase", a, f"phase space assigned to unknown node {a!r}"))
     return out
+
+
+def reference_check_network_map(m: NetworkMap) -> list[Violation]:
+    """Every image, homomorphism and phase violation, from scans of the nodes and of the ``Edge`` objects."""
+    out: list[Violation] = []
+    cod_nodes = frozenset(m.codomain.graph.nodes)
+    cod_edges = reference_edge_index(m.codomain.graph)
+    for a in m.domain.graph.nodes:
+        if a not in m.node_map:
+            out.append(Violation("unmapped-node", a, f"node {a!r} has no image"))
+        elif m.node_map[a] not in cod_nodes:
+            out.append(Violation("bad-node-image", a, f"node {a!r} maps outside the codomain"))
+    for e in m.domain.graph.edges:
+        if e.edge_id not in m.edge_map:
+            out.append(Violation("unmapped-edge", e.edge_id, f"edge {e.edge_id!r} has no image"))
+        elif m.edge_map[e.edge_id] not in cod_edges:
+            out.append(Violation("bad-edge-image", e.edge_id, f"edge {e.edge_id!r} maps outside the codomain"))
+    if out:
+        return out
+    node_map = m.node_map
+    for e in m.domain.graph.edges:
+        img = cod_edges[m.edge_map[e.edge_id]]
+        if node_map[e.src] != img.src or node_map[e.tgt] != img.tgt:
+            out.append(
+                Violation(
+                    "homomorphism",
+                    e.edge_id,
+                    f"edge {e.edge_id!r}: endpoints map to ({node_map[e.src]!r},{node_map[e.tgt]!r}) "
+                    f"but its image {img.edge_id!r} runs ({img.src!r},{img.tgt!r})",
+                )
+            )
+    for a in m.domain.graph.nodes:
+        space, image = m.domain.phase[a], m.codomain.phase[node_map[a]]
+        if image != space:
+            out.append(
+                Violation("phase", a, f"node {a!r}: domain space {space.name} != codomain space {image.name} at {node_map[a]!r}")
+            )
+    return out
+
+
+def reference_lift_failures(m: NetworkMap) -> list[LiftFailure]:
+    """Per domain node in id order, each codomain in-edge of its image whose preimages among the node's
+    in-edges (``Edge`` objects, found by scanning) are not exactly one."""
+    failures = []
+    for a in sorted(m.domain.graph.nodes):
+        lifts: dict[str, int] = {}
+        for e in m.domain.graph.edges:
+            if e.tgt == a:
+                lifts[m.edge_map[e.edge_id]] = lifts.get(m.edge_map[e.edge_id], 0) + 1
+        for e in sorted((e for e in m.codomain.graph.edges if e.tgt == m.node_map[a]), key=lambda e: e.edge_id):
+            if lifts.get(e.edge_id, 0) != 1:
+                failures.append(LiftFailure(a, e.edge_id, lifts.get(e.edge_id, 0)))
+    return failures
 
 
 def scan_block_of(p: Partition, node: str) -> tuple:
